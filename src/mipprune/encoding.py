@@ -36,11 +36,21 @@ with I_l the layer sum of (s + offset) for offset in {-2, -1, 0}.  The min
 term is linearized through ``t_min <= I_l``; the log-sum-exp epigraph is
 enforced by an outer-approximation cut pool seeded with one tangent cut at
 the reference logits of every point.
+
+Constraints are stored once, as a compressed row store on ``MipModel``:
+``row_ptr`` (row i owns entries ``row_ptr[i]:row_ptr[i + 1]``), ``col_idx``
+(variable ids, ascending within a row) and ``row_val`` (coefficients), plus
+one ``sense``, ``rhs`` and ``tag`` per row.  Rows are only appended: the
+encoder writes the network's rows, then each tangent cut of a solve is one
+more row.  The solver, the LP writer and the feasibility check all read
+these arrays.
 """
 
 from __future__ import annotations
 
 import hashlib
+from array import array
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -51,7 +61,6 @@ from .network import Network, forward
 
 __all__ = [
     "VarRef",
-    "LinConstraint",
     "MipModel",
     "RESCALE_OFFSETS",
     "encode_network",
@@ -91,63 +100,27 @@ class VarRef:
 
 
 @dataclass
-class LinConstraint:
-    coefs: dict[int, float]
-    sense: str  # 'L' (<=), 'G' (>=), 'E' (=)
-    rhs: float
-    tag: str
-
-    def violation(self, x: np.ndarray) -> float:
-        lhs = sum(c * x[j] for j, c in self.coefs.items())
-        if self.sense == "L":
-            return max(0.0, lhs - self.rhs)
-        if self.sense == "G":
-            return max(0.0, self.rhs - lhs)
-        return abs(lhs - self.rhs)
-
-
-class LinExpr:
-    """Small affine-expression helper used while emitting constraints."""
-
-    __slots__ = ("coefs", "const")
-
-    def __init__(self, coefs: dict[int, float] | None = None, const: float = 0.0):
-        self.coefs = dict(coefs) if coefs else {}
-        self.const = const
-
-    @staticmethod
-    def var(idx: int, coef: float = 1.0) -> "LinExpr":
-        return LinExpr({idx: coef})
-
-    @staticmethod
-    def constant(v: float) -> "LinExpr":
-        return LinExpr(None, v)
-
-    def add(self, other: "LinExpr", scale: float = 1.0) -> "LinExpr":
-        for j, c in other.coefs.items():
-            self.coefs[j] = self.coefs.get(j, 0.0) + scale * c
-        self.const += scale * other.const
-        return self
-
-    def add_term(self, idx: int, coef: float) -> "LinExpr":
-        self.coefs[idx] = self.coefs.get(idx, 0.0) + coef
-        return self
-
-    def value(self, x: np.ndarray) -> float:
-        return self.const + sum(c * x[j] for j, c in self.coefs.items())
-
-
-@dataclass
 class MipModel:
-    """Variables, constraints, objective, and cut pool of one encoding."""
+    """Variables, constraint rows, objective, and cut pool of one encoding.
+
+    Row i reads ``sum(row_val[e] * x[col_idx[e]]) sense[i] rhs[i]`` over the
+    entries e in ``row_ptr[i]:row_ptr[i + 1]``, with sense 'L' (<=), 'G' (>=)
+    or 'E' (=); ``tag[i]`` names the kind of row (``relu_cap``, ``lse_cut``,
+    ...).  Cuts append rows, so row ids never change.  ``dense_rows`` gives
+    the same rows as a dense matrix, cached until a row or variable is added.
+    """
 
     variables: list[VarRef] = field(default_factory=list)
-    constraints: list[LinConstraint] = field(default_factory=list)
+    row_ptr: array = field(default_factory=lambda: array("q", [0]))
+    col_idx: array = field(default_factory=lambda: array("q"))
+    row_val: array = field(default_factory=lambda: array("d"))
+    sense: list[str] = field(default_factory=list)
+    rhs: array = field(default_factory=lambda: array("d"))
+    tag: list[str] = field(default_factory=list)
     objective: dict[int, float] = field(default_factory=dict)
     objective_const: float = 0.0
     lam: float = 5.0
     rescale: str = "minus2"
-    epsilon: float = 0.0
     labels: np.ndarray | None = None
     n_points: int = 0
     # bookkeeping filled by encode_network
@@ -157,7 +130,7 @@ class MipModel:
     prunable: list[tuple[int, int]] = field(default_factory=list)
     reference_assignment: np.ndarray | None = None
     batch_digest: str = ""
-    cut_anchors: list[tuple[int, np.ndarray]] = field(default_factory=list)
+    _dense: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     # -- construction ------------------------------------------------------
 
@@ -166,19 +139,55 @@ class MipModel:
                 point: int | None = None) -> int:
         idx = len(self.variables)
         self.variables.append(VarRef(idx, name, kind, lb, ub, binary, layer, unit, point))
+        self._dense = None
         return idx
 
-    def add_constraint(self, expr: LinExpr, sense: str, rhs: float, tag: str) -> int:
-        coefs = {j: c for j, c in expr.coefs.items() if c != 0.0}
-        if not coefs:
+    def add_constraint(self, coefs: Mapping[int, float], sense: str, rhs: float,
+                       tag: str) -> int:
+        """Append the row ``sum(c * x[j] for j, c in coefs) sense rhs``.
+
+        Zero coefficients are dropped; returns the new row id.
+        """
+        entries = sorted((int(j), float(c)) for j, c in coefs.items() if c != 0.0)
+        if not entries:
             raise InvalidArgument(f"constraint {tag!r} has no variables")
-        if not all(np.isfinite(list(coefs.values()))) or not np.isfinite(rhs - expr.const):
+        if not np.all(np.isfinite([c for _, c in entries])) or not np.isfinite(rhs):
             raise InvalidArgument(f"constraint {tag!r} has non-finite data")
-        self.constraints.append(LinConstraint(coefs, sense, rhs - expr.const, tag))
-        return len(self.constraints) - 1
+        for j, c in entries:
+            self.col_idx.append(j)
+            self.row_val.append(c)
+        self.row_ptr.append(len(self.col_idx))
+        self.sense.append(sense)
+        self.rhs.append(rhs)
+        self.tag.append(tag)
+        self._dense = None
+        return len(self.rhs) - 1
 
     def add_objective_term(self, idx: int, coef: float) -> None:
         self.objective[idx] = self.objective.get(idx, 0.0) + coef
+
+    # -- rows --------------------------------------------------------------
+
+    @property
+    def constraints(self) -> range:
+        """Row ids; ``len(model.constraints)`` is the row count."""
+        return range(len(self.rhs))
+
+    def row(self, i: int) -> dict[int, float]:
+        """Coefficients of row ``i`` as ``{variable id: coefficient}``."""
+        lo, hi = self.row_ptr[i], self.row_ptr[i + 1]
+        return dict(zip(self.col_idx[lo:hi], self.row_val[lo:hi]))
+
+    def dense_rows(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Read-only ``(a, sense, rhs)`` with ``a`` dense, rows by variables."""
+        if self._dense is None:
+            a = np.zeros((len(self.rhs), len(self.variables)), dtype=np.float64)
+            entry_rows = np.repeat(np.arange(len(self.rhs)), np.diff(self.row_ptr))
+            a[entry_rows, np.array(self.col_idx, dtype=np.intp)] = self.row_val
+            self._dense = (a, np.array(self.sense, dtype="U1"), np.array(self.rhs))
+            for arr in self._dense:
+                arr.flags.writeable = False
+        return self._dense
 
     # -- evaluation --------------------------------------------------------
 
@@ -196,19 +205,23 @@ class MipModel:
                 bad.append(f"bound of {v.name}: {x[v.idx]!r} not in [{v.lb!r}, {v.ub!r}]")
             if v.binary and min(abs(x[v.idx]), abs(x[v.idx] - 1.0)) > tol:
                 bad.append(f"binary {v.name} is fractional: {x[v.idx]!r}")
-        for i, con in enumerate(self.constraints):
-            v = con.violation(x)
-            if v > tol:
-                bad.append(f"constraint {i} [{con.tag}] violated by {v!r}")
+        a, sense, rhs = self.dense_rows()
+        r = a @ x - rhs
+        viol = np.where(sense == "L", r, np.where(sense == "G", -r, np.abs(r)))
+        for i in np.flatnonzero(viol > tol).tolist():
+            bad.append(f"constraint {i} [{self.tag[i]}] violated by {float(viol[i])!r}")
         return bad
+
+    def with_exact_lse(self, x: np.ndarray) -> np.ndarray:
+        """Copy of ``x`` with each ``t_lse_k`` set to the log-sum-exp of its logits."""
+        y = np.array(x, dtype=np.float64)
+        for k, t_idx in enumerate(self.tlse_vars):
+            y[t_idx] = log_sum_exp(y[self.logit_vars[k]])
+        return y
 
     def true_objective(self, x: np.ndarray) -> float:
         """Objective with the epigraph variables replaced by their exact values."""
-        y = x.copy()
-        for k, t_idx in enumerate(self.tlse_vars):
-            logits = np.array([y[j] for j in self.logit_vars[k]])
-            y[t_idx] = log_sum_exp(logits)
-        return self.objective_value(y)
+        return self.objective_value(self.with_exact_lse(x))
 
     def decompose(self, x: np.ndarray) -> tuple[float, float]:
         """(sparsity term, softmax term) recomputed from first principles."""
@@ -253,7 +266,6 @@ def encode_maxpool(model: MipModel, input_vars: list[int], uppers, layer: int, g
                         layer=layer, unit=group, point=point)
     m_vars: list[int] = []
     w_vars: list[int] = []
-    choose = LinExpr()
     for i, (hj, u) in enumerate(zip(input_vars, uppers)):
         m = model.add_var(f"m_{layer}_{group}_{i}_{point}", "m", 0.0, 1.0, binary=True,
                           layer=layer, unit=group, point=point)
@@ -261,17 +273,15 @@ def encode_maxpool(model: MipModel, input_vars: list[int], uppers, layer: int, g
                           layer=layer, unit=group, point=point)
         m_vars.append(m)
         w_vars.append(w)
-        choose.add_term(m, 1.0)
         # x >= h_i
-        model.add_constraint(LinExpr({out: 1.0, hj: -1.0}), "G", 0.0, "maxpool_ge")
+        model.add_constraint({out: 1.0, hj: -1.0}, "G", 0.0, "maxpool_ge")
         # x <= w_i + U_pool (1 - m_i): binding only for the selected input
-        model.add_constraint(LinExpr({out: 1.0, w: -1.0, m: u_pool}), "L", u_pool,
-                             "maxpool_select")
+        model.add_constraint({out: 1.0, w: -1.0, m: u_pool}, "L", u_pool, "maxpool_select")
         # product envelope: w_i <= U_i m_i ; w_i <= h_i ; w_i >= h_i - U_i (1 - m_i)
-        model.add_constraint(LinExpr({w: 1.0, m: -u}), "L", 0.0, "maxpool_prod_cap")
-        model.add_constraint(LinExpr({w: 1.0, hj: -1.0}), "L", 0.0, "maxpool_prod_le")
-        model.add_constraint(LinExpr({w: 1.0, hj: -1.0, m: -u}), "G", -u, "maxpool_prod_ge")
-    model.add_constraint(choose, "E", 1.0, "maxpool_choose")
+        model.add_constraint({w: 1.0, m: -u}, "L", 0.0, "maxpool_prod_cap")
+        model.add_constraint({w: 1.0, hj: -1.0}, "L", 0.0, "maxpool_prod_le")
+        model.add_constraint({w: 1.0, hj: -1.0, m: -u}, "G", -u, "maxpool_prod_ge")
+    model.add_constraint(dict.fromkeys(m_vars, 1.0), "E", 1.0, "maxpool_choose")
     return out, m_vars, w_vars
 
 
@@ -279,19 +289,15 @@ def add_lse_cut(model: MipModel, point: int, anchor: np.ndarray) -> int:
     """Tangent cut t_lse_k >= lse(anchor) + softmax(anchor) . (h - anchor).
 
     A supporting hyperplane of the convex log-sum-exp, so the cut never
-    excludes a point satisfying the true epigraph.
+    excludes a point satisfying the true epigraph.  Appends one row.
     """
     anchor = np.asarray(anchor, dtype=np.float64)
     if not np.all(np.isfinite(anchor)):
         raise InvalidArgument("cut anchor must be finite")
     sig = softmax_probs(anchor)
     rhs = log_sum_exp(anchor) - float(np.dot(sig, anchor))
-    expr = LinExpr({model.tlse_vars[point]: 1.0})
-    for c, hj in enumerate(model.logit_vars[point]):
-        expr.add_term(hj, -float(sig[c]))
-    idx = model.add_constraint(expr, "G", rhs, "lse_cut")
-    model.cut_anchors.append((point, anchor.copy()))
-    return idx
+    coefs = {model.tlse_vars[point]: 1.0, **dict(zip(model.logit_vars[point], -sig))}
+    return model.add_constraint(coefs, "G", rhs, "lse_cut")
 
 
 def _batch_digest(xs: np.ndarray, ys: np.ndarray) -> str:
@@ -299,6 +305,19 @@ def _batch_digest(xs: np.ndarray, ys: np.ndarray) -> str:
     h.update(np.ascontiguousarray(xs, dtype=np.float64).tobytes())
     h.update(np.ascontiguousarray(ys, dtype=np.int64).tobytes())
     return h.hexdigest()[:16]
+
+
+def _affine_constants(weight: np.ndarray, bias: np.ndarray, const: np.ndarray) -> np.ndarray:
+    """``weight @ const + bias`` summed input by input over nonzero weights only.
+
+    This order of the sums is part of the encoding: it fixes the last bit of
+    every right-hand side, and so the LP text.
+    """
+    pc = np.array(bias, dtype=np.float64)
+    for i in range(weight.shape[1]):
+        col = weight[:, i]
+        pc = np.where(col != 0.0, pc + col * const[i], pc)
+    return pc
 
 
 def encode_network(net: Network, xs: np.ndarray, ys: np.ndarray,
@@ -329,8 +348,7 @@ def encode_network(net: Network, xs: np.ndarray, ys: np.ndarray,
     if ys.min() < 0 or ys.max() >= n_classes:
         raise InvalidArgument("label out of range for the network's logit count")
 
-    model = MipModel(lam=float(lam), rescale=rescale, epsilon=bounds[0].epsilon,
-                     labels=ys.copy(), n_points=xs.shape[0])
+    model = MipModel(lam=float(lam), rescale=rescale, labels=ys.copy(), n_points=xs.shape[0])
     model.prunable = net.prunable_layers()
     model.batch_digest = _batch_digest(xs, ys)
     offset = RESCALE_OFFSETS[rescale]
@@ -349,10 +367,8 @@ def encode_network(net: Network, xs: np.ndarray, ys: np.ndarray,
     t_min = model.add_var("t_min", "t_min", -INF, INF)
     model.add_objective_term(t_min, -1.0 / n_prunable)
     for layer, n_units in model.prunable:
-        expr = LinExpr({t_min: 1.0})
-        for u in range(n_units):
-            expr.add_term(model.s_vars[(layer, u)], -1.0)
-        model.add_constraint(expr, "L", offset * n_units, "min_layer_epigraph")
+        coefs = {t_min: 1.0, **{model.s_vars[(layer, u)]: -1.0 for u in range(n_units)}}
+        model.add_constraint(coefs, "L", offset * n_units, "min_layer_epigraph")
 
     prunable_set = dict(model.prunable)
     reference: dict[int, float] = {}
@@ -360,19 +376,24 @@ def encode_network(net: Network, xs: np.ndarray, ys: np.ndarray,
     for k in range(xs.shape[0]):
         bnd = bounds[k]
         trace = forward(net, xs[k])
-        prev: list[LinExpr] = [LinExpr.constant(float(v)) for v in xs[k]]
+        # the previous layer: its variable ids (None while it is the input,
+        # which enters as constants) and its constant values
+        prev_vars: np.ndarray | None = None
+        prev_const = xs[k]
         for l_idx, spec in enumerate(net.layers):
             if spec.kind in ("dense", "conv"):
                 relu = spec.activation == "relu"
-                n_out = spec.weight.shape[0]
-                cur: list[LinExpr] = []
-                for j in range(n_out):
+                weight = spec.weight
+                # w.h_prev + b splits into terms over prev_vars and the constant pc
+                pc = _affine_constants(weight, spec.bias, prev_const).tolist()
+                cur: list[int] = []
+                for j in range(weight.shape[0]):
                     lo = float(bnd.pre_lo[l_idx][j])
                     hi = float(bnd.pre_hi[l_idx][j])
-                    psum = LinExpr.constant(float(spec.bias[j]))
-                    row = spec.weight[j]
-                    for i in np.flatnonzero(row != 0.0):
-                        psum.add(prev[int(i)], float(row[int(i)]))
+                    neg_terms: dict[int, float] = {}  # -w.h_prev, moved to the left
+                    if prev_vars is not None:
+                        nz = np.flatnonzero(weight[j])
+                        neg_terms = dict(zip(prev_vars[nz].tolist(), (-weight[j, nz]).tolist()))
                     if relu:
                         max_u = max(hi, 0.0)
                         h = model.add_var(f"h_{l_idx}_{j}_{k}", "h", 0.0, max_u,
@@ -385,85 +406,76 @@ def encode_network(net: Network, xs: np.ndarray, ys: np.ndarray,
                             z_lb, z_ub = 0.0, 1.0
                         z = model.add_var(f"z_{l_idx}_{j}_{k}", "z", z_lb, z_ub, binary=True,
                                           layer=l_idx, unit=j, point=k)
+                        damp: dict[int, float] = {}
                         if l_idx in prunable_set:
                             unit = j if spec.kind == "dense" else j // (
                                 spec.conv.output_h * spec.conv.output_w
                             )
-                            s_idx = model.s_vars[(l_idx, unit)]
-                        else:
-                            s_idx = None
+                            damp = {model.s_vars[(l_idx, unit)]: -max_u}
+                        shift = max_u if damp else 0.0
+                        # "+ 0.0" turns -0.0 into 0.0: a zero right-hand side prints as 0.0
                         # h + (1 - z) L <= psum - (1 - s) max(U, 0)
-                        up = LinExpr({h: 1.0, z: -lo}, lo).add(psum, -1.0)
-                        if s_idx is not None and max_u != 0.0:
-                            up.add_term(s_idx, -max_u)
-                            up.const += max_u
-                        model.add_constraint(up, "L", 0.0, "relu_upper_on")
+                        model.add_constraint({h: 1.0, z: -lo, **neg_terms, **damp}, "L",
+                                             (pc[j] - lo) - shift + 0.0, "relu_upper_on")
                         # h <= z U
-                        model.add_constraint(LinExpr({h: 1.0, z: -hi}), "L", 0.0, "relu_cap")
+                        model.add_constraint({h: 1.0, z: -hi}, "L", 0.0, "relu_cap")
                         # h >= psum - (1 - s) max(U, 0)
-                        low = LinExpr({h: 1.0}).add(psum, -1.0)
-                        if s_idx is not None and max_u != 0.0:
-                            low.add_term(s_idx, -max_u)
-                            low.const += max_u
-                        model.add_constraint(low, "G", 0.0, "relu_lower_on")
-                        cur.append(LinExpr.var(h))
+                        model.add_constraint({h: 1.0, **neg_terms, **damp}, "G",
+                                             pc[j] - shift + 0.0, "relu_lower_on")
                         psum_obs = float(trace.pre[l_idx][j])
                         z_obs = 1.0 if psum_obs > 0.0 else 0.0
                         if z_lb == z_ub:
                             z_obs = z_lb
-                        reference[h] = float(trace.post[l_idx][j])
                         reference[z] = z_obs
                     else:
                         h = model.add_var(f"h_{l_idx}_{j}_{k}", "h", lo, hi,
                                           layer=l_idx, unit=j, point=k)
-                        eq = LinExpr({h: 1.0}).add(psum, -1.0)
-                        model.add_constraint(eq, "E", 0.0, "affine_out")
-                        cur.append(LinExpr.var(h))
-                        reference[h] = float(trace.post[l_idx][j])
-                prev = cur
+                        model.add_constraint({h: 1.0, **neg_terms}, "E", pc[j] + 0.0, "affine_out")
+                    cur.append(h)
+                    reference[h] = float(trace.post[l_idx][j])
             elif spec.kind == "avgpool":
                 window = spec.pool_window
-                n_groups = len(prev) // window
+                n_groups = len(prev_const) // window
+                # minus the mean of the constants, summed in window order
+                neg_mean = np.zeros(n_groups)
+                groups = np.reshape(prev_const[: n_groups * window], (n_groups, window))
+                for i in range(window):
+                    neg_mean = neg_mean + (-1.0 / window) * groups[:, i]
                 cur = []
                 for g in range(n_groups):
-                    lo = float(bnd.pre_lo[l_idx][g])
-                    hi = float(bnd.pre_hi[l_idx][g])
-                    out = model.add_var(f"h_{l_idx}_{g}_{k}", "h", lo, hi,
+                    out = model.add_var(f"h_{l_idx}_{g}_{k}", "h",
+                                        float(bnd.pre_lo[l_idx][g]), float(bnd.pre_hi[l_idx][g]),
                                         layer=l_idx, unit=g, point=k)
-                    eq = LinExpr({out: 1.0})
-                    for i in range(window):
-                        eq.add(prev[g * window + i], -1.0 / window)
-                    model.add_constraint(eq, "E", 0.0, "avgpool_mean")
-                    cur.append(LinExpr.var(out))
+                    coefs = {out: 1.0}
+                    if prev_vars is not None:
+                        coefs.update(dict.fromkeys(
+                            prev_vars[g * window : (g + 1) * window].tolist(), -1.0 / window))
+                    model.add_constraint(coefs, "E", 0.0 - float(neg_mean[g]), "avgpool_mean")
+                    cur.append(out)
                     reference[out] = float(trace.post[l_idx][g])
-                prev = cur
             elif spec.kind == "maxpool":
+                if prev_vars is None:
+                    raise InvalidArgument(
+                        "max pooling directly over the input layer is not supported"
+                    )
                 window = spec.pool_window
-                n_groups = len(prev) // window
                 cur = []
-                for g in range(n_groups):
-                    member_vars = []
-                    uppers = []
-                    for i in range(window):
-                        e = prev[g * window + i]
-                        if len(e.coefs) != 1 or e.const != 0.0:
-                            raise InvalidArgument(
-                                "max pooling directly over the input layer is not supported"
-                            )
-                        member_vars.append(next(iter(e.coefs)))
-                        uppers.append(float(bnd.post_hi[l_idx - 1][g * window + i]))
-                    out, m_vars, w_vars = encode_maxpool(model, member_vars, uppers, l_idx, g, k)
-                    cur.append(LinExpr.var(out))
+                for g in range(len(prev_vars) // window):
+                    members = prev_vars[g * window : (g + 1) * window].tolist()
+                    uppers = bnd.post_hi[l_idx - 1][g * window : (g + 1) * window]
+                    out, m_vars, w_vars = encode_maxpool(model, members, uppers, l_idx, g, k)
+                    cur.append(out)
                     vals = trace.post[l_idx - 1][g * window : (g + 1) * window]
                     best = int(np.argmax(vals))
                     reference[out] = float(trace.post[l_idx][g])
                     for i, (m, w) in enumerate(zip(m_vars, w_vars)):
                         reference[m] = 1.0 if i == best else 0.0
                         reference[w] = float(vals[i]) if i == best else 0.0
-                prev = cur
             else:  # flatten
-                pass
-        model.logit_vars.append([next(iter(e.coefs)) for e in prev])
+                continue
+            prev_vars = np.array(cur, dtype=np.int64)
+            prev_const = np.zeros(len(cur))
+        model.logit_vars.append(prev_vars.tolist())
         t = model.add_var(f"t_lse_{k}", "t_lse", -INF, INF, point=k)
         model.tlse_vars.append(t)
         model.add_objective_term(t, lam)

@@ -47,10 +47,10 @@ def write_lp(model: MipModel, path) -> None:
     lines.append(" obj: " + (_expr_text(obj, names) if obj else "0 " + names[0]))
     lines.append("Subject To")
     sense_txt = {"L": "<=", "G": ">=", "E": "="}
-    for i, con in enumerate(model.constraints):
+    for i in model.constraints:
         lines.append(
-            f" c{i}: " + _expr_text(con.coefs, names)
-            + f" {sense_txt[con.sense]} {_num(con.rhs)}"
+            f" c{i}: " + _expr_text(model.row(i), names)
+            + f" {sense_txt[model.sense[i]]} {_num(model.rhs[i])}"
         )
     lines.append("Bounds")
     for v in model.variables:

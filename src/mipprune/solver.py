@@ -16,18 +16,19 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .encoding import MipModel, add_lse_cut, log_sum_exp
+from .encoding import MipModel, add_lse_cut
 from .errors import InvalidArgument, NoIncumbent
 from .simplex import LinearProgram, LpResult, solve_lp_arrays
 
 __all__ = ["SolveConfig", "Solution", "solve_lp", "solve_mip", "warm_start"]
 
+OA_TOL = 1e-6    # log-sum-exp epigraph slack accepted at an integer node
+INT_TOL = 1e-6   # distance from 0 or 1 at which a binary counts as integral
+
 
 @dataclass
 class SolveConfig:
     gap_tol: float = 1e-6
-    oa_tol: float = 1e-6
-    int_tol: float = 1e-6
     node_limit: int = 100_000
     time_limit: float = float("inf")   # seconds
     max_cut_rounds: int = 50
@@ -49,32 +50,19 @@ class Solution:
     log_lines: list[str] = field(default_factory=list)
 
 
-def _materialize(model: MipModel, fixings: dict[int, float]) -> LinearProgram:
-    n = len(model.variables)
-    m = len(model.constraints)
-    a = np.zeros((m, n), dtype=np.float64)
-    rhs = np.zeros(m, dtype=np.float64)
-    sense = np.empty(m, dtype="U1")
-    for i, con in enumerate(model.constraints):
-        for j, c in con.coefs.items():
-            a[i, j] = c
-        rhs[i] = con.rhs
-        sense[i] = con.sense
-    lb = np.array([v.lb for v in model.variables], dtype=np.float64)
-    ub = np.array([v.ub for v in model.variables], dtype=np.float64)
-    for j, val in fixings.items():
-        lb[j] = val
-        ub[j] = val
-    c = np.zeros(n, dtype=np.float64)
-    for j, coef in model.objective.items():
-        c[j] = coef
-    return LinearProgram(c=c, a=a, sense=sense, rhs=rhs, lb=lb, ub=ub,
-                         const=model.objective_const)
-
-
 def solve_lp(model: MipModel, fixings: dict[int, float] | None = None) -> LpResult:
     """Solve the continuous relaxation (binaries relaxed into their boxes)."""
-    return solve_lp_arrays(_materialize(model, fixings or {}))
+    a, sense, rhs = model.dense_rows()
+    lb = np.array([v.lb for v in model.variables], dtype=np.float64)
+    ub = np.array([v.ub for v in model.variables], dtype=np.float64)
+    for j, val in (fixings or {}).items():
+        lb[j] = val
+        ub[j] = val
+    c = np.zeros(len(model.variables), dtype=np.float64)
+    for j, coef in model.objective.items():
+        c[j] = coef
+    return solve_lp_arrays(LinearProgram(c=c, a=a, sense=sense, rhs=rhs, lb=lb, ub=ub,
+                                         const=model.objective_const))
 
 
 def warm_start(model: MipModel, assignment: np.ndarray, tol: float = 1e-6) -> float:
@@ -93,25 +81,14 @@ def warm_start(model: MipModel, assignment: np.ndarray, tol: float = 1e-6) -> fl
     return model.true_objective(assignment)
 
 
-def _fractional_binaries(model: MipModel, x: np.ndarray, int_tol: float) -> list[tuple[float, int]]:
+def _fractional_binaries(model: MipModel, x: np.ndarray) -> list[tuple[float, int]]:
     out = []
     for v in model.variables:
         if not v.binary or v.lb == v.ub:
             continue
         frac = abs(x[v.idx] - round(x[v.idx]))
-        if frac > int_tol:
+        if frac > INT_TOL:
             out.append((frac, v.idx))
-    return out
-
-
-def _lse_violations(model: MipModel, x: np.ndarray) -> list[tuple[int, float, np.ndarray]]:
-    """(point, violation, logits) wherever t_lse sits below the true value."""
-    out = []
-    for k, t_idx in enumerate(model.tlse_vars):
-        logits = np.array([x[j] for j in model.logit_vars[k]])
-        true = log_sum_exp(logits)
-        if true - x[t_idx] > 0:
-            out.append((k, true - x[t_idx], logits))
     return out
 
 
@@ -121,7 +98,9 @@ def solve_mip(model: MipModel, config: SolveConfig | None = None,
 
     At every integer-feasible LP optimum the log-sum-exp epigraph is checked;
     a violated point gets a new tangent cut and the node is re-solved, up to
-    ``max_cut_rounds`` rounds across the whole solve.  Incumbent objectives
+    ``max_cut_rounds`` rounds across the whole solve.  A node accepted with
+    its epigraph still violated past that keeps its LP objective in the
+    bound behind ``gap`` and makes the status 'limit'.  Incumbent objectives
     are always evaluated with the exact log-sum-exp, so the reported value
     decomposes into sparsity + lambda * softmax without cut slack.
     """
@@ -136,11 +115,7 @@ def solve_mip(model: MipModel, config: SolveConfig | None = None,
     incumbent_obj = float("inf")
     if warm is not None:
         incumbent_obj = warm_start(model, warm)
-        incumbent = np.asarray(warm, dtype=np.float64).copy()
-        # store the exact epigraph values alongside the warm assignment
-        for k, t_idx in enumerate(model.tlse_vars):
-            logits = np.array([incumbent[j] for j in model.logit_vars[k]])
-            incumbent[t_idx] = log_sum_exp(logits)
+        incumbent = model.with_exact_lse(warm)
 
     counter = 0
     heap: list[tuple[float, int, dict[int, float]]] = []
@@ -164,6 +139,7 @@ def solve_mip(model: MipModel, config: SolveConfig | None = None,
 
     best_bound = res.objective
     status = "optimal"
+    open_bound = float("inf")   # least LP bound of nodes accepted with the epigraph violated
 
     def node_line(kind: str) -> None:
         log.append(
@@ -193,23 +169,24 @@ def solve_mip(model: MipModel, config: SolveConfig | None = None,
         if incumbent is not None and obj >= incumbent_obj - cfg.gap_tol * max(1.0, abs(incumbent_obj)):
             node_line("pruned-bound")
             continue
-        fracs = _fractional_binaries(model, x, cfg.int_tol)
+        fracs = _fractional_binaries(model, x)
         if not fracs:
             # integer feasible: enforce the epigraph before accepting
-            viols = _lse_violations(model, x)
-            worst = max((v for _, v, _ in viols), default=0.0)
-            if worst > cfg.oa_tol and cut_rounds < cfg.max_cut_rounds:
-                for k, _, logits in viols:
-                    add_lse_cut(model, k, logits)
+            candidate = model.with_exact_lse(x)
+            viols = {k: candidate[t] - x[t] for k, t in enumerate(model.tlse_vars)
+                     if candidate[t] - x[t] > 0}
+            worst = max(viols.values(), default=0.0)
+            if worst > OA_TOL and cut_rounds < cfg.max_cut_rounds:
+                for k in viols:
+                    add_lse_cut(model, k, x[model.logit_vars[k]])
                 cut_rounds += 1
                 heapq.heappush(heap, (obj, counter, fixings))
                 counter += 1
                 node_line("cut-round")
                 continue
-            candidate = x.copy()
-            for k, t_idx in enumerate(model.tlse_vars):
-                logits = np.array([candidate[j] for j in model.logit_vars[k]])
-                candidate[t_idx] = log_sum_exp(logits)
+            if worst > OA_TOL:
+                # out of cut rounds: the epigraph stays open below this node
+                open_bound = min(open_bound, obj)
             cand_obj = model.objective_value(candidate)
             if cand_obj < incumbent_obj:
                 incumbent = candidate
@@ -230,8 +207,9 @@ def solve_mip(model: MipModel, config: SolveConfig | None = None,
         raise NoIncumbent(f"no feasible solution within limits (nodes={node_count})")
     if not heap and status == "optimal":
         best_bound = incumbent_obj
+    best_bound = min(best_bound, open_bound)
     gap = current_gap(best_bound)
-    if gap > cfg.gap_tol:
+    if gap > cfg.gap_tol or open_bound < float("inf"):
         status = "limit"
     sol = Solution(
         values=incumbent, objective=incumbent_obj, gap=gap, node_count=node_count,

@@ -13,7 +13,7 @@ import pytest
 
 from mipprune.bounds import check_soundness, propagate_batch
 from mipprune.datasets import balanced_batch, make_dataset, split_dataset
-from mipprune.encoding import LinExpr, MipModel, encode_maxpool, encode_network
+from mipprune.encoding import MipModel, encode_maxpool, encode_network
 from mipprune.linalg import ConvSpec, conv_to_matrix, matvec
 from mipprune.network import avgpool, conv, dense, flatten, forward, init_network
 from mipprune.pruning import (
@@ -153,7 +153,7 @@ def array_model(c, a, sense, rhs, lb, ub, binary_mask):
             model.add_objective_term(j, float(c[j]))
     for i in range(len(rhs)):
         coefs = {j: float(a[i][j]) for j in range(len(c)) if a[i][j]}
-        model.add_constraint(LinExpr(coefs), sense[i], float(rhs[i]), f"row{i}")
+        model.add_constraint(coefs, sense[i], float(rhs[i]), f"row{i}")
     return model
 
 

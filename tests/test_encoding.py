@@ -3,7 +3,6 @@ import pytest
 
 from mipprune.bounds import propagate_batch
 from mipprune.encoding import (
-    LinExpr,
     MipModel,
     add_lse_cut,
     encode_maxpool,
@@ -58,21 +57,22 @@ class TestReluConstraintAlgebra:
         model = encoded(net, x, [0])
         bounds = propagate_batch(net, x, 0.0)[0]
         w, b = net.layers[0].weight, net.layers[0].bias
-        ups = [c for c in model.constraints if c.tag == "relu_upper_on"]
-        los = [c for c in model.constraints if c.tag == "relu_lower_on"]
-        for j, con in enumerate(ups):
+        ups = [i for i in model.constraints if model.tag[i] == "relu_upper_on"]
+        los = [i for i in model.constraints if model.tag[i] == "relu_lower_on"]
+        for j, i in enumerate(ups):
+            coefs = model.row(i)
             lo = bounds.pre_lo[0][j]
             hi = bounds.pre_hi[0][j]
             max_u = max(hi, 0.0)
             s_idx = model.s_vars[(0, j)]
             # substituting s=1 must leave: h + (1-z) L <= w x + b
-            rhs_at_s1 = con.rhs - con.coefs.get(s_idx, 0.0) * 1.0
+            rhs_at_s1 = model.rhs[i] - coefs.get(s_idx, 0.0) * 1.0
             # expected: h - L z <= w x + b - L  (inputs are constants)
             assert rhs_at_s1 == pytest.approx(float(w[j] @ x[0] + b[j]) - lo, abs=1e-12)
-            assert con.coefs.get(s_idx, 0.0) == pytest.approx(-max_u)
-        for j, con in enumerate(los):
+            assert coefs.get(s_idx, 0.0) == pytest.approx(-max_u)
+        for j, i in enumerate(los):
             s_idx = model.s_vars[(0, j)]
-            rhs_at_s1 = con.rhs - con.coefs.get(s_idx, 0.0) * 1.0
+            rhs_at_s1 = model.rhs[i] - model.row(i).get(s_idx, 0.0) * 1.0
             # expected: h >= w x + b, i.e. h - (w x + b) >= 0
             assert rhs_at_s1 == pytest.approx(float(w[j] @ x[0] + b[j]), abs=1e-12)
 
@@ -194,11 +194,11 @@ class TestLseCuts:
     def test_symmetric_anchor_gives_ln2(self):
         model, (h1, h2), t = self.make_point_model()
         idx = add_lse_cut(model, 0, np.array([0.0, 0.0]))
-        con = model.constraints[idx]
-        assert con.rhs == pytest.approx(np.log(2.0))
-        assert con.coefs[h1] == pytest.approx(-0.5)
-        assert con.coefs[h2] == pytest.approx(-0.5)
-        assert con.coefs[t] == pytest.approx(1.0)
+        coefs = model.row(idx)
+        assert model.rhs[idx] == pytest.approx(np.log(2.0))
+        assert coefs[h1] == pytest.approx(-0.5)
+        assert coefs[h2] == pytest.approx(-0.5)
+        assert coefs[t] == pytest.approx(1.0)
 
     def test_tangency_at_anchor(self):
         model, (h1, h2), t = self.make_point_model()
@@ -206,12 +206,24 @@ class TestLseCuts:
         for _ in range(20):
             anchor = rng.normal(size=2)
             idx = add_lse_cut(model, 0, anchor)
-            con = model.constraints[idx]
             x = np.zeros(len(model.variables))
             x[h1], x[h2] = anchor
             x[t] = log_sum_exp(anchor)
-            lhs = sum(c * x[j] for j, c in con.coefs.items())
-            assert abs(lhs - con.rhs) <= 1e-12
+            lhs = sum(c * x[j] for j, c in model.row(idx).items())
+            assert abs(lhs - model.rhs[idx]) <= 1e-12
+
+    def test_spent_cut_rounds_report_limit(self):
+        # min t - h1 over the box: the root LP sits on the seed cut at
+        # h = (10, -10) with t - h1 = ln 2 - 10, while the exact value there is ~0
+        for rounds, status, gap in ((0, "limit", 10.0 - np.log(2.0)), (50, "optimal", 0.0)):
+            model, (h1, h2), t = self.make_point_model()
+            add_lse_cut(model, 0, np.array([0.0, 0.0]))
+            model.add_objective_term(t, 1.0)
+            model.add_objective_term(h1, -1.0)
+            sol = solve_mip(model, SolveConfig(max_cut_rounds=rounds))
+            assert sol.status == status
+            assert sol.gap == pytest.approx(gap, abs=1e-6)
+            assert sol.objective == pytest.approx(0.0, abs=1e-6)
 
     def test_cut_underestimates_lse_everywhere(self):
         rng = np.random.default_rng(8)
@@ -223,18 +235,39 @@ class TestLseCuts:
             assert cut_value <= log_sum_exp(h) + 1e-9
 
 
-class TestLinExpr:
-    def test_constant_folding(self):
-        model = MipModel()
-        a = model.add_var("h_0_0_0", "h", 0.0, 1.0)
-        expr = LinExpr({a: 2.0}, 3.0)
-        idx = model.add_constraint(expr, "L", 5.0, "t")
-        assert model.constraints[idx].rhs == pytest.approx(2.0)
-
+class TestAddConstraint:
     def test_empty_constraint_rejected(self):
         model = MipModel()
+        a = model.add_var("h_0_0_0", "h", 0.0, 1.0)
         with pytest.raises(InvalidArgument):
-            model.add_constraint(LinExpr({}, 1.0), "L", 0.0, "t")
+            model.add_constraint({}, "L", 0.0, "t")
+        with pytest.raises(InvalidArgument):
+            model.add_constraint({a: 0.0}, "L", 0.0, "t")
+
+    def test_non_finite_data_rejected(self):
+        model = MipModel()
+        a = model.add_var("h_0_0_0", "h", 0.0, 1.0)
+        for coefs, rhs in (({a: np.inf}, 0.0), ({a: np.nan}, 0.0), ({a: 1.0}, -np.inf)):
+            with pytest.raises(InvalidArgument):
+                model.add_constraint(coefs, "L", rhs, "t")
+        assert len(model.constraints) == 0
+
+    def test_rows_read_back_sorted_and_dense(self):
+        model = MipModel()
+        a, b, c = (model.add_var(f"h_0_{j}_0", "h", 0.0, 1.0) for j in range(3))
+        model.add_constraint({c: 2.0, a: -1.0, b: 0.0}, "G", 0.5, "first")
+        model.add_constraint({b: 3.0}, "E", -0.0, "second")
+        assert model.row(0) == {a: -1.0, c: 2.0}
+        assert list(model.col_idx) == [a, c, b]
+        assert list(model.row_ptr) == [0, 2, 3]
+        dense, sense, rhs = model.dense_rows()
+        assert dense.tolist() == [[-1.0, 0.0, 2.0], [0.0, 3.0, 0.0]]
+        assert sense.tolist() == ["G", "E"]
+        assert rhs.tolist() == [0.5, -0.0]
+        assert not dense.flags.writeable
+        # a new row drops the cached view
+        model.add_constraint({a: 1.0}, "L", 1.0, "cut")
+        assert model.dense_rows()[0].shape == (3, 3)
 
 
 class TestPresolveFixing:

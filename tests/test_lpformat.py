@@ -1,3 +1,4 @@
+import hashlib
 import re
 
 import numpy as np
@@ -7,7 +8,7 @@ from mipprune.bounds import propagate_batch
 from mipprune.encoding import encode_network
 from mipprune.errors import ModelFormatError
 from mipprune.lpformat import read_solution, write_lp, write_solution
-from mipprune.network import dense, init_network, maxpool
+from mipprune.network import avgpool, conv, dense, flatten, init_network, maxpool
 from mipprune.solver import SolveConfig, solve_mip
 
 NUM = r"-?\d+(\.\d+)?([eE][+-]?\d+)?"
@@ -118,3 +119,37 @@ class TestSolutionRoundTrip:
         assert obj is None
         assert x[model.s_vars[(0, 0)]] == 0.25
         assert np.count_nonzero(x) == 1
+
+
+class TestGoldenText:
+    """The LP text of three fixed encodings, pinned by sha256.
+
+    Any change to variable order, row order, a coefficient or a right-hand
+    side changes the digest, so an internal rewrite of the model must leave
+    these three files byte for byte as they are.
+    """
+
+    ARCHS = {
+        "dense": (3, [dense(4), dense(3), dense(3, activation="none")]),
+        "conv-avgpool": ((1, 4, 4), [conv(2, 2, 2), avgpool(3), flatten(),
+                                     dense(3, activation="none")]),
+        "conv-maxpool": ((1, 4, 4), [conv(2, 2, 2), maxpool(3), flatten(),
+                                     dense(3, activation="none")]),
+    }
+    DIGESTS = {
+        "dense": "b42a98bd0046fabd1d3899906cb63a4ba0b7f3e27269456831c5c6f3206fffa9",
+        "conv-avgpool": "388e0eaea72a54a6e6479f411e7e50d2870187822b76ae06c1b079c70ea23290",
+        "conv-maxpool": "1eb3fbc071f90860a7b758adf2149f45ea3a450e9d380180d1d6dd5a9a256393",
+    }
+
+    @pytest.mark.parametrize("name", sorted(ARCHS))
+    def test_digest(self, name, tmp_path):
+        shape, arch = self.ARCHS[name]
+        net = init_network(shape, arch, seed=5)
+        xs = np.random.default_rng(5).normal(size=(2, int(np.prod(shape))))
+        ys = np.array([0, 2])
+        bounds = propagate_batch(net, xs, 0.1)
+        model = encode_network(net, xs, ys, bounds)
+        p = tmp_path / "m.lp"
+        write_lp(model, p)
+        assert hashlib.sha256(p.read_bytes()).hexdigest() == self.DIGESTS[name]

@@ -3,7 +3,7 @@ from itertools import product
 import numpy as np
 import pytest
 
-from mipprune.encoding import LinExpr, MipModel
+from mipprune.encoding import MipModel
 from mipprune.errors import InvalidArgument, NoIncumbent
 from mipprune.solver import SolveConfig, solve_lp, solve_mip, warm_start
 
@@ -21,7 +21,7 @@ def build_model(c, a, sense, rhs, lb, ub, binary_mask):
             model.add_objective_term(j, float(c[j]))
     for i in range(len(rhs)):
         coefs = {j: float(a[i][j]) for j in range(len(c)) if a[i][j]}
-        model.add_constraint(LinExpr(coefs), sense[i], float(rhs[i]), f"row{i}")
+        model.add_constraint(coefs, sense[i], float(rhs[i]), f"row{i}")
     return model
 
 
@@ -117,7 +117,7 @@ class TestWarmStart:
     def test_infeasible_model_returns_warm_incumbent(self):
         model = self.make()
         # contradictory extra row makes the relaxation infeasible
-        model.add_constraint(LinExpr({0: 1.0}), "G", 2.0, "bad")
+        model.add_constraint({0: 1.0}, "G", 2.0, "bad")
         with pytest.raises(NoIncumbent):
             solve_mip(model, SolveConfig())
 
