@@ -1,7 +1,8 @@
 """Command-line entry point for the scoring and pruning pipeline.
 
 Every invocation creates a run directory (timestamp plus a digest of the
-canonical config) under ``--out`` and writes the parsed config, seeds, and
+canonical config, with a ``-1``, ``-2``, ... suffix when that name is
+already taken) under ``--out`` and writes the parsed config, seeds, and
 all machine-readable outputs there; stdout carries a short human summary
 only.  Exit codes: 0 success, 1 domain error, 2 usage error.
 """
@@ -10,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import hashlib
+import itertools
 import os
 import sys
 import time
@@ -71,15 +73,12 @@ def _dataset_from_args(args, seed_attr: str = "data_seed", name_attr: str = "dat
     return make_dataset(name, args.n_per_class, getattr(args, seed_attr), **kwargs)
 
 
-def _solve_config(args, run=None) -> SolveConfig:
-    log_path = None
-    if getattr(args, "log", False) and run is not None:
-        log_path = str(run / "solver.log")
+def _solve_config(args, run: Path) -> SolveConfig:
     return SolveConfig(
         gap_tol=args.gap_tol,
         node_limit=args.node_limit,
         time_limit=args.time_limit,
-        log_path=log_path,
+        log_path=str(run / "solver.log") if args.log else None,
     )
 
 
@@ -100,9 +99,13 @@ def _run_dir(args) -> Path:
     cfg = _canonical_config(args)
     digest = hashlib.sha256(cfg.encode("ascii")).hexdigest()[:8]
     stamp = time.strftime("%Y%m%d-%H%M%S")
-    root = Path(args.out)
-    run = root / f"{stamp}-{digest}"
-    run.mkdir(parents=True, exist_ok=True)
+    run = Path(args.out) / f"{stamp}-{digest}"
+    for n in itertools.count(1):
+        try:
+            run.mkdir(parents=True)
+            break
+        except FileExistsError:
+            run = run.with_name(f"{stamp}-{digest}-{n}")
     (run / "config.txt").write_text(cfg, encoding="ascii")
     return run
 
@@ -131,10 +134,11 @@ def _add_score_opts(p: argparse.ArgumentParser) -> None:
     p.add_argument("--per-class", type=int, default=1,
                    help="batch points per class fed to the model")
     p.add_argument("--log", action="store_true",
-                   help="write one line per branch-and-bound node to solver.log")
+                   help="write one line per branch-and-bound node to solver.log "
+                        "(commands that solve several times keep the last solve's log)")
 
 
-def _batch(args, net=None):
+def _batch(args):
     ds = _dataset_from_args(args)
     return ds, balanced_batch(ds, args.per_class)
 
@@ -266,7 +270,7 @@ def cmd_transfer(args) -> int:
     result = pruning.transfer(source.dim, descs, args.seed, source, target, target_eval,
                               args.lam, args.threshold, cfg, cfg,
                               epsilon=args.epsilon, rescale=args.rescale,
-                              solve_config=_solve_config(args))
+                              solve_config=_solve_config(args, run))
     pruning.save_result(result, run / "result.txt")
     print(f"{args.source} -> {args.target}: reference {result.reference_accuracy:.4f}, "
           f"masked {result.accuracies['ours']:.4f}, prune {result.prune_pct:.1f}%")
@@ -282,7 +286,7 @@ def _cmd_sweep(args, kind: str) -> int:
     values = args.values.split(",") if kind == "rescale" else [float(v) for v in args.values.split(",")]
     rows = pruning.sweep(net, eval_ds, xs, ys, kind, values, threshold=args.threshold,
                          lam=args.lam, epsilon=args.epsilon, rescale=args.rescale,
-                         solve_config=_solve_config(args))
+                         solve_config=_solve_config(args, run))
     pruning.write_sweep_csv(rows, kind, run / "sweep.csv")
     for label, acc, pct in rows:
         print(f"{kind}={label}: masked accuracy {acc:.4f}, prune {pct:.1f}%")
@@ -298,7 +302,7 @@ def cmd_export_lp(args) -> int:
     model = encode_network(net, xs, ys, bounds, lam=args.lam, rescale=args.rescale)
     write_lp(model, run / "model.lp")
     if args.solve:
-        sol = solve_mip(model, _solve_config(args), warm=model.reference_assignment)
+        sol = solve_mip(model, _solve_config(args, run), warm=model.reference_assignment)
         write_solution(model, sol.values, sol.objective, run / "model.sol")
         print(f"solved: objective {sol.objective:.6f}")
     print(f"exported {len(model.variables)} variables, {len(model.constraints)} constraints")

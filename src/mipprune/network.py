@@ -416,41 +416,13 @@ def init_network(input_shape, layer_descs: list[dict], seed: int) -> Network:
     parameters; weights and biases share the fan-in bound.
     """
     rng = np.random.Generator(np.random.PCG64(seed))
-    if isinstance(input_shape, int):
-        input_shape = (input_shape,)
-    sizes = [int(np.prod(input_shape))]
-    chan = input_shape[0] if len(input_shape) == 3 else 1
-    spatial = input_shape[1:] if len(input_shape) == 3 else None
     params: list[tuple[np.ndarray, np.ndarray]] = []
-    for desc in layer_descs:
-        kind = desc["kind"]
-        if kind == "dense":
-            fan_in = sizes[-1]
-            bound = 1.0 / np.sqrt(fan_in)
-            w = rng.uniform(-bound, bound, size=(desc["width"], fan_in))
-            b = rng.uniform(-bound, bound, size=desc["width"])
-            params.append((w, b))
-            sizes.append(desc["width"])
-            spatial = None
-        elif kind == "conv":
-            fan_in = chan * desc["kernel_h"] * desc["kernel_w"]
-            bound = 1.0 / np.sqrt(fan_in)
-            kern = rng.uniform(-bound, bound,
-                               size=(desc["out_channels"], chan, desc["kernel_h"], desc["kernel_w"]))
-            cb = rng.uniform(-bound, bound, size=desc["out_channels"])
-            params.append((kern, cb))
-            spec = ConvSpec(in_channels=chan, out_channels=desc["out_channels"],
-                            kernel_h=desc["kernel_h"], kernel_w=desc["kernel_w"],
-                            input_h=spatial[0], input_w=spatial[1], padding=desc["padding"])
-            sizes.append(spec.output_size)
-            chan = desc["out_channels"]
-            spatial = (spec.output_h, spec.output_w)
-        elif kind in ("avgpool", "maxpool"):
-            sizes.append(sizes[-1] // desc["window"])
-            spatial = None
-        elif kind == "flatten":
-            sizes.append(sizes[-1])
-            spatial = None
+    for spec in build_network(input_shape, layer_descs).layers:
+        if spec.kind in ("dense", "conv"):
+            shape = spec.weight.shape if spec.kind == "dense" else spec.kernels.shape
+            bound = 1.0 / np.sqrt(np.prod(shape[1:]))
+            params.append((rng.uniform(-bound, bound, size=shape),
+                           rng.uniform(-bound, bound, size=shape[0])))
     return build_network(input_shape, layer_descs, seed=seed, params=params)
 
 

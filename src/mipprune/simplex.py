@@ -1,15 +1,22 @@
-"""Dense two-phase simplex for small linear programs.
+"""Bounded-variable two-phase dense simplex for small linear programs.
 
-Supports general variable bounds (finite, infinite, mixed) by shifting,
-mirroring, or splitting variables into the nonnegative standard form, and
-upper bounds as explicit rows.  Instances in this package have at most a
-few hundred variables, so a dense numpy tableau with vectorized rank-1
-pivot updates is both simple and fast enough.
+Fixed variables are substituted.  Every other variable is one tableau
+column ``v >= 0`` with ``x = base + dirn * v``: shifted from a finite lower
+bound, mirrored from a finite upper bound when there is no lower one, or
+left free when both bounds are infinite.  A finite width ``ub - lb`` is
+enforced in the ratio test: a variable that reaches it is complemented
+(``v' = width - v``), so nonbasic columns always sit at zero, the rhs
+column holds the basic values, and ``base`` is ``lb`` or ``ub`` as ``dirn``
+is +1 or -1.  Instances in this package have at most a few hundred
+variables, so a dense numpy tableau with vectorized rank-1 pivot updates
+is both simple and fast enough.
 
 Pricing is Dantzig's rule (most negative reduced cost, lowest index on
-ties).  After a streak of 2*(m+n) degenerate pivots the pricing switches
-to Bland's rule, which guarantees termination; it switches back once the
-objective strictly improves.
+ties; a free nonbasic column prices by its magnitude).  After a streak of
+2*(m+n) degenerate pivots the pricing switches to Bland's rule, which
+guarantees termination; it switches back once the objective strictly
+improves.  Ref: Koberstein, "The dual simplex method, techniques for a fast
+and stable implementation", PhD thesis, Paderborn 2005.
 """
 
 from __future__ import annotations
@@ -58,16 +65,36 @@ class LpResult:
     status: str            # 'optimal' | 'infeasible' | 'unbounded'
     x: np.ndarray | None
     objective: float | None
-    pivots: int = 0
+    pivots: int = 0        # simplex iterations: basis changes plus bound flips
 
 
-def _pivot_loop(t: np.ndarray, basis: np.ndarray, tol: float, bland_after: int,
+def _complement(t: np.ndarray, dirn: np.ndarray, j: int, w: float) -> None:
+    """Substitute ``v_j = w - v_j'`` in ``t``; ``w = 0`` negates a free column."""
+    if w:
+        t[:, -1] -= w * t[:, j]
+    t[:, j] *= -1.0
+    dirn[j] = -dirn[j]
+
+
+def _pivot(t: np.ndarray, basis: np.ndarray, r: int, j: int) -> None:
+    t[r] /= t[r, j]
+    col_vals = t[:, j].copy()
+    col_vals[r] = 0.0
+    t -= np.outer(col_vals, t[r])
+    t[:-1, j] = 0.0
+    t[r, j] = 1.0
+    basis[r] = j
+
+
+def _pivot_loop(t: np.ndarray, basis: np.ndarray, width: np.ndarray, free: np.ndarray,
+                dirn: np.ndarray, tol: float, bland_after: int,
                 allowed: np.ndarray) -> tuple[str, int]:
     """Run simplex iterations on tableau ``t`` in place.
 
     ``t`` is (m+1, k+1): m constraint rows, reduced-cost row last, rhs column
-    last.  ``allowed`` masks columns eligible to enter (used to lock out
-    artificials in phase two).  Returns (status, pivot count).
+    last.  ``width``, ``free`` and ``dirn`` describe the k columns; ``dirn``
+    is updated by each complement.  ``allowed`` masks columns eligible to
+    enter (used to lock out artificials).  Returns (status, iteration count).
     """
     m = t.shape[0] - 1
     pivots = 0
@@ -77,45 +104,54 @@ def _pivot_loop(t: np.ndarray, basis: np.ndarray, tol: float, bland_after: int,
     best_neg_obj = t[-1, -1]
     bland = False
     rc_view = t[-1, :-1]
+    rhs_col = t[:-1, -1]
     while True:
+        price = np.where(free, -np.abs(rc_view), rc_view)
         if bland:
-            cands = np.flatnonzero((rc_view < -tol) & allowed)
+            cands = np.flatnonzero((price < -tol) & allowed)
             if cands.size == 0:
                 return "optimal", pivots
             j = int(cands[0])
         else:
-            masked = np.where(allowed, rc_view, 0.0)
+            masked = np.where(allowed, price, 0.0)
             j = int(np.argmin(masked))
             if masked[j] >= -tol:
                 return "optimal", pivots
+        if rc_view[j] > 0.0:
+            _complement(t, dirn, j, 0.0)  # a free column enters downward
         col = t[:-1, j]
-        pos = col > _PIV_TOL
-        if not pos.any():
+        wb = width[basis]
+        down = (col > _PIV_TOL) & ~free[basis]
+        up = (col < -_PIV_TOL) & np.isfinite(wb)
+        ratios = np.full(m, np.inf)
+        ratios[down] = rhs_col[down] / col[down]
+        ratios[up] = (rhs_col[up] - wb[up]) / col[up]
+        rmin = float(ratios.min(initial=np.inf))
+        step = min(rmin, float(width[j]))
+        if step == np.inf:
             # a ray whose reduced cost is only noise-deep is a stalled optimum,
             # not a real unbounded direction
             if rc_view[j] > -1e-7:
                 return "optimal", pivots
             return "unbounded", pivots
-        ratios = np.full(m, np.inf)
-        ratios[pos] = t[:-1, -1][pos] / col[pos]
-        rmin = float(ratios.min())
-        ties = np.flatnonzero(ratios <= rmin + 1e-12)
-        r = int(ties[np.argmin(basis[ties])])  # lowest leaving variable index
-        piv = t[r, j]
-        t[r] /= piv
-        col_vals = t[:, j].copy()
-        col_vals[r] = 0.0
-        t -= np.outer(col_vals, t[r])
-        t[:-1, j] = 0.0
-        t[r, j] = 1.0
-        basis[r] = j
+        if width[j] <= rmin:
+            _complement(t, dirn, j, width[j])  # bound flip, basis unchanged
+        else:
+            ties = np.flatnonzero(ratios <= rmin + 1e-12)
+            r = int(ties[np.argmin(basis[ties])])  # lowest leaving variable index
+            if up[r]:
+                # the leaving variable stops at its width: complement it so
+                # that it leaves at zero
+                _complement(t, dirn, basis[r], wb[r])
+                t[r] *= -1.0
+            _pivot(t, basis, r, j)
         pivots += 1
-        # zero out round-off noise only; large negatives would flag real trouble
-        rhs_col = t[:-1, -1]
-        noise = (rhs_col < 0.0) & (rhs_col > -1e-10)
+        # zero out round-off noise only; large excursions would flag real trouble
+        wb = width[basis]
+        noise = ((rhs_col < 0.0) & (rhs_col > -1e-10)) | ((rhs_col > wb) & (rhs_col < wb + 1e-10))
         if noise.any():
-            rhs_col[noise] = 0.0
-        if rmin <= tol:
+            rhs_col[noise] = np.clip(rhs_col[noise], 0.0, wb[noise])
+        if step <= tol:
             degen_streak += 1
             if degen_streak > bland_after:
                 bland = True
@@ -135,10 +171,15 @@ def _pivot_loop(t: np.ndarray, basis: np.ndarray, tol: float, bland_after: int,
             raise SimplexNumericsError(f"pivot cap {_MAX_PIVOTS} exceeded")
 
 
-def _solve_standard(a: np.ndarray, b: np.ndarray, senses: np.ndarray, c: np.ndarray):
-    """Two-phase simplex for min c y, a y (sense) b, y >= 0 with b >= 0 ensured."""
+def _solve_columns(a: np.ndarray, b: np.ndarray, senses: np.ndarray, c: np.ndarray,
+                   width: np.ndarray, free: np.ndarray, dirn: np.ndarray):
+    """Two-phase simplex for min c y, a y (sense) b over columns ``y = dirn * v``.
+
+    Each ``v`` lies in [0, width], or is unrestricted where ``free``.
+    Returns (status, v, dirn, iterations) with the final orientation ``dirn``.
+    """
     m, n = a.shape
-    a = a.copy()
+    a = a * dirn
     b = b.copy()
     senses = senses.copy()
     if m:
@@ -160,61 +201,50 @@ def _solve_standard(a: np.ndarray, b: np.ndarray, senses: np.ndarray, c: np.ndar
     n_slack = slack_rows.size
     n_surp = surplus_rows.size
     n_art = art_rows.size
-    k = n + n_slack + n_surp + n_art
+    art0 = n + n_slack + n_surp
+    k = art0 + n_art
 
     t = np.zeros((m + 1, k + 1), dtype=np.float64)
     t[:m, :n] = a
     t[:m, -1] = b
-    for i, r in enumerate(slack_rows):
-        t[r, n + i] = 1.0
-    for i, r in enumerate(surplus_rows):
-        t[r, n + n_slack + i] = -1.0
-    art_cols = {}
-    for i, r in enumerate(art_rows):
-        col = n + n_slack + n_surp + i
-        t[r, col] = 1.0
-        art_cols[r] = col
+    t[slack_rows, n + np.arange(n_slack)] = 1.0
+    t[surplus_rows, n + n_slack + np.arange(n_surp)] = -1.0
+    t[art_rows, art0 + np.arange(n_art)] = 1.0
 
     basis = np.zeros(m, dtype=np.int64)
-    for i, r in enumerate(slack_rows):
-        basis[r] = n + i
-    for r, col in art_cols.items():
-        basis[r] = col
+    basis[slack_rows] = n + np.arange(n_slack)
+    basis[art_rows] = art0 + np.arange(n_art)
+
+    # slack, surplus and artificial columns are plain v >= 0
+    width = np.concatenate([width, np.full(k - n, np.inf)])
+    free = np.concatenate([free, np.zeros(k - n, dtype=bool)])
+    dirn = np.concatenate([dirn, np.ones(k - n)])
 
     total_pivots = 0
     bland_after = 2 * (m + k)
     is_art = np.zeros(k, dtype=bool)
-    is_art[n + n_slack + n_surp :] = True
+    is_art[art0:] = True
 
     if n_art:
         # phase one: price out the artificials; they never re-enter
         t[-1, :] = 0.0
-        t[-1, n + n_slack + n_surp : k] = 1.0
-        for r in art_cols:
+        t[-1, art0:k] = 1.0
+        for r in art_rows:
             t[-1] -= t[r]
-        status, p = _pivot_loop(t, basis, _RC_TOL, bland_after, ~is_art)
+        status, p = _pivot_loop(t, basis, width, free, dirn, _RC_TOL, bland_after, ~is_art)
         total_pivots += p
         # the phase-one objective is bounded below by zero, so an "unbounded"
         # verdict can only be round-off noise in a reduced cost; fall through
         # to the objective test either way
         if -t[-1, -1] > _FEAS_TOL:
-            return "infeasible", None, total_pivots
+            return "infeasible", None, None, total_pivots
         # drive remaining artificials out of the basis or drop redundant rows
         keep = np.ones(m, dtype=bool)
         for r in range(m):
             if is_art[basis[r]]:
-                row = t[r, :k]
-                cand = np.flatnonzero((np.abs(row) > _PIV_TOL) & ~is_art)
+                cand = np.flatnonzero((np.abs(t[r, :k]) > _PIV_TOL) & ~is_art)
                 if cand.size:
-                    j = int(cand[0])
-                    piv = t[r, j]
-                    t[r] /= piv
-                    col_vals = t[:, j].copy()
-                    col_vals[r] = 0.0
-                    t -= np.outer(col_vals, t[r])
-                    t[:-1, j] = 0.0
-                    t[r, j] = 1.0
-                    basis[r] = j
+                    _pivot(t, basis, r, int(cand[0]))
                     total_pivots += 1
                 else:
                     keep[r] = False
@@ -224,110 +254,55 @@ def _solve_standard(a: np.ndarray, b: np.ndarray, senses: np.ndarray, c: np.ndar
             basis = basis[rows]
             m = rows.size
 
-    # phase two on the real objective; artificial columns locked out
+    # phase two on the real objective, in the columns' current orientation;
+    # artificial columns locked out
     t[-1, :] = 0.0
-    t[-1, :n] = c
+    t[-1, :n] = c * dirn[:n]
     for r in range(m):
         cb = t[-1, basis[r]]
         if cb != 0.0:
             t[-1] -= cb * t[r]
-    allowed = ~is_art
-    status, p = _pivot_loop(t, basis, _RC_TOL, bland_after, allowed)
+    status, p = _pivot_loop(t, basis, width, free, dirn, _RC_TOL, bland_after, ~is_art)
     total_pivots += p
     if status == "unbounded":
-        return "unbounded", None, total_pivots
-    y = np.zeros(k, dtype=np.float64)
-    y[basis] = t[: t.shape[0] - 1, -1][: basis.size]
-    return "optimal", y[:n], total_pivots
+        return "unbounded", None, None, total_pivots
+    v = np.zeros(k, dtype=np.float64)
+    v[basis] = t[:m, -1]
+    return "optimal", v[:n], dirn[:n], total_pivots
 
 
 def solve_lp_arrays(lp: LinearProgram) -> LpResult:
-    """Solve a bounded-variable LP by reduction to standard form."""
-    n = lp.n
-    lb = lp.lb.astype(np.float64).copy()
-    ub = lp.ub.astype(np.float64).copy()
+    """Solve a bounded-variable LP with the bounded-variable simplex."""
+    lb = lp.lb.astype(np.float64)
+    ub = lp.ub.astype(np.float64)
     if np.any(lb > ub):
         return LpResult("infeasible", None, None, 0)
 
     fixed = lb == ub
-    free_idx = np.flatnonzero(~fixed)
-    x_fix = np.where(fixed, lb, 0.0)
-
+    x = np.where(fixed, lb, 0.0)
     a = lp.a.astype(np.float64)
-    rhs = lp.rhs.astype(np.float64) - a @ np.where(fixed, x_fix, 0.0)
-    const = lp.const + float(np.dot(lp.c, np.where(fixed, x_fix, 0.0)))
+    rhs = lp.rhs.astype(np.float64) - a @ x
+    sense = np.asarray(lp.sense, dtype="U1")
 
-    if free_idx.size == 0:
+    if fixed.all():
         # everything fixed: only feasibility to check
-        resid = rhs
-        ok = True
-        for i in range(lp.m):
-            s = lp.sense[i]
-            if s == "L" and resid[i] < -_FEAS_TOL:
-                ok = False
-            elif s == "G" and resid[i] > _FEAS_TOL:
-                ok = False
-            elif s == "E" and abs(resid[i]) > _FEAS_TOL:
-                ok = False
-        if not ok:
+        bad = (((sense == "L") & (rhs < -_FEAS_TOL)) | ((sense == "G") & (rhs > _FEAS_TOL))
+               | ((sense == "E") & (np.abs(rhs) > _FEAS_TOL)))
+        if bad.any():
             return LpResult("infeasible", None, None, 0)
-        return LpResult("optimal", x_fix.copy(), const, 0)
+        return LpResult("optimal", x, lp.const + float(np.dot(lp.c, x)), 0)
 
-    # build standard-form columns for the unfixed variables
-    cols: list[np.ndarray] = []
-    costs: list[float] = []
-    ub_rows: list[tuple[int, float]] = []  # (std column, width)
-    decode: list[tuple[str, int, float]] = []  # (kind, original index, offset)
-    for j in free_idx.tolist():
-        aj = a[:, j]
-        if np.isfinite(lb[j]):
-            rhs = rhs - aj * lb[j]
-            const += lp.c[j] * lb[j]
-            cols.append(aj)
-            costs.append(lp.c[j])
-            decode.append(("shift", j, lb[j]))
-            if np.isfinite(ub[j]):
-                ub_rows.append((len(cols) - 1, ub[j] - lb[j]))
-        elif np.isfinite(ub[j]):
-            rhs = rhs - aj * ub[j]
-            const += lp.c[j] * ub[j]
-            cols.append(-aj)
-            costs.append(-lp.c[j])
-            decode.append(("mirror", j, ub[j]))
-        else:
-            cols.append(aj)
-            costs.append(lp.c[j])
-            decode.append(("pos", j, 0.0))
-            cols.append(-aj)
-            costs.append(-lp.c[j])
-            decode.append(("neg", j, 0.0))
-
-    n_std = len(cols)
-    m_all = lp.m + len(ub_rows)
-    a_std = np.zeros((m_all, n_std), dtype=np.float64)
-    for jj, col in enumerate(cols):
-        a_std[: lp.m, jj] = col
-    b_std = np.concatenate([rhs, np.array([w for _, w in ub_rows], dtype=np.float64)])
-    senses = np.concatenate(
-        [np.asarray(lp.sense, dtype="U1"), np.full(len(ub_rows), "L", dtype="U1")]
-    )
-    for i, (jj, _) in enumerate(ub_rows):
-        a_std[lp.m + i, jj] = 1.0
-
-    status, y, pivots = _solve_standard(a_std, b_std, senses, np.array(costs))
+    idx = np.flatnonzero(~fixed)
+    lo, hi = lb[idx], ub[idx]
+    has_lo, has_hi = np.isfinite(lo), np.isfinite(hi)
+    free = ~has_lo & ~has_hi
+    a = a[:, idx]
+    rhs = rhs - a @ np.where(has_lo, lo, np.where(has_hi, hi, 0.0))
+    status, v, dirn, pivots = _solve_columns(a, rhs, sense, lp.c[idx].astype(np.float64),
+                                             hi - lo, free, np.where(has_lo | free, 1.0, -1.0))
     if status != "optimal":
         return LpResult(status, None, None, pivots)
-
-    x = x_fix.copy()
-    for jj, (kind, j, off) in enumerate(decode):
-        if kind == "shift":
-            x[j] = off + y[jj]
-        elif kind == "mirror":
-            x[j] = off - y[jj]
-        elif kind == "pos":
-            x[j] += y[jj]
-        else:
-            x[j] -= y[jj]
+    x[idx] = np.where(free, 0.0, np.where(dirn > 0, lo, hi)) + dirn * v
     # recompute the objective from the original data: immune to tableau drift
     obj = float(np.dot(lp.c, x)) + lp.const
     return LpResult("optimal", x, obj, pivots)

@@ -10,6 +10,7 @@ the forward pass and the MIP encoding with hand-set weights.
 
 from __future__ import annotations
 
+import copy
 import csv
 from dataclasses import dataclass, field
 
@@ -145,24 +146,6 @@ def loss_and_grads(net: Network, x: np.ndarray, y: np.ndarray):
     return loss, ordered
 
 
-def _clone_net(net: Network) -> Network:
-    layers = []
-    for spec in net.layers:
-        layers.append(
-            LayerSpec(
-                kind=spec.kind,
-                weight=None if spec.weight is None else spec.weight.copy(),
-                bias=None if spec.bias is None else spec.bias.copy(),
-                activation=spec.activation,
-                pool_window=spec.pool_window,
-                conv=spec.conv,
-                kernels=None if spec.kernels is None else spec.kernels.copy(),
-                channel_bias=None if spec.channel_bias is None else spec.channel_bias.copy(),
-            )
-        )
-    return Network(layers=layers, input_shape=net.input_shape, seed=net.seed)
-
-
 def _apply_update(spec: LayerSpec, dw: np.ndarray, db: np.ndarray) -> None:
     """Write updated parameters in place, re-lowering conv layers."""
     if spec.kind == "dense":
@@ -182,7 +165,7 @@ def train(net: Network, ds: Dataset, cfg: TrainConfig) -> TrainResult:
     """Train a copy of ``net``; deterministic given (net, ds, cfg) seeds."""
     if ds.dim != net.input_size:
         raise InvalidArgument(f"dataset dim {ds.dim} != network input {net.input_size}")
-    model = _clone_net(net)
+    model = copy.deepcopy(net)
     rng = np.random.Generator(np.random.PCG64(cfg.seed))
     p_layers = _param_layers(model)
     sq_avg = None

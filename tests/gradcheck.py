@@ -1,5 +1,7 @@
 """Finite-difference gradient oracle shared by the unit and acceptance suites."""
 
+import copy
+
 import numpy as np
 
 from mipprune.training import loss_and_grads
@@ -12,10 +14,6 @@ def finite_difference_grads(net, x, y, h=1e-5):
     def loss_of(nn):
         return loss_and_grads(nn, x, y)[0]
 
-    def clone(nn):
-        from mipprune.training import _clone_net
-        return _clone_net(nn)
-
     grads = []
     for layer_idx in _param_layers(net):
         spec = net.layers[layer_idx]
@@ -26,7 +24,7 @@ def finite_difference_grads(net, x, y, h=1e-5):
         gw = np.zeros_like(getattr(spec, w_name))
         for idx in np.ndindex(gw.shape):
             for sign in (+1, -1):
-                nn = clone(net)
+                nn = copy.deepcopy(net)
                 target = getattr(nn.layers[layer_idx], w_name)
                 target[idx] += sign * h
                 if spec.kind == "conv":
@@ -40,7 +38,7 @@ def finite_difference_grads(net, x, y, h=1e-5):
         gb = np.zeros_like(getattr(spec, b_name))
         for idx in np.ndindex(gb.shape):
             for sign in (+1, -1):
-                nn = clone(net)
+                nn = copy.deepcopy(net)
                 getattr(nn.layers[layer_idx], b_name)[idx] += sign * h
                 if spec.kind == "conv":
                     hw = spec.conv.output_h * spec.conv.output_w

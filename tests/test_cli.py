@@ -1,3 +1,5 @@
+import time
+
 import pytest
 
 from mipprune.cli import main
@@ -46,6 +48,18 @@ class TestTrainScorePrune:
             run_ok(["prune", "--out", str(tmp_path / "p"), "--model", str(trained_model),
                     "--report", str(report_path), "--threshold", "1.5"])
         assert (one_run_dir(tmp_path / "p") / "pruned.net").exists()
+
+    def test_same_second_runs_get_own_directories(self, trained_model, tmp_path, monkeypatch):
+        run_ok(["score", "--out", str(tmp_path / "s"), *DATA, "--model", str(trained_model)])
+        report_path = one_run_dir(tmp_path / "s") / "report.txt"
+        monkeypatch.setattr(time, "strftime", lambda fmt: "20000101-000000")
+        argv = ["prune", "--out", str(tmp_path / "p"), "--model", str(trained_model),
+                "--report", str(report_path), "--threshold", "0.3"]
+        run_ok(argv)
+        run_ok(argv)
+        first, second = sorted((tmp_path / "p").iterdir())
+        assert second.name == first.name + "-1"
+        assert (first / "pruned.net").exists() and (second / "pruned.net").exists()
 
     def test_evaluate_masked_and_unmasked(self, trained_model, tmp_path):
         run_ok(["evaluate", "--out", str(tmp_path / "e1"), *DATA,
@@ -99,6 +113,11 @@ class TestLpRoundTrip:
         for key in direct.scores:
             assert imported.scores[key] == pytest.approx(direct.scores[key], abs=1e-9)
         assert imported.objective == pytest.approx(direct.objective, abs=1e-9)
+
+    def test_export_solve_writes_log(self, trained_model, tmp_path):
+        run_ok(["export-lp", "--out", str(tmp_path), *DATA, "--model", str(trained_model),
+                "--solve", "--log", "--epsilon", "0.1"])
+        assert (one_run_dir(tmp_path) / "solver.log").read_text().strip()
 
 
 class TestExitCodes:

@@ -150,3 +150,69 @@ class TestDegenerate:
         r = solve_lp_arrays(lp)
         assert r.status == "optimal"
         assert r.objective == pytest.approx(-2.0, abs=1e-9)
+
+
+class TestBoundKinds:
+    def test_leave_at_upper_bound(self):
+        # x0 <= x1 pins x0 to x1 once x0 is basic; raising x1 then drives the
+        # basic x0 to its upper bound 1, where it must leave
+        lp = make_lp([-1.0, -0.1], [[1.0, -1.0]], ["L"], [0.0], [0.0, 0.0], [1.0, 5.0])
+        r = solve_lp_arrays(lp)
+        assert r.status == "optimal"
+        assert r.objective == pytest.approx(-1.5, abs=1e-12)
+        assert r.x == pytest.approx([1.0, 5.0], abs=1e-12)
+
+    def test_free_variable_enters_downward(self):
+        # x0 is free with a positive cost, so it must decrease from zero
+        lp = make_lp([1.0, -1.0], [[1.0, 1.0]], ["G"], [-2.0], [-np.inf, 0.0], [np.inf, 1.0])
+        r = solve_lp_arrays(lp)
+        assert r.status == "optimal"
+        assert r.objective == pytest.approx(-4.0, abs=1e-12)
+        assert r.x == pytest.approx([-3.0, 1.0], abs=1e-12)
+
+    def test_zero_rows_solved_by_bound_flips(self):
+        lp = make_lp([-1.0, 2.0, -3.0, 0.5], np.zeros((0, 4)), [], [],
+                     [0.0, -1.0, 2.0, -4.0], [1.0, 3.0, 5.0, 0.0])
+        r = solve_lp_arrays(lp)
+        assert r.status == "optimal"
+        assert r.x.tolist() == [1.0, -1.0, 5.0, -4.0]
+        assert r.objective == pytest.approx(-1.0 - 2.0 - 15.0 - 2.0)
+        assert r.pivots == 2  # one flip per column with a negative cost
+
+    def test_random_mixed_bound_kinds_match_highs(self):
+        linprog = pytest.importorskip("scipy.optimize").linprog
+        rng = np.random.default_rng(23)
+        kinds = ["box", "lower", "upper", "free", "fixed"]
+        seen = {"optimal": 0, "unbounded": 0}
+        for _ in range(300):
+            n = int(rng.integers(1, 7))
+            m = int(rng.integers(0, 7))
+            c = rng.normal(size=n)
+            a = rng.normal(size=(m, n))
+            x0 = rng.uniform(-1.0, 1.0, size=n)
+            sense = rng.choice(["L", "G", "E"], size=m, p=[0.45, 0.45, 0.1])
+            slack = rng.uniform(0.0, 1.0, size=m)
+            rhs = a @ x0 + np.where(sense == "L", slack, np.where(sense == "G", -slack, 0.0))
+            kind = rng.choice(kinds, size=n)
+            lo = x0 - rng.uniform(0.2, 2.0, size=n)
+            hi = x0 + rng.uniform(0.2, 2.0, size=n)
+            lb = np.where(np.isin(kind, ["box", "lower"]), lo,
+                          np.where(kind == "fixed", x0, -np.inf))
+            ub = np.where(np.isin(kind, ["box", "upper"]), hi,
+                          np.where(kind == "fixed", x0, np.inf))
+            lp = make_lp(c, a, sense, rhs, lb, ub)
+            ref = linprog(c, A_ub=np.vstack([a[sense == "L"], -a[sense == "G"]]),
+                          b_ub=np.concatenate([rhs[sense == "L"], -rhs[sense == "G"]]),
+                          A_eq=a[sense == "E"], b_eq=rhs[sense == "E"],
+                          bounds=list(zip(lb, ub)), method="highs",
+                          # presolve reports some unbounded LPs as infeasible
+                          options={"presolve": False})
+            assert ref.status in (0, 3)  # feasible by construction
+            want = "optimal" if ref.status == 0 else "unbounded"
+            r = solve_lp_arrays(lp)
+            assert r.status == want
+            seen[want] += 1
+            if want == "optimal":
+                assert r.objective == pytest.approx(ref.fun, abs=1e-7)
+                assert _feasible(lp, r.x, tol=1e-7)
+        assert min(seen.values()) >= 20
