@@ -134,8 +134,9 @@ def _add_score_opts(p: argparse.ArgumentParser) -> None:
     p.add_argument("--per-class", type=int, default=1,
                    help="batch points per class fed to the model")
     p.add_argument("--log", action="store_true",
-                   help="write one line per branch-and-bound node to solver.log "
-                        "(commands that solve several times keep the last solve's log)")
+                   help="write one line per branch-and-bound node and a closing 'end status' "
+                        "line to solver.log (commands that solve several times keep the "
+                        "last solve's log)")
 
 
 def _batch(args):

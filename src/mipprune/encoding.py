@@ -408,10 +408,7 @@ def encode_network(net: Network, xs: np.ndarray, ys: np.ndarray,
                                           layer=l_idx, unit=j, point=k)
                         damp: dict[int, float] = {}
                         if l_idx in prunable_set:
-                            unit = j if spec.kind == "dense" else j // (
-                                spec.conv.output_h * spec.conv.output_w
-                            )
-                            damp = {model.s_vars[(l_idx, unit)]: -max_u}
+                            damp = {model.s_vars[(l_idx, j // spec.rows_per_unit)]: -max_u}
                         shift = max_u if damp else 0.0
                         # "+ 0.0" turns -0.0 into 0.0: a zero right-hand side prints as 0.0
                         # h + (1 - z) L <= psum - (1 - s) max(U, 0)

@@ -8,8 +8,12 @@ encoding) therefore only ever deals with one layer shape: y = W x + b.
 The lowering assembles small Toeplitz matrices, one per kernel row, into a
 doubly blocked Toeplitz matrix whose action on vec(input) is the full 2-D
 convolution; padded outputs are obtained by selecting the appropriate rows
-and columns.  The layers compute true convolution (kernel flipped), not
-cross-correlation, and the trainer uses the same convention so training and
+and columns.  That walk depends only on the layer's shape, so it is run
+once per :class:`ConvSpec` over kernel *indices* (:func:`conv_index_map`,
+cached read-only); :func:`conv_to_matrix` is a gather of the kernel values
+through that map, and the trainer folds the gradient of the lowered matrix
+back onto the kernels through the same map.  The layers compute true
+convolution (kernel flipped), not cross-correlation, so training and
 encoding agree exactly.
 
 All kernels here are pure functions on immutable inputs and use fixed
@@ -19,13 +23,17 @@ bit-reproducible run to run.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import InvalidArgument, UnsupportedFeature
 
-__all__ = ["ConvSpec", "as_matrix", "toeplitz_1d", "conv_to_matrix", "matvec", "matmat"]
+__all__ = [
+    "ConvSpec", "as_matrix", "toeplitz_1d", "conv_index_map", "conv_to_matrix", "matvec",
+    "matmat",
+]
 
 
 def as_matrix(data, rows: int | None = None, cols: int | None = None) -> np.ndarray:
@@ -100,6 +108,15 @@ class ConvSpec:
         return self.out_channels * self.output_h * self.output_w
 
 
+def _toeplitz(seq: np.ndarray, n_cols: int, fill) -> np.ndarray:
+    """``seq`` as first column, shifted down one row per column, ``fill`` elsewhere."""
+    k = seq.size
+    out = np.full((k + n_cols - 1, n_cols), fill, dtype=seq.dtype)
+    for j in range(n_cols):
+        out[j : j + k, j] = seq
+    return out
+
+
 def toeplitz_1d(sequence, n_cols: int) -> np.ndarray:
     """Toeplitz matrix with ``sequence`` as first column, shifted down per column.
 
@@ -112,24 +129,20 @@ def toeplitz_1d(sequence, n_cols: int) -> np.ndarray:
         raise InvalidArgument("sequence must be non-empty")
     if n_cols < 1:
         raise InvalidArgument("n_cols must be >= 1")
-    k = seq.size
-    out = np.zeros((k + n_cols - 1, n_cols), dtype=np.float64)
-    for j in range(n_cols):
-        out[j : j + k, j] = seq
-    return out
+    return _toeplitz(seq, n_cols, 0.0)
 
 
-def _full_conv_matrix(kernel: np.ndarray, in_h: int, in_w: int) -> np.ndarray:
-    """Doubly blocked Toeplitz matrix computing the full 2-D convolution.
+def _full_conv_index(kernel_idx: np.ndarray, in_h: int, in_w: int) -> np.ndarray:
+    """Doubly blocked Toeplitz matrix of the full 2-D convolution, as kernel indices.
 
     Block column i holds the Toeplitz matrix of kernel row d at block row
     i + d, mirroring how a 1-D Toeplitz matrix is built from a sequence.
+    Entries no kernel entry reaches hold -1.
     """
-    kh, kw = kernel.shape
-    out_h = in_h + kh - 1
+    kh, kw = kernel_idx.shape
     out_w = in_w + kw - 1
-    blocks = [toeplitz_1d(kernel[d], in_w) for d in range(kh)]
-    m = np.zeros((out_h * out_w, in_h * in_w), dtype=np.float64)
+    blocks = [_toeplitz(kernel_idx[d], in_w, -1) for d in range(kh)]
+    m = np.full(((in_h + kh - 1) * out_w, in_h * in_w), -1, dtype=np.intp)
     for i in range(in_h):
         for d in range(kh):
             r = (i + d) * out_w
@@ -144,7 +157,7 @@ def _pad_select(spec: ConvSpec, m_full_padded: np.ndarray) -> np.ndarray:
     Columns for the zero padding are dropped; rows are selected so the output
     covers exactly the stride-1 window positions of the padded input.
     """
-    hp, wp = spec.padded_h, spec.padded_w
+    wp = spec.padded_w
     fw = wp + spec.kernel_w - 1
     p = spec.padding
     # columns: positions of the original image inside the zero-padded image
@@ -162,6 +175,30 @@ def _pad_select(spec: ConvSpec, m_full_padded: np.ndarray) -> np.ndarray:
     return m_full_padded[np.ix_(rows, cols)]
 
 
+@functools.lru_cache(maxsize=64)
+def conv_index_map(spec: ConvSpec) -> np.ndarray:
+    """Flat kernel index of every entry of the lowered matrix, -1 where it is zero.
+
+    The result has shape (spec.output_size, spec.input_size); entry (i, j)
+    is the position in ``kernels.ravel()`` of the kernel entry the lowering
+    places there.  It is built once per spec by the Toeplitz walk and cached
+    read-only, so lowering is a gather and folding a gradient of the lowered
+    matrix back onto the kernels is a scatter-add over the same map.
+    """
+    ohw = spec.output_h * spec.output_w
+    ihw = spec.input_h * spec.input_w
+    kernel_idx = np.arange(
+        spec.out_channels * spec.in_channels * spec.kernel_h * spec.kernel_w, dtype=np.intp
+    ).reshape(spec.out_channels, spec.in_channels, spec.kernel_h, spec.kernel_w)
+    out = np.full((spec.output_size, spec.input_size), -1, dtype=np.intp)
+    for oc in range(spec.out_channels):
+        for ic in range(spec.in_channels):
+            full = _full_conv_index(kernel_idx[oc, ic], spec.padded_h, spec.padded_w)
+            out[oc * ohw : (oc + 1) * ohw, ic * ihw : (ic + 1) * ihw] = _pad_select(spec, full)
+    out.flags.writeable = False
+    return out
+
+
 def conv_to_matrix(kernels, spec: ConvSpec) -> np.ndarray:
     """Lower a convolution to one dense matrix on the flattened input.
 
@@ -170,26 +207,16 @@ def conv_to_matrix(kernels, spec: ConvSpec) -> np.ndarray:
     satisfies M @ vec(x) == vec(conv(x)) where conv is true convolution
     (flipped kernel) with ``spec.padding`` zeros per side and stride 1.
     Input and output vectors are laid out channel-major, row-major inside
-    each channel.
+    each channel.  M is a fresh array the caller may write to.
     """
-    if spec.stride != 1:
-        raise UnsupportedFeature(f"stride must be 1, got {spec.stride}")
     k = np.asarray(kernels, dtype=np.float64)
     expect = (spec.out_channels, spec.in_channels, spec.kernel_h, spec.kernel_w)
     if k.shape != expect:
         raise InvalidArgument(f"kernel shape {k.shape} does not match spec {expect}")
     if not np.all(np.isfinite(k)):
         raise InvalidArgument("kernel entries must be finite")
-
-    out = np.zeros((spec.output_size, spec.input_size), dtype=np.float64)
-    ohw = spec.output_h * spec.output_w
-    ihw = spec.input_h * spec.input_w
-    for oc in range(spec.out_channels):
-        for ic in range(spec.in_channels):
-            full = _full_conv_matrix(k[oc, ic], spec.padded_h, spec.padded_w)
-            block = _pad_select(spec, full)
-            out[oc * ohw : (oc + 1) * ohw, ic * ihw : (ic + 1) * ihw] = block
-    return out
+    # index -1 reads the appended structural zero
+    return np.append(k.ravel(), 0.0)[conv_index_map(spec)]
 
 
 def matvec(m: np.ndarray, v) -> np.ndarray:

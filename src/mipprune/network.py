@@ -6,9 +6,17 @@ matrix, see :mod:`mipprune.linalg`), ``avgpool`` / ``maxpool`` (consecutive
 non-overlapping windows of the previous output), and ``flatten`` (a no-op
 marker, kept so conv architectures read naturally).
 
-Maskable units are dense-layer neurons and whole conv feature maps; masking
-a feature map zeroes its entire block of lowered-matrix rows.  The final
-layer is the logit layer (activation ``none``) and is never maskable.
+:func:`build_network` is the only constructor of layers: it turns layer
+descriptors (``dense(...)``, ``conv(...)``, ...) and parameters into a
+checked :class:`Network`, lowering each conv once.  Initialization, model
+files and structural pruning all produce descriptors and parameters and
+call it.
+
+Maskable units are dense-layer neurons and whole conv feature maps; a unit
+owns ``LayerSpec.rows_per_unit`` consecutive rows of the (lowered) weight
+matrix (1 for dense, the feature-map size for conv), and masking zeroes
+them.  The final layer is the logit layer (activation ``none``) and is never
+maskable.
 """
 
 from __future__ import annotations
@@ -64,6 +72,15 @@ class LayerSpec:
     conv: ConvSpec | None = None
     kernels: np.ndarray | None = None
     channel_bias: np.ndarray | None = None
+
+    @property
+    def rows_per_unit(self) -> int:
+        """Rows of the (lowered) weight matrix one maskable unit owns.
+
+        A dense neuron owns its own row; a conv feature map owns the
+        ``output_h * output_w`` consecutive rows of its output block.
+        """
+        return self.conv.output_h * self.conv.output_w if self.kind == "conv" else 1
 
     def out_size(self, in_size: int) -> int:
         if self.kind in ("dense", "conv"):
@@ -123,26 +140,11 @@ class Network:
         return self.layer_sizes()[-1]
 
     def validate(self) -> None:
+        """Whole-network rules; per-layer shapes are checked by :func:`build_network`."""
         if not self.layers:
             raise InvalidArgument("network needs at least one layer")
-        sizes = [self.input_size]
-        for idx, spec in enumerate(self.layers):
-            if spec.kind not in _KINDS:
-                raise InvalidArgument(f"layer {idx}: unknown kind {spec.kind!r}")
-            if spec.kind in ("dense", "conv"):
-                if spec.activation not in _ACTIVATIONS:
-                    raise InvalidArgument(f"layer {idx}: bad activation {spec.activation!r}")
-                if spec.weight.ndim != 2 or spec.bias.ndim != 1:
-                    raise InvalidArgument(f"layer {idx}: weight/bias rank mismatch")
-                if spec.weight.shape[0] != spec.bias.size:
-                    raise InvalidArgument(f"layer {idx}: bias length != weight rows")
-                if spec.weight.shape[1] != sizes[-1]:
-                    raise InvalidArgument(
-                        f"layer {idx}: expects input {spec.weight.shape[1]}, gets {sizes[-1]}"
-                    )
-            sizes.append(spec.out_size(sizes[-1]))
         last = self.layers[-1]
-        if last.kind not in ("dense",):
+        if last.kind != "dense":
             raise InvalidArgument("final layer must be dense (logit layer)")
         if last.activation != "none":
             raise InvalidArgument("final layer must have activation 'none'")
@@ -162,16 +164,6 @@ class Network:
             elif spec.kind == "conv" and spec.activation == "relu":
                 out.append((idx, spec.conv.out_channels))
         return out
-
-    def unit_rows(self, layer_idx: int, unit: int) -> range:
-        """Rows of the layer's (lowered) weight matrix owned by one unit."""
-        spec = self.layers[layer_idx]
-        if spec.kind == "dense":
-            return range(unit, unit + 1)
-        if spec.kind == "conv":
-            hw = spec.conv.output_h * spec.conv.output_w
-            return range(unit * hw, (unit + 1) * hw)
-        raise InvalidArgument(f"layer {layer_idx} has no maskable units")
 
 
 @dataclass
@@ -243,9 +235,7 @@ def forward(net: Network, x, mask: Mask | None = None) -> ForwardTrace:
             z = matvec(spec.weight, v) + spec.bias
             a = np.maximum(z, 0.0) if spec.activation == "relu" else z.copy()
             if mask is not None and idx in mask.bits:
-                for unit in np.flatnonzero(mask.bits[idx]):
-                    rows = net.unit_rows(idx, int(unit))
-                    a[rows.start : rows.stop] = 0.0
+                a[np.repeat(mask.bits[idx], spec.rows_per_unit)] = 0.0
         elif spec.kind in ("avgpool", "maxpool"):
             z = _pool(v, spec.pool_window, spec.kind)
             a = z.copy()
@@ -259,34 +249,38 @@ def forward(net: Network, x, mask: Mask | None = None) -> ForwardTrace:
 
 
 def _keep_indices(net: Network, mask: Mask) -> list[np.ndarray]:
-    """Surviving vector positions after each layer under structural pruning."""
+    """Surviving vector positions of the input and of each layer's output."""
     sizes = net.layer_sizes()
-    keep: list[np.ndarray] = []
-    prev = np.arange(sizes[0])
+    keep = [np.arange(sizes[0])]
     for idx, spec in enumerate(net.layers):
-        n_out = sizes[idx + 1]
+        cur = keep[-1]
         if spec.kind in ("dense", "conv"):
-            kept = np.ones(n_out, dtype=bool)
-            if idx in mask.bits:
-                for unit in np.flatnonzero(mask.bits[idx]):
-                    rows = net.unit_rows(idx, int(unit))
-                    kept[rows.start : rows.stop] = False
-            cur = np.flatnonzero(kept)
+            bits = mask.bits.get(idx, np.zeros(sizes[idx + 1] // spec.rows_per_unit, dtype=bool))
+            cur = np.flatnonzero(~np.repeat(bits, spec.rows_per_unit))
         elif spec.kind in ("avgpool", "maxpool"):
             prev_kept = np.zeros(sizes[idx], dtype=bool)
-            prev_kept[keep[idx - 1] if idx > 0 else prev] = True
+            prev_kept[cur] = True
             groups = prev_kept.reshape(-1, spec.pool_window)
             full = groups.all(axis=1)
-            empty = ~groups.any(axis=1)
-            if not np.all(full | empty):
+            if not np.all(full | ~groups.any(axis=1)):
                 raise InvalidArgument(
                     f"layer {idx}: mask removes part of a pooling window; cannot prune structurally"
                 )
             cur = np.flatnonzero(full)
-        else:
-            cur = keep[idx - 1].copy() if idx > 0 else prev.copy()
         keep.append(cur)
     return keep
+
+
+def _descriptor(spec: LayerSpec) -> dict:
+    """The layer descriptor :func:`build_network` turns back into ``spec``."""
+    if spec.kind == "dense":
+        return dense(spec.weight.shape[0], spec.activation)
+    if spec.kind == "conv":
+        c = spec.conv
+        return conv(c.out_channels, c.kernel_h, c.kernel_w, c.padding, spec.activation)
+    if spec.kind in ("avgpool", "maxpool"):
+        return {"kind": spec.kind, "window": spec.pool_window}
+    return flatten()
 
 
 def apply_mask(net: Network, mask: Mask) -> Network:
@@ -297,113 +291,95 @@ def apply_mask(net: Network, mask: Mask) -> Network:
     """
     mask.validate_against(net)
     keep = _keep_indices(net, mask)
-    sizes = net.layer_sizes()
-    new_layers: list[LayerSpec] = []
+    descs: list[dict] = []
+    params: list[tuple[np.ndarray, np.ndarray]] = []
     for idx, spec in enumerate(net.layers):
-        in_keep = keep[idx - 1] if idx > 0 else np.arange(sizes[0])
+        desc = _descriptor(spec)
         if spec.kind == "dense":
-            w = spec.weight[np.ix_(keep[idx], in_keep)]
-            b = spec.bias[keep[idx]]
-            new_layers.append(LayerSpec(kind="dense", weight=w, bias=b, activation=spec.activation))
+            desc["width"] = keep[idx + 1].size
+            params.append((spec.weight[np.ix_(keep[idx + 1], keep[idx])], spec.bias[keep[idx + 1]]))
         elif spec.kind == "conv":
-            bits = mask.bits.get(idx)
-            units = (
-                np.flatnonzero(~bits)
-                if bits is not None
-                else np.arange(spec.conv.out_channels)
-            )
-            if in_keep.size != sizes[idx]:
+            if keep[idx].size != spec.conv.input_size:
                 raise InvalidArgument(f"layer {idx}: conv input cannot be structurally pruned")
-            spec2 = ConvSpec(
-                in_channels=spec.conv.in_channels,
-                out_channels=int(units.size),
-                kernel_h=spec.conv.kernel_h,
-                kernel_w=spec.conv.kernel_w,
-                input_h=spec.conv.input_h,
-                input_w=spec.conv.input_w,
-                padding=spec.conv.padding,
-            )
-            kern = spec.kernels[units]
-            cb = spec.channel_bias[units]
-            new_layers.append(_make_conv_layer(kern, cb, spec2, spec.activation))
-        elif spec.kind in ("avgpool", "maxpool"):
-            new_layers.append(LayerSpec(kind=spec.kind, pool_window=spec.pool_window))
-        else:
-            new_layers.append(LayerSpec(kind="flatten"))
-    pruned = Network(layers=new_layers, input_shape=net.input_shape, seed=net.seed)
-    pruned.validate()
-    return pruned
+            bits = mask.bits.get(idx, np.zeros(spec.conv.out_channels, dtype=bool))
+            units = np.flatnonzero(~bits)
+            desc["out_channels"] = units.size
+            params.append((spec.kernels[units], spec.channel_bias[units]))
+        descs.append(desc)
+    return build_network(net.input_shape, descs, seed=net.seed, params=params)
 
 
-def _make_conv_layer(kernels: np.ndarray, channel_bias: np.ndarray, spec: ConvSpec,
-                     activation: str) -> LayerSpec:
-    weight = conv_to_matrix(kernels, spec)
-    hw = spec.output_h * spec.output_w
-    bias = np.repeat(np.asarray(channel_bias, dtype=np.float64), hw)
-    return LayerSpec(
-        kind="conv", weight=weight, bias=bias, activation=activation,
-        conv=spec, kernels=np.asarray(kernels, dtype=np.float64),
-        channel_bias=np.asarray(channel_bias, dtype=np.float64),
-    )
+def _vector(data, size: int, name: str) -> np.ndarray:
+    v = np.array(data, dtype=np.float64)
+    if v.shape != (size,):
+        raise InvalidArgument(f"{name} has shape {v.shape}, expected ({size},)")
+    if not np.all(np.isfinite(v)):
+        raise InvalidArgument(f"{name} entries must be finite")
+    return v
 
 
 def build_network(input_shape, layer_descs: list[dict], seed: int = 0,
                   params: list[tuple[np.ndarray, np.ndarray]] | None = None) -> Network:
     """Assemble a Network from layer descriptors and explicit parameters.
 
+    This is the one place layers are made: every network, whether
+    initialized, loaded from a file or pruned, comes from here, so shapes,
+    finiteness and the conv lowering are checked and done once.
     ``params`` supplies (weight-or-kernels, bias) per parametric layer in
-    order; pass None to zero-initialize (useful only for tests).
+    order; pass None to zero-initialize.  Errors name the layer index.
     """
-    if isinstance(input_shape, int):
-        input_shape = (input_shape,)
+    input_shape = (input_shape,) if isinstance(input_shape, int) else input_shape
     input_shape = tuple(int(d) for d in input_shape)
-    sizes = [int(np.prod(input_shape))]
-    chan = input_shape[0] if len(input_shape) == 3 else 1
-    spatial = input_shape[1:] if len(input_shape) == 3 else None
-    layers: list[LayerSpec] = []
+    # the shape a layer reads: (channels, h, w) after the input or a conv, else (size,)
+    shape = input_shape if len(input_shape) == 3 else (int(np.prod(input_shape)),)
     p_iter = iter(params) if params is not None else None
-    for desc in layer_descs:
+    layers: list[LayerSpec] = []
+    for idx, desc in enumerate(layer_descs):
         kind = desc["kind"]
-        if kind == "dense":
-            width = desc["width"]
-            w, b = (next(p_iter) if p_iter else (np.zeros((width, sizes[-1])), np.zeros(width)))
-            layers.append(LayerSpec(kind="dense", weight=as_matrix(w, width, sizes[-1]),
-                                    bias=np.asarray(b, dtype=np.float64),
-                                    activation=desc["activation"]))
-            sizes.append(width)
-            spatial = None
-        elif kind == "conv":
-            if spatial is None:
-                raise InvalidArgument("conv layer requires a (channels, h, w) input shape")
-            spec = ConvSpec(
-                in_channels=chan, out_channels=desc["out_channels"],
-                kernel_h=desc["kernel_h"], kernel_w=desc["kernel_w"],
-                input_h=spatial[0], input_w=spatial[1], padding=desc["padding"],
-            )
-            if p_iter:
-                kern, cb = next(p_iter)
+        in_size = int(np.prod(shape))
+        try:
+            if kind not in _KINDS:
+                raise InvalidArgument(f"unknown kind {kind!r}")
+            p = None
+            if kind in ("dense", "conv"):
+                if desc["activation"] not in _ACTIVATIONS:
+                    raise InvalidArgument(f"bad activation {desc['activation']!r}")
+                if p_iter is not None:
+                    p = next(p_iter, None)
+                    if p is None:
+                        raise InvalidArgument("no parameters left for this layer")
+            if kind == "dense":
+                width = desc["width"]
+                w, b = p or (np.zeros((width, in_size)), np.zeros(width))
+                spec = LayerSpec(kind="dense", weight=as_matrix(w, width, in_size),
+                                 bias=_vector(b, width, "bias"), activation=desc["activation"])
+            elif kind == "conv":
+                if len(shape) != 3:
+                    raise InvalidArgument("conv layer requires a (channels, h, w) input shape")
+                c = ConvSpec(in_channels=shape[0], out_channels=desc["out_channels"],
+                             kernel_h=desc["kernel_h"], kernel_w=desc["kernel_w"],
+                             input_h=shape[1], input_w=shape[2], padding=desc["padding"])
+                kern, cb = p or (np.zeros((c.out_channels, c.in_channels, c.kernel_h, c.kernel_w)),
+                                 np.zeros(c.out_channels))
+                spec = LayerSpec(kind="conv", weight=conv_to_matrix(kern, c),
+                                 activation=desc["activation"], conv=c,
+                                 kernels=np.array(kern, dtype=np.float64),
+                                 channel_bias=_vector(cb, c.out_channels, "channel bias"))
+                spec.bias = np.repeat(spec.channel_bias, spec.rows_per_unit)
+            elif kind in ("avgpool", "maxpool"):
+                if desc["window"] < 1:
+                    raise InvalidArgument(f"pool window must be >= 1, got {desc['window']}")
+                spec = LayerSpec(kind=kind, pool_window=desc["window"])
             else:
-                kern = np.zeros((spec.out_channels, spec.in_channels, spec.kernel_h, spec.kernel_w))
-                cb = np.zeros(spec.out_channels)
-            layers.append(_make_conv_layer(np.asarray(kern, dtype=np.float64),
-                                           np.asarray(cb, dtype=np.float64),
-                                           spec, desc["activation"]))
-            sizes.append(spec.output_size)
-            chan = spec.out_channels
-            spatial = (spec.output_h, spec.output_w)
-        elif kind in ("avgpool", "maxpool"):
-            window = desc["window"]
-            if sizes[-1] % window != 0:
-                raise InvalidArgument(f"pool window {window} does not divide size {sizes[-1]}")
-            layers.append(LayerSpec(kind=kind, pool_window=window))
-            sizes.append(sizes[-1] // window)
-            spatial = None
-        elif kind == "flatten":
-            layers.append(LayerSpec(kind="flatten"))
-            sizes.append(sizes[-1])
-            spatial = None
-        else:
-            raise InvalidArgument(f"unknown layer kind {kind!r}")
+                spec = LayerSpec(kind="flatten")
+            size = spec.out_size(in_size)
+        except InvalidArgument as exc:
+            raise InvalidArgument(f"layer {idx}: {exc}") from exc
+        layers.append(spec)
+        c = spec.conv
+        shape = (c.out_channels, c.output_h, c.output_w) if c is not None else (size,)
+    if p_iter is not None and next(p_iter, None) is not None:
+        raise InvalidArgument("more parameter pairs than parametric layers")
     net = Network(layers=layers, input_shape=input_shape, seed=seed)
     net.validate()
     return net
@@ -502,6 +478,13 @@ class _Reader:
             raise ModelFormatError(f"expected {expect!r}, got {toks[0]!r}", line=self.pos)
         return toks
 
+    def ints(self, expect: str, count: int | None = None) -> tuple[int, ...]:
+        """The non-negative integers after keyword ``expect``; ``count`` of them if given."""
+        toks = self.next(expect)[1:]
+        if (count is not None and len(toks) != count) or not all(t.isdigit() for t in toks):
+            raise ModelFormatError(f"bad {expect!r} line", line=self.pos)
+        return tuple(int(t) for t in toks)
+
     def floats(self, count: int) -> np.ndarray:
         vals: list[float] = []
         while len(vals) < count:
@@ -518,72 +501,61 @@ class _Reader:
 
 
 def load_network(path) -> Network:
-    """Parse a model file; bit-exact inverse of :func:`save_network`."""
+    """Parse a model file; bit-exact inverse of :func:`save_network`.
+
+    The file is read into layer descriptors and parameters and handed to
+    :func:`build_network`, which checks them as it checks any network; a
+    stored ``convspec`` must equal the one the build derives.
+    """
     r = _Reader(path)
-    toks = r.next("format_version")
-    if int(toks[1]) != FORMAT_VERSION:
-        raise ModelFormatError(f"unsupported format_version {toks[1]}", line=r.pos)
-    input_shape = tuple(int(t) for t in r.next("input_shape")[1:])
-    seed = int(r.next("seed")[1])
-    n_layers = int(r.next("layers")[1])
-    layers: list[LayerSpec] = []
-    in_size = int(np.prod(input_shape))
+    (version,) = r.ints("format_version", 1)
+    if version != FORMAT_VERSION:
+        raise ModelFormatError(f"unsupported format_version {version}", line=r.pos)
+    input_shape = r.ints("input_shape")
+    (seed,) = r.ints("seed", 1)
+    (n_layers,) = r.ints("layers", 1)
+    descs: list[dict] = []
+    params: list[tuple[np.ndarray, np.ndarray]] = []
+    stored: dict[int, tuple[tuple[int, ...], int]] = {}  # conv layer -> (convspec, line)
     for idx in range(n_layers):
         toks = r.next("layer")
-        if int(toks[1]) != idx:
-            raise ModelFormatError(f"expected layer {idx}, got {toks[1]}", line=r.pos)
+        if toks[1:2] != [str(idx)] or len(toks) != 3:
+            raise ModelFormatError(f"expected 'layer {idx} <kind>'", line=r.pos)
         kind = toks[2]
         if kind == "dense":
             activation = r.next("activation")[1]
-            dims = r.next("dims")
-            rows, cols = int(dims[1]), int(dims[2])
-            if cols != in_size:
-                raise ModelFormatError(
-                    f"layer {idx}: weight cols {cols} do not match input size {in_size}",
-                    line=r.pos,
-                )
+            rows, cols = r.ints("dims", 2)
             r.next("weights")
             w = r.floats(rows * cols).reshape(rows, cols)
             r.next("bias")
-            b = r.floats(rows)
-            layers.append(LayerSpec(kind="dense", weight=w, bias=b, activation=activation))
-            in_size = rows
+            descs.append(dense(rows, activation))
+            params.append((w, r.floats(rows)))
         elif kind == "conv":
             activation = r.next("activation")[1]
-            cs = r.next("convspec")
-            spec = ConvSpec(
-                in_channels=int(cs[1]), out_channels=int(cs[2]), kernel_h=int(cs[3]),
-                kernel_w=int(cs[4]), input_h=int(cs[5]), input_w=int(cs[6]), padding=int(cs[7]),
-            )
-            if spec.input_size != in_size:
-                raise ModelFormatError(
-                    f"layer {idx}: conv input {spec.input_size} does not match {in_size}",
-                    line=r.pos,
-                )
+            cs = r.ints("convspec", 7)
+            stored[idx] = (cs, r.pos)
+            ic, oc, kh, kw, _, _, pad = cs
             r.next("kernels")
-            kern = r.floats(
-                spec.out_channels * spec.in_channels * spec.kernel_h * spec.kernel_w
-            ).reshape(spec.out_channels, spec.in_channels, spec.kernel_h, spec.kernel_w)
+            kern = r.floats(oc * ic * kh * kw).reshape(oc, ic, kh, kw)
             r.next("channel_bias")
-            cb = r.floats(spec.out_channels)
-            layers.append(_make_conv_layer(kern, cb, spec, activation))
-            in_size = spec.output_size
+            descs.append(conv(oc, kh, kw, pad, activation))
+            params.append((kern, r.floats(oc)))
         elif kind in ("avgpool", "maxpool"):
-            window = int(r.next("pool_window")[1])
-            if in_size % window != 0:
-                raise ModelFormatError(
-                    f"layer {idx}: pool window {window} does not divide size {in_size}",
-                    line=r.pos,
-                )
-            layers.append(LayerSpec(kind=kind, pool_window=window))
-            in_size //= window
+            descs.append({"kind": kind, "window": r.ints("pool_window", 1)[0]})
         elif kind == "flatten":
-            layers.append(LayerSpec(kind="flatten"))
+            descs.append(flatten())
         else:
             raise ModelFormatError(f"layer {idx}: unknown kind {kind!r}", line=r.pos)
-    net = Network(layers=layers, input_shape=input_shape, seed=seed)
     try:
-        net.validate()
+        net = build_network(input_shape, descs, seed=seed, params=params)
     except InvalidArgument as exc:
         raise ModelFormatError(str(exc)) from exc
+    for idx, (cs, line) in stored.items():
+        c = net.layers[idx].conv
+        built = (c.in_channels, c.out_channels, c.kernel_h, c.kernel_w, c.input_h, c.input_w,
+                 c.padding)
+        if cs != built:
+            raise ModelFormatError(
+                f"layer {idx}: convspec {cs} does not match the previous layer, which gives "
+                f"{built}", line=line)
     return net

@@ -120,12 +120,25 @@ def solve_mip(model: MipModel, config: SolveConfig | None = None,
     counter = 0
     heap: list[tuple[float, int, dict[int, float]]] = []
 
+    def finish(bound: float, gap: float, status: str) -> Solution:
+        """The returned Solution; the log's last line says how the solve ended."""
+        log.append(f"end status {status} nodes {node_count} cut_rounds {cut_rounds} "
+                   f"bound {bound!r} incumbent {incumbent_obj!r} gap {gap!r}")
+        sol = Solution(
+            values=incumbent, objective=incumbent_obj, gap=gap, node_count=node_count,
+            cut_rounds=cut_rounds, wall_time=time.perf_counter() - t0,
+            lp_pivots=total_pivots, status=status, log_lines=log,
+        )
+        if cfg.log_path:
+            with open(cfg.log_path, "w", encoding="ascii") as fh:
+                fh.write("\n".join(log) + "\n")
+        return sol
+
     res = solve_lp(model, {})
     total_pivots += res.pivots
     if res.status == "infeasible":
         if incumbent is not None:
-            return Solution(incumbent, incumbent_obj, 0.0, 0, 0,
-                            time.perf_counter() - t0, total_pivots, "optimal", log)
+            return finish(incumbent_obj, 0.0, "optimal")
         raise NoIncumbent("root relaxation is infeasible")
     if res.status == "unbounded":
         raise NoIncumbent("root relaxation is unbounded")
@@ -211,12 +224,4 @@ def solve_mip(model: MipModel, config: SolveConfig | None = None,
     gap = current_gap(best_bound)
     if gap > cfg.gap_tol or open_bound < float("inf"):
         status = "limit"
-    sol = Solution(
-        values=incumbent, objective=incumbent_obj, gap=gap, node_count=node_count,
-        cut_rounds=cut_rounds, wall_time=time.perf_counter() - t0,
-        lp_pivots=total_pivots, status=status, log_lines=log,
-    )
-    if cfg.log_path:
-        with open(cfg.log_path, "w", encoding="ascii") as fh:
-            fh.write("\n".join(log) + ("\n" if log else ""))
-    return sol
+    return finish(best_bound, gap, status)

@@ -18,7 +18,7 @@ import numpy as np
 
 from .datasets import Dataset
 from .errors import InvalidArgument, TrainingDiverged, UnsupportedFeature
-from .linalg import matmat
+from .linalg import conv_index_map, conv_to_matrix, matmat
 from .network import LayerSpec, Mask, Network, forward
 
 __all__ = ["TrainConfig", "TrainResult", "train", "evaluate", "loss_and_grads", "write_trace_csv"]
@@ -52,21 +52,6 @@ class TrainResult:
 
 def _param_layers(net: Network) -> list[int]:
     return [i for i, s in enumerate(net.layers) if s.kind in ("dense", "conv")]
-
-
-def _kernel_index_map(spec: LayerSpec) -> np.ndarray:
-    """Map each lowered-weight entry to its kernel parameter index (-1 for zero).
-
-    The lowering places each kernel entry verbatim, so the gradient of the
-    dense matrix folds back onto kernels by summing over placements.
-    """
-    c = spec.conv
-    k_shape = (c.out_channels, c.in_channels, c.kernel_h, c.kernel_w)
-    idx = np.arange(np.prod(k_shape), dtype=np.float64).reshape(k_shape) + 1.0
-    from .linalg import conv_to_matrix
-
-    placed = conv_to_matrix(idx, c)
-    return np.rint(placed).astype(np.int64) - 1  # -1 where the lowered matrix is structurally zero
 
 
 def _batch_forward(net: Network, x: np.ndarray) -> tuple[list[np.ndarray], list[np.ndarray]]:
@@ -103,7 +88,8 @@ def loss_and_grads(net: Network, x: np.ndarray, y: np.ndarray):
 
     Returns (loss, grads) with grads[i] = (dW-or-dkernels, dbias) matching
     the layer's parameter shapes. Conv gradients are folded from the lowered
-    matrix back onto the kernel entries.
+    matrix back onto the kernel entries through
+    :func:`~mipprune.linalg.conv_index_map`.
     """
     if any(s.kind == "maxpool" for s in net.layers):
         raise UnsupportedFeature("max pooling layers cannot be trained")
@@ -128,12 +114,10 @@ def loss_and_grads(net: Network, x: np.ndarray, y: np.ndarray):
             dw = matmat(delta, below.T.copy())
             db = delta.sum(axis=1)
             if spec.kind == "conv":
-                kmap = _kernel_index_map(spec)
-                dk = np.zeros(spec.kernels.size, dtype=np.float64)
-                valid = kmap >= 0
-                np.add.at(dk, kmap[valid], dw[valid])
-                hw = spec.conv.output_h * spec.conv.output_w
-                dcb = db.reshape(spec.conv.out_channels, hw).sum(axis=1)
+                kmap = conv_index_map(spec.conv)
+                placed = kmap >= 0
+                dk = np.bincount(kmap[placed], weights=dw[placed], minlength=spec.kernels.size)
+                dcb = db.reshape(-1, spec.rows_per_unit).sum(axis=1)
                 grads[idx] = (dk.reshape(spec.kernels.shape), dcb)
             else:
                 grads[idx] = (dw, db)
@@ -152,13 +136,10 @@ def _apply_update(spec: LayerSpec, dw: np.ndarray, db: np.ndarray) -> None:
         spec.weight -= dw
         spec.bias -= db
     else:
-        from .linalg import conv_to_matrix
-
         spec.kernels -= dw
         spec.channel_bias -= db
         spec.weight[...] = conv_to_matrix(spec.kernels, spec.conv)
-        hw = spec.conv.output_h * spec.conv.output_w
-        spec.bias[...] = np.repeat(spec.channel_bias, hw)
+        spec.bias[...] = np.repeat(spec.channel_bias, spec.rows_per_unit)
 
 
 def train(net: Network, ds: Dataset, cfg: TrainConfig) -> TrainResult:

@@ -119,6 +119,13 @@ class TestLpRoundTrip:
                 "--solve", "--log", "--epsilon", "0.1"])
         assert (one_run_dir(tmp_path) / "solver.log").read_text().strip()
 
+    def test_log_ends_with_how_the_solve_ended(self, trained_model, tmp_path):
+        # at eps 0 the warm start closes the root, so no node line is written
+        run_ok(["export-lp", "--out", str(tmp_path), *DATA, "--model", str(trained_model),
+                "--solve", "--log"])
+        lines = (one_run_dir(tmp_path) / "solver.log").read_text().splitlines()
+        assert lines and lines[-1].startswith("end status ")
+
 
 class TestExitCodes:
     def test_unknown_flag_usage_error(self):

@@ -4,7 +4,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mipprune.errors import InvalidArgument, UnsupportedFeature
-from mipprune.linalg import ConvSpec, as_matrix, conv_to_matrix, matmat, matvec, toeplitz_1d
+from mipprune.linalg import (
+    ConvSpec,
+    as_matrix,
+    conv_index_map,
+    conv_to_matrix,
+    matmat,
+    matvec,
+    toeplitz_1d,
+)
 
 
 def direct_conv2d(x, kernel, pad):
@@ -122,6 +130,30 @@ class TestConvToMatrix:
     def test_kernel_larger_than_padded_input(self):
         with pytest.raises(InvalidArgument):
             ConvSpec(1, 1, 5, 5, 3, 3, padding=0)
+
+    def test_result_is_a_fresh_writable_array(self):
+        spec = ConvSpec(2, 2, 2, 2, 3, 3, padding=1)
+        k = np.random.default_rng(6).normal(size=(2, 2, 2, 2))
+        first = conv_to_matrix(k, spec)
+        want = first.copy()
+        first[...] = 7.0
+        assert conv_to_matrix(k, spec).tobytes() == want.tobytes()
+
+    def test_index_map_cached_read_only(self):
+        spec = ConvSpec(2, 3, 2, 3, 4, 5, padding=1)
+        kmap = conv_index_map(spec)
+        assert conv_index_map(ConvSpec(2, 3, 2, 3, 4, 5, padding=1)) is kmap
+        assert kmap.shape == (spec.output_size, spec.input_size)
+        assert not kmap.flags.writeable
+        with pytest.raises(ValueError):
+            kmap[0, 0] = 0
+
+    def test_index_map_places_every_kernel_entry(self):
+        # without padding each kernel entry lands once per output position of its map
+        spec = ConvSpec(2, 3, 2, 2, 3, 3, padding=0)
+        kmap = conv_index_map(spec)
+        counts = np.bincount(kmap[kmap >= 0], minlength=24)
+        assert counts.tolist() == [spec.output_h * spec.output_w] * 24
 
 
 class TestMatvec:

@@ -5,11 +5,13 @@ import numpy as np
 import pytest
 
 from mipprune.bounds import propagate_batch
+from mipprune.datasets import make_dataset
 from mipprune.encoding import encode_network
 from mipprune.errors import ModelFormatError
 from mipprune.lpformat import read_solution, write_lp, write_solution
-from mipprune.network import avgpool, conv, dense, flatten, init_network, maxpool
+from mipprune.network import avgpool, conv, dense, flatten, init_network, maxpool, save_network
 from mipprune.solver import SolveConfig, solve_mip
+from mipprune.training import TrainConfig, train
 
 NUM = r"-?\d+(\.\d+)?([eE][+-]?\d+)?"
 TERM = rf"[+-] {NUM} [a-z][a-z0-9_]*"
@@ -122,11 +124,13 @@ class TestSolutionRoundTrip:
 
 
 class TestGoldenText:
-    """The LP text of three fixed encodings, pinned by sha256.
+    """The LP text of three fixed encodings, and the model files of two short
+    training runs, pinned by sha256.
 
     Any change to variable order, row order, a coefficient or a right-hand
-    side changes the digest, so an internal rewrite of the model must leave
-    these three files byte for byte as they are.
+    side changes an LP digest, and any change to the bits of training or of
+    the conv lowering changes a model-file digest, so an internal rewrite
+    must leave these files byte for byte as they are.
     """
 
     ARCHS = {
@@ -153,3 +157,24 @@ class TestGoldenText:
         p = tmp_path / "m.lp"
         write_lp(model, p)
         assert hashlib.sha256(p.read_bytes()).hexdigest() == self.DIGESTS[name]
+
+    TRAINED = {
+        "dense-blobs": (("blobs", 10, 3, {"n_classes": 3, "dim": 2}), 2,
+                        [dense(6), dense(4), dense(3, activation="none")]),
+        "conv-minidigits": (("minidigits", 6, 7, {}), (1, 8, 8),
+                            [conv(2, 3, 3), avgpool(4), flatten(), dense(10, activation="none")]),
+    }
+    TRAINED_DIGESTS = {
+        "dense-blobs": "0a26baa795f8fa70e3f1e2fcc869c67873c1da4b597f990fbfe41835a591c2aa",
+        "conv-minidigits": "ebc38ba6f949e0d36aa3e444206248f984252e938186299fd03fb03d016305d2",
+    }
+
+    @pytest.mark.parametrize("name", sorted(TRAINED))
+    def test_training_digest(self, name, tmp_path):
+        (data, per_class, data_seed, extra), shape, arch = self.TRAINED[name]
+        ds = make_dataset(data, per_class, seed=data_seed, **extra)
+        cfg = TrainConfig(epochs=5, learning_rate=1e-2, batch_size=8, optimizer="rmsprop", seed=2)
+        net = train(init_network(shape, arch, seed=1), ds, cfg).net
+        p = tmp_path / "m.net"
+        save_network(net, p)
+        assert hashlib.sha256(p.read_bytes()).hexdigest() == self.TRAINED_DIGESTS[name]

@@ -134,6 +134,28 @@ class TestApplyMask:
             b = forward(pruned, x).logits
             assert np.max(np.abs(a - b)) <= 1e-12
 
+    def test_padded_conv_maxpool_structural_equals_masked(self):
+        rng = np.random.default_rng(17)
+        # 4x4 output per map, pool window 4 = four pooled values per map
+        net = init_network((1, 4, 4), [conv(3, 3, 3, padding=1), maxpool(4), flatten(),
+                                       dense(2, activation="none")], seed=18)
+        mask = Mask.empty(net)
+        mask.bits[0][1] = True
+        pruned = apply_mask(net, mask)
+        assert pruned.layers[0].conv.out_channels == 2
+        assert pruned.layers[0].weight.shape == (32, 16)
+        for _ in range(20):
+            x = rng.normal(size=16)
+            assert np.max(np.abs(forward(net, x, mask).logits - forward(pruned, x).logits)) <= 1e-12
+
+    def test_masking_first_of_two_convs_rejected(self):
+        net = init_network((1, 4, 4), [conv(2, 2, 2), conv(2, 2, 2), flatten(),
+                                       dense(2, activation="none")], seed=19)
+        mask = Mask.empty(net)
+        mask.bits[0][0] = True
+        with pytest.raises(InvalidArgument, match="conv input"):
+            apply_mask(net, mask)
+
     def test_conv_pool_aligned_pruning(self):
         rng = np.random.default_rng(14)
         # 2x2 output per map, pool window 4 = one pooled value per map
@@ -200,13 +222,24 @@ class TestModelFiles:
                 assert a.weight.tobytes() == b.weight.tobytes()
                 assert a.bias.tobytes() == b.bias.tobytes()
 
-    def test_conv_round_trip(self, tmp_path):
-        net = init_network((1, 4, 4), [conv(2, 3, 3, padding=1), flatten(),
-                                       dense(2, activation="none")], seed=6)
+    CONV_NETS = {
+        "padded-conv-flatten": [conv(2, 3, 3, padding=1), flatten(), dense(2, activation="none")],
+        "padded-conv-maxpool": [conv(2, 3, 3, padding=1), maxpool(4), flatten(),
+                                dense(2, activation="none")],
+        "conv-avgpool": [conv(2, 2, 2), avgpool(3), flatten(), dense(2, activation="none")],
+        "two-convs": [conv(2, 2, 2), conv(3, 2, 2, padding=1), flatten(),
+                      dense(2, activation="none")],
+    }
+
+    @pytest.mark.parametrize("name", list(CONV_NETS))
+    def test_conv_round_trip(self, name, tmp_path):
+        net = init_network((1, 4, 4), self.CONV_NETS[name], seed=6)
         save_network(net, tmp_path / "c.net")
         loaded = load_network(tmp_path / "c.net")
         assert loaded.layers[0].kernels.tobytes() == net.layers[0].kernels.tobytes()
         assert loaded.layers[0].weight.tobytes() == net.layers[0].weight.tobytes()
+        save_network(loaded, tmp_path / "again.net")
+        assert (tmp_path / "again.net").read_bytes() == (tmp_path / "c.net").read_bytes()
 
     def test_truncated_file_rejected(self, tmp_path):
         net = init_network(3, MLP, seed=1)
@@ -225,3 +258,45 @@ class TestModelFiles:
         p.write_text(text)
         with pytest.raises(ModelFormatError):
             load_network(p)
+
+    @staticmethod
+    def corrupt(tmp_path, net, edit):
+        """Save ``net``, rewrite its file with ``edit(lines)`` and load it back."""
+        p = tmp_path / "bad.net"
+        save_network(net, p)
+        lines = p.read_text().splitlines()
+        edit(lines)
+        p.write_text("\n".join(lines) + "\n")
+        return load_network(p)
+
+    def test_nan_weight_rejected(self, tmp_path):
+        net = init_network(3, MLP, seed=1)
+
+        def edit(lines):
+            i = lines.index("weights") + 1
+            lines[i] = "  " + " ".join(["7ff8000000000000"] + lines[i].split()[1:])
+
+        with pytest.raises(ModelFormatError, match="layer 0"):
+            self.corrupt(tmp_path, net, edit)
+
+    def test_inf_bias_rejected(self, tmp_path):
+        net = init_network(3, MLP, seed=1)
+
+        def edit(lines):
+            i = [k for k, line in enumerate(lines) if line == "bias"][1] + 1
+            lines[i] = "  " + " ".join(lines[i].split()[:-1] + ["7ff0000000000000"])
+
+        with pytest.raises(ModelFormatError, match="layer 1"):
+            self.corrupt(tmp_path, net, edit)
+
+    def test_convspec_input_dims_must_match_previous_layer(self, tmp_path):
+        # layer 1 reads the 3x3 maps of layer 0; its file claims 4x4 input maps
+        net = init_network((1, 4, 4), [conv(2, 2, 2), conv(2, 2, 2), flatten(),
+                                       dense(2, activation="none")], seed=3)
+
+        def edit(lines):
+            i = lines.index("convspec 2 2 2 2 3 3 0")
+            lines[i] = "convspec 2 2 2 2 4 4 0"
+
+        with pytest.raises(ModelFormatError, match="layer 1"):
+            self.corrupt(tmp_path, net, edit)

@@ -3,6 +3,7 @@ import pytest
 
 from mipprune.datasets import Dataset, make_dataset
 from mipprune.errors import InvalidArgument, TrainingDiverged, UnsupportedFeature
+from mipprune.linalg import conv_index_map
 from mipprune.network import (
     Mask,
     apply_mask,
@@ -64,6 +65,16 @@ class TestTrain:
         for a, b in zip(net.layers, out.net.layers):
             assert a.weight.tobytes() == b.weight.tobytes()
             assert a.bias.tobytes() == b.bias.tobytes()
+
+    def test_conv_lowering_walk_runs_once_per_spec(self):
+        ds = make_dataset("minidigits", 4, seed=1)  # 40 points: 5 batch steps per epoch
+        net = init_network((1, 8, 8), [conv(2, 3, 3), avgpool(4), flatten(),
+                                       dense(10, activation="none")], seed=2)
+        conv_index_map.cache_clear()
+        train(net, ds, TrainConfig(epochs=3, batch_size=8, learning_rate=1e-2, seed=0))
+        info = conv_index_map.cache_info()
+        # one gradient fold and one re-lowering per step; only the first builds the map
+        assert (info.misses, info.hits) == (1, 2 * 15 - 1)
 
     def test_bit_deterministic(self):
         ds = make_dataset("moons", 15, seed=8)
