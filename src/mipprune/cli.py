@@ -174,6 +174,12 @@ def cmd_train(args) -> int:
     return 0
 
 
+def _warn_if_unproven(report) -> None:
+    if report.status != "optimal":
+        print(f"warning: solver status {report.status} (gap {report.gap:.2e}); "
+              "scores are not proven optimal", file=sys.stderr)
+
+
 def cmd_score(args) -> int:
     run = _run_dir(args)
     net = load_network(args.model)
@@ -186,7 +192,8 @@ def cmd_score(args) -> int:
     pruning.save_report(report, run / "report.txt")
     zeros = sum(1 for v in report.scores.values() if v < 1e-9)
     print(f"scored {len(report.scores)} units: objective {report.objective:.6f}, "
-          f"gap {report.gap:.2e}, {zeros} zero scores")
+          f"gap {report.gap:.2e}, status {report.status}, {zeros} zero scores")
+    _warn_if_unproven(report)
     print(f"run directory: {run}")
     return 0
 
@@ -251,7 +258,8 @@ def cmd_score_classwise(args) -> int:
                                      jobs=args.jobs)
     pruning.save_report(report, run / "report.txt")
     print(f"classwise ({args.mode}) scored {len(report.scores)} units, "
-          f"mean objective {report.objective:.6f}")
+          f"mean objective {report.objective:.6f}, status {report.status}")
+    _warn_if_unproven(report)
     print(f"run directory: {run}")
     return 0
 

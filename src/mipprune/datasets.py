@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidArgument
+from .errors import InvalidArgument, ModelFormatError
 from .network import float_to_hex, hex_to_float
 
 __all__ = ["Dataset", "make_dataset", "split_dataset", "balanced_batch",
@@ -209,6 +209,8 @@ def save_dataset(ds: Dataset, path) -> None:
 
 
 def load_dataset(path) -> Dataset:
+    """Parse a ``.ds`` file written by ``save_dataset``; a malformed one raises
+    ModelFormatError."""
     with open(path, "r", encoding="ascii") as fh:
         lines = fh.read().splitlines()
     try:
@@ -217,8 +219,16 @@ def load_dataset(path) -> Dataset:
         n_classes = int(lines[2].split()[1])
         n, d = (int(t) for t in lines[3].split()[1:])
         labels = np.array([int(t) for t in lines[4].split()[1:]], dtype=np.int64)
-        vals = [hex_to_float(t) for line in lines[6:] for t in line.split()]
     except (IndexError, ValueError) as exc:
-        raise InvalidArgument(f"malformed dataset file: {exc}") from exc
-    inputs = np.array(vals, dtype=np.float64).reshape(n, d)
-    return Dataset(name, inputs, labels, n_classes, seed)
+        raise ModelFormatError(f"malformed dataset header: {exc}") from exc
+    if len(lines) < 6 or lines[5].strip() != "inputs":
+        raise ModelFormatError("expected 'inputs'", line=6)
+    vals: list[float] = []
+    for lineno, line in enumerate(lines[6:], start=7):
+        row = [hex_to_float(t) for t in line.split()]
+        if not np.isfinite(row).all():
+            raise ModelFormatError("non-finite input value", line=lineno)
+        vals.extend(row)
+    if len(vals) != n * d:
+        raise ModelFormatError(f"expected {n * d} input values, got {len(vals)}", line=len(lines))
+    return Dataset(name, np.array(vals, dtype=np.float64).reshape(n, d), labels, n_classes, seed)

@@ -21,7 +21,7 @@ import numpy as np
 from .bounds import propagate_batch
 from .datasets import Dataset, balanced_batch
 from .encoding import RESCALE_OFFSETS, encode_network
-from .errors import InvalidArgument
+from .errors import InvalidArgument, ModelFormatError
 from .network import Mask, Network, apply_mask
 from .solver import SolveConfig, solve_mip
 from .training import TrainConfig, evaluate, train
@@ -107,38 +107,63 @@ def save_report(report: ImportanceReport, path) -> None:
 
 
 def load_report(path) -> ImportanceReport:
+    """Parse a ``report.txt``; a malformed one raises ModelFormatError with its line."""
     with open(path, "r", encoding="ascii") as fh:
         lines = fh.read().splitlines()
     if not lines or lines[0] != "importance_report":
         raise InvalidArgument(f"{path} is not an importance report")
-    head: dict[str, str] = {}
-    scores: dict[tuple[int, int], float] = {}
+    head: dict[str, tuple[int, str]] = {}   # key -> (line number, value)
     i = 1
     while i < len(lines) and not lines[i].startswith("scores "):
         toks = lines[i].split()
-        if toks[0] == "layer_sum":
-            pass  # derived, recomputed from scores
-        else:
-            head[toks[0]] = toks[1]
+        if len(toks) < 2:
+            raise ModelFormatError(f"expected 'key value', got {lines[i]!r}", i + 1)
+        if toks[0] != "layer_sum":   # derived, recomputed from scores
+            head[toks[0]] = (i + 1, toks[1])
         i += 1
-    count = int(lines[i].split()[1])
-    for line in lines[i + 1 : i + 1 + count]:
-        layer, unit, s = line.split()
-        scores[(int(layer), int(unit))] = float(s)
-    thr = head["threshold"]
+    if i == len(lines):
+        raise ModelFormatError("unexpected end of file before the 'scores' line", len(lines))
+
+    def parse(conv, text: str, lineno: int, what: str):
+        try:
+            return conv(text)
+        except ValueError:
+            raise ModelFormatError(f"bad {what} {text!r}", lineno) from None
+
+    def field(key: str, conv=str):
+        if key not in head:
+            raise ModelFormatError(f"missing header key {key!r}", i + 1)
+        lineno, text = head[key]
+        return parse(conv, text, lineno, key)
+
+    toks = lines[i].split()
+    if len(toks) != 2:
+        raise ModelFormatError(f"bad 'scores' line {lines[i]!r}", i + 1)
+    count = parse(int, toks[1], i + 1, "score count")
+    if len(lines) - i - 1 < count:
+        raise ModelFormatError(f"expected {count} score lines, got {len(lines) - i - 1}",
+                               len(lines))
+    scores: dict[tuple[int, int], float] = {}
+    for lineno in range(i + 2, i + 2 + count):
+        toks = lines[lineno - 1].split()
+        if len(toks) != 3:
+            raise ModelFormatError("expected 'layer unit score'", lineno)
+        layer, unit, s = (parse(conv, t, lineno, "score line")
+                          for conv, t in zip((int, int, float), toks))
+        scores[(layer, unit)] = s
     return ImportanceReport(
         scores=scores,
-        lam=float(head["lambda"]),
-        rescale=head["rescale"],
-        epsilon=float(head["epsilon"]),
-        batch_digest=head["batch_digest"],
-        objective=float(head["objective"]),
-        gap=float(head["gap"]),
-        status=head["status"],
-        node_count=int(head["nodes"]),
-        cut_rounds=int(head["cut_rounds"]),
-        lp_pivots=int(head["lp_pivots"]),
-        threshold=None if thr == "none" else float(thr),
+        lam=field("lambda", float),
+        rescale=field("rescale"),
+        epsilon=field("epsilon", float),
+        batch_digest=field("batch_digest"),
+        objective=field("objective", float),
+        gap=field("gap", float),
+        status=field("status"),
+        node_count=field("nodes", int),
+        cut_rounds=field("cut_rounds", int),
+        lp_pivots=field("lp_pivots", int),
+        threshold=field("threshold", lambda t: None if t == "none" else float(t)),
     )
 
 

@@ -2,6 +2,12 @@
 and bound over the binaries, and an outer-approximation loop that tightens
 the log-sum-exp epigraph at integer-feasible candidates.
 
+The search is one loop over a queue of nodes, the root included.  It ends
+when the queue runs dry, when the incumbent closes the gap, or at
+``node_limit`` / ``time_limit``.  The cut loop ends per integer node once
+the epigraph violation is at most ``OA_TOL``; each of its rounds is one
+more popped node, so the same limits bound it.
+
 Everything is deterministic: node selection breaks ties by insertion order,
 branching picks the most fractional binary (lowest id on ties), and the
 underlying simplex is itself deterministic.  Distinct solves share no
@@ -31,7 +37,6 @@ class SolveConfig:
     gap_tol: float = 1e-6
     node_limit: int = 100_000
     time_limit: float = float("inf")   # seconds
-    max_cut_rounds: int = 50
     log_path: str | None = None
 
 
@@ -96,13 +101,15 @@ def solve_mip(model: MipModel, config: SolveConfig | None = None,
               warm: np.ndarray | None = None) -> Solution:
     """Best-first branch and bound with most-fractional branching.
 
-    At every integer-feasible LP optimum the log-sum-exp epigraph is checked;
-    a violated point gets a new tangent cut and the node is re-solved, up to
-    ``max_cut_rounds`` rounds across the whole solve.  A node accepted with
-    its epigraph still violated past that keeps its LP objective in the
-    bound behind ``gap`` and makes the status 'limit'.  Incumbent objectives
-    are always evaluated with the exact log-sum-exp, so the reported value
-    decomposes into sparsity + lambda * softmax without cut slack.
+    The root is an ordinary node, pushed with bound -inf.  At every
+    integer-feasible LP optimum the log-sum-exp epigraph is checked; while
+    it is violated by more than ``OA_TOL`` the node gets tangent cuts and is
+    pushed again.  Each such cut round is one more popped node, so
+    ``node_limit`` and ``time_limit`` bound the cut loop like the rest of
+    the search, and a stop inside it leaves that node's bound behind
+    ``gap`` and the status 'limit'.  Incumbent objectives are always
+    evaluated with the exact log-sum-exp, so the reported value decomposes
+    into sparsity + lambda * softmax without cut slack.
     """
     cfg = config or SolveConfig()
     t0 = time.perf_counter()
@@ -117,42 +124,16 @@ def solve_mip(model: MipModel, config: SolveConfig | None = None,
         incumbent_obj = warm_start(model, warm)
         incumbent = model.with_exact_lse(warm)
 
-    counter = 0
-    heap: list[tuple[float, int, dict[int, float]]] = []
-
-    def finish(bound: float, gap: float, status: str) -> Solution:
-        """The returned Solution; the log's last line says how the solve ended."""
-        log.append(f"end status {status} nodes {node_count} cut_rounds {cut_rounds} "
-                   f"bound {bound!r} incumbent {incumbent_obj!r} gap {gap!r}")
-        sol = Solution(
-            values=incumbent, objective=incumbent_obj, gap=gap, node_count=node_count,
-            cut_rounds=cut_rounds, wall_time=time.perf_counter() - t0,
-            lp_pivots=total_pivots, status=status, log_lines=log,
-        )
-        if cfg.log_path:
-            with open(cfg.log_path, "w", encoding="ascii") as fh:
-                fh.write("\n".join(log) + "\n")
-        return sol
-
-    res = solve_lp(model, {})
-    total_pivots += res.pivots
-    if res.status == "infeasible":
-        if incumbent is not None:
-            return finish(incumbent_obj, 0.0, "optimal")
-        raise NoIncumbent("root relaxation is infeasible")
-    if res.status == "unbounded":
-        raise NoIncumbent("root relaxation is unbounded")
-    heapq.heappush(heap, (res.objective, counter, {}))
-    counter += 1
+    heap: list[tuple[float, int, dict[int, float]]] = [(float("-inf"), 0, {})]
+    counter = 1
 
     def current_gap(best_bound: float) -> float:
         if incumbent_obj == float("inf"):
             return float("inf")
         return max(0.0, incumbent_obj - best_bound) / max(1.0, abs(incumbent_obj))
 
-    best_bound = res.objective
+    best_bound = float("-inf")
     status = "optimal"
-    open_bound = float("inf")   # least LP bound of nodes accepted with the epigraph violated
 
     def node_line(kind: str) -> None:
         log.append(
@@ -163,6 +144,7 @@ def solve_mip(model: MipModel, config: SolveConfig | None = None,
     while heap:
         if node_count >= cfg.node_limit or (time.perf_counter() - t0) > cfg.time_limit:
             status = "limit"
+            best_bound = heap[0][0]   # the least bound among the open nodes
             break
         bound, _, fixings = heapq.heappop(heap)
         best_bound = bound  # best-first: the popped node carries the smallest bound
@@ -188,8 +170,7 @@ def solve_mip(model: MipModel, config: SolveConfig | None = None,
             candidate = model.with_exact_lse(x)
             viols = {k: candidate[t] - x[t] for k, t in enumerate(model.tlse_vars)
                      if candidate[t] - x[t] > 0}
-            worst = max(viols.values(), default=0.0)
-            if worst > OA_TOL and cut_rounds < cfg.max_cut_rounds:
+            if max(viols.values(), default=0.0) > OA_TOL:
                 for k in viols:
                     add_lse_cut(model, k, x[model.logit_vars[k]])
                 cut_rounds += 1
@@ -197,9 +178,6 @@ def solve_mip(model: MipModel, config: SolveConfig | None = None,
                 counter += 1
                 node_line("cut-round")
                 continue
-            if worst > OA_TOL:
-                # out of cut rounds: the epigraph stays open below this node
-                open_bound = min(open_bound, obj)
             cand_obj = model.objective_value(candidate)
             if cand_obj < incumbent_obj:
                 incumbent = candidate
@@ -220,8 +198,16 @@ def solve_mip(model: MipModel, config: SolveConfig | None = None,
         raise NoIncumbent(f"no feasible solution within limits (nodes={node_count})")
     if not heap and status == "optimal":
         best_bound = incumbent_obj
-    best_bound = min(best_bound, open_bound)
     gap = current_gap(best_bound)
-    if gap > cfg.gap_tol or open_bound < float("inf"):
+    if gap > cfg.gap_tol:
         status = "limit"
-    return finish(best_bound, gap, status)
+    log.append(f"end status {status} nodes {node_count} cut_rounds {cut_rounds} "
+               f"bound {best_bound!r} incumbent {incumbent_obj!r} gap {gap!r}")
+    if cfg.log_path:
+        with open(cfg.log_path, "w", encoding="ascii") as fh:
+            fh.write("\n".join(log) + "\n")
+    return Solution(
+        values=incumbent, objective=incumbent_obj, gap=gap, node_count=node_count,
+        cut_rounds=cut_rounds, wall_time=time.perf_counter() - t0,
+        lp_pivots=total_pivots, status=status, log_lines=log,
+    )

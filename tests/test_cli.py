@@ -120,11 +120,29 @@ class TestLpRoundTrip:
         assert (one_run_dir(tmp_path) / "solver.log").read_text().strip()
 
     def test_log_ends_with_how_the_solve_ended(self, trained_model, tmp_path):
-        # at eps 0 the warm start closes the root, so no node line is written
+        # at eps 0 the warm start closes the root at the first node
         run_ok(["export-lp", "--out", str(tmp_path), *DATA, "--model", str(trained_model),
                 "--solve", "--log"])
         lines = (one_run_dir(tmp_path) / "solver.log").read_text().splitlines()
         assert lines and lines[-1].startswith("end status ")
+
+
+class TestUnprovenResults:
+    @pytest.mark.parametrize("command", ["score", "score-classwise"])
+    def test_limit_status_printed_and_warned(self, trained_model, tmp_path, capsys, command):
+        run_ok([command, "--out", str(tmp_path), *DATA, "--model", str(trained_model),
+                "--node-limit", "1", "--epsilon", "0.5"])
+        assert load_report(one_run_dir(tmp_path) / "report.txt").status == "limit"
+        out, err = capsys.readouterr()
+        assert "status limit" in out
+        assert "warning: solver status limit (gap " in err
+        assert err.rstrip().endswith("scores are not proven optimal")
+
+    def test_optimal_result_not_warned(self, trained_model, tmp_path, capsys):
+        run_ok(["score", "--out", str(tmp_path), *DATA, "--model", str(trained_model)])
+        out, err = capsys.readouterr()
+        assert "status optimal" in out
+        assert "warning" not in err
 
 
 class TestExitCodes:
@@ -137,6 +155,15 @@ class TestExitCodes:
     def test_domain_error_exit_one(self, tmp_path):
         assert main(["score", "--out", str(tmp_path), *DATA,
                      "--model", str(tmp_path / "missing.net")]) == 1
+
+    def test_truncated_report_exits_one(self, trained_model, tmp_path, capsys):
+        run_ok(["score", "--out", str(tmp_path / "s"), *DATA, "--model", str(trained_model)])
+        report = one_run_dir(tmp_path / "s") / "report.txt"
+        report.write_text("\n".join(report.read_text().splitlines()[:5]) + "\n")
+        capsys.readouterr()
+        assert main(["prune", "--out", str(tmp_path / "p"), "--model", str(trained_model),
+                     "--report", str(report), "--threshold", "0.3"]) == 1
+        assert capsys.readouterr().err.startswith("error: line 5: ")
 
     def test_missing_threshold_for_masked_eval(self, trained_model, tmp_path):
         run_ok(["score", "--out", str(tmp_path / "s"), *DATA, "--model", str(trained_model)])

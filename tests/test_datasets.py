@@ -9,8 +9,8 @@ from mipprune.datasets import (
     save_dataset,
     split_dataset,
 )
-from mipprune.errors import InvalidArgument
-from mipprune.network import dense, init_network
+from mipprune.errors import InvalidArgument, ModelFormatError
+from mipprune.network import dense, float_to_hex, init_network
 from mipprune.training import TrainConfig, evaluate, train
 
 
@@ -98,6 +98,19 @@ class TestCacheFile:
         assert loaded.inputs.tobytes() == ds.inputs.tobytes()
         assert loaded.labels.tolist() == ds.labels.tolist()
         assert loaded.name == "moons" and loaded.seed == 11
+
+    @pytest.mark.parametrize("edit", [
+        lambda ls: ls[:-1],                                          # last data line missing
+        lambda ls: [l for l in ls if l != "inputs"],                 # no inputs header
+        lambda ls: ls[:6] + [ls[6].replace(ls[6].split()[0], float_to_hex(np.nan), 1)]
+        + ls[7:],                                                    # NaN input token
+    ], ids=["short-values", "no-inputs-header", "nan-input"])
+    def test_malformed_file_rejected(self, tmp_path, edit):
+        save_dataset(make_dataset("moons", 8, seed=11), tmp_path / "m.ds")
+        lines = (tmp_path / "m.ds").read_text().splitlines()
+        (tmp_path / "m.ds").write_text("\n".join(edit(lines)) + "\n")
+        with pytest.raises(ModelFormatError):
+            load_dataset(tmp_path / "m.ds")
 
     def test_validation_on_labels(self):
         with pytest.raises(InvalidArgument):

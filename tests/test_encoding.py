@@ -212,18 +212,32 @@ class TestLseCuts:
             lhs = sum(c * x[j] for j, c in model.row(idx).items())
             assert abs(lhs - model.rhs[idx]) <= 1e-12
 
-    def test_spent_cut_rounds_report_limit(self):
+    def cut_loop_model(self):
         # min t - h1 over the box: the root LP sits on the seed cut at
         # h = (10, -10) with t - h1 = ln 2 - 10, while the exact value there is ~0
-        for rounds, status, gap in ((0, "limit", 10.0 - np.log(2.0)), (50, "optimal", 0.0)):
-            model, (h1, h2), t = self.make_point_model()
-            add_lse_cut(model, 0, np.array([0.0, 0.0]))
-            model.add_objective_term(t, 1.0)
-            model.add_objective_term(h1, -1.0)
-            sol = solve_mip(model, SolveConfig(max_cut_rounds=rounds))
-            assert sol.status == status
-            assert sol.gap == pytest.approx(gap, abs=1e-6)
-            assert sol.objective == pytest.approx(0.0, abs=1e-6)
+        model, (h1, h2), t = self.make_point_model()
+        add_lse_cut(model, 0, np.array([0.0, 0.0]))
+        model.add_objective_term(t, 1.0)
+        model.add_objective_term(h1, -1.0)
+        return model, (h1, h2), t
+
+    def test_cut_loop_runs_until_epigraph_closes(self):
+        model, _, _ = self.cut_loop_model()
+        sol = solve_mip(model, SolveConfig())
+        assert sol.status == "optimal"
+        assert sol.gap == pytest.approx(0.0, abs=1e-6)
+        assert sol.objective == pytest.approx(0.0, abs=1e-6)
+        assert sol.cut_rounds > 0
+
+    def test_node_limit_inside_cut_loop_reports_limit(self):
+        model, _, t = self.cut_loop_model()
+        warm = np.zeros(len(model.variables))
+        warm[t] = np.log(2.0)   # h = 0 on the seed cut: objective ln 2
+        sol = solve_mip(model, SolveConfig(node_limit=1), warm=warm)
+        assert sol.cut_rounds == 1
+        assert sol.status == "limit"
+        assert sol.gap > 0.0
+        assert sol.log_lines[-1].startswith("end status limit")
 
     def test_cut_underestimates_lse_everywhere(self):
         rng = np.random.default_rng(8)

@@ -4,7 +4,7 @@ import pytest
 from mipprune.bounds import propagate_batch
 from mipprune.datasets import Dataset, balanced_batch, make_dataset, split_dataset
 from mipprune.encoding import encode_network
-from mipprune.errors import InvalidArgument
+from mipprune.errors import InvalidArgument, ModelFormatError
 from mipprune.network import Mask, dense, forward, init_network
 from mipprune.pruning import (
     ImportanceReport,
@@ -241,6 +241,19 @@ class TestReportFiles:
         assert loaded.scores == rep.scores
         assert loaded.lam == rep.lam
         assert loaded.to_text() == rep.to_text()
+
+    @pytest.mark.parametrize("edit, line", [
+        (lambda ls: ls[:ls.index("scores 2")], 13),                       # no scores line
+        (lambda ls: [l for l in ls if not l.startswith("threshold")], 13),  # missing key
+        (lambda ls: [l.replace("gap 0.0", "gap abc") for l in ls], 8),     # not a number
+        (lambda ls: ls[:-1], 15),                                         # too few scores
+    ], ids=["no-scores-line", "missing-key", "non-numeric", "truncated-scores"])
+    def test_malformed_report_names_its_line(self, tmp_path, edit, line):
+        text = report_from({(1, 0): 0.25, (1, 1): 1.0}).to_text()
+        (tmp_path / "r.txt").write_text("\n".join(edit(text.splitlines())) + "\n")
+        with pytest.raises(ModelFormatError) as err:
+            load_report(tmp_path / "r.txt")
+        assert err.value.line == line
 
     def test_scores_clamped_into_unit_interval(self):
         net, train_ds, _ = small_trained(seed=16)

@@ -3,6 +3,7 @@ from itertools import product
 import numpy as np
 import pytest
 
+import mipprune.solver
 from mipprune.encoding import MipModel
 from mipprune.errors import InvalidArgument, NoIncumbent
 from mipprune.solver import SolveConfig, solve_lp, solve_mip, warm_start
@@ -160,3 +161,42 @@ class TestDeterminism:
                         warm=np.zeros(n))
         assert sol.status == "limit"
         assert sol.gap > 0.0
+
+
+class TestOneNodeLoop:
+    def test_root_solved_once(self, monkeypatch):
+        calls = []
+        real = mipprune.solver.solve_lp
+
+        def counting(model, fixings=None):
+            calls.append(dict(fixings or {}))
+            return real(model, fixings)
+
+        monkeypatch.setattr(mipprune.solver, "solve_lp", counting)
+        rng = np.random.default_rng(40)
+        c = rng.normal(size=6)
+        a = rng.normal(size=(4, 6))
+        rhs = a @ rng.integers(0, 2, size=6).astype(float) + rng.uniform(0.1, 0.5, size=4)
+        models = [
+            (build_model(c, a, ["L"] * 4, rhs, [0.0] * 6, [1.0] * 6, [True] * 6), None),
+            (TestWarmStart().make(), None),
+            (TestWarmStart().make(), np.array([1.0, 0.0])),   # warm start closes the root
+        ]
+        for model, warm in models:
+            calls.clear()
+            sol = solve_mip(model, SolveConfig(), warm=warm)
+            assert len(calls) == sol.node_count
+            assert calls.count({}) == 1
+
+    def test_root_closed_by_warm_start_counts_one_node(self):
+        sol = solve_mip(TestWarmStart().make(), SolveConfig(), warm=np.array([1.0, 0.0]))
+        assert sol.node_count == 1
+        assert sol.status == "optimal"
+        assert sol.log_lines[0].endswith("pruned-bound")
+
+    def test_node_limit_zero_leaves_root_open(self):
+        sol = solve_mip(TestWarmStart().make(), SolveConfig(node_limit=0),
+                        warm=np.array([1.0, 1.0]))
+        assert sol.node_count == 0
+        assert sol.status == "limit"
+        assert sol.gap == float("inf")
