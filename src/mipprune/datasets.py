@@ -225,7 +225,7 @@ def load_dataset(path) -> Dataset:
         raise ModelFormatError("expected 'inputs'", line=6)
     vals: list[float] = []
     for lineno, line in enumerate(lines[6:], start=7):
-        row = [hex_to_float(t) for t in line.split()]
+        row = [hex_to_float(t, line=lineno) for t in line.split()]
         if not np.isfinite(row).all():
             raise ModelFormatError("non-finite input value", line=lineno)
         vals.extend(row)

@@ -413,13 +413,14 @@ def float_to_hex(x: float) -> str:
     return struct.pack(">d", float(x)).hex()
 
 
-def hex_to_float(s: str) -> float:
+def hex_to_float(s: str, line: int | None = None) -> float:
+    """Decode one 16-digit float64 hex token; ``line`` is named in the error."""
     if len(s) != 16:
-        raise ModelFormatError(f"bad float64 hex token {s!r}")
+        raise ModelFormatError(f"bad float64 hex token {s!r}", line=line)
     try:
         return struct.unpack(">d", bytes.fromhex(s))[0]
     except ValueError as exc:
-        raise ModelFormatError(f"bad float64 hex token {s!r}") from exc
+        raise ModelFormatError(f"bad float64 hex token {s!r}", line=line) from exc
 
 
 def _hex_block(arr: np.ndarray, per_line: int = 8) -> list[str]:
@@ -493,7 +494,7 @@ class _Reader:
                     f"expected {count} values, file ended after {len(vals)}", line=self.pos
                 )
             for tok in self.lines[self.pos].split():
-                vals.append(hex_to_float(tok))
+                vals.append(hex_to_float(tok, line=self.pos + 1))
             self.pos += 1
         if len(vals) != count:
             raise ModelFormatError(f"expected {count} values, got {len(vals)}", line=self.pos)

@@ -7,9 +7,9 @@ left free when both bounds are infinite.  A finite width ``ub - lb`` is
 enforced in the ratio test: a variable that reaches it is complemented
 (``v' = width - v``), so nonbasic columns always sit at zero, the rhs
 column holds the basic values, and ``base`` is ``lb`` or ``ub`` as ``dirn``
-is +1 or -1.  Instances in this package have at most a few hundred
-variables, so a dense numpy tableau with vectorized rank-1 pivot updates
-is both simple and fast enough.
+is +1 or -1.  The tableau is one dense numpy array, but encodings leave
+most of it zero, so each pivot's rank-1 update touches only the nonzero
+rows of the pivot column crossed with the nonzero columns of the pivot row.
 
 Pricing is Dantzig's rule (most negative reduced cost, lowest index on
 ties; a free nonbasic column prices by its magnitude).  After a streak of
@@ -77,10 +77,20 @@ def _complement(t: np.ndarray, dirn: np.ndarray, j: int, w: float) -> None:
 
 
 def _pivot(t: np.ndarray, basis: np.ndarray, r: int, j: int) -> None:
+    """Pivot on ``t[r, j]``: normalize row ``r`` and eliminate column ``j``.
+
+    The tableau is dense, but the rank-1 update touches only the rows with a
+    nonzero pivot-column entry (reduced-cost row included, row ``r``
+    excluded) crossed with the columns, the rhs column among them, that are
+    nonzero in the normalized pivot row.  Every skipped entry would have had
+    ``x - 0*y`` subtracted, so the result equals the full dense update bit
+    for bit, up to the sign of a zero.
+    """
     t[r] /= t[r, j]
-    col_vals = t[:, j].copy()
-    col_vals[r] = 0.0
-    t -= np.outer(col_vals, t[r])
+    rows = t[:, j].nonzero()[0]
+    rows = rows[rows != r]
+    cols = t[r].nonzero()[0]
+    t[rows[:, None], cols] -= t[rows, j][:, None] * t[r, cols]
     t[:-1, j] = 0.0
     t[r, j] = 1.0
     basis[r] = j

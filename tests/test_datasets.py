@@ -112,6 +112,14 @@ class TestCacheFile:
         with pytest.raises(ModelFormatError):
             load_dataset(tmp_path / "m.ds")
 
+    def test_bad_hex_token_names_its_line(self, tmp_path):
+        save_dataset(make_dataset("moons", 8, seed=11), tmp_path / "m.ds")
+        lines = (tmp_path / "m.ds").read_text().splitlines()
+        lines[8] = lines[8].replace(lines[8].split()[1], "0x3ff00000000000", 1)
+        (tmp_path / "m.ds").write_text("\n".join(lines) + "\n")
+        with pytest.raises(ModelFormatError, match="line 9: bad float64 hex token"):
+            load_dataset(tmp_path / "m.ds")
+
     def test_validation_on_labels(self):
         with pytest.raises(InvalidArgument):
             Dataset("x", np.zeros((3, 2)), np.array([0, 1, 5]), 2, 0)

@@ -279,6 +279,16 @@ class TestModelFiles:
         with pytest.raises(ModelFormatError, match="layer 0"):
             self.corrupt(tmp_path, net, edit)
 
+    def test_bad_hex_token_names_its_line(self, tmp_path):
+        net = init_network(3, MLP, seed=1)
+
+        def edit(lines):
+            i = lines.index("weights") + 2  # the second line of layer 0's weights: line 10
+            lines[i] = "  " + " ".join(["00zz000000000000"] + lines[i].split()[1:])
+
+        with pytest.raises(ModelFormatError, match="line 10: bad float64 hex token"):
+            self.corrupt(tmp_path, net, edit)
+
     def test_inf_bias_rejected(self, tmp_path):
         net = init_network(3, MLP, seed=1)
 

@@ -1,3 +1,6 @@
+import functools
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -5,7 +8,7 @@ from mipprune.bounds import propagate_batch
 from mipprune.datasets import Dataset, balanced_batch, make_dataset, split_dataset
 from mipprune.encoding import encode_network
 from mipprune.errors import InvalidArgument, ModelFormatError
-from mipprune.network import Mask, dense, forward, init_network
+from mipprune.network import Mask, avgpool, conv, dense, flatten, forward, init_network
 from mipprune.pruning import (
     ImportanceReport,
     baselines,
@@ -260,3 +263,53 @@ class TestReportFiles:
         xs, ys = balanced_batch(train_ds, 1)
         rep = score(net, xs, ys, lam=5.0, epsilon=0.3)
         assert all(0.0 <= v <= 1.0 for v in rep.scores.values())
+
+
+class TestGoldenReports:
+    """``score(...).to_text()`` of three benchmark instances, pinned by sha256.
+
+    The instances are built as the score benchmark builds them: the seed-0
+    blobs net of its ``dense-1pt`` workload (eps 0.5, 1 point per class) and
+    classes 4 and 6 of its ``conv-classwise`` workload (eps 0.05; class 4
+    needs 1 cut round, class 6 needs 21).  Any change to the simplex's
+    arithmetic, its pivot choices or the search moves at least one digest.
+    """
+
+    DIGESTS = {
+        "dense-seed0": "965c571daf2ac5f0e9578cf8429efc035e6e88fbdccce185c5cb8ddca03e37fa",
+        "conv-class4": "0e7857a35c441d73f8648c13a5507e1a2a17a0779ecb7eb9daac05076766c0f4",
+        "conv-class6": "4fe20f990d825de96338da84105851e17931ba7da48996c82a58b7737edf36eb",
+    }
+
+    @staticmethod
+    @functools.cache
+    def dense_instance():
+        full = make_dataset("blobs", 80, seed=100, n_classes=4, dim=2, separation=5.0)
+        train_ds, _ = split_dataset(full, 40)
+        arch = [dense(16), dense(8), dense(4, activation="none")]
+        cfg = TrainConfig(epochs=150, learning_rate=1e-2, batch_size=32, optimizer="rmsprop",
+                          seed=0)
+        net = train(init_network(2, arch, seed=0), train_ds, cfg).net
+        return net, *balanced_batch(train_ds, 1)
+
+    @staticmethod
+    @functools.cache
+    def conv_instance():
+        full = make_dataset("minidigits", 30, seed=7)
+        train_ds, _ = split_dataset(full, 20)
+        arch = [conv(2, 3, 3), avgpool(4), flatten(), dense(8), dense(10, activation="none")]
+        cfg = TrainConfig(epochs=60, learning_rate=1e-2, optimizer="rmsprop", seed=0)
+        net = train(init_network((1, 8, 8), arch, seed=0), train_ds, cfg).net
+        return net, *balanced_batch(train_ds, 1)
+
+    @pytest.mark.parametrize("name", sorted(DIGESTS))
+    def test_report_digest(self, name):
+        if name == "dense-seed0":
+            net, xs, ys = self.dense_instance()
+            rep = score(net, xs, ys, lam=5.0, epsilon=0.5)
+        else:
+            c = int(name[-1])
+            net, xs, ys = self.conv_instance()
+            rep = score(net, xs[c : c + 1], ys[c : c + 1], lam=5.0, epsilon=0.05,
+                        allow_imbalanced=True)
+        assert hashlib.sha256(rep.to_text().encode()).hexdigest() == self.DIGESTS[name]

@@ -3,7 +3,7 @@ from itertools import combinations
 import numpy as np
 import pytest
 
-from mipprune.simplex import LinearProgram, solve_lp_arrays
+from mipprune.simplex import LinearProgram, _pivot, solve_lp_arrays
 
 
 def make_lp(c, a, sense, rhs, lb, ub):
@@ -216,3 +216,55 @@ class TestBoundKinds:
                 assert r.objective == pytest.approx(ref.fun, abs=1e-7)
                 assert _feasible(lp, r.x, tol=1e-7)
         assert min(seen.values()) >= 20
+
+
+def dense_pivot(t, r, j):
+    """The textbook update: every row minus its pivot-column entry times the
+    normalized pivot row, then column ``j`` set to its unit vector."""
+    t = t.copy()
+    t[r] /= t[r, j]
+    col = t[:, j].copy()
+    col[r] = 0.0
+    t = t - np.outer(col, t[r])
+    t[:-1, j] = 0.0
+    t[r, j] = 1.0
+    return t
+
+
+class TestPivotKernel:
+    """``_pivot`` skips the entries a pivot leaves as they are; the result
+    must equal the dense update entry by entry."""
+
+    @staticmethod
+    def check(t, r, j):
+        want = dense_pivot(t, r, j)
+        basis = np.arange(t.shape[0] - 1)
+        _pivot(t, basis, r, j)
+        assert (t == want).all()  # ==, so -0.0 and +0.0 compare equal
+        unit = np.zeros(t.shape[0])
+        unit[r] = 1.0
+        assert (t[:, j] == unit).all()
+        assert basis[r] == j
+
+    @pytest.mark.parametrize("seed, kind", [(0, "zero-reduced-cost"), (1, "dense-pivot-row"),
+                                            (2, "sparse")])
+    def test_structured_zeros_match_dense_update(self, seed, kind):
+        rng = np.random.default_rng(seed)
+        for _ in range(100):
+            m, k = int(rng.integers(3, 12)), int(rng.integers(3, 15))
+            t = rng.normal(size=(m + 1, k + 1)) * (rng.random((m + 1, k + 1)) < 0.4)
+            r, j = int(rng.integers(m)), int(rng.integers(k))
+            t[r, j] = rng.choice([-1.0, 1.0]) * rng.uniform(0.5, 2.0)
+            t[(r + 1) % m, j] = 0.0  # a row the update skips
+            if kind == "zero-reduced-cost":
+                t[-1, j] = 0.0
+            if kind == "dense-pivot-row":
+                t[r] = np.where(t[r] == 0.0, rng.uniform(0.5, 2.0, size=k + 1), t[r])
+            else:
+                t[r, (j + 1) % (k + 1)] = 0.0  # a column the update skips
+            self.check(t, r, j)
+
+    def test_nothing_skipped_matches_dense_update(self):
+        rng = np.random.default_rng(1)
+        t = rng.uniform(0.5, 2.0, size=(7, 9)) * rng.choice([-1.0, 1.0], size=(7, 9))
+        self.check(t, 3, 4)
