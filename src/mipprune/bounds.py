@@ -38,9 +38,6 @@ class IntervalBounds:
     bound the value that feeds the next layer.
     """
 
-    epsilon: float
-    input_lo: np.ndarray
-    input_hi: np.ndarray
     pre_lo: list[np.ndarray]
     pre_hi: list[np.ndarray]
     post_lo: list[np.ndarray]
@@ -63,9 +60,6 @@ def propagate(net: Network, x, epsilon: float = 0.0) -> IntervalBounds:
     if epsilon == 0.0:
         trace = forward(net, v)
         return IntervalBounds(
-            epsilon=0.0,
-            input_lo=v.copy(),
-            input_hi=v.copy(),
             pre_lo=[z.copy() for z in trace.pre],
             pre_hi=[z.copy() for z in trace.pre],
             post_lo=[a.copy() for a in trace.post],
@@ -101,10 +95,7 @@ def propagate(net: Network, x, epsilon: float = 0.0) -> IntervalBounds:
         post_lo.append(al)
         post_hi.append(ah)
         lo, hi = al, ah
-    out = IntervalBounds(
-        epsilon=float(epsilon), input_lo=v - epsilon, input_hi=v + epsilon,
-        pre_lo=pre_lo, pre_hi=pre_hi, post_lo=post_lo, post_hi=post_hi,
-    )
+    out = IntervalBounds(pre_lo=pre_lo, pre_hi=pre_hi, post_lo=post_lo, post_hi=post_hi)
     out.check()
     return out
 

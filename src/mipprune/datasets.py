@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidArgument, ModelFormatError
-from .network import float_to_hex, hex_to_float
+from .network import _hex_block, _Reader
 
 __all__ = ["Dataset", "make_dataset", "split_dataset", "balanced_batch",
            "save_dataset", "load_dataset"]
@@ -79,19 +79,22 @@ def _glyph_image(digit: int) -> np.ndarray:
     return img
 
 
+_NOISE = 0.1  # standard deviation of the moons jitter and the minidigits pixel noise
+
+
 def _stream(seed: int, *key: int) -> np.random.Generator:
     """Independent child stream; the same (seed, key) always replays exactly."""
     return np.random.Generator(np.random.PCG64(np.random.SeedSequence((seed,) + key)))
 
 
 def make_dataset(name: str, n_per_class: int, seed: int, *, n_classes: int | None = None,
-                 dim: int = 2, separation: float = 6.0, noise: float = 0.1) -> Dataset:
+                 dim: int = 2, separation: float = 6.0) -> Dataset:
     """Generate one of the toy datasets.
 
     blobs: ``n_classes`` (default 4) unit-variance Gaussian clusters whose
     centers sit ``separation`` standard deviations apart on a seeded random
     layout in ``dim`` dimensions (2..8).
-    moons: two half circles with Gaussian ``noise``; n_classes fixed at 2.
+    moons: two half circles with Gaussian noise; n_classes fixed at 2.
     minidigits: glyphs for digits 0..9 with additive pixel noise.
 
     Each class draws from its own child stream, so growing ``n_per_class``
@@ -133,7 +136,7 @@ def make_dataset(name: str, n_per_class: int, seed: int, *, n_classes: int | Non
                 arc = np.stack([np.cos(t), np.sin(t)], axis=1)
             else:
                 arc = np.stack([1.0 - np.cos(t), 0.5 - np.sin(t)], axis=1)
-            xs.append(arc + _stream(seed, 2, c).normal(scale=noise, size=(n_per_class, 2)))
+            xs.append(arc + _stream(seed, 2, c).normal(scale=_NOISE, size=(n_per_class, 2)))
         labels = np.concatenate(
             [np.zeros(n_per_class, dtype=np.int64), np.ones(n_per_class, dtype=np.int64)]
         )
@@ -144,7 +147,7 @@ def make_dataset(name: str, n_per_class: int, seed: int, *, n_classes: int | Non
         xs, ys = [], []
         for digit in range(10):
             base = _glyph_image(digit).ravel()
-            pics = base[None, :] + _stream(seed, 1, digit).normal(scale=noise, size=(n_per_class, 64))
+            pics = base[None, :] + _stream(seed, 1, digit).normal(scale=_NOISE, size=(n_per_class, 64))
             xs.append(np.clip(pics, 0.0, 1.0))
             ys.append(np.full(n_per_class, digit, dtype=np.int64))
         return Dataset(name, np.concatenate(xs), np.concatenate(ys), 10, seed)
@@ -199,36 +202,31 @@ def save_dataset(ds: Dataset, path) -> None:
         f"shape {ds.inputs.shape[0]} {ds.inputs.shape[1]}",
         "labels " + " ".join(str(int(v)) for v in ds.labels),
         "inputs",
+        *_hex_block(ds.inputs),
     ]
-    flat = ds.inputs.ravel()
-    lines.extend(
-        "  " + " ".join(float_to_hex(v) for v in flat[i : i + 8]) for i in range(0, flat.size, 8)
-    )
     with open(path, "w", encoding="ascii") as fh:
         fh.write("\n".join(lines) + "\n")
 
 
 def load_dataset(path) -> Dataset:
     """Parse a ``.ds`` file written by ``save_dataset``; a malformed one raises
-    ModelFormatError."""
-    with open(path, "r", encoding="ascii") as fh:
-        lines = fh.read().splitlines()
-    try:
-        name = lines[0].split()[1]
-        seed = int(lines[1].split()[1])
-        n_classes = int(lines[2].split()[1])
-        n, d = (int(t) for t in lines[3].split()[1:])
-        labels = np.array([int(t) for t in lines[4].split()[1:]], dtype=np.int64)
-    except (IndexError, ValueError) as exc:
-        raise ModelFormatError(f"malformed dataset header: {exc}") from exc
-    if len(lines) < 6 or lines[5].strip() != "inputs":
-        raise ModelFormatError("expected 'inputs'", line=6)
-    vals: list[float] = []
-    for lineno, line in enumerate(lines[6:], start=7):
-        row = [hex_to_float(t, line=lineno) for t in line.split()]
-        if not np.isfinite(row).all():
-            raise ModelFormatError("non-finite input value", line=lineno)
-        vals.extend(row)
-    if len(vals) != n * d:
-        raise ModelFormatError(f"expected {n * d} input values, got {len(vals)}", line=len(lines))
-    return Dataset(name, np.array(vals, dtype=np.float64).reshape(n, d), labels, n_classes, seed)
+    ModelFormatError naming its line."""
+    r = _Reader(path)
+    toks = r.next("dataset")
+    if len(toks) != 2:
+        raise ModelFormatError("expected 'dataset <name>'", line=r.pos)
+    (seed,) = r.ints("seed", 1)
+    (n_classes,) = r.ints("n_classes", 1)
+    n, d = r.ints("shape", 2)
+    labels = np.array(r.ints("labels", n), dtype=np.int64)
+    r.next("inputs")
+    first = r.pos
+    vals = r.floats(n * d)
+    bad = np.flatnonzero(~np.isfinite(vals))
+    if bad.size:
+        ends = np.cumsum([len(line.split()) for line in r.lines[first:r.pos]])
+        raise ModelFormatError("non-finite input value",
+                               line=first + 1 + int(np.searchsorted(ends, bad[0], side="right")))
+    if any(line.strip() for line in r.lines[r.pos:]):
+        raise ModelFormatError(f"more than {n * d} input values", line=r.pos + 1)
+    return Dataset(toks[1], vals.reshape(n, d), labels, n_classes, seed)

@@ -423,9 +423,10 @@ def hex_to_float(s: str, line: int | None = None) -> float:
         raise ModelFormatError(f"bad float64 hex token {s!r}", line=line) from exc
 
 
-def _hex_block(arr: np.ndarray, per_line: int = 8) -> list[str]:
+def _hex_block(arr: np.ndarray) -> list[str]:
+    """The values of ``arr`` as indented lines of eight hex tokens each."""
     toks = [float_to_hex(v) for v in np.asarray(arr, dtype=np.float64).ravel()]
-    return ["  " + " ".join(toks[i : i + per_line]) for i in range(0, len(toks), per_line)] or ["  "]
+    return ["  " + " ".join(toks[i : i + 8]) for i in range(0, len(toks), 8)] or ["  "]
 
 
 def save_network(net: Network, path) -> None:

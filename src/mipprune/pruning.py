@@ -13,6 +13,7 @@ import csv
 import hashlib
 import time
 import warnings
+from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -144,13 +145,24 @@ def load_report(path) -> ImportanceReport:
         raise ModelFormatError(f"expected {count} score lines, got {len(lines) - i - 1}",
                                len(lines))
     scores: dict[tuple[int, int], float] = {}
+    where: dict[tuple[int, int], int] = {}   # (layer, unit) -> line number
     for lineno in range(i + 2, i + 2 + count):
         toks = lines[lineno - 1].split()
         if len(toks) != 3:
             raise ModelFormatError("expected 'layer unit score'", lineno)
         layer, unit, s = (parse(conv, t, lineno, "score line")
                           for conv, t in zip((int, int, float), toks))
+        if (layer, unit) in scores:
+            raise ModelFormatError(f"duplicate score for layer {layer} unit {unit}", lineno)
         scores[(layer, unit)] = s
+        where[(layer, unit)] = lineno
+    # n distinct units of a layer are exactly 0..n-1 iff each lies in that range
+    n_units = Counter(layer for layer, _ in scores)
+    for (layer, unit), lineno in where.items():
+        if not 0 <= unit < n_units[layer]:
+            raise ModelFormatError(
+                f"layer {layer} has {n_units[layer]} scores, so units must be "
+                f"0..{n_units[layer] - 1}, got {unit}", lineno)
     return ImportanceReport(
         scores=scores,
         lam=field("lambda", float),

@@ -70,7 +70,7 @@ def solve_lp(model: MipModel, fixings: dict[int, float] | None = None) -> LpResu
                                          const=model.objective_const))
 
 
-def warm_start(model: MipModel, assignment: np.ndarray, tol: float = 1e-6) -> float:
+def warm_start(model: MipModel, assignment: np.ndarray) -> float:
     """Validate a feasible assignment and return its true objective.
 
     Raises with the first violated constraint when the assignment is not
@@ -80,7 +80,7 @@ def warm_start(model: MipModel, assignment: np.ndarray, tol: float = 1e-6) -> fl
     assignment = np.asarray(assignment, dtype=np.float64)
     if assignment.size != len(model.variables):
         raise InvalidArgument("assignment length does not match the model")
-    bad = model.check_assignment(assignment, tol)
+    bad = model.check_assignment(assignment)
     if bad:
         raise InvalidArgument(f"warm start rejected: {bad[0]}")
     return model.true_objective(assignment)

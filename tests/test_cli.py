@@ -165,8 +165,60 @@ class TestExitCodes:
                      "--report", str(report), "--threshold", "0.3"]) == 1
         assert capsys.readouterr().err.startswith("error: line 5: ")
 
+    def test_duplicate_score_line_exits_one(self, trained_model, tmp_path, capsys):
+        run_ok(["score", "--out", str(tmp_path / "s"), *DATA, "--model", str(trained_model)])
+        report = one_run_dir(tmp_path / "s") / "report.txt"
+        lines = report.read_text().splitlines()
+        i = next(k for k, line in enumerate(lines) if line.startswith("0 1 "))
+        lines[i] = "0 0 " + lines[i].split()[2]
+        report.write_text("\n".join(lines) + "\n")
+        capsys.readouterr()
+        assert main(["prune", "--out", str(tmp_path / "p"), "--model", str(trained_model),
+                     "--report", str(report), "--threshold", "0.3"]) == 1
+        assert capsys.readouterr().err.startswith("error: line ")
+
     def test_missing_threshold_for_masked_eval(self, trained_model, tmp_path):
         run_ok(["score", "--out", str(tmp_path / "s"), *DATA, "--model", str(trained_model)])
         report = one_run_dir(tmp_path / "s") / "report.txt"
         assert main(["evaluate", "--out", str(tmp_path / "e"), *DATA,
                      "--model", str(trained_model), "--report", str(report)]) == 1
+
+
+# Each command's required flags, so that parsing can only fail on the flag under test.
+REQUIRED = {
+    "train": ["--data", "blobs", "--arch", "dense:2", "--epochs", "1"],
+    "prune": ["--model", "m.net", "--report", "r.txt", "--threshold", "0.1"],
+    "evaluate": ["--data", "blobs", "--model", "m.net"],
+    "import-solution": ["--data", "blobs", "--model", "m.net", "--solution", "m.sol"],
+    "score-classwise": ["--data", "blobs", "--model", "m.net"],
+    "transfer": ["--arch", "dense:2", "--source", "blobs", "--target", "moons",
+                 "--threshold", "0.1", "--epochs", "1"],
+    "sweep-lambda": ["--data", "blobs", "--model", "m.net", "--values", "1"],
+    "sweep-rescale": ["--data", "blobs", "--model", "m.net", "--values", "none"],
+    "sweep-threshold": ["--data", "blobs", "--model", "m.net", "--values", "0.1"],
+}
+UNREAD = [
+    *((command, flag) for command in ("train", "prune", "evaluate", "import-solution")
+      for flag in ("--gap-tol", "--node-limit", "--time-limit")),
+    ("import-solution", "--log"),
+    ("score-classwise", "--per-class"),
+    ("transfer", "--per-class"),
+    ("sweep-lambda", "--lambda"),
+    ("sweep-rescale", "--rescale"),
+    ("sweep-threshold", "--threshold"),
+]
+FLAG_VALUES = {"--gap-tol": ["0.1"], "--node-limit": ["5"], "--time-limit": ["5"], "--log": [],
+               "--per-class": ["1"], "--lambda": ["1"], "--rescale": ["none"],
+               "--threshold": ["0.1"]}
+
+
+class TestEveryFlagIsRead:
+    @pytest.mark.parametrize("command, flag", UNREAD, ids=[f"{c}{f}" for c, f in UNREAD])
+    def test_flag_the_command_ignores_is_a_usage_error(self, tmp_path, capsys, command, flag):
+        argv = [command, "--out", str(tmp_path), *REQUIRED[command], flag, *FLAG_VALUES[flag]]
+        assert main(argv) == 2
+        assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+
+    def test_evaluate_prints_run_directory(self, trained_model, tmp_path, capsys):
+        run_ok(["evaluate", "--out", str(tmp_path), *DATA, "--model", str(trained_model)])
+        assert capsys.readouterr().out.splitlines()[-1] == f"run directory: {one_run_dir(tmp_path)}"

@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -119,6 +121,25 @@ class TestCacheFile:
         (tmp_path / "m.ds").write_text("\n".join(lines) + "\n")
         with pytest.raises(ModelFormatError, match="line 9: bad float64 hex token"):
             load_dataset(tmp_path / "m.ds")
+
+    def test_header_error_names_its_line(self, tmp_path):
+        save_dataset(make_dataset("moons", 8, seed=11), tmp_path / "m.ds")
+        lines = (tmp_path / "m.ds").read_text().splitlines()
+        assert lines[3] == "shape 16 2"
+        lines[3] = "shape 16"
+        (tmp_path / "m.ds").write_text("\n".join(lines) + "\n")
+        with pytest.raises(ModelFormatError, match="line 4: "):
+            load_dataset(tmp_path / "m.ds")
+
+    # sha256 of the save_dataset bytes; a change here breaks every cached .ds file
+    @pytest.mark.parametrize("name, n_per_class, digest", [
+        ("blobs", 5, "e08bc84e11fc0f65d51bf98470ecad248258a171037438c7794666526f24252d"),
+        ("moons", 5, "f906f44c5c660d40328c20dcb1179babe8c22ba50bea1d67ea81bc87e7efec4e"),
+        ("minidigits", 3, "b8e309559f6e8bdbd9e0b188928ca8872e4e870e50a8da301f3718d46c53f40e"),
+    ], ids=["blobs", "moons", "minidigits"])
+    def test_golden_file_bytes(self, tmp_path, name, n_per_class, digest):
+        save_dataset(make_dataset(name, n_per_class, seed=3), tmp_path / "g.ds")
+        assert hashlib.sha256((tmp_path / "g.ds").read_bytes()).hexdigest() == digest
 
     def test_validation_on_labels(self):
         with pytest.raises(InvalidArgument):

@@ -250,7 +250,10 @@ class TestReportFiles:
         (lambda ls: [l for l in ls if not l.startswith("threshold")], 13),  # missing key
         (lambda ls: [l.replace("gap 0.0", "gap abc") for l in ls], 8),     # not a number
         (lambda ls: ls[:-1], 15),                                         # too few scores
-    ], ids=["no-scores-line", "missing-key", "non-numeric", "truncated-scores"])
+        (lambda ls: ls[:-1] + ["1 0 1.0"], 16),                           # unit 0 twice
+        (lambda ls: ls[:-1] + ["1 2 1.0"], 16),                           # units 0 and 2
+    ], ids=["no-scores-line", "missing-key", "non-numeric", "truncated-scores",
+            "duplicate-unit", "unit-gap"])
     def test_malformed_report_names_its_line(self, tmp_path, edit, line):
         text = report_from({(1, 0): 0.25, (1, 1): 1.0}).to_text()
         (tmp_path / "r.txt").write_text("\n".join(edit(text.splitlines())) + "\n")
