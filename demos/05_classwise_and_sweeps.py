@@ -1,14 +1,14 @@
 """Scaling tricks and knobs: per-class solves, lambda, and score rescaling.
 
-Independent mode solves one small model per class and averages the scores;
-it prunes more aggressively than the simultaneous model at larger
-thresholds. The sweeps show how the sparsity/accuracy trade-off knobs
-behave on this network.
+score_classwise solves one small model per class and averages the scores;
+at larger thresholds it prunes more aggressively than score, which feeds
+the same one point per class to a single model. The sweeps show how the
+sparsity/accuracy trade-off knobs behave on this network.
 """
 
 from mipprune.datasets import balanced_batch, make_dataset, split_dataset
 from mipprune.network import dense, init_network
-from mipprune.pruning import mask_from_scores, prune_fraction, score_classwise, sweep
+from mipprune.pruning import mask_from_scores, prune_fraction, score, score_classwise, sweep
 from mipprune.training import TrainConfig, evaluate, train
 
 full = make_dataset("blobs", 80, seed=102, n_classes=4, dim=2, separation=5.0)
@@ -17,8 +17,9 @@ net = train(init_network(2, [dense(16), dense(8), dense(4, activation="none")], 
             train_ds, TrainConfig(epochs=150, learning_rate=1e-2, seed=2)).net
 
 print("class-by-class vs simultaneous scoring:")
-rep_idp = score_classwise(net, train_ds, lam=5.0, epsilon=0.5, mode="independent", jobs=2)
-rep_sim = score_classwise(net, train_ds, lam=5.0, epsilon=0.5, mode="simultaneous")
+xs, ys = balanced_batch(train_ds, 1)
+rep_idp = score_classwise(net, train_ds, lam=5.0, epsilon=0.5, jobs=2)
+rep_sim = score(net, xs, ys, lam=5.0, epsilon=0.5)
 for thr in (0.05, 0.5):
     pi = 100 * prune_fraction(mask_from_scores(rep_idp, thr))
     ps = 100 * prune_fraction(mask_from_scores(rep_sim, thr))
@@ -27,7 +28,6 @@ for thr in (0.05, 0.5):
     print(f"  threshold {thr}: independent prunes {pi:.0f}% (acc {ai:.3f}), "
           f"simultaneous {ps:.0f}% (acc {as_:.3f})")
 
-xs, ys = balanced_batch(train_ds, 1)
 print("\nlambda sweep (threshold 0.3):")
 for label, acc, pct in sweep(net, eval_ds, xs, ys, "lambda", [0.5, 1.0, 5.0, 25.0],
                              threshold=0.3, epsilon=0.5):

@@ -4,10 +4,12 @@ Every invocation creates a run directory (timestamp plus a digest of the
 canonical config, with a ``-1``, ``-2``, ... suffix when that name is
 already taken) under ``--out`` and writes the parsed config, seeds, and
 all machine-readable outputs there; stdout carries a short human summary
-ending in the run directory's path.  Each command accepts only the flags
-it reads, from four option groups defined once each: data, scoring,
-solver and training.  Exit codes: 0 success, 1 domain error, 2 usage
-error (a flag the command does not take is one).
+ending in the run directory's path.  A command that fails with a domain
+error removes the run directory it was given.  Each command accepts only
+the flags it reads, from four option groups defined once each: data,
+scoring, solver and training; flags are never abbreviated.  Exit codes:
+0 success, 1 domain error, 2 usage error (a flag the command does not
+take is one).
 """
 
 from __future__ import annotations
@@ -16,6 +18,7 @@ import argparse
 import hashlib
 import itertools
 import os
+import shutil
 import sys
 import time
 from pathlib import Path
@@ -28,12 +31,19 @@ from .datasets import balanced_batch, load_dataset, make_dataset, save_dataset, 
 from .encoding import encode_network
 from .errors import MipPruneError
 from .lpformat import read_solution, write_lp, write_solution
-from .network import apply_mask, init_network, load_network, save_network
-from .network import avgpool, conv, dense, flatten, maxpool
+from .network import apply_mask, conv, dense, flatten, init_network, load_network, save_network
 from .solver import SolveConfig, solve_mip
 from .training import TrainConfig, evaluate, train, write_trace_csv
 
 __all__ = ["main", "entry"]
+
+
+def _arch_ints(item: str, text: str, count: int) -> list[int]:
+    """The ``count`` x-separated non-negative integers of ``text``, from arch ``item``."""
+    toks = text.split("x")
+    if len(toks) != count or not all(t.isascii() and t.isdigit() for t in toks):
+        raise MipPruneError(f"cannot parse architecture item {item!r}")
+    return [int(t) for t in toks]
 
 
 def _parse_arch(text: str, n_classes: int) -> list[dict]:
@@ -43,20 +53,15 @@ def _parse_arch(text: str, n_classes: int) -> list[dict]:
         item = item.strip()
         if not item:
             continue
-        if item.startswith("dense:"):
-            descs.append(dense(int(item.split(":")[1])))
-        elif item.startswith("conv:"):
-            body = item.split(":")[1]
-            pad = 0
-            if "p" in body:
-                body, pad_s = body.split("p")
-                pad = int(pad_s)
-            oc, kh, kw = (int(t) for t in body.split("x"))
-            descs.append(conv(oc, kh, kw, padding=pad))
-        elif item.startswith("avgpool:"):
-            descs.append(avgpool(int(item.split(":")[1])))
-        elif item.startswith("maxpool:"):
-            descs.append(maxpool(int(item.split(":")[1])))
+        kind, _, body = item.partition(":")
+        if kind == "dense":
+            descs.append(dense(*_arch_ints(item, body, 1)))
+        elif kind == "conv":
+            shape, has_pad, pad = body.partition("p")
+            padding = _arch_ints(item, pad, 1)[0] if has_pad else 0
+            descs.append(conv(*_arch_ints(item, shape, 3), padding=padding))
+        elif kind in ("avgpool", "maxpool"):
+            descs.append({"kind": kind, "window": _arch_ints(item, body, 1)[0]})
         elif item == "flatten":
             descs.append(flatten())
         else:
@@ -262,10 +267,9 @@ def cmd_score_classwise(args, run: Path) -> None:
     net = load_network(args.model)
     ds = _dataset(args, args.data, args.data_seed)
     report = pruning.score_classwise(net, ds, args.lam, args.epsilon, args.rescale,
-                                     mode=args.mode, solve_config=_solve_config(args, run),
-                                     jobs=args.jobs)
+                                     solve_config=_solve_config(args, run), jobs=args.jobs)
     pruning.save_report(report, run / "report.txt")
-    print(f"classwise ({args.mode}) scored {len(report.scores)} units, "
+    print(f"classwise scored {len(report.scores)} units, "
           f"mean objective {report.objective:.6f}, status {report.status}")
     _warn_if_unproven(report)
 
@@ -329,7 +333,9 @@ def build_parser() -> argparse.ArgumentParser:
     sub = top.add_subparsers(dest="command", required=True)
 
     def command(name: str, func, help_text: str) -> argparse.ArgumentParser:
-        p = sub.add_parser(name, help=help_text)
+        # no abbreviations: a flag the command lacks must not resolve to a
+        # longer one it has (``--mode`` to ``--model``)
+        p = sub.add_parser(name, help=help_text, allow_abbrev=False)
         p.add_argument("--out", default=os.environ.get("MIPPRUNE_OUT", "runs"),
                        help="run directory root (env MIPPRUNE_OUT)")
         p.set_defaults(func=func)
@@ -369,7 +375,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = command("score-classwise", cmd_score_classwise, "independent per-class scoring")
     _add_data(p), _add_scoring(p, omit="--per-class"), _add_solver(p)
     p.add_argument("--model", required=True)
-    p.add_argument("--mode", choices=("independent", "simultaneous"), default="independent")
     p.add_argument("--jobs", type=int, default=1)
 
     p = command("transfer", cmd_transfer, "mask transfer between datasets")
@@ -410,10 +415,13 @@ def main(argv: list[str] | None = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
+    run = None
     try:
         run = _run_dir(args)
         args.func(args, run)
     except (MipPruneError, OSError) as exc:
+        if run is not None:  # a failed command leaves no run directory behind
+            shutil.rmtree(run, ignore_errors=True)
         print(f"error: {exc}", file=sys.stderr)
         return 1
     print(f"run directory: {run}")

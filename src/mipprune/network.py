@@ -21,13 +21,14 @@ maskable.
 
 from __future__ import annotations
 
+import math
 import struct
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import InvalidArgument, ModelFormatError
-from .linalg import ConvSpec, as_matrix, conv_to_matrix, matvec
+from .linalg import ConvSpec, as_matrix, conv_to_matrix, matmat, matvec
 
 __all__ = [
     "LayerSpec",
@@ -126,7 +127,7 @@ class Network:
 
     @property
     def input_size(self) -> int:
-        return int(np.prod(self.input_shape))
+        return math.prod(self.input_shape)
 
     def layer_sizes(self) -> list[int]:
         """Output vector length of every layer, input first."""
@@ -200,7 +201,8 @@ class Mask:
 
 @dataclass
 class ForwardTrace:
-    """Pre- and post-activation vectors of every layer for one input."""
+    """Pre- and post-activation arrays of every layer: ``(size,)`` for one
+    input, ``(size, n)`` for a batch of ``n``."""
 
     pre: list[np.ndarray]
     post: list[np.ndarray]
@@ -210,34 +212,40 @@ class ForwardTrace:
         return self.post[-1]
 
 
-def _pool(x: np.ndarray, window: int, op: str) -> np.ndarray:
-    groups = x.reshape(-1, window)
-    if op == "avgpool":
-        return groups.mean(axis=1)
-    return groups.max(axis=1)
-
-
 def forward(net: Network, x, mask: Mask | None = None) -> ForwardTrace:
-    """Run the network on one flat input, optionally zeroing masked units.
+    """Run the network on one input or a batch, optionally zeroing masked units.
+
+    A 2-D ``x`` is a batch with one input per row, and every layer array of
+    the trace is ``(size, n)`` with one column per input; any other ``x`` is
+    one flat input.  The affine step is :func:`~mipprune.linalg.matvec` for
+    one input and :func:`~mipprune.linalg.matmat` for a batch.  The two do
+    not agree bit for bit, so a caller that must match another per-input
+    computation exactly passes its inputs one at a time.
 
     Masking acts on post-activations: a masked dense neuron or conv feature
     map outputs exactly 0 for every input.
     """
-    v = np.asarray(x, dtype=np.float64).ravel()
-    if v.size != net.input_size:
-        raise InvalidArgument(f"input size {v.size}, network expects {net.input_size}")
+    x = np.asarray(x, dtype=np.float64)
+    batch = x.ndim == 2
+    v = x.T.copy() if batch else x.ravel()
+    if v.shape[0] != net.input_size:
+        raise InvalidArgument(f"input size {v.shape[0]}, network expects {net.input_size}")
     if mask is not None:
         mask.validate_against(net)
     pre: list[np.ndarray] = []
     post: list[np.ndarray] = []
     for idx, spec in enumerate(net.layers):
         if spec.kind in ("dense", "conv"):
-            z = matvec(spec.weight, v) + spec.bias
+            if batch:
+                z = matmat(spec.weight, v) + spec.bias[:, None]
+            else:
+                z = matvec(spec.weight, v) + spec.bias
             a = np.maximum(z, 0.0) if spec.activation == "relu" else z.copy()
             if mask is not None and idx in mask.bits:
                 a[np.repeat(mask.bits[idx], spec.rows_per_unit)] = 0.0
         elif spec.kind in ("avgpool", "maxpool"):
-            z = _pool(v, spec.pool_window, spec.kind)
+            groups = v.reshape(-1, spec.pool_window, *v.shape[1:])
+            z = groups.mean(axis=1) if spec.kind == "avgpool" else groups.max(axis=1)
             a = z.copy()
         else:  # flatten
             z = v.copy()
@@ -350,6 +358,8 @@ def build_network(input_shape, layer_descs: list[dict], seed: int = 0,
                         raise InvalidArgument("no parameters left for this layer")
             if kind == "dense":
                 width = desc["width"]
+                if width < 1:
+                    raise InvalidArgument(f"dense width must be >= 1, got {width}")
                 w, b = p or (np.zeros((width, in_size)), np.zeros(width))
                 spec = LayerSpec(kind="dense", weight=as_matrix(w, width, in_size),
                                  bias=_vector(b, width, "bias"), activation=desc["activation"])

@@ -256,22 +256,17 @@ def score(net: Network, xs: np.ndarray, ys: np.ndarray, lam: float = 5.0,
 
 
 def score_classwise(net: Network, ds: Dataset, lam: float = 5.0, epsilon: float = 0.0,
-                    rescale: str = "minus2", mode: str = "independent",
-                    solve_config: SolveConfig | None = None,
+                    rescale: str = "minus2", solve_config: SolveConfig | None = None,
                     jobs: int = 1) -> ImportanceReport:
-    """Average one-point-per-class solves, or solve all classes at once.
+    """Average one-point-per-class solves.
 
-    ``independent`` runs one model per class with a single data point and
-    averages the scores in class order; ``simultaneous`` feeds the same
-    points to one model.  Independent solves are pure and may run in
-    ``jobs`` threads; the class-indexed averaging keeps results identical
-    regardless of scheduling.
+    Runs one model per class with a single data point and averages the
+    scores in class order.  (Feeding the same points to one model is
+    ``score(net, *balanced_batch(ds, 1), ...)``.)  The solves are pure and
+    may run in ``jobs`` threads; the class-indexed averaging keeps results
+    identical regardless of scheduling.
     """
-    if mode not in ("independent", "simultaneous"):
-        raise InvalidArgument(f"unknown mode {mode!r}")
     xs, ys = balanced_batch(ds, per_class=1)
-    if mode == "simultaneous":
-        return score(net, xs, ys, lam, epsilon, rescale, solve_config)
 
     def solve_one(c: int) -> ImportanceReport:
         return score(net, xs[c : c + 1], ys[c : c + 1], lam, epsilon, rescale,

@@ -6,6 +6,11 @@ generator, plain backprop through dense layers, lowered convolutions, the
 identity-like flatten, and average pooling.  Max pooling is rejected in
 training (its subgradient is ambiguous); such layers are still supported by
 the forward pass and the MIP encoding with hand-set weights.
+
+The trainer has no layer walk of its own: a minibatch goes through
+:func:`mipprune.network.forward` as a 2-D batch, and backprop reads the
+trace's per-layer ``(size, n)`` arrays.  :func:`evaluate` is the same one
+batched pass, with or without a mask.
 """
 
 from __future__ import annotations
@@ -54,29 +59,6 @@ def _param_layers(net: Network) -> list[int]:
     return [i for i, s in enumerate(net.layers) if s.kind in ("dense", "conv")]
 
 
-def _batch_forward(net: Network, x: np.ndarray) -> tuple[list[np.ndarray], list[np.ndarray]]:
-    """Vectorized forward over a batch; returns per-layer (pre, post), inputs as columns."""
-    v = x.T.copy()  # (d, n)
-    pres, posts = [], []
-    for spec in net.layers:
-        if spec.kind in ("dense", "conv"):
-            z = matmat(spec.weight, v) + spec.bias[:, None]
-            a = np.maximum(z, 0.0) if spec.activation == "relu" else z
-        elif spec.kind == "avgpool":
-            z = v.reshape(-1, spec.pool_window, v.shape[1]).mean(axis=1)
-            a = z
-        elif spec.kind == "maxpool":
-            z = v.reshape(-1, spec.pool_window, v.shape[1]).max(axis=1)
-            a = z
-        else:
-            z = v
-            a = v
-        pres.append(z)
-        posts.append(a)
-        v = a
-    return pres, posts
-
-
 def _softmax(logits: np.ndarray) -> np.ndarray:
     m = logits.max(axis=0, keepdims=True)
     e = np.exp(logits - m)
@@ -94,9 +76,8 @@ def loss_and_grads(net: Network, x: np.ndarray, y: np.ndarray):
     if any(s.kind == "maxpool" for s in net.layers):
         raise UnsupportedFeature("max pooling layers cannot be trained")
     n = x.shape[0]
-    pres, posts = _batch_forward(net, x)
-    logits = posts[-1]  # (classes, n)
-    probs = _softmax(logits)
+    trace = forward(net, x)  # layer arrays are (size, n), one column per input
+    probs = _softmax(trace.logits)
     eps_free = np.clip(probs[y, np.arange(n)], 1e-300, None)
     loss = float(-np.mean(np.log(eps_free)))
 
@@ -107,10 +88,10 @@ def loss_and_grads(net: Network, x: np.ndarray, y: np.ndarray):
     grads: dict[int, tuple[np.ndarray, np.ndarray]] = {}
     for idx in range(len(net.layers) - 1, -1, -1):
         spec = net.layers[idx]
-        below = posts[idx - 1] if idx > 0 else x.T
+        below = trace.post[idx - 1] if idx > 0 else x.T
         if spec.kind in ("dense", "conv"):
             if spec.activation == "relu":
-                delta = delta * (pres[idx] > 0)
+                delta = delta * (trace.pre[idx] > 0)
             dw = matmat(delta, below.T.copy())
             db = delta.sum(axis=1)
             if spec.kind == "conv":
@@ -191,15 +172,8 @@ def evaluate(net: Network, ds: Dataset, mask: Mask | None = None) -> float:
     """Fraction of argmax-correct predictions; ties resolve to the lowest class."""
     if ds.labels.size == 0:
         raise InvalidArgument("empty dataset")
-    if mask is None or mask.is_empty():
-        _, posts = _batch_forward(net, ds.inputs)
-        pred = posts[-1].argmax(axis=0)  # argmax takes the first (lowest) index on ties
-        return float(np.mean(pred == ds.labels))
-    correct = 0
-    for i in range(ds.inputs.shape[0]):
-        logits = forward(net, ds.inputs[i], mask).logits
-        correct += int(int(np.argmax(logits)) == int(ds.labels[i]))
-    return correct / ds.inputs.shape[0]
+    pred = forward(net, ds.inputs, mask).logits.argmax(axis=0)  # first (lowest) index on ties
+    return float(np.mean(pred == ds.labels))
 
 
 def write_trace_csv(trace: list[tuple[int, float, float]], path) -> None:

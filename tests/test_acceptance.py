@@ -363,8 +363,8 @@ def classwise_reports(seed: int):
     if key not in _CACHE:
         net, train_ds, _ = crit6_setup(seed)
         _CACHE[key] = (
-            score_classwise(net, train_ds, lam=LAMBDA, epsilon=EPSILON, mode="independent"),
-            score_classwise(net, train_ds, lam=LAMBDA, epsilon=EPSILON, mode="simultaneous"),
+            score_classwise(net, train_ds, lam=LAMBDA, epsilon=EPSILON),
+            score(net, *balanced_batch(train_ds, 1), lam=LAMBDA, epsilon=EPSILON),
         )
     return _CACHE[key]
 
@@ -439,10 +439,10 @@ class TestCriterion12Determinism:
         # criterion 9 classwise reports
         net, train_ds, _ = crit6_setup(0)
         rep_i, rep_s = classwise_reports(0)
-        assert score_classwise(net, train_ds, lam=LAMBDA, epsilon=EPSILON,
-                               mode="independent").to_text() == rep_i.to_text()
-        assert score_classwise(net, train_ds, lam=LAMBDA, epsilon=EPSILON,
-                               mode="simultaneous").to_text() == rep_s.to_text()
+        assert score_classwise(net, train_ds, lam=LAMBDA,
+                               epsilon=EPSILON).to_text() == rep_i.to_text()
+        assert score(net, *balanced_batch(train_ds, 1), lam=LAMBDA,
+                     epsilon=EPSILON).to_text() == rep_s.to_text()
         # criterion 10 transfer result, end to end
         assert run_transfer().to_text() == _CACHE["transfer"].to_text()
         # and retraining itself is bit-stable

@@ -79,7 +79,7 @@ class TestExperimentCommands:
 
     def test_score_classwise_with_jobs(self, trained_model, tmp_path):
         run_ok(["score-classwise", "--out", str(tmp_path), *DATA,
-                "--model", str(trained_model), "--mode", "independent", "--jobs", "2"])
+                "--model", str(trained_model), "--jobs", "2"])
         assert (one_run_dir(tmp_path) / "report.txt").exists()
 
     def test_transfer(self, tmp_path):
@@ -153,8 +153,17 @@ class TestExitCodes:
         assert main(["frobnicate"]) == 2
 
     def test_domain_error_exit_one(self, tmp_path):
-        assert main(["score", "--out", str(tmp_path), *DATA,
+        out = tmp_path / "out"
+        assert main(["score", "--out", str(out), *DATA,
                      "--model", str(tmp_path / "missing.net")]) == 1
+        assert list(out.iterdir()) == []  # the failed run leaves no directory
+
+    @pytest.mark.parametrize("item", ["dense:abc", "avgpool:x", "conv:4x3", "dense:0", "dense:-1"])
+    def test_malformed_arch_exits_one(self, tmp_path, capsys, item):
+        out = tmp_path / "out"
+        assert main(["train", "--out", str(out), *DATA, "--arch", item, "--epochs", "1"]) == 1
+        assert capsys.readouterr().err.startswith("error: ")
+        assert list(out.iterdir()) == []
 
     def test_truncated_report_exits_one(self, trained_model, tmp_path, capsys):
         run_ok(["score", "--out", str(tmp_path / "s"), *DATA, "--model", str(trained_model)])
@@ -202,6 +211,7 @@ UNREAD = [
       for flag in ("--gap-tol", "--node-limit", "--time-limit")),
     ("import-solution", "--log"),
     ("score-classwise", "--per-class"),
+    ("score-classwise", "--mode"),
     ("transfer", "--per-class"),
     ("sweep-lambda", "--lambda"),
     ("sweep-rescale", "--rescale"),
@@ -209,7 +219,7 @@ UNREAD = [
 ]
 FLAG_VALUES = {"--gap-tol": ["0.1"], "--node-limit": ["5"], "--time-limit": ["5"], "--log": [],
                "--per-class": ["1"], "--lambda": ["1"], "--rescale": ["none"],
-               "--threshold": ["0.1"]}
+               "--threshold": ["0.1"], "--mode": ["independent"]}
 
 
 class TestEveryFlagIsRead:

@@ -10,6 +10,7 @@ from mipprune.network import (
     conv,
     dense,
     flatten,
+    float_to_hex,
     forward,
     init_network,
     load_network,
@@ -79,6 +80,33 @@ class TestForward:
         net = init_network(3, MLP, seed=0)
         with pytest.raises(InvalidArgument):
             forward(net, [1.0, 2.0])
+
+    BATCH_NETS = {
+        "dense": (3, MLP),
+        "conv-avgpool": ((1, 4, 4), [conv(2, 2, 2), avgpool(3), flatten(),
+                                     dense(3, activation="none")]),
+        "padded-conv-maxpool": ((1, 4, 4), [conv(3, 3, 3, padding=1), maxpool(4), flatten(),
+                                            dense(2, activation="none")]),
+    }
+
+    @pytest.mark.parametrize("masked", [False, True], ids=["unmasked", "masked"])
+    @pytest.mark.parametrize("name", list(BATCH_NETS))
+    def test_batch_matches_single_inputs(self, name, masked):
+        shape, descs = self.BATCH_NETS[name]
+        net = init_network(shape, descs, seed=11)
+        mask = None
+        if masked:
+            mask = Mask.empty(net)
+            mask.bits[0][1] = True
+        xs = np.random.default_rng(12).normal(size=(7, net.input_size))
+        batch = forward(net, xs, mask)
+        sizes = net.layer_sizes()[1:]
+        assert [z.shape for z in batch.pre] == [(size, 7) for size in sizes]
+        assert [a.shape for a in batch.post] == [(size, 7) for size in sizes]
+        for k, x in enumerate(xs):
+            single = forward(net, x, mask)
+            for got, want in zip(batch.pre + batch.post, single.pre + single.post):
+                assert np.max(np.abs(got[:, k] - want)) <= 1e-12
 
 
 class TestApplyMask:
@@ -206,6 +234,11 @@ class TestInit:
         bound = 1.0 / np.sqrt(8)
         assert np.all(np.abs(net.layers[1].weight) <= bound)
 
+    @pytest.mark.parametrize("width", [0, -1])
+    def test_dense_width_below_one_rejected(self, width):
+        with pytest.raises(InvalidArgument, match="layer 0: dense width must be >= 1"):
+            build_network(2, [dense(width), dense(3, activation="none")])
+
     def test_needs_hidden_relu(self):
         with pytest.raises(InvalidArgument):
             init_network(2, [dense(2, activation="none")], seed=0).validate()
@@ -257,6 +290,18 @@ class TestModelFiles:
         text = p.read_text().replace("dims 5 3", "dims 5 4")
         p.write_text(text)
         with pytest.raises(ModelFormatError):
+            load_network(p)
+
+    def test_zero_width_dense_layer_rejected(self, tmp_path):
+        zero = float_to_hex(0.0)
+        p = tmp_path / "z.net"
+        p.write_text("\n".join([
+            "format_version 1", "input_shape 2", "seed 0", "layers 2",
+            "layer 0 dense", "activation relu", "dims 0 2", "weights", "bias",
+            "layer 1 dense", "activation none", "dims 3 0", "weights", "bias",
+            f"  {zero} {zero} {zero}",
+        ]) + "\n")
+        with pytest.raises(ModelFormatError, match="layer 0: dense width"):
             load_network(p)
 
     @staticmethod

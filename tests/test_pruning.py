@@ -150,12 +150,13 @@ class TestBaselines:
 
 class TestClasswise:
     def test_single_class_modes_agree(self):
+        # with one class, averaging per-class solves is the one-model score
         rng = np.random.default_rng(8)
         inputs = rng.normal(size=(6, 2))
         ds = Dataset("one", inputs, np.zeros(6, dtype=np.int64), 1, 0)
         net = init_network(2, [dense(4), dense(3), dense(1, activation="none")], seed=9)
-        rep_i = score_classwise(net, ds, lam=5.0, mode="independent")
-        rep_s = score_classwise(net, ds, lam=5.0, mode="simultaneous")
+        rep_i = score_classwise(net, ds, lam=5.0)
+        rep_s = score(net, *balanced_batch(ds, 1), lam=5.0)
         for key in rep_i.scores:
             assert rep_i.scores[key] == pytest.approx(rep_s.scores[key], abs=1e-9)
 
@@ -164,11 +165,6 @@ class TestClasswise:
         a = score_classwise(net, train_ds, lam=5.0, epsilon=0.1, jobs=1)
         b = score_classwise(net, train_ds, lam=5.0, epsilon=0.1, jobs=3)
         assert a.to_text() == b.to_text()
-
-    def test_unknown_mode(self):
-        net, train_ds, _ = small_trained(seed=11)
-        with pytest.raises(InvalidArgument):
-            score_classwise(net, train_ds, mode="banana")
 
 
 class TestTransfer:

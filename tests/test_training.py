@@ -11,6 +11,7 @@ from mipprune.network import (
     conv,
     dense,
     flatten,
+    forward,
     init_network,
     maxpool,
 )
@@ -136,6 +137,29 @@ class TestEvaluate:
         a = evaluate(trained, ds, mask)
         b = evaluate(apply_mask(trained, mask), ds)
         assert abs(a - b) <= 1e-12
+
+    def test_masked_matches_per_input_argmax(self):
+        ds = make_dataset("blobs", 15, seed=20)
+        net = init_network(2, [dense(8), dense(6), dense(4, activation="none")], seed=21)
+        trained = train(net, ds, TrainConfig(epochs=20, learning_rate=1e-2, seed=4)).net
+        rng = np.random.default_rng(22)
+        n = ds.labels.size
+        for _ in range(10):
+            mask = Mask.empty(trained)
+            for bits in mask.bits.values():
+                bits[:] = rng.random(bits.size) < 0.4
+                bits[rng.integers(bits.size)] = False  # never mask a whole layer
+            # reference: one forward pass and one argmax per input
+            correct = sum(int(np.argmax(forward(trained, ds.inputs[i], mask).logits)) ==
+                          int(ds.labels[i]) for i in range(n))
+            assert evaluate(trained, ds, mask) == correct / n
+
+    def test_all_false_mask_is_validated(self):
+        ds = make_dataset("blobs", 5, seed=23)
+        net = init_network(2, [dense(4), dense(4, activation="none")], seed=24)
+        mask = Mask({0: np.zeros(3, dtype=bool)})  # layer 0 has 4 units
+        with pytest.raises(InvalidArgument, match="layer 0: mask has 3 bits"):
+            evaluate(net, ds, mask)
 
     def test_empty_dataset_rejected(self):
         net = init_network(2, [dense(3), dense(2, activation="none")], seed=19)
