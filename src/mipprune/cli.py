@@ -29,7 +29,7 @@ from . import pruning
 from .bounds import propagate_batch
 from .datasets import balanced_batch, load_dataset, make_dataset, save_dataset, split_dataset
 from .encoding import encode_network
-from .errors import MipPruneError
+from .errors import InvalidArgument, MipPruneError
 from .lpformat import read_solution, write_lp, write_solution
 from .network import apply_mask, conv, dense, flatten, init_network, load_network, save_network
 from .solver import SolveConfig, solve_mip
@@ -44,6 +44,17 @@ def _arch_ints(item: str, text: str, count: int) -> list[int]:
     if len(toks) != count or not all(t.isascii() and t.isdigit() for t in toks):
         raise MipPruneError(f"cannot parse architecture item {item!r}")
     return [int(t) for t in toks]
+
+
+def _parse_input_shape(text: str) -> tuple[int, ...]:
+    """'CxHxW' (or any x-separated sizes) as a tuple of integers of at least 1."""
+    try:
+        shape = tuple(int(t) for t in text.split("x"))
+    except ValueError:
+        raise InvalidArgument(f"cannot parse --input-shape {text!r}") from None
+    if min(shape) < 1:
+        raise InvalidArgument(f"--input-shape {text!r} has a size below 1")
+    return shape
 
 
 def _parse_arch(text: str, n_classes: int) -> list[dict]:
@@ -192,7 +203,7 @@ def _add_training(p: argparse.ArgumentParser, epochs: bool) -> None:
 def cmd_train(args, run: Path) -> None:
     ds = _dataset(args, args.data, args.data_seed)
     descs = _parse_arch(args.arch, ds.n_classes)
-    shape = ds.dim if args.input_shape is None else tuple(int(t) for t in args.input_shape.split("x"))
+    shape = ds.dim if args.input_shape is None else _parse_input_shape(args.input_shape)
     net = init_network(shape, descs, args.seed)
     result = train(net, ds, _train_config(args, args.epochs))
     save_network(result.net, run / "model.net")

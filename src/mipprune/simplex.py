@@ -1,22 +1,44 @@
-"""Bounded-variable two-phase dense simplex for small linear programs.
+"""Bounded-variable dense simplex for small linear programs: a two-phase
+primal solve from scratch, and a dual simplex warm-started from a basis.
 
-Fixed variables are substituted.  Every other variable is one tableau
-column ``v >= 0`` with ``x = base + dirn * v``: shifted from a finite lower
-bound, mirrored from a finite upper bound when there is no lower one, or
-left free when both bounds are infinite.  A finite width ``ub - lb`` is
-enforced in the ratio test: a variable that reaches it is complemented
-(``v' = width - v``), so nonbasic columns always sit at zero, the rhs
-column holds the basic values, and ``base`` is ``lb`` or ``ub`` as ``dirn``
-is +1 or -1.  The tableau is one dense numpy array, but encodings leave
-most of it zero, so each pivot's rank-1 update touches only the nonzero
-rows of the pivot column crossed with the nonzero columns of the pivot row.
+Every variable is one tableau column ``v >= 0`` with ``x = base + dirn * v``:
+shifted from a finite lower bound, mirrored from a finite upper bound when
+there is no lower one (or when a warm start puts it there), or left free
+when both bounds are infinite.  A finite width ``ub - lb`` is enforced in the
+ratio test: a variable that reaches it is complemented (``v' = width - v``),
+so nonbasic columns always sit at zero, the rhs column holds the basic
+values, and ``base`` is ``lb`` or ``ub`` as ``dirn`` is +1 or -1.  The
+tableau is one dense numpy array, but encodings leave most of it zero, so
+each pivot's rank-1 update touches only the nonzero rows of the pivot column
+crossed with the nonzero columns of the pivot row.
 
-Pricing is Dantzig's rule (most negative reduced cost, lowest index on
-ties; a free nonbasic column prices by its magnitude).  After a streak of
+Primal pricing is Dantzig's rule (most negative reduced cost, lowest index
+on ties; a free nonbasic column prices by its magnitude).  After a streak of
 2*(m+n) degenerate pivots the pricing switches to Bland's rule, which
 guarantees termination; it switches back once the objective strictly
-improves.  Ref: Koberstein, "The dual simplex method, techniques for a fast
-and stable implementation", PhD thesis, Paderborn 2005.
+improves.
+
+The cold solve substitutes fixed variables and gives each row a slack,
+surplus or artificial column as its sense needs.  A warm solve instead keeps
+every structural column (a fixed one has width 0) and gives row ``i`` one
+logical ``s_i`` in ``a_i x + s_i = rhs_i``, bounded by the row's sense:
+[0, inf) for 'L', (-inf, 0] for 'G', {0} for 'E'.  It builds the
+all-logical tableau once and pivots each basic structural of the given
+:class:`Basis` into it (largest |entry| among the rows still held by an
+unwanted logical), runs a dual simplex (largest bound violation leaves;
+Harris two-pass ratio test) and then the primal loop as a clean-up.  Its
+products use the fixed-order kernels of :mod:`.linalg`, never BLAS or
+LAPACK, so its results are bit-reproducible.
+
+Every 'optimal' answer is checked on the original arrays: the primal
+residual of rows and bounds, and the reduced costs recomputed from the row
+duals.  A warm 'infeasible' answer must come with a Farkas row that proves
+it on the original rows and bounds.  A warm start that cannot be refactored
+or certified falls back to the cold solve; a cold optimum that fails the
+check is refactored on its own final basis and cleaned up once through the
+warm path.  Ref: Koberstein, "The dual simplex method, techniques for a fast
+and stable implementation", PhD thesis, Paderborn 2005, ch. 4-6; Harris,
+"Pivot selection methods of the Devex LP code", Math. Prog. 5, 1973.
 """
 
 from __future__ import annotations
@@ -25,14 +47,19 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import MipPruneError
+from .errors import InvalidArgument, MipPruneError
+from .linalg import matvec
 
-__all__ = ["LinearProgram", "LpResult", "solve_lp_arrays"]
+__all__ = ["Basis", "LinearProgram", "LpResult", "solve_lp_arrays"]
 
 _RC_TOL = 1e-9
 _PIV_TOL = 1e-9
 _FEAS_TOL = 1e-7
 _MAX_PIVOTS = 200_000
+_HARRIS_TOL = 1e-9     # reduced-cost relaxation of the dual ratio test's first pass
+_DUAL_FEAS_TOL = 1e-9  # bound violation the dual simplex leaves to the clean-up
+_CERT_PRIMAL = 1e-6    # largest row or bound breach of a certified point
+_CERT_DUAL = 1e-7      # largest wrong-signed reduced cost of a certified point
 
 
 class SimplexNumericsError(MipPruneError, RuntimeError):
@@ -60,12 +87,41 @@ class LinearProgram:
         return self.rhs.size
 
 
+@dataclass(frozen=True)
+class Basis:
+    """A basis of an LP with ``n`` structural columns, in a form that outlives
+    its tableau.
+
+    ``ids`` holds one id per row: a structural ``j < n``, or ``n + i`` for row
+    ``i``'s logical.  Rows appended after the basis was taken (cuts) enter
+    with their logicals basic.  ``at_upper[j]`` says a nonbasic structural
+    sits at its upper bound.
+    """
+
+    ids: np.ndarray        # int32, sorted
+    at_upper: np.ndarray   # bool, one per structural
+
+
 @dataclass
 class LpResult:
+    """Outcome of one LP solve.
+
+    ``pivots`` counts simplex iterations, dual and primal: basis changes plus
+    bound flips.  The pivots that rebuild a tableau on a given basis are
+    counted apart in ``refactor_pivots``.
+    """
+
     status: str            # 'optimal' | 'infeasible' | 'unbounded'
     x: np.ndarray | None
     objective: float | None
-    pivots: int = 0        # simplex iterations: basis changes plus bound flips
+    pivots: int = 0
+    basis: Basis | None = None      # the final basis of an 'optimal' answer
+    warm: bool = False              # answered from the given basis
+    fallback: str | None = None     # why the given basis was not used
+    repaired: bool = False          # a cold optimum refactored and cleaned up
+    certified: bool = False         # the answer passed its check on the original arrays
+    refactor_pivots: int = 0
+    dual_pivots: int = 0
 
 
 def _complement(t: np.ndarray, dirn: np.ndarray, j: int, w: float) -> None:
@@ -181,17 +237,29 @@ def _pivot_loop(t: np.ndarray, basis: np.ndarray, width: np.ndarray, free: np.nd
             raise SimplexNumericsError(f"pivot cap {_MAX_PIVOTS} exceeded")
 
 
+def _price_out(t: np.ndarray, basis: np.ndarray) -> None:
+    """Zero the reduced-cost row on the basic columns, row by row."""
+    for r in range(basis.size):
+        cb = t[-1, basis[r]]
+        if cb != 0.0:
+            t[-1] -= cb * t[r]
+
+
 def _solve_columns(a: np.ndarray, b: np.ndarray, senses: np.ndarray, c: np.ndarray,
                    width: np.ndarray, free: np.ndarray, dirn: np.ndarray):
     """Two-phase simplex for min c y, a y (sense) b over columns ``y = dirn * v``.
 
     Each ``v`` lies in [0, width], or is unrestricted where ``free``.
-    Returns (status, v, dirn, iterations) with the final orientation ``dirn``.
+    Returns (status, v, dirn, ids, duals, iterations) with the final
+    orientation ``dirn``, the final basis as one id per row (column ``k``,
+    or ``n + i`` for row ``i``'s slack, surplus or artificial; a dropped
+    redundant row keeps its own) and the duals of the rows as given.
     """
     m, n = a.shape
     a = a * dirn
     b = b.copy()
     senses = senses.copy()
+    row_scale = np.ones(m)
     if m:
         # row equilibration: badly scaled encodings otherwise wreck the
         # absolute pivot tolerances
@@ -224,6 +292,9 @@ def _solve_columns(a: np.ndarray, b: np.ndarray, senses: np.ndarray, c: np.ndarr
     basis = np.zeros(m, dtype=np.int64)
     basis[slack_rows] = n + np.arange(n_slack)
     basis[art_rows] = art0 + np.arange(n_art)
+    # the column that starts as row i's unit vector carries its dual
+    unit = basis.copy()
+    col_row = np.concatenate([slack_rows, surplus_rows, art_rows])
 
     # slack, surplus and artificial columns are plain v >= 0
     width = np.concatenate([width, np.full(k - n, np.inf)])
@@ -234,6 +305,7 @@ def _solve_columns(a: np.ndarray, b: np.ndarray, senses: np.ndarray, c: np.ndarr
     bland_after = 2 * (m + k)
     is_art = np.zeros(k, dtype=bool)
     is_art[art0:] = True
+    dropped = np.zeros(0, dtype=np.int64)
 
     if n_art:
         # phase one: price out the artificials; they never re-enter
@@ -247,7 +319,7 @@ def _solve_columns(a: np.ndarray, b: np.ndarray, senses: np.ndarray, c: np.ndarr
         # verdict can only be round-off noise in a reduced cost; fall through
         # to the objective test either way
         if -t[-1, -1] > _FEAS_TOL:
-            return "infeasible", None, None, total_pivots
+            return "infeasible", None, None, None, None, total_pivots
         # drive remaining artificials out of the basis or drop redundant rows
         keep = np.ones(m, dtype=bool)
         for r in range(m):
@@ -260,34 +332,237 @@ def _solve_columns(a: np.ndarray, b: np.ndarray, senses: np.ndarray, c: np.ndarr
                     keep[r] = False
         if not keep.all():
             rows = np.flatnonzero(keep)
+            dropped = col_row[basis[~keep] - n]
             t = np.vstack([t[rows], t[-1:]])
             basis = basis[rows]
-            m = rows.size
 
     # phase two on the real objective, in the columns' current orientation;
     # artificial columns locked out
     t[-1, :] = 0.0
     t[-1, :n] = c * dirn[:n]
-    for r in range(m):
-        cb = t[-1, basis[r]]
-        if cb != 0.0:
-            t[-1] -= cb * t[r]
+    _price_out(t, basis)
     status, p = _pivot_loop(t, basis, width, free, dirn, _RC_TOL, bland_after, ~is_art)
     total_pivots += p
     if status == "unbounded":
-        return "unbounded", None, None, total_pivots
+        return "unbounded", None, None, None, None, total_pivots
     v = np.zeros(k, dtype=np.float64)
-    v[basis] = t[:m, -1]
-    return "optimal", v[:n], dirn[:n], total_pivots
+    v[basis] = t[:-1, -1]
+    ids = np.where(basis < n, basis, n + col_row[np.maximum(basis - n, 0)])
+    duals = -t[-1, unit] * np.where(flip, -1.0, 1.0) / row_scale
+    return ("optimal", v[:n], dirn[:n], np.concatenate([ids, n + dropped]), duals,
+            total_pivots)
 
 
-def solve_lp_arrays(lp: LinearProgram) -> LpResult:
-    """Solve a bounded-variable LP with the bounded-variable simplex."""
-    lb = lp.lb.astype(np.float64)
-    ub = lp.ub.astype(np.float64)
-    if np.any(lb > ub):
-        return LpResult("infeasible", None, None, 0)
+def _dual_loop(t: np.ndarray, basis: np.ndarray, width: np.ndarray, free: np.ndarray,
+               dirn: np.ndarray, cap: int) -> tuple[str, int, int]:
+    """Run dual simplex iterations on tableau ``t`` in place.
 
+    ``t`` is laid out as in :func:`_pivot_loop` and starts dual feasible.
+    The basic variable with the largest bound violation leaves, lowest id on
+    ties; one above its width is complemented first, so it leaves at zero.
+    The entering column comes from a Harris two-pass ratio test: the least
+    ratio with reduced costs relaxed by ``_HARRIS_TOL``, then the largest
+    |pivot| among the columns within it, lowest index on ties.  Returns
+    (status, row, iterations): 'optimal' once no violation exceeds
+    ``_DUAL_FEAS_TOL``; 'infeasible' with the row that has no entering
+    column (a dual ray); 'stalled' after ``cap`` iterations.
+    """
+    rhs = t[:-1, -1]
+    d = t[-1, :-1]
+    movable = (width > 0.0) | free
+    nonbasic = np.ones(d.size, dtype=bool)
+    nonbasic[basis] = False
+    pivots = 0
+    while True:
+        wb = width[basis]
+        viol = np.maximum(-rhs, rhs - wb)
+        viol[free[basis]] = 0.0
+        worst = viol.max(initial=0.0)
+        if worst <= _DUAL_FEAS_TOL:
+            return "optimal", -1, pivots
+        if pivots >= cap:
+            return "stalled", -1, pivots
+        rows = np.flatnonzero(viol == worst)
+        r = int(rows[np.argmin(basis[rows])])
+        if rhs[r] > wb[r]:
+            _complement(t, dirn, basis[r], wb[r])
+            t[r] *= -1.0
+        row = t[r, :-1]
+        cand = np.flatnonzero(nonbasic & movable
+                              & ((row < -_PIV_TOL) | (free & (row > _PIV_TOL))))
+        if cand.size == 0:
+            return "infeasible", r, pivots
+        alpha = np.abs(row[cand])
+        dj = np.where(free[cand], np.abs(d[cand]), np.maximum(d[cand], 0.0))
+        theta = float(((dj + _HARRIS_TOL) / alpha).min())
+        within = np.flatnonzero(dj / alpha <= theta)
+        q = int(cand[within[np.argmax(alpha[within])]])
+        if row[q] > 0.0:
+            _complement(t, dirn, q, 0.0)  # a free column enters downward
+        nonbasic[basis[r]] = True
+        nonbasic[q] = False
+        _pivot(t, basis, r, q)
+        pivots += 1
+
+
+def _certified_optimal(lp: LinearProgram, lb: np.ndarray, ub: np.ndarray, x: np.ndarray,
+                       y: np.ndarray) -> bool:
+    """Check ``x`` and the row duals ``y`` on the original arrays.
+
+    ``x`` must break no row or bound by more than ``_CERT_PRIMAL``.  The
+    reduced costs ``c - a.T y`` and the logicals' ``-y`` must have the sign
+    their variable's position allows, up to ``_CERT_DUAL``: positive only at
+    a lower bound, negative only at an upper one.
+    """
+    sense = np.asarray(lp.sense, dtype="U1")
+    le, ge = sense == "L", sense == "G"
+    r = matvec(lp.a, x) - lp.rhs
+    breach = np.where(le, r, np.where(ge, -r, np.abs(r)))
+    if max(breach.max(initial=0.0), (lb - x).max(initial=0.0),
+           (x - ub).max(initial=0.0)) > _CERT_PRIMAL:
+        return False
+    d = lp.c - matvec(lp.a.T, y)
+    bad_col = (lb < ub) & (((d > _CERT_DUAL) & (x - lb > _CERT_PRIMAL))
+                           | ((d < -_CERT_DUAL) & (ub - x > _CERT_PRIMAL)))
+    bad_row = ((le & ((y > _CERT_DUAL) | ((y < -_CERT_DUAL) & (r < -_CERT_PRIMAL))))
+               | (ge & ((y < -_CERT_DUAL) | ((y > _CERT_DUAL) & (r > _CERT_PRIMAL)))))
+    return not (bad_col.any() or bad_row.any())
+
+
+def _certified_infeasible(lp: LinearProgram, lb: np.ndarray, ub: np.ndarray,
+                          mult: np.ndarray, rho: np.ndarray) -> bool:
+    """Whether multipliers ``mult`` of the scaled rows ``rho_i * row_i`` prove
+    ``lp`` infeasible on its original rows and bounds.
+
+    With ``u = mult * rho`` (normalized, wrong-signed entries set to zero so
+    that ``g x <= u.rhs`` with ``g = a.T u`` is valid), infeasibility is
+    proven when the least ``g x`` over the bounds exceeds ``u.rhs`` by more
+    than ``_CERT_PRIMAL``.  A coefficient up to ``_PIV_TOL`` on an unbounded
+    side counts as zero.
+    """
+    top = np.abs(mult).max(initial=0.0)
+    if top == 0.0:
+        return False
+    sense = np.asarray(lp.sense, dtype="U1")
+    u = mult / top * rho
+    u[((sense == "L") & (u < 0.0)) | ((sense == "G") & (u > 0.0))] = 0.0
+    g = matvec(lp.a.T, u)
+    side = np.where(g > 0.0, lb, ub)
+    side[np.isinf(side) & (np.abs(g) <= _PIV_TOL)] = 0.0
+    return float((g * side).sum()) - float((u * lp.rhs).sum()) > _CERT_PRIMAL
+
+
+def _finish(res: LpResult, lp: LinearProgram, lb: np.ndarray, ub: np.ndarray, x: np.ndarray,
+            y: np.ndarray, ids: np.ndarray, at_upper: np.ndarray) -> LpResult:
+    """Fill ``res`` in as the optimum ``x`` with row duals ``y`` on basis ``ids``."""
+    res.status = "optimal"
+    res.x = x
+    # recompute the objective from the original data: immune to tableau drift
+    res.objective = float(np.dot(lp.c, x)) + lp.const
+    res.basis = Basis(np.sort(ids).astype(np.int32), at_upper)
+    res.certified = _certified_optimal(lp, lb, ub, x, y)
+    return res
+
+
+def _solve_warm(lp: LinearProgram, lb: np.ndarray, ub: np.ndarray, start: Basis) -> LpResult:
+    """Refactor ``lp`` on ``start``, then dual simplex and primal clean-up.
+
+    The result's ``fallback`` names why the warm start gave up, if it did:
+    'singular' (a refactor pivot below ``_PIV_TOL``), 'dual_infeasible'
+    (a wrong-signed reduced cost on an unbounded column), 'stalled' (the
+    dual iteration cap), 'unbounded' (the clean-up found a ray) or
+    'uncertified' (the answer failed its check).
+    """
+    m, n = lp.m, lp.n
+    k = n + m
+    ids = np.asarray(start.ids, dtype=np.int64)
+    if ids.size > m or start.at_upper.size != n or np.any((ids < 0) | (ids >= n + ids.size)):
+        raise InvalidArgument(f"basis of {ids.size} rows does not fit an LP with {m} rows "
+                              f"and {n} columns")
+    ids = np.concatenate([ids, n + np.arange(ids.size, m)])  # appended rows: logicals basic
+    out = LpResult("optimal", None, None)
+    sense = np.asarray(lp.sense, dtype="U1")
+    has_lo, has_hi = np.isfinite(lb), np.isfinite(ub)
+    up = has_hi & (start.at_upper | ~has_lo)
+    free = np.concatenate([~has_lo & ~has_hi, np.zeros(m, dtype=bool)])
+    dirn = np.concatenate([np.where(up, -1.0, 1.0), np.ones(m)])
+    width = np.concatenate([ub - lb, np.where(sense == "E", 0.0, np.inf)])
+    b = lp.rhs - matvec(lp.a, np.where(up, ub, np.where(has_lo, lb, 0.0)))
+    scale = np.maximum(np.maximum(lp.a.max(axis=1, initial=0.0), -lp.a.min(axis=1, initial=0.0)),
+                       np.abs(b))
+    scale[scale < 1e-12] = 1.0
+    rho = np.where(sense == "G", -1.0, 1.0) / scale  # tableau row i is rho_i times row i
+
+    # the all-logical tableau, built in place
+    t = np.zeros((m + 1, k + 1), dtype=np.float64)
+    np.multiply(lp.a, dirn[:n], out=t[:m, :n])
+    t[:m, :n] *= rho[:, None]
+    t[:m, -1] = b * rho
+    t[np.arange(m), n + np.arange(m)] = 1.0
+    basis = n + np.arange(m)
+    wanted = np.zeros(k, dtype=bool)
+    wanted[ids] = True
+    if np.count_nonzero(wanted) != m:
+        out.fallback = "singular"
+        return out
+    for j in np.sort(ids[ids < n]).tolist():
+        rows = np.flatnonzero(~wanted[basis])
+        col = np.abs(t[rows, j])
+        r = int(np.argmax(col))  # largest |entry|, lowest row on ties
+        if col[r] <= _PIV_TOL:
+            out.fallback = "singular"
+            return out
+        _pivot(t, basis, int(rows[r]), j)
+        out.refactor_pivots += 1
+    t[-1, :n] = lp.c * dirn[:n]
+    _price_out(t, basis)
+
+    # a dual feasible start: boxed columns move to the bound their reduced
+    # cost asks for; an unbounded one priced the wrong way gives up
+    d = t[-1, :-1]
+    nonbasic = np.ones(k, dtype=bool)
+    nonbasic[basis] = False
+    if np.any(nonbasic & np.isinf(width) & (np.where(free, np.abs(d), -d) > _CERT_DUAL)):
+        out.fallback = "dual_infeasible"
+        return out
+    for j in np.flatnonzero(nonbasic & np.isfinite(width) & (width > 0.0) & (d < -_RC_TOL)):
+        _complement(t, dirn, j, width[j])
+
+    status, r, p = _dual_loop(t, basis, width, free, dirn, 2 * (m + k))
+    out.dual_pivots = out.pivots = p
+    if status == "stalled":
+        out.fallback = status
+        return out
+    if status == "infeasible":
+        if not _certified_infeasible(lp, lb, ub, t[r, n:k] * dirn[n:], rho):
+            out.fallback = "uncertified"
+            return out
+        out.status = "infeasible"
+        out.certified = out.warm = True
+        return out
+    rhs = t[:-1, -1]
+    np.clip(rhs, np.where(free[basis], -np.inf, 0.0), width[basis], out=rhs)
+    status, p = _pivot_loop(t, basis, width, free, dirn, _RC_TOL, 2 * (m + k),
+                            (width > 0.0) | free)
+    out.pivots += p
+    if status == "unbounded":
+        out.fallback = status
+        return out
+    v = np.zeros(k, dtype=np.float64)
+    v[basis] = rhs
+    x = np.where(free[:n], 0.0, np.where(dirn[:n] > 0, lb, ub)) + dirn[:n] * v[:n]
+    _finish(out, lp, lb, ub, x, -t[-1, n:k] * dirn[n:] * rho, basis,
+            (dirn[:n] < 0) & ~free[:n])
+    if not out.certified:
+        out.fallback = "uncertified"
+        return out
+    out.warm = True
+    return out
+
+
+def _solve_cold(lp: LinearProgram, lb: np.ndarray, ub: np.ndarray) -> LpResult:
+    """The two-phase solve from scratch, with fixed variables substituted."""
+    n = lp.n
     fixed = lb == ub
     x = np.where(fixed, lb, 0.0)
     a = lp.a.astype(np.float64)
@@ -300,7 +575,8 @@ def solve_lp_arrays(lp: LinearProgram) -> LpResult:
                | ((sense == "E") & (np.abs(rhs) > _FEAS_TOL)))
         if bad.any():
             return LpResult("infeasible", None, None, 0)
-        return LpResult("optimal", x, lp.const + float(np.dot(lp.c, x)), 0)
+        return _finish(LpResult("optimal", None, None), lp, lb, ub, x, np.zeros(lp.m),
+                       n + np.arange(lp.m), np.zeros(n, dtype=bool))
 
     idx = np.flatnonzero(~fixed)
     lo, hi = lb[idx], ub[idx]
@@ -308,11 +584,49 @@ def solve_lp_arrays(lp: LinearProgram) -> LpResult:
     free = ~has_lo & ~has_hi
     a = a[:, idx]
     rhs = rhs - a @ np.where(has_lo, lo, np.where(has_hi, hi, 0.0))
-    status, v, dirn, pivots = _solve_columns(a, rhs, sense, lp.c[idx].astype(np.float64),
-                                             hi - lo, free, np.where(has_lo | free, 1.0, -1.0))
+    status, v, dirn, ids, y, pivots = _solve_columns(
+        a, rhs, sense, lp.c[idx].astype(np.float64), hi - lo, free,
+        np.where(has_lo | free, 1.0, -1.0))
     if status != "optimal":
         return LpResult(status, None, None, pivots)
     x[idx] = np.where(free, 0.0, np.where(dirn > 0, lo, hi)) + dirn * v
-    # recompute the objective from the original data: immune to tableau drift
-    obj = float(np.dot(lp.c, x)) + lp.const
-    return LpResult("optimal", x, obj, pivots)
+    at_upper = np.zeros(n, dtype=bool)
+    at_upper[idx] = (dirn < 0) & ~free
+    ids = np.where(ids < idx.size, idx[np.minimum(ids, idx.size - 1)], ids - idx.size + n)
+    return _finish(LpResult("optimal", None, None, pivots), lp, lb, ub, x, y, ids, at_upper)
+
+
+def _add_work(res: LpResult, other: LpResult) -> None:
+    res.pivots += other.pivots
+    res.refactor_pivots += other.refactor_pivots
+    res.dual_pivots += other.dual_pivots
+
+
+def solve_lp_arrays(lp: LinearProgram, basis: Basis | None = None) -> LpResult:
+    """Solve a bounded-variable LP, warm-started from ``basis`` when given.
+
+    Without a basis, or when the warm start gives up, the LP is solved cold.
+    A cold optimum that fails its certificate is repaired once through the
+    warm path from its own final basis; one that still fails is returned
+    with ``certified`` false.
+    """
+    lb = lp.lb.astype(np.float64)
+    ub = lp.ub.astype(np.float64)
+    if np.any(lb > ub):
+        return LpResult("infeasible", None, None, 0, certified=True)
+    tried = None if basis is None else _solve_warm(lp, lb, ub, basis)
+    if tried is not None and tried.fallback is None:
+        return tried
+    res = _solve_cold(lp, lb, ub)
+    if res.status == "optimal" and not res.certified:
+        fix = _solve_warm(lp, lb, ub, res.basis)
+        if fix.fallback is None:
+            _add_work(fix, res)
+            fix.warm, fix.repaired = False, True
+            res = fix
+        else:
+            _add_work(res, fix)
+    if tried is not None:  # the work of the warm start that gave up
+        _add_work(res, tried)
+        res.fallback = tried.fallback
+    return res

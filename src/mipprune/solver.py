@@ -8,6 +8,12 @@ when the queue runs dry, when the incumbent closes the gap, or at
 the epigraph violation is at most ``OA_TOL``; each of its rounds is one
 more popped node, so the same limits bound it.
 
+Each queued node carries the final basis of the LP it came from: a child
+gets its parent's, a cut round its own node's (the new cut rows enter with
+their logicals basic).  Its LP is then warm-started from that basis by the
+dual simplex; only the root, and a warm start that gives up, solve from
+scratch.  How each LP was answered is counted in :class:`LpCounters`.
+
 Everything is deterministic: node selection breaks ties by insertion order,
 branching picks the most fractional binary (lowest id on ties), and the
 underlying simplex is itself deterministic.  Distinct solves share no
@@ -24,9 +30,9 @@ import numpy as np
 
 from .encoding import MipModel, add_lse_cut
 from .errors import InvalidArgument, NoIncumbent
-from .simplex import LinearProgram, LpResult, solve_lp_arrays
+from .simplex import Basis, LinearProgram, LpResult, solve_lp_arrays
 
-__all__ = ["SolveConfig", "Solution", "solve_lp", "solve_mip", "warm_start"]
+__all__ = ["LpCounters", "SolveConfig", "Solution", "solve_lp", "solve_mip", "warm_start"]
 
 OA_TOL = 1e-6    # log-sum-exp epigraph slack accepted at an integer node
 INT_TOL = 1e-6   # distance from 0 or 1 at which a binary counts as integral
@@ -41,8 +47,57 @@ class SolveConfig:
 
 
 @dataclass
+class LpCounters:
+    """How the LPs of one solve were answered; kept in memory only.
+
+    ``warm_lps`` were answered from the basis their node carried and
+    ``cold_lps`` from scratch (the root, and every warm start that gave up,
+    counted by reason in ``fallbacks``).  ``repaired_lps`` are cold optima
+    that failed their certificate and passed it after one refactor and
+    clean-up; ``uncertified_lps`` are 'optimal' answers that still fail it.
+    ``dual_pivots`` plus ``primal_pivots`` make ``Solution.lp_pivots``;
+    ``refactor_pivots`` rebuild a tableau on a given basis and are not in it.
+    """
+
+    warm_lps: int = 0
+    cold_lps: int = 0
+    repaired_lps: int = 0
+    uncertified_lps: int = 0
+    refactor_pivots: int = 0
+    dual_pivots: int = 0
+    primal_pivots: int = 0
+    fallbacks: dict[str, int] = field(default_factory=dict)
+
+    def add(self, res: LpResult) -> None:
+        if res.warm:
+            self.warm_lps += 1
+        else:
+            self.cold_lps += 1
+        if res.fallback:
+            self.fallbacks[res.fallback] = self.fallbacks.get(res.fallback, 0) + 1
+        self.repaired_lps += res.repaired
+        self.uncertified_lps += res.status == "optimal" and not res.certified
+        self.refactor_pivots += res.refactor_pivots
+        self.dual_pivots += res.dual_pivots
+        self.primal_pivots += res.pivots - res.dual_pivots
+
+    def to_text(self) -> str:
+        fallbacks = ",".join(f"{k}:{v}" for k, v in sorted(self.fallbacks.items())) or "none"
+        return (f"warm_lps {self.warm_lps} cold_lps {self.cold_lps} fallbacks {fallbacks} "
+                f"repaired_lps {self.repaired_lps} uncertified_lps {self.uncertified_lps} "
+                f"refactor_pivots {self.refactor_pivots} dual_pivots {self.dual_pivots} "
+                f"primal_pivots {self.primal_pivots}")
+
+
+@dataclass
 class Solution:
-    """Best assignment found, with proof-of-optimality bookkeeping."""
+    """Best assignment found, with proof-of-optimality bookkeeping.
+
+    ``lp_pivots`` counts simplex iterations over every LP of the search,
+    dual and primal: basis changes plus bound flips.  The pivots that
+    rebuild a tableau on a node's starting basis are not among them; they
+    are in ``lp_counters.refactor_pivots``.
+    """
 
     values: np.ndarray
     objective: float
@@ -53,10 +108,13 @@ class Solution:
     lp_pivots: int
     status: str                      # 'optimal' | 'limit'
     log_lines: list[str] = field(default_factory=list)
+    lp_counters: LpCounters = field(default_factory=LpCounters)
 
 
-def solve_lp(model: MipModel, fixings: dict[int, float] | None = None) -> LpResult:
-    """Solve the continuous relaxation (binaries relaxed into their boxes)."""
+def solve_lp(model: MipModel, fixings: dict[int, float] | None = None,
+             basis: Basis | None = None) -> LpResult:
+    """Solve the continuous relaxation (binaries relaxed into their boxes),
+    warm-started from ``basis`` when given."""
     a, sense, rhs = model.dense_rows()
     lb = np.array([v.lb for v in model.variables], dtype=np.float64)
     ub = np.array([v.ub for v in model.variables], dtype=np.float64)
@@ -67,7 +125,7 @@ def solve_lp(model: MipModel, fixings: dict[int, float] | None = None) -> LpResu
     for j, coef in model.objective.items():
         c[j] = coef
     return solve_lp_arrays(LinearProgram(c=c, a=a, sense=sense, rhs=rhs, lb=lb, ub=ub,
-                                         const=model.objective_const))
+                                         const=model.objective_const), basis)
 
 
 def warm_start(model: MipModel, assignment: np.ndarray) -> float:
@@ -104,7 +162,8 @@ def solve_mip(model: MipModel, config: SolveConfig | None = None,
     The root is an ordinary node, pushed with bound -inf.  At every
     integer-feasible LP optimum the log-sum-exp epigraph is checked; while
     it is violated by more than ``OA_TOL`` the node gets tangent cuts and is
-    pushed again.  Each such cut round is one more popped node, so
+    pushed again with its own basis; a child is pushed with its parent's.
+    Each such cut round is one more popped node, so
     ``node_limit`` and ``time_limit`` bound the cut loop like the rest of
     the search, and a stop inside it leaves that node's bound behind
     ``gap`` and the status 'limit'.  Incumbent objectives are always
@@ -114,7 +173,7 @@ def solve_mip(model: MipModel, config: SolveConfig | None = None,
     cfg = config or SolveConfig()
     t0 = time.perf_counter()
     log: list[str] = []
-    total_pivots = 0
+    counters = LpCounters()
     cut_rounds = 0
     node_count = 0
 
@@ -124,7 +183,8 @@ def solve_mip(model: MipModel, config: SolveConfig | None = None,
         incumbent_obj = warm_start(model, warm)
         incumbent = model.with_exact_lse(warm)
 
-    heap: list[tuple[float, int, dict[int, float]]] = [(float("-inf"), 0, {})]
+    # (bound, insertion order, fixings, basis to warm-start from)
+    heap: list[tuple[float, int, dict[int, float], Basis | None]] = [(float("-inf"), 0, {}, None)]
     counter = 1
 
     def current_gap(best_bound: float) -> float:
@@ -146,14 +206,14 @@ def solve_mip(model: MipModel, config: SolveConfig | None = None,
             status = "limit"
             best_bound = heap[0][0]   # the least bound among the open nodes
             break
-        bound, _, fixings = heapq.heappop(heap)
+        bound, _, fixings, start = heapq.heappop(heap)
         best_bound = bound  # best-first: the popped node carries the smallest bound
         if incumbent is not None and bound >= incumbent_obj - cfg.gap_tol * max(1.0, abs(incumbent_obj)):
             # every open node is within tolerance of the incumbent
             break
         node_count += 1
-        res = solve_lp(model, fixings)
-        total_pivots += res.pivots
+        res = solve_lp(model, fixings, start)
+        counters.add(res)
         if res.status == "infeasible":
             node_line("pruned-infeasible")
             continue
@@ -174,7 +234,7 @@ def solve_mip(model: MipModel, config: SolveConfig | None = None,
                 for k in viols:
                     add_lse_cut(model, k, x[model.logit_vars[k]])
                 cut_rounds += 1
-                heapq.heappush(heap, (obj, counter, fixings))
+                heapq.heappush(heap, (obj, counter, fixings, res.basis))
                 counter += 1
                 node_line("cut-round")
                 continue
@@ -190,7 +250,7 @@ def solve_mip(model: MipModel, config: SolveConfig | None = None,
         for val in (0.0, 1.0):
             child = dict(fixings)
             child[j] = val
-            heapq.heappush(heap, (obj, counter, child))
+            heapq.heappush(heap, (obj, counter, child, res.basis))
             counter += 1
         node_line(f"branch {j}")
 
@@ -202,12 +262,14 @@ def solve_mip(model: MipModel, config: SolveConfig | None = None,
     if gap > cfg.gap_tol:
         status = "limit"
     log.append(f"end status {status} nodes {node_count} cut_rounds {cut_rounds} "
-               f"bound {best_bound!r} incumbent {incumbent_obj!r} gap {gap!r}")
+               f"bound {best_bound!r} incumbent {incumbent_obj!r} gap {gap!r} "
+               f"{counters.to_text()}")
     if cfg.log_path:
         with open(cfg.log_path, "w", encoding="ascii") as fh:
             fh.write("\n".join(log) + "\n")
     return Solution(
         values=incumbent, objective=incumbent_obj, gap=gap, node_count=node_count,
         cut_rounds=cut_rounds, wall_time=time.perf_counter() - t0,
-        lp_pivots=total_pivots, status=status, log_lines=log,
+        lp_pivots=counters.dual_pivots + counters.primal_pivots, status=status,
+        log_lines=log, lp_counters=counters,
     )

@@ -165,6 +165,15 @@ class TestExitCodes:
         assert capsys.readouterr().err.startswith("error: ")
         assert list(out.iterdir()) == []
 
+    @pytest.mark.parametrize("shape", ["1xa", "2x4.5", "0x8x8", "1x-2"])
+    def test_malformed_input_shape_exits_one(self, tmp_path, capsys, shape):
+        out = tmp_path / "out"
+        assert main(["train", "--out", str(out), *DATA, "--arch", "dense:3", "--epochs", "1",
+                     "--input-shape", shape]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and repr(shape) in err
+        assert list(out.iterdir()) == []
+
     def test_truncated_report_exits_one(self, trained_model, tmp_path, capsys):
         run_ok(["score", "--out", str(tmp_path / "s"), *DATA, "--model", str(trained_model)])
         report = one_run_dir(tmp_path / "s") / "report.txt"

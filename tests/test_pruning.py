@@ -275,20 +275,20 @@ class TestGoldenReports:
     """
 
     DIGESTS = {
-        "dense-seed0": "965c571daf2ac5f0e9578cf8429efc035e6e88fbdccce185c5cb8ddca03e37fa",
-        "conv-class4": "0e7857a35c441d73f8648c13a5507e1a2a17a0779ecb7eb9daac05076766c0f4",
-        "conv-class6": "4fe20f990d825de96338da84105851e17931ba7da48996c82a58b7737edf36eb",
+        "dense-seed0": "5f018189dd977e18df719168b868c8c208d1114c8c655ca2807d0d6101e06130",
+        "conv-class4": "15fe76020f423a7e38ce9ec35b8be727d7a73544bc91fb40c214cdb91ed2422f",
+        "conv-class6": "551764d367e5867b80a7a1df4d8f44a804363da4a6582b03398e5aee419054ed",
     }
 
     @staticmethod
     @functools.cache
-    def dense_instance():
-        full = make_dataset("blobs", 80, seed=100, n_classes=4, dim=2, separation=5.0)
+    def dense_instance(seed=0):
+        full = make_dataset("blobs", 80, seed=100 + seed, n_classes=4, dim=2, separation=5.0)
         train_ds, _ = split_dataset(full, 40)
         arch = [dense(16), dense(8), dense(4, activation="none")]
         cfg = TrainConfig(epochs=150, learning_rate=1e-2, batch_size=32, optimizer="rmsprop",
-                          seed=0)
-        net = train(init_network(2, arch, seed=0), train_ds, cfg).net
+                          seed=seed)
+        net = train(init_network(2, arch, seed=seed), train_ds, cfg).net
         return net, *balanced_batch(train_ds, 1)
 
     @staticmethod
@@ -312,3 +312,15 @@ class TestGoldenReports:
             rep = score(net, xs[c : c + 1], ys[c : c + 1], lam=5.0, epsilon=0.05,
                         allow_imbalanced=True)
         assert hashlib.sha256(rep.to_text().encode()).hexdigest() == self.DIGESTS[name]
+
+
+class TestOracleBracket:
+    def test_dense_seed1_objective_inside_highs_bracket(self):
+        """The seed-1 net of the benchmark's ``dense-1pt`` workload needs OA cuts,
+        and its node LPs once broke their own rows (returning -0.456525).  The
+        bracket is the benchmark's HiGHS tangent-cut loop on the same model,
+        widened by its tolerance (lam * points * OA_TOL plus 1e-6 relative)."""
+        net, xs, ys = TestGoldenReports.dense_instance(1)
+        rep = score(net, xs, ys, lam=5.0, epsilon=0.5)
+        assert rep.status == "optimal"
+        assert -0.4691659224 - 2.1e-5 <= rep.objective <= -0.4691658375 + 2.1e-5

@@ -3,7 +3,8 @@ from itertools import combinations
 import numpy as np
 import pytest
 
-from mipprune.simplex import LinearProgram, _pivot, solve_lp_arrays
+from mipprune import simplex
+from mipprune.simplex import Basis, LinearProgram, _pivot, solve_lp_arrays
 
 
 def make_lp(c, a, sense, rhs, lb, ub):
@@ -65,6 +66,38 @@ def _feasible(lp, x, tol=1e-9):
         if lp.sense[i] == "E" and abs(lhs[i] - lp.rhs[i]) > tol:
             return False
     return True
+
+
+def random_mixed_lp(rng):
+    """A feasible LP with 1-6 columns of every bound kind and 0-6 mixed rows."""
+    kinds = ["box", "lower", "upper", "free", "fixed"]
+    n = int(rng.integers(1, 7))
+    m = int(rng.integers(0, 7))
+    c = rng.normal(size=n)
+    a = rng.normal(size=(m, n))
+    x0 = rng.uniform(-1.0, 1.0, size=n)
+    sense = rng.choice(["L", "G", "E"], size=m, p=[0.45, 0.45, 0.1])
+    slack = rng.uniform(0.0, 1.0, size=m)
+    rhs = a @ x0 + np.where(sense == "L", slack, np.where(sense == "G", -slack, 0.0))
+    kind = rng.choice(kinds, size=n)
+    lo = x0 - rng.uniform(0.2, 2.0, size=n)
+    hi = x0 + rng.uniform(0.2, 2.0, size=n)
+    lb = np.where(np.isin(kind, ["box", "lower"]), lo, np.where(kind == "fixed", x0, -np.inf))
+    ub = np.where(np.isin(kind, ["box", "upper"]), hi, np.where(kind == "fixed", x0, np.inf))
+    return make_lp(c, a, sense, rhs, lb, ub)
+
+
+def highs(lp):
+    """(status, objective) of ``lp`` from HiGHS through scipy's linprog."""
+    linprog = pytest.importorskip("scipy.optimize").linprog
+    s = lp.sense
+    ref = linprog(lp.c, A_ub=np.vstack([lp.a[s == "L"], -lp.a[s == "G"]]),
+                  b_ub=np.concatenate([lp.rhs[s == "L"], -lp.rhs[s == "G"]]),
+                  A_eq=lp.a[s == "E"], b_eq=lp.rhs[s == "E"],
+                  bounds=list(zip(lp.lb, lp.ub)), method="highs",
+                  # presolve reports some unbounded LPs as infeasible
+                  options={"presolve": False})
+    return {0: "optimal", 2: "infeasible", 3: "unbounded"}[ref.status], ref.fun
 
 
 class TestSimple:
@@ -180,41 +213,19 @@ class TestBoundKinds:
         assert r.pivots == 2  # one flip per column with a negative cost
 
     def test_random_mixed_bound_kinds_match_highs(self):
-        linprog = pytest.importorskip("scipy.optimize").linprog
         rng = np.random.default_rng(23)
-        kinds = ["box", "lower", "upper", "free", "fixed"]
         seen = {"optimal": 0, "unbounded": 0}
         for _ in range(300):
-            n = int(rng.integers(1, 7))
-            m = int(rng.integers(0, 7))
-            c = rng.normal(size=n)
-            a = rng.normal(size=(m, n))
-            x0 = rng.uniform(-1.0, 1.0, size=n)
-            sense = rng.choice(["L", "G", "E"], size=m, p=[0.45, 0.45, 0.1])
-            slack = rng.uniform(0.0, 1.0, size=m)
-            rhs = a @ x0 + np.where(sense == "L", slack, np.where(sense == "G", -slack, 0.0))
-            kind = rng.choice(kinds, size=n)
-            lo = x0 - rng.uniform(0.2, 2.0, size=n)
-            hi = x0 + rng.uniform(0.2, 2.0, size=n)
-            lb = np.where(np.isin(kind, ["box", "lower"]), lo,
-                          np.where(kind == "fixed", x0, -np.inf))
-            ub = np.where(np.isin(kind, ["box", "upper"]), hi,
-                          np.where(kind == "fixed", x0, np.inf))
-            lp = make_lp(c, a, sense, rhs, lb, ub)
-            ref = linprog(c, A_ub=np.vstack([a[sense == "L"], -a[sense == "G"]]),
-                          b_ub=np.concatenate([rhs[sense == "L"], -rhs[sense == "G"]]),
-                          A_eq=a[sense == "E"], b_eq=rhs[sense == "E"],
-                          bounds=list(zip(lb, ub)), method="highs",
-                          # presolve reports some unbounded LPs as infeasible
-                          options={"presolve": False})
-            assert ref.status in (0, 3)  # feasible by construction
-            want = "optimal" if ref.status == 0 else "unbounded"
+            lp = random_mixed_lp(rng)
+            want, fun = highs(lp)
+            assert want in ("optimal", "unbounded")  # feasible by construction
             r = solve_lp_arrays(lp)
             assert r.status == want
             seen[want] += 1
             if want == "optimal":
-                assert r.objective == pytest.approx(ref.fun, abs=1e-7)
+                assert r.objective == pytest.approx(fun, abs=1e-7)
                 assert _feasible(lp, r.x, tol=1e-7)
+                assert r.certified
         assert min(seen.values()) >= 20
 
 
@@ -268,3 +279,134 @@ class TestPivotKernel:
         rng = np.random.default_rng(1)
         t = rng.uniform(0.5, 2.0, size=(7, 9)) * rng.choice([-1.0, 1.0], size=(7, 9))
         self.check(t, 3, 4)
+
+
+def changed_lp(lp, res, change, rng):
+    """``lp`` after a branch and/or appended cuts, as a node's child sees it.
+
+    'fix' fixes a basic structural at the floor or ceiling of its value;
+    'rows' appends 1-3 rows violated at ``res.x``, the first a 'G' row shaped
+    like a log-sum-exp tangent (+1 on one column, minus a probability vector
+    on the others); 'both' does both.
+    """
+    lb, ub = lp.lb.copy(), lp.ub.copy()
+    a, sense, rhs = lp.a, lp.sense, lp.rhs
+    if change in ("fix", "both"):
+        basic = [j for j in res.basis.ids.tolist() if j < lp.n and lb[j] < ub[j]]
+        if basic:
+            j = basic[int(rng.integers(len(basic)))]
+            lb[j] = ub[j] = (np.floor if rng.random() < 0.5 else np.ceil)(res.x[j])
+    if change in ("rows", "both"):
+        rows, senses, rhss = [], [], []
+        for k in range(int(rng.integers(1, 4))):
+            if k == 0:
+                row = np.zeros(lp.n)
+                row[int(rng.integers(lp.n))] = 1.0
+                w = rng.random(lp.n) * (row == 0.0)
+                if w.sum() > 0.0:
+                    row -= w / w.sum()
+                kind = "G"
+            else:
+                row = rng.normal(size=lp.n)
+                kind = str(rng.choice(["L", "G"]))
+            cut = rng.uniform(0.05, 0.5)
+            val = float(row @ res.x)
+            rows.append(row)
+            senses.append(kind)
+            rhss.append(val + cut if kind == "G" else val - cut)
+        a = np.vstack([a, rows])
+        sense = np.concatenate([sense, np.asarray(senses, dtype="U1")])
+        rhs = np.concatenate([rhs, rhss])
+    return make_lp(lp.c, a, sense, rhs, lb, ub)
+
+
+class TestWarmStart:
+    """Warm starts from a cold optimum's basis, checked against HiGHS."""
+
+    @staticmethod
+    def cold_optima(seed, count):
+        rng = np.random.default_rng(seed)
+        out = []
+        while len(out) < count:
+            lp = random_mixed_lp(rng)
+            r = solve_lp_arrays(lp)
+            if r.status == "optimal":
+                out.append((lp, r))
+        return out, rng
+
+    def test_own_optimal_basis_takes_no_pivots(self):
+        for lp, r in self.cold_optima(31, 150)[0]:
+            w = solve_lp_arrays(lp, r.basis)
+            assert w.warm and w.certified and w.fallback is None
+            assert w.pivots == 0
+            assert w.objective == pytest.approx(r.objective, rel=1e-9, abs=1e-9)
+
+    @pytest.mark.parametrize("change", ["fix", "rows", "both"])
+    def test_changed_lp_matches_highs(self, change):
+        optima, rng = self.cold_optima(32, 200)
+        seen = {"optimal": 0, "infeasible": 0}
+        warm = 0
+        for lp, r in optima:
+            lp2 = changed_lp(lp, r, change, rng)
+            want, fun = highs(lp2)
+            w = solve_lp_arrays(lp2, r.basis)
+            assert w.status == want
+            warm += w.warm
+            if want in seen:
+                seen[want] += 1
+            if want == "optimal":
+                assert w.certified
+                assert w.objective == pytest.approx(fun, abs=1e-7)
+                assert _feasible(lp2, w.x, tol=1e-7)
+        assert min(seen.values()) >= 10
+        assert warm == len(optima)  # none of these well-posed LPs falls back
+
+
+class TestWarmFallbacks:
+    """Each way a warm start gives up ends in the cold solve's answer."""
+
+    def test_singular_basis(self):
+        # columns 0 and 1 are parallel on both rows, so they cannot both be basic
+        lp = make_lp([1.0, 1.0, 0.0], [[1.0, 2.0, 1.0], [2.0, 4.0, 0.0]], ["G", "G"],
+                     [1.0, 1.0], [0.0, 0.0, 0.0], [5.0, 5.0, 5.0])
+        r = solve_lp_arrays(lp, Basis(np.array([0, 1], dtype=np.int32), np.zeros(3, bool)))
+        assert r.fallback == "singular" and not r.warm
+        assert r.status == "optimal" and r.certified
+        assert r.objective == pytest.approx(0.25)
+
+    def test_dual_infeasible_start(self):
+        # the all-logical basis leaves x0 at 0 with cost -1 and no upper bound
+        lp = make_lp([-1.0, 1.0], [[1.0, 0.0], [0.0, 1.0]], ["L", "G"], [5.0, 1.0],
+                     [0.0, 0.0], [np.inf, np.inf])
+        r = solve_lp_arrays(lp, Basis(np.array([2, 3], dtype=np.int32), np.zeros(2, bool)))
+        assert r.fallback == "dual_infeasible" and not r.warm
+        assert r.status == "optimal"
+        assert r.objective == pytest.approx(-4.0)
+
+    def test_uncertified_infeasible_verdict(self):
+        # infeasible by 1e-8: the dual ray exists, but its margin is below the
+        # certificate's tolerance, so the cold solve decides (and accepts x)
+        lp = make_lp([-1.0], [[1.0], [1.0]], ["L", "G"], [0.0, 1e-8], [-1.0], [1.0])
+        r = solve_lp_arrays(lp, Basis(np.array([0, 2], dtype=np.int32), np.zeros(1, bool)))
+        assert r.fallback == "uncertified" and not r.warm
+        assert r.status == "optimal" and r.certified
+        assert abs(r.x[0]) <= 1e-7
+
+    def test_cold_optimum_failing_its_check_is_repaired_once(self, monkeypatch):
+        lp = make_lp([-1.0, -0.1], [[1.0, -1.0]], ["L"], [0.0], [0.0, 0.0], [1.0, 5.0])
+        real = simplex._certified_optimal
+        verdicts = []
+
+        def cold_check_fails(*args):
+            verdicts.append(len(verdicts) > 0 and real(*args))
+            return verdicts[-1]
+
+        monkeypatch.setattr(simplex, "_certified_optimal", cold_check_fails)
+        r = solve_lp_arrays(lp)
+        assert verdicts == [False, True]
+        assert r.repaired and r.certified and not r.warm
+        assert r.objective == pytest.approx(-1.5, abs=1e-12)
+        monkeypatch.setattr(simplex, "_certified_optimal", lambda *args: False)
+        r = solve_lp_arrays(lp)
+        assert r.status == "optimal" and not r.certified and not r.repaired
+        assert r.fallback is None and r.objective == pytest.approx(-1.5, abs=1e-12)

@@ -168,9 +168,9 @@ class TestOneNodeLoop:
         calls = []
         real = mipprune.solver.solve_lp
 
-        def counting(model, fixings=None):
+        def counting(model, fixings=None, basis=None):
             calls.append(dict(fixings or {}))
-            return real(model, fixings)
+            return real(model, fixings, basis)
 
         monkeypatch.setattr(mipprune.solver, "solve_lp", counting)
         rng = np.random.default_rng(40)
@@ -200,3 +200,33 @@ class TestOneNodeLoop:
         assert sol.node_count == 0
         assert sol.status == "limit"
         assert sol.gap == float("inf")
+
+
+class TestWarmStartedNodes:
+    def test_only_the_root_solves_cold(self, monkeypatch):
+        starts = []
+        real = mipprune.solver.solve_lp
+
+        def recording(model, fixings=None, basis=None):
+            res = real(model, fixings, basis)
+            starts.append((basis is not None, res.warm))
+            return res
+
+        monkeypatch.setattr(mipprune.solver, "solve_lp", recording)
+        rng = np.random.default_rng(42)  # a knapsack whose relaxation is fractional
+        n = 10
+        c = -rng.uniform(1, 2, size=n)
+        a = rng.uniform(0.1, 1.0, size=(1, n))
+        model = build_model(c, a, ["L"], [float(a.sum() * 0.37)], [0.0] * n, [1.0] * n,
+                            [True] * n)
+        sol = solve_mip(model, SolveConfig())
+        assert sol.objective == pytest.approx(enumeration_optimum(model), abs=1e-9)
+        assert len(starts) == sol.node_count > 1
+        assert starts[0] == (False, False)
+        assert all(given and warm for given, warm in starts[1:])
+        counts = sol.lp_counters
+        assert (counts.warm_lps, counts.cold_lps) == (len(starts) - 1, 1)
+        assert counts.fallbacks == {} and counts.uncertified_lps == 0
+        assert counts.dual_pivots + counts.primal_pivots == sol.lp_pivots
+        assert sol.log_lines[-1].endswith(counts.to_text())
+        assert f"warm_lps {counts.warm_lps} cold_lps 1 fallbacks none" in sol.log_lines[-1]
