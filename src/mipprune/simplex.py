@@ -16,19 +16,26 @@ Primal pricing is Dantzig's rule (most negative reduced cost, lowest index
 on ties; a free nonbasic column prices by its magnitude).  After a streak of
 2*(m+n) degenerate pivots the pricing switches to Bland's rule, which
 guarantees termination; it switches back once the objective strictly
-improves.
+improves.  Each switch, and each exit at the stall cap, is counted on the
+:class:`LpResult`.
 
 The cold solve substitutes fixed variables and gives each row a slack,
 surplus or artificial column as its sense needs.  A warm solve instead keeps
 every structural column (a fixed one has width 0) and gives row ``i`` one
 logical ``s_i`` in ``a_i x + s_i = rhs_i``, bounded by the row's sense:
-[0, inf) for 'L', (-inf, 0] for 'G', {0} for 'E'.  It builds the
-all-logical tableau once and pivots each basic structural of the given
-:class:`Basis` into it (largest |entry| among the rows still held by an
-unwanted logical), runs a dual simplex (largest bound violation leaves;
-Harris two-pass ratio test) and then the primal loop as a clean-up.  Its
-products use the fixed-order kernels of :mod:`.linalg`, never BLAS or
-LAPACK, so its results are bit-reproducible.
+[0, inf) for 'L', (-inf, 0] for 'G', {0} for 'E'.  It starts from a
+:class:`Tableau` in that layout: the final tableau of the last warm answer
+when the caller carries one (a branch-and-bound search passes each warm LP's
+tableau to the next), else the all-logical tableau.  One routine moves
+either to the given :class:`Basis`: it adapts the bounds, appends the rows
+the tableau lacks with their logicals basic, pivots in each wanted column
+that is not basic (largest |entry| among the rows held by an unwanted id),
+and computes the basic values from the original arrays; the reduced-cost
+row carries over, since the objective is fixed.  It then runs a dual simplex
+(largest bound violation leaves; Harris two-pass ratio test) and the primal
+loop as a clean-up.  A carried tableau that gives up leaves the LP to the
+all-logical start.  Products use the fixed-order kernels of :mod:`.linalg`,
+never BLAS or LAPACK, so results are bit-reproducible.
 
 Every 'optimal' answer is checked on the original arrays: the primal
 residual of rows and bounds, and the reduced costs recomputed from the row
@@ -37,8 +44,10 @@ it on the original rows and bounds.  A warm start that cannot be refactored
 or certified falls back to the cold solve; a cold optimum that fails the
 check is refactored on its own final basis and cleaned up once through the
 warm path.  Ref: Koberstein, "The dual simplex method, techniques for a fast
-and stable implementation", PhD thesis, Paderborn 2005, ch. 4-6; Harris,
-"Pivot selection methods of the Devex LP code", Math. Prog. 5, 1973.
+and stable implementation", PhD thesis, Paderborn 2005, ch. 4-6; Bixby,
+"Solving real-world linear programs: a decade and more of progress", Oper.
+Res. 50, 2002; Harris, "Pivot selection methods of the Devex LP code", Math.
+Prog. 5, 1973.
 """
 
 from __future__ import annotations
@@ -48,9 +57,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidArgument, MipPruneError
-from .linalg import matvec
+from .linalg import matmat, matvec
 
-__all__ = ["Basis", "LinearProgram", "LpResult", "solve_lp_arrays"]
+__all__ = ["Basis", "LinearProgram", "LpResult", "Tableau", "solve_lp_arrays"]
 
 _RC_TOL = 1e-9
 _PIV_TOL = 1e-9
@@ -60,6 +69,7 @@ _HARRIS_TOL = 1e-9     # reduced-cost relaxation of the dual ratio test's first 
 _DUAL_FEAS_TOL = 1e-9  # bound violation the dual simplex leaves to the clean-up
 _CERT_PRIMAL = 1e-6    # largest row or bound breach of a certified point
 _CERT_DUAL = 1e-7      # largest wrong-signed reduced cost of a certified point
+_DROP_TOL = 1e-12      # a carried tableau entry below this is round-off: set to zero
 
 
 class SimplexNumericsError(MipPruneError, RuntimeError):
@@ -103,12 +113,34 @@ class Basis:
 
 
 @dataclass
+class Tableau:
+    """The final tableau of a warm answer, to start a later LP of the same
+    search from: the same rows and objective, possibly other bounds, and
+    possibly more rows appended.
+
+    ``t`` is laid out as in :func:`_pivot_loop` over the structurals and one
+    logical per row; ``basis`` holds the column basic in each row, ``dirn``
+    the orientation of each column, and ``rho`` the scale of each row
+    (tableau row ``i`` started as ``rho_i`` times row ``i``).  It is
+    consumed: the next LP changes it in place.
+    """
+
+    t: np.ndarray
+    basis: np.ndarray      # int64, one column id per row
+    dirn: np.ndarray
+    rho: np.ndarray
+
+
+@dataclass
 class LpResult:
     """Outcome of one LP solve.
 
     ``pivots`` counts simplex iterations, dual and primal: basis changes plus
-    bound flips.  The pivots that rebuild a tableau on a given basis are
-    counted apart in ``refactor_pivots``.
+    bound flips.  The pivots that move a tableau to the given basis are
+    counted apart: ``carry_pivots`` from the carried tableau,
+    ``refactor_pivots`` from a fresh all-logical one.  ``bland_switches`` and
+    ``stall_exits`` count the primal loop's turns to Bland's rule and its
+    exits at the stall cap.
     """
 
     status: str            # 'optimal' | 'infeasible' | 'unbounded'
@@ -122,6 +154,12 @@ class LpResult:
     certified: bool = False         # the answer passed its check on the original arrays
     refactor_pivots: int = 0
     dual_pivots: int = 0
+    carried: bool = False           # started from a carried tableau
+    carry_fallback: str | None = None   # why the carried tableau did not answer
+    carry_pivots: int = 0
+    bland_switches: int = 0
+    stall_exits: int = 0
+    tableau: Tableau | None = None  # the final tableau of a warm answer, to carry on
 
 
 def _complement(t: np.ndarray, dirn: np.ndarray, j: int, w: float) -> None:
@@ -154,13 +192,15 @@ def _pivot(t: np.ndarray, basis: np.ndarray, r: int, j: int) -> None:
 
 def _pivot_loop(t: np.ndarray, basis: np.ndarray, width: np.ndarray, free: np.ndarray,
                 dirn: np.ndarray, tol: float, bland_after: int,
-                allowed: np.ndarray) -> tuple[str, int]:
+                allowed: np.ndarray, out: LpResult) -> tuple[str, int]:
     """Run simplex iterations on tableau ``t`` in place.
 
     ``t`` is (m+1, k+1): m constraint rows, reduced-cost row last, rhs column
     last.  ``width``, ``free`` and ``dirn`` describe the k columns; ``dirn``
     is updated by each complement.  ``allowed`` masks columns eligible to
-    enter (used to lock out artificials).  Returns (status, iteration count).
+    enter (used to lock out artificials).  Each switch to Bland's rule and
+    each exit at the stall cap is counted in ``out``.  Returns (status,
+    iteration count).
     """
     m = t.shape[0] - 1
     pivots = 0
@@ -219,8 +259,9 @@ def _pivot_loop(t: np.ndarray, basis: np.ndarray, width: np.ndarray, free: np.nd
             rhs_col[noise] = np.clip(rhs_col[noise], 0.0, wb[noise])
         if step <= tol:
             degen_streak += 1
-            if degen_streak > bland_after:
+            if degen_streak > bland_after and not bland:
                 bland = True
+                out.bland_switches += 1
         else:
             degen_streak = 0
             bland = False
@@ -232,6 +273,7 @@ def _pivot_loop(t: np.ndarray, basis: np.ndarray, width: np.ndarray, free: np.nd
         else:
             stall += 1
             if stall > stall_cap:
+                out.stall_exits += 1
                 return "optimal", pivots
         if pivots > _MAX_PIVOTS:
             raise SimplexNumericsError(f"pivot cap {_MAX_PIVOTS} exceeded")
@@ -246,7 +288,7 @@ def _price_out(t: np.ndarray, basis: np.ndarray) -> None:
 
 
 def _solve_columns(a: np.ndarray, b: np.ndarray, senses: np.ndarray, c: np.ndarray,
-                   width: np.ndarray, free: np.ndarray, dirn: np.ndarray):
+                   width: np.ndarray, free: np.ndarray, dirn: np.ndarray, out: LpResult):
     """Two-phase simplex for min c y, a y (sense) b over columns ``y = dirn * v``.
 
     Each ``v`` lies in [0, width], or is unrestricted where ``free``.
@@ -254,6 +296,7 @@ def _solve_columns(a: np.ndarray, b: np.ndarray, senses: np.ndarray, c: np.ndarr
     orientation ``dirn``, the final basis as one id per row (column ``k``,
     or ``n + i`` for row ``i``'s slack, surplus or artificial; a dropped
     redundant row keeps its own) and the duals of the rows as given.
+    Numeric trouble in the pivot loops is counted in ``out``.
     """
     m, n = a.shape
     a = a * dirn
@@ -313,7 +356,8 @@ def _solve_columns(a: np.ndarray, b: np.ndarray, senses: np.ndarray, c: np.ndarr
         t[-1, art0:k] = 1.0
         for r in art_rows:
             t[-1] -= t[r]
-        status, p = _pivot_loop(t, basis, width, free, dirn, _RC_TOL, bland_after, ~is_art)
+        status, p = _pivot_loop(t, basis, width, free, dirn, _RC_TOL, bland_after, ~is_art,
+                                out)
         total_pivots += p
         # the phase-one objective is bounded below by zero, so an "unbounded"
         # verdict can only be round-off noise in a reduced cost; fall through
@@ -341,7 +385,7 @@ def _solve_columns(a: np.ndarray, b: np.ndarray, senses: np.ndarray, c: np.ndarr
     t[-1, :] = 0.0
     t[-1, :n] = c * dirn[:n]
     _price_out(t, basis)
-    status, p = _pivot_loop(t, basis, width, free, dirn, _RC_TOL, bland_after, ~is_art)
+    status, p = _pivot_loop(t, basis, width, free, dirn, _RC_TOL, bland_after, ~is_art, out)
     total_pivots += p
     if status == "unbounded":
         return "unbounded", None, None, None, None, total_pivots
@@ -464,58 +508,118 @@ def _finish(res: LpResult, lp: LinearProgram, lb: np.ndarray, ub: np.ndarray, x:
     return res
 
 
-def _solve_warm(lp: LinearProgram, lb: np.ndarray, ub: np.ndarray, start: Basis) -> LpResult:
-    """Refactor ``lp`` on ``start``, then dual simplex and primal clean-up.
+def _row_scale(a: np.ndarray, b: np.ndarray, sense: np.ndarray) -> np.ndarray:
+    """``rho``: tableau row ``i`` is ``rho_i`` times row ``i``, scaled so that its
+    largest entry, rhs ``b_i`` included, is 1 and negated for a 'G' row, so
+    that every logical is >= 0."""
+    scale = np.maximum(np.maximum(a.max(axis=1, initial=0.0), -a.min(axis=1, initial=0.0)),
+                       np.abs(b))
+    scale[scale < 1e-12] = 1.0
+    return np.where(np.asarray(sense, dtype="U1") == "G", -1.0, 1.0) / scale
 
-    The result's ``fallback`` names why the warm start gave up, if it did:
-    'singular' (a refactor pivot below ``_PIV_TOL``), 'dual_infeasible'
-    (a wrong-signed reduced cost on an unbounded column), 'stalled' (the
-    dual iteration cap), 'unbounded' (the clean-up found a ray) or
-    'uncertified' (the answer failed its check).
+
+def _base(lb: np.ndarray, ub: np.ndarray, dirn: np.ndarray) -> np.ndarray:
+    """The bound each structural's column is measured from: 0 when free."""
+    return np.where(np.isinf(lb) & np.isinf(ub), 0.0, np.where(dirn > 0, lb, ub))
+
+
+def _all_logical(lp: LinearProgram, lb: np.ndarray, ub: np.ndarray,
+                 at_upper: np.ndarray) -> Tableau:
+    """The tableau of ``lp`` on its all-logical basis; a structural sits at its
+    upper bound where ``at_upper`` says so or where it has no lower one."""
+    m, n = lp.m, lp.n
+    has_lo, has_hi = np.isfinite(lb), np.isfinite(ub)
+    dirn = np.concatenate([np.where(has_hi & (at_upper | ~has_lo), -1.0, 1.0), np.ones(m)])
+    rho = _row_scale(lp.a, lp.rhs - matvec(lp.a, _base(lb, ub, dirn[:n])), lp.sense)
+    t = np.zeros((m + 1, n + m + 1), dtype=np.float64)
+    np.multiply(lp.a, dirn[:n], out=t[:m, :n])
+    t[:m, :n] *= rho[:, None]
+    t[np.arange(m), n + np.arange(m)] = 1.0
+    t[-1, :n] = lp.c * dirn[:n]
+    return Tableau(t, n + np.arange(m), dirn, rho)
+
+
+def _carry(tab: Tableau, lp: LinearProgram, lb: np.ndarray, ub: np.ndarray) -> Tableau:
+    """``tab``, the final tableau of an LP with the first rows and the objective
+    of ``lp``, made a tableau of ``lp``.
+
+    A column whose base bound is gone is mirrored.  The rows ``tab`` lacks
+    are appended with their logicals basic, after the basic columns are
+    eliminated from them.
+    """
+    m, n, m0 = lp.m, lp.n, tab.basis.size
+    if m0 > m or tab.t.shape != (m0 + 1, n + m0 + 1):
+        raise InvalidArgument(f"tableau of {m0} rows does not fit an LP with {m} rows "
+                              f"and {n} columns")
+    # cancellation leaves round-off where a fresh tableau has zeros; kept, it
+    # would fill the tableau in over the LPs and slow every sparse pivot
+    tab.t[(tab.t < _DROP_TOL) & (tab.t > -_DROP_TOL)] = 0.0
+    has_lo, has_hi = np.isfinite(lb), np.isfinite(ub)
+    dirn = tab.dirn
+    for j in np.flatnonzero(np.where(dirn[:n] > 0, has_hi & ~has_lo, has_lo & ~has_hi)).tolist():
+        _complement(tab.t, dirn, j, 0.0)
+    if m == m0:
+        return tab
+    k0, p = n + m0, m - m0
+    a = lp.a[m0:]
+    rho = _row_scale(a, lp.rhs[m0:] - matvec(a, _base(lb, ub, dirn[:n])), lp.sense[m0:])
+    t = np.zeros((m + 1, n + m + 1), dtype=np.float64)
+    t[:m0, :k0] = tab.t[:m0, :k0]
+    t[-1, :k0] = tab.t[-1, :k0]
+    new = t[m0:m]
+    np.multiply(a, dirn[:n], out=new[:, :n])
+    new[:, :n] *= rho[:, None]
+    coef = new[:, tab.basis]
+    rows = np.flatnonzero(coef.any(axis=0))
+    new[:, :k0] -= matmat(coef[:, rows], tab.t[rows, :k0])
+    new[:, tab.basis] = 0.0
+    new[np.arange(p), k0 + np.arange(p)] = 1.0
+    # in place, so that the old array is freed now
+    tab.t, tab.basis = t, np.concatenate([tab.basis, n + np.arange(m0, m)])
+    tab.dirn, tab.rho = np.concatenate([dirn, np.ones(p)]), np.concatenate([tab.rho, rho])
+    return tab
+
+
+def _solve_from(tab: Tableau, lp: LinearProgram, lb: np.ndarray, ub: np.ndarray,
+                ids: np.ndarray, out: LpResult) -> int:
+    """Move ``tab`` to the basis ``ids``, then dual simplex and primal clean-up.
+
+    Each wanted column that is not basic is pivoted in, in id order, on the
+    row held by an unwanted id with the largest |entry| (lowest row on ties;
+    none above ``_PIV_TOL`` means singular).  The objective is fixed, so the
+    reduced-cost row needs no price-out.  Nonbasic boxed columns then move to
+    the bound their reduced cost asks for, and the rhs column is computed
+    from the original arrays.  ``out`` gets the answer and the simplex
+    iterations, or ``fallback``: 'singular', 'dual_infeasible' (a
+    wrong-signed reduced cost on an unbounded column), 'stalled' (the dual
+    iteration cap), 'unbounded' (the clean-up found a ray) or 'uncertified'
+    (the answer failed its check).  Returns the pivots of the move.
     """
     m, n = lp.m, lp.n
     k = n + m
-    ids = np.asarray(start.ids, dtype=np.int64)
-    if ids.size > m or start.at_upper.size != n or np.any((ids < 0) | (ids >= n + ids.size)):
-        raise InvalidArgument(f"basis of {ids.size} rows does not fit an LP with {m} rows "
-                              f"and {n} columns")
-    ids = np.concatenate([ids, n + np.arange(ids.size, m)])  # appended rows: logicals basic
-    out = LpResult("optimal", None, None)
+    t, basis, dirn, rho = tab.t, tab.basis, tab.dirn, tab.rho
     sense = np.asarray(lp.sense, dtype="U1")
     has_lo, has_hi = np.isfinite(lb), np.isfinite(ub)
-    up = has_hi & (start.at_upper | ~has_lo)
     free = np.concatenate([~has_lo & ~has_hi, np.zeros(m, dtype=bool)])
-    dirn = np.concatenate([np.where(up, -1.0, 1.0), np.ones(m)])
     width = np.concatenate([ub - lb, np.where(sense == "E", 0.0, np.inf)])
-    b = lp.rhs - matvec(lp.a, np.where(up, ub, np.where(has_lo, lb, 0.0)))
-    scale = np.maximum(np.maximum(lp.a.max(axis=1, initial=0.0), -lp.a.min(axis=1, initial=0.0)),
-                       np.abs(b))
-    scale[scale < 1e-12] = 1.0
-    rho = np.where(sense == "G", -1.0, 1.0) / scale  # tableau row i is rho_i times row i
-
-    # the all-logical tableau, built in place
-    t = np.zeros((m + 1, k + 1), dtype=np.float64)
-    np.multiply(lp.a, dirn[:n], out=t[:m, :n])
-    t[:m, :n] *= rho[:, None]
-    t[:m, -1] = b * rho
-    t[np.arange(m), n + np.arange(m)] = 1.0
-    basis = n + np.arange(m)
     wanted = np.zeros(k, dtype=bool)
     wanted[ids] = True
     if np.count_nonzero(wanted) != m:
         out.fallback = "singular"
-        return out
-    for j in np.sort(ids[ids < n]).tolist():
+        return 0
+    t[:, -1] = 0.0  # computed after the move
+    basic = np.zeros(k, dtype=bool)
+    basic[basis] = True
+    moved = 0
+    for j in np.flatnonzero(wanted & ~basic).tolist():
         rows = np.flatnonzero(~wanted[basis])
         col = np.abs(t[rows, j])
         r = int(np.argmax(col))  # largest |entry|, lowest row on ties
         if col[r] <= _PIV_TOL:
             out.fallback = "singular"
-            return out
+            return moved
         _pivot(t, basis, int(rows[r]), j)
-        out.refactor_pivots += 1
-    t[-1, :n] = lp.c * dirn[:n]
-    _price_out(t, basis)
+        moved += 1
 
     # a dual feasible start: boxed columns move to the bound their reduced
     # cost asks for; an unbounded one priced the wrong way gives up
@@ -524,39 +628,76 @@ def _solve_warm(lp: LinearProgram, lb: np.ndarray, ub: np.ndarray, start: Basis)
     nonbasic[basis] = False
     if np.any(nonbasic & np.isinf(width) & (np.where(free, np.abs(d), -d) > _CERT_DUAL)):
         out.fallback = "dual_infeasible"
-        return out
-    for j in np.flatnonzero(nonbasic & np.isfinite(width) & (width > 0.0) & (d < -_RC_TOL)):
-        _complement(t, dirn, j, width[j])
+        return moved
+    flip = np.flatnonzero(nonbasic & np.isfinite(width) & (width > 0.0) & (d < -_RC_TOL))
+    t[:, flip] *= -1.0
+    dirn[flip] *= -1.0
+    # basic values B^-1 (rho * (rhs - a @ base)); B^-1 is the logical block
+    # times the logicals' dirn
+    rhs = t[:-1, -1]
+    b = dirn[n:] * rho * (lp.rhs - matvec(lp.a, _base(lb, ub, dirn[:n])))
+    rhs[:] = matvec(t[:m, n:k], b)
+    cost = np.concatenate([lp.c * dirn[:n], np.zeros(m)])
+    t[-1, -1] = -matvec(rhs[None], cost[basis])[0]
 
     status, r, p = _dual_loop(t, basis, width, free, dirn, 2 * (m + k))
-    out.dual_pivots = out.pivots = p
+    out.dual_pivots += p
+    out.pivots += p
     if status == "stalled":
         out.fallback = status
-        return out
+        return moved
     if status == "infeasible":
         if not _certified_infeasible(lp, lb, ub, t[r, n:k] * dirn[n:], rho):
             out.fallback = "uncertified"
-            return out
+            return moved
         out.status = "infeasible"
         out.certified = out.warm = True
-        return out
-    rhs = t[:-1, -1]
+        out.tableau = tab
+        return moved
     np.clip(rhs, np.where(free[basis], -np.inf, 0.0), width[basis], out=rhs)
     status, p = _pivot_loop(t, basis, width, free, dirn, _RC_TOL, 2 * (m + k),
-                            (width > 0.0) | free)
+                            (width > 0.0) | free, out)
     out.pivots += p
     if status == "unbounded":
         out.fallback = status
-        return out
+        return moved
     v = np.zeros(k, dtype=np.float64)
     v[basis] = rhs
-    x = np.where(free[:n], 0.0, np.where(dirn[:n] > 0, lb, ub)) + dirn[:n] * v[:n]
+    x = _base(lb, ub, dirn[:n]) + dirn[:n] * v[:n]
     _finish(out, lp, lb, ub, x, -t[-1, n:k] * dirn[n:] * rho, basis,
             (dirn[:n] < 0) & ~free[:n])
     if not out.certified:
         out.fallback = "uncertified"
-        return out
+        return moved
     out.warm = True
+    out.tableau = tab
+    return moved
+
+
+def _solve_warm(lp: LinearProgram, lb: np.ndarray, ub: np.ndarray, start: Basis,
+                carried: Tableau | None = None) -> LpResult:
+    """Solve ``lp`` from the basis ``start``, reached from the ``carried``
+    tableau when given and from the all-logical tableau otherwise.
+
+    A carried tableau that gives up (``carry_fallback`` says why) leaves the
+    LP to the all-logical start; ``fallback`` says why that one gave up too.
+    """
+    m, n = lp.m, lp.n
+    ids = np.asarray(start.ids, dtype=np.int64)
+    if ids.size > m or start.at_upper.size != n or np.any((ids < 0) | (ids >= n + ids.size)):
+        raise InvalidArgument(f"basis of {ids.size} rows does not fit an LP with {m} rows "
+                              f"and {n} columns")
+    ids = np.concatenate([ids, n + np.arange(ids.size, m)])  # appended rows: logicals basic
+    out = LpResult("optimal", None, None)
+    if carried is not None:
+        tried = LpResult("optimal", None, None, carried=True)
+        tried.carry_pivots = _solve_from(_carry(carried, lp, lb, ub), lp, lb, ub, ids, tried)
+        if tried.fallback is None:
+            return tried
+        out.carried, out.carry_fallback = True, tried.fallback
+        _add_work(out, tried)
+    out.refactor_pivots += _solve_from(_all_logical(lp, lb, ub, start.at_upper), lp, lb, ub,
+                                       ids, out)
     return out
 
 
@@ -568,15 +709,17 @@ def _solve_cold(lp: LinearProgram, lb: np.ndarray, ub: np.ndarray) -> LpResult:
     a = lp.a.astype(np.float64)
     rhs = lp.rhs.astype(np.float64) - a @ x
     sense = np.asarray(lp.sense, dtype="U1")
+    out = LpResult("optimal", None, None)
 
     if fixed.all():
         # everything fixed: only feasibility to check
         bad = (((sense == "L") & (rhs < -_FEAS_TOL)) | ((sense == "G") & (rhs > _FEAS_TOL))
                | ((sense == "E") & (np.abs(rhs) > _FEAS_TOL)))
         if bad.any():
-            return LpResult("infeasible", None, None, 0)
-        return _finish(LpResult("optimal", None, None), lp, lb, ub, x, np.zeros(lp.m),
-                       n + np.arange(lp.m), np.zeros(n, dtype=bool))
+            out.status = "infeasible"
+            return out
+        return _finish(out, lp, lb, ub, x, np.zeros(lp.m), n + np.arange(lp.m),
+                       np.zeros(n, dtype=bool))
 
     idx = np.flatnonzero(~fixed)
     lo, hi = lb[idx], ub[idx]
@@ -584,37 +727,47 @@ def _solve_cold(lp: LinearProgram, lb: np.ndarray, ub: np.ndarray) -> LpResult:
     free = ~has_lo & ~has_hi
     a = a[:, idx]
     rhs = rhs - a @ np.where(has_lo, lo, np.where(has_hi, hi, 0.0))
-    status, v, dirn, ids, y, pivots = _solve_columns(
+    status, v, dirn, ids, y, out.pivots = _solve_columns(
         a, rhs, sense, lp.c[idx].astype(np.float64), hi - lo, free,
-        np.where(has_lo | free, 1.0, -1.0))
+        np.where(has_lo | free, 1.0, -1.0), out)
     if status != "optimal":
-        return LpResult(status, None, None, pivots)
+        out.status = status
+        return out
     x[idx] = np.where(free, 0.0, np.where(dirn > 0, lo, hi)) + dirn * v
     at_upper = np.zeros(n, dtype=bool)
     at_upper[idx] = (dirn < 0) & ~free
     ids = np.where(ids < idx.size, idx[np.minimum(ids, idx.size - 1)], ids - idx.size + n)
-    return _finish(LpResult("optimal", None, None, pivots), lp, lb, ub, x, y, ids, at_upper)
+    return _finish(out, lp, lb, ub, x, y, ids, at_upper)
 
 
 def _add_work(res: LpResult, other: LpResult) -> None:
     res.pivots += other.pivots
     res.refactor_pivots += other.refactor_pivots
+    res.carry_pivots += other.carry_pivots
     res.dual_pivots += other.dual_pivots
+    res.bland_switches += other.bland_switches
+    res.stall_exits += other.stall_exits
 
 
-def solve_lp_arrays(lp: LinearProgram, basis: Basis | None = None) -> LpResult:
+def solve_lp_arrays(lp: LinearProgram, basis: Basis | None = None,
+                    tableau: Tableau | None = None) -> LpResult:
     """Solve a bounded-variable LP, warm-started from ``basis`` when given.
 
+    ``tableau`` is the final tableau of an earlier warm answer on the same
+    rows and objective (``LpResult.tableau``; other bounds and appended rows
+    are fine); the basis is then reached from it, and it is consumed.
     Without a basis, or when the warm start gives up, the LP is solved cold.
     A cold optimum that fails its certificate is repaired once through the
     warm path from its own final basis; one that still fails is returned
     with ``certified`` false.
     """
+    if tableau is not None and basis is None:
+        raise InvalidArgument("a carried tableau needs a basis to move to")
     lb = lp.lb.astype(np.float64)
     ub = lp.ub.astype(np.float64)
     if np.any(lb > ub):
         return LpResult("infeasible", None, None, 0, certified=True)
-    tried = None if basis is None else _solve_warm(lp, lb, ub, basis)
+    tried = None if basis is None else _solve_warm(lp, lb, ub, basis, tableau)
     if tried is not None and tried.fallback is None:
         return tried
     res = _solve_cold(lp, lb, ub)
@@ -629,4 +782,5 @@ def solve_lp_arrays(lp: LinearProgram, basis: Basis | None = None) -> LpResult:
     if tried is not None:  # the work of the warm start that gave up
         _add_work(res, tried)
         res.fallback = tried.fallback
+        res.carried, res.carry_fallback = tried.carried, tried.carry_fallback
     return res

@@ -12,7 +12,12 @@ Each queued node carries the final basis of the LP it came from: a child
 gets its parent's, a cut round its own node's (the new cut rows enter with
 their logicals basic).  Its LP is then warm-started from that basis by the
 dual simplex; only the root, and a warm start that gives up, solve from
-scratch.  How each LP was answered is counted in :class:`LpCounters`.
+scratch.  The search also keeps the final tableau of the last LP answered
+warm and hands it to the next LP, which reaches its node's basis from it
+in a few pivots instead of rebuilding the tableau from the all-logical
+start; that tableau lives in one :func:`solve_mip` call only.  How each LP
+was answered is counted in :class:`LpCounters` and written on the log's
+``end status`` line.
 
 Everything is deterministic: node selection breaks ties by insertion order,
 branching picks the most fractional binary (lowest id on ties), and the
@@ -30,7 +35,7 @@ import numpy as np
 
 from .encoding import MipModel, add_lse_cut
 from .errors import InvalidArgument, NoIncumbent
-from .simplex import Basis, LinearProgram, LpResult, solve_lp_arrays
+from .simplex import Basis, LinearProgram, LpResult, Tableau, solve_lp_arrays
 
 __all__ = ["LpCounters", "SolveConfig", "Solution", "solve_lp", "solve_mip", "warm_start"]
 
@@ -52,21 +57,32 @@ class LpCounters:
 
     ``warm_lps`` were answered from the basis their node carried and
     ``cold_lps`` from scratch (the root, and every warm start that gave up,
-    counted by reason in ``fallbacks``).  ``repaired_lps`` are cold optima
-    that failed their certificate and passed it after one refactor and
-    clean-up; ``uncertified_lps`` are 'optimal' answers that still fail it.
-    ``dual_pivots`` plus ``primal_pivots`` make ``Solution.lp_pivots``;
-    ``refactor_pivots`` rebuild a tableau on a given basis and are not in it.
+    counted by reason in ``fallbacks``).  ``carried_lps`` started from the
+    last warm LP's final tableau; those it did not answer are counted by
+    reason in ``carry_fallbacks`` and went on from a fresh all-logical
+    tableau.  ``repaired_lps`` are cold optima that failed their certificate
+    and passed it after one refactor and clean-up; ``uncertified_lps`` are
+    'optimal' answers that still fail it.  ``dual_pivots`` plus
+    ``primal_pivots`` make ``Solution.lp_pivots``; the pivots that move a
+    tableau to a node's basis are not in it: ``carry_pivots`` from the
+    carried tableau, ``refactor_pivots`` from a fresh one.
+    ``bland_switches`` and ``stall_exits`` count the primal loop's turns to
+    Bland's rule and its exits at the stall cap.
     """
 
     warm_lps: int = 0
     cold_lps: int = 0
+    carried_lps: int = 0
     repaired_lps: int = 0
     uncertified_lps: int = 0
     refactor_pivots: int = 0
+    carry_pivots: int = 0
     dual_pivots: int = 0
     primal_pivots: int = 0
+    bland_switches: int = 0
+    stall_exits: int = 0
     fallbacks: dict[str, int] = field(default_factory=dict)
+    carry_fallbacks: dict[str, int] = field(default_factory=dict)
 
     def add(self, res: LpResult) -> None:
         if res.warm:
@@ -75,18 +91,30 @@ class LpCounters:
             self.cold_lps += 1
         if res.fallback:
             self.fallbacks[res.fallback] = self.fallbacks.get(res.fallback, 0) + 1
+        if res.carry_fallback:
+            self.carry_fallbacks[res.carry_fallback] = (
+                self.carry_fallbacks.get(res.carry_fallback, 0) + 1)
+        self.carried_lps += res.carried
         self.repaired_lps += res.repaired
         self.uncertified_lps += res.status == "optimal" and not res.certified
         self.refactor_pivots += res.refactor_pivots
+        self.carry_pivots += res.carry_pivots
         self.dual_pivots += res.dual_pivots
         self.primal_pivots += res.pivots - res.dual_pivots
+        self.bland_switches += res.bland_switches
+        self.stall_exits += res.stall_exits
 
     def to_text(self) -> str:
-        fallbacks = ",".join(f"{k}:{v}" for k, v in sorted(self.fallbacks.items())) or "none"
-        return (f"warm_lps {self.warm_lps} cold_lps {self.cold_lps} fallbacks {fallbacks} "
+        def reasons(counts: dict[str, int]) -> str:
+            return ",".join(f"{k}:{v}" for k, v in sorted(counts.items())) or "none"
+
+        return (f"warm_lps {self.warm_lps} cold_lps {self.cold_lps} "
+                f"fallbacks {reasons(self.fallbacks)} carried_lps {self.carried_lps} "
+                f"carry_fallbacks {reasons(self.carry_fallbacks)} "
                 f"repaired_lps {self.repaired_lps} uncertified_lps {self.uncertified_lps} "
-                f"refactor_pivots {self.refactor_pivots} dual_pivots {self.dual_pivots} "
-                f"primal_pivots {self.primal_pivots}")
+                f"refactor_pivots {self.refactor_pivots} carry_pivots {self.carry_pivots} "
+                f"dual_pivots {self.dual_pivots} primal_pivots {self.primal_pivots} "
+                f"bland_switches {self.bland_switches} stall_exits {self.stall_exits}")
 
 
 @dataclass
@@ -94,9 +122,9 @@ class Solution:
     """Best assignment found, with proof-of-optimality bookkeeping.
 
     ``lp_pivots`` counts simplex iterations over every LP of the search,
-    dual and primal: basis changes plus bound flips.  The pivots that
-    rebuild a tableau on a node's starting basis are not among them; they
-    are in ``lp_counters.refactor_pivots``.
+    dual and primal: basis changes plus bound flips.  The pivots that move
+    a tableau to a node's starting basis are not among them; they are in
+    ``lp_counters.carry_pivots`` and ``lp_counters.refactor_pivots``.
     """
 
     values: np.ndarray
@@ -112,9 +140,10 @@ class Solution:
 
 
 def solve_lp(model: MipModel, fixings: dict[int, float] | None = None,
-             basis: Basis | None = None) -> LpResult:
+             basis: Basis | None = None, tableau: Tableau | None = None) -> LpResult:
     """Solve the continuous relaxation (binaries relaxed into their boxes),
-    warm-started from ``basis`` when given."""
+    warm-started from ``basis`` when given, which is reached from the carried
+    ``tableau`` when one is given too."""
     a, sense, rhs = model.dense_rows()
     lb = np.array([v.lb for v in model.variables], dtype=np.float64)
     ub = np.array([v.ub for v in model.variables], dtype=np.float64)
@@ -125,7 +154,7 @@ def solve_lp(model: MipModel, fixings: dict[int, float] | None = None,
     for j, coef in model.objective.items():
         c[j] = coef
     return solve_lp_arrays(LinearProgram(c=c, a=a, sense=sense, rhs=rhs, lb=lb, ub=ub,
-                                         const=model.objective_const), basis)
+                                         const=model.objective_const), basis, tableau)
 
 
 def warm_start(model: MipModel, assignment: np.ndarray) -> float:
@@ -174,6 +203,7 @@ def solve_mip(model: MipModel, config: SolveConfig | None = None,
     t0 = time.perf_counter()
     log: list[str] = []
     counters = LpCounters()
+    carried: Tableau | None = None   # the last warm LP's final tableau
     cut_rounds = 0
     node_count = 0
 
@@ -212,7 +242,8 @@ def solve_mip(model: MipModel, config: SolveConfig | None = None,
             # every open node is within tolerance of the incumbent
             break
         node_count += 1
-        res = solve_lp(model, fixings, start)
+        res = solve_lp(model, fixings, start, carried)
+        carried = res.tableau
         counters.add(res)
         if res.status == "infeasible":
             node_line("pruned-infeasible")

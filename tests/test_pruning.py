@@ -1,6 +1,8 @@
 import functools
 import hashlib
 
+import mipprune.pruning
+
 import numpy as np
 import pytest
 
@@ -275,9 +277,9 @@ class TestGoldenReports:
     """
 
     DIGESTS = {
-        "dense-seed0": "5f018189dd977e18df719168b868c8c208d1114c8c655ca2807d0d6101e06130",
-        "conv-class4": "15fe76020f423a7e38ce9ec35b8be727d7a73544bc91fb40c214cdb91ed2422f",
-        "conv-class6": "551764d367e5867b80a7a1df4d8f44a804363da4a6582b03398e5aee419054ed",
+        "dense-seed0": "0511bce779adfbe19460bea9d4bc7462cd64396616da613a9959d6cb73e50193",
+        "conv-class4": "8bb91d7fc2d3dffd4ff43e1fb1db5e33db5d76c8763a72142553f9e49f9e9959",
+        "conv-class6": "d4ee43a819b4b84cfa40bcbb1eb1f6a2a27e10e53484d0eebbf694849d19317b",
     }
 
     @staticmethod
@@ -312,6 +314,34 @@ class TestGoldenReports:
             rep = score(net, xs[c : c + 1], ys[c : c + 1], lam=5.0, epsilon=0.05,
                         allow_imbalanced=True)
         assert hashlib.sha256(rep.to_text().encode()).hexdigest() == self.DIGESTS[name]
+
+    def test_node_lps_start_from_the_carried_tableau(self, monkeypatch):
+        """Rebuilding every warm LP's tableau from the all-logical start took
+        2,360 refactor pivots on conv class 4; only the first warm LP of a
+        solve, and a carried tableau that gives up, still rebuild."""
+        sols = []
+        real = mipprune.pruning.solve_mip
+
+        def recording(*args, **kwargs):
+            sols.append(real(*args, **kwargs))
+            return sols[-1]
+
+        monkeypatch.setattr(mipprune.pruning, "solve_mip", recording)
+        net, xs, ys = self.conv_instance()
+        score(net, xs[4:5], ys[4:5], lam=5.0, epsilon=0.05, allow_imbalanced=True)
+        counts = sols[0].lp_counters
+        assert counts.carried_lps == counts.warm_lps - 1 > 0
+        assert counts.refactor_pivots < 2360 // 10
+        assert counts.fallbacks == {} and counts.uncertified_lps == 0
+
+    def test_no_tableau_crosses_solves(self):
+        """Scoring one model right after another in the same thread gives the
+        report the second model gets alone."""
+        net_a, xs_a, ys_a = self.dense_instance(1)
+        net_b, xs_b, ys_b = self.dense_instance(0)
+        alone = score(net_b, xs_b, ys_b, lam=5.0, epsilon=0.5).to_text()
+        score(net_a, xs_a, ys_a, lam=5.0, epsilon=0.5)
+        assert score(net_b, xs_b, ys_b, lam=5.0, epsilon=0.5).to_text() == alone
 
 
 class TestOracleBracket:

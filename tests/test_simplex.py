@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from mipprune import simplex
-from mipprune.simplex import Basis, LinearProgram, _pivot, solve_lp_arrays
+from mipprune.simplex import Basis, LinearProgram, LpResult, _pivot, _pivot_loop, solve_lp_arrays
+from mipprune.solver import LpCounters
 
 
 def make_lp(c, a, sense, rhs, lb, ub):
@@ -183,6 +184,25 @@ class TestDegenerate:
         r = solve_lp_arrays(lp)
         assert r.status == "optimal"
         assert r.objective == pytest.approx(-2.0, abs=1e-9)
+        assert r.stall_exits == 0
+
+    def test_beale_cycle_switches_to_bland(self):
+        """Beale's LP cycles under Dantzig pricing with the lowest-id leaving
+        rule when its slacks hold the lowest ids; the loop must leave the
+        cycle through Bland's rule, once, and count it."""
+        t = np.array([[1.0, 0.0, 0.0, 0.25, -8.0, -1.0, 9.0, 0.0],
+                      [0.0, 1.0, 0.0, 0.5, -12.0, -0.5, 3.0, 0.0],
+                      [0.0, 0.0, 1.0, 0.0, 0.0, 1.0, 0.0, 1.0],
+                      [0.0, 0.0, 0.0, -0.75, 20.0, -0.5, 6.0, 0.0]])
+        k = 7
+        out = LpResult("optimal", None, None)
+        status, pivots = _pivot_loop(t, np.array([0, 1, 2]), np.full(k, np.inf),
+                                     np.zeros(k, dtype=bool), np.ones(k), 1e-9, 2 * (3 + k),
+                                     np.ones(k, dtype=bool), out)
+        assert status == "optimal"
+        assert -t[-1, -1] == pytest.approx(-1.25, abs=1e-12)
+        assert pivots > 2 * (3 + k)  # the degenerate streak ran out first
+        assert (out.bland_switches, out.stall_exits) == (1, 0)
 
 
 class TestBoundKinds:
@@ -320,8 +340,15 @@ def changed_lp(lp, res, change, rng):
     return make_lp(lp.c, a, sense, rhs, lb, ub)
 
 
+def with_fixing(lp, j, value):
+    lb, ub = lp.lb.copy(), lp.ub.copy()
+    lb[j] = ub[j] = value
+    return make_lp(lp.c, lp.a, lp.sense, lp.rhs, lb, ub)
+
+
 class TestWarmStart:
-    """Warm starts from a cold optimum's basis, checked against HiGHS."""
+    """Warm starts from a cold optimum's basis, or reached from the final
+    tableau of the last warm answer (carried), checked against HiGHS."""
 
     @staticmethod
     def cold_optima(seed, count):
@@ -360,6 +387,102 @@ class TestWarmStart:
                 assert _feasible(lp2, w.x, tol=1e-7)
         assert min(seen.values()) >= 10
         assert warm == len(optima)  # none of these well-posed LPs falls back
+
+    @staticmethod
+    def warm_optima(seed, count):
+        """``count`` random LPs, each with a warm optimum (``tableau`` set)."""
+        rng = np.random.default_rng(seed)
+        out = []
+        while len(out) < count:
+            lp = random_mixed_lp(rng)
+            r = solve_lp_arrays(lp)
+            if r.status == "optimal":
+                out.append((lp, solve_lp_arrays(lp, r.basis)))
+        return out, rng
+
+    @staticmethod
+    def check_carried(lp, res):
+        want, fun = highs(lp)
+        assert res.status == want
+        assert res.carried and res.certified
+        if want == "optimal":
+            assert res.objective == pytest.approx(fun, abs=1e-7)
+            assert _feasible(lp, res.x, tol=1e-7)
+        return want
+
+    @pytest.mark.parametrize("change", ["fix", "release", "rows", "both"])
+    def test_carried_from_own_final_basis(self, change):
+        """The next LP starts from the basis the carried tableau ended on:
+        a cut round, or a child popped right after its parent."""
+        optima, rng = self.warm_optima(34, 150)
+        seen = {"optimal": 0, "infeasible": 0}
+        for lp, w in optima:
+            if change == "release":
+                # branch a basic boxed column to one end of its box, then
+                # release it, as a binary's fixing is released in the search
+                boxed = [j for j in w.basis.ids.tolist()
+                         if j < lp.n and np.isfinite(lp.ub[j] - lp.lb[j]) and lp.lb[j] < lp.ub[j]]
+                if not boxed:
+                    continue
+                j = boxed[int(rng.integers(len(boxed)))]
+                fixed = with_fixing(lp, j, (lp.lb if rng.random() < 0.5 else lp.ub)[j])
+                w = solve_lp_arrays(fixed, w.basis, w.tableau)
+                if w.status != "optimal":
+                    continue
+                lp2 = lp
+            else:
+                lp2 = changed_lp(lp, w, change, rng)
+            res = solve_lp_arrays(lp2, w.basis, w.tableau)
+            seen[self.check_carried(lp2, res)] += 1
+            assert res.carry_fallback is None and res.refactor_pivots == 0
+        assert seen["optimal"] >= 10 and (change == "release" or seen["infeasible"] >= 10)
+
+    @pytest.mark.parametrize("rows", [False, True])
+    def test_carried_to_sibling_basis(self, rows):
+        """A node's second child starts from its parent's basis while the
+        carried tableau ended on the first child's optimum."""
+        optima, rng = self.warm_optima(35, 150)
+        moved = 0
+        for lp, w in optima:
+            basic = [j for j in w.basis.ids.tolist() if j < lp.n and lp.lb[j] < lp.ub[j]]
+            if not basic:
+                continue
+            j = basic[int(rng.integers(len(basic)))]
+            first = solve_lp_arrays(with_fixing(lp, j, np.floor(w.x[j])), w.basis, w.tableau)
+            if first.tableau is None:
+                continue
+            second = with_fixing(lp, j, np.ceil(w.x[j]))
+            if rows:
+                second = changed_lp(second, w, "rows", rng)
+            res = solve_lp_arrays(second, w.basis, first.tableau)
+            self.check_carried(second, res)
+            assert res.carry_fallback is None and res.refactor_pivots == 0
+            moved += res.carry_pivots > 0
+        assert moved >= 20
+
+    def test_carried_answer_failing_its_check_is_answered_fresh(self, monkeypatch):
+        (lp, w), = self.warm_optima(36, 1)[0]
+        lp2 = make_lp(lp.c, np.vstack([lp.a, lp.c]), np.append(lp.sense, "G"),
+                      np.append(lp.rhs, w.objective + 0.1), lp.lb, lp.ub)
+        real = simplex._certified_optimal
+        verdicts = []
+
+        def carried_check_fails(*args):  # the carried path is certified first
+            verdicts.append(len(verdicts) > 0 and real(*args))
+            return verdicts[-1]
+
+        monkeypatch.setattr(simplex, "_certified_optimal", carried_check_fails)
+        res = solve_lp_arrays(lp2, w.basis, w.tableau)
+        assert verdicts == [False, True]
+        assert res.carried and res.carry_fallback == "uncertified"
+        assert res.warm and res.certified and res.fallback is None and res.refactor_pivots > 0
+        assert self.check_carried(lp2, res) == "optimal"
+        counts = LpCounters()
+        counts.add(res)
+        assert (counts.warm_lps, counts.carried_lps) == (1, 1)
+        assert counts.carry_fallbacks == {"uncertified": 1} and counts.fallbacks == {}
+        assert counts.refactor_pivots == res.refactor_pivots
+        assert counts.carry_pivots == res.carry_pivots
 
 
 class TestWarmFallbacks:

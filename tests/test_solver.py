@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import mipprune.solver
+from mipprune import simplex
 from mipprune.encoding import MipModel
 from mipprune.errors import InvalidArgument, NoIncumbent
 from mipprune.solver import SolveConfig, solve_lp, solve_mip, warm_start
@@ -168,9 +169,9 @@ class TestOneNodeLoop:
         calls = []
         real = mipprune.solver.solve_lp
 
-        def counting(model, fixings=None, basis=None):
+        def counting(model, fixings=None, basis=None, tableau=None):
             calls.append(dict(fixings or {}))
-            return real(model, fixings, basis)
+            return real(model, fixings, basis, tableau)
 
         monkeypatch.setattr(mipprune.solver, "solve_lp", counting)
         rng = np.random.default_rng(40)
@@ -202,23 +203,26 @@ class TestOneNodeLoop:
         assert sol.gap == float("inf")
 
 
+def fractional_knapsack():
+    rng = np.random.default_rng(42)  # a knapsack whose relaxation is fractional
+    n = 10
+    c = -rng.uniform(1, 2, size=n)
+    a = rng.uniform(0.1, 1.0, size=(1, n))
+    return build_model(c, a, ["L"], [float(a.sum() * 0.37)], [0.0] * n, [1.0] * n, [True] * n)
+
+
 class TestWarmStartedNodes:
     def test_only_the_root_solves_cold(self, monkeypatch):
         starts = []
         real = mipprune.solver.solve_lp
 
-        def recording(model, fixings=None, basis=None):
-            res = real(model, fixings, basis)
+        def recording(model, fixings=None, basis=None, tableau=None):
+            res = real(model, fixings, basis, tableau)
             starts.append((basis is not None, res.warm))
             return res
 
         monkeypatch.setattr(mipprune.solver, "solve_lp", recording)
-        rng = np.random.default_rng(42)  # a knapsack whose relaxation is fractional
-        n = 10
-        c = -rng.uniform(1, 2, size=n)
-        a = rng.uniform(0.1, 1.0, size=(1, n))
-        model = build_model(c, a, ["L"], [float(a.sum() * 0.37)], [0.0] * n, [1.0] * n,
-                            [True] * n)
+        model = fractional_knapsack()
         sol = solve_mip(model, SolveConfig())
         assert sol.objective == pytest.approx(enumeration_optimum(model), abs=1e-9)
         assert len(starts) == sol.node_count > 1
@@ -230,3 +234,39 @@ class TestWarmStartedNodes:
         assert counts.dual_pivots + counts.primal_pivots == sol.lp_pivots
         assert sol.log_lines[-1].endswith(counts.to_text())
         assert f"warm_lps {counts.warm_lps} cold_lps 1 fallbacks none" in sol.log_lines[-1]
+        # only the first warm LP builds its tableau afresh; the rest carry one
+        assert counts.carried_lps == counts.warm_lps - 1 and counts.carry_fallbacks == {}
+        assert f"carried_lps {counts.carried_lps} carry_fallbacks none" in sol.log_lines[-1]
+        assert (counts.bland_switches, counts.stall_exits) == (0, 0)
+
+    def test_carried_answers_failing_their_check_are_answered_fresh(self, monkeypatch):
+        """A stand-in certificate fails every answer reached from a carried
+        tableau; each such LP is answered from a fresh all-logical tableau and
+        counted by its reason, and the search is unchanged."""
+        want = solve_mip(fractional_knapsack(), SolveConfig())
+        carrying = [False]  # the cold root is certified as usual
+        real_carry, real_fresh = simplex._carry, simplex._all_logical
+        real_opt, real_inf = simplex._certified_optimal, simplex._certified_infeasible
+
+        def carry(*args):
+            carrying.append(True)
+            return real_carry(*args)
+
+        def fresh(*args):
+            carrying.append(False)
+            return real_fresh(*args)
+
+        monkeypatch.setattr(simplex, "_carry", carry)
+        monkeypatch.setattr(simplex, "_all_logical", fresh)
+        monkeypatch.setattr(simplex, "_certified_optimal",
+                            lambda *args: not carrying[-1] and real_opt(*args))
+        monkeypatch.setattr(simplex, "_certified_infeasible",
+                            lambda *args: not carrying[-1] and real_inf(*args))
+        sol = solve_mip(fractional_knapsack(), SolveConfig())
+        counts = sol.lp_counters
+        assert counts.carried_lps == sol.node_count - 2 > 0
+        assert counts.carry_fallbacks == {"uncertified": counts.carried_lps}
+        assert counts.warm_lps == sol.node_count - 1 and counts.fallbacks == {}
+        assert counts.refactor_pivots > want.lp_counters.refactor_pivots
+        assert sol.objective == want.objective
+        assert sol.values.tobytes() == want.values.tobytes()
