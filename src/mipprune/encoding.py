@@ -107,7 +107,9 @@ class MipModel:
     entries e in ``row_ptr[i]:row_ptr[i + 1]``, with sense 'L' (<=), 'G' (>=)
     or 'E' (=); ``tag[i]`` names the kind of row (``relu_cap``, ``lse_cut``,
     ...).  Cuts append rows, so row ids never change.  ``dense_rows`` gives
-    the same rows as a dense matrix, cached until a row or variable is added.
+    the same rows as a dense matrix, and ``split_fixed`` its columns split by
+    whether the variable's own bounds fix it; both are cached until a row or
+    variable is added.
     """
 
     variables: list[VarRef] = field(default_factory=list)
@@ -131,6 +133,7 @@ class MipModel:
     reference_assignment: np.ndarray | None = None
     batch_digest: str = ""
     _dense: tuple | None = field(default=None, init=False, repr=False, compare=False)
+    _split: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     # -- construction ------------------------------------------------------
 
@@ -139,7 +142,7 @@ class MipModel:
                 point: int | None = None) -> int:
         idx = len(self.variables)
         self.variables.append(VarRef(idx, name, kind, lb, ub, binary, layer, unit, point))
-        self._dense = None
+        self._dense = self._split = None
         return idx
 
     def add_constraint(self, coefs: Mapping[int, float], sense: str, rhs: float,
@@ -160,7 +163,7 @@ class MipModel:
         self.sense.append(sense)
         self.rhs.append(rhs)
         self.tag.append(tag)
-        self._dense = None
+        self._dense = self._split = None
         return len(self.rhs) - 1
 
     def add_objective_term(self, idx: int, coef: float) -> None:
@@ -188,6 +191,19 @@ class MipModel:
             for arr in self._dense:
                 arr.flags.writeable = False
         return self._dense
+
+    def split_fixed(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """Read-only ``(cols, fixed, a_cols, a_fixed)``: the ids of the variables
+        with ``lb < ub`` and of those with ``lb == ub``, and the columns of
+        ``dense_rows``' ``a`` for each."""
+        if self._split is None:
+            a = self.dense_rows()[0]
+            is_fixed = np.array([v.lb == v.ub for v in self.variables], dtype=bool)
+            cols, fixed = np.flatnonzero(~is_fixed), np.flatnonzero(is_fixed)
+            self._split = (cols, fixed, a[:, cols], a[:, fixed])
+            for arr in self._split:
+                arr.flags.writeable = False
+        return self._split
 
     # -- evaluation --------------------------------------------------------
 

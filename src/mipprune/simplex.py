@@ -1,5 +1,6 @@
 """Bounded-variable dense simplex for small linear programs: a two-phase
-primal solve from scratch, and a dual simplex warm-started from a basis.
+primal solve from scratch, and a dual simplex warm-started from a basis,
+both on one tableau layout.
 
 Every variable is one tableau column ``v >= 0`` with ``x = base + dirn * v``:
 shifted from a finite lower bound, mirrored from a finite upper bound when
@@ -19,21 +20,23 @@ guarantees termination; it switches back once the objective strictly
 improves.  Each switch, and each exit at the stall cap, is counted on the
 :class:`LpResult`.
 
-The cold solve substitutes fixed variables and gives each row a slack,
-surplus or artificial column as its sense needs.  A warm solve instead keeps
-every structural column (a fixed one has width 0) and gives row ``i`` one
-logical ``s_i`` in ``a_i x + s_i = rhs_i``, bounded by the row's sense:
-[0, inf) for 'L', (-inf, 0] for 'G', {0} for 'E'.  It starts from a
-:class:`Tableau` in that layout: the final tableau of the last warm answer
-when the caller carries one (a branch-and-bound search passes each warm LP's
-tableau to the next), else the all-logical tableau.  One routine moves
-either to the given :class:`Basis`: it adapts the bounds, appends the rows
-the tableau lacks with their logicals basic, pivots in each wanted column
-that is not basic (largest |entry| among the rows held by an unwanted id),
-and computes the basic values from the original arrays; the reduced-cost
-row carries over, since the objective is fixed.  It then runs a dual simplex
-(largest bound violation leaves; Harris two-pass ratio test) and the primal
-loop as a clean-up.  A carried tableau that gives up leaves the LP to the
+The tableau keeps every structural column (a fixed one has width 0) and
+gives row ``i`` one logical ``s_i`` in ``a_i x + s_i = rhs_i``, bounded by
+the row's sense: [0, inf) for 'L', (-inf, 0] for 'G', {0} for 'E'.  A
+width-0 column never enters.  The cold solve, from scratch, starts from
+the all-logical tableau: a row whose logical starts infeasible gets an
+artificial, basic in its place, which phase one prices out; phase two then
+runs on the real objective.  A warm solve starts from a :class:`Tableau`:
+the final tableau of the last answer when the caller carries one (a
+branch-and-bound search passes each LP's tableau to the next), else the
+all-logical tableau.  One routine moves either to the given
+:class:`Basis`: it adapts the bounds, appends the rows the tableau lacks
+with their logicals basic, pivots in each wanted column that is not basic
+(largest |entry| among the rows held by an unwanted id), and computes the
+basic values from the original arrays; the reduced-cost row carries over,
+since the objective is fixed.  It then runs a dual simplex (largest bound
+violation leaves; Harris two-pass ratio test) and the primal loop as a
+clean-up.  A carried tableau that gives up leaves the LP to the
 all-logical start.  Products use the fixed-order kernels of :mod:`.linalg`,
 never BLAS or LAPACK, so results are bit-reproducible.
 
@@ -114,14 +117,16 @@ class Basis:
 
 @dataclass
 class Tableau:
-    """The final tableau of a warm answer, to start a later LP of the same
+    """The final tableau of an answer, to start a later LP of the same
     search from: the same rows and objective, possibly other bounds, and
     possibly more rows appended.
 
     ``t`` is laid out as in :func:`_pivot_loop` over the structurals and one
     logical per row; ``basis`` holds the column basic in each row, ``dirn``
     the orientation of each column, and ``rho`` the scale of each row
-    (tableau row ``i`` started as ``rho_i`` times row ``i``).  It is
+    (tableau row ``i`` started as ``rho_i`` times row ``i``, and its
+    logical's column as ``dirn`` times the unit vector; the cold solve
+    negates both for a row whose logical starts below zero).  It is
     consumed: the next LP changes it in place.
     """
 
@@ -138,9 +143,11 @@ class LpResult:
     ``pivots`` counts simplex iterations, dual and primal: basis changes plus
     bound flips.  The pivots that move a tableau to the given basis are
     counted apart: ``carry_pivots`` from the carried tableau,
-    ``refactor_pivots`` from a fresh all-logical one.  ``bland_switches`` and
-    ``stall_exits`` count the primal loop's turns to Bland's rule and its
-    exits at the stall cap.
+    ``refactor_pivots`` from a fresh all-logical one (when no tableau was
+    carried, when the carried one gave up, and in a repair).
+    ``bland_switches`` and ``stall_exits`` count the primal loop's turns to
+    Bland's rule and its exits at the stall cap.  Every 'optimal' answer,
+    and every warm 'infeasible' one, has its final ``tableau``.
     """
 
     status: str            # 'optimal' | 'infeasible' | 'unbounded'
@@ -159,7 +166,7 @@ class LpResult:
     carry_pivots: int = 0
     bland_switches: int = 0
     stall_exits: int = 0
-    tableau: Tableau | None = None  # the final tableau of a warm answer, to carry on
+    tableau: Tableau | None = None  # the final tableau, to carry on
 
 
 def _complement(t: np.ndarray, dirn: np.ndarray, j: int, w: float) -> None:
@@ -197,10 +204,11 @@ def _pivot_loop(t: np.ndarray, basis: np.ndarray, width: np.ndarray, free: np.nd
 
     ``t`` is (m+1, k+1): m constraint rows, reduced-cost row last, rhs column
     last.  ``width``, ``free`` and ``dirn`` describe the k columns; ``dirn``
-    is updated by each complement.  ``allowed`` masks columns eligible to
-    enter (used to lock out artificials).  Each switch to Bland's rule and
-    each exit at the stall cap is counted in ``out``.  Returns (status,
-    iteration count).
+    is updated by each complement.  ``width`` and ``free`` also describe the
+    basis ids past k: the cold solve's artificials, basic but not stored.
+    ``allowed`` masks the k columns eligible to enter.  Each switch to
+    Bland's rule and each exit at the stall cap is counted in ``out``.
+    Returns (status, iteration count).
     """
     m = t.shape[0] - 1
     pivots = 0
@@ -211,8 +219,9 @@ def _pivot_loop(t: np.ndarray, basis: np.ndarray, width: np.ndarray, free: np.nd
     bland = False
     rc_view = t[-1, :-1]
     rhs_col = t[:-1, -1]
+    free_col = free[:rc_view.size]
     while True:
-        price = np.where(free, -np.abs(rc_view), rc_view)
+        price = np.where(free_col, -np.abs(rc_view), rc_view)
         if bland:
             cands = np.flatnonzero((price < -tol) & allowed)
             if cands.size == 0:
@@ -285,116 +294,6 @@ def _price_out(t: np.ndarray, basis: np.ndarray) -> None:
         cb = t[-1, basis[r]]
         if cb != 0.0:
             t[-1] -= cb * t[r]
-
-
-def _solve_columns(a: np.ndarray, b: np.ndarray, senses: np.ndarray, c: np.ndarray,
-                   width: np.ndarray, free: np.ndarray, dirn: np.ndarray, out: LpResult):
-    """Two-phase simplex for min c y, a y (sense) b over columns ``y = dirn * v``.
-
-    Each ``v`` lies in [0, width], or is unrestricted where ``free``.
-    Returns (status, v, dirn, ids, duals, iterations) with the final
-    orientation ``dirn``, the final basis as one id per row (column ``k``,
-    or ``n + i`` for row ``i``'s slack, surplus or artificial; a dropped
-    redundant row keeps its own) and the duals of the rows as given.
-    Numeric trouble in the pivot loops is counted in ``out``.
-    """
-    m, n = a.shape
-    a = a * dirn
-    b = b.copy()
-    senses = senses.copy()
-    row_scale = np.ones(m)
-    if m:
-        # row equilibration: badly scaled encodings otherwise wreck the
-        # absolute pivot tolerances
-        row_scale = np.maximum(np.abs(a).max(axis=1, initial=0.0), np.abs(b))
-        row_scale[row_scale < 1e-12] = 1.0
-        a /= row_scale[:, None]
-        b /= row_scale
-    flip = b < 0
-    a[flip] *= -1.0
-    b[flip] *= -1.0
-    senses[flip] = np.where(senses[flip] == "L", "G", np.where(senses[flip] == "G", "L", "E"))
-
-    slack_rows = np.flatnonzero(senses == "L")
-    surplus_rows = np.flatnonzero(senses == "G")
-    art_rows = np.flatnonzero(senses != "L")  # 'G' and 'E' rows need artificials
-
-    n_slack = slack_rows.size
-    n_surp = surplus_rows.size
-    n_art = art_rows.size
-    art0 = n + n_slack + n_surp
-    k = art0 + n_art
-
-    t = np.zeros((m + 1, k + 1), dtype=np.float64)
-    t[:m, :n] = a
-    t[:m, -1] = b
-    t[slack_rows, n + np.arange(n_slack)] = 1.0
-    t[surplus_rows, n + n_slack + np.arange(n_surp)] = -1.0
-    t[art_rows, art0 + np.arange(n_art)] = 1.0
-
-    basis = np.zeros(m, dtype=np.int64)
-    basis[slack_rows] = n + np.arange(n_slack)
-    basis[art_rows] = art0 + np.arange(n_art)
-    # the column that starts as row i's unit vector carries its dual
-    unit = basis.copy()
-    col_row = np.concatenate([slack_rows, surplus_rows, art_rows])
-
-    # slack, surplus and artificial columns are plain v >= 0
-    width = np.concatenate([width, np.full(k - n, np.inf)])
-    free = np.concatenate([free, np.zeros(k - n, dtype=bool)])
-    dirn = np.concatenate([dirn, np.ones(k - n)])
-
-    total_pivots = 0
-    bland_after = 2 * (m + k)
-    is_art = np.zeros(k, dtype=bool)
-    is_art[art0:] = True
-    dropped = np.zeros(0, dtype=np.int64)
-
-    if n_art:
-        # phase one: price out the artificials; they never re-enter
-        t[-1, :] = 0.0
-        t[-1, art0:k] = 1.0
-        for r in art_rows:
-            t[-1] -= t[r]
-        status, p = _pivot_loop(t, basis, width, free, dirn, _RC_TOL, bland_after, ~is_art,
-                                out)
-        total_pivots += p
-        # the phase-one objective is bounded below by zero, so an "unbounded"
-        # verdict can only be round-off noise in a reduced cost; fall through
-        # to the objective test either way
-        if -t[-1, -1] > _FEAS_TOL:
-            return "infeasible", None, None, None, None, total_pivots
-        # drive remaining artificials out of the basis or drop redundant rows
-        keep = np.ones(m, dtype=bool)
-        for r in range(m):
-            if is_art[basis[r]]:
-                cand = np.flatnonzero((np.abs(t[r, :k]) > _PIV_TOL) & ~is_art)
-                if cand.size:
-                    _pivot(t, basis, r, int(cand[0]))
-                    total_pivots += 1
-                else:
-                    keep[r] = False
-        if not keep.all():
-            rows = np.flatnonzero(keep)
-            dropped = col_row[basis[~keep] - n]
-            t = np.vstack([t[rows], t[-1:]])
-            basis = basis[rows]
-
-    # phase two on the real objective, in the columns' current orientation;
-    # artificial columns locked out
-    t[-1, :] = 0.0
-    t[-1, :n] = c * dirn[:n]
-    _price_out(t, basis)
-    status, p = _pivot_loop(t, basis, width, free, dirn, _RC_TOL, bland_after, ~is_art, out)
-    total_pivots += p
-    if status == "unbounded":
-        return "unbounded", None, None, None, None, total_pivots
-    v = np.zeros(k, dtype=np.float64)
-    v[basis] = t[:-1, -1]
-    ids = np.where(basis < n, basis, n + col_row[np.maximum(basis - n, 0)])
-    duals = -t[-1, unit] * np.where(flip, -1.0, 1.0) / row_scale
-    return ("optimal", v[:n], dirn[:n], np.concatenate([ids, n + dropped]), duals,
-            total_pivots)
 
 
 def _dual_loop(t: np.ndarray, basis: np.ndarray, width: np.ndarray, free: np.ndarray,
@@ -496,15 +395,24 @@ def _certified_infeasible(lp: LinearProgram, lb: np.ndarray, ub: np.ndarray,
     return float((g * side).sum()) - float((u * lp.rhs).sum()) > _CERT_PRIMAL
 
 
-def _finish(res: LpResult, lp: LinearProgram, lb: np.ndarray, ub: np.ndarray, x: np.ndarray,
-            y: np.ndarray, ids: np.ndarray, at_upper: np.ndarray) -> LpResult:
-    """Fill ``res`` in as the optimum ``x`` with row duals ``y`` on basis ``ids``."""
+def _finish(res: LpResult, lp: LinearProgram, lb: np.ndarray, ub: np.ndarray,
+            tab: Tableau) -> LpResult:
+    """Fill ``res`` in as the optimum that ``tab`` ends on, and give it ``tab``
+    to carry on."""
+    m, n = lp.m, lp.n
+    t, dirn = tab.t, tab.dirn
+    v = np.zeros(n + m, dtype=np.float64)
+    v[tab.basis] = t[:-1, -1]
+    x = _base(lb, ub, dirn[:n]) + dirn[:n] * v[:n]
     res.status = "optimal"
     res.x = x
     # recompute the objective from the original data: immune to tableau drift
     res.objective = float(np.dot(lp.c, x)) + lp.const
-    res.basis = Basis(np.sort(ids).astype(np.int32), at_upper)
-    res.certified = _certified_optimal(lp, lb, ub, x, y)
+    res.basis = Basis(np.sort(tab.basis).astype(np.int32),
+                      (dirn[:n] < 0) & (np.isfinite(lb) | np.isfinite(ub)))
+    # the row duals are minus the logicals' reduced costs, unscaled
+    res.certified = _certified_optimal(lp, lb, ub, x, -t[-1, n:-1] * dirn[n:] * tab.rho)
+    res.tableau = tab
     return res
 
 
@@ -525,16 +433,19 @@ def _base(lb: np.ndarray, ub: np.ndarray, dirn: np.ndarray) -> np.ndarray:
 
 def _all_logical(lp: LinearProgram, lb: np.ndarray, ub: np.ndarray,
                  at_upper: np.ndarray) -> Tableau:
-    """The tableau of ``lp`` on its all-logical basis; a structural sits at its
-    upper bound where ``at_upper`` says so or where it has no lower one."""
+    """The tableau of ``lp`` on its all-logical basis, basic values included; a
+    structural sits at its upper bound where ``at_upper`` says so or where it
+    has no lower one."""
     m, n = lp.m, lp.n
     has_lo, has_hi = np.isfinite(lb), np.isfinite(ub)
     dirn = np.concatenate([np.where(has_hi & (at_upper | ~has_lo), -1.0, 1.0), np.ones(m)])
-    rho = _row_scale(lp.a, lp.rhs - matvec(lp.a, _base(lb, ub, dirn[:n])), lp.sense)
+    b = lp.rhs - matvec(lp.a, _base(lb, ub, dirn[:n]))
+    rho = _row_scale(lp.a, b, lp.sense)
     t = np.zeros((m + 1, n + m + 1), dtype=np.float64)
     np.multiply(lp.a, dirn[:n], out=t[:m, :n])
     t[:m, :n] *= rho[:, None]
     t[np.arange(m), n + np.arange(m)] = 1.0
+    t[:m, -1] = rho * b
     t[-1, :n] = lp.c * dirn[:n]
     return Tableau(t, n + np.arange(m), dirn, rho)
 
@@ -661,16 +572,11 @@ def _solve_from(tab: Tableau, lp: LinearProgram, lb: np.ndarray, ub: np.ndarray,
     if status == "unbounded":
         out.fallback = status
         return moved
-    v = np.zeros(k, dtype=np.float64)
-    v[basis] = rhs
-    x = _base(lb, ub, dirn[:n]) + dirn[:n] * v[:n]
-    _finish(out, lp, lb, ub, x, -t[-1, n:k] * dirn[n:] * rho, basis,
-            (dirn[:n] < 0) & ~free[:n])
+    _finish(out, lp, lb, ub, tab)
     if not out.certified:
         out.fallback = "uncertified"
         return moved
     out.warm = True
-    out.tableau = tab
     return moved
 
 
@@ -702,42 +608,57 @@ def _solve_warm(lp: LinearProgram, lb: np.ndarray, ub: np.ndarray, start: Basis,
 
 
 def _solve_cold(lp: LinearProgram, lb: np.ndarray, ub: np.ndarray) -> LpResult:
-    """The two-phase solve from scratch, with fixed variables substituted."""
-    n = lp.n
-    fixed = lb == ub
-    x = np.where(fixed, lb, 0.0)
-    a = lp.a.astype(np.float64)
-    rhs = lp.rhs.astype(np.float64) - a @ x
-    sense = np.asarray(lp.sense, dtype="U1")
-    out = LpResult("optimal", None, None)
+    """The two-phase primal simplex from the all-logical tableau.
 
-    if fixed.all():
-        # everything fixed: only feasibility to check
-        bad = (((sense == "L") & (rhs < -_FEAS_TOL)) | ((sense == "G") & (rhs > _FEAS_TOL))
-               | ((sense == "E") & (np.abs(rhs) > _FEAS_TOL)))
-        if bad.any():
+    A row whose logical starts below zero is negated, rhs included: its
+    ``rho_i`` changes sign and its logical is measured the other way
+    (``dirn`` -1).  Each row whose logical then starts infeasible, a negated
+    row or an 'E' row off zero, gets an artificial basic in its place.  Row
+    ``i``'s artificial column is its logical's column up to sign, so it is
+    not stored: it is the basis id ``n + m + i``, priced out by phase one and
+    never let in.  One left basic at zero has held row ``i`` throughout, so
+    the logical's column there is still a signed unit vector: the row goes to
+    the logical, negated where that sign is -1, and no row is dropped.
+    """
+    m, n = lp.m, lp.n
+    k = n + m
+    out = LpResult("optimal", None, None)
+    tab = _all_logical(lp, lb, ub, np.zeros(n, dtype=bool))
+    t, basis, dirn, rho = tab.t, tab.basis, tab.dirn, tab.rho
+    sense = np.asarray(lp.sense, dtype="U1")
+    neg = np.flatnonzero(t[:m, -1] < 0.0)
+    t[neg] *= -1.0
+    rho[neg] *= -1.0
+    dirn[n + neg] = -1.0
+    arts = np.flatnonzero((dirn[n:] < 0.0) | ((sense == "E") & (t[:m, -1] > 0.0)))
+    free = np.concatenate([np.isinf(lb) & np.isinf(ub), np.zeros(2 * m, dtype=bool)])
+    width = np.concatenate([ub - lb, np.where(sense == "E", 0.0, np.inf), np.full(m, np.inf)])
+    allowed = (width[:k] > 0.0) | free[:k]
+    if arts.size:
+        basis[arts] += m
+        t[-1] = 0.0
+        for r in arts.tolist():
+            t[-1] -= t[r]
+        _, out.pivots = _pivot_loop(t, basis, width, free, dirn, _RC_TOL, 2 * (m + k),
+                                    allowed, out)
+        # the phase-one objective is bounded below by zero, so an "unbounded"
+        # verdict can only be round-off noise in a reduced cost
+        if -t[-1, -1] > _FEAS_TOL:
             out.status = "infeasible"
             return out
-        return _finish(out, lp, lb, ub, x, np.zeros(lp.m), n + np.arange(lp.m),
-                       np.zeros(n, dtype=bool))
-
-    idx = np.flatnonzero(~fixed)
-    lo, hi = lb[idx], ub[idx]
-    has_lo, has_hi = np.isfinite(lo), np.isfinite(hi)
-    free = ~has_lo & ~has_hi
-    a = a[:, idx]
-    rhs = rhs - a @ np.where(has_lo, lo, np.where(has_hi, hi, 0.0))
-    status, v, dirn, ids, y, out.pivots = _solve_columns(
-        a, rhs, sense, lp.c[idx].astype(np.float64), hi - lo, free,
-        np.where(has_lo | free, 1.0, -1.0), out)
-    if status != "optimal":
+        rows = np.flatnonzero(basis >= k)
+        t[rows[dirn[n + rows] < 0.0]] *= -1.0
+        t[rows, -1] = 0.0
+        basis[rows] -= m
+        t[-1] = 0.0
+        t[-1, :n] = lp.c * dirn[:n]
+        _price_out(t, basis)
+    status, p = _pivot_loop(t, basis, width, free, dirn, _RC_TOL, 2 * (m + k), allowed, out)
+    out.pivots += p
+    if status == "unbounded":
         out.status = status
         return out
-    x[idx] = np.where(free, 0.0, np.where(dirn > 0, lo, hi)) + dirn * v
-    at_upper = np.zeros(n, dtype=bool)
-    at_upper[idx] = (dirn < 0) & ~free
-    ids = np.where(ids < idx.size, idx[np.minimum(ids, idx.size - 1)], ids - idx.size + n)
-    return _finish(out, lp, lb, ub, x, y, ids, at_upper)
+    return _finish(out, lp, lb, ub, tab)
 
 
 def _add_work(res: LpResult, other: LpResult) -> None:
@@ -753,13 +674,13 @@ def solve_lp_arrays(lp: LinearProgram, basis: Basis | None = None,
                     tableau: Tableau | None = None) -> LpResult:
     """Solve a bounded-variable LP, warm-started from ``basis`` when given.
 
-    ``tableau`` is the final tableau of an earlier warm answer on the same
-    rows and objective (``LpResult.tableau``; other bounds and appended rows
-    are fine); the basis is then reached from it, and it is consumed.
-    Without a basis, or when the warm start gives up, the LP is solved cold.
-    A cold optimum that fails its certificate is repaired once through the
-    warm path from its own final basis; one that still fails is returned
-    with ``certified`` false.
+    ``tableau`` is the final tableau of an earlier answer on the same rows
+    and objective (``LpResult.tableau``; other bounds and appended rows are
+    fine); the basis is then reached from it, and it is consumed.  Without a
+    basis, or when the warm start gives up, the LP is solved cold.  A cold
+    optimum that fails its certificate is repaired once through the warm
+    path from its own final basis; one that still fails is returned with
+    ``certified`` false.
     """
     if tableau is not None and basis is None:
         raise InvalidArgument("a carried tableau needs a basis to move to")

@@ -8,16 +8,18 @@ when the queue runs dry, when the incumbent closes the gap, or at
 the epigraph violation is at most ``OA_TOL``; each of its rounds is one
 more popped node, so the same limits bound it.
 
-Each queued node carries the final basis of the LP it came from: a child
-gets its parent's, a cut round its own node's (the new cut rows enter with
-their logicals basic).  Its LP is then warm-started from that basis by the
-dual simplex; only the root, and a warm start that gives up, solve from
-scratch.  The search also keeps the final tableau of the last LP answered
-warm and hands it to the next LP, which reaches its node's basis from it
-in a few pivots instead of rebuilding the tableau from the all-logical
-start; that tableau lives in one :func:`solve_mip` call only.  How each LP
-was answered is counted in :class:`LpCounters` and written on the log's
-``end status`` line.
+Each node LP leaves out the variables the model itself fixes (stable
+units' binaries among them); a branching fixes a binary as a column of
+width 0.  Each queued node carries the final basis of the LP it came from:
+a child gets its parent's, a cut round its own node's (the new cut rows
+enter with their logicals basic).  Its LP is then warm-started from that
+basis by the dual simplex; only the root, and a warm start that gives up,
+solve from scratch.  The search also keeps the final tableau of the last
+LP answered, the root's included, and hands it to the next LP, which
+reaches its node's basis from it in a few pivots instead of rebuilding the
+tableau from the all-logical start; that tableau lives in one
+:func:`solve_mip` call only.  How each LP was answered is counted in
+:class:`LpCounters` and written on the log's ``end status`` line.
 
 Everything is deterministic: node selection breaks ties by insertion order,
 branching picks the most fractional binary (lowest id on ties), and the
@@ -35,6 +37,7 @@ import numpy as np
 
 from .encoding import MipModel, add_lse_cut
 from .errors import InvalidArgument, NoIncumbent
+from .linalg import matvec
 from .simplex import Basis, LinearProgram, LpResult, Tableau, solve_lp_arrays
 
 __all__ = ["LpCounters", "SolveConfig", "Solution", "solve_lp", "solve_mip", "warm_start"]
@@ -58,14 +61,15 @@ class LpCounters:
     ``warm_lps`` were answered from the basis their node carried and
     ``cold_lps`` from scratch (the root, and every warm start that gave up,
     counted by reason in ``fallbacks``).  ``carried_lps`` started from the
-    last warm LP's final tableau; those it did not answer are counted by
-    reason in ``carry_fallbacks`` and went on from a fresh all-logical
-    tableau.  ``repaired_lps`` are cold optima that failed their certificate
+    last LP's final tableau; those it did not answer are counted by reason
+    in ``carry_fallbacks`` and went on from a fresh all-logical tableau.
+    ``repaired_lps`` are cold optima that failed their certificate
     and passed it after one refactor and clean-up; ``uncertified_lps`` are
     'optimal' answers that still fail it.  ``dual_pivots`` plus
     ``primal_pivots`` make ``Solution.lp_pivots``; the pivots that move a
     tableau to a node's basis are not in it: ``carry_pivots`` from the
-    carried tableau, ``refactor_pivots`` from a fresh one.
+    carried tableau, ``refactor_pivots`` from a fresh one (after a carry
+    fallback, in a repair, or when the last LP left no tableau).
     ``bland_switches`` and ``stall_exits`` count the primal loop's turns to
     Bland's rule and its exits at the stall cap.
     """
@@ -143,8 +147,15 @@ def solve_lp(model: MipModel, fixings: dict[int, float] | None = None,
              basis: Basis | None = None, tableau: Tableau | None = None) -> LpResult:
     """Solve the continuous relaxation (binaries relaxed into their boxes),
     warm-started from ``basis`` when given, which is reached from the carried
-    ``tableau`` when one is given too."""
-    a, sense, rhs = model.dense_rows()
+    ``tableau`` when one is given too.
+
+    The variables the model itself fixes (``lb == ub``) are left out of the
+    LP; a fixing makes a column of width 0.  So ``basis`` and ``tableau``,
+    like the answer's, index only the variables the model does not fix,
+    while the answer's ``x`` has every variable.
+    """
+    _, sense, rhs = model.dense_rows()
+    cols, fixed, a, a_fixed = model.split_fixed()
     lb = np.array([v.lb for v in model.variables], dtype=np.float64)
     ub = np.array([v.ub for v in model.variables], dtype=np.float64)
     for j, val in (fixings or {}).items():
@@ -153,8 +164,14 @@ def solve_lp(model: MipModel, fixings: dict[int, float] | None = None,
     c = np.zeros(len(model.variables), dtype=np.float64)
     for j, coef in model.objective.items():
         c[j] = coef
-    return solve_lp_arrays(LinearProgram(c=c, a=a, sense=sense, rhs=rhs, lb=lb, ub=ub,
-                                         const=model.objective_const), basis, tableau)
+    res = solve_lp_arrays(LinearProgram(
+        c=c[cols], a=a, sense=sense, rhs=rhs - matvec(a_fixed, lb[fixed]), lb=lb[cols],
+        ub=ub[cols], const=model.objective_const + float(np.dot(c[fixed], lb[fixed]))),
+        basis, tableau)
+    if res.x is not None:
+        lb[cols] = res.x
+        res.x = lb
+    return res
 
 
 def warm_start(model: MipModel, assignment: np.ndarray) -> float:

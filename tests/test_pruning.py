@@ -277,9 +277,9 @@ class TestGoldenReports:
     """
 
     DIGESTS = {
-        "dense-seed0": "0511bce779adfbe19460bea9d4bc7462cd64396616da613a9959d6cb73e50193",
-        "conv-class4": "8bb91d7fc2d3dffd4ff43e1fb1db5e33db5d76c8763a72142553f9e49f9e9959",
-        "conv-class6": "d4ee43a819b4b84cfa40bcbb1eb1f6a2a27e10e53484d0eebbf694849d19317b",
+        "dense-seed0": "ff9f4024414bb024916530ff28cb6d2e593c037dff5eda86b01591a104e5071c",
+        "conv-class4": "febb853ba8620a5d997a66009a931213aae5a4da603c8e8b0acb55f531958c9a",
+        "conv-class6": "faeb43767c0e526929e7ff9b65f3485b623562ee35f253c05e5b7e7e62d8e95d",
     }
 
     @staticmethod
@@ -317,8 +317,9 @@ class TestGoldenReports:
 
     def test_node_lps_start_from_the_carried_tableau(self, monkeypatch):
         """Rebuilding every warm LP's tableau from the all-logical start took
-        2,360 refactor pivots on conv class 4; only the first warm LP of a
-        solve, and a carried tableau that gives up, still rebuild."""
+        2,360 refactor pivots on conv class 4.  Every warm LP, the first
+        included, now starts from the last answer's tableau; only a carried
+        tableau that gives up would still rebuild, and none does here."""
         sols = []
         real = mipprune.pruning.solve_mip
 
@@ -330,8 +331,8 @@ class TestGoldenReports:
         net, xs, ys = self.conv_instance()
         score(net, xs[4:5], ys[4:5], lam=5.0, epsilon=0.05, allow_imbalanced=True)
         counts = sols[0].lp_counters
-        assert counts.carried_lps == counts.warm_lps - 1 > 0
-        assert counts.refactor_pivots < 2360 // 10
+        assert counts.carried_lps == counts.warm_lps > 0
+        assert counts.carry_fallbacks == {} and counts.refactor_pivots == 0
         assert counts.fallbacks == {} and counts.uncertified_lps == 0
 
     def test_no_tableau_crosses_solves(self):

@@ -249,6 +249,38 @@ class TestBoundKinds:
         assert min(seen.values()) >= 20
 
 
+class TestDependentRows:
+    """Linearly dependent rows solved from scratch: phase one leaves an
+    artificial basic at zero, and its row keeps its logical basic instead of
+    being dropped."""
+
+    CASES = {
+        "duplicated-E": ([1.0, -1.0, 0.5], [[1.0, 1.0, 1.0], [1.0, 1.0, 1.0], [1.0, -1.0, 0.0]],
+                         ["E", "E", "L"], [2.0, 2.0, 1.0], [0.0] * 3, [3.0] * 3),
+        "E-sum-of-two": ([1.0, 2.0, -1.0], [[1.0, 1.0, 0.0], [0.0, 1.0, 1.0], [1.0, 2.0, 1.0]],
+                         ["E", "E", "E"], [1.0, 2.0, 3.0], [0.0] * 3, [2.0] * 3),
+        "duplicated-free": ([1.0, 2.0], [[1.0, 1.0], [1.0, 1.0]], ["G", "G"], [1.0, 1.0],
+                            [-np.inf, 0.0], [np.inf, 2.0]),
+        "inconsistent-pair": ([1.0, 1.0], [[1.0, 1.0], [1.0, 1.0]], ["E", "E"], [1.0, 2.0],
+                              [0.0, 0.0], [3.0, 3.0]),
+    }
+
+    @pytest.mark.parametrize("name", sorted(CASES))
+    def test_matches_highs(self, name):
+        lp = make_lp(*self.CASES[name])
+        want, fun = highs(lp)
+        r = solve_lp_arrays(lp)
+        assert r.status == want
+        if want == "optimal":
+            assert r.certified
+            assert r.objective == pytest.approx(fun, abs=1e-9)
+            assert r.basis.ids.size == lp.m  # no row dropped
+            assert r.basis.ids.max() >= lp.n  # a dependent row's logical is basic
+            # the answer's tableau carries on like any other
+            c = solve_lp_arrays(lp, r.basis, r.tableau)
+            assert c.carried and c.certified and c.carry_fallback is None and c.pivots == 0
+
+
 def dense_pivot(t, r, j):
     """The textbook update: every row minus its pivot-column entry times the
     normalized pivot row, then column ``j`` set to its unit vector."""
@@ -348,7 +380,7 @@ def with_fixing(lp, j, value):
 
 class TestWarmStart:
     """Warm starts from a cold optimum's basis, or reached from the final
-    tableau of the last warm answer (carried), checked against HiGHS."""
+    tableau of the last answer (carried), checked against HiGHS."""
 
     @staticmethod
     def cold_optima(seed, count):
@@ -367,6 +399,10 @@ class TestWarmStart:
             assert w.warm and w.certified and w.fallback is None
             assert w.pivots == 0
             assert w.objective == pytest.approx(r.objective, rel=1e-9, abs=1e-9)
+            c = solve_lp_arrays(lp, r.basis, r.tableau)
+            assert c.warm and c.carried and c.certified and c.carry_fallback is None
+            assert (c.pivots, c.carry_pivots, c.refactor_pivots) == (0, 0, 0)
+            assert c.objective == pytest.approx(r.objective, rel=1e-9, abs=1e-9)
 
     @pytest.mark.parametrize("change", ["fix", "rows", "both"])
     def test_changed_lp_matches_highs(self, change):
@@ -389,18 +425,6 @@ class TestWarmStart:
         assert warm == len(optima)  # none of these well-posed LPs falls back
 
     @staticmethod
-    def warm_optima(seed, count):
-        """``count`` random LPs, each with a warm optimum (``tableau`` set)."""
-        rng = np.random.default_rng(seed)
-        out = []
-        while len(out) < count:
-            lp = random_mixed_lp(rng)
-            r = solve_lp_arrays(lp)
-            if r.status == "optimal":
-                out.append((lp, solve_lp_arrays(lp, r.basis)))
-        return out, rng
-
-    @staticmethod
     def check_carried(lp, res):
         want, fun = highs(lp)
         assert res.status == want
@@ -414,9 +438,13 @@ class TestWarmStart:
     def test_carried_from_own_final_basis(self, change):
         """The next LP starts from the basis the carried tableau ended on:
         a cut round, or a child popped right after its parent."""
-        optima, rng = self.warm_optima(34, 150)
+        optima, rng = self.cold_optima(34, 150)
         seen = {"optimal": 0, "infeasible": 0}
+        negated = 0
         for lp, w in optima:
+            # a row the solve from scratch negated has the sign of its scale
+            # flipped; its logical must price like any other
+            negated += bool(np.any(w.tableau.rho * np.where(lp.sense == "G", -1.0, 1.0) < 0.0))
             if change == "release":
                 # branch a basic boxed column to one end of its box, then
                 # release it, as a binary's fixing is released in the search
@@ -436,12 +464,13 @@ class TestWarmStart:
             seen[self.check_carried(lp2, res)] += 1
             assert res.carry_fallback is None and res.refactor_pivots == 0
         assert seen["optimal"] >= 10 and (change == "release" or seen["infeasible"] >= 10)
+        assert negated >= 50
 
     @pytest.mark.parametrize("rows", [False, True])
     def test_carried_to_sibling_basis(self, rows):
         """A node's second child starts from its parent's basis while the
         carried tableau ended on the first child's optimum."""
-        optima, rng = self.warm_optima(35, 150)
+        optima, rng = self.cold_optima(35, 150)
         moved = 0
         for lp, w in optima:
             basic = [j for j in w.basis.ids.tolist() if j < lp.n and lp.lb[j] < lp.ub[j]]
@@ -461,7 +490,7 @@ class TestWarmStart:
         assert moved >= 20
 
     def test_carried_answer_failing_its_check_is_answered_fresh(self, monkeypatch):
-        (lp, w), = self.warm_optima(36, 1)[0]
+        (lp, w), = self.cold_optima(36, 1)[0]
         lp2 = make_lp(lp.c, np.vstack([lp.a, lp.c]), np.append(lp.sense, "G"),
                       np.append(lp.rhs, w.objective + 0.1), lp.lb, lp.ub)
         real = simplex._certified_optimal

@@ -7,6 +7,7 @@ import mipprune.solver
 from mipprune import simplex
 from mipprune.encoding import MipModel
 from mipprune.errors import InvalidArgument, NoIncumbent
+from mipprune.simplex import LinearProgram, solve_lp_arrays
 from mipprune.solver import SolveConfig, solve_lp, solve_mip, warm_start
 
 
@@ -60,6 +61,28 @@ class TestKnapsackToy:
         sol = solve_mip(model, SolveConfig())
         assert sol.node_count == 1
         assert sol.objective == pytest.approx(1.0)
+
+
+class TestModelFixedColumns:
+    @pytest.mark.parametrize("fixings", [{}, {0: 0.0}, {3: 2.0}])
+    def test_left_out_of_the_lp_and_mapped_back(self, fixings):
+        """Variables 1 and 3 are fixed by their own bounds, so they are no LP
+        columns: the answer's basis covers the other two only, while its x
+        and objective are those of the full LP, also when a fixing moves a
+        variable the model fixes."""
+        c, lb, ub = [-1.0, -2.0, 0.1, 0.5], [0.0, 0.5, 0.0, 1.0], [1.0, 0.5, 2.0, 1.0]
+        a, sense, rhs = [[1.0, 0.0, -1.0, 1.0], [1.0, 1.0, 1.0, 0.0]], ["L", "G"], [1.3, 1.0]
+        res = solve_lp(build_model(c, a, sense, rhs, lb, ub, [True, False, False, False]),
+                       fixings)
+        lb, ub = np.array(lb), np.array(ub)
+        for j, val in fixings.items():
+            lb[j] = ub[j] = val
+        full = solve_lp_arrays(LinearProgram(np.array(c), np.array(a), np.array(sense),
+                                             np.array(rhs), lb, ub))
+        assert res.status == full.status == "optimal" and res.certified
+        assert res.basis.at_upper.size == 2 and res.tableau.t.shape == (3, 5)
+        assert res.x == pytest.approx(full.x, abs=1e-12)
+        assert res.objective == pytest.approx(full.objective, abs=1e-12)
 
 
 class TestRandomMilpsAgainstEnumeration:
@@ -234,8 +257,9 @@ class TestWarmStartedNodes:
         assert counts.dual_pivots + counts.primal_pivots == sol.lp_pivots
         assert sol.log_lines[-1].endswith(counts.to_text())
         assert f"warm_lps {counts.warm_lps} cold_lps 1 fallbacks none" in sol.log_lines[-1]
-        # only the first warm LP builds its tableau afresh; the rest carry one
-        assert counts.carried_lps == counts.warm_lps - 1 and counts.carry_fallbacks == {}
+        # every warm LP carries the last answer's tableau, the root's included
+        assert counts.carried_lps == counts.warm_lps and counts.carry_fallbacks == {}
+        assert counts.refactor_pivots == 0
         assert f"carried_lps {counts.carried_lps} carry_fallbacks none" in sol.log_lines[-1]
         assert (counts.bland_switches, counts.stall_exits) == (0, 0)
 
@@ -244,7 +268,7 @@ class TestWarmStartedNodes:
         tableau; each such LP is answered from a fresh all-logical tableau and
         counted by its reason, and the search is unchanged."""
         want = solve_mip(fractional_knapsack(), SolveConfig())
-        carrying = [False]  # the cold root is certified as usual
+        carrying = []  # the root starts from _all_logical too, and is certified as usual
         real_carry, real_fresh = simplex._carry, simplex._all_logical
         real_opt, real_inf = simplex._certified_optimal, simplex._certified_infeasible
 
@@ -264,9 +288,12 @@ class TestWarmStartedNodes:
                             lambda *args: not carrying[-1] and real_inf(*args))
         sol = solve_mip(fractional_knapsack(), SolveConfig())
         counts = sol.lp_counters
-        assert counts.carried_lps == sol.node_count - 2 > 0
+        assert counts.carried_lps == sol.node_count - 1 > 0
         assert counts.carry_fallbacks == {"uncertified": counts.carried_lps}
         assert counts.warm_lps == sol.node_count - 1 and counts.fallbacks == {}
-        assert counts.refactor_pivots > want.lp_counters.refactor_pivots
+        # one fresh start for the root and one for each carried LP that gave up
+        assert carrying.count(True) == counts.carried_lps
+        assert carrying.count(False) == counts.carried_lps + 1 and not carrying[0]
+        assert counts.refactor_pivots > want.lp_counters.refactor_pivots == 0
         assert sol.objective == want.objective
         assert sol.values.tobytes() == want.values.tobytes()
