@@ -213,7 +213,13 @@ def cmd_train(args, run: Path) -> None:
     print(f"trained {args.arch} on {ds.name}: train accuracy {acc:.4f}")
 
 
-def _warn_if_unproven(report) -> None:
+def _warn_about(report) -> None:
+    """Warn on stderr when the scores are the warm start's, or not proven
+    optimal."""
+    # the warm start is the unpruned network: every score 1
+    if all(v == 1.0 for v in report.scores.values()):
+        print("warning: the scores equal the warm start's (every unit 1.0); the search "
+              "never improved on the unpruned network", file=sys.stderr)
     if report.status != "optimal":
         print(f"warning: solver status {report.status} (gap {report.gap:.2e}); "
               "scores are not proven optimal", file=sys.stderr)
@@ -231,7 +237,7 @@ def cmd_score(args, run: Path) -> None:
     zeros = sum(1 for v in report.scores.values() if v < 1e-9)
     print(f"scored {len(report.scores)} units: objective {report.objective:.6f}, "
           f"gap {report.gap:.2e}, status {report.status}, {zeros} zero scores")
-    _warn_if_unproven(report)
+    _warn_about(report)
 
 
 def cmd_prune(args, run: Path) -> None:
@@ -282,7 +288,7 @@ def cmd_score_classwise(args, run: Path) -> None:
     pruning.save_report(report, run / "report.txt")
     print(f"classwise scored {len(report.scores)} units, "
           f"mean objective {report.objective:.6f}, status {report.status}")
-    _warn_if_unproven(report)
+    _warn_about(report)
 
 
 def cmd_transfer(args, run: Path) -> None:

@@ -108,8 +108,9 @@ class MipModel:
     or 'E' (=); ``tag[i]`` names the kind of row (``relu_cap``, ``lse_cut``,
     ...).  Cuts append rows, so row ids never change.  ``dense_rows`` gives
     the same rows as a dense matrix, and ``split_fixed`` its columns split by
-    whether the variable's own bounds fix it; both are cached until a row or
-    variable is added.
+    whether the variable's own bounds fix it, cached until a row or variable
+    is added.  ``var_arrays`` gives the bounds and the objective as arrays,
+    cached until a variable or an objective term is added.
     """
 
     variables: list[VarRef] = field(default_factory=list)
@@ -132,8 +133,8 @@ class MipModel:
     prunable: list[tuple[int, int]] = field(default_factory=list)
     reference_assignment: np.ndarray | None = None
     batch_digest: str = ""
-    _dense: tuple | None = field(default=None, init=False, repr=False, compare=False)
     _split: tuple | None = field(default=None, init=False, repr=False, compare=False)
+    _vars: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     # -- construction ------------------------------------------------------
 
@@ -142,7 +143,7 @@ class MipModel:
                 point: int | None = None) -> int:
         idx = len(self.variables)
         self.variables.append(VarRef(idx, name, kind, lb, ub, binary, layer, unit, point))
-        self._dense = self._split = None
+        self._split = self._vars = None
         return idx
 
     def add_constraint(self, coefs: Mapping[int, float], sense: str, rhs: float,
@@ -163,11 +164,12 @@ class MipModel:
         self.sense.append(sense)
         self.rhs.append(rhs)
         self.tag.append(tag)
-        self._dense = self._split = None
+        self._split = None
         return len(self.rhs) - 1
 
     def add_objective_term(self, idx: int, coef: float) -> None:
         self.objective[idx] = self.objective.get(idx, 0.0) + coef
+        self._vars = None
 
     # -- rows --------------------------------------------------------------
 
@@ -182,28 +184,52 @@ class MipModel:
         return dict(zip(self.col_idx[lo:hi], self.row_val[lo:hi]))
 
     def dense_rows(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Read-only ``(a, sense, rhs)`` with ``a`` dense, rows by variables."""
-        if self._dense is None:
-            a = np.zeros((len(self.rhs), len(self.variables)), dtype=np.float64)
-            entry_rows = np.repeat(np.arange(len(self.rhs)), np.diff(self.row_ptr))
-            a[entry_rows, np.array(self.col_idx, dtype=np.intp)] = self.row_val
-            self._dense = (a, np.array(self.sense, dtype="U1"), np.array(self.rhs))
-            for arr in self._dense:
-                arr.flags.writeable = False
-        return self._dense
+        """Read-only ``(a, sense, rhs)`` with ``a`` dense, rows by variables,
+        built on each call."""
+        a = np.zeros((len(self.rhs), len(self.variables)), dtype=np.float64)
+        entry_rows = np.repeat(np.arange(len(self.rhs)), np.diff(self.row_ptr))
+        a[entry_rows, np.array(self.col_idx, dtype=np.intp)] = self.row_val
+        return _frozen(a, np.array(self.sense, dtype="U1"), np.array(self.rhs))
 
-    def split_fixed(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """Read-only ``(cols, fixed, a_cols, a_fixed)``: the ids of the variables
-        with ``lb < ub`` and of those with ``lb == ub``, and the columns of
-        ``dense_rows``' ``a`` for each."""
+    def split_fixed(self) -> tuple[np.ndarray, ...]:
+        """Read-only ``(cols, fixed, a_cols, a_fixed, sense, rhs)``: the ids of
+        the variables with ``lb < ub`` and of those with ``lb == ub``, the
+        dense rows' columns for each, and each row's sense and rhs.
+
+        Cached until a row or a variable is added, and then written again
+        straight from the row store.  (Extended in place by a cut round's
+        rows instead, the cached arrays stayed alive between the round's
+        tableaux and raised peak RSS by 1-2 MB on the score benchmark, in
+        the same time.)
+        """
         if self._split is None:
-            a = self.dense_rows()[0]
-            is_fixed = np.array([v.lb == v.ub for v in self.variables], dtype=bool)
+            m = len(self.rhs)
+            lb, ub, _ = self.var_arrays()
+            is_fixed = lb == ub
             cols, fixed = np.flatnonzero(~is_fixed), np.flatnonzero(is_fixed)
-            self._split = (cols, fixed, a[:, cols], a[:, fixed])
-            for arr in self._split:
-                arr.flags.writeable = False
+            a_cols = np.zeros((m, cols.size), dtype=np.float64)
+            a_fixed = np.zeros((m, fixed.size), dtype=np.float64)
+            pos = np.empty(is_fixed.size, dtype=np.intp)  # each variable's column in its block
+            pos[cols], pos[fixed] = np.arange(cols.size), np.arange(fixed.size)
+            rows = np.repeat(np.arange(m), np.diff(self.row_ptr))
+            var = np.array(self.col_idx, dtype=np.intp)
+            val = np.array(self.row_val)
+            on = is_fixed[var]
+            a_cols[rows[~on], pos[var[~on]]] = val[~on]
+            a_fixed[rows[on], pos[var[on]]] = val[on]
+            self._split = _frozen(cols, fixed, a_cols, a_fixed, np.array(self.sense, dtype="U1"),
+                                  np.array(self.rhs))
         return self._split
+
+    def var_arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Read-only ``(lb, ub, c)``: each variable's bounds and objective
+        coefficient."""
+        if self._vars is None:
+            c = np.zeros(len(self.variables), dtype=np.float64)
+            c[list(self.objective)] = list(self.objective.values())
+            self._vars = _frozen(np.array([v.lb for v in self.variables], dtype=np.float64),
+                                 np.array([v.ub for v in self.variables], dtype=np.float64), c)
+        return self._vars
 
     # -- evaluation --------------------------------------------------------
 
@@ -260,6 +286,12 @@ class MipModel:
         return {
             key: min(1.0, max(0.0, float(x[idx]))) for key, idx in self.s_vars.items()
         }
+
+
+def _frozen(*arrays: np.ndarray) -> tuple:
+    for arr in arrays:
+        arr.flags.writeable = False
+    return arrays
 
 
 def encode_maxpool(model: MipModel, input_vars: list[int], uppers, layer: int, group: int,

@@ -1,6 +1,6 @@
 """Bounded-variable dense simplex for small linear programs: a two-phase
-primal solve from scratch, and a dual simplex warm-started from a basis,
-both on one tableau layout.
+primal solve from scratch, a primal phase two started at a given vertex,
+and a dual simplex warm-started from a basis, all on one tableau layout.
 
 Every variable is one tableau column ``v >= 0`` with ``x = base + dirn * v``:
 shifted from a finite lower bound, mirrored from a finite upper bound when
@@ -37,20 +37,25 @@ basic values from the original arrays; the reduced-cost row carries over,
 since the objective is fixed.  It then runs a dual simplex (largest bound
 violation leaves; Harris two-pass ratio test) and the primal loop as a
 clean-up.  A carried tableau that gives up leaves the LP to the
-all-logical start.  Products use the fixed-order kernels of :mod:`.linalg`,
-never BLAS or LAPACK, so results are bit-reproducible.
+all-logical start.  A start at a feasible vertex uses the same move from
+the all-logical tableau: each column inside its bounds is pivoted into a
+row the point holds tight, every other column stays at the bound the
+point holds, and phase two of the primal loop runs from there.  Products
+use the fixed-order kernels of :mod:`.linalg`, never BLAS or LAPACK, so
+results are bit-reproducible.
 
 Every 'optimal' answer is checked on the original arrays: the primal
 residual of rows and bounds, and the reduced costs recomputed from the row
 duals.  A warm 'infeasible' answer must come with a Farkas row that proves
 it on the original rows and bounds.  A warm start that cannot be refactored
-or certified falls back to the cold solve; a cold optimum that fails the
-check is refactored on its own final basis and cleaned up once through the
-warm path.  Ref: Koberstein, "The dual simplex method, techniques for a fast
-and stable implementation", PhD thesis, Paderborn 2005, ch. 4-6; Bixby,
-"Solving real-world linear programs: a decade and more of progress", Oper.
-Res. 50, 2002; Harris, "Pivot selection methods of the Devex LP code", Math.
-Prog. 5, 1973.
+or certified falls back to the cold solve, and so does a vertex start whose
+point is not a vertex or is infeasible, or whose answer fails its check; a
+cold optimum that fails the check is refactored on its own final basis and
+cleaned up once through the warm path.  Ref: Koberstein, "The dual simplex
+method, techniques for a fast and stable implementation", PhD thesis,
+Paderborn 2005, ch. 4-6; Bixby, "Solving real-world linear programs: a
+decade and more of progress", Oper. Res. 50, 2002; Harris, "Pivot selection
+methods of the Devex LP code", Math. Prog. 5, 1973.
 """
 
 from __future__ import annotations
@@ -144,7 +149,8 @@ class LpResult:
     bound flips.  The pivots that move a tableau to the given basis are
     counted apart: ``carry_pivots`` from the carried tableau,
     ``refactor_pivots`` from a fresh all-logical one (when no tableau was
-    carried, when the carried one gave up, and in a repair).
+    carried, when the carried one gave up, in a repair, and to a start
+    point's basis).
     ``bland_switches`` and ``stall_exits`` count the primal loop's turns to
     Bland's rule and its exits at the stall cap.  Every 'optimal' answer,
     and every warm 'infeasible' one, has its final ``tableau``.
@@ -155,8 +161,8 @@ class LpResult:
     objective: float | None
     pivots: int = 0
     basis: Basis | None = None      # the final basis of an 'optimal' answer
-    warm: bool = False              # answered from the given basis
-    fallback: str | None = None     # why the given basis was not used
+    warm: bool = False              # answered from the given basis or point
+    fallback: str | None = None     # why the given basis or point was not used
     repaired: bool = False          # a cold optimum refactored and cleaned up
     certified: bool = False         # the answer passed its check on the original arrays
     refactor_pivots: int = 0
@@ -492,19 +498,26 @@ def _carry(tab: Tableau, lp: LinearProgram, lb: np.ndarray, ub: np.ndarray) -> T
 
 
 def _solve_from(tab: Tableau, lp: LinearProgram, lb: np.ndarray, ub: np.ndarray,
-                ids: np.ndarray, out: LpResult) -> int:
-    """Move ``tab`` to the basis ``ids``, then dual simplex and primal clean-up.
+                wanted: np.ndarray, out: LpResult, primal: bool = False) -> int:
+    """Move ``tab`` to a basis that holds the ``wanted`` ids, then solve.
 
     Each wanted column that is not basic is pivoted in, in id order, on the
     row held by an unwanted id with the largest |entry| (lowest row on ties;
-    none above ``_PIV_TOL`` means singular).  The objective is fixed, so the
-    reduced-cost row needs no price-out.  Nonbasic boxed columns then move to
-    the bound their reduced cost asks for, and the rhs column is computed
-    from the original arrays.  ``out`` gets the answer and the simplex
-    iterations, or ``fallback``: 'singular', 'dual_infeasible' (a
-    wrong-signed reduced cost on an unbounded column), 'stalled' (the dual
-    iteration cap), 'unbounded' (the clean-up found a ray) or 'uncertified'
-    (the answer failed its check).  Returns the pivots of the move.
+    none above ``_PIV_TOL`` means singular).  More wanted ids than rows give
+    up at once ('not_vertex'); with fewer, the rows no wanted id takes keep
+    their unwanted basic column.  The objective is fixed, so the reduced-cost
+    row needs no price-out.  Without ``primal`` the start is made dual
+    feasible (nonbasic boxed columns move to the bound their reduced cost
+    asks for), the rhs column is computed from the original arrays, and a
+    dual simplex and a primal clean-up follow.  With ``primal`` each
+    nonbasic column stays at the bound the tableau measures it from, and
+    phase two runs from the start if no basic value breaks its bounds by
+    more than ``_FEAS_TOL``.  ``out`` gets the answer and the simplex
+    iterations, or ``fallback``: 'not_vertex', 'singular', 'dual_infeasible'
+    (a wrong-signed reduced cost on an unbounded column), 'infeasible_start'
+    (a primal start out of bounds), 'stalled' (the dual iteration cap),
+    'unbounded' (the primal loop found a ray) or 'uncertified' (the answer
+    failed its check).  Returns the pivots of the move.
     """
     m, n = lp.m, lp.n
     k = n + m
@@ -513,10 +526,8 @@ def _solve_from(tab: Tableau, lp: LinearProgram, lb: np.ndarray, ub: np.ndarray,
     has_lo, has_hi = np.isfinite(lb), np.isfinite(ub)
     free = np.concatenate([~has_lo & ~has_hi, np.zeros(m, dtype=bool)])
     width = np.concatenate([ub - lb, np.where(sense == "E", 0.0, np.inf)])
-    wanted = np.zeros(k, dtype=bool)
-    wanted[ids] = True
-    if np.count_nonzero(wanted) != m:
-        out.fallback = "singular"
+    if np.count_nonzero(wanted) > m:
+        out.fallback = "not_vertex"
         return 0
     t[:, -1] = 0.0  # computed after the move
     basic = np.zeros(k, dtype=bool)
@@ -532,17 +543,18 @@ def _solve_from(tab: Tableau, lp: LinearProgram, lb: np.ndarray, ub: np.ndarray,
         _pivot(t, basis, int(rows[r]), j)
         moved += 1
 
-    # a dual feasible start: boxed columns move to the bound their reduced
-    # cost asks for; an unbounded one priced the wrong way gives up
-    d = t[-1, :-1]
-    nonbasic = np.ones(k, dtype=bool)
-    nonbasic[basis] = False
-    if np.any(nonbasic & np.isinf(width) & (np.where(free, np.abs(d), -d) > _CERT_DUAL)):
-        out.fallback = "dual_infeasible"
-        return moved
-    flip = np.flatnonzero(nonbasic & np.isfinite(width) & (width > 0.0) & (d < -_RC_TOL))
-    t[:, flip] *= -1.0
-    dirn[flip] *= -1.0
+    if not primal:
+        # a dual feasible start: boxed columns move to the bound their reduced
+        # cost asks for; an unbounded one priced the wrong way gives up
+        d = t[-1, :-1]
+        nonbasic = np.ones(k, dtype=bool)
+        nonbasic[basis] = False
+        if np.any(nonbasic & np.isinf(width) & (np.where(free, np.abs(d), -d) > _CERT_DUAL)):
+            out.fallback = "dual_infeasible"
+            return moved
+        flip = np.flatnonzero(nonbasic & np.isfinite(width) & (width > 0.0) & (d < -_RC_TOL))
+        t[:, flip] *= -1.0
+        dirn[flip] *= -1.0
     # basic values B^-1 (rho * (rhs - a @ base)); B^-1 is the logical block
     # times the logicals' dirn
     rhs = t[:-1, -1]
@@ -551,20 +563,25 @@ def _solve_from(tab: Tableau, lp: LinearProgram, lb: np.ndarray, ub: np.ndarray,
     cost = np.concatenate([lp.c * dirn[:n], np.zeros(m)])
     t[-1, -1] = -matvec(rhs[None], cost[basis])[0]
 
-    status, r, p = _dual_loop(t, basis, width, free, dirn, 2 * (m + k))
-    out.dual_pivots += p
-    out.pivots += p
-    if status == "stalled":
-        out.fallback = status
-        return moved
-    if status == "infeasible":
-        if not _certified_infeasible(lp, lb, ub, t[r, n:k] * dirn[n:], rho):
-            out.fallback = "uncertified"
+    if primal:
+        if np.any(~free[basis] & (np.maximum(-rhs, rhs - width[basis]) > _FEAS_TOL)):
+            out.fallback = "infeasible_start"
             return moved
-        out.status = "infeasible"
-        out.certified = out.warm = True
-        out.tableau = tab
-        return moved
+    else:
+        status, r, p = _dual_loop(t, basis, width, free, dirn, 2 * (m + k))
+        out.dual_pivots += p
+        out.pivots += p
+        if status == "stalled":
+            out.fallback = status
+            return moved
+        if status == "infeasible":
+            if not _certified_infeasible(lp, lb, ub, t[r, n:k] * dirn[n:], rho):
+                out.fallback = "uncertified"
+                return moved
+            out.status = "infeasible"
+            out.certified = out.warm = True
+            out.tableau = tab
+            return moved
     np.clip(rhs, np.where(free[basis], -np.inf, 0.0), width[basis], out=rhs)
     status, p = _pivot_loop(t, basis, width, free, dirn, _RC_TOL, 2 * (m + k),
                             (width > 0.0) | free, out)
@@ -593,17 +610,36 @@ def _solve_warm(lp: LinearProgram, lb: np.ndarray, ub: np.ndarray, start: Basis,
     if ids.size > m or start.at_upper.size != n or np.any((ids < 0) | (ids >= n + ids.size)):
         raise InvalidArgument(f"basis of {ids.size} rows does not fit an LP with {m} rows "
                               f"and {n} columns")
-    ids = np.concatenate([ids, n + np.arange(ids.size, m)])  # appended rows: logicals basic
+    wanted = np.zeros(n + m, dtype=bool)
+    wanted[ids] = True
+    wanted[n + ids.size:] = True  # appended rows: logicals basic
     out = LpResult("optimal", None, None)
     if carried is not None:
         tried = LpResult("optimal", None, None, carried=True)
-        tried.carry_pivots = _solve_from(_carry(carried, lp, lb, ub), lp, lb, ub, ids, tried)
+        tried.carry_pivots = _solve_from(_carry(carried, lp, lb, ub), lp, lb, ub, wanted, tried)
         if tried.fallback is None:
             return tried
         out.carried, out.carry_fallback = True, tried.fallback
         _add_work(out, tried)
     out.refactor_pivots += _solve_from(_all_logical(lp, lb, ub, start.at_upper), lp, lb, ub,
-                                       ids, out)
+                                       wanted, out)
+    return out
+
+
+def _solve_at(lp: LinearProgram, lb: np.ndarray, ub: np.ndarray, point: np.ndarray) -> LpResult:
+    """Phase two of ``lp`` from the basis of its vertex ``point``.
+
+    A structural within ``_FEAS_TOL`` of a bound is nonbasic there; every
+    other one is pivoted in from the all-logical tableau, into a row that
+    ``point`` holds tight (within ``_FEAS_TOL``), while the logicals of the
+    other rows stay basic.  ``fallback`` says why the start was not used.
+    """
+    at_lo, at_hi = np.abs(point - lb) <= _FEAS_TOL, np.abs(point - ub) <= _FEAS_TOL
+    tight = np.abs(matvec(lp.a, point) - lp.rhs) <= _FEAS_TOL
+    out = LpResult("optimal", None, None)
+    out.refactor_pivots = _solve_from(_all_logical(lp, lb, ub, at_hi & ~at_lo), lp, lb, ub,
+                                      np.concatenate([~(at_lo | at_hi), ~tight]), out,
+                                      primal=True)
     return out
 
 
@@ -671,24 +707,33 @@ def _add_work(res: LpResult, other: LpResult) -> None:
 
 
 def solve_lp_arrays(lp: LinearProgram, basis: Basis | None = None,
-                    tableau: Tableau | None = None) -> LpResult:
-    """Solve a bounded-variable LP, warm-started from ``basis`` when given.
+                    tableau: Tableau | None = None, point: np.ndarray | None = None) -> LpResult:
+    """Solve a bounded-variable LP, warm-started from ``basis`` or ``point``
+    when one is given.
 
     ``tableau`` is the final tableau of an earlier answer on the same rows
     and objective (``LpResult.tableau``; other bounds and appended rows are
-    fine); the basis is then reached from it, and it is consumed.  Without a
-    basis, or when the warm start gives up, the LP is solved cold.  A cold
-    optimum that fails its certificate is repaired once through the warm
-    path from its own final basis; one that still fails is returned with
-    ``certified`` false.
+    fine); the basis is then reached from it, and it is consumed.
+    ``point`` is a feasible vertex of ``lp``; phase two starts from its
+    basis.  Without a start, or when the start gives up, the LP is solved
+    cold.  A cold optimum that fails its certificate is repaired once
+    through the warm path from its own final basis; one that still fails is
+    returned with ``certified`` false.
     """
     if tableau is not None and basis is None:
         raise InvalidArgument("a carried tableau needs a basis to move to")
+    if point is not None and (basis is not None or np.shape(point) != (lp.n,)):
+        raise InvalidArgument("a start point needs one value per column and no basis")
     lb = lp.lb.astype(np.float64)
     ub = lp.ub.astype(np.float64)
     if np.any(lb > ub):
         return LpResult("infeasible", None, None, 0, certified=True)
-    tried = None if basis is None else _solve_warm(lp, lb, ub, basis, tableau)
+    if basis is not None:
+        tried = _solve_warm(lp, lb, ub, basis, tableau)
+    elif point is not None:
+        tried = _solve_at(lp, lb, ub, np.asarray(point, dtype=np.float64))
+    else:
+        tried = None
     if tried is not None and tried.fallback is None:
         return tried
     res = _solve_cold(lp, lb, ub)

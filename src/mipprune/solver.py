@@ -10,15 +10,17 @@ more popped node, so the same limits bound it.
 
 Each node LP leaves out the variables the model itself fixes (stable
 units' binaries among them); a branching fixes a binary as a column of
-width 0.  Each queued node carries the final basis of the LP it came from:
+width 0.  The root LP starts at the vertex of the warm incumbent, when
+there is one: phase two of the primal simplex runs from that point's
+basis.  Each queued node carries the final basis of the LP it came from:
 a child gets its parent's, a cut round its own node's (the new cut rows
 enter with their logicals basic).  Its LP is then warm-started from that
-basis by the dual simplex; only the root, and a warm start that gives up,
-solve from scratch.  The search also keeps the final tableau of the last
-LP answered, the root's included, and hands it to the next LP, which
-reaches its node's basis from it in a few pivots instead of rebuilding the
-tableau from the all-logical start; that tableau lives in one
-:func:`solve_mip` call only.  How each LP was answered is counted in
+basis by the dual simplex.  Only a root without a warm incumbent, and a
+start that gives up, solve from scratch.  The search also keeps the final
+tableau of the last LP answered, the root's included, and hands it to the
+next LP, which reaches its node's basis from it in a few pivots instead of
+rebuilding the tableau from the all-logical start; that tableau lives in
+one :func:`solve_mip` call only.  How each LP was answered is counted in
 :class:`LpCounters` and written on the log's ``end status`` line.
 
 Everything is deterministic: node selection breaks ties by insertion order,
@@ -58,9 +60,10 @@ class SolveConfig:
 class LpCounters:
     """How the LPs of one solve were answered; kept in memory only.
 
-    ``warm_lps`` were answered from the basis their node carried and
-    ``cold_lps`` from scratch (the root, and every warm start that gave up,
-    counted by reason in ``fallbacks``).  ``carried_lps`` started from the
+    ``warm_lps`` were answered from the start their node carried: a basis,
+    or for the root the warm incumbent's vertex.  ``cold_lps`` were answered
+    from scratch: a root without a warm incumbent, and every start that gave
+    up, counted by reason in ``fallbacks``.  ``carried_lps`` started from the
     last LP's final tableau; those it did not answer are counted by reason
     in ``carry_fallbacks`` and went on from a fresh all-logical tableau.
     ``repaired_lps`` are cold optima that failed their certificate
@@ -68,8 +71,9 @@ class LpCounters:
     'optimal' answers that still fail it.  ``dual_pivots`` plus
     ``primal_pivots`` make ``Solution.lp_pivots``; the pivots that move a
     tableau to a node's basis are not in it: ``carry_pivots`` from the
-    carried tableau, ``refactor_pivots`` from a fresh one (after a carry
-    fallback, in a repair, or when the last LP left no tableau).
+    carried tableau, ``refactor_pivots`` from a fresh one (the root's move
+    to its vertex, after a carry fallback, in a repair, or when the last LP
+    left no tableau).
     ``bland_switches`` and ``stall_exits`` count the primal loop's turns to
     Bland's rule and its exits at the stall cap.
     """
@@ -144,33 +148,32 @@ class Solution:
 
 
 def solve_lp(model: MipModel, fixings: dict[int, float] | None = None,
-             basis: Basis | None = None, tableau: Tableau | None = None) -> LpResult:
+             basis: Basis | None = None, tableau: Tableau | None = None,
+             point: np.ndarray | None = None) -> LpResult:
     """Solve the continuous relaxation (binaries relaxed into their boxes),
     warm-started from ``basis`` when given, which is reached from the carried
-    ``tableau`` when one is given too.
+    ``tableau`` when one is given too, or from the basis of the vertex
+    ``point`` (one value per variable).
 
     The variables the model itself fixes (``lb == ub``) are left out of the
     LP; a fixing makes a column of width 0.  So ``basis`` and ``tableau``,
     like the answer's, index only the variables the model does not fix,
     while the answer's ``x`` has every variable.
     """
-    _, sense, rhs = model.dense_rows()
-    cols, fixed, a, a_fixed = model.split_fixed()
-    lb = np.array([v.lb for v in model.variables], dtype=np.float64)
-    ub = np.array([v.ub for v in model.variables], dtype=np.float64)
-    for j, val in (fixings or {}).items():
-        lb[j] = val
-        ub[j] = val
-    c = np.zeros(len(model.variables), dtype=np.float64)
-    for j, coef in model.objective.items():
-        c[j] = coef
+    cols, fixed, a, a_fixed, sense, rhs = model.split_fixed()
+    lb, ub, c = model.var_arrays()
+    if fixings:
+        lb, ub = lb.copy(), ub.copy()
+        for j, val in fixings.items():
+            lb[j] = ub[j] = val
     res = solve_lp_arrays(LinearProgram(
         c=c[cols], a=a, sense=sense, rhs=rhs - matvec(a_fixed, lb[fixed]), lb=lb[cols],
         ub=ub[cols], const=model.objective_const + float(np.dot(c[fixed], lb[fixed]))),
-        basis, tableau)
+        basis, tableau, None if point is None else point[cols])
     if res.x is not None:
-        lb[cols] = res.x
-        res.x = lb
+        x = lb.copy()
+        x[cols] = res.x
+        res.x = x
     return res
 
 
@@ -259,7 +262,9 @@ def solve_mip(model: MipModel, config: SolveConfig | None = None,
             # every open node is within tolerance of the incumbent
             break
         node_count += 1
-        res = solve_lp(model, fixings, start, carried)
+        # only the root has no basis: it starts at the warm incumbent's vertex
+        point = incumbent if start is None else None
+        res = solve_lp(model, fixings, start, carried, point)
         carried = res.tableau
         counters.add(res)
         if res.status == "infeasible":

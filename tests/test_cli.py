@@ -139,10 +139,26 @@ class TestUnprovenResults:
         assert err.rstrip().endswith("scores are not proven optimal")
 
     def test_optimal_result_not_warned(self, trained_model, tmp_path, capsys):
-        run_ok(["score", "--out", str(tmp_path), *DATA, "--model", str(trained_model)])
+        # at eps 0.5 the search improves on the warm start
+        run_ok(["score", "--out", str(tmp_path), *DATA, "--model", str(trained_model),
+                "--epsilon", "0.5"])
         out, err = capsys.readouterr()
         assert "status optimal" in out
         assert "warning" not in err
+
+    @pytest.mark.parametrize("command, extra", [
+        ("score", []),                                  # the warm start closes the root
+        ("score-classwise", ["--node-limit", "0"]),     # no node is searched
+    ])
+    def test_scores_equal_to_the_warm_start_warned(self, trained_model, tmp_path, capsys,
+                                                   command, extra):
+        run_ok([command, "--out", str(tmp_path), *DATA, "--model", str(trained_model), *extra])
+        report = load_report(one_run_dir(tmp_path) / "report.txt")
+        assert set(report.scores.values()) == {1.0}
+        _, err = capsys.readouterr()
+        assert err.splitlines()[0] == ("warning: the scores equal the warm start's (every unit "
+                                       "1.0); the search never improved on the unpruned network")
+        assert len(err.splitlines()) == (1 if report.status == "optimal" else 2)
 
 
 class TestExitCodes:

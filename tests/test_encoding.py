@@ -279,9 +279,43 @@ class TestAddConstraint:
         assert sense.tolist() == ["G", "E"]
         assert rhs.tolist() == [0.5, -0.0]
         assert not dense.flags.writeable
-        # a new row drops the cached view
+        # a new row is read back at once
         model.add_constraint({a: 1.0}, "L", 1.0, "cut")
         assert model.dense_rows()[0].shape == (3, 3)
+
+    def test_split_blocks_after_cuts_equal_the_dense_columns(self):
+        """Read after every cut, as a search reads them, the column blocks of
+        the cached split equal the columns of the dense rows, bit for bit."""
+        net = init_network(2, [dense(6), dense(3, activation="none")], seed=4)
+        xs = np.array([[0.4, -0.2], [-0.7, 0.3]])
+        model = encoded(net, xs, [0, 2], eps=0.2)
+        for k, anchor in enumerate(np.random.default_rng(5).normal(size=(6, 3))):
+            add_lse_cut(model, k % 2, anchor)
+            a, sense, rhs = model.dense_rows()
+            cols, fixed, a_cols, a_fixed, split_sense, split_rhs = model.split_fixed()
+            assert 0 < fixed.size < cols.size + fixed.size == len(model.variables)
+            assert a_cols.shape[0] == len(model.constraints)
+            for got, want in ((a_cols, a[:, cols]), (a_fixed, a[:, fixed]),
+                              (split_sense, sense), (split_rhs, rhs)):
+                assert (got.dtype, got.shape) == (want.dtype, want.shape)
+                assert got.tobytes() == want.tobytes() and not got.flags.writeable
+            lb, ub, _ = model.var_arrays()
+            assert np.array_equal(np.flatnonzero(lb == ub), fixed)
+
+    def test_variable_arrays_follow_bounds_and_objective(self):
+        model = MipModel()
+        a = model.add_var("s_0_0", "s", 0.0, 1.0)
+        b = model.add_var("t_min", "t_min", -np.inf, np.inf)
+        model.add_objective_term(a, 0.5)
+        lb, ub, c = model.var_arrays()
+        assert (lb.tolist(), ub.tolist(), c.tolist()) == ([0.0, -np.inf], [1.0, np.inf],
+                                                          [0.5, 0.0])
+        model.add_objective_term(b, -2.0)
+        model.add_var("h_0_0_0", "h", 0.0, 0.0)
+        lb, ub, c = model.var_arrays()
+        assert (lb.tolist(), ub.tolist(), c.tolist()) == ([0.0, -np.inf, 0.0], [1.0, np.inf, 0.0],
+                                                          [0.5, -2.0, 0.0])
+        assert not (lb.flags.writeable or ub.flags.writeable or c.flags.writeable)
 
 
 class TestPresolveFixing:

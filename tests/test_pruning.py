@@ -2,6 +2,7 @@ import functools
 import hashlib
 
 import mipprune.pruning
+import mipprune.solver
 
 import numpy as np
 import pytest
@@ -272,14 +273,14 @@ class TestGoldenReports:
     The instances are built as the score benchmark builds them: the seed-0
     blobs net of its ``dense-1pt`` workload (eps 0.5, 1 point per class) and
     classes 4 and 6 of its ``conv-classwise`` workload (eps 0.05; class 4
-    needs 1 cut round, class 6 needs 21).  Any change to the simplex's
+    needs 1 cut round, class 6 needs 20).  Any change to the simplex's
     arithmetic, its pivot choices or the search moves at least one digest.
     """
 
     DIGESTS = {
-        "dense-seed0": "ff9f4024414bb024916530ff28cb6d2e593c037dff5eda86b01591a104e5071c",
-        "conv-class4": "febb853ba8620a5d997a66009a931213aae5a4da603c8e8b0acb55f531958c9a",
-        "conv-class6": "faeb43767c0e526929e7ff9b65f3485b623562ee35f253c05e5b7e7e62d8e95d",
+        "dense-seed0": "522768170500b15d5246a1272b0f9e6b81b9b6528bcdbe186742571f7724e7f2",
+        "conv-class4": "16ca1cfb0b2a1292dbfd9676c35bab756c3caa03509966d415efa5384f0f37d2",
+        "conv-class6": "22223d22e8623726745c5cdc92bae6c3515d72556a9fd05ab6c8fc888d8bdc72",
     }
 
     @staticmethod
@@ -317,22 +318,30 @@ class TestGoldenReports:
 
     def test_node_lps_start_from_the_carried_tableau(self, monkeypatch):
         """Rebuilding every warm LP's tableau from the all-logical start took
-        2,360 refactor pivots on conv class 4.  Every warm LP, the first
-        included, now starts from the last answer's tableau; only a carried
-        tableau that gives up would still rebuild, and none does here."""
-        sols = []
-        real = mipprune.pruning.solve_mip
+        2,360 refactor pivots on conv class 4.  Every LP after the root now
+        starts from the last answer's tableau; only a carried tableau that
+        gives up would still rebuild, and none does here.  The root starts at
+        the warm incumbent's vertex: its move from the all-logical tableau
+        makes the only refactor pivots, and no LP is solved cold."""
+        sols, lps = [], []
+        real, real_lp = mipprune.pruning.solve_mip, mipprune.solver.solve_lp
 
         def recording(*args, **kwargs):
             sols.append(real(*args, **kwargs))
             return sols[-1]
 
+        def recording_lp(*args, **kwargs):
+            lps.append(real_lp(*args, **kwargs))
+            return lps[-1]
+
         monkeypatch.setattr(mipprune.pruning, "solve_mip", recording)
+        monkeypatch.setattr(mipprune.solver, "solve_lp", recording_lp)
         net, xs, ys = self.conv_instance()
         score(net, xs[4:5], ys[4:5], lam=5.0, epsilon=0.05, allow_imbalanced=True)
         counts = sols[0].lp_counters
-        assert counts.carried_lps == counts.warm_lps > 0
-        assert counts.carry_fallbacks == {} and counts.refactor_pivots == 0
+        assert counts.carried_lps == counts.warm_lps - 1 > 0 and counts.cold_lps == 0
+        assert lps[0].warm and not lps[0].carried
+        assert counts.carry_fallbacks == {} and counts.refactor_pivots == lps[0].refactor_pivots > 0
         assert counts.fallbacks == {} and counts.uncertified_lps == 0
 
     def test_no_tableau_crosses_solves(self):

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from mipprune import simplex
+from mipprune.errors import InvalidArgument
 from mipprune.simplex import Basis, LinearProgram, LpResult, _pivot, _pivot_loop, solve_lp_arrays
 from mipprune.solver import LpCounters
 
@@ -562,3 +563,128 @@ class TestWarmFallbacks:
         r = solve_lp_arrays(lp)
         assert r.status == "optimal" and not r.certified and not r.repaired
         assert r.fallback is None and r.objective == pytest.approx(-1.5, abs=1e-12)
+
+
+def highs_point(lp, c):
+    """A basic optimum of ``lp`` under the objective ``c`` from HiGHS' dual
+    simplex, or None when there is none."""
+    linprog = pytest.importorskip("scipy.optimize").linprog
+    s = lp.sense
+    ref = linprog(c, A_ub=np.vstack([lp.a[s == "L"], -lp.a[s == "G"]]),
+                  b_ub=np.concatenate([lp.rhs[s == "L"], -lp.rhs[s == "G"]]),
+                  A_eq=lp.a[s == "E"], b_eq=lp.rhs[s == "E"],
+                  bounds=list(zip(lp.lb, lp.ub)), method="highs-ds",
+                  options={"presolve": False})
+    return ref.x if ref.status == 0 else None
+
+
+def is_vertex(lp, x, tol=1e-7):
+    """Whether the rows and bounds tight at ``x`` have rank n."""
+    tight = [lp.a[i] for i in range(lp.m) if abs(lp.a[i] @ x - lp.rhs[i]) <= tol]
+    tight += [np.eye(lp.n)[j] for j in range(lp.n)
+              if min(abs(x[j] - lp.lb[j]), abs(x[j] - lp.ub[j])) <= tol]
+    return bool(tight) and np.linalg.matrix_rank(np.array(tight)) == lp.n
+
+
+class TestCrashStart:
+    """Phase two from the basis of a given vertex, and its fallbacks."""
+
+    # min -x0 - x1  s.t.  x0 + x1 <= 1.5,  0 <= x <= 1: optimum -1.5
+    LP = make_lp([-1.0, -1.0], [[1.0, 1.0]], ["L"], [1.5], [0.0, 0.0], [1.0, 1.0])
+
+    @pytest.mark.parametrize("point", [[0.0, 0.0], [1.0, 0.0], [0.5, 1.0]])
+    def test_vertex_start_is_certified_without_cold_solve(self, point, monkeypatch):
+        monkeypatch.setattr(simplex, "_solve_cold", None)  # a cold solve would raise
+        r = solve_lp_arrays(self.LP, point=np.array(point))
+        assert r.warm and r.certified and r.fallback is None and r.dual_pivots == 0
+        assert r.objective == pytest.approx(-1.5, abs=1e-12)
+        assert r.refactor_pivots == (point == [0.5, 1.0])  # x0 moves into the row
+        assert r.tableau is not None
+
+    @pytest.mark.parametrize("point, reason", [
+        ([0.5, 0.5], "not_vertex"),        # two columns inside their box, the row slack
+        ([1.0, 1.0], "infeasible_start"),  # the row's logical starts at -0.5
+    ])
+    def test_unusable_point_falls_back_to_cold(self, point, reason):
+        r = solve_lp_arrays(self.LP, point=np.array(point))
+        assert r.fallback == reason and not r.warm
+        assert r.status == "optimal" and r.certified
+        assert r.objective == pytest.approx(-1.5, abs=1e-12)
+        counts = LpCounters()
+        counts.add(r)
+        assert (counts.warm_lps, counts.cold_lps, counts.fallbacks) == (0, 1, {reason: 1})
+
+    def test_point_of_the_wrong_size_or_with_a_basis_rejected(self):
+        for kwargs in ({"point": np.zeros(3)},
+                       {"point": np.zeros(2), "basis": Basis(np.array([2], dtype=np.int32),
+                                                             np.zeros(2, bool))}):
+            with pytest.raises(InvalidArgument):
+                solve_lp_arrays(self.LP, **kwargs)
+
+    def test_singular_move_falls_back_to_cold(self):
+        # both rows are tight at x0 = 1 and parallel, so x1 finds no pivot
+        lp = make_lp([1.0, -1.0], [[1.0, 0.0], [2.0, 0.0]], ["L", "L"], [1.0, 2.0],
+                     [0.0, 0.0], [2.0, 2.0])
+        r = solve_lp_arrays(lp, point=np.array([1.0, 0.5]))
+        assert r.fallback == "singular" and not r.warm
+        assert r.objective == pytest.approx(-2.0, abs=1e-12)
+
+    def test_answer_failing_its_check_falls_back_to_cold(self, monkeypatch):
+        real = simplex._certified_optimal
+        verdicts = []
+
+        def crash_check_fails(*args):  # the crash answer is checked first
+            verdicts.append(len(verdicts) > 0 and real(*args))
+            return verdicts[-1]
+
+        monkeypatch.setattr(simplex, "_certified_optimal", crash_check_fails)
+        r = solve_lp_arrays(self.LP, point=np.array([0.0, 0.0]))
+        assert verdicts == [False, True]
+        assert r.fallback == "uncertified" and not r.warm and r.certified
+        assert r.objective == pytest.approx(-1.5, abs=1e-12)
+
+    def test_random_vertices_match_highs(self):
+        """Each vertex is HiGHS' optimum under another objective."""
+        rng = np.random.default_rng(37)
+        started = 0
+        for _ in range(300):
+            lp = random_mixed_lp(rng)
+            want, fun = highs(lp)
+            x = highs_point(lp, rng.normal(size=lp.n))
+            if want != "optimal" or x is None or not is_vertex(lp, x):
+                continue
+            r = solve_lp_arrays(lp, point=x)
+            assert r.warm and r.certified and r.fallback is None and r.dual_pivots == 0
+            assert r.objective == pytest.approx(fun, abs=1e-7)
+            assert _feasible(lp, r.x, tol=1e-7)
+            started += 1
+        assert started >= 100
+
+    def test_random_unusable_points_fall_back_with_a_reason(self):
+        """The midpoint of two vertices is not one; a vertex of the LP without
+        one of its rows that breaks that row is infeasible.  Both end in the
+        cold solve's answer."""
+        rng = np.random.default_rng(38)
+        reasons = {}
+        for _ in range(300):
+            lp = random_mixed_lp(rng)
+            want, fun = highs(lp)
+            if want != "optimal" or lp.m == 0:
+                continue
+            x1 = highs_point(lp, rng.normal(size=lp.n))
+            x2 = highs_point(lp, rng.normal(size=lp.n))
+            keep = np.arange(lp.m) != rng.integers(lp.m)
+            fewer = make_lp(lp.c, lp.a[keep], lp.sense[keep], lp.rhs[keep], lp.lb, lp.ub)
+            x3 = highs_point(fewer, rng.normal(size=lp.n))
+            points = [] if x1 is None or x2 is None else [(x1 + x2) / 2.0]
+            if x3 is not None and is_vertex(fewer, x3) and not _feasible(lp, x3, tol=1e-6):
+                points.append(x3)
+            for x in points:
+                if is_vertex(lp, x) and _feasible(lp, x, tol=1e-7):
+                    continue
+                r = solve_lp_arrays(lp, point=x)
+                assert r.fallback in ("not_vertex", "singular", "infeasible_start")
+                assert not r.warm and r.certified
+                assert r.objective == pytest.approx(fun, abs=1e-7)
+                reasons[r.fallback] = reasons.get(r.fallback, 0) + 1
+        assert reasons.get("not_vertex", 0) >= 20 and reasons.get("infeasible_start", 0) >= 20

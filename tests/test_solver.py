@@ -192,9 +192,9 @@ class TestOneNodeLoop:
         calls = []
         real = mipprune.solver.solve_lp
 
-        def counting(model, fixings=None, basis=None, tableau=None):
+        def counting(model, fixings=None, basis=None, tableau=None, point=None):
             calls.append(dict(fixings or {}))
-            return real(model, fixings, basis, tableau)
+            return real(model, fixings, basis, tableau, point)
 
         monkeypatch.setattr(mipprune.solver, "solve_lp", counting)
         rng = np.random.default_rng(40)
@@ -236,32 +236,39 @@ def fractional_knapsack():
 
 class TestWarmStartedNodes:
     def test_only_the_root_solves_cold(self, monkeypatch):
+        """Every node LP after the root starts from its node's basis.  The root
+        starts at the warm incumbent's vertex when there is one (the empty
+        knapsack: every column at its lower bound), and solves cold without."""
         starts = []
         real = mipprune.solver.solve_lp
 
-        def recording(model, fixings=None, basis=None, tableau=None):
-            res = real(model, fixings, basis, tableau)
-            starts.append((basis is not None, res.warm))
+        def recording(model, fixings=None, basis=None, tableau=None, point=None):
+            res = real(model, fixings, basis, tableau, point)
+            starts.append((basis is not None, point is not None, res.warm))
             return res
 
         monkeypatch.setattr(mipprune.solver, "solve_lp", recording)
-        model = fractional_knapsack()
-        sol = solve_mip(model, SolveConfig())
-        assert sol.objective == pytest.approx(enumeration_optimum(model), abs=1e-9)
-        assert len(starts) == sol.node_count > 1
-        assert starts[0] == (False, False)
-        assert all(given and warm for given, warm in starts[1:])
-        counts = sol.lp_counters
-        assert (counts.warm_lps, counts.cold_lps) == (len(starts) - 1, 1)
-        assert counts.fallbacks == {} and counts.uncertified_lps == 0
-        assert counts.dual_pivots + counts.primal_pivots == sol.lp_pivots
-        assert sol.log_lines[-1].endswith(counts.to_text())
-        assert f"warm_lps {counts.warm_lps} cold_lps 1 fallbacks none" in sol.log_lines[-1]
-        # every warm LP carries the last answer's tableau, the root's included
-        assert counts.carried_lps == counts.warm_lps and counts.carry_fallbacks == {}
-        assert counts.refactor_pivots == 0
-        assert f"carried_lps {counts.carried_lps} carry_fallbacks none" in sol.log_lines[-1]
-        assert (counts.bland_switches, counts.stall_exits) == (0, 0)
+        for warm in (False, True):
+            starts.clear()
+            model = fractional_knapsack()
+            sol = solve_mip(model, SolveConfig(), warm=np.zeros(10) if warm else None)
+            assert sol.objective == pytest.approx(enumeration_optimum(model), abs=1e-9)
+            assert len(starts) == sol.node_count > 1
+            assert starts[0] == (False, warm, warm)
+            assert all(given and not point and ok for given, point, ok in starts[1:])
+            counts = sol.lp_counters
+            cold = 0 if warm else 1
+            assert (counts.warm_lps, counts.cold_lps) == (len(starts) - cold, cold)
+            assert counts.fallbacks == {} and counts.uncertified_lps == 0
+            assert counts.dual_pivots + counts.primal_pivots == sol.lp_pivots
+            assert sol.log_lines[-1].endswith(counts.to_text())
+            assert f"warm_lps {counts.warm_lps} cold_lps {cold} fallbacks none" in sol.log_lines[-1]
+            # every LP after the root carries the last answer's tableau, the root's included
+            assert counts.carried_lps == len(starts) - 1 and counts.carry_fallbacks == {}
+            # no column is inside its box at the empty knapsack: the root moves nothing
+            assert counts.refactor_pivots == 0
+            assert f"carried_lps {counts.carried_lps} carry_fallbacks none" in sol.log_lines[-1]
+            assert (counts.bland_switches, counts.stall_exits) == (0, 0)
 
     def test_carried_answers_failing_their_check_are_answered_fresh(self, monkeypatch):
         """A stand-in certificate fails every answer reached from a carried
