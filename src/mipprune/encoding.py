@@ -196,6 +196,12 @@ class MipModel:
         the variables with ``lb < ub`` and of those with ``lb == ub``, the
         dense rows' columns for each, and each row's sense and rhs.
 
+        The blocks are C-ordered, and that layout fixes the last bits of the
+        LP arithmetic: :mod:`.linalg`'s products sum a row in an order that
+        depends on its operand's memory layout, so an F-ordered block gives
+        other round-off, and can give other pivots and another alternate
+        optimum.
+
         Cached until a row or a variable is added, and then written again
         straight from the row store.  (Extended in place by a cut round's
         rows instead, the cached arrays stayed alive between the round's

@@ -16,9 +16,13 @@ back onto the kernels through the same map.  The layers compute true
 convolution (kernel flipped), not cross-correlation, so training and
 encoding agree exactly.
 
-All kernels here are pure functions on immutable inputs and use fixed
-left-to-right summation (einsum without BLAS dispatch) so results are
-bit-reproducible run to run.
+All kernels here are pure functions on immutable inputs.  The products
+use ``np.einsum`` without BLAS dispatch, so a result is the same bit for bit
+for the same operands in the same memory layout on the same numpy build.
+The summation order is not left to right: einsum vectorizes each sum over
+a C-ordered row, so a row's sum can differ in its last bits from a plain
+left-to-right loop (and from the same product on an F-ordered copy, which
+is summed one term at a time), and another numpy build may differ too.
 """
 
 from __future__ import annotations
@@ -220,7 +224,9 @@ def conv_to_matrix(kernels, spec: ConvSpec) -> np.ndarray:
 
 
 def matvec(m: np.ndarray, v) -> np.ndarray:
-    """Matrix-vector product with fixed left-to-right accumulation per row."""
+    """Matrix-vector product through ``np.einsum``: the same bits for the same
+    operands and memory layout on the same numpy build (see the module
+    docstring), not a left-to-right sum per row."""
     v = np.asarray(v, dtype=np.float64).ravel()
     if m.ndim != 2 or m.shape[1] != v.size:
         raise InvalidArgument(f"dimension mismatch: {m.shape} @ ({v.size},)")
@@ -228,7 +234,8 @@ def matvec(m: np.ndarray, v) -> np.ndarray:
 
 
 def matmat(m: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Matrix-matrix product with the same deterministic accumulation as matvec."""
+    """Matrix-matrix product through ``np.einsum``, repeatable as
+    :func:`matvec` is."""
     if m.ndim != 2 or x.ndim != 2 or m.shape[1] != x.shape[0]:
         raise InvalidArgument(f"dimension mismatch: {m.shape} @ {x.shape}")
     return np.einsum("ij,jk->ik", m, x, optimize=False)

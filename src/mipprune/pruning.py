@@ -15,7 +15,7 @@ import time
 import warnings
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -264,15 +264,21 @@ def score_classwise(net: Network, ds: Dataset, lam: float = 5.0, epsilon: float 
     scores in class order.  (Feeding the same points to one model is
     ``score(net, *balanced_batch(ds, 1), ...)``.)  The solves are pure and
     may run in ``jobs`` threads; the class-indexed averaging keeps results
-    identical regardless of scheduling.
+    identical regardless of scheduling.  Only the last class's solve gets
+    ``solve_config.log_path``.
     """
     xs, ys = balanced_batch(ds, per_class=1)
+    classes = list(range(ds.n_classes))
 
     def solve_one(c: int) -> ImportanceReport:
-        return score(net, xs[c : c + 1], ys[c : c + 1], lam, epsilon, rescale,
-                     solve_config, allow_imbalanced=True)
+        # only the last class writes the log, so the file holds that class's
+        # solve whichever thread finishes last
+        cfg = solve_config
+        if cfg is not None and c != classes[-1]:
+            cfg = replace(cfg, log_path=None)
+        return score(net, xs[c : c + 1], ys[c : c + 1], lam, epsilon, rescale, cfg,
+                     allow_imbalanced=True)
 
-    classes = list(range(ds.n_classes))
     if jobs > 1:
         with ThreadPoolExecutor(max_workers=jobs) as pool:
             reports = list(pool.map(solve_one, classes))

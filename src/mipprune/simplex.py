@@ -26,41 +26,39 @@ the row's sense: [0, inf) for 'L', (-inf, 0] for 'G', {0} for 'E'.  A
 width-0 column never enters.  The cold solve, from scratch, starts from
 the all-logical tableau: a row whose logical starts infeasible gets an
 artificial, basic in its place, which phase one prices out; phase two then
-runs on the real objective.  A warm solve starts from a :class:`Tableau`:
-the final tableau of the last answer when the caller carries one (a
-branch-and-bound search passes each LP's tableau to the next), else the
-all-logical tableau.  One routine moves either to the given
-:class:`Basis`: it adapts the bounds, appends the rows the tableau lacks
-with their logicals basic, pivots in each wanted column that is not basic
-(largest |entry| among the rows held by an unwanted id), and computes the
-basic values from the original arrays; the reduced-cost row carries over,
-since the objective is fixed.  It then runs a dual simplex (largest bound
-violation leaves; Harris two-pass ratio test) and the primal loop as a
-clean-up.  A carried tableau that gives up leaves the LP to the
-all-logical start.  A start at a feasible vertex uses the same move from
-the all-logical tableau: each column inside its bounds is pivoted into a
-row the point holds tight, every other column stays at the bound the
-point holds, and phase two of the primal loop runs from there.  Products
-use the fixed-order kernels of :mod:`.linalg`, never BLAS or LAPACK, so
-results are bit-reproducible.
+runs on the real objective.  A warm start is a :class:`Tableau` and the
+ids wanted basic in it.  One routine moves the tableau to them: it adapts
+the bounds, appends the rows the tableau lacks with their logicals basic,
+pivots in each wanted column that is not basic (largest |entry| among the
+rows held by an unwanted id), and computes the basic values from the
+original arrays; the reduced-cost row carries over, since the objective is
+fixed.  It then runs a dual simplex (largest bound violation leaves; Harris
+two-pass ratio test) and the primal loop as a clean-up, or, for a start at
+a feasible vertex, phase two of the primal loop alone.  Products use the
+kernels of :mod:`.linalg`, never BLAS or LAPACK, so results repeat bit for
+bit for the same operand layout on the same numpy build.
 
 Every 'optimal' answer is checked on the original arrays: the primal
 residual of rows and bounds, and the reduced costs recomputed from the row
 duals.  A warm 'infeasible' answer must come with a Farkas row that proves
-it on the original rows and bounds.  A warm start that cannot be refactored
-or certified falls back to the cold solve, and so does a vertex start whose
-point is not a vertex or is infeasible, or whose answer fails its check; a
-cold optimum that fails the check is refactored on its own final basis and
-cleaned up once through the warm path.  Ref: Koberstein, "The dual simplex
-method, techniques for a fast and stable implementation", PhD thesis,
-Paderborn 2005, ch. 4-6; Bixby, "Solving real-world linear programs: a
-decade and more of progress", Oper. Res. 50, 2002; Harris, "Pivot selection
-methods of the Devex LP code", Math. Prog. 5, 1973.
+it on the original rows and bounds.  :func:`solve_lp_arrays` tries the
+starts of an LP in order and the first that answers is returned: with a
+basis, the final tableau of the last answer when the caller carries one (a
+branch-and-bound search passes each LP's tableau to the next), then a
+fresh all-logical tableau; with a vertex, the all-logical tableau moved to
+the vertex's basis.  When every start gives up, the LP is solved cold, and
+a cold optimum that fails its check gets one more start: a fresh tableau
+on its own final basis.  Each start is recorded on the :class:`LpResult`.
+Ref: Koberstein, "The dual simplex method, techniques for a fast and stable
+implementation", PhD thesis, Paderborn 2005, ch. 4-6; Bixby, "Solving
+real-world linear programs: a decade and more of progress", Oper. Res. 50,
+2002; Harris, "Pivot selection methods of the Devex LP code", Math. Prog. 5,
+1973.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -145,15 +143,20 @@ class Tableau:
 class LpResult:
     """Outcome of one LP solve.
 
-    ``pivots`` counts simplex iterations, dual and primal: basis changes plus
-    bound flips.  The pivots that move a tableau to the given basis are
-    counted apart: ``carry_pivots`` from the carried tableau,
-    ``refactor_pivots`` from a fresh all-logical one (when no tableau was
-    carried, when the carried one gave up, in a repair, and to a start
-    point's basis).
-    ``bland_switches`` and ``stall_exits`` count the primal loop's turns to
-    Bland's rule and its exits at the stall cap.  Every 'optimal' answer,
-    and every warm 'infeasible' one, has its final ``tableau``.
+    ``attempts`` records each start tried, in order, as ``(kind, reason,
+    move_pivots)``.  ``kind`` is 'carried' (the carried tableau), 'fresh' (an
+    all-logical tableau moved to the given basis), 'vertex' (one moved to
+    the basis of the given point), 'cold' (the two-phase solve from scratch)
+    or 'repair' (a fresh tableau on an uncertified cold optimum's basis).
+    ``reason`` is None for the one start that answered and says why each
+    other gave up (see :func:`_solve_from`); a cold optimum that a repair
+    answered for is 'uncertified'.  ``move_pivots`` moved the start's
+    tableau to its basis; they are not in ``pivots``, which counts the
+    simplex iterations of every attempt, dual and primal: basis changes plus
+    bound flips.  ``bland_switches`` and ``stall_exits`` count the primal
+    loop's turns to Bland's rule and its exits at the stall cap.  Every
+    'optimal' answer, and every warm 'infeasible' one, has its final
+    ``tableau``.
     """
 
     status: str            # 'optimal' | 'infeasible' | 'unbounded'
@@ -161,18 +164,17 @@ class LpResult:
     objective: float | None
     pivots: int = 0
     basis: Basis | None = None      # the final basis of an 'optimal' answer
-    warm: bool = False              # answered from the given basis or point
-    fallback: str | None = None     # why the given basis or point was not used
-    repaired: bool = False          # a cold optimum refactored and cleaned up
     certified: bool = False         # the answer passed its check on the original arrays
-    refactor_pivots: int = 0
     dual_pivots: int = 0
-    carried: bool = False           # started from a carried tableau
-    carry_fallback: str | None = None   # why the carried tableau did not answer
-    carry_pivots: int = 0
     bland_switches: int = 0
     stall_exits: int = 0
     tableau: Tableau | None = None  # the final tableau, to carry on
+    attempts: list[tuple[str, str | None, int]] = field(default_factory=list)
+
+    def attempt(self, kind: str, reason: str | None, moved: int = 0) -> bool:
+        """Record one start; returns whether it answered."""
+        self.attempts.append((kind, reason, moved))
+        return reason is None
 
 
 def _complement(t: np.ndarray, dirn: np.ndarray, j: int, w: float) -> None:
@@ -402,24 +404,24 @@ def _certified_infeasible(lp: LinearProgram, lb: np.ndarray, ub: np.ndarray,
 
 
 def _finish(res: LpResult, lp: LinearProgram, lb: np.ndarray, ub: np.ndarray,
-            tab: Tableau) -> LpResult:
+            tab: Tableau, keep: bool = False) -> bool:
     """Fill ``res`` in as the optimum that ``tab`` ends on, and give it ``tab``
-    to carry on."""
+    to carry on, if that optimum passes its check on the original arrays or
+    ``keep`` is set.  Returns whether it passed."""
     m, n = lp.m, lp.n
     t, dirn = tab.t, tab.dirn
     v = np.zeros(n + m, dtype=np.float64)
     v[tab.basis] = t[:-1, -1]
     x = _base(lb, ub, dirn[:n]) + dirn[:n] * v[:n]
-    res.status = "optimal"
-    res.x = x
-    # recompute the objective from the original data: immune to tableau drift
-    res.objective = float(np.dot(lp.c, x)) + lp.const
-    res.basis = Basis(np.sort(tab.basis).astype(np.int32),
-                      (dirn[:n] < 0) & (np.isfinite(lb) | np.isfinite(ub)))
     # the row duals are minus the logicals' reduced costs, unscaled
-    res.certified = _certified_optimal(lp, lb, ub, x, -t[-1, n:-1] * dirn[n:] * tab.rho)
-    res.tableau = tab
-    return res
+    certified = _certified_optimal(lp, lb, ub, x, -t[-1, n:-1] * dirn[n:] * tab.rho)
+    if certified or keep:
+        res.status, res.x, res.certified, res.tableau = "optimal", x, certified, tab
+        # recompute the objective from the original data: immune to tableau drift
+        res.objective = float(np.dot(lp.c, x)) + lp.const
+        res.basis = Basis(np.sort(tab.basis).astype(np.int32),
+                          (dirn[:n] < 0) & (np.isfinite(lb) | np.isfinite(ub)))
+    return certified
 
 
 def _row_scale(a: np.ndarray, b: np.ndarray, sense: np.ndarray) -> np.ndarray:
@@ -498,7 +500,7 @@ def _carry(tab: Tableau, lp: LinearProgram, lb: np.ndarray, ub: np.ndarray) -> T
 
 
 def _solve_from(tab: Tableau, lp: LinearProgram, lb: np.ndarray, ub: np.ndarray,
-                wanted: np.ndarray, out: LpResult, primal: bool = False) -> int:
+                wanted: np.ndarray, out: LpResult, kind: str) -> bool:
     """Move ``tab`` to a basis that holds the ``wanted`` ids, then solve.
 
     Each wanted column that is not basic is pivoted in, in id order, on the
@@ -506,29 +508,30 @@ def _solve_from(tab: Tableau, lp: LinearProgram, lb: np.ndarray, ub: np.ndarray,
     none above ``_PIV_TOL`` means singular).  More wanted ids than rows give
     up at once ('not_vertex'); with fewer, the rows no wanted id takes keep
     their unwanted basic column.  The objective is fixed, so the reduced-cost
-    row needs no price-out.  Without ``primal`` the start is made dual
-    feasible (nonbasic boxed columns move to the bound their reduced cost
-    asks for), the rhs column is computed from the original arrays, and a
-    dual simplex and a primal clean-up follow.  With ``primal`` each
-    nonbasic column stays at the bound the tableau measures it from, and
-    phase two runs from the start if no basic value breaks its bounds by
-    more than ``_FEAS_TOL``.  ``out`` gets the answer and the simplex
-    iterations, or ``fallback``: 'not_vertex', 'singular', 'dual_infeasible'
-    (a wrong-signed reduced cost on an unbounded column), 'infeasible_start'
-    (a primal start out of bounds), 'stalled' (the dual iteration cap),
-    'unbounded' (the primal loop found a ray) or 'uncertified' (the answer
-    failed its check).  Returns the pivots of the move.
+    row needs no price-out.  Unless ``kind`` is 'vertex' the start is made
+    dual feasible (nonbasic boxed columns move to the bound their reduced
+    cost asks for), the rhs column is computed from the original arrays, and
+    a dual simplex and a primal clean-up follow.  A 'vertex' start keeps each
+    nonbasic column at the bound the tableau measures it from, and phase two
+    runs from it if no basic value breaks its bounds by more than
+    ``_FEAS_TOL``.  ``out`` gets the answer and the simplex iterations, and
+    the attempt with the pivots of the move and, when the start gives up,
+    its reason: 'not_vertex', 'singular', 'dual_infeasible' (a wrong-signed
+    reduced cost on an unbounded column), 'infeasible_start' (a 'vertex'
+    start out of bounds), 'stalled' (the dual iteration cap), 'unbounded'
+    (the primal loop found a ray) or 'uncertified' (the answer failed its
+    check; ``out`` keeps no part of it).  Returns whether the start answered.
     """
     m, n = lp.m, lp.n
     k = n + m
+    primal = kind == "vertex"
     t, basis, dirn, rho = tab.t, tab.basis, tab.dirn, tab.rho
     sense = np.asarray(lp.sense, dtype="U1")
     has_lo, has_hi = np.isfinite(lb), np.isfinite(ub)
     free = np.concatenate([~has_lo & ~has_hi, np.zeros(m, dtype=bool)])
     width = np.concatenate([ub - lb, np.where(sense == "E", 0.0, np.inf)])
     if np.count_nonzero(wanted) > m:
-        out.fallback = "not_vertex"
-        return 0
+        return out.attempt(kind, "not_vertex")
     t[:, -1] = 0.0  # computed after the move
     basic = np.zeros(k, dtype=bool)
     basic[basis] = True
@@ -538,8 +541,7 @@ def _solve_from(tab: Tableau, lp: LinearProgram, lb: np.ndarray, ub: np.ndarray,
         col = np.abs(t[rows, j])
         r = int(np.argmax(col))  # largest |entry|, lowest row on ties
         if col[r] <= _PIV_TOL:
-            out.fallback = "singular"
-            return moved
+            return out.attempt(kind, "singular", moved)
         _pivot(t, basis, int(rows[r]), j)
         moved += 1
 
@@ -550,8 +552,7 @@ def _solve_from(tab: Tableau, lp: LinearProgram, lb: np.ndarray, ub: np.ndarray,
         nonbasic = np.ones(k, dtype=bool)
         nonbasic[basis] = False
         if np.any(nonbasic & np.isinf(width) & (np.where(free, np.abs(d), -d) > _CERT_DUAL)):
-            out.fallback = "dual_infeasible"
-            return moved
+            return out.attempt(kind, "dual_infeasible", moved)
         flip = np.flatnonzero(nonbasic & np.isfinite(width) & (width > 0.0) & (d < -_RC_TOL))
         t[:, flip] *= -1.0
         dirn[flip] *= -1.0
@@ -565,86 +566,71 @@ def _solve_from(tab: Tableau, lp: LinearProgram, lb: np.ndarray, ub: np.ndarray,
 
     if primal:
         if np.any(~free[basis] & (np.maximum(-rhs, rhs - width[basis]) > _FEAS_TOL)):
-            out.fallback = "infeasible_start"
-            return moved
+            return out.attempt(kind, "infeasible_start", moved)
     else:
         status, r, p = _dual_loop(t, basis, width, free, dirn, 2 * (m + k))
         out.dual_pivots += p
         out.pivots += p
         if status == "stalled":
-            out.fallback = status
-            return moved
+            return out.attempt(kind, status, moved)
         if status == "infeasible":
             if not _certified_infeasible(lp, lb, ub, t[r, n:k] * dirn[n:], rho):
-                out.fallback = "uncertified"
-                return moved
-            out.status = "infeasible"
-            out.certified = out.warm = True
-            out.tableau = tab
-            return moved
+                return out.attempt(kind, "uncertified", moved)
+            out.status, out.x, out.objective, out.basis = "infeasible", None, None, None
+            out.certified, out.tableau = True, tab
+            return out.attempt(kind, None, moved)
     np.clip(rhs, np.where(free[basis], -np.inf, 0.0), width[basis], out=rhs)
     status, p = _pivot_loop(t, basis, width, free, dirn, _RC_TOL, 2 * (m + k),
                             (width > 0.0) | free, out)
     out.pivots += p
     if status == "unbounded":
-        out.fallback = status
-        return moved
-    _finish(out, lp, lb, ub, tab)
-    if not out.certified:
-        out.fallback = "uncertified"
-        return moved
-    out.warm = True
-    return moved
+        return out.attempt(kind, status, moved)
+    return out.attempt(kind, None if _finish(out, lp, lb, ub, tab) else "uncertified", moved)
 
 
-def _solve_warm(lp: LinearProgram, lb: np.ndarray, ub: np.ndarray, start: Basis,
-                carried: Tableau | None = None) -> LpResult:
-    """Solve ``lp`` from the basis ``start``, reached from the ``carried``
-    tableau when given and from the all-logical tableau otherwise.
-
-    A carried tableau that gives up (``carry_fallback`` says why) leaves the
-    LP to the all-logical start; ``fallback`` says why that one gave up too.
-    """
+def _wanted(lp: LinearProgram, basis: Basis) -> np.ndarray:
+    """The columns ``basis`` holds, and the logicals of the rows appended
+    since, as a mask over the columns of ``lp``."""
     m, n = lp.m, lp.n
-    ids = np.asarray(start.ids, dtype=np.int64)
-    if ids.size > m or start.at_upper.size != n or np.any((ids < 0) | (ids >= n + ids.size)):
+    ids = np.asarray(basis.ids, dtype=np.int64)
+    if ids.size > m or basis.at_upper.size != n or np.any((ids < 0) | (ids >= n + ids.size)):
         raise InvalidArgument(f"basis of {ids.size} rows does not fit an LP with {m} rows "
                               f"and {n} columns")
     wanted = np.zeros(n + m, dtype=bool)
     wanted[ids] = True
     wanted[n + ids.size:] = True  # appended rows: logicals basic
-    out = LpResult("optimal", None, None)
-    if carried is not None:
-        tried = LpResult("optimal", None, None, carried=True)
-        tried.carry_pivots = _solve_from(_carry(carried, lp, lb, ub), lp, lb, ub, wanted, tried)
-        if tried.fallback is None:
-            return tried
-        out.carried, out.carry_fallback = True, tried.fallback
-        _add_work(out, tried)
-    out.refactor_pivots += _solve_from(_all_logical(lp, lb, ub, start.at_upper), lp, lb, ub,
-                                       wanted, out)
-    return out
+    return wanted
 
 
-def _solve_at(lp: LinearProgram, lb: np.ndarray, ub: np.ndarray, point: np.ndarray) -> LpResult:
-    """Phase two of ``lp`` from the basis of its vertex ``point``.
+def _starts(lp: LinearProgram, lb: np.ndarray, ub: np.ndarray, basis: Basis | None,
+            carried: Tableau | None, point: np.ndarray | None):
+    """Yield the warm starts of ``lp`` as ``(kind, tableau, wanted)``, in the
+    order they are tried; each tableau is made only when its start is
+    reached.
 
-    A structural within ``_FEAS_TOL`` of a bound is nonbasic there; every
-    other one is pivoted in from the all-logical tableau, into a row that
-    ``point`` holds tight (within ``_FEAS_TOL``), while the logicals of the
-    other rows stay basic.  ``fallback`` says why the start was not used.
+    With ``basis``: the ``carried`` tableau, when given, then a fresh
+    all-logical one, both moved to ``basis``.  With ``point``: a fresh
+    tableau moved to the point's basis, where a structural within
+    ``_FEAS_TOL`` of a bound is nonbasic there and every other one is wanted
+    basic, in a row ``point`` holds tight (within ``_FEAS_TOL``), while the
+    logicals of the other rows stay basic.
     """
-    at_lo, at_hi = np.abs(point - lb) <= _FEAS_TOL, np.abs(point - ub) <= _FEAS_TOL
-    tight = np.abs(matvec(lp.a, point) - lp.rhs) <= _FEAS_TOL
-    out = LpResult("optimal", None, None)
-    out.refactor_pivots = _solve_from(_all_logical(lp, lb, ub, at_hi & ~at_lo), lp, lb, ub,
-                                      np.concatenate([~(at_lo | at_hi), ~tight]), out,
-                                      primal=True)
-    return out
+    if basis is not None:
+        wanted = _wanted(lp, basis)
+        if carried is not None:
+            yield "carried", _carry(carried, lp, lb, ub), wanted
+        yield "fresh", _all_logical(lp, lb, ub, basis.at_upper), wanted
+    elif point is not None:
+        point = np.asarray(point, dtype=np.float64)
+        at_lo, at_hi = np.abs(point - lb) <= _FEAS_TOL, np.abs(point - ub) <= _FEAS_TOL
+        tight = np.abs(matvec(lp.a, point) - lp.rhs) <= _FEAS_TOL
+        yield ("vertex", _all_logical(lp, lb, ub, at_hi & ~at_lo),
+               np.concatenate([~(at_lo | at_hi), ~tight]))
 
 
-def _solve_cold(lp: LinearProgram, lb: np.ndarray, ub: np.ndarray) -> LpResult:
-    """The two-phase primal simplex from the all-logical tableau.
+def _solve_cold(lp: LinearProgram, lb: np.ndarray, ub: np.ndarray, out: LpResult) -> None:
+    """The two-phase primal simplex from the all-logical tableau, answered
+    into ``out`` whether or not its optimum passes its check.
 
     A row whose logical starts below zero is negated, rhs included: its
     ``rho_i`` changes sign and its logical is measured the other way
@@ -658,7 +644,6 @@ def _solve_cold(lp: LinearProgram, lb: np.ndarray, ub: np.ndarray) -> LpResult:
     """
     m, n = lp.m, lp.n
     k = n + m
-    out = LpResult("optimal", None, None)
     tab = _all_logical(lp, lb, ub, np.zeros(n, dtype=bool))
     t, basis, dirn, rho = tab.t, tab.basis, tab.dirn, tab.rho
     sense = np.asarray(lp.sense, dtype="U1")
@@ -670,18 +655,19 @@ def _solve_cold(lp: LinearProgram, lb: np.ndarray, ub: np.ndarray) -> LpResult:
     free = np.concatenate([np.isinf(lb) & np.isinf(ub), np.zeros(2 * m, dtype=bool)])
     width = np.concatenate([ub - lb, np.where(sense == "E", 0.0, np.inf), np.full(m, np.inf)])
     allowed = (width[:k] > 0.0) | free[:k]
+    out.attempt("cold", None)
     if arts.size:
         basis[arts] += m
         t[-1] = 0.0
         for r in arts.tolist():
             t[-1] -= t[r]
-        _, out.pivots = _pivot_loop(t, basis, width, free, dirn, _RC_TOL, 2 * (m + k),
-                                    allowed, out)
+        _, p = _pivot_loop(t, basis, width, free, dirn, _RC_TOL, 2 * (m + k), allowed, out)
+        out.pivots += p
         # the phase-one objective is bounded below by zero, so an "unbounded"
         # verdict can only be round-off noise in a reduced cost
         if -t[-1, -1] > _FEAS_TOL:
             out.status = "infeasible"
-            return out
+            return
         rows = np.flatnonzero(basis >= k)
         t[rows[dirn[n + rows] < 0.0]] *= -1.0
         t[rows, -1] = 0.0
@@ -693,32 +679,24 @@ def _solve_cold(lp: LinearProgram, lb: np.ndarray, ub: np.ndarray) -> LpResult:
     out.pivots += p
     if status == "unbounded":
         out.status = status
-        return out
-    return _finish(out, lp, lb, ub, tab)
-
-
-def _add_work(res: LpResult, other: LpResult) -> None:
-    res.pivots += other.pivots
-    res.refactor_pivots += other.refactor_pivots
-    res.carry_pivots += other.carry_pivots
-    res.dual_pivots += other.dual_pivots
-    res.bland_switches += other.bland_switches
-    res.stall_exits += other.stall_exits
+    else:
+        _finish(out, lp, lb, ub, tab, keep=True)
 
 
 def solve_lp_arrays(lp: LinearProgram, basis: Basis | None = None,
                     tableau: Tableau | None = None, point: np.ndarray | None = None) -> LpResult:
-    """Solve a bounded-variable LP, warm-started from ``basis`` or ``point``
-    when one is given.
+    """Solve a bounded-variable LP from the first of its starts that answers.
 
-    ``tableau`` is the final tableau of an earlier answer on the same rows
-    and objective (``LpResult.tableau``; other bounds and appended rows are
-    fine); the basis is then reached from it, and it is consumed.
-    ``point`` is a feasible vertex of ``lp``; phase two starts from its
-    basis.  Without a start, or when the start gives up, the LP is solved
-    cold.  A cold optimum that fails its certificate is repaired once
-    through the warm path from its own final basis; one that still fails is
-    returned with ``certified`` false.
+    With ``basis`` the starts are the carried ``tableau``, when one is given,
+    then a fresh all-logical tableau, both moved to ``basis``.  ``tableau`` is
+    the final tableau of an earlier answer on the same rows and objective
+    (``LpResult.tableau``; other bounds and appended rows are fine), and it
+    is consumed.  With ``point``, a feasible vertex of ``lp``, the start is a
+    fresh tableau moved to its basis, and phase two runs from there.  When
+    every start gives up, or there is none, the LP is solved cold.  A cold
+    optimum that fails its certificate gets one more start, a fresh tableau
+    on its own final basis (the repair); one that still fails is returned
+    with ``certified`` false.  ``LpResult.attempts`` records every start.
     """
     if tableau is not None and basis is None:
         raise InvalidArgument("a carried tableau needs a basis to move to")
@@ -727,26 +705,14 @@ def solve_lp_arrays(lp: LinearProgram, basis: Basis | None = None,
     lb = lp.lb.astype(np.float64)
     ub = lp.ub.astype(np.float64)
     if np.any(lb > ub):
-        return LpResult("infeasible", None, None, 0, certified=True)
-    if basis is not None:
-        tried = _solve_warm(lp, lb, ub, basis, tableau)
-    elif point is not None:
-        tried = _solve_at(lp, lb, ub, np.asarray(point, dtype=np.float64))
-    else:
-        tried = None
-    if tried is not None and tried.fallback is None:
-        return tried
-    res = _solve_cold(lp, lb, ub)
-    if res.status == "optimal" and not res.certified:
-        fix = _solve_warm(lp, lb, ub, res.basis)
-        if fix.fallback is None:
-            _add_work(fix, res)
-            fix.warm, fix.repaired = False, True
-            res = fix
-        else:
-            _add_work(res, fix)
-    if tried is not None:  # the work of the warm start that gave up
-        _add_work(res, tried)
-        res.fallback = tried.fallback
-        res.carried, res.carry_fallback = tried.carried, tried.carry_fallback
-    return res
+        return LpResult("infeasible", None, None, certified=True, attempts=[("cold", None, 0)])
+    out = LpResult("optimal", None, None)
+    for kind, tab, wanted in _starts(lp, lb, ub, basis, tableau, point):
+        if _solve_from(tab, lp, lb, ub, wanted, out, kind):
+            return out
+    _solve_cold(lp, lb, ub, out)
+    if (out.status == "optimal" and not out.certified
+            and _solve_from(_all_logical(lp, lb, ub, out.basis.at_upper), lp, lb, ub,
+                            _wanted(lp, out.basis), out, "repair")):
+        out.attempts[-2] = ("cold", "uncertified", 0)  # the repair answered instead
+    return out

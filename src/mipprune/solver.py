@@ -10,18 +10,19 @@ more popped node, so the same limits bound it.
 
 Each node LP leaves out the variables the model itself fixes (stable
 units' binaries among them); a branching fixes a binary as a column of
-width 0.  The root LP starts at the vertex of the warm incumbent, when
-there is one: phase two of the primal simplex runs from that point's
-basis.  Each queued node carries the final basis of the LP it came from:
+width 0.  Each queued node carries the final basis of the LP it came from:
 a child gets its parent's, a cut round its own node's (the new cut rows
-enter with their logicals basic).  Its LP is then warm-started from that
-basis by the dual simplex.  Only a root without a warm incumbent, and a
-start that gives up, solve from scratch.  The search also keeps the final
-tableau of the last LP answered, the root's included, and hands it to the
-next LP, which reaches its node's basis from it in a few pivots instead of
-rebuilding the tableau from the all-logical start; that tableau lives in
-one :func:`solve_mip` call only.  How each LP was answered is counted in
-:class:`LpCounters` and written on the log's ``end status`` line.
+enter with their logicals basic).  The search also keeps the final tableau
+of the last LP answered, the root's included; that tableau lives in one
+:func:`solve_mip` call only.  A node's LP tries its starts in order: that
+carried tableau moved to the node's basis in a few pivots, then a fresh
+all-logical tableau moved there, each finished by the dual simplex.  The
+root has no basis; it starts at the vertex of the warm incumbent, when
+there is one, and runs phase two of the primal simplex from that point's
+basis.  Only a root without a warm incumbent, and an LP whose every start
+gives up, solve from scratch.  Each LP records its starts in
+``LpResult.attempts``; :class:`LpCounters` sums them, and the log's
+``end status`` line shows the sums.
 
 Everything is deterministic: node selection breaks ties by insertion order,
 branching picks the most fractional binary (lowest id on ties), and the
@@ -33,6 +34,7 @@ from __future__ import annotations
 
 import heapq
 import time
+from collections import Counter
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -58,69 +60,49 @@ class SolveConfig:
 
 @dataclass
 class LpCounters:
-    """How the LPs of one solve were answered; kept in memory only.
+    """How the LPs of one solve were answered, read from each LP's
+    ``LpResult.attempts``; kept in memory only.
 
-    ``warm_lps`` were answered from the start their node carried: a basis,
-    or for the root the warm incumbent's vertex.  ``cold_lps`` were answered
-    from scratch: a root without a warm incumbent, and every start that gave
-    up, counted by reason in ``fallbacks``.  ``carried_lps`` started from the
-    last LP's final tableau; those it did not answer are counted by reason
-    in ``carry_fallbacks`` and went on from a fresh all-logical tableau.
-    ``repaired_lps`` are cold optima that failed their certificate
-    and passed it after one refactor and clean-up; ``uncertified_lps`` are
-    'optimal' answers that still fail it.  ``dual_pivots`` plus
-    ``primal_pivots`` make ``Solution.lp_pivots``; the pivots that move a
-    tableau to a node's basis are not in it: ``carry_pivots`` from the
-    carried tableau, ``refactor_pivots`` from a fresh one (the root's move
-    to its vertex, after a carry fallback, in a repair, or when the last LP
-    left no tableau).
+    ``answered`` counts the LPs by the kind of start that answered them,
+    ``gave_up`` the starts that gave up by ``kind:reason``, and
+    ``move_pivots`` the pivots spent moving a tableau to its basis, by kind.
+    ``uncertified_lps`` are 'optimal' answers that fail their check on the
+    original arrays.  ``dual_pivots`` plus ``primal_pivots`` make
+    ``Solution.lp_pivots``; the move pivots are not in it.
     ``bland_switches`` and ``stall_exits`` count the primal loop's turns to
     Bland's rule and its exits at the stall cap.
     """
 
-    warm_lps: int = 0
-    cold_lps: int = 0
-    carried_lps: int = 0
-    repaired_lps: int = 0
+    answered: Counter[str] = field(default_factory=Counter)
+    gave_up: Counter[str] = field(default_factory=Counter)
+    move_pivots: Counter[str] = field(default_factory=Counter)
     uncertified_lps: int = 0
-    refactor_pivots: int = 0
-    carry_pivots: int = 0
     dual_pivots: int = 0
     primal_pivots: int = 0
     bland_switches: int = 0
     stall_exits: int = 0
-    fallbacks: dict[str, int] = field(default_factory=dict)
-    carry_fallbacks: dict[str, int] = field(default_factory=dict)
 
     def add(self, res: LpResult) -> None:
-        if res.warm:
-            self.warm_lps += 1
-        else:
-            self.cold_lps += 1
-        if res.fallback:
-            self.fallbacks[res.fallback] = self.fallbacks.get(res.fallback, 0) + 1
-        if res.carry_fallback:
-            self.carry_fallbacks[res.carry_fallback] = (
-                self.carry_fallbacks.get(res.carry_fallback, 0) + 1)
-        self.carried_lps += res.carried
-        self.repaired_lps += res.repaired
+        for kind, reason, moved in res.attempts:
+            if reason is None:
+                self.answered[kind] += 1
+            else:
+                self.gave_up[f"{kind}:{reason}"] += 1
+            if moved:
+                self.move_pivots[kind] += moved
         self.uncertified_lps += res.status == "optimal" and not res.certified
-        self.refactor_pivots += res.refactor_pivots
-        self.carry_pivots += res.carry_pivots
         self.dual_pivots += res.dual_pivots
         self.primal_pivots += res.pivots - res.dual_pivots
         self.bland_switches += res.bland_switches
         self.stall_exits += res.stall_exits
 
     def to_text(self) -> str:
-        def reasons(counts: dict[str, int]) -> str:
-            return ",".join(f"{k}:{v}" for k, v in sorted(counts.items())) or "none"
+        def counts(c: Counter[str]) -> str:
+            return ",".join(f"{k}:{v}" for k, v in sorted(c.items())) or "none"
 
-        return (f"warm_lps {self.warm_lps} cold_lps {self.cold_lps} "
-                f"fallbacks {reasons(self.fallbacks)} carried_lps {self.carried_lps} "
-                f"carry_fallbacks {reasons(self.carry_fallbacks)} "
-                f"repaired_lps {self.repaired_lps} uncertified_lps {self.uncertified_lps} "
-                f"refactor_pivots {self.refactor_pivots} carry_pivots {self.carry_pivots} "
+        return (f"answered {counts(self.answered)} gave_up {counts(self.gave_up)} "
+                f"move_pivots {counts(self.move_pivots)} "
+                f"uncertified_lps {self.uncertified_lps} "
                 f"dual_pivots {self.dual_pivots} primal_pivots {self.primal_pivots} "
                 f"bland_switches {self.bland_switches} stall_exits {self.stall_exits}")
 
@@ -132,7 +114,9 @@ class Solution:
     ``lp_pivots`` counts simplex iterations over every LP of the search,
     dual and primal: basis changes plus bound flips.  The pivots that move
     a tableau to a node's starting basis are not among them; they are in
-    ``lp_counters.carry_pivots`` and ``lp_counters.refactor_pivots``.
+    ``lp_counters.move_pivots``, by the kind of start.  ``lp_counters`` also
+    counts the LPs by the start that answered them and the starts that gave
+    up, by reason.
     """
 
     values: np.ndarray
@@ -150,10 +134,14 @@ class Solution:
 def solve_lp(model: MipModel, fixings: dict[int, float] | None = None,
              basis: Basis | None = None, tableau: Tableau | None = None,
              point: np.ndarray | None = None) -> LpResult:
-    """Solve the continuous relaxation (binaries relaxed into their boxes),
-    warm-started from ``basis`` when given, which is reached from the carried
-    ``tableau`` when one is given too, or from the basis of the vertex
-    ``point`` (one value per variable).
+    """Solve the continuous relaxation (binaries relaxed into their boxes).
+
+    The starts are tried in order until one answers: with ``basis``, the
+    carried ``tableau`` moved to it, when one is given, then a fresh
+    all-logical tableau moved to it; with ``point`` (one value per
+    variable), a fresh tableau moved to the basis of that vertex.  When
+    every start gives up, or there is none, the LP is solved from scratch.
+    The answer's ``attempts`` says how each start went.
 
     The variables the model itself fixes (``lb == ub``) are left out of the
     LP; a fixing makes a column of width 0.  So ``basis`` and ``tableau``,
@@ -223,7 +211,7 @@ def solve_mip(model: MipModel, config: SolveConfig | None = None,
     t0 = time.perf_counter()
     log: list[str] = []
     counters = LpCounters()
-    carried: Tableau | None = None   # the last warm LP's final tableau
+    carried: Tableau | None = None   # the last LP's final tableau
     cut_rounds = 0
     node_count = 0
 

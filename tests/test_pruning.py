@@ -25,6 +25,7 @@ from mipprune.pruning import (
     sweep,
     transfer,
 )
+from mipprune.solver import SolveConfig
 from mipprune.training import TrainConfig, evaluate, train
 
 
@@ -168,6 +169,30 @@ class TestClasswise:
         a = score_classwise(net, train_ds, lam=5.0, epsilon=0.1, jobs=1)
         b = score_classwise(net, train_ds, lam=5.0, epsilon=0.1, jobs=3)
         assert a.to_text() == b.to_text()
+
+    @pytest.mark.parametrize("jobs", [1, 3])
+    def test_only_the_last_class_writes_the_log(self, monkeypatch, tmp_path, jobs):
+        """The classes' solves may finish in any order, so only the last
+        class's solve gets the log path, and the log holds that solve
+        whatever the threads do."""
+        net, train_ds, _ = small_trained(seed=10)
+        xs, ys = balanced_batch(train_ds, 1)
+        last = score(net, xs[-1:], ys[-1:], lam=5.0, epsilon=0.1,
+                     allow_imbalanced=True).batch_digest
+        calls = []
+        real = mipprune.pruning.solve_mip
+
+        def recording(model, config=None, warm=None):
+            calls.append((model.batch_digest, config.log_path))
+            return real(model, config, warm)
+
+        monkeypatch.setattr(mipprune.pruning, "solve_mip", recording)
+        log = tmp_path / "solver.log"
+        score_classwise(net, train_ds, lam=5.0, epsilon=0.1,
+                        solve_config=SolveConfig(log_path=str(log)), jobs=jobs)
+        assert len(calls) == train_ds.n_classes
+        assert [(digest, path) for digest, path in calls if path] == [(last, str(log))]
+        assert log.read_text().splitlines()[-1].startswith("end status ")
 
 
 class TestTransfer:
@@ -322,7 +347,8 @@ class TestGoldenReports:
         starts from the last answer's tableau; only a carried tableau that
         gives up would still rebuild, and none does here.  The root starts at
         the warm incumbent's vertex: its move from the all-logical tableau
-        makes the only refactor pivots, and no LP is solved cold."""
+        makes the only move pivots outside the carried tableau, and no LP is
+        solved cold."""
         sols, lps = [], []
         real, real_lp = mipprune.pruning.solve_mip, mipprune.solver.solve_lp
 
@@ -339,10 +365,12 @@ class TestGoldenReports:
         net, xs, ys = self.conv_instance()
         score(net, xs[4:5], ys[4:5], lam=5.0, epsilon=0.05, allow_imbalanced=True)
         counts = sols[0].lp_counters
-        assert counts.carried_lps == counts.warm_lps - 1 > 0 and counts.cold_lps == 0
-        assert lps[0].warm and not lps[0].carried
-        assert counts.carry_fallbacks == {} and counts.refactor_pivots == lps[0].refactor_pivots > 0
-        assert counts.fallbacks == {} and counts.uncertified_lps == 0
+        assert len(lps) > 1 and counts.answered == {"vertex": 1, "carried": len(lps) - 1}
+        (kind, why, moved), = lps[0].attempts
+        assert (kind, why) == ("vertex", None)
+        assert counts.gave_up == {} and counts.uncertified_lps == 0
+        assert set(counts.move_pivots) == {"carried", "vertex"}
+        assert counts.move_pivots["vertex"] == moved > 0
 
     def test_no_tableau_crosses_solves(self):
         """Scoring one model right after another in the same thread gives the

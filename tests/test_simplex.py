@@ -89,6 +89,12 @@ def random_mixed_lp(rng):
     return make_lp(c, a, sense, rhs, lb, ub)
 
 
+def starts(r):
+    """``r.attempts`` as 'kind' for the start that answered and 'kind:reason'
+    for each one that gave up, in the order tried."""
+    return [kind if why is None else f"{kind}:{why}" for kind, why, _ in r.attempts]
+
+
 def highs(lp):
     """(status, objective) of ``lp`` from HiGHS through scipy's linprog."""
     linprog = pytest.importorskip("scipy.optimize").linprog
@@ -279,7 +285,7 @@ class TestDependentRows:
             assert r.basis.ids.max() >= lp.n  # a dependent row's logical is basic
             # the answer's tableau carries on like any other
             c = solve_lp_arrays(lp, r.basis, r.tableau)
-            assert c.carried and c.certified and c.carry_fallback is None and c.pivots == 0
+            assert starts(c) == ["carried"] and c.certified and c.pivots == 0
 
 
 def dense_pivot(t, r, j):
@@ -397,12 +403,11 @@ class TestWarmStart:
     def test_own_optimal_basis_takes_no_pivots(self):
         for lp, r in self.cold_optima(31, 150)[0]:
             w = solve_lp_arrays(lp, r.basis)
-            assert w.warm and w.certified and w.fallback is None
+            assert starts(w) == ["fresh"] and w.certified
             assert w.pivots == 0
             assert w.objective == pytest.approx(r.objective, rel=1e-9, abs=1e-9)
             c = solve_lp_arrays(lp, r.basis, r.tableau)
-            assert c.warm and c.carried and c.certified and c.carry_fallback is None
-            assert (c.pivots, c.carry_pivots, c.refactor_pivots) == (0, 0, 0)
+            assert c.attempts == [("carried", None, 0)] and c.certified and c.pivots == 0
             assert c.objective == pytest.approx(r.objective, rel=1e-9, abs=1e-9)
 
     @pytest.mark.parametrize("change", ["fix", "rows", "both"])
@@ -415,7 +420,7 @@ class TestWarmStart:
             want, fun = highs(lp2)
             w = solve_lp_arrays(lp2, r.basis)
             assert w.status == want
-            warm += w.warm
+            warm += starts(w) == ["fresh"]
             if want in seen:
                 seen[want] += 1
             if want == "optimal":
@@ -429,7 +434,7 @@ class TestWarmStart:
     def check_carried(lp, res):
         want, fun = highs(lp)
         assert res.status == want
-        assert res.carried and res.certified
+        assert res.attempts[0][0] == "carried" and res.certified
         if want == "optimal":
             assert res.objective == pytest.approx(fun, abs=1e-7)
             assert _feasible(lp, res.x, tol=1e-7)
@@ -463,7 +468,7 @@ class TestWarmStart:
                 lp2 = changed_lp(lp, w, change, rng)
             res = solve_lp_arrays(lp2, w.basis, w.tableau)
             seen[self.check_carried(lp2, res)] += 1
-            assert res.carry_fallback is None and res.refactor_pivots == 0
+            assert starts(res) == ["carried"]
         assert seen["optimal"] >= 10 and (change == "release" or seen["infeasible"] >= 10)
         assert negated >= 50
 
@@ -486,8 +491,8 @@ class TestWarmStart:
                 second = changed_lp(second, w, "rows", rng)
             res = solve_lp_arrays(second, w.basis, first.tableau)
             self.check_carried(second, res)
-            assert res.carry_fallback is None and res.refactor_pivots == 0
-            moved += res.carry_pivots > 0
+            assert starts(res) == ["carried"]
+            moved += res.attempts[0][2] > 0
         assert moved >= 20
 
     def test_carried_answer_failing_its_check_is_answered_fresh(self, monkeypatch):
@@ -504,15 +509,13 @@ class TestWarmStart:
         monkeypatch.setattr(simplex, "_certified_optimal", carried_check_fails)
         res = solve_lp_arrays(lp2, w.basis, w.tableau)
         assert verdicts == [False, True]
-        assert res.carried and res.carry_fallback == "uncertified"
-        assert res.warm and res.certified and res.fallback is None and res.refactor_pivots > 0
+        assert starts(res) == ["carried:uncertified", "fresh"] and res.certified
+        assert res.attempts[1][2] > 0  # the fresh tableau is moved to the basis
         assert self.check_carried(lp2, res) == "optimal"
         counts = LpCounters()
         counts.add(res)
-        assert (counts.warm_lps, counts.carried_lps) == (1, 1)
-        assert counts.carry_fallbacks == {"uncertified": 1} and counts.fallbacks == {}
-        assert counts.refactor_pivots == res.refactor_pivots
-        assert counts.carry_pivots == res.carry_pivots
+        assert counts.answered == {"fresh": 1} and counts.gave_up == {"carried:uncertified": 1}
+        assert counts.move_pivots == {kind: p for kind, _, p in res.attempts if p}
 
 
 class TestWarmFallbacks:
@@ -523,7 +526,7 @@ class TestWarmFallbacks:
         lp = make_lp([1.0, 1.0, 0.0], [[1.0, 2.0, 1.0], [2.0, 4.0, 0.0]], ["G", "G"],
                      [1.0, 1.0], [0.0, 0.0, 0.0], [5.0, 5.0, 5.0])
         r = solve_lp_arrays(lp, Basis(np.array([0, 1], dtype=np.int32), np.zeros(3, bool)))
-        assert r.fallback == "singular" and not r.warm
+        assert starts(r) == ["fresh:singular", "cold"]
         assert r.status == "optimal" and r.certified
         assert r.objective == pytest.approx(0.25)
 
@@ -532,7 +535,7 @@ class TestWarmFallbacks:
         lp = make_lp([-1.0, 1.0], [[1.0, 0.0], [0.0, 1.0]], ["L", "G"], [5.0, 1.0],
                      [0.0, 0.0], [np.inf, np.inf])
         r = solve_lp_arrays(lp, Basis(np.array([2, 3], dtype=np.int32), np.zeros(2, bool)))
-        assert r.fallback == "dual_infeasible" and not r.warm
+        assert starts(r) == ["fresh:dual_infeasible", "cold"]
         assert r.status == "optimal"
         assert r.objective == pytest.approx(-4.0)
 
@@ -541,9 +544,31 @@ class TestWarmFallbacks:
         # certificate's tolerance, so the cold solve decides (and accepts x)
         lp = make_lp([-1.0], [[1.0], [1.0]], ["L", "G"], [0.0, 1e-8], [-1.0], [1.0])
         r = solve_lp_arrays(lp, Basis(np.array([0, 2], dtype=np.int32), np.zeros(1, bool)))
-        assert r.fallback == "uncertified" and not r.warm
+        assert starts(r) == ["fresh:uncertified", "cold"]
         assert r.status == "optimal" and r.certified
         assert abs(r.x[0]) <= 1e-7
+
+    @pytest.mark.parametrize("reason", ["singular", "dual_infeasible"])
+    def test_carried_and_fresh_both_give_up(self, reason):
+        """A basis that no tableau can start from: the carried tableau and the
+        fresh one give up alike, and the cold solve answers."""
+        lp, ids = {
+            "singular": (make_lp([1.0, 1.0, 0.0], [[1.0, 2.0, 1.0], [2.0, 4.0, 0.0]], ["G", "G"],
+                                 [1.0, 1.0], [0.0, 0.0, 0.0], [5.0, 5.0, 5.0]), [0, 1]),
+            "dual_infeasible": (make_lp([-1.0, 1.0], [[1.0, 0.0], [0.0, 1.0]], ["L", "G"],
+                                        [5.0, 1.0], [0.0, 0.0], [np.inf, np.inf]), [2, 3]),
+        }[reason]
+        carried = solve_lp_arrays(lp).tableau
+        r = solve_lp_arrays(lp, Basis(np.array(ids, dtype=np.int32), np.zeros(lp.n, bool)),
+                            carried)
+        assert starts(r) == [f"carried:{reason}", f"fresh:{reason}", "cold"]
+        want, fun = highs(lp)
+        assert r.status == want == "optimal" and r.certified
+        assert r.objective == pytest.approx(fun, abs=1e-9)
+        counts = LpCounters()
+        counts.add(r)
+        assert counts.answered == {"cold": 1}
+        assert counts.gave_up == {f"carried:{reason}": 1, f"fresh:{reason}": 1}
 
     def test_cold_optimum_failing_its_check_is_repaired_once(self, monkeypatch):
         lp = make_lp([-1.0, -0.1], [[1.0, -1.0]], ["L"], [0.0], [0.0, 0.0], [1.0, 5.0])
@@ -557,12 +582,13 @@ class TestWarmFallbacks:
         monkeypatch.setattr(simplex, "_certified_optimal", cold_check_fails)
         r = solve_lp_arrays(lp)
         assert verdicts == [False, True]
-        assert r.repaired and r.certified and not r.warm
+        assert starts(r) == ["cold:uncertified", "repair"] and r.certified
         assert r.objective == pytest.approx(-1.5, abs=1e-12)
         monkeypatch.setattr(simplex, "_certified_optimal", lambda *args: False)
         r = solve_lp_arrays(lp)
-        assert r.status == "optimal" and not r.certified and not r.repaired
-        assert r.fallback is None and r.objective == pytest.approx(-1.5, abs=1e-12)
+        assert r.status == "optimal" and not r.certified
+        assert starts(r) == ["cold", "repair:uncertified"]  # the cold optimum is kept
+        assert r.objective == pytest.approx(-1.5, abs=1e-12)
 
 
 def highs_point(lp, c):
@@ -596,9 +622,9 @@ class TestCrashStart:
     def test_vertex_start_is_certified_without_cold_solve(self, point, monkeypatch):
         monkeypatch.setattr(simplex, "_solve_cold", None)  # a cold solve would raise
         r = solve_lp_arrays(self.LP, point=np.array(point))
-        assert r.warm and r.certified and r.fallback is None and r.dual_pivots == 0
+        assert starts(r) == ["vertex"] and r.certified and r.dual_pivots == 0
         assert r.objective == pytest.approx(-1.5, abs=1e-12)
-        assert r.refactor_pivots == (point == [0.5, 1.0])  # x0 moves into the row
+        assert r.attempts[0][2] == (point == [0.5, 1.0])  # x0 moves into the row
         assert r.tableau is not None
 
     @pytest.mark.parametrize("point, reason", [
@@ -607,12 +633,12 @@ class TestCrashStart:
     ])
     def test_unusable_point_falls_back_to_cold(self, point, reason):
         r = solve_lp_arrays(self.LP, point=np.array(point))
-        assert r.fallback == reason and not r.warm
+        assert starts(r) == [f"vertex:{reason}", "cold"]
         assert r.status == "optimal" and r.certified
         assert r.objective == pytest.approx(-1.5, abs=1e-12)
         counts = LpCounters()
         counts.add(r)
-        assert (counts.warm_lps, counts.cold_lps, counts.fallbacks) == (0, 1, {reason: 1})
+        assert (counts.answered, counts.gave_up) == ({"cold": 1}, {f"vertex:{reason}": 1})
 
     def test_point_of_the_wrong_size_or_with_a_basis_rejected(self):
         for kwargs in ({"point": np.zeros(3)},
@@ -626,7 +652,7 @@ class TestCrashStart:
         lp = make_lp([1.0, -1.0], [[1.0, 0.0], [2.0, 0.0]], ["L", "L"], [1.0, 2.0],
                      [0.0, 0.0], [2.0, 2.0])
         r = solve_lp_arrays(lp, point=np.array([1.0, 0.5]))
-        assert r.fallback == "singular" and not r.warm
+        assert starts(r) == ["vertex:singular", "cold"]
         assert r.objective == pytest.approx(-2.0, abs=1e-12)
 
     def test_answer_failing_its_check_falls_back_to_cold(self, monkeypatch):
@@ -640,7 +666,7 @@ class TestCrashStart:
         monkeypatch.setattr(simplex, "_certified_optimal", crash_check_fails)
         r = solve_lp_arrays(self.LP, point=np.array([0.0, 0.0]))
         assert verdicts == [False, True]
-        assert r.fallback == "uncertified" and not r.warm and r.certified
+        assert starts(r) == ["vertex:uncertified", "cold"] and r.certified
         assert r.objective == pytest.approx(-1.5, abs=1e-12)
 
     def test_random_vertices_match_highs(self):
@@ -654,7 +680,7 @@ class TestCrashStart:
             if want != "optimal" or x is None or not is_vertex(lp, x):
                 continue
             r = solve_lp_arrays(lp, point=x)
-            assert r.warm and r.certified and r.fallback is None and r.dual_pivots == 0
+            assert starts(r) == ["vertex"] and r.certified and r.dual_pivots == 0
             assert r.objective == pytest.approx(fun, abs=1e-7)
             assert _feasible(lp, r.x, tol=1e-7)
             started += 1
@@ -683,8 +709,9 @@ class TestCrashStart:
                 if is_vertex(lp, x) and _feasible(lp, x, tol=1e-7):
                     continue
                 r = solve_lp_arrays(lp, point=x)
-                assert r.fallback in ("not_vertex", "singular", "infeasible_start")
-                assert not r.warm and r.certified
+                (kind, why, _), answer = r.attempts
+                assert kind == "vertex" and why in ("not_vertex", "singular", "infeasible_start")
+                assert answer[:2] == ("cold", None) and r.certified
                 assert r.objective == pytest.approx(fun, abs=1e-7)
-                reasons[r.fallback] = reasons.get(r.fallback, 0) + 1
+                reasons[why] = reasons.get(why, 0) + 1
         assert reasons.get("not_vertex", 0) >= 20 and reasons.get("infeasible_start", 0) >= 20

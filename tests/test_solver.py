@@ -244,7 +244,8 @@ class TestWarmStartedNodes:
 
         def recording(model, fixings=None, basis=None, tableau=None, point=None):
             res = real(model, fixings, basis, tableau, point)
-            starts.append((basis is not None, point is not None, res.warm))
+            starts.append((basis is not None, point is not None,
+                           [kind for kind, why, _ in res.attempts if why is None]))
             return res
 
         monkeypatch.setattr(mipprune.solver, "solve_lp", recording)
@@ -254,20 +255,21 @@ class TestWarmStartedNodes:
             sol = solve_mip(model, SolveConfig(), warm=np.zeros(10) if warm else None)
             assert sol.objective == pytest.approx(enumeration_optimum(model), abs=1e-9)
             assert len(starts) == sol.node_count > 1
-            assert starts[0] == (False, warm, warm)
-            assert all(given and not point and ok for given, point, ok in starts[1:])
+            root = "vertex" if warm else "cold"
+            assert starts[0] == (False, warm, [root])
+            # every LP after the root is answered from the last answer's
+            # tableau, the root's included
+            assert all(given and not point and answered == ["carried"]
+                       for given, point, answered in starts[1:])
             counts = sol.lp_counters
-            cold = 0 if warm else 1
-            assert (counts.warm_lps, counts.cold_lps) == (len(starts) - cold, cold)
-            assert counts.fallbacks == {} and counts.uncertified_lps == 0
+            assert counts.answered == {root: 1, "carried": len(starts) - 1}
+            assert counts.gave_up == {} and counts.uncertified_lps == 0
             assert counts.dual_pivots + counts.primal_pivots == sol.lp_pivots
             assert sol.log_lines[-1].endswith(counts.to_text())
-            assert f"warm_lps {counts.warm_lps} cold_lps {cold} fallbacks none" in sol.log_lines[-1]
-            # every LP after the root carries the last answer's tableau, the root's included
-            assert counts.carried_lps == len(starts) - 1 and counts.carry_fallbacks == {}
+            assert (f"answered carried:{len(starts) - 1},{root}:1 gave_up none"
+                    in sol.log_lines[-1])
             # no column is inside its box at the empty knapsack: the root moves nothing
-            assert counts.refactor_pivots == 0
-            assert f"carried_lps {counts.carried_lps} carry_fallbacks none" in sol.log_lines[-1]
+            assert set(counts.move_pivots) <= {"carried"}
             assert (counts.bland_switches, counts.stall_exits) == (0, 0)
 
     def test_carried_answers_failing_their_check_are_answered_fresh(self, monkeypatch):
@@ -295,12 +297,14 @@ class TestWarmStartedNodes:
                             lambda *args: not carrying[-1] and real_inf(*args))
         sol = solve_mip(fractional_knapsack(), SolveConfig())
         counts = sol.lp_counters
-        assert counts.carried_lps == sol.node_count - 1 > 0
-        assert counts.carry_fallbacks == {"uncertified": counts.carried_lps}
-        assert counts.warm_lps == sol.node_count - 1 and counts.fallbacks == {}
+        carried = sol.node_count - 1
+        assert carried > 0
+        assert counts.gave_up == {"carried:uncertified": carried}
+        assert counts.answered == {"cold": 1, "fresh": carried}
         # one fresh start for the root and one for each carried LP that gave up
-        assert carrying.count(True) == counts.carried_lps
-        assert carrying.count(False) == counts.carried_lps + 1 and not carrying[0]
-        assert counts.refactor_pivots > want.lp_counters.refactor_pivots == 0
+        assert carrying.count(True) == carried
+        assert carrying.count(False) == carried + 1 and not carrying[0]
+        assert counts.move_pivots["fresh"] > 0
+        assert set(want.lp_counters.move_pivots) <= {"carried"}
         assert sol.objective == want.objective
         assert sol.values.tobytes() == want.values.tobytes()
