@@ -284,7 +284,7 @@ def cmd_score_classwise(args, run: Path) -> None:
     net = load_network(args.model)
     ds = _dataset(args, args.data, args.data_seed)
     report = pruning.score_classwise(net, ds, args.lam, args.epsilon, args.rescale,
-                                     solve_config=_solve_config(args, run), jobs=args.jobs)
+                                     solve_config=_solve_config(args, run))
     pruning.save_report(report, run / "report.txt")
     print(f"classwise scored {len(report.scores)} units, "
           f"mean objective {report.objective:.6f}, status {report.status}")
@@ -392,7 +392,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = command("score-classwise", cmd_score_classwise, "independent per-class scoring")
     _add_data(p), _add_scoring(p, omit="--per-class"), _add_solver(p)
     p.add_argument("--model", required=True)
-    p.add_argument("--jobs", type=int, default=1)
 
     p = command("transfer", cmd_transfer, "mask transfer between datasets")
     _add_generator(p, classes=2), _add_scoring(p, omit="--per-class"), _add_solver(p)

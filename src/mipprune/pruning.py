@@ -14,8 +14,7 @@ import hashlib
 import time
 import warnings
 from collections import Counter
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -256,34 +255,18 @@ def score(net: Network, xs: np.ndarray, ys: np.ndarray, lam: float = 5.0,
 
 
 def score_classwise(net: Network, ds: Dataset, lam: float = 5.0, epsilon: float = 0.0,
-                    rescale: str = "minus2", solve_config: SolveConfig | None = None,
-                    jobs: int = 1) -> ImportanceReport:
+                    rescale: str = "minus2",
+                    solve_config: SolveConfig | None = None) -> ImportanceReport:
     """Average one-point-per-class solves.
 
-    Runs one model per class with a single data point and averages the
-    scores in class order.  (Feeding the same points to one model is
-    ``score(net, *balanced_batch(ds, 1), ...)``.)  The solves are pure and
-    may run in ``jobs`` threads; the class-indexed averaging keeps results
-    identical regardless of scheduling.  Only the last class's solve gets
-    ``solve_config.log_path``.
+    Runs one model per class with a single data point, in class order, and
+    averages the scores.  (Feeding the same points to one model is
+    ``score(net, *balanced_batch(ds, 1), ...)``.)  Each solve writes
+    ``solve_config.log_path``, so the file left holds the last class's.
     """
     xs, ys = balanced_batch(ds, per_class=1)
-    classes = list(range(ds.n_classes))
-
-    def solve_one(c: int) -> ImportanceReport:
-        # only the last class writes the log, so the file holds that class's
-        # solve whichever thread finishes last
-        cfg = solve_config
-        if cfg is not None and c != classes[-1]:
-            cfg = replace(cfg, log_path=None)
-        return score(net, xs[c : c + 1], ys[c : c + 1], lam, epsilon, rescale, cfg,
-                     allow_imbalanced=True)
-
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            reports = list(pool.map(solve_one, classes))
-    else:
-        reports = [solve_one(c) for c in classes]
+    reports = [score(net, xs[c : c + 1], ys[c : c + 1], lam, epsilon, rescale, solve_config,
+                     allow_imbalanced=True) for c in range(ds.n_classes)]
     keys = sorted(reports[0].scores)
     avg = {k: float(np.mean([r.scores[k] for r in reports])) for k in keys}
     digest = hashlib.sha256(

@@ -1,11 +1,11 @@
-"""Bounded-variable dense simplex for small linear programs: a two-phase
-primal solve from scratch, a primal phase two started at a given vertex,
-and a dual simplex warm-started from a basis, all on one tableau layout.
+"""Bounded-variable dense simplex for small linear programs: one routine
+moves a tableau to a starting basis, then runs a dual simplex and a primal
+clean-up or, from a feasible vertex, the primal simplex alone.
 
 Every variable is one tableau column ``v >= 0`` with ``x = base + dirn * v``:
 shifted from a finite lower bound, mirrored from a finite upper bound when
-there is no lower one (or when a warm start puts it there), or left free
-when both bounds are infinite.  A finite width ``ub - lb`` is enforced in the
+there is no lower one (or when a start puts it there), or left free when
+both bounds are infinite.  A finite width ``ub - lb`` is enforced in the
 ratio test: a variable that reaches it is complemented (``v' = width - v``),
 so nonbasic columns always sit at zero, the rhs column holds the basic
 values, and ``base`` is ``lb`` or ``ub`` as ``dirn`` is +1 or -1.  The
@@ -17,38 +17,35 @@ Primal pricing is Dantzig's rule (most negative reduced cost, lowest index
 on ties; a free nonbasic column prices by its magnitude).  After a streak of
 2*(m+n) degenerate pivots the pricing switches to Bland's rule, which
 guarantees termination; it switches back once the objective strictly
-improves.  Each switch, and each exit at the stall cap, is counted on the
+improves.  The dual simplex (largest bound violation leaves; Harris
+two-pass ratio test) keeps to Bland's rule after as long a streak.  Each
+switch, and each exit at the primal stall cap, is counted on the
 :class:`LpResult`.
 
 The tableau keeps every structural column (a fixed one has width 0) and
 gives row ``i`` one logical ``s_i`` in ``a_i x + s_i = rhs_i``, bounded by
 the row's sense: [0, inf) for 'L', (-inf, 0] for 'G', {0} for 'E'.  A
-width-0 column never enters.  The cold solve, from scratch, starts from
-the all-logical tableau: a row whose logical starts infeasible gets an
-artificial, basic in its place, which phase one prices out; phase two then
-runs on the real objective.  A warm start is a :class:`Tableau` and the
-ids wanted basic in it.  One routine moves the tableau to them: it adapts
-the bounds, appends the rows the tableau lacks with their logicals basic,
-pivots in each wanted column that is not basic (largest |entry| among the
-rows held by an unwanted id), and computes the basic values from the
-original arrays; the reduced-cost row carries over, since the objective is
-fixed.  It then runs a dual simplex (largest bound violation leaves; Harris
-two-pass ratio test) and the primal loop as a clean-up, or, for a start at
-a feasible vertex, phase two of the primal loop alone.  Products use the
-kernels of :mod:`.linalg`, never BLAS or LAPACK, so results repeat bit for
-bit for the same operand layout on the same numpy build.
+width-0 column never enters.  A start is a :class:`Tableau` and the ids
+wanted basic in it.  The routine adapts the bounds, appends the rows the
+tableau lacks with their logicals basic, pivots in each wanted column that
+is not basic (largest |entry| among the rows held by an unwanted id), and
+computes the basic values from the original arrays; the reduced-cost row
+carries over, since the objective is fixed.  Products use the kernels of
+:mod:`.linalg`, never BLAS or LAPACK, so results repeat bit for bit for the
+same operand layout on the same numpy build.
 
 Every 'optimal' answer is checked on the original arrays: the primal
 residual of rows and bounds, and the reduced costs recomputed from the row
-duals.  A warm 'infeasible' answer must come with a Farkas row that proves
-it on the original rows and bounds.  :func:`solve_lp_arrays` tries the
-starts of an LP in order and the first that answers is returned: with a
-basis, the final tableau of the last answer when the caller carries one (a
-branch-and-bound search passes each LP's tableau to the next), then a
-fresh all-logical tableau; with a vertex, the all-logical tableau moved to
-the vertex's basis.  When every start gives up, the LP is solved cold, and
-a cold optimum that fails its check gets one more start: a fresh tableau
-on its own final basis.  Each start is recorded on the :class:`LpResult`.
+duals.  Every 'infeasible' answer comes with a Farkas row that proves it on
+the original rows and bounds, and every 'unbounded' one with an improving
+ray and a feasible point that passed their checks.  :func:`solve_lp_arrays`
+tries the starts of an LP in order and the first that answers is returned:
+with a basis, the final tableau of the last answer when the caller carries
+one (a branch-and-bound search passes each LP's tableau to the next), then
+a fresh all-logical tableau; with a vertex, the all-logical tableau moved
+to the vertex's basis.  The last start, and the only one of an LP given
+none, is a fresh tableau moved to the final basis of the LP's recession
+LP; it keeps its answer.  Each start is recorded on the :class:`LpResult`.
 Ref: Koberstein, "The dual simplex method, techniques for a fast and stable
 implementation", PhD thesis, Paderborn 2005, ch. 4-6; Bixby, "Solving
 real-world linear programs: a decade and more of progress", Oper. Res. 50,
@@ -79,7 +76,8 @@ _DROP_TOL = 1e-12      # a carried tableau entry below this is round-off: set to
 
 
 class SimplexNumericsError(MipPruneError, RuntimeError):
-    """The pivot loop exceeded its safety cap; the instance is ill-posed."""
+    """A pivot loop exceeded its safety cap, or the last start of an LP gave
+    up; the instance is ill-posed."""
 
 
 @dataclass
@@ -128,9 +126,8 @@ class Tableau:
     logical per row; ``basis`` holds the column basic in each row, ``dirn``
     the orientation of each column, and ``rho`` the scale of each row
     (tableau row ``i`` started as ``rho_i`` times row ``i``, and its
-    logical's column as ``dirn`` times the unit vector; the cold solve
-    negates both for a row whose logical starts below zero).  It is
-    consumed: the next LP changes it in place.
+    logical's column as the unit vector).  It is consumed: the next LP
+    changes it in place.
     """
 
     t: np.ndarray
@@ -146,16 +143,16 @@ class LpResult:
     ``attempts`` records each start tried, in order, as ``(kind, reason,
     move_pivots)``.  ``kind`` is 'carried' (the carried tableau), 'fresh' (an
     all-logical tableau moved to the given basis), 'vertex' (one moved to
-    the basis of the given point), 'cold' (the two-phase solve from scratch)
-    or 'repair' (a fresh tableau on an uncertified cold optimum's basis).
-    ``reason`` is None for the one start that answered and says why each
-    other gave up (see :func:`_solve_from`); a cold optimum that a repair
-    answered for is 'uncertified'.  ``move_pivots`` moved the start's
-    tableau to its basis; they are not in ``pivots``, which counts the
-    simplex iterations of every attempt, dual and primal: basis changes plus
-    bound flips.  ``bland_switches`` and ``stall_exits`` count the primal
-    loop's turns to Bland's rule and its exits at the stall cap.  Every
-    'optimal' answer, and every warm 'infeasible' one, has its final
+    the basis of the given point) or 'cold' (one moved to the final basis
+    of the recession LP, see :func:`_solve_cold`).  ``reason`` is None for
+    the one start that answered and says why each other gave up (see
+    :func:`_solve_from`).  ``move_pivots`` moved the start's tableau to its
+    basis; they are not in ``pivots``, which counts the simplex iterations
+    of every attempt and of the recession LP, dual and primal: basis
+    changes plus bound flips.  ``bland_switches`` counts both loops' turns
+    to Bland's rule, ``stall_exits`` the primal loop's exits at its stall
+    cap.  Only a 'cold' answer can be uncertified.  Every 'optimal'
+    answer, and every 'infeasible' one on the LP's own costs, has its final
     ``tableau``.
     """
 
@@ -206,17 +203,14 @@ def _pivot(t: np.ndarray, basis: np.ndarray, r: int, j: int) -> None:
 
 
 def _pivot_loop(t: np.ndarray, basis: np.ndarray, width: np.ndarray, free: np.ndarray,
-                dirn: np.ndarray, tol: float, bland_after: int,
-                allowed: np.ndarray, out: LpResult) -> tuple[str, int]:
+                dirn: np.ndarray, tol: float, bland_after: int, out: LpResult) -> tuple[str, int]:
     """Run simplex iterations on tableau ``t`` in place.
 
     ``t`` is (m+1, k+1): m constraint rows, reduced-cost row last, rhs column
     last.  ``width``, ``free`` and ``dirn`` describe the k columns; ``dirn``
-    is updated by each complement.  ``width`` and ``free`` also describe the
-    basis ids past k: the cold solve's artificials, basic but not stored.
-    ``allowed`` masks the k columns eligible to enter.  Each switch to
-    Bland's rule and each exit at the stall cap is counted in ``out``.
-    Returns (status, iteration count).
+    is updated by each complement.  A column of width 0 never enters.  Each
+    switch to Bland's rule and each exit at the stall cap is counted in
+    ``out``.  Returns (status, iteration count).
     """
     m = t.shape[0] - 1
     pivots = 0
@@ -227,9 +221,9 @@ def _pivot_loop(t: np.ndarray, basis: np.ndarray, width: np.ndarray, free: np.nd
     bland = False
     rc_view = t[-1, :-1]
     rhs_col = t[:-1, -1]
-    free_col = free[:rc_view.size]
+    allowed = (width > 0.0) | free
     while True:
-        price = np.where(free_col, -np.abs(rc_view), rc_view)
+        price = np.where(free, -np.abs(rc_view), rc_view)
         if bland:
             cands = np.flatnonzero((price < -tol) & allowed)
             if cands.size == 0:
@@ -296,16 +290,8 @@ def _pivot_loop(t: np.ndarray, basis: np.ndarray, width: np.ndarray, free: np.nd
             raise SimplexNumericsError(f"pivot cap {_MAX_PIVOTS} exceeded")
 
 
-def _price_out(t: np.ndarray, basis: np.ndarray) -> None:
-    """Zero the reduced-cost row on the basic columns, row by row."""
-    for r in range(basis.size):
-        cb = t[-1, basis[r]]
-        if cb != 0.0:
-            t[-1] -= cb * t[r]
-
-
 def _dual_loop(t: np.ndarray, basis: np.ndarray, width: np.ndarray, free: np.ndarray,
-               dirn: np.ndarray, cap: int) -> tuple[str, int, int]:
+               dirn: np.ndarray, bland_after: int, out: LpResult) -> tuple[str, int, int]:
     """Run dual simplex iterations on tableau ``t`` in place.
 
     ``t`` is laid out as in :func:`_pivot_loop` and starts dual feasible.
@@ -313,10 +299,14 @@ def _dual_loop(t: np.ndarray, basis: np.ndarray, width: np.ndarray, free: np.nda
     ties; one above its width is complemented first, so it leaves at zero.
     The entering column comes from a Harris two-pass ratio test: the least
     ratio with reduced costs relaxed by ``_HARRIS_TOL``, then the largest
-    |pivot| among the columns within it, lowest index on ties.  Returns
-    (status, row, iterations): 'optimal' once no violation exceeds
-    ``_DUAL_FEAS_TOL``; 'infeasible' with the row that has no entering
-    column (a dual ray); 'stalled' after ``cap`` iterations.
+    |pivot| among the columns within it, lowest index on ties.  A step is
+    degenerate when its entering reduced cost is at most ``_HARRIS_TOL``;
+    after ``bland_after`` in a row the loop keeps to Bland's rule, counted
+    in ``out``: the violated row of lowest basis id leaves, and the lowest
+    column of least ratio enters, reduced costs up to ``_HARRIS_TOL``
+    counted as zero.  Returns (status, row, iterations): 'optimal' once no
+    violation exceeds ``_DUAL_FEAS_TOL``, or 'infeasible' with the row that
+    has no entering column (a dual ray).
     """
     rhs = t[:-1, -1]
     d = t[-1, :-1]
@@ -324,6 +314,8 @@ def _dual_loop(t: np.ndarray, basis: np.ndarray, width: np.ndarray, free: np.nda
     nonbasic = np.ones(d.size, dtype=bool)
     nonbasic[basis] = False
     pivots = 0
+    degen_streak = 0
+    bland = False
     while True:
         wb = width[basis]
         viol = np.maximum(-rhs, rhs - wb)
@@ -331,9 +323,7 @@ def _dual_loop(t: np.ndarray, basis: np.ndarray, width: np.ndarray, free: np.nda
         worst = viol.max(initial=0.0)
         if worst <= _DUAL_FEAS_TOL:
             return "optimal", -1, pivots
-        if pivots >= cap:
-            return "stalled", -1, pivots
-        rows = np.flatnonzero(viol == worst)
+        rows = np.flatnonzero(viol > _DUAL_FEAS_TOL if bland else viol == worst)
         r = int(rows[np.argmin(basis[rows])])
         if rhs[r] > wb[r]:
             _complement(t, dirn, basis[r], wb[r])
@@ -345,15 +335,25 @@ def _dual_loop(t: np.ndarray, basis: np.ndarray, width: np.ndarray, free: np.nda
             return "infeasible", r, pivots
         alpha = np.abs(row[cand])
         dj = np.where(free[cand], np.abs(d[cand]), np.maximum(d[cand], 0.0))
-        theta = float(((dj + _HARRIS_TOL) / alpha).min())
-        within = np.flatnonzero(dj / alpha <= theta)
-        q = int(cand[within[np.argmax(alpha[within])]])
+        if bland:
+            i = int(np.argmin(np.where(dj > _HARRIS_TOL, dj, 0.0) / alpha))
+        else:
+            theta = float(((dj + _HARRIS_TOL) / alpha).min())
+            within = np.flatnonzero(dj / alpha <= theta)
+            i = int(within[np.argmax(alpha[within])])
+        q = int(cand[i])
         if row[q] > 0.0:
             _complement(t, dirn, q, 0.0)  # a free column enters downward
         nonbasic[basis[r]] = True
         nonbasic[q] = False
         _pivot(t, basis, r, q)
         pivots += 1
+        degen_streak = 0 if dj[i] > _HARRIS_TOL else degen_streak + 1
+        if not bland and degen_streak >= bland_after:
+            bland = True
+            out.bland_switches += 1
+        if pivots > _MAX_PIVOTS:
+            raise SimplexNumericsError(f"pivot cap {_MAX_PIVOTS} exceeded")
 
 
 def _certified_optimal(lp: LinearProgram, lb: np.ndarray, ub: np.ndarray, x: np.ndarray,
@@ -518,13 +518,15 @@ def _solve_from(tab: Tableau, lp: LinearProgram, lb: np.ndarray, ub: np.ndarray,
     the attempt with the pivots of the move and, when the start gives up,
     its reason: 'not_vertex', 'singular', 'dual_infeasible' (a wrong-signed
     reduced cost on an unbounded column), 'infeasible_start' (a 'vertex'
-    start out of bounds), 'stalled' (the dual iteration cap), 'unbounded'
-    (the primal loop found a ray) or 'uncertified' (the answer failed its
-    check; ``out`` keeps no part of it).  Returns whether the start answered.
+    start out of bounds), 'unbounded' (the primal loop found a ray) or
+    'uncertified' (the answer failed its check; ``out`` keeps no part of
+    it).  A 'cold' start keeps an uncertified optimum, and takes an
+    uncertified infeasible verdict for round-off: the primal clean-up runs
+    from the clipped basic values.  Returns whether the start answered.
     """
     m, n = lp.m, lp.n
     k = n + m
-    primal = kind == "vertex"
+    primal, last = kind == "vertex", kind == "cold"
     t, basis, dirn, rho = tab.t, tab.basis, tab.dirn, tab.rho
     sense = np.asarray(lp.sense, dtype="U1")
     has_lo, has_hi = np.isfinite(lb), np.isfinite(ub)
@@ -568,24 +570,23 @@ def _solve_from(tab: Tableau, lp: LinearProgram, lb: np.ndarray, ub: np.ndarray,
         if np.any(~free[basis] & (np.maximum(-rhs, rhs - width[basis]) > _FEAS_TOL)):
             return out.attempt(kind, "infeasible_start", moved)
     else:
-        status, r, p = _dual_loop(t, basis, width, free, dirn, 2 * (m + k))
+        status, r, p = _dual_loop(t, basis, width, free, dirn, 2 * (m + k), out)
         out.dual_pivots += p
         out.pivots += p
-        if status == "stalled":
-            return out.attempt(kind, status, moved)
         if status == "infeasible":
-            if not _certified_infeasible(lp, lb, ub, t[r, n:k] * dirn[n:], rho):
+            if _certified_infeasible(lp, lb, ub, t[r, n:k] * dirn[n:], rho):
+                out.status, out.x, out.objective, out.basis = "infeasible", None, None, None
+                out.certified, out.tableau = True, tab
+                return out.attempt(kind, None, moved)
+            if not last:
                 return out.attempt(kind, "uncertified", moved)
-            out.status, out.x, out.objective, out.basis = "infeasible", None, None, None
-            out.certified, out.tableau = True, tab
-            return out.attempt(kind, None, moved)
     np.clip(rhs, np.where(free[basis], -np.inf, 0.0), width[basis], out=rhs)
-    status, p = _pivot_loop(t, basis, width, free, dirn, _RC_TOL, 2 * (m + k),
-                            (width > 0.0) | free, out)
+    status, p = _pivot_loop(t, basis, width, free, dirn, _RC_TOL, 2 * (m + k), out)
     out.pivots += p
     if status == "unbounded":
         return out.attempt(kind, status, moved)
-    return out.attempt(kind, None if _finish(out, lp, lb, ub, tab) else "uncertified", moved)
+    certified = _finish(out, lp, lb, ub, tab, keep=last)
+    return out.attempt(kind, None if certified or last else "uncertified", moved)
 
 
 def _wanted(lp: LinearProgram, basis: Basis) -> np.ndarray:
@@ -629,58 +630,42 @@ def _starts(lp: LinearProgram, lb: np.ndarray, ub: np.ndarray, basis: Basis | No
 
 
 def _solve_cold(lp: LinearProgram, lb: np.ndarray, ub: np.ndarray, out: LpResult) -> None:
-    """The two-phase primal simplex from the all-logical tableau, answered
-    into ``out`` whether or not its optimum passes its check.
+    """Answer ``lp`` into ``out`` by its 'cold' start.
 
-    A row whose logical starts below zero is negated, rhs included: its
-    ``rho_i`` changes sign and its logical is measured the other way
-    (``dirn`` -1).  Each row whose logical then starts infeasible, a negated
-    row or an 'E' row off zero, gets an artificial basic in its place.  Row
-    ``i``'s artificial column is its logical's column up to sign, so it is
-    not stored: it is the basis id ``n + m + i``, priced out by phase one and
-    never let in.  One left basic at zero has held row ``i`` throughout, so
-    the logical's column there is still a signed unit vector: the row goes to
-    the logical, negated where that sign is -1, and no row is dropped.
+    The recession LP has the rows and objective of ``lp``, rhs 0, and boxes
+    of the directions each column can move in without limit: [0, 0] when
+    boxed or fixed, [0, 1] with only a lower bound, [-1, 0] with only an
+    upper one, [-1, 1] when free.  Its all-logical tableau is a dual
+    feasible start.  If its objective is at least ``-_CERT_DUAL``, its
+    final basis is dual feasible for ``lp`` and the start is moved there.
+    Otherwise its point is an improving ray, and ``lp`` is unbounded when
+    feasible: the start solves ``lp`` with the unbounded columns' costs set
+    to 0 from the all-logical tableau.  The recession LP adds iterations to
+    ``out`` but no attempt.  A give-up raises :class:`SimplexNumericsError`.
     """
     m, n = lp.m, lp.n
-    k = n + m
-    tab = _all_logical(lp, lb, ub, np.zeros(n, dtype=bool))
-    t, basis, dirn, rho = tab.t, tab.basis, tab.dirn, tab.rho
-    sense = np.asarray(lp.sense, dtype="U1")
-    neg = np.flatnonzero(t[:m, -1] < 0.0)
-    t[neg] *= -1.0
-    rho[neg] *= -1.0
-    dirn[n + neg] = -1.0
-    arts = np.flatnonzero((dirn[n:] < 0.0) | ((sense == "E") & (t[:m, -1] > 0.0)))
-    free = np.concatenate([np.isinf(lb) & np.isinf(ub), np.zeros(2 * m, dtype=bool)])
-    width = np.concatenate([ub - lb, np.where(sense == "E", 0.0, np.inf), np.full(m, np.inf)])
-    allowed = (width[:k] > 0.0) | free[:k]
-    out.attempt("cold", None)
-    if arts.size:
-        basis[arts] += m
-        t[-1] = 0.0
-        for r in arts.tolist():
-            t[-1] -= t[r]
-        _, p = _pivot_loop(t, basis, width, free, dirn, _RC_TOL, 2 * (m + k), allowed, out)
-        out.pivots += p
-        # the phase-one objective is bounded below by zero, so an "unbounded"
-        # verdict can only be round-off noise in a reduced cost
-        if -t[-1, -1] > _FEAS_TOL:
-            out.status = "infeasible"
-            return
-        rows = np.flatnonzero(basis >= k)
-        t[rows[dirn[n + rows] < 0.0]] *= -1.0
-        t[rows, -1] = 0.0
-        basis[rows] -= m
-        t[-1] = 0.0
-        t[-1, :n] = lp.c * dirn[:n]
-        _price_out(t, basis)
-    status, p = _pivot_loop(t, basis, width, free, dirn, _RC_TOL, 2 * (m + k), allowed, out)
-    out.pivots += p
-    if status == "unbounded":
-        out.status = status
-    else:
-        _finish(out, lp, lb, ub, tab, keep=True)
+    has_lo, has_hi = np.isfinite(lb), np.isfinite(ub)
+    logicals = np.arange(n + m) >= n
+
+    def solve(tab: Tableau, lp: LinearProgram, lb: np.ndarray, ub: np.ndarray,
+              wanted: np.ndarray) -> None:
+        if not _solve_from(tab, lp, lb, ub, wanted, out, "cold"):
+            raise SimplexNumericsError(f"cold solve gave up: {out.attempts[-1][1]}")
+
+    rlb, rub = np.where(has_lo, 0.0, -1.0), np.where(has_hi, 0.0, 1.0)
+    rec = LinearProgram(lp.c, lp.a, lp.sense, np.zeros(m), rlb, rub)
+    solve(_all_logical(rec, rlb, rub, np.zeros(n, dtype=bool)), rec, rlb, rub, logicals)
+    out.attempts.pop()  # the recession LP is not a start of ``lp``
+    if out.objective >= -_CERT_DUAL:
+        solve(_all_logical(lp, lb, ub, out.basis.at_upper), lp, lb, ub, _wanted(lp, out.basis))
+        return
+    if not out.certified:
+        raise SimplexNumericsError("the recession LP's improving ray failed its check")
+    feas = LinearProgram(np.where(has_lo & has_hi, lp.c, 0.0), lp.a, lp.sense, lp.rhs, lb, ub)
+    solve(_all_logical(feas, lb, ub, np.zeros(n, dtype=bool)), feas, lb, ub, logicals)
+    if out.status == "optimal":
+        out.status, out.x, out.objective, out.basis = "unbounded", None, None, None
+    out.tableau = None  # priced for the zeroed costs, not for those of ``lp``
 
 
 def solve_lp_arrays(lp: LinearProgram, basis: Basis | None = None,
@@ -693,9 +678,8 @@ def solve_lp_arrays(lp: LinearProgram, basis: Basis | None = None,
     (``LpResult.tableau``; other bounds and appended rows are fine), and it
     is consumed.  With ``point``, a feasible vertex of ``lp``, the start is a
     fresh tableau moved to its basis, and phase two runs from there.  When
-    every start gives up, or there is none, the LP is solved cold.  A cold
-    optimum that fails its certificate gets one more start, a fresh tableau
-    on its own final basis (the repair); one that still fails is returned
+    every start gives up, or there is none, the 'cold' start answers (see
+    :func:`_solve_cold`); an optimum of it that fails its check is returned
     with ``certified`` false.  ``LpResult.attempts`` records every start.
     """
     if tableau is not None and basis is None:
@@ -711,8 +695,4 @@ def solve_lp_arrays(lp: LinearProgram, basis: Basis | None = None,
         if _solve_from(tab, lp, lb, ub, wanted, out, kind):
             return out
     _solve_cold(lp, lb, ub, out)
-    if (out.status == "optimal" and not out.certified
-            and _solve_from(_all_logical(lp, lb, ub, out.basis.at_upper), lp, lb, ub,
-                            _wanted(lp, out.basis), out, "repair")):
-        out.attempts[-2] = ("cold", "uncertified", 0)  # the repair answered instead
     return out

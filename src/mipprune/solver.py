@@ -19,10 +19,11 @@ carried tableau moved to the node's basis in a few pivots, then a fresh
 all-logical tableau moved there, each finished by the dual simplex.  The
 root has no basis; it starts at the vertex of the warm incumbent, when
 there is one, and runs phase two of the primal simplex from that point's
-basis.  Only a root without a warm incumbent, and an LP whose every start
-gives up, solve from scratch.  Each LP records its starts in
-``LpResult.attempts``; :class:`LpCounters` sums them, and the log's
-``end status`` line shows the sums.
+basis.  A root without a warm incumbent, and an LP whose every start gives
+up, take the 'cold' start: a fresh tableau moved to the final basis of the
+LP's recession LP, finished by the dual simplex too.  Each LP records its
+starts in ``LpResult.attempts``; :class:`LpCounters` sums them, and the
+log's ``end status`` line shows the sums.
 
 Everything is deterministic: node selection breaks ties by insertion order,
 branching picks the most fractional binary (lowest id on ties), and the
@@ -69,8 +70,8 @@ class LpCounters:
     ``uncertified_lps`` are 'optimal' answers that fail their check on the
     original arrays.  ``dual_pivots`` plus ``primal_pivots`` make
     ``Solution.lp_pivots``; the move pivots are not in it.
-    ``bland_switches`` and ``stall_exits`` count the primal loop's turns to
-    Bland's rule and its exits at the stall cap.
+    ``bland_switches`` counts the dual and primal loops' turns to Bland's
+    rule, ``stall_exits`` the primal loop's exits at its stall cap.
     """
 
     answered: Counter[str] = field(default_factory=Counter)
@@ -140,8 +141,9 @@ def solve_lp(model: MipModel, fixings: dict[int, float] | None = None,
     carried ``tableau`` moved to it, when one is given, then a fresh
     all-logical tableau moved to it; with ``point`` (one value per
     variable), a fresh tableau moved to the basis of that vertex.  When
-    every start gives up, or there is none, the LP is solved from scratch.
-    The answer's ``attempts`` says how each start went.
+    every start gives up, or there is none, the 'cold' start answers from
+    the final basis of the LP's recession LP.  The answer's ``attempts``
+    says how each start went.
 
     The variables the model itself fixes (``lb == ub``) are left out of the
     LP; a fixing makes a column of width 0.  So ``basis`` and ``tableau``,

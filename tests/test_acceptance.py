@@ -335,8 +335,25 @@ class TestCriterion08RescalingDirection:
             f"({elapsed:.1f}s)"
         )
 
+    def test_rescale_none_lps_answered_without_giving_up(self):
+        """The seed-1 'none' solve has LPs whose dual simplex meets long runs
+        of degenerate steps: no start gives up on a stall, no cold or
+        repair start gives up, and every answer passes its check."""
+        net, train_ds, _ = crit6_setup(1)
+        xs, ys = balanced_batch(train_ds, 1)
+        model = encode_network(net, xs, ys, propagate_batch(net, xs, EPSILON), lam=LAMBDA,
+                               rescale="none")
+        sol = solve_mip(model, SolveConfig(), warm=model.reference_assignment)
+        counts = sol.lp_counters
+        assert not [key for key in counts.gave_up
+                    if key.endswith(":stalled") or key.startswith(("cold:", "repair:"))]
+        assert counts.uncertified_lps == 0
+        assert sol.objective == crit6_report(1, rescale="none").objective
+
 
 class TestCriterion09ClassByClass:
+    # at threshold 0.5 some layers keep only their top scorer
+    @pytest.mark.filterwarnings("ignore:.*would mask every unit:UserWarning")
     def test_independent_vs_simultaneous(self):
         t0 = time.perf_counter()
         small_thr, large_thr = 0.05, 0.5

@@ -77,11 +77,6 @@ class TestExperimentCommands:
         assert "accuracy ours" in text and "accuracy random" in text
         assert "accuracy ours_ft" in text
 
-    def test_score_classwise_with_jobs(self, trained_model, tmp_path):
-        run_ok(["score-classwise", "--out", str(tmp_path), *DATA,
-                "--model", str(trained_model), "--jobs", "2"])
-        assert (one_run_dir(tmp_path) / "report.txt").exists()
-
     def test_transfer(self, tmp_path):
         run_ok(["transfer", "--out", str(tmp_path), "--arch", "dense:5,dense:4",
                 "--source", "blobs", "--target", "moons", "--classes", "2",

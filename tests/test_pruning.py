@@ -164,35 +164,23 @@ class TestClasswise:
         for key in rep_i.scores:
             assert rep_i.scores[key] == pytest.approx(rep_s.scores[key], abs=1e-9)
 
-    def test_jobs_do_not_change_result(self):
-        net, train_ds, _ = small_trained(seed=10)
-        a = score_classwise(net, train_ds, lam=5.0, epsilon=0.1, jobs=1)
-        b = score_classwise(net, train_ds, lam=5.0, epsilon=0.1, jobs=3)
-        assert a.to_text() == b.to_text()
-
-    @pytest.mark.parametrize("jobs", [1, 3])
-    def test_only_the_last_class_writes_the_log(self, monkeypatch, tmp_path, jobs):
-        """The classes' solves may finish in any order, so only the last
-        class's solve gets the log path, and the log holds that solve
-        whatever the threads do."""
+    def test_the_log_holds_the_last_class(self, tmp_path):
+        """The classes are solved in order and each solve writes the log, so
+        the file left ends with the last class's end status line."""
         net, train_ds, _ = small_trained(seed=10)
         xs, ys = balanced_batch(train_ds, 1)
-        last = score(net, xs[-1:], ys[-1:], lam=5.0, epsilon=0.1,
-                     allow_imbalanced=True).batch_digest
-        calls = []
-        real = mipprune.pruning.solve_mip
-
-        def recording(model, config=None, warm=None):
-            calls.append((model.batch_digest, config.log_path))
-            return real(model, config, warm)
-
-        monkeypatch.setattr(mipprune.pruning, "solve_mip", recording)
+        logs = []
+        for c in (0, train_ds.n_classes - 1):
+            logs.append(tmp_path / f"class{c}.log")
+            score(net, xs[c : c + 1], ys[c : c + 1], lam=5.0, epsilon=0.1,
+                  solve_config=SolveConfig(log_path=str(logs[-1])), allow_imbalanced=True)
         log = tmp_path / "solver.log"
         score_classwise(net, train_ds, lam=5.0, epsilon=0.1,
-                        solve_config=SolveConfig(log_path=str(log)), jobs=jobs)
-        assert len(calls) == train_ds.n_classes
-        assert [(digest, path) for digest, path in calls if path] == [(last, str(log))]
-        assert log.read_text().splitlines()[-1].startswith("end status ")
+                        solve_config=SolveConfig(log_path=str(log)))
+        first, last = (p.read_text().splitlines()[-1] for p in logs)
+        assert first != last
+        assert log.read_text().splitlines()[-1] == last
+        assert last.startswith("end status ")
 
 
 class TestTransfer:

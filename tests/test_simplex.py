@@ -204,8 +204,7 @@ class TestDegenerate:
         k = 7
         out = LpResult("optimal", None, None)
         status, pivots = _pivot_loop(t, np.array([0, 1, 2]), np.full(k, np.inf),
-                                     np.zeros(k, dtype=bool), np.ones(k), 1e-9, 2 * (3 + k),
-                                     np.ones(k, dtype=bool), out)
+                                     np.zeros(k, dtype=bool), np.ones(k), 1e-9, 2 * (3 + k), out)
         assert status == "optimal"
         assert -t[-1, -1] == pytest.approx(-1.25, abs=1e-12)
         assert pivots > 2 * (3 + k)  # the degenerate streak ran out first
@@ -237,7 +236,7 @@ class TestBoundKinds:
         assert r.status == "optimal"
         assert r.x.tolist() == [1.0, -1.0, 5.0, -4.0]
         assert r.objective == pytest.approx(-1.0 - 2.0 - 15.0 - 2.0)
-        assert r.pivots == 2  # one flip per column with a negative cost
+        assert r.pivots == 0  # the start puts each column at the bound its cost asks for
 
     def test_random_mixed_bound_kinds_match_highs(self):
         rng = np.random.default_rng(23)
@@ -249,17 +248,37 @@ class TestBoundKinds:
             r = solve_lp_arrays(lp)
             assert r.status == want
             seen[want] += 1
+            assert r.certified
             if want == "optimal":
                 assert r.objective == pytest.approx(fun, abs=1e-7)
                 assert _feasible(lp, r.x, tol=1e-7)
-                assert r.certified
         assert min(seen.values()) >= 20
+
+    def test_random_infeasible_lps_are_certified(self):
+        """A feasible LP plus a row that contradicts one of its rows: the
+        answer from scratch is 'infeasible' with a Farkas row that passed its
+        check."""
+        rng = np.random.default_rng(24)
+        checked = 0
+        while checked < 100:
+            lp = random_mixed_lp(rng)
+            if lp.m == 0:
+                continue
+            i = int(rng.integers(lp.m))
+            gap = rng.uniform(0.1, 1.0)
+            kind, rhs = ("L", lp.rhs[i] - gap) if lp.sense[i] == "G" else ("G", lp.rhs[i] + gap)
+            bad = make_lp(lp.c, np.vstack([lp.a, lp.a[i]]), np.append(lp.sense, kind),
+                          np.append(lp.rhs, rhs), lp.lb, lp.ub)
+            assert highs(bad)[0] == "infeasible"
+            r = solve_lp_arrays(bad)
+            assert r.status == "infeasible" and r.certified
+            assert starts(r) == ["cold"]
+            checked += 1
 
 
 class TestDependentRows:
-    """Linearly dependent rows solved from scratch: phase one leaves an
-    artificial basic at zero, and its row keeps its logical basic instead of
-    being dropped."""
+    """Linearly dependent rows solved from scratch: a dependent row keeps its
+    logical basic in the final basis instead of being dropped."""
 
     CASES = {
         "duplicated-E": ([1.0, -1.0, 0.5], [[1.0, 1.0, 1.0], [1.0, 1.0, 1.0], [1.0, -1.0, 0.0]],
@@ -446,11 +465,7 @@ class TestWarmStart:
         a cut round, or a child popped right after its parent."""
         optima, rng = self.cold_optima(34, 150)
         seen = {"optimal": 0, "infeasible": 0}
-        negated = 0
         for lp, w in optima:
-            # a row the solve from scratch negated has the sign of its scale
-            # flipped; its logical must price like any other
-            negated += bool(np.any(w.tableau.rho * np.where(lp.sense == "G", -1.0, 1.0) < 0.0))
             if change == "release":
                 # branch a basic boxed column to one end of its box, then
                 # release it, as a binary's fixing is released in the search
@@ -470,7 +485,6 @@ class TestWarmStart:
             seen[self.check_carried(lp2, res)] += 1
             assert starts(res) == ["carried"]
         assert seen["optimal"] >= 10 and (change == "release" or seen["infeasible"] >= 10)
-        assert negated >= 50
 
     @pytest.mark.parametrize("rows", [False, True])
     def test_carried_to_sibling_basis(self, rows):
@@ -570,25 +584,28 @@ class TestWarmFallbacks:
         assert counts.answered == {"cold": 1}
         assert counts.gave_up == {f"carried:{reason}": 1, f"fresh:{reason}": 1}
 
-    def test_cold_optimum_failing_its_check_is_repaired_once(self, monkeypatch):
+    def test_cold_optimum_failing_its_check_is_kept(self, monkeypatch):
+        """The cold start is the last one: an optimum that fails its check is
+        returned with ``certified`` false and counted."""
         lp = make_lp([-1.0, -0.1], [[1.0, -1.0]], ["L"], [0.0], [0.0, 0.0], [1.0, 5.0])
-        real = simplex._certified_optimal
-        verdicts = []
-
-        def cold_check_fails(*args):
-            verdicts.append(len(verdicts) > 0 and real(*args))
-            return verdicts[-1]
-
-        monkeypatch.setattr(simplex, "_certified_optimal", cold_check_fails)
-        r = solve_lp_arrays(lp)
-        assert verdicts == [False, True]
-        assert starts(r) == ["cold:uncertified", "repair"] and r.certified
-        assert r.objective == pytest.approx(-1.5, abs=1e-12)
         monkeypatch.setattr(simplex, "_certified_optimal", lambda *args: False)
         r = solve_lp_arrays(lp)
         assert r.status == "optimal" and not r.certified
-        assert starts(r) == ["cold", "repair:uncertified"]  # the cold optimum is kept
+        assert starts(r) == ["cold"]
         assert r.objective == pytest.approx(-1.5, abs=1e-12)
+        counts = LpCounters()
+        counts.add(r)
+        assert counts.answered == {"cold": 1} and counts.uncertified_lps == 1
+
+    def test_cold_infeasible_verdict_failing_its_check_is_cleaned_up(self, monkeypatch):
+        """An unproven infeasible verdict of the cold start is taken for
+        round-off: the primal clean-up runs from the clipped basic values and
+        its optimum is returned, here uncertified since the rows contradict."""
+        lp = make_lp([1.0], [[1.0], [1.0]], ["L", "G"], [0.0, 1.0], [-np.inf], [np.inf])
+        monkeypatch.setattr(simplex, "_certified_infeasible", lambda *args: False)
+        r = solve_lp_arrays(lp)
+        assert r.status == "optimal" and not r.certified
+        assert starts(r) == ["cold"]
 
 
 def highs_point(lp, c):
@@ -665,7 +682,7 @@ class TestCrashStart:
 
         monkeypatch.setattr(simplex, "_certified_optimal", crash_check_fails)
         r = solve_lp_arrays(self.LP, point=np.array([0.0, 0.0]))
-        assert verdicts == [False, True]
+        assert verdicts == [False, True, True]  # the recession LP is checked too
         assert starts(r) == ["vertex:uncertified", "cold"] and r.certified
         assert r.objective == pytest.approx(-1.5, abs=1e-12)
 

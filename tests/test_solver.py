@@ -301,9 +301,10 @@ class TestWarmStartedNodes:
         assert carried > 0
         assert counts.gave_up == {"carried:uncertified": carried}
         assert counts.answered == {"cold": 1, "fresh": carried}
-        # one fresh start for the root and one for each carried LP that gave up
+        # two fresh tableaus for the root (its recession LP's and its own)
+        # and one for each carried LP that gave up
         assert carrying.count(True) == carried
-        assert carrying.count(False) == carried + 1 and not carrying[0]
+        assert carrying.count(False) == carried + 2 and not carrying[0]
         assert counts.move_pivots["fresh"] > 0
         assert set(want.lp_counters.move_pivots) <= {"carried"}
         assert sol.objective == want.objective

@@ -87,6 +87,7 @@ class TestTrain:
             assert la.weight.tobytes() == lb.weight.tobytes()
         assert a.trace == b.trace
 
+    @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
     def test_divergence_reported_with_epoch(self):
         ds = make_dataset("blobs", 10, seed=10)
         net = init_network(2, [dense(8), dense(4, activation="none")], seed=11)
