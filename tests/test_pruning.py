@@ -164,23 +164,32 @@ class TestClasswise:
         for key in rep_i.scores:
             assert rep_i.scores[key] == pytest.approx(rep_s.scores[key], abs=1e-9)
 
-    def test_the_log_holds_the_last_class(self, tmp_path):
-        """The classes are solved in order and each solve writes the log, so
-        the file left ends with the last class's end status line."""
-        net, train_ds, _ = small_trained(seed=10)
+    @pytest.mark.parametrize("n_classes", [1, 3])
+    def test_only_the_last_class_writes_the_log(self, tmp_path, n_classes):
+        """The classes are solved in order and each solve rewrites the log,
+        so the file left holds only the last class's solve."""
+        if n_classes == 1:
+            # blobs needs two classes; one class is the single-class set above
+            inputs = np.random.default_rng(8).normal(size=(6, 2))
+            train_ds = Dataset("one", inputs, np.zeros(6, dtype=np.int64), 1, 0)
+            net = init_network(2, [dense(4), dense(3), dense(1, activation="none")], seed=9)
+        else:
+            net, train_ds, _ = small_trained(seed=10, n_classes=n_classes)
         xs, ys = balanced_batch(train_ds, 1)
-        logs = []
-        for c in (0, train_ds.n_classes - 1):
-            logs.append(tmp_path / f"class{c}.log")
+        texts = []
+        for c in range(n_classes):
+            path = tmp_path / f"class{c}.log"
             score(net, xs[c : c + 1], ys[c : c + 1], lam=5.0, epsilon=0.1,
-                  solve_config=SolveConfig(log_path=str(logs[-1])), allow_imbalanced=True)
+                  solve_config=SolveConfig(log_path=str(path)), allow_imbalanced=True)
+            texts.append(path.read_text())
         log = tmp_path / "solver.log"
         score_classwise(net, train_ds, lam=5.0, epsilon=0.1,
                         solve_config=SolveConfig(log_path=str(log)))
-        first, last = (p.read_text().splitlines()[-1] for p in logs)
-        assert first != last
-        assert log.read_text().splitlines()[-1] == last
-        assert last.startswith("end status ")
+        # every class's solve logs differently, so a match names the last
+        assert len(set(texts)) == n_classes
+        assert log.read_text() == texts[-1]
+        assert log.read_text().count("end status ") == 1
+        assert texts[-1].splitlines()[-1].startswith("end status ")
 
 
 class TestTransfer:
