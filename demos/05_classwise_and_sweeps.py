@@ -18,7 +18,7 @@ net = train(init_network(2, [dense(16), dense(8), dense(4, activation="none")], 
 
 print("class-by-class vs simultaneous scoring:")
 xs, ys = balanced_batch(train_ds, 1)
-rep_idp = score_classwise(net, train_ds, lam=5.0, epsilon=0.5, jobs=2)
+rep_idp = score_classwise(net, train_ds, lam=5.0, epsilon=0.5)
 rep_sim = score(net, xs, ys, lam=5.0, epsilon=0.5)
 for thr in (0.05, 0.5):
     pi = 100 * prune_fraction(mask_from_scores(rep_idp, thr))

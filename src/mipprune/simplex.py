@@ -36,9 +36,10 @@ same operand layout on the same numpy build.
 
 Every 'optimal' answer is checked on the original arrays: the primal
 residual of rows and bounds, and the reduced costs recomputed from the row
-duals.  Every 'infeasible' answer comes with a Farkas row that proves it on
-the original rows and bounds, and every 'unbounded' one with an improving
-ray and a feasible point that passed their checks.  :func:`solve_lp_arrays`
+duals.  A certified 'infeasible' answer comes with a Farkas row that proves
+it on the original rows and bounds, and a certified 'unbounded' one with an
+improving ray and a feasible point that passed their checks; only the last
+start's answer can be uncertified.  :func:`solve_lp_arrays`
 tries the starts of an LP in order and the first that answers is returned:
 with a basis, the final tableau of the last answer when the caller carries
 one (a branch-and-bound search passes each LP's tableau to the next), then
@@ -152,8 +153,8 @@ class LpResult:
     changes plus bound flips.  ``bland_switches`` counts both loops' turns
     to Bland's rule, ``stall_exits`` the primal loop's exits at its stall
     cap.  Only a 'cold' answer can be uncertified.  Every 'optimal'
-    answer, and every 'infeasible' one on the LP's own costs, has its final
-    ``tableau``.
+    answer, and every certified 'infeasible' one on the LP's own costs, has
+    its final ``tableau``.
     """
 
     status: str            # 'optimal' | 'infeasible' | 'unbounded'
@@ -169,9 +170,17 @@ class LpResult:
     attempts: list[tuple[str, str | None, int]] = field(default_factory=list)
 
     def attempt(self, kind: str, reason: str | None, moved: int = 0) -> bool:
-        """Record one start; returns whether it answered."""
+        """Record one start; returns whether it answered.  The 'cold' start
+        is the last one: its give-up raises :class:`SimplexNumericsError`."""
+        if kind == "cold" and reason is not None:
+            raise SimplexNumericsError(f"the cold start gave up: {reason}")
         self.attempts.append((kind, reason, moved))
         return reason is None
+
+    def verdict(self, status: str, certified: bool, tableau: Tableau | None = None) -> None:
+        """Answer ``status`` with no point."""
+        self.status, self.certified, self.tableau = status, certified, tableau
+        self.x = self.objective = self.basis = None
 
 
 def _complement(t: np.ndarray, dirn: np.ndarray, j: int, w: float) -> None:
@@ -357,13 +366,14 @@ def _dual_loop(t: np.ndarray, basis: np.ndarray, width: np.ndarray, free: np.nda
 
 
 def _certified_optimal(lp: LinearProgram, lb: np.ndarray, ub: np.ndarray, x: np.ndarray,
-                       y: np.ndarray) -> bool:
+                       y: np.ndarray | None) -> bool:
     """Check ``x`` and the row duals ``y`` on the original arrays.
 
     ``x`` must break no row or bound by more than ``_CERT_PRIMAL``.  The
     reduced costs ``c - a.T y`` and the logicals' ``-y`` must have the sign
     their variable's position allows, up to ``_CERT_DUAL``: positive only at
-    a lower bound, negative only at an upper one.
+    a lower bound, negative only at an upper one.  With ``y`` None only
+    ``x`` is checked.
     """
     sense = np.asarray(lp.sense, dtype="U1")
     le, ge = sense == "L", sense == "G"
@@ -372,6 +382,8 @@ def _certified_optimal(lp: LinearProgram, lb: np.ndarray, ub: np.ndarray, x: np.
     if max(breach.max(initial=0.0), (lb - x).max(initial=0.0),
            (x - ub).max(initial=0.0)) > _CERT_PRIMAL:
         return False
+    if y is None:
+        return True
     d = lp.c - matvec(lp.a.T, y)
     bad_col = (lb < ub) & (((d > _CERT_DUAL) & (x - lb > _CERT_PRIMAL))
                            | ((d < -_CERT_DUAL) & (ub - x > _CERT_PRIMAL)))
@@ -520,9 +532,12 @@ def _solve_from(tab: Tableau, lp: LinearProgram, lb: np.ndarray, ub: np.ndarray,
     reduced cost on an unbounded column), 'infeasible_start' (a 'vertex'
     start out of bounds), 'unbounded' (the primal loop found a ray) or
     'uncertified' (the answer failed its check; ``out`` keeps no part of
-    it).  A 'cold' start keeps an uncertified optimum, and takes an
-    uncertified infeasible verdict for round-off: the primal clean-up runs
-    from the clipped basic values.  Returns whether the start answered.
+    it).  A 'cold' start answers whatever its loops end on, with
+    ``certified`` false unless checked: an uncertified optimum, 'unbounded'
+    for a ray of the clean-up, and an unproven infeasible verdict taken for
+    round-off, the clean-up running from the clipped basic values; if its
+    point breaks a row or bound, the answer is 'infeasible'.  Returns
+    whether the start answered.
     """
     m, n = lp.m, lp.n
     k = n + m
@@ -566,17 +581,17 @@ def _solve_from(tab: Tableau, lp: LinearProgram, lb: np.ndarray, ub: np.ndarray,
     cost = np.concatenate([lp.c * dirn[:n], np.zeros(m)])
     t[-1, -1] = -matvec(rhs[None], cost[basis])[0]
 
+    dual = "optimal"
     if primal:
         if np.any(~free[basis] & (np.maximum(-rhs, rhs - width[basis]) > _FEAS_TOL)):
             return out.attempt(kind, "infeasible_start", moved)
     else:
-        status, r, p = _dual_loop(t, basis, width, free, dirn, 2 * (m + k), out)
+        dual, r, p = _dual_loop(t, basis, width, free, dirn, 2 * (m + k), out)
         out.dual_pivots += p
         out.pivots += p
-        if status == "infeasible":
+        if dual == "infeasible":
             if _certified_infeasible(lp, lb, ub, t[r, n:k] * dirn[n:], rho):
-                out.status, out.x, out.objective, out.basis = "infeasible", None, None, None
-                out.certified, out.tableau = True, tab
+                out.verdict(dual, True, tab)
                 return out.attempt(kind, None, moved)
             if not last:
                 return out.attempt(kind, "uncertified", moved)
@@ -584,9 +599,15 @@ def _solve_from(tab: Tableau, lp: LinearProgram, lb: np.ndarray, ub: np.ndarray,
     status, p = _pivot_loop(t, basis, width, free, dirn, _RC_TOL, 2 * (m + k), out)
     out.pivots += p
     if status == "unbounded":
-        return out.attempt(kind, status, moved)
-    certified = _finish(out, lp, lb, ub, tab, keep=last)
-    return out.attempt(kind, None if certified or last else "uncertified", moved)
+        if not last:
+            return out.attempt(kind, status, moved)
+        out.verdict(status, False)  # the clean-up's ray is not checked
+    elif not _finish(out, lp, lb, ub, tab, keep=last):
+        if not last:
+            return out.attempt(kind, "uncertified", moved)
+        if dual == "infeasible" and not _certified_optimal(lp, lb, ub, out.x, None):
+            out.verdict(dual, False)  # the clean-up's point breaks a row or bound
+    return out.attempt(kind, None, moved)
 
 
 def _wanted(lp: LinearProgram, basis: Basis) -> np.ndarray:
@@ -635,37 +656,37 @@ def _solve_cold(lp: LinearProgram, lb: np.ndarray, ub: np.ndarray, out: LpResult
     The recession LP has the rows and objective of ``lp``, rhs 0, and boxes
     of the directions each column can move in without limit: [0, 0] when
     boxed or fixed, [0, 1] with only a lower bound, [-1, 0] with only an
-    upper one, [-1, 1] when free.  Its all-logical tableau is a dual
-    feasible start.  If its objective is at least ``-_CERT_DUAL``, its
-    final basis is dual feasible for ``lp`` and the start is moved there.
+    upper one, [-1, 1] when free.  It starts from the all-logical tableau
+    of ``lp``, which is dual feasible for it and scales the rows as every
+    start here does, so that both LPs judge reduced costs alike.  If its
+    objective is at least ``-_CERT_DUAL``, its final basis is dual feasible
+    for ``lp``, and the start is a fresh all-logical tableau moved there.
     Otherwise its point is an improving ray, and ``lp`` is unbounded when
     feasible: the start solves ``lp`` with the unbounded columns' costs set
-    to 0 from the all-logical tableau.  The recession LP adds iterations to
-    ``out`` but no attempt.  A give-up raises :class:`SimplexNumericsError`.
+    to 0 from the all-logical tableau.  The recession LP is answered into
+    ``out`` too, which the start then overwrites; it adds iterations but no
+    attempt.  A give-up raises :class:`SimplexNumericsError`.
     """
     m, n = lp.m, lp.n
     has_lo, has_hi = np.isfinite(lb), np.isfinite(ub)
-    logicals = np.arange(n + m) >= n
-
-    def solve(tab: Tableau, lp: LinearProgram, lb: np.ndarray, ub: np.ndarray,
-              wanted: np.ndarray) -> None:
-        if not _solve_from(tab, lp, lb, ub, wanted, out, "cold"):
-            raise SimplexNumericsError(f"cold solve gave up: {out.attempts[-1][1]}")
-
+    logicals, lower = np.arange(n + m) >= n, np.zeros(n, dtype=bool)
     rlb, rub = np.where(has_lo, 0.0, -1.0), np.where(has_hi, 0.0, 1.0)
     rec = LinearProgram(lp.c, lp.a, lp.sense, np.zeros(m), rlb, rub)
-    solve(_all_logical(rec, rlb, rub, np.zeros(n, dtype=bool)), rec, rlb, rub, logicals)
+    _solve_from(_all_logical(lp, lb, ub, lower), rec, rlb, rub, logicals, out, "cold")
     out.attempts.pop()  # the recession LP is not a start of ``lp``
-    if out.objective >= -_CERT_DUAL:
-        solve(_all_logical(lp, lb, ub, out.basis.at_upper), lp, lb, ub, _wanted(lp, out.basis))
+    rec_basis, rec_optimal = out.basis, out.status == "optimal"
+    if rec_optimal and out.objective >= -_CERT_DUAL:
+        _solve_from(_all_logical(lp, lb, ub, lower), lp, lb, ub, _wanted(lp, rec_basis), out,
+                    "cold")
         return
-    if not out.certified:
-        raise SimplexNumericsError("the recession LP's improving ray failed its check")
+    if not (rec_optimal and out.certified):
+        raise SimplexNumericsError("the recession LP found no checked improving ray")
     feas = LinearProgram(np.where(has_lo & has_hi, lp.c, 0.0), lp.a, lp.sense, lp.rhs, lb, ub)
-    solve(_all_logical(feas, lb, ub, np.zeros(n, dtype=bool)), feas, lb, ub, logicals)
-    if out.status == "optimal":
-        out.status, out.x, out.objective, out.basis = "unbounded", None, None, None
-    out.tableau = None  # priced for the zeroed costs, not for those of ``lp``
+    _solve_from(_all_logical(feas, lb, ub, lower), feas, lb, ub, logicals, out, "cold")
+    if out.status == "infeasible":
+        out.tableau = None  # priced for the zeroed costs, not for those of ``lp``
+    else:
+        out.verdict("unbounded", out.certified)
 
 
 def solve_lp_arrays(lp: LinearProgram, basis: Basis | None = None,
@@ -679,7 +700,7 @@ def solve_lp_arrays(lp: LinearProgram, basis: Basis | None = None,
     is consumed.  With ``point``, a feasible vertex of ``lp``, the start is a
     fresh tableau moved to its basis, and phase two runs from there.  When
     every start gives up, or there is none, the 'cold' start answers (see
-    :func:`_solve_cold`); an optimum of it that fails its check is returned
+    :func:`_solve_cold`); an answer of it that fails its check is returned
     with ``certified`` false.  ``LpResult.attempts`` records every start.
     """
     if tableau is not None and basis is None:

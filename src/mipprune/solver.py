@@ -67,7 +67,7 @@ class LpCounters:
     ``answered`` counts the LPs by the kind of start that answered them,
     ``gave_up`` the starts that gave up by ``kind:reason``, and
     ``move_pivots`` the pivots spent moving a tableau to its basis, by kind.
-    ``uncertified_lps`` are 'optimal' answers that fail their check on the
+    ``uncertified_lps`` are answers that did not pass their check on the
     original arrays.  ``dual_pivots`` plus ``primal_pivots`` make
     ``Solution.lp_pivots``; the move pivots are not in it.
     ``bland_switches`` counts the dual and primal loops' turns to Bland's
@@ -91,7 +91,7 @@ class LpCounters:
                 self.gave_up[f"{kind}:{reason}"] += 1
             if moved:
                 self.move_pivots[kind] += moved
-        self.uncertified_lps += res.status == "optimal" and not res.certified
+        self.uncertified_lps += not res.certified
         self.dual_pivots += res.dual_pivots
         self.primal_pivots += res.pivots - res.dual_pivots
         self.bland_switches += res.bland_switches

@@ -5,7 +5,8 @@ import pytest
 
 from mipprune import simplex
 from mipprune.errors import InvalidArgument
-from mipprune.simplex import Basis, LinearProgram, LpResult, _pivot, _pivot_loop, solve_lp_arrays
+from mipprune.simplex import (Basis, LinearProgram, LpResult, _dual_loop, _pivot, _pivot_loop,
+                              solve_lp_arrays)
 from mipprune.solver import LpCounters
 
 
@@ -209,6 +210,37 @@ class TestDegenerate:
         assert -t[-1, -1] == pytest.approx(-1.25, abs=1e-12)
         assert pivots > 2 * (3 + k)  # the degenerate streak ran out first
         assert (out.bland_switches, out.stall_exits) == (1, 0)
+
+    @pytest.mark.parametrize("bland_after, want", [
+        (100, [(0, 0), (2, 2)]),                  # Harris: the largest violation leaves
+        (1, [(0, 0), (1, 1), (2, 2), (1, 4)]),    # Bland: the lowest basis id, the lowest column
+    ])
+    def test_dual_loop_keeps_to_bland_after_a_degenerate_streak(self, bland_after, want,
+                                                                 monkeypatch):
+        """min 5e-10 x1  s.t.  x0 >= 1,  x1 + 2 x2 >= 0.5,  x2 >= 0.8,  x >= 0.  The
+        first step, on the row of x0, is degenerate.  Under the Harris rule the
+        row of x2 leaves next and closes the row of x1.  After the switch the
+        violated row of lowest basis id leaves instead, and x1 enters it ahead
+        of x2's larger pivot, its reduced cost below ``_HARRIS_TOL`` counted as
+        zero; the rule then stays on to the end."""
+        lp = make_lp([0.0, 5e-10, 0.0], [[1.0, 0.0, 0.0], [0.0, 1.0, 2.0], [0.0, 0.0, 1.0]],
+                     ["G"] * 3, [1.0, 0.5, 0.8], [0.0] * 3, [np.inf] * 3)
+        pivots = []
+        real = simplex._pivot
+
+        def recording(t, basis, r, j):
+            pivots.append((r, j))
+            real(t, basis, r, j)
+
+        monkeypatch.setattr(simplex, "_pivot", recording)
+        tab = simplex._all_logical(lp, lp.lb, lp.ub, np.zeros(3, dtype=bool))
+        out = LpResult("optimal", None, None)
+        width, free = np.full(6, np.inf), np.zeros(6, dtype=bool)
+        status, _, iters = _dual_loop(tab.t, tab.basis, width, free, tab.dirn, bland_after, out)
+        assert (status, iters, pivots) == ("optimal", len(want), want)
+        assert out.bland_switches == (bland_after == 1)
+        assert tab.basis.tolist() == [0, 4, 2]  # x0 = 1, x2 = 0.8, the row of x1 slack
+        assert tab.t[:-1, -1] == pytest.approx([1.0, 0.55, 0.8], abs=1e-12)
 
 
 class TestBoundKinds:
@@ -597,15 +629,39 @@ class TestWarmFallbacks:
         counts.add(r)
         assert counts.answered == {"cold": 1} and counts.uncertified_lps == 1
 
-    def test_cold_infeasible_verdict_failing_its_check_is_cleaned_up(self, monkeypatch):
+    @pytest.mark.parametrize("gap, status", [(1.0, "infeasible"), (1e-8, "optimal")])
+    def test_cold_infeasible_verdict_failing_its_check_is_cleaned_up(self, gap, status,
+                                                                      monkeypatch):
         """An unproven infeasible verdict of the cold start is taken for
-        round-off: the primal clean-up runs from the clipped basic values and
-        its optimum is returned, here uncertified since the rows contradict."""
-        lp = make_lp([1.0], [[1.0], [1.0]], ["L", "G"], [0.0, 1.0], [-np.inf], [np.inf])
-        monkeypatch.setattr(simplex, "_certified_infeasible", lambda *args: False)
+        round-off: the primal clean-up runs from the clipped basic values.
+        Rows ``gap`` apart give a point that breaks one by ``gap``: at 1 the
+        answer is 'infeasible', unproven; at 1e-8 it is the checked optimum."""
+        lp = make_lp([1.0], [[1.0], [1.0]], ["L", "G"], [0.0, gap], [-np.inf], [np.inf])
+        verdicts = []
+        monkeypatch.setattr(simplex, "_certified_infeasible", lambda *args: verdicts.append(False))
         r = solve_lp_arrays(lp)
-        assert r.status == "optimal" and not r.certified
+        assert verdicts == [False]  # the dual simplex said 'infeasible'
         assert starts(r) == ["cold"]
+        assert (r.status, r.certified) == (status, status == "optimal")
+        if status == "optimal":
+            assert r.x == pytest.approx([gap], abs=1e-12)
+        else:
+            assert r.x is r.objective is r.basis is r.tableau is None
+
+    def test_shallow_ray_of_the_clean_up_is_unbounded(self):
+        """min -5e-8 x  s.t.  x >= 10 (as -0.01 x <= -0.1),  x >= 0.  The
+        recession LP's objective, -5e-8 at x = 1, is within ``_CERT_DUAL`` of
+        0, so the start is its basis; the clean-up then finds the ray, whose
+        depth per unit of the row's scaled logical is 5e-7.  The answer is
+        'unbounded', unchecked."""
+        lp = make_lp([-5e-8], [[-0.01]], ["L"], [-0.1], [0.0], [np.inf])
+        assert highs(lp)[0] == "unbounded"
+        r = solve_lp_arrays(lp)
+        assert (r.status, r.certified, starts(r)) == ("unbounded", False, ["cold"])
+        assert r.x is r.objective is r.basis is r.tableau is None
+        counts = LpCounters()
+        counts.add(r)
+        assert counts.answered == {"cold": 1} and counts.uncertified_lps == 1
 
 
 def highs_point(lp, c):

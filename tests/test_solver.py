@@ -226,6 +226,31 @@ class TestOneNodeLoop:
         assert sol.gap == float("inf")
 
 
+class TestUncertifiedAnswers:
+    def test_unproven_infeasible_node_is_pruned_not_taken(self, monkeypatch):
+        """min z + y  s.t.  z >= 0.5,  z + y <= 1.5,  z binary,  0 <= y <= 1.
+        The branch z = 0 is infeasible.  With every Farkas row failing its
+        check, each start of that LP gives up until the cold start's clean-up
+        ends on z = 0, which breaks the first row: the node is pruned as
+        infeasible, unproven, and never becomes the incumbent."""
+
+        def model():
+            return build_model(c=[1.0, 1.0], a=[[1.0, 0.0], [1.0, 1.0]], sense=["G", "L"],
+                               rhs=[0.5, 1.5], lb=[0.0, 0.0], ub=[1.0, 1.0],
+                               binary_mask=[True, False])
+
+        want = solve_mip(model(), SolveConfig())
+        monkeypatch.setattr(simplex, "_certified_infeasible", lambda *args: False)
+        m = model()
+        sol = solve_mip(m, SolveConfig())
+        assert sol.objective == want.objective == 1.0
+        assert m.check_assignment(sol.values) == []
+        assert sol.log_lines[1].endswith("pruned-infeasible")
+        counts = sol.lp_counters
+        assert counts.gave_up == {"carried:uncertified": 1, "fresh:uncertified": 1}
+        assert counts.answered["cold"] == 2 and counts.uncertified_lps == 1
+
+
 def fractional_knapsack():
     rng = np.random.default_rng(42)  # a knapsack whose relaxation is fractional
     n = 10
