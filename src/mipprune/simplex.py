@@ -11,7 +11,8 @@ so nonbasic columns always sit at zero, the rhs column holds the basic
 values, and ``base`` is ``lb`` or ``ub`` as ``dirn`` is +1 or -1.  The
 tableau is one dense numpy array, but encodings leave most of it zero, so
 each pivot's rank-1 update touches only the nonzero rows of the pivot column
-crossed with the nonzero columns of the pivot row.
+crossed with the nonzero columns of the pivot row, and keeps it sparse by
+zeroing each entry it leaves below ``_DROP_TOL`` (round-off).
 
 Primal pricing is Dantzig's rule (most negative reduced cost, lowest index
 on ties; a free nonbasic column prices by its magnitude).  After a streak of
@@ -73,7 +74,7 @@ _HARRIS_TOL = 1e-9     # reduced-cost relaxation of the dual ratio test's first 
 _DUAL_FEAS_TOL = 1e-9  # bound violation the dual simplex leaves to the clean-up
 _CERT_PRIMAL = 1e-6    # largest row or bound breach of a certified point
 _CERT_DUAL = 1e-7      # largest wrong-signed reduced cost of a certified point
-_DROP_TOL = 1e-12      # a carried tableau entry below this is round-off: set to zero
+_DROP_TOL = 1e-12      # an entry a pivot updates to below this is round-off: set to zero
 
 
 class SimplexNumericsError(MipPruneError, RuntimeError):
@@ -197,15 +198,16 @@ def _pivot(t: np.ndarray, basis: np.ndarray, r: int, j: int) -> None:
     The tableau is dense, but the rank-1 update touches only the rows with a
     nonzero pivot-column entry (reduced-cost row included, row ``r``
     excluded) crossed with the columns, the rhs column among them, that are
-    nonzero in the normalized pivot row.  Every skipped entry would have had
-    ``x - 0*y`` subtracted, so the result equals the full dense update bit
-    for bit, up to the sign of a zero.
+    nonzero in the normalized pivot row; a skipped entry would have had
+    ``x - 0*y`` subtracted.  An updated entry below ``_DROP_TOL`` in
+    magnitude is the round-off of a cancellation and is set to zero.
     """
     t[r] /= t[r, j]
     rows = t[:, j].nonzero()[0]
     rows = rows[rows != r]
     cols = t[r].nonzero()[0]
-    t[rows[:, None], cols] -= t[rows, j][:, None] * t[r, cols]
+    block = t[rows[:, None], cols] - t[rows, j][:, None] * t[r, cols]
+    t[rows[:, None], cols] = np.where(np.abs(block) < _DROP_TOL, 0.0, block)
     t[:-1, j] = 0.0
     t[r, j] = 1.0
     basis[r] = j
@@ -482,9 +484,6 @@ def _carry(tab: Tableau, lp: LinearProgram, lb: np.ndarray, ub: np.ndarray) -> T
     if m0 > m or tab.t.shape != (m0 + 1, n + m0 + 1):
         raise InvalidArgument(f"tableau of {m0} rows does not fit an LP with {m} rows "
                               f"and {n} columns")
-    # cancellation leaves round-off where a fresh tableau has zeros; kept, it
-    # would fill the tableau in over the LPs and slow every sparse pivot
-    tab.t[(tab.t < _DROP_TOL) & (tab.t > -_DROP_TOL)] = 0.0
     has_lo, has_hi = np.isfinite(lb), np.isfinite(ub)
     dirn = tab.dirn
     for j in np.flatnonzero(np.where(dirn[:n] > 0, has_hi & ~has_lo, has_lo & ~has_hi)).tolist():

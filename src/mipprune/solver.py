@@ -183,15 +183,14 @@ def warm_start(model: MipModel, assignment: np.ndarray) -> float:
     return model.true_objective(assignment)
 
 
-def _fractional_binaries(model: MipModel, x: np.ndarray) -> list[tuple[float, int]]:
-    out = []
-    for v in model.variables:
-        if not v.binary or v.lb == v.ub:
-            continue
-        frac = abs(x[v.idx] - round(x[v.idx]))
-        if frac > INT_TOL:
-            out.append((frac, v.idx))
-    return out
+def _fractional_binaries(x: np.ndarray, binaries: np.ndarray) -> list[tuple[float, int]]:
+    """``(fractionality, id)`` of each of the ``binaries`` ids whose value in
+    ``x`` is more than ``INT_TOL`` from the nearest integer, in id order."""
+    frac = np.abs(x[binaries] - np.round(x[binaries]))
+    keep = frac > INT_TOL
+    # numpy scalars, not floats: the branching key's round(frac, 12) rounds them
+    # as numpy does, which Python's rounding of a float does not always match
+    return list(zip(frac[keep], binaries[keep].tolist()))
 
 
 def solve_mip(model: MipModel, config: SolveConfig | None = None,
@@ -213,6 +212,9 @@ def solve_mip(model: MipModel, config: SolveConfig | None = None,
     t0 = time.perf_counter()
     log: list[str] = []
     counters = LpCounters()
+    # the binaries the model itself leaves free; a branching fixes them at 0 or 1
+    binaries = np.array([v.idx for v in model.variables if v.binary and v.lb < v.ub],
+                        dtype=np.intp)
     carried: Tableau | None = None   # the last LP's final tableau
     cut_rounds = 0
     node_count = 0
@@ -267,7 +269,7 @@ def solve_mip(model: MipModel, config: SolveConfig | None = None,
         if incumbent is not None and obj >= incumbent_obj - cfg.gap_tol * max(1.0, abs(incumbent_obj)):
             node_line("pruned-bound")
             continue
-        fracs = _fractional_binaries(model, x)
+        fracs = _fractional_binaries(x, binaries)
         if not fracs:
             # integer feasible: enforce the epigraph before accepting
             candidate = model.with_exact_lse(x)

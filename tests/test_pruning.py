@@ -25,6 +25,7 @@ from mipprune.pruning import (
     sweep,
     transfer,
 )
+from mipprune.simplex import _DROP_TOL
 from mipprune.solver import SolveConfig
 from mipprune.training import TrainConfig, evaluate, train
 
@@ -296,13 +297,16 @@ class TestGoldenReports:
     blobs net of its ``dense-1pt`` workload (eps 0.5, 1 point per class) and
     classes 4 and 6 of its ``conv-classwise`` workload (eps 0.05; class 4
     needs 1 cut round, class 6 needs 20).  Any change to the simplex's
-    arithmetic, its pivot choices or the search moves at least one digest.
+    arithmetic (the round-off each pivot drops below ``_DROP_TOL`` among
+    it), its pivot choices or the search moves at least one digest; an
+    alternate optimum within ``gap_tol`` is a new digest, and CHANGES.md
+    lists the objectives before and after each re-pin.
     """
 
     DIGESTS = {
-        "dense-seed0": "522768170500b15d5246a1272b0f9e6b81b9b6528bcdbe186742571f7724e7f2",
-        "conv-class4": "16ca1cfb0b2a1292dbfd9676c35bab756c3caa03509966d415efa5384f0f37d2",
-        "conv-class6": "22223d22e8623726745c5cdc92bae6c3515d72556a9fd05ab6c8fc888d8bdc72",
+        "dense-seed0": "7fbd5e2c00908c87b24044afdcbd7495d82ac77f956ea0fcfa7055be17cab351",
+        "conv-class4": "88efd31ccd832def17d922b3c48467db06d71c3e369f48ee4a679fb12bce79a9",
+        "conv-class6": "25ea978338f02235876f38914af662fb3b7b96f9f4219f7c017e4badcb6623c1",
     }
 
     @staticmethod
@@ -369,6 +373,26 @@ class TestGoldenReports:
         assert set(counts.move_pivots) == {"carried", "vertex"}
         assert counts.move_pivots["vertex"] == moved > 0
 
+    def test_carried_tableaux_hold_no_round_off(self, monkeypatch):
+        """Each pivot sets the entries it leaves below ``_DROP_TOL`` to zero,
+        so no node LP's final tableau fills in with round-off.  Before that
+        was done in the pivot, one tableau of this search held 18,432
+        entries with 0 < |x| < ``_DROP_TOL``."""
+        most = []
+        real_lp = mipprune.solver.solve_lp
+
+        def counting_lp(*args, **kwargs):
+            res = real_lp(*args, **kwargs)
+            if res.tableau is not None:  # counted now: the next LP changes it in place
+                tiny = np.abs(res.tableau.t)
+                most.append(int(np.count_nonzero((tiny > 0.0) & (tiny < _DROP_TOL))))
+            return res
+
+        monkeypatch.setattr(mipprune.solver, "solve_lp", counting_lp)
+        net, xs, ys = self.conv_instance()
+        score(net, xs[4:5], ys[4:5], lam=5.0, epsilon=0.05, allow_imbalanced=True)
+        assert len(most) > 1 and max(most) < 100
+
     def test_no_tableau_crosses_solves(self):
         """Scoring one model right after another in the same thread gives the
         report the second model gets alone."""
@@ -389,3 +413,14 @@ class TestOracleBracket:
         rep = score(net, xs, ys, lam=5.0, epsilon=0.5)
         assert rep.status == "optimal"
         assert -0.4691659224 - 2.1e-5 <= rep.objective <= -0.4691658375 + 2.1e-5
+
+    def test_conv_class8_objective_inside_highs_bracket(self):
+        """Class 8 of the benchmark's ``conv-classwise`` workload takes the
+        most cut rounds of any benchmark instance (87), and once kept
+        'optimal' after a cut-round budget ran out (returning -0.216084).  The
+        bracket is the benchmark's HiGHS tangent-cut loop on the same model,
+        widened by 6e-6 (lam * points * OA_TOL plus 1e-6 relative)."""
+        net, xs, ys = TestGoldenReports.conv_instance()
+        rep = score(net, xs[8:9], ys[8:9], lam=5.0, epsilon=0.05, allow_imbalanced=True)
+        assert rep.status == "optimal"
+        assert -0.216421664249123 - 6e-6 <= rep.objective <= -0.216421569987647 + 6e-6

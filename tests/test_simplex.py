@@ -5,8 +5,8 @@ import pytest
 
 from mipprune import simplex
 from mipprune.errors import InvalidArgument
-from mipprune.simplex import (Basis, LinearProgram, LpResult, _dual_loop, _pivot, _pivot_loop,
-                              solve_lp_arrays)
+from mipprune.simplex import (_DROP_TOL, Basis, LinearProgram, LpResult, _dual_loop, _pivot,
+                              _pivot_loop, solve_lp_arrays)
 from mipprune.solver import LpCounters
 
 
@@ -341,20 +341,26 @@ class TestDependentRows:
 
 def dense_pivot(t, r, j):
     """The textbook update: every row minus its pivot-column entry times the
-    normalized pivot row, then column ``j`` set to its unit vector."""
+    normalized pivot row; then the updated block's entries (nonzero rows of
+    the pivot column, row ``r`` excluded, by nonzero columns of the pivot
+    row) below ``_DROP_TOL`` set to zero, and column ``j`` set to its unit
+    vector."""
     t = t.copy()
     t[r] /= t[r, j]
     col = t[:, j].copy()
     col[r] = 0.0
     t = t - np.outer(col, t[r])
+    t[np.outer(col != 0.0, t[r] != 0.0) & (np.abs(t) < _DROP_TOL)] = 0.0
     t[:-1, j] = 0.0
     t[r, j] = 1.0
     return t
 
 
 class TestPivotKernel:
-    """``_pivot`` skips the entries a pivot leaves as they are; the result
-    must equal the dense update entry by entry."""
+    """``_pivot`` skips the entries a pivot leaves as they are and drops the
+    round-off it makes; the result must equal the dense update, with the
+    updated block's entries below ``_DROP_TOL`` set to zero, entry by
+    entry."""
 
     @staticmethod
     def check(t, r, j):
@@ -389,6 +395,15 @@ class TestPivotKernel:
         rng = np.random.default_rng(1)
         t = rng.uniform(0.5, 2.0, size=(7, 9)) * rng.choice([-1.0, 1.0], size=(7, 9))
         self.check(t, 3, 4)
+
+    def test_cancellation_leaves_an_exact_zero(self):
+        """0.1 + 0.2 minus 0.3 times 1 is 5.55e-17 in floating point; the
+        update drops it, while a tiny entry the update skips stays."""
+        t = np.array([[1.0, 1.0, 0.0, 2.0],
+                      [0.3, 0.1 + 0.2, 1e-13, 1.0],
+                      [0.0, 1.0, 5.0, 0.0]])
+        self.check(t, 0, 0)
+        assert t[1, 1] == 0.0 and t[1, 2] == 1e-13 and t[1, 3] == 1.0 - 0.3 * 2.0
 
 
 def changed_lp(lp, res, change, rng):

@@ -8,7 +8,8 @@ from mipprune import simplex
 from mipprune.encoding import MipModel
 from mipprune.errors import InvalidArgument, NoIncumbent
 from mipprune.simplex import LinearProgram, solve_lp_arrays
-from mipprune.solver import SolveConfig, solve_lp, solve_mip, warm_start
+from mipprune.solver import (INT_TOL, SolveConfig, _fractional_binaries, solve_lp, solve_mip,
+                             warm_start)
 
 
 def build_model(c, a, sense, rhs, lb, ub, binary_mask):
@@ -161,6 +162,22 @@ class TestDeterminism:
         assert s1.log_lines == s2.log_lines
         assert s1.objective == s2.objective
         assert s1.values.tobytes() == s2.values.tobytes()
+
+    def test_fractional_binaries_match_a_loop(self):
+        """The numpy filter gives what a walk over the binaries gives: the
+        same ids in order, and fractionalities of the same value and type, so
+        the branching key rounds them alike."""
+        rng = np.random.default_rng(43)
+        x = np.concatenate([[0.0, 1.0, 0.5, 1.5, 2.5, 1e-7, 1.0 - 2e-6, -0.5], rng.random(40)])
+        ids = np.concatenate([np.arange(8), 8 + np.flatnonzero(rng.random(40) < 0.7)])
+        want = []
+        for j in ids.tolist():
+            frac = abs(x[j] - round(x[j]))
+            if frac > INT_TOL:
+                want.append((frac, j))
+        got = _fractional_binaries(x, ids)
+        assert got == want and len(got) > 20
+        assert [(type(f), type(j)) for f, j in got] == [(type(f), type(j)) for f, j in want]
 
     def test_bound_sandwich_on_enumerated_instance(self):
         rng = np.random.default_rng(41)
