@@ -66,6 +66,7 @@ __all__ = [
     "encode_network",
     "encode_maxpool",
     "add_lse_cut",
+    "lse_tangent",
     "log_sum_exp",
     "softmax_probs",
 ]
@@ -73,6 +74,7 @@ __all__ = [
 RESCALE_OFFSETS = {"minus2": -2.0, "minus1": -1.0, "none": 0.0}
 
 INF = float("inf")
+CUT_SNAP = 1e-12   # softmax entry below which a tangent drops its logit term
 
 
 def log_sum_exp(v: np.ndarray) -> float:
@@ -339,18 +341,35 @@ def encode_maxpool(model: MipModel, input_vars: list[int], uppers, layer: int, g
     return out, m_vars, w_vars
 
 
-def add_lse_cut(model: MipModel, point: int, anchor: np.ndarray) -> int:
-    """Tangent cut t_lse_k >= lse(anchor) + softmax(anchor) . (h - anchor).
+def lse_tangent(model: MipModel, point: int, anchor: np.ndarray) -> tuple[dict[int, float], float]:
+    """Coefficients and rhs of the 'G' row t_lse_k >= lse(anchor) +
+    softmax(anchor) . (h - anchor), a supporting hyperplane of the convex
+    log-sum-exp, so it never excludes a point of the true epigraph.
 
-    A supporting hyperplane of the convex log-sum-exp, so the cut never
-    excludes a point satisfying the true epigraph.  Appends one row.
+    A softmax entry below ``CUT_SNAP`` (a logit 28 under the largest gives
+    7e-13) is snapped soundly: its term ``sigma_j h_j`` is dropped and
+    ``sigma_j lb_j`` added to the rhs, which only weakens the row since
+    ``h_j >= lb_j``.  A logit with no finite lower bound keeps its term.
     """
     anchor = np.asarray(anchor, dtype=np.float64)
     if not np.all(np.isfinite(anchor)):
         raise InvalidArgument("cut anchor must be finite")
     sig = softmax_probs(anchor)
     rhs = log_sum_exp(anchor) - float(np.dot(sig, anchor))
-    coefs = {model.tlse_vars[point]: 1.0, **dict(zip(model.logit_vars[point], -sig))}
+    coefs = {model.tlse_vars[point]: 1.0}
+    for j, s in zip(model.logit_vars[point], sig.tolist()):
+        lb = model.variables[j].lb
+        if s < CUT_SNAP and np.isfinite(lb):
+            rhs += s * lb
+        else:
+            coefs[j] = -s
+    return coefs, rhs
+
+
+def add_lse_cut(model: MipModel, point: int, anchor: np.ndarray) -> int:
+    """Append the tangent row of :func:`lse_tangent` at ``anchor`` as an
+    'lse_cut'; returns its row id."""
+    coefs, rhs = lse_tangent(model, point, anchor)
     return model.add_constraint(coefs, "G", rhs, "lse_cut")
 
 

@@ -19,7 +19,8 @@ on ties; a free nonbasic column prices by its magnitude).  After a streak of
 2*(m+n) degenerate pivots the pricing switches to Bland's rule, which
 guarantees termination; it switches back once the objective strictly
 improves.  The dual simplex (largest bound violation leaves; Harris
-two-pass ratio test) keeps to Bland's rule after as long a streak.  Each
+two-pass ratio test) keeps to Bland's rule after as long a streak, passing
+over tiny pivots.  Each
 switch, and each exit at the primal stall cap, is counted on the
 :class:`LpResult`.
 
@@ -75,6 +76,7 @@ _DUAL_FEAS_TOL = 1e-9  # bound violation the dual simplex leaves to the clean-up
 _CERT_PRIMAL = 1e-6    # largest row or bound breach of a certified point
 _CERT_DUAL = 1e-7      # largest wrong-signed reduced cost of a certified point
 _DROP_TOL = 1e-12      # an entry a pivot updates to below this is round-off: set to zero
+_BLAND_PIV = 1e-3      # least |pivot| of a Bland entering column, relative to the largest
 
 
 class SimplexNumericsError(MipPruneError, RuntimeError):
@@ -311,13 +313,15 @@ def _dual_loop(t: np.ndarray, basis: np.ndarray, width: np.ndarray, free: np.nda
     The entering column comes from a Harris two-pass ratio test: the least
     ratio with reduced costs relaxed by ``_HARRIS_TOL``, then the largest
     |pivot| among the columns within it, lowest index on ties.  A step is
-    degenerate when its entering reduced cost is at most ``_HARRIS_TOL``;
+    degenerate unless it raises the objective past its best value so far by
+    more than 1e-12 relative, so that round-off cannot reset the streak;
     after ``bland_after`` in a row the loop keeps to Bland's rule, counted
     in ``out``: the violated row of lowest basis id leaves, and the lowest
-    column of least ratio enters, reduced costs up to ``_HARRIS_TOL``
-    counted as zero.  Returns (status, row, iterations): 'optimal' once no
-    violation exceeds ``_DUAL_FEAS_TOL``, or 'infeasible' with the row that
-    has no entering column (a dual ray).
+    column within the first pass's bound enters whose |pivot| is at least
+    ``_BLAND_PIV`` times the largest there (a pivot of 1e-9 can blow the
+    basic values up to 1e11).  Returns (status, row, iterations): 'optimal'
+    once no violation exceeds ``_DUAL_FEAS_TOL``, or 'infeasible' with the
+    row that has no entering column (a dual ray).
     """
     rhs = t[:-1, -1]
     d = t[-1, :-1]
@@ -326,6 +330,7 @@ def _dual_loop(t: np.ndarray, basis: np.ndarray, width: np.ndarray, free: np.nda
     nonbasic[basis] = False
     pivots = 0
     degen_streak = 0
+    best_neg_obj = t[-1, -1]
     bland = False
     while True:
         wb = width[basis]
@@ -346,11 +351,12 @@ def _dual_loop(t: np.ndarray, basis: np.ndarray, width: np.ndarray, free: np.nda
             return "infeasible", r, pivots
         alpha = np.abs(row[cand])
         dj = np.where(free[cand], np.abs(d[cand]), np.maximum(d[cand], 0.0))
+        theta = float(((dj + _HARRIS_TOL) / alpha).min())
+        within = np.flatnonzero(dj / alpha <= theta)
         if bland:
-            i = int(np.argmin(np.where(dj > _HARRIS_TOL, dj, 0.0) / alpha))
+            # the lowest column whose |pivot| is not tiny beside the largest
+            i = int(within[np.argmax(alpha[within] >= _BLAND_PIV * alpha[within].max())])
         else:
-            theta = float(((dj + _HARRIS_TOL) / alpha).min())
-            within = np.flatnonzero(dj / alpha <= theta)
             i = int(within[np.argmax(alpha[within])])
         q = int(cand[i])
         if row[q] > 0.0:
@@ -359,7 +365,13 @@ def _dual_loop(t: np.ndarray, basis: np.ndarray, width: np.ndarray, free: np.nda
         nonbasic[q] = False
         _pivot(t, basis, r, q)
         pivots += 1
-        degen_streak = 0 if dj[i] > _HARRIS_TOL else degen_streak + 1
+        # the objective cell holds minus the objective, which a dual step
+        # raises; noise-level motion counts as degenerate, as in _pivot_loop
+        if t[-1, -1] < best_neg_obj - 1e-12 * max(1.0, abs(best_neg_obj)):
+            best_neg_obj = t[-1, -1]
+            degen_streak = 0
+        else:
+            degen_streak += 1
         if not bland and degen_streak >= bland_after:
             bland = True
             out.bland_switches += 1

@@ -239,6 +239,31 @@ class TestLseCuts:
         assert sol.gap > 0.0
         assert sol.log_lines[-1].startswith("end status limit")
 
+    def test_tiny_softmax_terms_snapped_soundly(self):
+        """At the anchor (10, -46, 0, -60) the softmax of the second and fourth
+        logits is about 1e-25 and 1e-31.  The second has a finite lower bound,
+        so its term leaves the row and sigma * lb joins the rhs; the fourth has
+        none and keeps its coefficient.  The row still never exceeds the
+        log-sum-exp over the box."""
+        model = MipModel(n_points=1, labels=np.array([0]))
+        h = [model.add_var(f"h_2_{j}_0", "h", lo, 50.0)
+             for j, lo in enumerate((-50.0, -50.0, -50.0, -np.inf))]
+        t = model.add_var("t_lse_0", "t_lse", -np.inf, np.inf)
+        model.logit_vars, model.tlse_vars = [h], [t]
+        anchor = np.array([10.0, -46.0, 0.0, -60.0])
+        sig = softmax_probs(anchor)
+        assert sig[1] < 1e-12 and sig[3] < 1e-12
+        idx = add_lse_cut(model, 0, anchor)
+        coefs = model.row(idx)
+        assert sorted(coefs) == [h[0], h[2], h[3], t]
+        assert coefs[h[3]] == -sig[3]
+        assert model.rhs[idx] == (log_sum_exp(anchor) - float(np.dot(sig, anchor))
+                                  + sig[1] * -50.0)
+        rng = np.random.default_rng(9)
+        for point in rng.uniform(-50.0, 50.0, size=(200, 4)):
+            cut = model.rhs[idx] + sum(-c * point[h.index(j)] for j, c in coefs.items() if j != t)
+            assert cut <= log_sum_exp(point) + 1e-9
+
     def test_cut_underestimates_lse_everywhere(self):
         rng = np.random.default_rng(8)
         for _ in range(100):

@@ -26,7 +26,7 @@ from mipprune.pruning import (
     transfer,
 )
 from mipprune.simplex import _DROP_TOL
-from mipprune.solver import SolveConfig
+from mipprune.solver import OA_TOL, SolveConfig
 from mipprune.training import TrainConfig, evaluate, train
 
 
@@ -296,17 +296,17 @@ class TestGoldenReports:
     The instances are built as the score benchmark builds them: the seed-0
     blobs net of its ``dense-1pt`` workload (eps 0.5, 1 point per class) and
     classes 4 and 6 of its ``conv-classwise`` workload (eps 0.05; class 4
-    needs 1 cut round, class 6 needs 20).  Any change to the simplex's
+    needs 1 cut round, class 6 needs 7).  Any change to the simplex's
     arithmetic (the round-off each pivot drops below ``_DROP_TOL`` among
-    it), its pivot choices or the search moves at least one digest; an
-    alternate optimum within ``gap_tol`` is a new digest, and CHANGES.md
-    lists the objectives before and after each re-pin.
+    it), its pivot choices, the cut rows or the search moves at least one
+    digest; an alternate optimum within ``gap_tol`` is a new digest, and
+    CHANGES.md lists the objectives before and after each re-pin.
     """
 
     DIGESTS = {
-        "dense-seed0": "7fbd5e2c00908c87b24044afdcbd7495d82ac77f956ea0fcfa7055be17cab351",
-        "conv-class4": "88efd31ccd832def17d922b3c48467db06d71c3e369f48ee4a679fb12bce79a9",
-        "conv-class6": "25ea978338f02235876f38914af662fb3b7b96f9f4219f7c017e4badcb6623c1",
+        "dense-seed0": "133cba012114c40e43ced417a1cf562df684152276561ff43e15b67c3835db83",
+        "conv-class4": "2b59c5ca178409b0121531dd09d291314502e5eb0658239369c63ca1a84b3d48",
+        "conv-class6": "22190978d2ebd3f1fe8a53c78795d43f4487a3532bc4060221d3bc8bcec20e25",
     }
 
     @staticmethod
@@ -416,7 +416,7 @@ class TestOracleBracket:
 
     def test_conv_class8_objective_inside_highs_bracket(self):
         """Class 8 of the benchmark's ``conv-classwise`` workload takes the
-        most cut rounds of any benchmark instance (87), and once kept
+        most cut rounds of any benchmark instance (42), and once kept
         'optimal' after a cut-round budget ran out (returning -0.216084).  The
         bracket is the benchmark's HiGHS tangent-cut loop on the same model,
         widened by 6e-6 (lam * points * OA_TOL plus 1e-6 relative)."""
@@ -424,3 +424,60 @@ class TestOracleBracket:
         rep = score(net, xs[8:9], ys[8:9], lam=5.0, epsilon=0.05, allow_imbalanced=True)
         assert rep.status == "optimal"
         assert -0.216421664249123 - 6e-6 <= rep.objective <= -0.216421569987647 + 6e-6
+
+
+class TestCutLoop:
+    def test_class8_rounds_cut_off_their_lp_points_and_keep_checked_incumbents(
+            self, monkeypatch):
+        """Conv class 8 needs the most cut rounds of the benchmark (87 with
+        tangents at the LP point only).  Each round's exact-epigraph point is a
+        feasible incumbent when it is better, and each tangent sits halfway to
+        the incumbent where that still cuts the LP point off.  Every round's
+        rows cut its LP point off by more than ``OA_TOL``, and every incumbent
+        a round takes passes the model's check at its true objective."""
+        sols, lps = [], []   # lps: (rows before the LP, its point) per node
+        real, real_lp = mipprune.pruning.solve_mip, mipprune.solver.solve_lp
+
+        def recording(model, *args, **kwargs):
+            sols.append((model, real(model, *args, **kwargs)))
+            return sols[-1][1]
+
+        def recording_lp(model, *args, **kwargs):
+            rows = len(model.constraints)
+            res = real_lp(model, *args, **kwargs)
+            lps.append((rows, res.x))
+            return res
+
+        monkeypatch.setattr(mipprune.pruning, "solve_mip", recording)
+        monkeypatch.setattr(mipprune.solver, "solve_lp", recording_lp)
+        net, xs, ys = TestGoldenReports.conv_instance()
+        rep = score(net, xs[8:9], ys[8:9], lam=5.0, epsilon=0.05, allow_imbalanced=True)
+        (model, sol), = sols
+        assert sol.cut_rounds == rep.cut_rounds < 60
+        *nodes, end = sol.log_lines
+        assert len(nodes) == len(lps) == sol.node_count
+        a, _, rhs = model.dense_rows()
+        ends = [rows for rows, _ in lps[1:]] + [len(rhs)]
+        incumbent = model.true_objective(model.reference_assignment)
+        rounds = taken = 0
+        for line, (first, x), last in zip(nodes, lps, ends):
+            new_incumbent = float(line.split()[5])
+            if line.endswith("cut-round"):
+                rounds += 1
+                assert last > first
+                assert np.all(rhs[first:last] - a[first:last] @ x > OA_TOL)
+                if new_incumbent < incumbent:
+                    taken += 1
+                    point = model.with_exact_lse(x)
+                    assert model.check_assignment(point) == []
+                    assert model.objective_value(point) == model.true_objective(point)
+                    assert model.objective_value(point) == new_incumbent
+            else:
+                assert last == first
+            incumbent = new_incumbent
+        assert rounds == sol.cut_rounds
+        assert 0 < taken == sol.cut_incumbents
+        assert sum(sol.oa_cuts.values()) == len(rhs) - lps[0][0]
+        assert (f"cut_incumbents {taken} oa_cuts inout:{sol.oa_cuts['inout']},"
+                f"lp:{sol.oa_cuts['lp']} ") in end
+        assert "cut_incumbents" not in rep.to_text() and "oa_cuts" not in rep.to_text()

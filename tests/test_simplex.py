@@ -242,6 +242,38 @@ class TestDegenerate:
         assert tab.basis.tolist() == [0, 4, 2]  # x0 = 1, x2 = 0.8, the row of x1 slack
         assert tab.t[:-1, -1] == pytest.approx([1.0, 0.55, 0.8], abs=1e-12)
 
+    def test_noise_level_dual_step_keeps_the_degenerate_streak(self):
+        """min 2e-9 x1  s.t.  x0 >= 1,  x1 >= 1e-4,  x >= 0.  The first step
+        enters x0 at reduced cost 0; the second enters x1 at 2e-9, above
+        ``_HARRIS_TOL``, but moves the objective by only 2e-13.  Both count as
+        degenerate, so a streak of 2 turns the loop to Bland's rule; a test
+        on the entering reduced cost alone would reset the streak at the
+        second step."""
+        lp = make_lp([0.0, 2e-9], [[1.0, 0.0], [0.0, 1.0]], ["G"] * 2, [1.0, 1e-4],
+                     [0.0] * 2, [np.inf] * 2)
+        tab = simplex._all_logical(lp, lp.lb, lp.ub, np.zeros(2, dtype=bool))
+        out = LpResult("optimal", None, None)
+        width, free = np.full(4, np.inf), np.zeros(4, dtype=bool)
+        status, _, iters = _dual_loop(tab.t, tab.basis, width, free, tab.dirn, 2, out)
+        assert (status, iters, tab.basis.tolist()) == ("optimal", 2, [0, 1])
+        assert -tab.t[-1, -1] == pytest.approx(2e-13, rel=1e-9)
+        assert out.bland_switches == 1
+
+    def test_bland_passes_over_a_tiny_pivot(self):
+        """min 0  s.t.  x0 >= 1,  1e-8 x1 + x2 >= 1,  x >= 0.  The degenerate
+        first step turns the loop to Bland's rule; on the second row x1 and x2
+        tie at ratio 0, and x1, the lower column, would pivot on 1e-8 and take
+        the value 1e8.  x2 enters instead."""
+        lp = make_lp([0.0] * 3, [[1.0, 0.0, 0.0], [0.0, 1e-8, 1.0]], ["G"] * 2, [1.0, 1.0],
+                     [0.0] * 3, [np.inf] * 3)
+        tab = simplex._all_logical(lp, lp.lb, lp.ub, np.zeros(3, dtype=bool))
+        out = LpResult("optimal", None, None)
+        width, free = np.full(5, np.inf), np.zeros(5, dtype=bool)
+        status, _, iters = _dual_loop(tab.t, tab.basis, width, free, tab.dirn, 1, out)
+        assert (status, iters, out.bland_switches) == ("optimal", 2, 1)
+        assert tab.basis.tolist() == [0, 2]
+        assert tab.t[:-1, -1] == pytest.approx([1.0, 1.0], abs=1e-12)
+
 
 class TestBoundKinds:
     def test_leave_at_upper_bound(self):
