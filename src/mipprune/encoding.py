@@ -43,7 +43,10 @@ Constraints are stored once, as a compressed row store on ``MipModel``:
 one ``sense``, ``rhs`` and ``tag`` per row.  Rows are only appended: the
 encoder writes the network's rows, then each tangent cut of a solve is one
 more row.  The solver, the LP writer and the feasibility check all read
-these arrays.
+these arrays.  The solver reads them through ``MipModel.split_fixed``: the
+node LP over the variables the model leaves free, with the rows its
+presolve drops as unable to bind, and each stable active unit's two ReLU
+rows folded into one equality where their right-hand sides are equal.
 """
 
 from __future__ import annotations
@@ -52,6 +55,7 @@ import hashlib
 from array import array
 from collections.abc import Mapping
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -61,7 +65,9 @@ from .network import Network, forward
 
 __all__ = [
     "VarRef",
+    "LpRows",
     "MipModel",
+    "Presolve",
     "RESCALE_OFFSETS",
     "encode_network",
     "encode_maxpool",
@@ -88,6 +94,30 @@ def softmax_probs(v: np.ndarray) -> np.ndarray:
     return e / e.sum()
 
 
+class Presolve(NamedTuple):
+    """Which of a model's first ``n_rows`` rows its node LP keeps, and why the
+    others go (see :meth:`MipModel.presolve`)."""
+
+    n_rows: int
+    rows: np.ndarray   # the kept row ids, ascending
+    sense: np.ndarray  # each kept row's sense in the LP: 'E' for a folded pair
+    empty: int         # rows dropped with no unfixed column
+    implied: int       # one-column rows dropped as implied by the column's box
+    folded: int        # 'L'/'G' pairs folded into one 'E' row
+
+
+class LpRows(NamedTuple):
+    """A model's node LP, as :meth:`MipModel.split_fixed` reads it from the
+    row store; every array is read-only."""
+
+    cols: np.ndarray   # ids of the variables with lb < ub: the LP's columns
+    fixed: np.ndarray  # ids of the variables with lb == ub
+    rows: np.ndarray   # the model row each LP row stands for
+    a: np.ndarray      # the LP rows over ``cols``, C-ordered
+    sense: np.ndarray
+    rhs: np.ndarray    # each LP row's rhs with the fixed variables substituted
+
+
 @dataclass
 class VarRef:
     idx: int
@@ -109,10 +139,11 @@ class MipModel:
     entries e in ``row_ptr[i]:row_ptr[i + 1]``, with sense 'L' (<=), 'G' (>=)
     or 'E' (=); ``tag[i]`` names the kind of row (``relu_cap``, ``lse_cut``,
     ...).  Cuts append rows, so row ids never change.  ``dense_rows`` gives
-    the same rows as a dense matrix, and ``split_fixed`` its columns split by
-    whether the variable's own bounds fix it, cached until a row or variable
-    is added.  ``var_arrays`` gives the bounds and the objective as arrays,
-    cached until a variable or an objective term is added.
+    the same rows as a dense matrix.  ``split_fixed`` gives the node LP: the
+    rows ``presolve`` keeps, over the variables the model's own bounds leave
+    free, cached until a row or variable is added.  ``var_arrays`` gives the
+    bounds and the objective as arrays, cached until a variable or an
+    objective term is added.
     """
 
     variables: list[VarRef] = field(default_factory=list)
@@ -135,7 +166,8 @@ class MipModel:
     prunable: list[tuple[int, int]] = field(default_factory=list)
     reference_assignment: np.ndarray | None = None
     batch_digest: str = ""
-    _split: tuple | None = field(default=None, init=False, repr=False, compare=False)
+    _presolve: Presolve | None = field(default=None, init=False, repr=False, compare=False)
+    _split: LpRows | None = field(default=None, init=False, repr=False, compare=False)
     _vars: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     # -- construction ------------------------------------------------------
@@ -145,7 +177,7 @@ class MipModel:
                 point: int | None = None) -> int:
         idx = len(self.variables)
         self.variables.append(VarRef(idx, name, kind, lb, ub, binary, layer, unit, point))
-        self._split = self._vars = None
+        self._presolve = self._split = self._vars = None
         return idx
 
     def add_constraint(self, coefs: Mapping[int, float], sense: str, rhs: float,
@@ -193,16 +225,80 @@ class MipModel:
         a[entry_rows, np.array(self.col_idx, dtype=np.intp)] = self.row_val
         return _frozen(a, np.array(self.sense, dtype="U1"), np.array(self.rhs))
 
-    def split_fixed(self) -> tuple[np.ndarray, ...]:
-        """Read-only ``(cols, fixed, a_cols, a_fixed, sense, rhs)``: the ids of
-        the variables with ``lb < ub`` and of those with ``lb == ub``, the
-        dense rows' columns for each, and each row's sense and rhs.
+    def presolve(self) -> Presolve:
+        """Which rows the node LP keeps, decided once over the rows the model
+        has at the first call (its encoded rows), and cached until a
+        variable is added; the rows appended later (cuts) are all kept.
 
-        The blocks are C-ordered, and that layout fixes the last bits of the
-        LP arithmetic: :mod:`.linalg`'s products sum a row in an order that
-        depends on its operand's memory layout, so an F-ordered block gives
-        other round-off, and can give other pivots and another alternate
-        optimum.
+        Every test is exact, on the rhs with the fixed variables (``lb ==
+        ub``) substituted (see :meth:`split_fixed`), so the LP keeps the
+        same feasible set.  A row is dropped when it has no unfixed column
+        and its constant holds, or when it has one and that column's own box
+        implies it: the box's extreme values, each a product rounded once,
+        satisfy the row.  An 'L' row and a 'G' row with the same unfixed
+        coefficients and equal substituted right-hand sides are folded into
+        one 'E' row in the lower row's place.  Any row that fails these tests
+        is kept as it is: a violated empty row, say, or one of a pair whose
+        right-hand sides differ in the last bit.  Ref: Andersen & Andersen,
+        "Presolving in linear programming", Math. Prog. 71, 1995.
+        """
+        if self._presolve is None:
+            m = len(self.rhs)
+            lb, ub, _ = self.var_arrays()
+            rows, var, val, b = self._substituted(lb, lb == ub)
+            free = lb[var] < ub[var]
+            sense = np.array(self.sense, dtype="U1")
+            le, ge = sense == "L", sense == "G"
+            n_free = np.bincount(rows[free], minlength=m)
+            empty = (n_free == 0) & np.where(le, b >= 0.0, np.where(ge, b <= 0.0, b == 0.0))
+            # one unfixed column j: the row holds at both ends of j's box
+            one = free & (n_free[rows] == 1)
+            r, j, v = rows[one], var[one], val[one]
+            lo, hi = v * np.where(v > 0.0, lb[j], ub[j]), v * np.where(v > 0.0, ub[j], lb[j])
+            implied = np.zeros(m, dtype=bool)
+            implied[r] = np.where(le[r], hi <= b[r], ge[r] & (lo >= b[r]))
+            # L/G pairs: sort the candidates by unfixed-entry count, a
+            # fingerprint of the unfixed entries (summed in entry order, so
+            # equal rows give equal bits) and rhs, 'L' before 'G'; then
+            # compare the entries of each adjacent L, G pair
+            cand = np.flatnonzero((le | ge) & (n_free > 0) & ~implied)
+            weight = _mark_weights(len(self.variables))
+            mark = np.bincount(rows[free], weights=val[free] * weight[var[free]], minlength=m)
+            cand = cand[np.lexsort((ge[cand], b[cand], mark[cand], n_free[cand]))]
+            p, q = cand[:-1], cand[1:]
+            pair = (le[p] & ge[q] & (n_free[p] == n_free[q]) & (mark[p] == mark[q])
+                    & (b[p] == b[q]))
+            p, q = p[pair], q[pair]
+            start = np.cumsum(n_free) - n_free  # each row's first entry in ``entry``
+            entry = np.flatnonzero(free)        # the unfixed entries, row by row
+            cnt = n_free[p]
+            offset = np.arange(cnt.sum()) - np.repeat(np.cumsum(cnt) - cnt, cnt)
+            ep = entry[np.repeat(start[p], cnt) + offset]
+            eq = entry[np.repeat(start[q], cnt) + offset]
+            differ = (var[ep] != var[eq]) | (val[ep] != val[eq])
+            same = np.bincount(np.repeat(np.arange(p.size), cnt), weights=differ,
+                               minlength=p.size) == 0
+            p, q = p[same], q[same]
+            keep = ~(empty | implied)
+            keep[np.maximum(p, q)] = False
+            sense[np.minimum(p, q)] = "E"
+            kept = np.flatnonzero(keep)
+            self._presolve = Presolve(m, *_frozen(kept, sense[kept]), int(empty.sum()),
+                                      int(implied.sum()), int(p.size))
+        return self._presolve
+
+    def split_fixed(self) -> LpRows:
+        """The node LP's rows, read-only (see :class:`LpRows`): the rows
+        :meth:`presolve` keeps, then every row appended since, over the
+        variables the model leaves free, with the fixed variables
+        substituted into each rhs.
+
+        The LP block is C-ordered, and that layout fixes the last bits of
+        the LP arithmetic: :mod:`.linalg`'s products sum a row in an order
+        that depends on its operand's memory layout, so an F-ordered block
+        gives other round-off, and can give other pivots and another
+        alternate optimum.  The substituted rhs sums each row's fixed terms
+        in entry order.
 
         Cached until a row or a variable is added, and then written again
         straight from the row store.  (Extended in place by a cut round's
@@ -211,23 +307,34 @@ class MipModel:
         the same time.)
         """
         if self._split is None:
+            pre = self.presolve()
             m = len(self.rhs)
             lb, ub, _ = self.var_arrays()
             is_fixed = lb == ub
             cols, fixed = np.flatnonzero(~is_fixed), np.flatnonzero(is_fixed)
-            a_cols = np.zeros((m, cols.size), dtype=np.float64)
-            a_fixed = np.zeros((m, fixed.size), dtype=np.float64)
-            pos = np.empty(is_fixed.size, dtype=np.intp)  # each variable's column in its block
-            pos[cols], pos[fixed] = np.arange(cols.size), np.arange(fixed.size)
-            rows = np.repeat(np.arange(m), np.diff(self.row_ptr))
-            var = np.array(self.col_idx, dtype=np.intp)
-            val = np.array(self.row_val)
-            on = is_fixed[var]
-            a_cols[rows[~on], pos[var[~on]]] = val[~on]
-            a_fixed[rows[on], pos[var[on]]] = val[on]
-            self._split = _frozen(cols, fixed, a_cols, a_fixed, np.array(self.sense, dtype="U1"),
-                                  np.array(self.rhs))
+            lp_rows = np.concatenate([pre.rows, np.arange(pre.n_rows, m)])
+            sense = np.concatenate([pre.sense, np.array(self.sense[pre.n_rows:], dtype="U1")])
+            rows, var, val, b = self._substituted(lb, is_fixed)
+            at = np.full(m, -1)  # each model row's LP row, -1 when dropped
+            at[lp_rows] = np.arange(lp_rows.size)
+            pos = np.empty(is_fixed.size, dtype=np.intp)  # each variable's LP column
+            pos[cols] = np.arange(cols.size)
+            on = ~is_fixed[var] & (at[rows] >= 0)
+            a = np.zeros((lp_rows.size, cols.size), dtype=np.float64)
+            a[at[rows[on]], pos[var[on]]] = val[on]
+            self._split = LpRows(*_frozen(cols, fixed, lp_rows, a, sense, b[lp_rows]))
         return self._split
+
+    def _substituted(self, lb: np.ndarray, is_fixed: np.ndarray) -> tuple[np.ndarray, ...]:
+        """``(rows, var, val, b)``: each entry's row, variable and coefficient,
+        and each row's rhs minus its fixed variables' terms at ``lb``, summed
+        in entry order."""
+        rows = np.repeat(np.arange(len(self.rhs)), np.diff(self.row_ptr))
+        var = np.array(self.col_idx, dtype=np.intp)
+        val = np.array(self.row_val)
+        on = is_fixed[var]
+        fixed_part = np.bincount(rows[on], weights=val[on] * lb[var[on]], minlength=len(self.rhs))
+        return rows, var, val, np.array(self.rhs) - fixed_part
 
     def var_arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Read-only ``(lb, ub, c)``: each variable's bounds and objective
@@ -294,6 +401,12 @@ class MipModel:
         return {
             key: min(1.0, max(0.0, float(x[idx]))) for key, idx in self.s_vars.items()
         }
+
+
+def _mark_weights(n: int) -> np.ndarray:
+    """One fixed pseudo-random weight per variable: a row's fingerprint in
+    :meth:`MipModel.presolve` is the sum of its entries times these."""
+    return np.random.default_rng(0).random(n)
 
 
 def _frozen(*arrays: np.ndarray) -> tuple:

@@ -49,6 +49,8 @@ a fresh all-logical tableau; with a vertex, the all-logical tableau moved
 to the vertex's basis.  The last start, and the only one of an LP given
 none, is a fresh tableau moved to the final basis of the LP's recession
 LP; it keeps its answer.  Each start is recorded on the :class:`LpResult`.
+An LP with no rows or no columns needs none of this: its first start
+answers it with each column at the bound its cost asks for.
 Ref: Koberstein, "The dual simplex method, techniques for a fast and stable
 implementation", PhD thesis, Paderborn 2005, ch. 4-6; Bixby, "Solving
 real-world linear programs: a decade and more of progress", Oper. Res. 50,
@@ -155,9 +157,10 @@ class LpResult:
     of every attempt and of the recession LP, dual and primal: basis
     changes plus bound flips.  ``bland_switches`` counts both loops' turns
     to Bland's rule, ``stall_exits`` the primal loop's exits at its stall
-    cap.  Only a 'cold' answer can be uncertified.  Every 'optimal'
-    answer, and every certified 'infeasible' one on the LP's own costs, has
-    its final ``tableau``.
+    cap.  An LP with no rows or no columns is answered by its first start
+    with no move and no pivot.  Only a 'cold' answer can be uncertified.
+    Every 'optimal' answer, and every certified 'infeasible' one on the LP's
+    own costs, has its final ``tableau``.
     """
 
     status: str            # 'optimal' | 'infeasible' | 'unbounded'
@@ -700,6 +703,28 @@ def _solve_cold(lp: LinearProgram, lb: np.ndarray, ub: np.ndarray, out: LpResult
         out.verdict("unbounded", out.certified)
 
 
+def _solve_direct(lp: LinearProgram, lb: np.ndarray, ub: np.ndarray, out: LpResult,
+                  kind: str) -> None:
+    """Answer ``lp``, which has no rows or no columns, into ``out`` with no
+    pivot, as its start ``kind``.
+
+    Each column sits at the bound its cost asks for (at 0 when free), on the
+    all-logical tableau.  With no rows, a cost beyond ``_CERT_DUAL`` toward
+    an infinite bound is an improving ray of the feasible box: the answer is
+    'unbounded'.  With no columns, rows whose constant breaks them by more
+    than ``_CERT_PRIMAL`` are their own Farkas rows: 'infeasible'.  Every
+    other answer is an optimum that passed its check.
+    """
+    tab = _all_logical(lp, lb, ub, lp.c < 0.0)
+    ray = np.where(lp.c > 0.0, np.isinf(lb), np.isinf(ub)) & (np.abs(lp.c) > _CERT_DUAL)
+    if lp.m == 0 and ray.any():
+        out.verdict("unbounded", True)
+    elif not _finish(out, lp, lb, ub, tab):
+        mult = -np.sign(lp.rhs * tab.rho)  # each row's multiplier towards its breach
+        out.verdict("infeasible", _certified_infeasible(lp, lb, ub, mult, tab.rho), tab)
+    out.attempt(kind, None)
+
+
 def solve_lp_arrays(lp: LinearProgram, basis: Basis | None = None,
                     tableau: Tableau | None = None, point: np.ndarray | None = None) -> LpResult:
     """Solve a bounded-variable LP from the first of its starts that answers.
@@ -712,7 +737,9 @@ def solve_lp_arrays(lp: LinearProgram, basis: Basis | None = None,
     fresh tableau moved to its basis, and phase two runs from there.  When
     every start gives up, or there is none, the 'cold' start answers (see
     :func:`_solve_cold`); an answer of it that fails its check is returned
-    with ``certified`` false.  ``LpResult.attempts`` records every start.
+    with ``certified`` false.  An LP with no rows or no columns needs no
+    pivot: its first start answers it at once (see :func:`_solve_direct`).
+    ``LpResult.attempts`` records every start.
     """
     if tableau is not None and basis is None:
         raise InvalidArgument("a carried tableau needs a basis to move to")
@@ -723,6 +750,13 @@ def solve_lp_arrays(lp: LinearProgram, basis: Basis | None = None,
     if np.any(lb > ub):
         return LpResult("infeasible", None, None, certified=True, attempts=[("cold", None, 0)])
     out = LpResult("optimal", None, None)
+    if lp.m == 0 or lp.n == 0:
+        if basis is not None:
+            _wanted(lp, basis)  # raises unless the basis fits
+        first = ("carried" if tableau is not None else "fresh" if basis is not None
+                 else "vertex" if point is not None else "cold")
+        _solve_direct(lp, lb, ub, out, first)
+        return out
     for kind, tab, wanted in _starts(lp, lb, ub, basis, tableau, point):
         if _solve_from(tab, lp, lb, ub, wanted, out, kind):
             return out

@@ -16,22 +16,30 @@ than Kelley's, which jump with each LP point.  Ref:
 Ben-Ameur & Neto, "Acceleration of cutting-plane and column generation
 algorithms", Networks 49, 2007; Kelley, J. SIAM 8, 1960.
 
-Each node LP leaves out the variables the model itself fixes (stable
-units' binaries among them); a branching fixes a binary as a column of
-width 0.  Each queued node carries the final basis of the LP it came from:
-a child gets its parent's, a cut round its own node's (the new cut rows
-enter with their logicals basic).  The search also keeps the final tableau
-of the last LP answered, the root's included; that tableau lives in one
-:func:`solve_mip` call only.  A node's LP tries its starts in order: that
-carried tableau moved to the node's basis in a few pivots, then a fresh
-all-logical tableau moved there, each finished by the dual simplex.  The
-root has no basis; it starts at the vertex of the warm incumbent, when
-there is one, and runs phase two of the primal simplex from that point's
-basis.  A root without a warm incumbent, and an LP whose every start gives
-up, take the 'cold' start: a fresh tableau moved to the final basis of the
-LP's recession LP, finished by the dual simplex too.  Each LP records its
-starts in ``LpResult.attempts``; :class:`LpCounters` sums them, and the
-log's ``end status`` line shows the sums.
+Each node LP is the model's presolved LP (:meth:`MipModel.split_fixed`),
+built once per model and again only when a cut round appends rows.  It
+leaves out the variables the model itself fixes (stable units' binaries
+among them), with their terms already in each rhs, and of the encoded
+rows it keeps only those that can bind: a row with no unfixed column whose
+constant holds, or with one whose box implies it, is dropped, and each
+'L'/'G' pair with the same unfixed coefficients and an equal rhs (a stable
+active unit's two ReLU rows) is one 'E' row.  The cut rows are appended
+after the kept rows, so row ids hold from one LP to the next.  A branching
+fixes a binary as a column of width 0.  Each queued node carries the final
+basis of the LP it came from: a child gets its parent's, a cut round its
+own node's (the new cut rows enter with their logicals basic).  The
+search also keeps the final tableau of the last LP answered, the root's
+included; that tableau lives in one :func:`solve_mip` call only.  A node's
+LP tries its starts in order: that carried tableau moved to the node's
+basis in a few pivots, then a fresh all-logical tableau moved there, each
+finished by the dual simplex.  The root has no basis; it starts at the
+vertex of the warm incumbent, when there is one, and runs phase two of the
+primal simplex from that point's basis.  A root without a warm
+incumbent, and an LP whose every start gives up, take the 'cold' start: a
+fresh tableau moved to the final basis of the LP's recession LP, finished
+by the dual simplex too.  Each LP records its starts in
+``LpResult.attempts``; :class:`LpCounters` sums them and adds the
+presolve's counts, and the log's ``end status`` line shows them all.
 
 Everything is deterministic: node selection breaks ties by insertion order,
 branching picks the most fractional binary (lowest id on ties), and the
@@ -44,13 +52,12 @@ from __future__ import annotations
 import heapq
 import time
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .encoding import MipModel, lse_tangent
 from .errors import InvalidArgument, NoIncumbent
-from .linalg import matvec
 from .simplex import Basis, LinearProgram, LpResult, Tableau, solve_lp_arrays
 
 __all__ = ["LpCounters", "SolveConfig", "Solution", "solve_lp", "solve_mip", "warm_start"]
@@ -79,7 +86,10 @@ class LpCounters:
     original arrays.  ``dual_pivots`` plus ``primal_pivots`` make
     ``Solution.lp_pivots``; the move pivots are not in it.
     ``bland_switches`` counts the dual and primal loops' turns to Bland's
-    rule, ``stall_exits`` the primal loop's exits at its stall cap.
+    rule, ``stall_exits`` the primal loop's exits at its stall cap.  The
+    last four come from the model's presolve (:meth:`MipModel.presolve`):
+    ``lp_rows`` encoded rows kept in the node LP (cut rows come on top),
+    ``empty_rows`` and ``implied_rows`` dropped, and ``folded_pairs``.
     """
 
     answered: Counter[str] = field(default_factory=Counter)
@@ -90,6 +100,10 @@ class LpCounters:
     primal_pivots: int = 0
     bland_switches: int = 0
     stall_exits: int = 0
+    lp_rows: int = 0
+    empty_rows: int = 0
+    implied_rows: int = 0
+    folded_pairs: int = 0
 
     def add(self, res: LpResult) -> None:
         for kind, reason, moved in res.attempts:
@@ -113,7 +127,9 @@ class LpCounters:
                 f"move_pivots {counts(self.move_pivots)} "
                 f"uncertified_lps {self.uncertified_lps} "
                 f"dual_pivots {self.dual_pivots} primal_pivots {self.primal_pivots} "
-                f"bland_switches {self.bland_switches} stall_exits {self.stall_exits}")
+                f"bland_switches {self.bland_switches} stall_exits {self.stall_exits} "
+                f"lp_rows {self.lp_rows} presolve empty:{self.empty_rows},"
+                f"implied:{self.implied_rows},folded:{self.folded_pairs}")
 
 
 @dataclass
@@ -157,26 +173,42 @@ def solve_lp(model: MipModel, fixings: dict[int, float] | None = None,
     the final basis of the LP's recession LP.  The answer's ``attempts``
     says how each start went.
 
-    The variables the model itself fixes (``lb == ub``) are left out of the
-    LP; a fixing makes a column of width 0.  So ``basis`` and ``tableau``,
-    like the answer's, index only the variables the model does not fix,
-    while the answer's ``x`` has every variable.
+    The LP is the model's node LP (:meth:`MipModel.split_fixed`): the
+    variables the model itself fixes (``lb == ub``) are substituted out, and
+    the rows its presolve drops or folds are gone; a fixing makes a column
+    of width 0.  So ``basis`` and ``tableau``, like the answer's, index only
+    that LP's columns and rows, while the answer's ``x`` has every
+    variable.  A fixing that moves a variable the model fixes solves a copy
+    of the model fixed there, presolved anew; its basis and tableau fit only
+    the LPs of that copy.
     """
-    cols, fixed, a, a_fixed, sense, rhs = model.split_fixed()
+    if fixings and any(model.variables[j].lb == model.variables[j].ub != val
+                       for j, val in fixings.items()):
+        model = _refixed(model, fixings)
+    cols, fixed, _, a, sense, rhs = model.split_fixed()
     lb, ub, c = model.var_arrays()
     if fixings:
         lb, ub = lb.copy(), ub.copy()
         for j, val in fixings.items():
             lb[j] = ub[j] = val
     res = solve_lp_arrays(LinearProgram(
-        c=c[cols], a=a, sense=sense, rhs=rhs - matvec(a_fixed, lb[fixed]), lb=lb[cols],
-        ub=ub[cols], const=model.objective_const + float(np.dot(c[fixed], lb[fixed]))),
+        c=c[cols], a=a, sense=sense, rhs=rhs, lb=lb[cols], ub=ub[cols],
+        const=model.objective_const + float(np.dot(c[fixed], lb[fixed]))),
         basis, tableau, None if point is None else point[cols])
     if res.x is not None:
         x = lb.copy()
         x[cols] = res.x
         res.x = x
     return res
+
+
+def _refixed(model: MipModel, fixings: dict[int, float]) -> MipModel:
+    """A shallow copy of ``model`` whose variables that ``model`` fixes and
+    ``fixings`` moves are fixed at their new values, so that its own
+    presolve substitutes them."""
+    return replace(model, variables=[
+        replace(v, lb=fixings[v.idx], ub=fixings[v.idx]) if v.lb == v.ub and v.idx in fixings
+        else v for v in model.variables])
 
 
 def warm_start(model: MipModel, assignment: np.ndarray) -> float:
@@ -228,7 +260,9 @@ def solve_mip(model: MipModel, config: SolveConfig | None = None,
     cfg = config or SolveConfig()
     t0 = time.perf_counter()
     log: list[str] = []
-    counters = LpCounters()
+    pre = model.presolve()
+    counters = LpCounters(lp_rows=pre.rows.size, empty_rows=pre.empty, implied_rows=pre.implied,
+                          folded_pairs=pre.folded)
     # the binaries the model itself leaves free; a branching fixes them at 0 or 1
     binaries = np.array([v.idx for v in model.variables if v.binary and v.lb < v.ub],
                         dtype=np.intp)

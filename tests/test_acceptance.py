@@ -11,6 +11,7 @@ from itertools import combinations, product
 import numpy as np
 import pytest
 
+import mipprune.solver
 from mipprune.bounds import check_soundness, propagate_batch
 from mipprune.datasets import balanced_batch, make_dataset, split_dataset
 from mipprune.encoding import MipModel, encode_maxpool, encode_network
@@ -335,21 +336,59 @@ class TestCriterion08RescalingDirection:
             f"({elapsed:.1f}s)"
         )
 
-    def test_rescale_none_lps_answered_without_giving_up(self):
-        """The seed-1 'none' solve has LPs whose dual simplex meets long runs
-        of degenerate steps and leaves them by Bland's rule: no start gives
-        up on a stall, no cold or repair start gives up, and every answer
-        passes its check."""
+    def test_rescale_none_lps_answered_without_giving_up(self, monkeypatch):
+        """The seed-1 'none' solve answers every LP without a give-up, and
+        every answer passes its check.  Its long degenerate runs came from
+        the stable units' row pairs, which the presolve folds, so the guard
+        on Bland's rule replays the search's LPs on the model's unpresolved
+        rows: each LP fresh from the unpresolved answer of the LP its node's
+        basis came from, the root from the warm vertex.  Some of those still
+        leave a degenerate run by Bland's rule, and each answer has the
+        presolved LP's objective."""
         net, train_ds, _ = crit6_setup(1)
         xs, ys = balanced_batch(train_ds, 1)
         model = encode_network(net, xs, ys, propagate_batch(net, xs, EPSILON), lam=LAMBDA,
                                rescale="none")
+        calls, made, real = [], {}, mipprune.solver.solve_lp
+
+        def recording(model, fixings=None, basis=None, tableau=None, point=None):
+            res = real(model, fixings, basis, tableau, point)
+            parent = None if basis is None else made[id(basis)]
+            calls.append((dict(fixings or {}), parent, len(model.constraints), res))
+            made[id(res.basis)] = len(calls) - 1
+            return res
+
+        monkeypatch.setattr(mipprune.solver, "solve_lp", recording)
         sol = solve_mip(model, SolveConfig(), warm=model.reference_assignment)
         counts = sol.lp_counters
         assert not [key for key in counts.gave_up
                     if key.endswith(":stalled") or key.startswith(("cold:", "repair:"))]
-        assert counts.uncertified_lps == 0 and counts.bland_switches > 0
+        assert counts.uncertified_lps == 0
         assert sol.objective == crit6_report(1, rescale="none").objective
+        assert counts.folded_pairs > 0
+
+        a, sense, rhs = model.dense_rows()
+        lb0, ub0, c = model.var_arrays()
+        cols, fixed = np.flatnonzero(lb0 < ub0), np.flatnonzero(lb0 == ub0)
+        replayed, switches = [], 0
+        for fixings, parent, m, res in calls:
+            lb, ub = lb0.copy(), ub0.copy()
+            for j, val in fixings.items():
+                lb[j] = ub[j] = val
+            lp = LinearProgram(c[cols], np.ascontiguousarray(a[:m, cols]), sense[:m],
+                               rhs[:m] - matvec(np.ascontiguousarray(a[:m, fixed]), lb[fixed]),
+                               lb[cols], ub[cols],
+                               model.objective_const + float(np.dot(c[fixed], lb[fixed])))
+            if parent is None:
+                full = solve_lp_arrays(lp, point=model.reference_assignment[cols])
+            else:
+                full = solve_lp_arrays(lp, replayed[parent].basis)
+            replayed.append(full)
+            switches += full.bland_switches
+            assert full.status == res.status and full.certified
+            if res.status == "optimal":
+                assert full.objective == pytest.approx(res.objective, abs=1e-7)
+        assert len(calls) > 1 and switches > 0
 
 
 class TestCriterion09ClassByClass:

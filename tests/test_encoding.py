@@ -4,6 +4,7 @@ import pytest
 from mipprune.bounds import propagate_batch
 from mipprune.encoding import (
     MipModel,
+    _mark_weights,
     add_lse_cut,
     encode_maxpool,
     encode_network,
@@ -12,7 +13,7 @@ from mipprune.encoding import (
 )
 from mipprune.errors import InvalidArgument
 from mipprune.network import avgpool, build_network, conv, dense, flatten, forward, init_network, maxpool
-from mipprune.solver import SolveConfig, solve_mip
+from mipprune.solver import SolveConfig, solve_lp, solve_mip
 
 
 def tiny_net(seed=0):
@@ -309,23 +310,52 @@ class TestAddConstraint:
         assert model.dense_rows()[0].shape == (3, 3)
 
     def test_split_blocks_after_cuts_equal_the_dense_columns(self):
-        """Read after every cut, as a search reads them, the column blocks of
-        the cached split equal the columns of the dense rows, bit for bit."""
+        """Read after every cut, as a search reads them, the node LP holds the
+        rows the presolve keeps, then every row appended since, in row order.
+        Each LP row equals its model row over the unfixed columns bit for
+        bit, its rhs is the model rhs minus the fixed terms summed in entry
+        order, and its sense is the model's, or 'E' for a folded pair.  A
+        cut extends the LP by one row and changes none before it."""
         net = init_network(2, [dense(6), dense(3, activation="none")], seed=4)
         xs = np.array([[0.4, -0.2], [-0.7, 0.3]])
         model = encoded(net, xs, [0, 2], eps=0.2)
+        pre = model.presolve()
+        assert pre.empty > 0 and pre.implied > 0 and pre.folded > 0
+        lb, ub, _ = model.var_arrays()
+        last = None
         for k, anchor in enumerate(np.random.default_rng(5).normal(size=(6, 3))):
             add_lse_cut(model, k % 2, anchor)
             a, sense, rhs = model.dense_rows()
-            cols, fixed, a_cols, a_fixed, split_sense, split_rhs = model.split_fixed()
-            assert 0 < fixed.size < cols.size + fixed.size == len(model.variables)
-            assert a_cols.shape[0] == len(model.constraints)
-            for got, want in ((a_cols, a[:, cols]), (a_fixed, a[:, fixed]),
-                              (split_sense, sense), (split_rhs, rhs)):
+            lp = model.split_fixed()
+            assert model.presolve() is pre and pre.n_rows < len(rhs)
+            assert np.array_equal(lp.fixed, np.flatnonzero(lb == ub)) and lp.fixed.size > 0
+            assert np.array_equal(lp.cols, np.flatnonzero(lb < ub))
+            assert np.array_equal(lp.rows, np.concatenate([pre.rows,
+                                                           np.arange(pre.n_rows, len(rhs))]))
+            want_rhs = []
+            for i in lp.rows.tolist():
+                fixed_part = 0.0
+                for j, coef in model.row(i).items():
+                    if lb[j] == ub[j]:
+                        fixed_part += coef * lb[j]
+                want_rhs.append(rhs[i] - fixed_part)
+            folded = lp.sense != sense[lp.rows]
+            assert set(lp.sense[folded].tolist()) == {"E"} and folded.sum() == pre.folded
+            for got, want in ((lp.a, a[lp.rows][:, lp.cols]), (lp.rhs, np.array(want_rhs)),
+                              (lp.sense[~folded], sense[lp.rows][~folded])):
                 assert (got.dtype, got.shape) == (want.dtype, want.shape)
-                assert got.tobytes() == want.tobytes() and not got.flags.writeable
-            lb, ub, _ = model.var_arrays()
-            assert np.array_equal(np.flatnonzero(lb == ub), fixed)
+                assert got.tobytes() == want.tobytes()
+            assert not (lp.a.flags.writeable or lp.rhs.flags.writeable
+                        or lp.sense.flags.writeable or lp.rows.flags.writeable)
+            if last is not None:
+                assert np.array_equal(lp.rows[:-1], last.rows)
+                assert lp.a[:-1].tobytes() == last.a.tobytes()
+                assert lp.rhs[:-1].tobytes() == last.rhs.tobytes()
+            last = lp
+        dropped = np.setdiff1d(np.arange(pre.n_rows), pre.rows).tolist()
+        n_free = [sum(lb[j] < ub[j] for j in model.row(i)) for i in dropped]
+        assert len(dropped) == pre.empty + pre.implied + pre.folded
+        assert n_free.count(0) == pre.empty
 
     def test_variable_arrays_follow_bounds_and_objective(self):
         model = MipModel()
@@ -341,6 +371,115 @@ class TestAddConstraint:
         assert (lb.tolist(), ub.tolist(), c.tolist()) == ([0.0, -np.inf, 0.0], [1.0, np.inf, 0.0],
                                                           [0.5, -2.0, 0.0])
         assert not (lb.flags.writeable or ub.flags.writeable or c.flags.writeable)
+
+
+class TestPresolveRows:
+    @staticmethod
+    def model(*rows):
+        """x fixed at 1, y in [0, 2], z in [-1, 1], then the given rows."""
+        model = MipModel()
+        model.add_var("h_0_0_0", "h", 1.0, 1.0)
+        model.add_var("h_0_1_0", "h", 0.0, 2.0)
+        model.add_var("h_0_2_0", "h", -1.0, 1.0)
+        model.add_objective_term(1, 1.0)
+        for coefs, sense, rhs in rows:
+            model.add_constraint(coefs, sense, rhs, "row")
+        return model
+
+    def test_each_rule_drops_only_rows_that_hold(self):
+        model = self.model(
+            ({0: 1.0}, "L", 1.0),             # 1 <= 1: dropped
+            ({0: 2.0}, "G", 2.5),             # 2 >= 2.5 fails: kept
+            ({0: 1.0, 1: 1.0}, "L", 3.0),     # y <= 2, y's box: dropped
+            ({0: 1.0, 1: 1.0}, "L", 2.5),     # y <= 1.5: kept
+            ({2: -2.0}, "G", -2.0),           # z <= 1, z's box: dropped
+            ({2: -2.0}, "G", -1.0),           # z <= 0.5: kept
+            ({1: 1.0}, "E", 2.0),             # y = 2 is no box bound: kept
+            ({1: 1.0, 2: 1.0}, "L", 3.0),     # two columns: kept
+        )
+        pre = model.presolve()
+        assert pre.rows.tolist() == [1, 3, 5, 6, 7]
+        assert (pre.n_rows, pre.empty, pre.implied, pre.folded) == (8, 1, 2, 0)
+        assert pre.sense.tolist() == ["G", "L", "G", "E", "L"]
+
+    @pytest.mark.parametrize("arch, eps", [
+        ([dense(6), dense(3, activation="none")], 0.2),
+        ([dense(4), maxpool(2), dense(3, activation="none")], 0.1),
+        ([dense(6), dense(5), dense(3, activation="none")], 0.0),
+    ])
+    def test_matches_a_loop_over_the_rows(self, arch, eps):
+        """The vectorized presolve keeps the rows, senses and counts a walk
+        over the rows gives, pairing the last 'L' with the first 'G' among
+        equal rows."""
+        net = init_network(2, arch, seed=4)
+        model = encoded(net, np.array([[0.4, -0.2], [-0.7, 0.3]]), [0, 2], eps=eps)
+        lb, ub, _ = model.var_arrays()
+        empty, implied, groups = 0, 0, {}
+        keep, sense = {}, {}
+        for i in model.constraints:
+            free = {j: c for j, c in model.row(i).items() if lb[j] < ub[j]}
+            fixed_part = 0.0
+            for j, c in model.row(i).items():
+                if lb[j] == ub[j]:
+                    fixed_part += c * lb[j]
+            b, s = model.rhs[i] - fixed_part, model.sense[i]
+            holds = {"L": lambda v: v <= b, "G": lambda v: v >= b, "E": lambda v: v == b}[s]
+            if not free and holds(0.0):
+                empty += 1
+            elif len(free) == 1 and s != "E" and all(
+                    holds(c * bound) for j, c in free.items() for bound in (lb[j], ub[j])):
+                implied += 1
+            else:
+                keep[i], sense[i] = True, s
+                if s != "E" and free:
+                    groups.setdefault((tuple(free.items()), b), {"L": [], "G": []})[s].append(i)
+        folded = 0
+        for rows in groups.values():
+            if rows["L"] and rows["G"]:
+                low, high = sorted((rows["L"][-1], rows["G"][0]))
+                del keep[high]
+                sense[low] = "E"
+                folded += 1
+        pre = model.presolve()
+        assert pre.rows.tolist() == sorted(keep)
+        assert pre.sense.tolist() == [sense[i] for i in sorted(keep)]
+        assert (pre.n_rows, pre.empty, pre.implied, pre.folded) == (
+            len(model.constraints), empty, implied, folded)
+        assert min(empty, implied, folded) > 0
+
+    def test_violated_empty_row_kept_and_the_lp_certified_infeasible(self):
+        model = self.model(({1: 1.0, 2: 1.0}, "L", 1.0), ({0: 1.0}, "L", 0.5))
+        pre = model.presolve()
+        assert pre.rows.tolist() == [0, 1] and pre.empty == 0
+        res = solve_lp(model)
+        assert res.status == "infeasible" and res.certified
+
+    def test_pair_folds_only_with_equal_rhs_and_coefficients(self):
+        half, below = 0.5, np.nextafter(0.5, 0.0)
+        w = _mark_weights(3)
+        model = self.model(
+            ({0: 1.0, 1: 1.0, 2: -1.0}, "G", 1.5),     # y - z >= 0.5 ...
+            ({0: 1.0, 1: 1.0, 2: -1.0}, "L", 1.5),     # ... and <= 0.5: one 'E' row
+            ({1: 1.0, 2: 1.0}, "L", half),             # y + z <= 0.5 ...
+            ({1: 1.0, 2: 1.0}, "G", below),            # ... >= one ulp less: kept
+            ({1: 2.0, 2: 1.0}, "L", 1.0),              # other coefficients ...
+            ({1: 2.0, 2: 3.0}, "G", 1.0),              # ... same rhs: kept
+            ({1: -w[2]}, "L", -0.5 * w[1] * w[2]),     # equal fingerprints, other
+            ({2: -w[1]}, "G", -0.5 * w[1] * w[2]),     # entries: kept
+        )
+        pre = model.presolve()
+        assert (pre.empty, pre.implied, pre.folded) == (0, 0, 1)
+        lp = model.split_fixed()
+        assert lp.rows.tolist() == [0, 2, 3, 4, 5, 6, 7]
+        assert lp.sense.tolist() == ["E", "L", "G", "L", "G", "L", "G"]
+        assert lp.rhs.tolist() == [half, half, below, 1.0, 1.0] + [-0.5 * w[1] * w[2]] * 2
+        res = solve_lp(model)
+        assert res.status == "optimal" and res.certified
+        assert res.x[1] - res.x[2] == pytest.approx(0.5, abs=1e-12)
+        assert model.check_assignment(res.x, tol=1e-9) == []
+        # one ulp apart the other way round, L before G in the sorted order
+        model = self.model(({1: 1.0, 2: 1.0}, "L", below), ({1: 1.0, 2: 1.0}, "G", half))
+        assert model.presolve().rows.tolist() == [0, 1] and model.presolve().folded == 0
 
 
 class TestPresolveFixing:

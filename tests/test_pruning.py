@@ -25,8 +25,8 @@ from mipprune.pruning import (
     sweep,
     transfer,
 )
-from mipprune.simplex import _DROP_TOL
-from mipprune.solver import OA_TOL, SolveConfig
+from mipprune.simplex import _CERT_PRIMAL, _DROP_TOL
+from mipprune.solver import OA_TOL, SolveConfig, solve_lp
 from mipprune.training import TrainConfig, evaluate, train
 
 
@@ -298,15 +298,16 @@ class TestGoldenReports:
     classes 4 and 6 of its ``conv-classwise`` workload (eps 0.05; class 4
     needs 1 cut round, class 6 needs 7).  Any change to the simplex's
     arithmetic (the round-off each pivot drops below ``_DROP_TOL`` among
-    it), its pivot choices, the cut rows or the search moves at least one
-    digest; an alternate optimum within ``gap_tol`` is a new digest, and
-    CHANGES.md lists the objectives before and after each re-pin.
+    it), its pivot choices, the rows the presolve keeps, the cut rows or
+    the search moves at least one digest; an alternate optimum within
+    ``gap_tol`` is a new digest, and CHANGES.md lists the objectives before
+    and after each re-pin.
     """
 
     DIGESTS = {
-        "dense-seed0": "133cba012114c40e43ced417a1cf562df684152276561ff43e15b67c3835db83",
-        "conv-class4": "2b59c5ca178409b0121531dd09d291314502e5eb0658239369c63ca1a84b3d48",
-        "conv-class6": "22190978d2ebd3f1fe8a53c78795d43f4487a3532bc4060221d3bc8bcec20e25",
+        "dense-seed0": "cf15c8352bcbe659fc6babcbaf9446b61249b51ee4972de2f17d69cabc2ce6ce",
+        "conv-class4": "8b5082291fced427207c8eaa95956c59284effbdc496d82f51dc5856b1e2253d",
+        "conv-class6": "48c009724f3c5ab6ea61cc04ac0f4521ef5c761664b9938206f2a497f72800bd",
     }
 
     @staticmethod
@@ -401,6 +402,75 @@ class TestGoldenReports:
         alone = score(net_b, xs_b, ys_b, lam=5.0, epsilon=0.5).to_text()
         score(net_a, xs_a, ys_a, lam=5.0, epsilon=0.5)
         assert score(net_b, xs_b, ys_b, lam=5.0, epsilon=0.5).to_text() == alone
+
+
+class TestPresolvedLp:
+    """The node LP after the model's presolve, checked against the full rows
+    on two benchmark models: the dense-1pt seed-0 net and conv class 8."""
+
+    @staticmethod
+    def model(name):
+        if name == "dense-seed0":
+            (net, xs, ys), eps = TestGoldenReports.dense_instance(), 0.5
+        else:
+            net, xs, ys = TestGoldenReports.conv_instance()
+            xs, ys, eps = xs[8:9], ys[8:9], 0.05
+        return encode_network(net, xs, ys, propagate_batch(net, xs, eps), lam=5.0)
+
+    @pytest.mark.parametrize("name", ["dense-seed0", "conv-class8"])
+    def test_root_lp_matches_highs_on_the_full_rows(self, name):
+        """The root LP as the search solves it, from the warm vertex.  HiGHS
+        gives conv class 8's full LP 3.2e-9 above this solver's optimum, with
+        or without the presolve, hence the 1e-8."""
+        linprog = pytest.importorskip("scipy.optimize").linprog
+        model = self.model(name)
+        pre = model.presolve()
+        assert pre.empty > 0 and pre.implied > 0 and pre.folded > 0
+        res = solve_lp(model, point=model.with_exact_lse(model.reference_assignment))
+        a, sense, rhs = model.dense_rows()
+        lb, ub, c = model.var_arrays()
+        le, ge, eq = sense == "L", sense == "G", sense == "E"
+        ref = linprog(c, A_ub=np.vstack([a[le], -a[ge]]), b_ub=np.concatenate([rhs[le], -rhs[ge]]),
+                      A_eq=a[eq], b_eq=rhs[eq], bounds=list(zip(lb, ub)), method="highs")
+        assert ref.status == 0 and res.status == "optimal" and res.certified
+        assert res.objective == pytest.approx(ref.fun + model.objective_const, abs=1e-8)
+
+    def test_dropped_and_folded_rows_hold_at_every_lp_answer(self, monkeypatch):
+        """Every row the presolve drops, and both rows of each folded pair,
+        hold within ``_CERT_PRIMAL`` at every LP answer of the class-8
+        search, cut rounds included.  The presolve's counts are on the log's
+        ``end status`` line, not in the report."""
+        answers, sols = [], []
+        real, real_lp = mipprune.pruning.solve_mip, mipprune.solver.solve_lp
+
+        def recording(*args, **kwargs):
+            sols.append(real(*args, **kwargs))
+            return sols[-1]
+
+        def recording_lp(model, *args, **kwargs):
+            answers.append((model, real_lp(model, *args, **kwargs)))
+            return answers[-1][1]
+
+        monkeypatch.setattr(mipprune.pruning, "solve_mip", recording)
+        monkeypatch.setattr(mipprune.solver, "solve_lp", recording_lp)
+        net, xs, ys = TestGoldenReports.conv_instance()
+        rep = score(net, xs[8:9], ys[8:9], lam=5.0, epsilon=0.05, allow_imbalanced=True)
+        model = answers[0][0]
+        pre = model.presolve()
+        assert (f" lp_rows {pre.rows.size} presolve empty:{pre.empty},implied:{pre.implied},"
+                f"folded:{pre.folded}") in sols[0].log_lines[-1]
+        assert "lp_rows" not in rep.to_text() and "presolve" not in rep.to_text()
+        a, sense, rhs = model.dense_rows()
+        folded = pre.rows[pre.sense != sense[pre.rows]]
+        rows = np.union1d(np.setdiff1d(np.arange(pre.n_rows), pre.rows), folded)
+        assert pre.empty > 0 and pre.implied > 0 and pre.folded > 0
+        assert rows.size == pre.empty + pre.implied + 2 * pre.folded
+        points = [res.x for _, res in answers if res.status == "optimal"]
+        assert len(points) > 40
+        for x in points:
+            r = a[rows] @ x - rhs[rows]
+            breach = np.where(sense[rows] == "L", r, np.where(sense[rows] == "G", -r, np.abs(r)))
+            assert breach.max() <= _CERT_PRIMAL
 
 
 class TestOracleBracket:

@@ -340,6 +340,52 @@ class TestBoundKinds:
             checked += 1
 
 
+class TestNoRowsOrColumns:
+    """An LP with no rows or no columns is answered with no loop: each column
+    at the bound its cost asks for, 'unbounded' only with a checked ray, and
+    'infeasible' only on a row its constant breaks."""
+
+    @pytest.fixture(autouse=True)
+    def no_loops(self, monkeypatch):
+        for loop in ("_pivot_loop", "_dual_loop", "_solve_cold", "_starts"):
+            monkeypatch.setattr(simplex, loop, None)  # calling one would raise
+
+    def test_no_columns(self):
+        for sense, rhs, want in ((["L", "G", "E"], [0.0, 0.0, 0.0], "optimal"),
+                                 (["L", "E"], [1.0, 1e-9], "optimal"),
+                                 (["L", "G"], [1.0, 1e-3], "infeasible"),
+                                 (["E"], [-2.0], "infeasible"),
+                                 (["L"], [-1e-5], "infeasible")):
+            lp = make_lp([], np.zeros((len(rhs), 0)), sense, rhs, [], [])
+            lp.const = 1.5
+            r = solve_lp_arrays(lp)
+            assert (r.status, r.certified, starts(r), r.pivots) == (want, True, ["cold"], 0)
+            if want == "optimal":
+                assert r.objective == 1.5 and r.x.size == 0 and r.basis.ids.size == len(rhs)
+            else:
+                assert r.x is None and r.tableau is not None
+
+    def test_no_rows(self):
+        lb, ub = [0.0, -np.inf, -np.inf, 2.0], [1.0, 3.0, np.inf, np.inf]
+        r = solve_lp_arrays(make_lp([-1.0, 1e-9, 0.0, 2.0], np.zeros((0, 4)), [], [], lb, ub))
+        assert (r.status, r.certified, starts(r)) == ("optimal", True, ["cold"])
+        assert r.x.tolist() == [1.0, 3.0, 0.0, 2.0] and r.objective == pytest.approx(3.0 + 3e-9)
+        for c in ([0.0, 1.0, 0.0, 0.0], [0.0, 0.0, 1e-6, 0.0], [0.0, 0.0, 0.0, -1.0]):
+            r = solve_lp_arrays(make_lp(c, np.zeros((0, 4)), [], [], lb, ub))
+            assert (r.status, r.certified, r.x, r.tableau) == ("unbounded", True, None, None)
+
+    def test_first_start_answers_and_the_tableau_carries_on(self):
+        lp = make_lp([1.0, -1.0], np.zeros((0, 2)), [], [], [0.0, 0.0], [1.0, 1.0])
+        r = solve_lp_arrays(lp, point=np.array([0.0, 0.0]))
+        assert starts(r) == ["vertex"] and r.x.tolist() == [0.0, 1.0]
+        w = solve_lp_arrays(lp, r.basis)
+        assert starts(w) == ["fresh"] and w.x.tolist() == [0.0, 1.0]
+        c = solve_lp_arrays(lp, r.basis, r.tableau)
+        assert starts(c) == ["carried"] and c.x.tolist() == [0.0, 1.0]
+        with pytest.raises(InvalidArgument):
+            solve_lp_arrays(lp, Basis(np.array([0], dtype=np.int32), np.zeros(2, bool)))
+
+
 class TestDependentRows:
     """Linearly dependent rows solved from scratch: a dependent row keeps its
     logical basic in the final basis instead of being dropped."""
