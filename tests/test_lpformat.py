@@ -3,6 +3,7 @@ import re
 
 import numpy as np
 import pytest
+import test_pruning
 
 from mipprune.bounds import propagate_batch
 from mipprune.datasets import make_dataset
@@ -124,8 +125,8 @@ class TestSolutionRoundTrip:
 
 
 class TestGoldenText:
-    """The LP text of three fixed encodings, and the model files of two short
-    training runs, pinned by sha256.
+    """The LP text of three fixed encodings and of two benchmark models, and
+    the model files of two short training runs, pinned by sha256.
 
     Any change to variable order, row order, a coefficient or a right-hand
     side changes an LP digest, and any change to the bits of training or of
@@ -157,6 +158,28 @@ class TestGoldenText:
         p = tmp_path / "m.lp"
         write_lp(model, p)
         assert hashlib.sha256(p.read_bytes()).hexdigest() == self.DIGESTS[name]
+
+    BENCH_DIGESTS = {
+        "dense-1pt-seed0": "a5225580a6f9e2bf1ed43dbbf8cd6d2faa1bef4ad04ffd5176fce8ac1e569293",
+        "conv-classwise-class0": "b189a4991f79e2e648492fd7343586d4797eafb5a024d6a93ff79bc5f19df917",
+    }
+
+    @pytest.mark.parametrize("name", sorted(BENCH_DIGESTS))
+    def test_benchmark_model_digest(self, name, tmp_path):
+        """The models the score benchmark encodes: the dense-1pt seed-0 net
+        (eps 0.5, one point per class) and conv-classwise class 0 (eps 0.05),
+        with a hidden dense ReLU after a pool and a mix of stable and
+        unstable units that the small fixtures above lack."""
+        golden = test_pruning.TestGoldenReports
+        if name == "dense-1pt-seed0":
+            (net, xs, ys), eps = golden.dense_instance(), 0.5
+        else:
+            net, xs, ys = golden.conv_instance()
+            xs, ys, eps = xs[0:1], ys[0:1], 0.05
+        model = encode_network(net, xs, ys, propagate_batch(net, xs, eps), lam=5.0)
+        p = tmp_path / "m.lp"
+        write_lp(model, p)
+        assert hashlib.sha256(p.read_bytes()).hexdigest() == self.BENCH_DIGESTS[name]
 
     TRAINED = {
         "dense-blobs": (("blobs", 10, 3, {"n_classes": 3, "dim": 2}), 2,
