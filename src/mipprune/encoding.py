@@ -41,9 +41,11 @@ Constraints are stored once, as a compressed row store on ``MipModel``:
 ``row_ptr`` (row i owns entries ``row_ptr[i]:row_ptr[i + 1]``), ``col_idx``
 (variable ids, ascending within a row) and ``row_val`` (coefficients), plus
 one ``sense``, ``rhs`` and ``tag`` per row.  Rows are only appended: the
-encoder writes the network's rows, then each tangent cut of a solve is one
-more row.  The solver, the LP writer and the feasibility check all read
-these arrays.  The solver reads them through ``MipModel.split_fixed``: the
+encoder writes the network's rows one layer block at a time (a dense, conv
+or average-pool layer's rows for one point are built as arrays and
+appended in one step by ``MipModel.add_rows``), then each tangent cut of a
+solve is one more row.  The solver, the LP writer and the feasibility
+check all read these arrays.  The solver reads them through ``MipModel.split_fixed``: the
 node LP over the variables the model leaves free, with the rows its
 presolve drops as unable to bind, and each stable active unit's two ReLU
 rows folded into one equality where their right-hand sides are equal.
@@ -176,9 +178,13 @@ class MipModel:
                 layer: int | None = None, unit: int | None = None,
                 point: int | None = None) -> int:
         idx = len(self.variables)
-        self.variables.append(VarRef(idx, name, kind, lb, ub, binary, layer, unit, point))
-        self._presolve = self._split = self._vars = None
+        self.add_vars([VarRef(idx, name, kind, lb, ub, binary, layer, unit, point)])
         return idx
+
+    def add_vars(self, refs: list[VarRef]) -> None:
+        """Append variables in one step; their ids must continue the model's."""
+        self.variables.extend(refs)
+        self._presolve = self._split = self._vars = None
 
     def add_constraint(self, coefs: Mapping[int, float], sense: str, rhs: float,
                        tag: str) -> int:
@@ -186,20 +192,45 @@ class MipModel:
 
         Zero coefficients are dropped; returns the new row id.
         """
-        entries = sorted((int(j), float(c)) for j, c in coefs.items() if c != 0.0)
-        if not entries:
-            raise InvalidArgument(f"constraint {tag!r} has no variables")
-        if not np.all(np.isfinite([c for _, c in entries])) or not np.isfinite(rhs):
-            raise InvalidArgument(f"constraint {tag!r} has non-finite data")
-        for j, c in entries:
-            self.col_idx.append(j)
-            self.row_val.append(c)
-        self.row_ptr.append(len(self.col_idx))
-        self.sense.append(sense)
-        self.rhs.append(rhs)
-        self.tag.append(tag)
-        self._split = None
+        self.add_rows(np.zeros(len(coefs), dtype=np.intp), list(coefs), list(coefs.values()),
+                      [sense], [rhs], [tag])
         return len(self.rhs) - 1
+
+    def add_rows(self, rows: np.ndarray, cols: np.ndarray, vals: np.ndarray,
+                 sense: list[str], rhs: np.ndarray, tag: list[str]) -> None:
+        """Append a block of rows in one step: entry e puts ``vals[e]`` on
+        variable ``cols[e]`` in the block's row ``rows[e]``, and block row i
+        reads ``sense[i]`` ``rhs[i]`` with tag ``tag[i]``.
+
+        The entries may come in any order, each variable at most once a row;
+        zero coefficients are dropped and each row's entries are stored in
+        ascending id order.  Nothing is appended when a row has no entry
+        left, or non-finite data.
+        """
+        rows = np.asarray(rows, dtype=np.intp)
+        cols = np.asarray(cols, dtype=np.int64)
+        vals = np.asarray(vals, dtype=np.float64)
+        rhs = np.asarray(rhs, dtype=np.float64)
+        on = vals != 0.0
+        order = np.lexsort((cols[on], rows[on]))
+        rows, cols, vals = rows[on][order], cols[on][order], vals[on][order]
+        count = np.bincount(rows, minlength=rhs.size)
+        if not (count.all() and np.isfinite(vals).all() and np.isfinite(rhs).all()):
+            finite = np.isfinite(rhs) & (np.bincount(rows, weights=~np.isfinite(vals),
+                                                     minlength=rhs.size) == 0)
+            i = int(np.flatnonzero((count == 0) | ~finite)[0])
+            why = "has no variables" if count[i] == 0 else "has non-finite data"
+            raise InvalidArgument(f"constraint {tag[i]!r} {why}")
+        if np.any((rows[1:] == rows[:-1]) & (cols[1:] == cols[:-1])):
+            raise InvalidArgument("a variable appears twice in one row")
+        ends = len(self.col_idx) + np.cumsum(count)
+        self.col_idx.frombytes(cols.tobytes())
+        self.row_val.frombytes(vals.tobytes())
+        self.row_ptr.frombytes(ends.astype(np.int64).tobytes())
+        self.sense.extend(sense)
+        self.rhs.frombytes(rhs.tobytes())
+        self.tag.extend(tag)
+        self._split = None
 
     def add_objective_term(self, idx: int, coef: float) -> None:
         self.objective[idx] = self.objective.get(idx, 0.0) + coef
@@ -221,9 +252,15 @@ class MipModel:
         """Read-only ``(a, sense, rhs)`` with ``a`` dense, rows by variables,
         built on each call."""
         a = np.zeros((len(self.rhs), len(self.variables)), dtype=np.float64)
-        entry_rows = np.repeat(np.arange(len(self.rhs)), np.diff(self.row_ptr))
-        a[entry_rows, np.array(self.col_idx, dtype=np.intp)] = self.row_val
+        rows, var, val = self._entries()
+        a[rows, var] = val
         return _frozen(a, np.array(self.sense, dtype="U1"), np.array(self.rhs))
+
+    def _entries(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``(rows, var, val)``: each stored entry's row, variable and
+        coefficient, row by row."""
+        rows = np.repeat(np.arange(len(self.rhs)), np.diff(self.row_ptr))
+        return rows, np.array(self.col_idx, dtype=np.intp), np.array(self.row_val)
 
     def presolve(self) -> Presolve:
         """Which rows the node LP keeps, decided once over the rows the model
@@ -329,9 +366,7 @@ class MipModel:
         """``(rows, var, val, b)``: each entry's row, variable and coefficient,
         and each row's rhs minus its fixed variables' terms at ``lb``, summed
         in entry order."""
-        rows = np.repeat(np.arange(len(self.rhs)), np.diff(self.row_ptr))
-        var = np.array(self.col_idx, dtype=np.intp)
-        val = np.array(self.row_val)
+        rows, var, val = self._entries()
         on = is_fixed[var]
         fixed_part = np.bincount(rows[on], weights=val[on] * lb[var[on]], minlength=len(self.rhs))
         return rows, var, val, np.array(self.rhs) - fixed_part
@@ -343,8 +378,15 @@ class MipModel:
             c = np.zeros(len(self.variables), dtype=np.float64)
             c[list(self.objective)] = list(self.objective.values())
             self._vars = _frozen(np.array([v.lb for v in self.variables], dtype=np.float64),
-                                 np.array([v.ub for v in self.variables], dtype=np.float64), c)
-        return self._vars
+                                 np.array([v.ub for v in self.variables], dtype=np.float64), c,
+                                 np.array([v.binary for v in self.variables], dtype=bool))
+        return self._vars[:3]
+
+    def binary_mask(self) -> np.ndarray:
+        """Read-only mask of the binary variables, cached as
+        :meth:`var_arrays` is."""
+        self.var_arrays()
+        return self._vars[3]
 
     # -- evaluation --------------------------------------------------------
 
@@ -355,15 +397,23 @@ class MipModel:
         return float(self.objective_const + sum(c * x[j] for j, c in self.objective.items()))
 
     def check_assignment(self, x: np.ndarray, tol: float = 1e-6) -> list[str]:
-        """All violated bounds/constraints, worst first is not guaranteed."""
+        """All violated bounds and constraints: each variable's bound breach
+        and then its fractional binary value, in id order, then each violated
+        row, in row order."""
+        x = np.asarray(x, dtype=np.float64)
+        lb, ub, _ = self.var_arrays()
+        out = (x < lb - tol) | (x > ub + tol)
+        frac = self.binary_mask() & (np.minimum(np.abs(x), np.abs(x - 1.0)) > tol)
         bad: list[str] = []
-        for v in self.variables:
-            if x[v.idx] < v.lb - tol or x[v.idx] > v.ub + tol:
-                bad.append(f"bound of {v.name}: {x[v.idx]!r} not in [{v.lb!r}, {v.ub!r}]")
-            if v.binary and min(abs(x[v.idx]), abs(x[v.idx] - 1.0)) > tol:
-                bad.append(f"binary {v.name} is fractional: {x[v.idx]!r}")
-        a, sense, rhs = self.dense_rows()
-        r = a @ x - rhs
+        for j in np.flatnonzero(out | frac).tolist():
+            v = self.variables[j]
+            if out[j]:
+                bad.append(f"bound of {v.name}: {x[j]!r} not in [{v.lb!r}, {v.ub!r}]")
+            if frac[j]:
+                bad.append(f"binary {v.name} is fractional: {x[j]!r}")
+        rows, var, val = self._entries()
+        r = np.bincount(rows, weights=val * x[var], minlength=len(self.rhs)) - np.array(self.rhs)
+        sense = np.array(self.sense, dtype="U1")
         viol = np.where(sense == "L", r, np.where(sense == "G", -r, np.abs(r)))
         for i in np.flatnonzero(viol > tol).tolist():
             bad.append(f"constraint {i} [{self.tag[i]}] violated by {float(viol[i])!r}")
@@ -497,13 +547,89 @@ def _affine_constants(weight: np.ndarray, bias: np.ndarray, const: np.ndarray) -
     """``weight @ const + bias`` summed input by input over nonzero weights only.
 
     This order of the sums is part of the encoding: it fixes the last bit of
-    every right-hand side, and so the LP text.
+    every right-hand side, and so the LP text.  A zero constant is skipped:
+    its terms are signed zeros, which can change only the sign of a zero
+    ``pc``, and every right-hand side built from ``pc`` ends in "+ 0.0".
     """
     pc = np.array(bias, dtype=np.float64)
-    for i in range(weight.shape[1]):
+    for i in np.flatnonzero(const).tolist():
         col = weight[:, i]
         pc = np.where(col != 0.0, pc + col * const[i], pc)
     return pc
+
+
+def _encode_affine_layer(model: MipModel, spec, l_idx: int, point: int, bnd: IntervalBounds,
+                         trace, prev_vars: np.ndarray | None, prev_const: np.ndarray,
+                         prunable: bool, reference: dict[int, float]) -> list[int]:
+    """Add a dense or conv layer's variables for one point, and its rows as
+    one block; returns the layer's ``h`` ids and records their reference
+    values (and the binaries') in ``reference``.
+
+    Each unit j gets ``h`` (then ``z`` for a ReLU, with the three rows of
+    the module docstring, else one 'affine_out' equality).  The terms
+    ``-w.h_prev`` move to the left; ``w.h_prev + b`` over the constants of
+    the previous layer is the constant ``pc`` (see
+    :func:`_affine_constants`).  "+ 0.0" turns a -0.0 rhs into 0.0, which
+    prints as 0.0.
+    """
+    weight = spec.weight
+    n_units = weight.shape[0]
+    lo = np.asarray(bnd.pre_lo[l_idx], dtype=np.float64)
+    hi = np.asarray(bnd.pre_hi[l_idx], dtype=np.float64)
+    pc = _affine_constants(weight, spec.bias, prev_const)
+    relu = spec.activation == "relu"
+    per = 2 if relu else 1  # variables per unit
+    h = len(model.variables) + per * np.arange(n_units)
+    # -w.h_prev: entry e of unit ju[e] on the previous layer's variable
+    ju, ii = np.nonzero(weight) if prev_vars is not None else (np.zeros(0, np.intp),) * 2
+    prev_ids = np.zeros(0, np.int64) if prev_vars is None else prev_vars[ii]
+    neg_w = -weight[ju, ii]
+    if not relu:
+        model.add_vars([VarRef(i, f"h_{l_idx}_{j}_{point}", "h", lb, ub, False, l_idx, j, point)
+                        for j, (i, lb, ub) in enumerate(zip(h.tolist(), lo.tolist(),
+                                                            hi.tolist()))])
+        model.add_rows(np.concatenate([np.arange(n_units), ju]),
+                       np.concatenate([h, prev_ids]),
+                       np.concatenate([np.ones(n_units), neg_w]),
+                       ["E"] * n_units, pc + 0.0, ["affine_out"] * n_units)
+    else:
+        max_u = np.where(0.0 > hi, 0.0, hi)  # max(hi, 0.0), -0.0 kept as Python keeps it
+        # stable inactive (U <= 0): z = 0; stable active (L >= 0): z = 1
+        z_lb = np.where((hi > 0.0) & (lo >= 0.0), 1.0, 0.0).tolist()
+        z_ub = np.where(hi <= 0.0, 0.0, 1.0).tolist()
+        refs: list[VarRef] = []
+        for j, (i, u, zl, zu) in enumerate(zip(h.tolist(), max_u.tolist(), z_lb, z_ub)):
+            refs += (VarRef(i, f"h_{l_idx}_{j}_{point}", "h", 0.0, u, False, l_idx, j, point),
+                     VarRef(i + 1, f"z_{l_idx}_{j}_{point}", "z", zl, zu, True, l_idx, j, point))
+        model.add_vars(refs)
+        z = h + 1
+        units = np.arange(n_units)
+        upper, cap, lower = 3 * units, 3 * units + 1, 3 * units + 2
+        rows = [upper, upper, 3 * ju, cap, cap, lower, 3 * ju + 2]
+        cols = [h, z, prev_ids, h, z, h, prev_ids]
+        vals = [np.ones(n_units), -lo, neg_w, np.ones(n_units), -hi, np.ones(n_units), neg_w]
+        shift = np.zeros(n_units)
+        if prunable:
+            # -(1 - s) max(U, 0): the s term on the left, the constant in the rhs
+            s_ids = np.array([model.s_vars[(l_idx, j // spec.rows_per_unit)]
+                              for j in range(n_units)], dtype=np.int64)
+            rows += [upper, lower]
+            cols += [s_ids, s_ids]
+            vals += [-max_u, -max_u]
+            shift = max_u
+        # h + (1 - z) L <= psum - (1 - s) max(U, 0);  h <= z U;
+        # h >= psum - (1 - s) max(U, 0)
+        rhs = np.stack([(pc - lo) - shift + 0.0, np.zeros(n_units), pc - shift + 0.0], axis=1)
+        model.add_rows(np.concatenate(rows), np.concatenate(cols), np.concatenate(vals),
+                       ["L", "L", "G"] * n_units, rhs.ravel(),
+                       ["relu_upper_on", "relu_cap", "relu_lower_on"] * n_units)
+        # the binary's reference is the unit's observed state, or its fixed value
+        z_obs = np.where(np.asarray(trace.pre[l_idx]) > 0.0, 1.0, 0.0)
+        z_obs = np.where(np.array(z_lb) == np.array(z_ub), z_lb, z_obs)
+        reference.update(zip(z.tolist(), z_obs.tolist()))
+    ids = h.tolist()
+    reference.update(zip(ids, np.asarray(trace.post[l_idx], dtype=np.float64).tolist()))
+    return ids
 
 
 def encode_network(net: Network, xs: np.ndarray, ys: np.ndarray,
@@ -568,54 +694,8 @@ def encode_network(net: Network, xs: np.ndarray, ys: np.ndarray,
         prev_const = xs[k]
         for l_idx, spec in enumerate(net.layers):
             if spec.kind in ("dense", "conv"):
-                relu = spec.activation == "relu"
-                weight = spec.weight
-                # w.h_prev + b splits into terms over prev_vars and the constant pc
-                pc = _affine_constants(weight, spec.bias, prev_const).tolist()
-                cur: list[int] = []
-                for j in range(weight.shape[0]):
-                    lo = float(bnd.pre_lo[l_idx][j])
-                    hi = float(bnd.pre_hi[l_idx][j])
-                    neg_terms: dict[int, float] = {}  # -w.h_prev, moved to the left
-                    if prev_vars is not None:
-                        nz = np.flatnonzero(weight[j])
-                        neg_terms = dict(zip(prev_vars[nz].tolist(), (-weight[j, nz]).tolist()))
-                    if relu:
-                        max_u = max(hi, 0.0)
-                        h = model.add_var(f"h_{l_idx}_{j}_{k}", "h", 0.0, max_u,
-                                          layer=l_idx, unit=j, point=k)
-                        if hi <= 0.0:
-                            z_lb = z_ub = 0.0
-                        elif lo >= 0.0:
-                            z_lb = z_ub = 1.0
-                        else:
-                            z_lb, z_ub = 0.0, 1.0
-                        z = model.add_var(f"z_{l_idx}_{j}_{k}", "z", z_lb, z_ub, binary=True,
-                                          layer=l_idx, unit=j, point=k)
-                        damp: dict[int, float] = {}
-                        if l_idx in prunable_set:
-                            damp = {model.s_vars[(l_idx, j // spec.rows_per_unit)]: -max_u}
-                        shift = max_u if damp else 0.0
-                        # "+ 0.0" turns -0.0 into 0.0: a zero right-hand side prints as 0.0
-                        # h + (1 - z) L <= psum - (1 - s) max(U, 0)
-                        model.add_constraint({h: 1.0, z: -lo, **neg_terms, **damp}, "L",
-                                             (pc[j] - lo) - shift + 0.0, "relu_upper_on")
-                        # h <= z U
-                        model.add_constraint({h: 1.0, z: -hi}, "L", 0.0, "relu_cap")
-                        # h >= psum - (1 - s) max(U, 0)
-                        model.add_constraint({h: 1.0, **neg_terms, **damp}, "G",
-                                             pc[j] - shift + 0.0, "relu_lower_on")
-                        psum_obs = float(trace.pre[l_idx][j])
-                        z_obs = 1.0 if psum_obs > 0.0 else 0.0
-                        if z_lb == z_ub:
-                            z_obs = z_lb
-                        reference[z] = z_obs
-                    else:
-                        h = model.add_var(f"h_{l_idx}_{j}_{k}", "h", lo, hi,
-                                          layer=l_idx, unit=j, point=k)
-                        model.add_constraint({h: 1.0, **neg_terms}, "E", pc[j] + 0.0, "affine_out")
-                    cur.append(h)
-                    reference[h] = float(trace.post[l_idx][j])
+                cur = _encode_affine_layer(model, spec, l_idx, k, bnd, trace, prev_vars,
+                                           prev_const, l_idx in prunable_set, reference)
             elif spec.kind == "avgpool":
                 window = spec.pool_window
                 n_groups = len(prev_const) // window
@@ -624,18 +704,20 @@ def encode_network(net: Network, xs: np.ndarray, ys: np.ndarray,
                 groups = np.reshape(prev_const[: n_groups * window], (n_groups, window))
                 for i in range(window):
                     neg_mean = neg_mean + (-1.0 / window) * groups[:, i]
-                cur = []
-                for g in range(n_groups):
-                    out = model.add_var(f"h_{l_idx}_{g}_{k}", "h",
-                                        float(bnd.pre_lo[l_idx][g]), float(bnd.pre_hi[l_idx][g]),
-                                        layer=l_idx, unit=g, point=k)
-                    coefs = {out: 1.0}
-                    if prev_vars is not None:
-                        coefs.update(dict.fromkeys(
-                            prev_vars[g * window : (g + 1) * window].tolist(), -1.0 / window))
-                    model.add_constraint(coefs, "E", 0.0 - float(neg_mean[g]), "avgpool_mean")
-                    cur.append(out)
-                    reference[out] = float(trace.post[l_idx][g])
+                cur = [model.add_var(f"h_{l_idx}_{g}_{k}", "h", float(bnd.pre_lo[l_idx][g]),
+                                     float(bnd.pre_hi[l_idx][g]), layer=l_idx, unit=g, point=k)
+                       for g in range(n_groups)]
+                # out_g - mean of its window = the constants' mean
+                rows, cols = np.arange(n_groups), np.array(cur, dtype=np.int64)
+                vals = np.ones(n_groups)
+                if prev_vars is not None:
+                    rows = np.concatenate([rows, np.repeat(rows, window)])
+                    cols = np.concatenate([cols, prev_vars[: n_groups * window]])
+                    vals = np.concatenate([vals, np.full(n_groups * window, -1.0 / window)])
+                model.add_rows(rows, cols, vals, ["E"] * n_groups, 0.0 - neg_mean,
+                               ["avgpool_mean"] * n_groups)
+                reference.update(zip(cur, np.asarray(trace.post[l_idx], dtype=np.float64)
+                                     .tolist()))
             elif spec.kind == "maxpool":
                 if prev_vars is None:
                     raise InvalidArgument(

@@ -29,12 +29,18 @@ gives row ``i`` one logical ``s_i`` in ``a_i x + s_i = rhs_i``, bounded by
 the row's sense: [0, inf) for 'L', (-inf, 0] for 'G', {0} for 'E'.  A
 width-0 column never enters.  A start is a :class:`Tableau` and the ids
 wanted basic in it.  The routine adapts the bounds, appends the rows the
-tableau lacks with their logicals basic, pivots in each wanted column that
-is not basic (largest |entry| among the rows held by an unwanted id), and
-computes the basic values from the original arrays; the reduced-cost row
-carries over, since the objective is fixed.  Products use the kernels of
-:mod:`.linalg`, never BLAS or LAPACK, so results repeat bit for bit for the
-same operand layout on the same numpy build.
+tableau lacks with their logicals basic, brings each wanted column that is
+not basic into the basis, and computes the basic values from the original
+arrays; the reduced-cost row carries over, since the objective is fixed.
+On an all-logical tableau the triangular part of the wanted basis is placed
+first, one elimination level at a time (a crash basis, see :func:`_crash`):
+a level is a set of row singletons, or column singletons, whose pivots form
+a diagonal block, so one update places them all.  The columns no level
+places (the bump), and every column of a carried tableau, are pivoted in
+one at a time (largest |entry| among the rows held by an unwanted id).
+Products use the kernels of :mod:`.linalg`, never BLAS or LAPACK, so
+results repeat bit for bit for the same operand layout on the same numpy
+build.
 
 Every 'optimal' answer is checked on the original arrays: the primal
 residual of rows and bounds, and the reduced costs recomputed from the row
@@ -46,9 +52,11 @@ tries the starts of an LP in order and the first that answers is returned:
 with a basis, the final tableau of the last answer when the caller carries
 one (a branch-and-bound search passes each LP's tableau to the next), then
 a fresh all-logical tableau; with a vertex, the all-logical tableau moved
-to the vertex's basis.  The last start, and the only one of an LP given
-none, is a fresh tableau moved to the final basis of the LP's recession
-LP; it keeps its answer.  Each start is recorded on the :class:`LpResult`.
+to the vertex's basis (a ReLU network's vertex basis is triangular, layer
+by layer, so this takes one level a layer and no pivot).  The last start,
+and the only one of an LP given none, is a fresh tableau moved to the
+final basis of the LP's recession LP; it keeps its answer.  Each start is
+recorded on the :class:`LpResult`.
 An LP with no rows or no columns needs none of this: its first start
 answers it with each column at the bound its cost asks for.
 Ref: Koberstein, "The dual simplex method, techniques for a fast and stable
@@ -79,6 +87,7 @@ _CERT_PRIMAL = 1e-6    # largest row or bound breach of a certified point
 _CERT_DUAL = 1e-7      # largest wrong-signed reduced cost of a certified point
 _DROP_TOL = 1e-12      # an entry a pivot updates to below this is round-off: set to zero
 _BLAND_PIV = 1e-3      # least |pivot| of a Bland entering column, relative to the largest
+_CRASH_PIV = 1e-2      # least |pivot| of a crash level, relative to its row and column
 
 
 class SimplexNumericsError(MipPruneError, RuntimeError):
@@ -147,20 +156,23 @@ class LpResult:
     """Outcome of one LP solve.
 
     ``attempts`` records each start tried, in order, as ``(kind, reason,
-    move_pivots)``.  ``kind`` is 'carried' (the carried tableau), 'fresh' (an
-    all-logical tableau moved to the given basis), 'vertex' (one moved to
-    the basis of the given point) or 'cold' (one moved to the final basis
-    of the recession LP, see :func:`_solve_cold`).  ``reason`` is None for
-    the one start that answered and says why each other gave up (see
-    :func:`_solve_from`).  ``move_pivots`` moved the start's tableau to its
-    basis; they are not in ``pivots``, which counts the simplex iterations
-    of every attempt and of the recession LP, dual and primal: basis
-    changes plus bound flips.  ``bland_switches`` counts both loops' turns
-    to Bland's rule, ``stall_exits`` the primal loop's exits at its stall
-    cap.  An LP with no rows or no columns is answered by its first start
-    with no move and no pivot.  Only a 'cold' answer can be uncertified.
-    Every 'optimal' answer, and every certified 'infeasible' one on the LP's
-    own costs, has its final ``tableau``.
+    move_pivots, levels)``.  ``kind`` is 'carried' (the carried tableau),
+    'fresh' (an all-logical tableau moved to the given basis), 'vertex' (one
+    moved to the basis of the given point) or 'cold' (one moved to the final
+    basis of the recession LP, see :func:`_solve_cold`).  ``reason`` is None
+    for the one start that answered and says why each other gave up (see
+    :func:`_solve_from`).  ``levels`` placed the triangular part of an
+    all-logical start's basis (see :func:`_crash`), and ``move_pivots``
+    moved the start's tableau the rest of the way to its basis: the bump of
+    an all-logical start, every column of a carried one.  They are not in
+    ``pivots``, which counts the simplex iterations of every attempt and of
+    the recession LP, dual and primal: basis changes plus bound flips.
+    ``bland_switches`` counts both loops' turns to Bland's rule,
+    ``stall_exits`` the primal loop's exits at its stall cap.  An LP with no
+    rows or no columns is answered by its first start with no move and no
+    pivot.  Only a 'cold' answer can be uncertified.  Every 'optimal'
+    answer, and every certified 'infeasible' one on the LP's own costs, has
+    its final ``tableau``.
     """
 
     status: str            # 'optimal' | 'infeasible' | 'unbounded'
@@ -173,14 +185,14 @@ class LpResult:
     bland_switches: int = 0
     stall_exits: int = 0
     tableau: Tableau | None = None  # the final tableau, to carry on
-    attempts: list[tuple[str, str | None, int]] = field(default_factory=list)
+    attempts: list[tuple[str, str | None, int, int]] = field(default_factory=list)
 
-    def attempt(self, kind: str, reason: str | None, moved: int = 0) -> bool:
+    def attempt(self, kind: str, reason: str | None, moved: int = 0, levels: int = 0) -> bool:
         """Record one start; returns whether it answered.  The 'cold' start
         is the last one: its give-up raises :class:`SimplexNumericsError`."""
         if kind == "cold" and reason is not None:
             raise SimplexNumericsError(f"the cold start gave up: {reason}")
-        self.attempts.append((kind, reason, moved))
+        self.attempts.append((kind, reason, moved, levels))
         return reason is None
 
     def verdict(self, status: str, certified: bool, tableau: Tableau | None = None) -> None:
@@ -525,33 +537,115 @@ def _carry(tab: Tableau, lp: LinearProgram, lb: np.ndarray, ub: np.ndarray) -> T
     return tab
 
 
+def _place(t: np.ndarray, basis: np.ndarray, p: np.ndarray, q: np.ndarray) -> None:
+    """Make the columns ``q`` basic in the rows ``p`` in one update; the block
+    ``t[p, q]`` must be diagonal.
+
+    The rows ``p`` are normalized, then every other row ``i`` loses
+    ``t[i, q] @ t[p]``.  The product is formed from the nonzero entries
+    only: each nonzero ``t[i, q_l]`` times each nonzero ``t[p_l, j]``, each
+    entry's terms subtracted one by one in ``l`` order, so only the entries
+    that get a term change; one updated below ``_DROP_TOL`` in magnitude is
+    set to zero, as in :func:`_pivot`.  Each column ``q_l`` ends as the unit vector
+    of row ``p_l`` exactly (``x / x`` is 1 and ``x - x * 1`` is 0).
+    """
+    row = t[p] / t[p, q][:, None]
+    t[p] = row
+    col = t[:, q]
+    col[p] = 0.0
+    ci, cl = np.nonzero(col)               # the other rows' entries in the columns q
+    rl, rj = np.nonzero(row)               # the rows p's entries, row by row
+    per_row = np.bincount(rl, minlength=p.size)
+    k = per_row[cl]                        # terms each column entry makes
+    e = np.arange(k.sum()) + np.repeat(np.cumsum(per_row)[cl] - np.cumsum(k), k)
+    i, j = np.repeat(ci, k), rj[e]
+    # the terms of each entry come in l order, and are subtracted in it
+    np.subtract.at(t, (i, j), np.repeat(col[ci, cl], k) * row[rl[e], j])
+    t[i, j] = np.where(np.abs(t[i, j]) < _DROP_TOL, 0.0, t[i, j])
+    basis[p] = q
+
+
+def _crash(t: np.ndarray, basis: np.ndarray, wanted: np.ndarray) -> int:
+    """Place the triangular part of the ``wanted`` basis into tableau ``t``,
+    one elimination level at a time; returns the number of levels.
+
+    The active rows are those held by an unwanted id, the active columns
+    the wanted ones not yet basic.  A level is every active row with one
+    nonzero among the active columns (a row singleton), or, when there is
+    none, every active column with one nonzero among the active rows (a
+    column singleton).  Its pivots pass a threshold test: each is at least
+    ``_CRASH_PIV`` times the largest entry of its row and of its column in
+    the block of active rows and columns, as first read.  Among pivots on
+    the same column (row singletons) or the same row (column singletons)
+    the largest |pivot| wins, lowest index on ties.  The level's pivot
+    block is then diagonal, so one update places it (see :func:`_place`).
+    Neither kind of level changes the active rows' entries in the active
+    columns, so they are read once.  The columns no level places (the bump)
+    are left to the caller.  Ref: Bixby, Oper. Res. 50, 2002 (crash bases).
+    """
+    basic = np.zeros(wanted.size, dtype=bool)
+    basic[basis] = True
+    rows = np.flatnonzero(~wanted[basis])
+    cols = np.flatnonzero(wanted & ~basic)
+    er, ec = np.nonzero(t[np.ix_(rows, cols)])  # the active block's entries
+    mag = np.abs(t[rows[er], cols[ec]])
+    row_top, col_top = np.zeros(rows.size), np.zeros(cols.size)
+    np.maximum.at(row_top, er, mag)
+    np.maximum.at(col_top, ec, mag)
+    stable = mag >= _CRASH_PIV * np.maximum(row_top[er], col_top[ec])
+    row_on = np.ones(rows.size, dtype=bool)
+    col_on = np.ones(cols.size, dtype=bool)
+    levels = 0
+    while True:
+        on = row_on[er] & col_on[ec]
+        r, c, piv, ok = er[on], ec[on], mag[on], stable[on]
+        by_row = ok & (np.bincount(r, minlength=rows.size)[r] == 1)
+        by_col = ok & (np.bincount(c, minlength=cols.size)[c] == 1)
+        if not by_row.any() and not by_col.any():
+            return levels
+        # one pivot per column (row singletons) or per row (column singletons)
+        ok = by_row if by_row.any() else by_col
+        r, c, piv = r[ok], c[ok], piv[ok]
+        key, other = (c, r) if ok is by_row else (r, c)
+        order = np.lexsort((other, -piv, key))
+        head = key[order]
+        first = order[np.concatenate(([True], head[1:] != head[:-1]))]
+        r, c = r[first], c[first]
+        _place(t, basis, rows[r], cols[c])
+        row_on[r] = False
+        col_on[c] = False
+        levels += 1
+
+
 def _solve_from(tab: Tableau, lp: LinearProgram, lb: np.ndarray, ub: np.ndarray,
                 wanted: np.ndarray, out: LpResult, kind: str) -> bool:
     """Move ``tab`` to a basis that holds the ``wanted`` ids, then solve.
 
-    Each wanted column that is not basic is pivoted in, in id order, on the
-    row held by an unwanted id with the largest |entry| (lowest row on ties;
-    none above ``_PIV_TOL`` means singular).  More wanted ids than rows give
-    up at once ('not_vertex'); with fewer, the rows no wanted id takes keep
-    their unwanted basic column.  The objective is fixed, so the reduced-cost
-    row needs no price-out.  Unless ``kind`` is 'vertex' the start is made
-    dual feasible (nonbasic boxed columns move to the bound their reduced
-    cost asks for), the rhs column is computed from the original arrays, and
-    a dual simplex and a primal clean-up follow.  A 'vertex' start keeps each
-    nonbasic column at the bound the tableau measures it from, and phase two
-    runs from it if no basic value breaks its bounds by more than
-    ``_FEAS_TOL``.  ``out`` gets the answer and the simplex iterations, and
-    the attempt with the pivots of the move and, when the start gives up,
-    its reason: 'not_vertex', 'singular', 'dual_infeasible' (a wrong-signed
-    reduced cost on an unbounded column), 'infeasible_start' (a 'vertex'
-    start out of bounds), 'unbounded' (the primal loop found a ray) or
-    'uncertified' (the answer failed its check; ``out`` keeps no part of
-    it).  A 'cold' start answers whatever its loops end on, with
-    ``certified`` false unless checked: an uncertified optimum, 'unbounded'
-    for a ray of the clean-up, and an unproven infeasible verdict taken for
-    round-off, the clean-up running from the clipped basic values; if its
-    point breaks a row or bound, the answer is 'infeasible'.  Returns
-    whether the start answered.
+    Unless ``kind`` is 'carried', ``tab`` is all-logical, and the triangular
+    part of the wanted basis is placed by :func:`_crash`'s elimination
+    levels first.  Each wanted column still not basic (the bump) is pivoted
+    in, in id order, on the row held by an unwanted id with the largest
+    |entry| (lowest row on ties; none above ``_PIV_TOL`` means singular).
+    More wanted ids than rows give up at once ('not_vertex'); with fewer,
+    the rows no wanted id takes keep their unwanted basic column.  The
+    objective is fixed, so the reduced-cost row needs no price-out.  Unless
+    ``kind`` is 'vertex' the start is made dual feasible (nonbasic boxed
+    columns move to the bound their reduced cost asks for), the rhs column
+    is computed from the original arrays, and a dual simplex and a primal
+    clean-up follow.  A 'vertex' start keeps each nonbasic column at the
+    bound the tableau measures it from, and phase two runs from it if no
+    basic value breaks its bounds by more than ``_FEAS_TOL``.  ``out`` gets
+    the answer and the simplex iterations, and the attempt with the pivots
+    and levels of the move and, when the start gives up, its reason:
+    'not_vertex', 'singular', 'dual_infeasible' (a wrong-signed reduced cost
+    on an unbounded column), 'infeasible_start' (a 'vertex' start out of
+    bounds), 'unbounded' (the primal loop found a ray) or 'uncertified' (the
+    answer failed its check; ``out`` keeps no part of it).  A 'cold' start
+    answers whatever its loops end on, with ``certified`` false unless
+    checked: an uncertified optimum, 'unbounded' for a ray of the clean-up,
+    and an unproven infeasible verdict taken for round-off, the clean-up
+    running from the clipped basic values; if its point breaks a row or
+    bound, the answer is 'infeasible'.  Returns whether the start answered.
     """
     m, n = lp.m, lp.n
     k = n + m
@@ -564,6 +658,7 @@ def _solve_from(tab: Tableau, lp: LinearProgram, lb: np.ndarray, ub: np.ndarray,
     if np.count_nonzero(wanted) > m:
         return out.attempt(kind, "not_vertex")
     t[:, -1] = 0.0  # computed after the move
+    levels = 0 if kind == "carried" else _crash(t, basis, wanted)
     basic = np.zeros(k, dtype=bool)
     basic[basis] = True
     moved = 0
@@ -572,7 +667,7 @@ def _solve_from(tab: Tableau, lp: LinearProgram, lb: np.ndarray, ub: np.ndarray,
         col = np.abs(t[rows, j])
         r = int(np.argmax(col))  # largest |entry|, lowest row on ties
         if col[r] <= _PIV_TOL:
-            return out.attempt(kind, "singular", moved)
+            return out.attempt(kind, "singular", moved, levels)
         _pivot(t, basis, int(rows[r]), j)
         moved += 1
 
@@ -583,7 +678,7 @@ def _solve_from(tab: Tableau, lp: LinearProgram, lb: np.ndarray, ub: np.ndarray,
         nonbasic = np.ones(k, dtype=bool)
         nonbasic[basis] = False
         if np.any(nonbasic & np.isinf(width) & (np.where(free, np.abs(d), -d) > _CERT_DUAL)):
-            return out.attempt(kind, "dual_infeasible", moved)
+            return out.attempt(kind, "dual_infeasible", moved, levels)
         flip = np.flatnonzero(nonbasic & np.isfinite(width) & (width > 0.0) & (d < -_RC_TOL))
         t[:, flip] *= -1.0
         dirn[flip] *= -1.0
@@ -598,7 +693,7 @@ def _solve_from(tab: Tableau, lp: LinearProgram, lb: np.ndarray, ub: np.ndarray,
     dual = "optimal"
     if primal:
         if np.any(~free[basis] & (np.maximum(-rhs, rhs - width[basis]) > _FEAS_TOL)):
-            return out.attempt(kind, "infeasible_start", moved)
+            return out.attempt(kind, "infeasible_start", moved, levels)
     else:
         dual, r, p = _dual_loop(t, basis, width, free, dirn, 2 * (m + k), out)
         out.dual_pivots += p
@@ -606,22 +701,22 @@ def _solve_from(tab: Tableau, lp: LinearProgram, lb: np.ndarray, ub: np.ndarray,
         if dual == "infeasible":
             if _certified_infeasible(lp, lb, ub, t[r, n:k] * dirn[n:], rho):
                 out.verdict(dual, True, tab)
-                return out.attempt(kind, None, moved)
+                return out.attempt(kind, None, moved, levels)
             if not last:
-                return out.attempt(kind, "uncertified", moved)
+                return out.attempt(kind, "uncertified", moved, levels)
     np.clip(rhs, np.where(free[basis], -np.inf, 0.0), width[basis], out=rhs)
     status, p = _pivot_loop(t, basis, width, free, dirn, _RC_TOL, 2 * (m + k), out)
     out.pivots += p
     if status == "unbounded":
         if not last:
-            return out.attempt(kind, status, moved)
+            return out.attempt(kind, status, moved, levels)
         out.verdict(status, False)  # the clean-up's ray is not checked
     elif not _finish(out, lp, lb, ub, tab, keep=last):
         if not last:
-            return out.attempt(kind, "uncertified", moved)
+            return out.attempt(kind, "uncertified", moved, levels)
         if dual == "infeasible" and not _certified_optimal(lp, lb, ub, out.x, None):
             out.verdict(dual, False)  # the clean-up's point breaks a row or bound
-    return out.attempt(kind, None, moved)
+    return out.attempt(kind, None, moved, levels)
 
 
 def _wanted(lp: LinearProgram, basis: Basis) -> np.ndarray:

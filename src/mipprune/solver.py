@@ -34,12 +34,17 @@ LP tries its starts in order: that carried tableau moved to the node's
 basis in a few pivots, then a fresh all-logical tableau moved there, each
 finished by the dual simplex.  The root has no basis; it starts at the
 vertex of the warm incumbent, when there is one, and runs phase two of the
-primal simplex from that point's basis.  A root without a warm
-incumbent, and an LP whose every start gives up, take the 'cold' start: a
-fresh tableau moved to the final basis of the LP's recession LP, finished
-by the dual simplex too.  Each LP records its starts in
-``LpResult.attempts``; :class:`LpCounters` sums them and adds the
-presolve's counts, and the log's ``end status`` line shows them all.
+primal simplex from that point's basis.  That basis is triangular (each
+layer's basic activations depend only on earlier layers), so its tableau
+is built from the all-logical one by elimination levels, one per layer and
+one for the epigraph rows, with no general pivot; a basis with a part no
+level places pivots that part in, and counts the pivots.  A root without
+a warm incumbent, and an LP whose every start gives up, take the 'cold'
+start: a fresh tableau moved to the final basis of the LP's recession LP,
+finished by the dual simplex too.  Each LP records its starts in
+``LpResult.attempts``, with the pivots and elimination levels that moved
+its tableau; :class:`LpCounters` sums them and adds the presolve's counts,
+and the log's ``end status`` line shows them all.
 
 Everything is deterministic: node selection breaks ties by insertion order,
 branching picks the most fractional binary (lowest id on ties), and the
@@ -52,7 +57,7 @@ from __future__ import annotations
 import heapq
 import time
 from collections import Counter
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -80,8 +85,12 @@ class LpCounters:
     ``LpResult.attempts``; kept in memory only.
 
     ``answered`` counts the LPs by the kind of start that answered them,
-    ``gave_up`` the starts that gave up by ``kind:reason``, and
-    ``move_pivots`` the pivots spent moving a tableau to its basis, by kind.
+    ``gave_up`` the starts that gave up by ``kind:reason``,
+    ``elim_levels`` the elimination levels that placed the triangular part
+    of each all-logical start's basis, by kind, and ``move_pivots`` the
+    pivots spent moving a tableau the rest of the way to its basis, by
+    kind: for an all-logical start ('fresh', 'vertex', 'cold') these are
+    the bump's pivots.
     ``uncertified_lps`` are answers that did not pass their check on the
     original arrays.  ``dual_pivots`` plus ``primal_pivots`` make
     ``Solution.lp_pivots``; the move pivots are not in it.
@@ -95,6 +104,7 @@ class LpCounters:
     answered: Counter[str] = field(default_factory=Counter)
     gave_up: Counter[str] = field(default_factory=Counter)
     move_pivots: Counter[str] = field(default_factory=Counter)
+    elim_levels: Counter[str] = field(default_factory=Counter)
     uncertified_lps: int = 0
     dual_pivots: int = 0
     primal_pivots: int = 0
@@ -106,13 +116,15 @@ class LpCounters:
     folded_pairs: int = 0
 
     def add(self, res: LpResult) -> None:
-        for kind, reason, moved in res.attempts:
+        for kind, reason, moved, levels in res.attempts:
             if reason is None:
                 self.answered[kind] += 1
             else:
                 self.gave_up[f"{kind}:{reason}"] += 1
             if moved:
                 self.move_pivots[kind] += moved
+            if levels:
+                self.elim_levels[kind] += levels
         self.uncertified_lps += not res.certified
         self.dual_pivots += res.dual_pivots
         self.primal_pivots += res.pivots - res.dual_pivots
@@ -125,6 +137,7 @@ class LpCounters:
 
         return (f"answered {counts(self.answered)} gave_up {counts(self.gave_up)} "
                 f"move_pivots {counts(self.move_pivots)} "
+                f"elim_levels {counts(self.elim_levels)} "
                 f"uncertified_lps {self.uncertified_lps} "
                 f"dual_pivots {self.dual_pivots} primal_pivots {self.primal_pivots} "
                 f"bland_switches {self.bland_switches} stall_exits {self.stall_exits} "
@@ -178,13 +191,14 @@ def solve_lp(model: MipModel, fixings: dict[int, float] | None = None,
     the rows its presolve drops or folds are gone; a fixing makes a column
     of width 0.  So ``basis`` and ``tableau``, like the answer's, index only
     that LP's columns and rows, while the answer's ``x`` has every
-    variable.  A fixing that moves a variable the model fixes solves a copy
-    of the model fixed there, presolved anew; its basis and tableau fit only
-    the LPs of that copy.
+    variable.  A fixing may only fix a variable the model leaves free, or
+    repeat a fixed one's value: one that moves a variable the model fixes
+    raises :class:`InvalidArgument`, since that variable's terms are
+    already in the presolved rows.
     """
     if fixings and any(model.variables[j].lb == model.variables[j].ub != val
                        for j, val in fixings.items()):
-        model = _refixed(model, fixings)
+        raise InvalidArgument("a fixing moves a variable the model fixes")
     cols, fixed, _, a, sense, rhs = model.split_fixed()
     lb, ub, c = model.var_arrays()
     if fixings:
@@ -200,15 +214,6 @@ def solve_lp(model: MipModel, fixings: dict[int, float] | None = None,
         x[cols] = res.x
         res.x = x
     return res
-
-
-def _refixed(model: MipModel, fixings: dict[int, float]) -> MipModel:
-    """A shallow copy of ``model`` whose variables that ``model`` fixes and
-    ``fixings`` moves are fixed at their new values, so that its own
-    presolve substitutes them."""
-    return replace(model, variables=[
-        replace(v, lb=fixings[v.idx], ub=fixings[v.idx]) if v.lb == v.ub and v.idx in fixings
-        else v for v in model.variables])
 
 
 def warm_start(model: MipModel, assignment: np.ndarray) -> float:
@@ -264,8 +269,8 @@ def solve_mip(model: MipModel, config: SolveConfig | None = None,
     counters = LpCounters(lp_rows=pre.rows.size, empty_rows=pre.empty, implied_rows=pre.implied,
                           folded_pairs=pre.folded)
     # the binaries the model itself leaves free; a branching fixes them at 0 or 1
-    binaries = np.array([v.idx for v in model.variables if v.binary and v.lb < v.ub],
-                        dtype=np.intp)
+    lb, ub, _ = model.var_arrays()
+    binaries = np.flatnonzero(model.binary_mask() & (lb < ub))
     carried: Tableau | None = None   # the last LP's final tableau
     cut_rounds = 0
     cut_incumbents = 0

@@ -292,6 +292,40 @@ class TestAddConstraint:
                 model.add_constraint(coefs, "L", rhs, "t")
         assert len(model.constraints) == 0
 
+    def test_block_equals_its_rows_added_one_by_one(self):
+        """``add_rows`` stores a block, its entries given in any order, as
+        ``add_constraint`` stores the same rows one at a time."""
+        rng = np.random.default_rng(3)
+        one, block = MipModel(), MipModel()
+        for model in (one, block):
+            for j in range(6):
+                model.add_var(f"h_0_{j}_0", "h", -1.0, 1.0)
+        rows, cols, vals = [], [], []
+        for i in range(4):
+            coefs = {int(j): float(rng.normal()) for j in rng.choice(6, size=3, replace=False)}
+            coefs[int(rng.integers(6))] = 0.0  # a zero coefficient is dropped
+            one.add_constraint(coefs, "LGEL"[i], float(i), f"r{i}")
+            rows += [i] * len(coefs)
+            cols += list(coefs)
+            vals += list(coefs.values())
+        block.add_rows(rows[::-1], cols[::-1], vals[::-1], list("LGEL"), np.arange(4.0),
+                       [f"r{i}" for i in range(4)])
+        for name in ("row_ptr", "col_idx", "row_val", "rhs", "sense", "tag"):
+            assert getattr(block, name) == getattr(one, name), name
+
+    def test_bad_block_names_its_first_bad_row_and_appends_nothing(self):
+        model = MipModel()
+        for j in range(2):
+            model.add_var(f"h_0_{j}_0", "h", 0.0, 1.0)
+        with pytest.raises(InvalidArgument, match="'b' has no variables"):
+            model.add_rows([0, 1, 2], [0, 1, 1], [1.0, 0.0, np.nan], list("LLL"), np.zeros(3),
+                           ["a", "b", "c"])
+        with pytest.raises(InvalidArgument, match="'a' has non-finite data"):
+            model.add_rows([0], [0], [1.0], ["L"], [np.inf], ["a"])
+        with pytest.raises(InvalidArgument, match="twice"):
+            model.add_rows([0, 0], [1, 1], [1.0, 2.0], ["L"], [0.0], ["a"])
+        assert len(model.constraints) == 0 and len(model.col_idx) == 0
+
     def test_rows_read_back_sorted_and_dense(self):
         model = MipModel()
         a, b, c = (model.add_var(f"h_0_{j}_0", "h", 0.0, 1.0) for j in range(3))

@@ -305,9 +305,9 @@ class TestGoldenReports:
     """
 
     DIGESTS = {
-        "dense-seed0": "cf15c8352bcbe659fc6babcbaf9446b61249b51ee4972de2f17d69cabc2ce6ce",
-        "conv-class4": "8b5082291fced427207c8eaa95956c59284effbdc496d82f51dc5856b1e2253d",
-        "conv-class6": "48c009724f3c5ab6ea61cc04ac0f4521ef5c761664b9938206f2a497f72800bd",
+        "dense-seed0": "be822d48a577097d6be234b9bb34f7168e8209d450cac5637beda5d688d57939",
+        "conv-class4": "d4f8610dda44a7119fdd7a62078e684a0dfc73efdf55026ca6dbe85634ce8bcd",
+        "conv-class6": "f33f634f25a9da3bb90b9582ff6159f80c5a358ebc52373d7f85461038e53262",
     }
 
     @staticmethod
@@ -348,9 +348,10 @@ class TestGoldenReports:
         2,360 refactor pivots on conv class 4.  Every LP after the root now
         starts from the last answer's tableau; only a carried tableau that
         gives up would still rebuild, and none does here.  The root starts at
-        the warm incumbent's vertex: its move from the all-logical tableau
-        makes the only move pivots outside the carried tableau, and no LP is
-        solved cold."""
+        the warm incumbent's vertex, and no LP is solved cold.  That vertex's
+        basis is triangular: its tableau is built from the all-logical one in
+        five elimination levels (conv, pool, dense, logits, epigraph) with no
+        bump pivot, where moving it one pivot per column took 92."""
         sols, lps = [], []
         real, real_lp = mipprune.pruning.solve_mip, mipprune.solver.solve_lp
 
@@ -365,14 +366,14 @@ class TestGoldenReports:
         monkeypatch.setattr(mipprune.pruning, "solve_mip", recording)
         monkeypatch.setattr(mipprune.solver, "solve_lp", recording_lp)
         net, xs, ys = self.conv_instance()
-        score(net, xs[4:5], ys[4:5], lam=5.0, epsilon=0.05, allow_imbalanced=True)
+        rep = score(net, xs[4:5], ys[4:5], lam=5.0, epsilon=0.05, allow_imbalanced=True)
         counts = sols[0].lp_counters
         assert len(lps) > 1 and counts.answered == {"vertex": 1, "carried": len(lps) - 1}
-        (kind, why, moved), = lps[0].attempts
-        assert (kind, why) == ("vertex", None)
+        assert lps[0].attempts == [("vertex", None, 0, 5)]
         assert counts.gave_up == {} and counts.uncertified_lps == 0
-        assert set(counts.move_pivots) == {"carried", "vertex"}
-        assert counts.move_pivots["vertex"] == moved > 0
+        assert set(counts.move_pivots) == {"carried"} and counts.elim_levels == {"vertex": 5}
+        assert " elim_levels vertex:5 " in sols[0].log_lines[-1]
+        assert "elim_levels" not in rep.to_text()
 
     def test_carried_tableaux_hold_no_round_off(self, monkeypatch):
         """Each pivot sets the entries it leaves below ``_DROP_TOL`` to zero,

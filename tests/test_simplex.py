@@ -93,7 +93,7 @@ def random_mixed_lp(rng):
 def starts(r):
     """``r.attempts`` as 'kind' for the start that answered and 'kind:reason'
     for each one that gave up, in the order tried."""
-    return [kind if why is None else f"{kind}:{why}" for kind, why, _ in r.attempts]
+    return [kind if why is None else f"{kind}:{why}" for kind, why, *_ in r.attempts]
 
 
 def highs(lp):
@@ -551,7 +551,7 @@ class TestWarmStart:
             assert w.pivots == 0
             assert w.objective == pytest.approx(r.objective, rel=1e-9, abs=1e-9)
             c = solve_lp_arrays(lp, r.basis, r.tableau)
-            assert c.attempts == [("carried", None, 0)] and c.certified and c.pivots == 0
+            assert c.attempts == [("carried", None, 0, 0)] and c.certified and c.pivots == 0
             assert c.objective == pytest.approx(r.objective, rel=1e-9, abs=1e-9)
 
     @pytest.mark.parametrize("change", ["fix", "rows", "both"])
@@ -649,12 +649,12 @@ class TestWarmStart:
         res = solve_lp_arrays(lp2, w.basis, w.tableau)
         assert verdicts == [False, True]
         assert starts(res) == ["carried:uncertified", "fresh"] and res.certified
-        assert res.attempts[1][2] > 0  # the fresh tableau is moved to the basis
+        assert res.attempts[1][3] > 0  # the fresh tableau is moved to the basis
         assert self.check_carried(lp2, res) == "optimal"
         counts = LpCounters()
         counts.add(res)
         assert counts.answered == {"fresh": 1} and counts.gave_up == {"carried:uncertified": 1}
-        assert counts.move_pivots == {kind: p for kind, _, p in res.attempts if p}
+        assert counts.move_pivots == {kind: p for kind, _, p, _ in res.attempts if p}
 
 
 class TestWarmFallbacks:
@@ -790,8 +790,25 @@ class TestCrashStart:
         r = solve_lp_arrays(self.LP, point=np.array(point))
         assert starts(r) == ["vertex"] and r.certified and r.dual_pivots == 0
         assert r.objective == pytest.approx(-1.5, abs=1e-12)
-        assert r.attempts[0][2] == (point == [0.5, 1.0])  # x0 moves into the row
+        # x0 moves into the row in one elimination level, with no bump pivot
+        assert r.attempts[0][2:] == (0, 1 if point == [0.5, 1.0] else 0)
         assert r.tableau is not None
+
+    def test_non_triangular_vertex_basis_pivots_its_bump(self, monkeypatch):
+        """At (1, 1, 1) the three rows are tight and every column is inside
+        its box.  x2 is a column singleton, placed in one level; x0 and x1
+        then form a 2 x 2 block with no singleton, pivoted in as a bump."""
+        monkeypatch.setattr(simplex, "_solve_cold", None)  # a cold solve would raise
+        lp = make_lp([-1.0, -2.0, 0.5], [[1.0, 1.0, 0.0], [1.0, -1.0, 0.0], [-1.0, 0.0, 1.0]],
+                     ["L", "L", "L"], [2.0, 0.0, 0.0], [0.0] * 3, [3.0] * 3)
+        r = solve_lp_arrays(lp, point=np.array([1.0, 1.0, 1.0]))
+        assert starts(r) == ["vertex"] and r.certified and r.dual_pivots == 0
+        assert r.attempts[0][2:] == (2, 1)
+        assert r.objective == pytest.approx(highs(lp)[1], abs=1e-9)
+        counts = LpCounters()
+        counts.add(r)
+        assert counts.move_pivots == {"vertex": 2} and counts.elim_levels == {"vertex": 1}
+        assert "move_pivots vertex:2 elim_levels vertex:1 " in counts.to_text()
 
     @pytest.mark.parametrize("point, reason", [
         ([0.5, 0.5], "not_vertex"),        # two columns inside their box, the row slack
@@ -875,7 +892,7 @@ class TestCrashStart:
                 if is_vertex(lp, x) and _feasible(lp, x, tol=1e-7):
                     continue
                 r = solve_lp_arrays(lp, point=x)
-                (kind, why, _), answer = r.attempts
+                (kind, why, *_), answer = r.attempts
                 assert kind == "vertex" and why in ("not_vertex", "singular", "infeasible_start")
                 assert answer[:2] == ("cold", None) and r.certified
                 assert r.objective == pytest.approx(fun, abs=1e-7)

@@ -69,12 +69,17 @@ class TestModelFixedColumns:
     def test_left_out_of_the_lp_and_mapped_back(self, fixings):
         """Variables 1 and 3 are fixed by their own bounds, so they are no LP
         columns: the answer's basis covers the other two only, while its x
-        and objective are those of the full LP, also when a fixing moves a
-        variable the model fixes."""
+        and objective are those of the full LP.  A fixing that moves a
+        variable the model fixes is rejected: its terms are already in the
+        presolved rows."""
         c, lb, ub = [-1.0, -2.0, 0.1, 0.5], [0.0, 0.5, 0.0, 1.0], [1.0, 0.5, 2.0, 1.0]
         a, sense, rhs = [[1.0, 0.0, -1.0, 1.0], [1.0, 1.0, 1.0, 0.0]], ["L", "G"], [1.3, 1.0]
-        res = solve_lp(build_model(c, a, sense, rhs, lb, ub, [True, False, False, False]),
-                       fixings)
+        model = build_model(c, a, sense, rhs, lb, ub, [True, False, False, False])
+        if 3 in fixings:
+            with pytest.raises(InvalidArgument, match="moves a variable the model fixes"):
+                solve_lp(model, fixings)
+            return
+        res = solve_lp(model, fixings)
         lb, ub = np.array(lb), np.array(ub)
         for j, val in fixings.items():
             lb[j] = ub[j] = val
@@ -133,6 +138,23 @@ class TestWarmStart:
         with pytest.raises(InvalidArgument) as err:
             warm_start(model, np.array([0.0, 0.0]))
         assert "row0" in str(err.value)
+
+    def test_messages_in_variable_then_row_order(self):
+        """Each variable's bound breach, then its fractional value, in id
+        order, then each violated row; a rejected warm start names the
+        first."""
+        model = self.make()
+        x = np.array([0.25, -0.5])
+        assert model.check_assignment(x) == [
+            "binary z_0_0_0 is fractional: np.float64(0.25)",
+            "bound of z_0_1_0: np.float64(-0.5) not in [0.0, 1.0]",
+            "binary z_0_1_0 is fractional: np.float64(-0.5)",
+            "constraint 0 [row0] violated by 1.25",
+        ]
+        with pytest.raises(InvalidArgument) as err:
+            warm_start(model, x)
+        assert str(err.value) == ("warm start rejected: "
+                                  "binary z_0_0_0 is fractional: np.float64(0.25)")
 
     def test_final_never_worse_than_warm(self):
         model = self.make()
@@ -287,7 +309,7 @@ class TestWarmStartedNodes:
         def recording(model, fixings=None, basis=None, tableau=None, point=None):
             res = real(model, fixings, basis, tableau, point)
             starts.append((basis is not None, point is not None,
-                           [kind for kind, why, _ in res.attempts if why is None]))
+                           [kind for kind, why, *_ in res.attempts if why is None]))
             return res
 
         monkeypatch.setattr(mipprune.solver, "solve_lp", recording)
@@ -347,7 +369,7 @@ class TestWarmStartedNodes:
         # and one for each carried LP that gave up
         assert carrying.count(True) == carried
         assert carrying.count(False) == carried + 2 and not carrying[0]
-        assert counts.move_pivots["fresh"] > 0
+        assert counts.elim_levels["fresh"] > 0
         assert set(want.lp_counters.move_pivots) <= {"carried"}
         assert sol.objective == want.objective
         assert sol.values.tobytes() == want.values.tobytes()
