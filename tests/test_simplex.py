@@ -794,21 +794,33 @@ class TestCrashStart:
         assert r.attempts[0][2:] == (0, 1 if point == [0.5, 1.0] else 0)
         assert r.tableau is not None
 
-    def test_non_triangular_vertex_basis_pivots_its_bump(self, monkeypatch):
-        """At (1, 1, 1) the three rows are tight and every column is inside
-        its box.  x2 is a column singleton, placed in one level; x0 and x1
-        then form a 2 x 2 block with no singleton, pivoted in as a bump."""
+    BUMPS = {
+        # at (1, 1, 1) the three rows are tight and every column is inside its
+        # box: x2 is a column singleton, placed in one level; x0 and x1 then
+        # form a 2 x 2 block with no singleton, pivoted in as a bump
+        "block": (make_lp([-1.0, -2.0, 0.5], [[1.0, 1.0, 0.0], [1.0, -1.0, 0.0], [-1.0, 0.0, 1.0]],
+                          ["L", "L", "L"], [2.0, 0.0, 0.0], [0.0] * 3, [3.0] * 3),
+                  [1.0, 1.0, 1.0], (2, 1)),
+        # at (1, 1, 0) both rows are tight: x1 is a column singleton, placed
+        # in one level; x0's entry in the first row is 0.002 of the largest
+        # in its column, below the crash threshold, so it is a bump pivot
+        "tiny": (make_lp([-2.0, -1.0, 0.5], [[1e-3, 0.0, 1.0], [1.0, 1.0, 0.0]], ["L", "L"],
+                         [1e-3, 2.0], [0.0] * 3, [3.0] * 3),
+                 [1.0, 1.0, 0.0], (1, 1)),
+    }
+
+    @pytest.mark.parametrize("name", sorted(BUMPS))
+    def test_bump_is_pivoted_in_after_the_levels(self, name, monkeypatch):
         monkeypatch.setattr(simplex, "_solve_cold", None)  # a cold solve would raise
-        lp = make_lp([-1.0, -2.0, 0.5], [[1.0, 1.0, 0.0], [1.0, -1.0, 0.0], [-1.0, 0.0, 1.0]],
-                     ["L", "L", "L"], [2.0, 0.0, 0.0], [0.0] * 3, [3.0] * 3)
-        r = solve_lp_arrays(lp, point=np.array([1.0, 1.0, 1.0]))
+        lp, point, (moved, levels) = self.BUMPS[name]
+        r = solve_lp_arrays(lp, point=np.array(point))
         assert starts(r) == ["vertex"] and r.certified and r.dual_pivots == 0
-        assert r.attempts[0][2:] == (2, 1)
+        assert r.attempts[0][2:] == (moved, levels)
         assert r.objective == pytest.approx(highs(lp)[1], abs=1e-9)
         counts = LpCounters()
         counts.add(r)
-        assert counts.move_pivots == {"vertex": 2} and counts.elim_levels == {"vertex": 1}
-        assert "move_pivots vertex:2 elim_levels vertex:1 " in counts.to_text()
+        assert counts.move_pivots == {"vertex": moved} and counts.elim_levels == {"vertex": levels}
+        assert f"move_pivots vertex:{moved} elim_levels vertex:{levels} " in counts.to_text()
 
     @pytest.mark.parametrize("point, reason", [
         ([0.5, 0.5], "not_vertex"),        # two columns inside their box, the row slack
