@@ -125,7 +125,7 @@ class TestSolutionRoundTrip:
 
 
 class TestGoldenText:
-    """The LP text of three fixed encodings and of two benchmark models, and
+    """The LP text of four fixed encodings and of two benchmark models, and
     the model files of two short training runs, pinned by sha256.
 
     Any change to variable order, row order, a coefficient or a right-hand
@@ -158,6 +158,20 @@ class TestGoldenText:
         p = tmp_path / "m.lp"
         write_lp(model, p)
         assert hashlib.sha256(p.read_bytes()).hexdigest() == self.DIGESTS[name]
+
+    POOL_OVER_INPUT = "545c075028c8c2b904544919fe698b591a29f3616c2dfc106f34fa093d626526"
+
+    def test_pool_over_input_digest(self, tmp_path):
+        """An average pool over the input, whose rows read constants only
+        (``prev_vars`` None): a whole window of zeros in point 0, one zero
+        entry in point 1."""
+        net = init_network(8, [avgpool(2), dense(3), dense(3, activation="none")], seed=5)
+        xs = np.random.default_rng(5).normal(size=(2, 8))
+        xs[0, 2:4] = xs[1, 5] = 0.0
+        model = encode_network(net, xs, np.array([0, 2]), propagate_batch(net, xs, 0.1))
+        p = tmp_path / "m.lp"
+        write_lp(model, p)
+        assert hashlib.sha256(p.read_bytes()).hexdigest() == self.POOL_OVER_INPUT
 
     BENCH_DIGESTS = {
         "dense-1pt-seed0": "a5225580a6f9e2bf1ed43dbbf8cd6d2faa1bef4ad04ffd5176fce8ac1e569293",
