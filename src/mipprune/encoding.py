@@ -43,8 +43,9 @@ Constraints are stored once, as a compressed row store on ``MipModel``:
 one ``sense``, ``rhs`` and ``tag`` per row.  Rows are only appended: the
 encoder writes the network's rows one layer block at a time (a dense, conv
 or average-pool layer's rows for one point are built as arrays and
-appended in one step by ``MipModel.add_rows``), then each tangent cut of a
-solve is one more row.  The solver, the LP writer and the feasibility
+appended in one step by ``MipModel.add_rows``; a pool is written as the
+affine layer of its window means), then each tangent cut of a solve is one
+more row.  The solver, the LP writer and the feasibility
 check all read these arrays.  The solver reads them through ``MipModel.split_fixed``: the
 node LP over the variables the model leaves free, with the rows its
 presolve drops as unable to bind, and each stable active unit's two ReLU
@@ -558,26 +559,28 @@ def _affine_constants(weight: np.ndarray, bias: np.ndarray, const: np.ndarray) -
     return pc
 
 
-def _encode_affine_layer(model: MipModel, spec, l_idx: int, point: int, bnd: IntervalBounds,
+def _encode_affine_layer(model: MipModel, weight: np.ndarray, bias: np.ndarray, relu: bool,
+                         s_ids: np.ndarray | None, l_idx: int, point: int, bnd: IntervalBounds,
                          trace, prev_vars: np.ndarray | None, prev_const: np.ndarray,
-                         prunable: bool, reference: dict[int, float]) -> list[int]:
-    """Add a dense or conv layer's variables for one point, and its rows as
-    one block; returns the layer's ``h`` ids and records their reference
-    values (and the binaries') in ``reference``.
+                         reference: dict[int, float]) -> list[int]:
+    """Add an affine layer's variables for one point, and its rows as one
+    block; returns the layer's ``h`` ids and records their reference values
+    (and the binaries') in ``reference``.  Dense, conv and average-pool
+    layers all come here: a pool is the weight 1/window on each window,
+    with zero bias and no activation.
 
     Each unit j gets ``h`` (then ``z`` for a ReLU, with the three rows of
-    the module docstring, else one 'affine_out' equality).  The terms
-    ``-w.h_prev`` move to the left; ``w.h_prev + b`` over the constants of
-    the previous layer is the constant ``pc`` (see
+    the module docstring, else one 'affine_out' equality).  ``s_ids`` holds
+    the importance variable of each unit of a prunable layer, None
+    otherwise.  The terms ``-w.h_prev`` move to the left; ``w.h_prev + b``
+    over the constants of the previous layer is the constant ``pc`` (see
     :func:`_affine_constants`).  "+ 0.0" turns a -0.0 rhs into 0.0, which
     prints as 0.0.
     """
-    weight = spec.weight
     n_units = weight.shape[0]
     lo = np.asarray(bnd.pre_lo[l_idx], dtype=np.float64)
     hi = np.asarray(bnd.pre_hi[l_idx], dtype=np.float64)
-    pc = _affine_constants(weight, spec.bias, prev_const)
-    relu = spec.activation == "relu"
+    pc = _affine_constants(weight, bias, prev_const)
     per = 2 if relu else 1  # variables per unit
     h = len(model.variables) + per * np.arange(n_units)
     # -w.h_prev: entry e of unit ju[e] on the previous layer's variable
@@ -609,10 +612,8 @@ def _encode_affine_layer(model: MipModel, spec, l_idx: int, point: int, bnd: Int
         cols = [h, z, prev_ids, h, z, h, prev_ids]
         vals = [np.ones(n_units), -lo, neg_w, np.ones(n_units), -hi, np.ones(n_units), neg_w]
         shift = np.zeros(n_units)
-        if prunable:
+        if s_ids is not None:
             # -(1 - s) max(U, 0): the s term on the left, the constant in the rhs
-            s_ids = np.array([model.s_vars[(l_idx, j // spec.rows_per_unit)]
-                              for j in range(n_units)], dtype=np.int64)
             rows += [upper, lower]
             cols += [s_ids, s_ids]
             vals += [-max_u, -max_u]
@@ -682,7 +683,10 @@ def encode_network(net: Network, xs: np.ndarray, ys: np.ndarray,
         coefs = {t_min: 1.0, **{model.s_vars[(layer, u)]: -1.0 for u in range(n_units)}}
         model.add_constraint(coefs, "L", offset * n_units, "min_layer_epigraph")
 
-    prunable_set = dict(model.prunable)
+    # the importance variable of each weight row of a prunable layer
+    s_rows = {layer: np.repeat([model.s_vars[(layer, u)] for u in range(n_units)],
+                               net.layers[layer].rows_per_unit)
+              for layer, n_units in model.prunable}
     reference: dict[int, float] = {}
 
     for k in range(xs.shape[0]):
@@ -693,31 +697,18 @@ def encode_network(net: Network, xs: np.ndarray, ys: np.ndarray,
         prev_vars: np.ndarray | None = None
         prev_const = xs[k]
         for l_idx, spec in enumerate(net.layers):
-            if spec.kind in ("dense", "conv"):
-                cur = _encode_affine_layer(model, spec, l_idx, k, bnd, trace, prev_vars,
-                                           prev_const, l_idx in prunable_set, reference)
-            elif spec.kind == "avgpool":
+            if spec.kind == "avgpool":
+                # a window mean is affine: weight 1/window on each window
                 window = spec.pool_window
                 n_groups = len(prev_const) // window
-                # minus the mean of the constants, summed in window order
-                neg_mean = np.zeros(n_groups)
-                groups = np.reshape(prev_const[: n_groups * window], (n_groups, window))
-                for i in range(window):
-                    neg_mean = neg_mean + (-1.0 / window) * groups[:, i]
-                cur = [model.add_var(f"h_{l_idx}_{g}_{k}", "h", float(bnd.pre_lo[l_idx][g]),
-                                     float(bnd.pre_hi[l_idx][g]), layer=l_idx, unit=g, point=k)
-                       for g in range(n_groups)]
-                # out_g - mean of its window = the constants' mean
-                rows, cols = np.arange(n_groups), np.array(cur, dtype=np.int64)
-                vals = np.ones(n_groups)
-                if prev_vars is not None:
-                    rows = np.concatenate([rows, np.repeat(rows, window)])
-                    cols = np.concatenate([cols, prev_vars[: n_groups * window]])
-                    vals = np.concatenate([vals, np.full(n_groups * window, -1.0 / window)])
-                model.add_rows(rows, cols, vals, ["E"] * n_groups, 0.0 - neg_mean,
-                               ["avgpool_mean"] * n_groups)
-                reference.update(zip(cur, np.asarray(trace.post[l_idx], dtype=np.float64)
-                                     .tolist()))
+                cur = _encode_affine_layer(
+                    model, np.kron(np.eye(n_groups), np.full(window, 1.0 / window)),
+                    np.zeros(n_groups), False, None, l_idx, k, bnd, trace, prev_vars,
+                    prev_const, reference)
+            elif spec.kind in ("dense", "conv"):
+                cur = _encode_affine_layer(model, spec.weight, spec.bias,
+                                           spec.activation == "relu", s_rows.get(l_idx), l_idx,
+                                           k, bnd, trace, prev_vars, prev_const, reference)
             elif spec.kind == "maxpool":
                 if prev_vars is None:
                     raise InvalidArgument(

@@ -15,14 +15,13 @@ crossed with the nonzero columns of the pivot row, and keeps it sparse by
 zeroing each entry it leaves below ``_DROP_TOL`` (round-off).
 
 Primal pricing is Dantzig's rule (most negative reduced cost, lowest index
-on ties; a free nonbasic column prices by its magnitude).  After a streak of
-2*(m+n) degenerate pivots the pricing switches to Bland's rule, which
-guarantees termination; it switches back once the objective strictly
-improves.  The dual simplex (largest bound violation leaves; Harris
-two-pass ratio test) keeps to Bland's rule after as long a streak, passing
-over tiny pivots.  Each
-switch, and each exit at the primal stall cap, is counted on the
-:class:`LpResult`.
+on ties; a free nonbasic column prices by its magnitude), and the dual
+simplex lets the largest bound violation leave (Harris two-pass ratio
+test).  A step is degenerate in both unless it moves the objective past its
+best value by more than 1e-12 relative.  After a streak of 2*(m+n)
+degenerate steps either loop keeps to Bland's rule, which guarantees
+termination (the dual one passes over tiny pivots); each switch is counted
+on the :class:`LpResult`.
 
 The tableau keeps every structural column (a fixed one has width 0) and
 gives row ``i`` one logical ``s_i`` in ``a_i x + s_i = rhs_i``, bounded by
@@ -167,9 +166,8 @@ class LpResult:
     an all-logical start, every column of a carried one.  They are not in
     ``pivots``, which counts the simplex iterations of every attempt and of
     the recession LP, dual and primal: basis changes plus bound flips.
-    ``bland_switches`` counts both loops' turns to Bland's rule,
-    ``stall_exits`` the primal loop's exits at its stall cap.  An LP with no
-    rows or no columns is answered by its first start with no move and no
+    ``bland_switches`` counts both loops' turns to Bland's rule.  An LP with
+    no rows or no columns is answered by its first start with no move and no
     pivot.  Only a 'cold' answer can be uncertified.  Every 'optimal'
     answer, and every certified 'infeasible' one on the LP's own costs, has
     its final ``tableau``.
@@ -183,7 +181,6 @@ class LpResult:
     certified: bool = False         # the answer passed its check on the original arrays
     dual_pivots: int = 0
     bland_switches: int = 0
-    stall_exits: int = 0
     tableau: Tableau | None = None  # the final tableau, to carry on
     attempts: list[tuple[str, str | None, int, int]] = field(default_factory=list)
 
@@ -231,20 +228,21 @@ def _pivot(t: np.ndarray, basis: np.ndarray, r: int, j: int) -> None:
 
 
 def _pivot_loop(t: np.ndarray, basis: np.ndarray, width: np.ndarray, free: np.ndarray,
-                dirn: np.ndarray, tol: float, bland_after: int, out: LpResult) -> tuple[str, int]:
-    """Run simplex iterations on tableau ``t`` in place.
+                dirn: np.ndarray, bland_after: int, out: LpResult) -> tuple[str, int]:
+    """Run primal simplex iterations on tableau ``t`` in place.
 
     ``t`` is (m+1, k+1): m constraint rows, reduced-cost row last, rhs column
     last.  ``width``, ``free`` and ``dirn`` describe the k columns; ``dirn``
-    is updated by each complement.  A column of width 0 never enters.  Each
-    switch to Bland's rule and each exit at the stall cap is counted in
-    ``out``.  Returns (status, iteration count).
+    is updated by each complement.  A column of width 0 never enters.  A
+    step is degenerate unless it lowers the objective past its best value so
+    far by more than 1e-12 relative, as in :func:`_dual_loop`; after
+    ``bland_after`` in a row the loop keeps to Bland's rule, counted in
+    ``out``: the lowest column priced below ``-_RC_TOL`` enters.  Returns
+    (status, iteration count).
     """
     m = t.shape[0] - 1
     pivots = 0
     degen_streak = 0
-    stall = 0
-    stall_cap = 4 * bland_after + 1000
     best_neg_obj = t[-1, -1]
     bland = False
     rc_view = t[-1, :-1]
@@ -253,14 +251,14 @@ def _pivot_loop(t: np.ndarray, basis: np.ndarray, width: np.ndarray, free: np.nd
     while True:
         price = np.where(free, -np.abs(rc_view), rc_view)
         if bland:
-            cands = np.flatnonzero((price < -tol) & allowed)
+            cands = np.flatnonzero((price < -_RC_TOL) & allowed)
             if cands.size == 0:
                 return "optimal", pivots
             j = int(cands[0])
         else:
             masked = np.where(allowed, price, 0.0)
             j = int(np.argmin(masked))
-            if masked[j] >= -tol:
+            if masked[j] >= -_RC_TOL:
                 return "optimal", pivots
         if rc_view[j] > 0.0:
             _complement(t, dirn, j, 0.0)  # a free column enters downward
@@ -272,8 +270,7 @@ def _pivot_loop(t: np.ndarray, basis: np.ndarray, width: np.ndarray, free: np.nd
         ratios[down] = rhs_col[down] / col[down]
         ratios[up] = (rhs_col[up] - wb[up]) / col[up]
         rmin = float(ratios.min(initial=np.inf))
-        step = min(rmin, float(width[j]))
-        if step == np.inf:
+        if min(rmin, float(width[j])) == np.inf:
             # a ray whose reduced cost is only noise-deep is a stalled optimum,
             # not a real unbounded direction
             if rc_view[j] > -1e-7:
@@ -296,24 +293,17 @@ def _pivot_loop(t: np.ndarray, basis: np.ndarray, width: np.ndarray, free: np.nd
         noise = ((rhs_col < 0.0) & (rhs_col > -1e-10)) | ((rhs_col > wb) & (rhs_col < wb + 1e-10))
         if noise.any():
             rhs_col[noise] = np.clip(rhs_col[noise], 0.0, wb[noise])
-        if step <= tol:
-            degen_streak += 1
-            if degen_streak > bland_after and not bland:
-                bland = True
-                out.bland_switches += 1
-        else:
-            degen_streak = 0
-            bland = False
-        # objective cell holds minus the objective; treat noise-level motion
-        # as a stall so float round-off cannot orbit the loop forever
+        # the objective cell holds minus the objective, which a primal step
+        # lowers; noise-level motion counts as degenerate, so that float
+        # round-off cannot reset the streak
         if t[-1, -1] > best_neg_obj + 1e-12 * max(1.0, abs(best_neg_obj)):
             best_neg_obj = t[-1, -1]
-            stall = 0
+            degen_streak = 0
         else:
-            stall += 1
-            if stall > stall_cap:
-                out.stall_exits += 1
-                return "optimal", pivots
+            degen_streak += 1
+        if not bland and degen_streak >= bland_after:
+            bland = True
+            out.bland_switches += 1
         if pivots > _MAX_PIVOTS:
             raise SimplexNumericsError(f"pivot cap {_MAX_PIVOTS} exceeded")
 
@@ -705,7 +695,7 @@ def _solve_from(tab: Tableau, lp: LinearProgram, lb: np.ndarray, ub: np.ndarray,
             if not last:
                 return out.attempt(kind, "uncertified", moved, levels)
     np.clip(rhs, np.where(free[basis], -np.inf, 0.0), width[basis], out=rhs)
-    status, p = _pivot_loop(t, basis, width, free, dirn, _RC_TOL, 2 * (m + k), out)
+    status, p = _pivot_loop(t, basis, width, free, dirn, 2 * (m + k), out)
     out.pivots += p
     if status == "unbounded":
         if not last:
@@ -843,7 +833,9 @@ def solve_lp_arrays(lp: LinearProgram, basis: Basis | None = None,
     lb = lp.lb.astype(np.float64)
     ub = lp.ub.astype(np.float64)
     if np.any(lb > ub):
-        return LpResult("infeasible", None, None, certified=True, attempts=[("cold", None, 0)])
+        out = LpResult("infeasible", None, None, certified=True)
+        out.attempt("cold", None)
+        return out
     out = LpResult("optimal", None, None)
     if lp.m == 0 or lp.n == 0:
         if basis is not None:

@@ -78,6 +78,14 @@ class SolveConfig:
     time_limit: float = float("inf")   # seconds
     log_path: str | None = None
 
+    def __post_init__(self):
+        if not 0.0 <= self.gap_tol < float("inf"):
+            raise InvalidArgument(f"gap_tol must be finite and >= 0, got {self.gap_tol!r}")
+        if self.node_limit < 0:
+            raise InvalidArgument(f"node_limit must be >= 0, got {self.node_limit!r}")
+        if not self.time_limit >= 0.0:
+            raise InvalidArgument(f"time_limit must be >= 0, got {self.time_limit!r}")
+
 
 @dataclass
 class LpCounters:
@@ -95,10 +103,10 @@ class LpCounters:
     original arrays.  ``dual_pivots`` plus ``primal_pivots`` make
     ``Solution.lp_pivots``; the move pivots are not in it.
     ``bland_switches`` counts the dual and primal loops' turns to Bland's
-    rule, ``stall_exits`` the primal loop's exits at its stall cap.  The
-    last four come from the model's presolve (:meth:`MipModel.presolve`):
-    ``lp_rows`` encoded rows kept in the node LP (cut rows come on top),
-    ``empty_rows`` and ``implied_rows`` dropped, and ``folded_pairs``.
+    rule.  The last four come from the model's presolve
+    (:meth:`MipModel.presolve`): ``lp_rows`` encoded rows kept in the node
+    LP (cut rows come on top), ``empty_rows`` and ``implied_rows`` dropped,
+    and ``folded_pairs``.
     """
 
     answered: Counter[str] = field(default_factory=Counter)
@@ -109,7 +117,6 @@ class LpCounters:
     dual_pivots: int = 0
     primal_pivots: int = 0
     bland_switches: int = 0
-    stall_exits: int = 0
     lp_rows: int = 0
     empty_rows: int = 0
     implied_rows: int = 0
@@ -129,7 +136,6 @@ class LpCounters:
         self.dual_pivots += res.dual_pivots
         self.primal_pivots += res.pivots - res.dual_pivots
         self.bland_switches += res.bland_switches
-        self.stall_exits += res.stall_exits
 
     def to_text(self) -> str:
         def counts(c: Counter[str]) -> str:
@@ -140,7 +146,7 @@ class LpCounters:
                 f"elim_levels {counts(self.elim_levels)} "
                 f"uncertified_lps {self.uncertified_lps} "
                 f"dual_pivots {self.dual_pivots} primal_pivots {self.primal_pivots} "
-                f"bland_switches {self.bland_switches} stall_exits {self.stall_exits} "
+                f"bland_switches {self.bland_switches} "
                 f"lp_rows {self.lp_rows} presolve empty:{self.empty_rows},"
                 f"implied:{self.implied_rows},folded:{self.folded_pairs}")
 

@@ -169,6 +169,16 @@ class TestExitCodes:
                      "--model", str(tmp_path / "missing.net")]) == 1
         assert list(out.iterdir()) == []  # the failed run leaves no directory
 
+    @pytest.mark.parametrize("flag, value", [("--gap-tol", "-1"), ("--node-limit", "-3"),
+                                             ("--time-limit", "nan")])
+    def test_solve_limit_that_changes_the_answer_exits_one(self, trained_model, tmp_path, capsys,
+                                                          flag, value):
+        out = tmp_path / "out"
+        assert main(["score", "--out", str(out), *DATA, "--model", str(trained_model),
+                     flag, value]) == 1
+        assert capsys.readouterr().err.startswith(f"error: {flag[2:].replace('-', '_')} must be")
+        assert list(out.iterdir()) == []
+
     @pytest.mark.parametrize("item", ["dense:abc", "avgpool:x", "conv:4x3", "dense:0", "dense:-1"])
     def test_malformed_arch_exits_one(self, tmp_path, capsys, item):
         out = tmp_path / "out"

@@ -192,7 +192,6 @@ class TestDegenerate:
         r = solve_lp_arrays(lp)
         assert r.status == "optimal"
         assert r.objective == pytest.approx(-2.0, abs=1e-9)
-        assert r.stall_exits == 0
 
     def test_beale_cycle_switches_to_bland(self):
         """Beale's LP cycles under Dantzig pricing with the lowest-id leaving
@@ -205,11 +204,59 @@ class TestDegenerate:
         k = 7
         out = LpResult("optimal", None, None)
         status, pivots = _pivot_loop(t, np.array([0, 1, 2]), np.full(k, np.inf),
-                                     np.zeros(k, dtype=bool), np.ones(k), 1e-9, 2 * (3 + k), out)
+                                     np.zeros(k, dtype=bool), np.ones(k), 2 * (3 + k), out)
         assert status == "optimal"
         assert -t[-1, -1] == pytest.approx(-1.25, abs=1e-12)
         assert pivots > 2 * (3 + k)  # the degenerate streak ran out first
-        assert (out.bland_switches, out.stall_exits) == (1, 0)
+        assert out.bland_switches == 1
+
+    def test_beale_keeps_to_bland_past_an_improving_step(self, monkeypatch):
+        """Beale's LP beside a separate row ``x7 + x8 <= 1`` priced -0.1 and
+        -0.2, too shallow to enter during the cycle.  After the switch the
+        loop keeps to Bland's rule to the end: each entering column is the
+        lowest one priced below ``_RC_TOL``, also after the steps that improve
+        the objective, so x7 enters before x8, whose price is the larger."""
+        t = np.array([[1.0, 0.0, 0.0, 0.25, -8.0, -1.0, 9.0, 0.0, 0.0, 0.0, 0.0],
+                      [0.0, 1.0, 0.0, 0.5, -12.0, -0.5, 3.0, 0.0, 0.0, 0.0, 0.0],
+                      [0.0, 0.0, 1.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 0.0, 1.0],
+                      [0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 1.0, 1.0, 1.0, 1.0],
+                      [0.0, 0.0, 0.0, -0.75, 20.0, -0.5, 6.0, -0.1, -0.2, 0.0, 0.0]])
+        k = 10
+        out = LpResult("optimal", None, None)
+        after = []  # (entering, lowest candidate, objective cell) of each step after the switch
+        real = simplex._pivot
+
+        def recording(t, basis, r, j):
+            if out.bland_switches:
+                low = int(np.flatnonzero(t[-1, :-1] < -simplex._RC_TOL)[0])
+                after.append((j, low, t[-1, -1]))
+            real(t, basis, r, j)
+
+        monkeypatch.setattr(simplex, "_pivot", recording)
+        status, _ = _pivot_loop(t, np.array([0, 1, 2, 9]), np.full(k, np.inf),
+                                np.zeros(k, dtype=bool), np.ones(k), 2 * (4 + k), out)
+        assert status == "optimal" and out.bland_switches == 1
+        assert -t[-1, -1] == pytest.approx(-1.45, abs=1e-12)
+        cells = [cell for *_, cell in after]
+        assert any(b > a for a, b in zip(cells, cells[1:]))  # improved, then pivoted again
+        assert [j for j, *_ in after] == [low for _, low, _ in after]
+        assert [j for j, *_ in after][-2:] == [7, 8]
+
+    def test_noise_level_primal_step_keeps_the_degenerate_streak(self):
+        """min -2e-9 (x0 + x1)  s.t.  x0 <= 1e-4,  x1 <= 1e-4,  x >= 0.  Each
+        step enters a column at reduced cost -2e-9, below ``_RC_TOL``, and
+        moves it by 1e-4, but the objective by only 2e-13.  Both steps count
+        as degenerate, so a streak of 2 turns the loop to Bland's rule; a
+        test on the step length alone would reset the streak at each step."""
+        lp = make_lp([-2e-9, -2e-9], [[1.0, 0.0], [0.0, 1.0]], ["L"] * 2, [1e-4, 1e-4],
+                     [0.0] * 2, [np.inf] * 2)
+        tab = simplex._all_logical(lp, lp.lb, lp.ub, np.zeros(2, dtype=bool))
+        out = LpResult("optimal", None, None)
+        width, free = np.full(4, np.inf), np.zeros(4, dtype=bool)
+        status, iters = _pivot_loop(tab.t, tab.basis, width, free, tab.dirn, 2, out)
+        assert (status, iters, tab.basis.tolist()) == ("optimal", 2, [0, 1])
+        assert -tab.t[-1, -1] == pytest.approx(-4e-13, rel=1e-9)
+        assert out.bland_switches == 1
 
     @pytest.mark.parametrize("bland_after, want", [
         (100, [(0, 0), (2, 2)]),                  # Harris: the largest violation leaves

@@ -8,8 +8,8 @@ from mipprune import simplex
 from mipprune.encoding import MipModel
 from mipprune.errors import InvalidArgument, NoIncumbent
 from mipprune.simplex import LinearProgram, solve_lp_arrays
-from mipprune.solver import (INT_TOL, SolveConfig, _fractional_binaries, solve_lp, solve_mip,
-                             warm_start)
+from mipprune.solver import (INT_TOL, LpCounters, SolveConfig, _fractional_binaries, solve_lp,
+                             solve_mip, warm_start)
 
 
 def build_model(c, a, sense, rhs, lb, ub, binary_mask):
@@ -62,6 +62,40 @@ class TestKnapsackToy:
         sol = solve_mip(model, SolveConfig())
         assert sol.node_count == 1
         assert sol.objective == pytest.approx(1.0)
+
+
+class TestCrossedBounds:
+    """A variable box with ``lb > ub`` makes the LP infeasible before any
+    start: the answer is a certified 'infeasible' of the cold start."""
+
+    def make(self):
+        return build_model(c=[1.0, 1.0], a=[[1.0, 1.0]], sense=["G"], rhs=[1.0],
+                           lb=[0.0, 1.0], ub=[1.0, 0.0], binary_mask=[True, False])
+
+    def test_counted_as_a_cold_answer(self):
+        res = solve_lp(self.make())
+        assert (res.status, res.certified) == ("infeasible", True)
+        counts = LpCounters()
+        counts.add(res)
+        assert counts.to_text().startswith("answered cold:1 gave_up none ")
+
+    def test_search_has_no_incumbent(self):
+        with pytest.raises(NoIncumbent):
+            solve_mip(self.make(), SolveConfig())
+
+
+class TestSolveConfig:
+    @pytest.mark.parametrize("kwargs", [
+        {"gap_tol": -1.0}, {"gap_tol": float("nan")}, {"gap_tol": float("inf")},
+        {"node_limit": -3}, {"time_limit": -1.0}, {"time_limit": float("nan")},
+    ])
+    def test_values_that_change_the_answer_rejected(self, kwargs):
+        with pytest.raises(InvalidArgument):
+            SolveConfig(**kwargs)
+
+    def test_edges_accepted(self):
+        cfg = SolveConfig(gap_tol=0.0, node_limit=0, time_limit=float("inf"))
+        assert (cfg.gap_tol, cfg.node_limit, cfg.time_limit) == (0.0, 0, float("inf"))
 
 
 class TestModelFixedColumns:
@@ -334,7 +368,7 @@ class TestWarmStartedNodes:
                     in sol.log_lines[-1])
             # no column is inside its box at the empty knapsack: the root moves nothing
             assert set(counts.move_pivots) <= {"carried"}
-            assert (counts.bland_switches, counts.stall_exits) == (0, 0)
+            assert counts.bland_switches == 0
 
     def test_carried_answers_failing_their_check_are_answered_fresh(self, monkeypatch):
         """A stand-in certificate fails every answer reached from a carried
