@@ -126,7 +126,7 @@ class TestSolutionRoundTrip:
 
 class TestGoldenText:
     """The LP text of four fixed encodings and of two benchmark models, and
-    the model files of two short training runs, pinned by sha256.
+    the model files of four short training runs, pinned by sha256.
 
     Any change to variable order, row order, a coefficient or a right-hand
     side changes an LP digest, and any change to the bits of training or of
@@ -195,22 +195,32 @@ class TestGoldenText:
         write_lp(model, p)
         assert hashlib.sha256(p.read_bytes()).hexdigest() == self.BENCH_DIGESTS[name]
 
+    CONV_CONV = [conv(2, 3, 3, padding=1), conv(3, 2, 2), avgpool(7), flatten(), dense(4),
+                 dense(10, activation="none")]
+    # (dataset, per class, data seed, extra), input shape, arch, (optimizer, batch size)
     TRAINED = {
         "dense-blobs": (("blobs", 10, 3, {"n_classes": 3, "dim": 2}), 2,
-                        [dense(6), dense(4), dense(3, activation="none")]),
+                        [dense(6), dense(4), dense(3, activation="none")], ("rmsprop", 8)),
         "conv-minidigits": (("minidigits", 6, 7, {}), (1, 8, 8),
-                            [conv(2, 3, 3), avgpool(4), flatten(), dense(10, activation="none")]),
+                            [conv(2, 3, 3), avgpool(4), flatten(), dense(10, activation="none")],
+                            ("rmsprop", 8)),
+        # a padded conv under a second conv; 50 points in batches of 7 end
+        # every epoch on a one-input batch
+        "conv-conv-rmsprop": (("minidigits", 5, 7, {}), (1, 8, 8), CONV_CONV, ("rmsprop", 7)),
+        "conv-conv-sgd": (("minidigits", 5, 7, {}), (1, 8, 8), CONV_CONV, ("sgd", 7)),
     }
     TRAINED_DIGESTS = {
         "dense-blobs": "0a26baa795f8fa70e3f1e2fcc869c67873c1da4b597f990fbfe41835a591c2aa",
         "conv-minidigits": "ebc38ba6f949e0d36aa3e444206248f984252e938186299fd03fb03d016305d2",
+        "conv-conv-rmsprop": "9e7f5d823fb60b956eae0c95da960aaa1f15bd3f8f4815d83b76aac458ed0e62",
+        "conv-conv-sgd": "823b5be72997cac314e82f74922fe70bf454172ed12a42923c5d149ec397977a",
     }
 
     @pytest.mark.parametrize("name", sorted(TRAINED))
     def test_training_digest(self, name, tmp_path):
-        (data, per_class, data_seed, extra), shape, arch = self.TRAINED[name]
+        (data, per_class, data_seed, extra), shape, arch, (opt, batch) = self.TRAINED[name]
         ds = make_dataset(data, per_class, seed=data_seed, **extra)
-        cfg = TrainConfig(epochs=5, learning_rate=1e-2, batch_size=8, optimizer="rmsprop", seed=2)
+        cfg = TrainConfig(epochs=5, learning_rate=1e-2, batch_size=batch, optimizer=opt, seed=2)
         net = train(init_network(shape, arch, seed=1), ds, cfg).net
         p = tmp_path / "m.net"
         save_network(net, p)
