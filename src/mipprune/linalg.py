@@ -1,9 +1,11 @@
 """Dense matrix kernels and the lowering of 2-D convolution to matrix form.
 
 Convolution layers in this package are rewritten once, at model build time,
-as a single dense matrix acting on the flattened input image.  Every
-downstream consumer (forward pass, interval propagation, the mixed-integer
-encoding) therefore only ever deals with one layer shape: y = W x + b.
+as a single dense matrix acting on the flattened input image.  The
+consumers that reason about a layer (interval propagation, the
+mixed-integer encoding, the one-input forward pass) therefore only ever
+deal with one layer shape: y = W x + b.  The batched forward pass computes
+the same W x without W's structural zeros (:func:`conv_matmat`).
 
 The lowering assembles small Toeplitz matrices, one per kernel row, into a
 doubly blocked Toeplitz matrix whose action on vec(input) is the full 2-D
@@ -12,31 +14,37 @@ and columns.  That walk depends only on the layer's shape, so it is run
 once per :class:`ConvSpec` over kernel *indices* (:func:`conv_index_map`,
 cached read-only); :func:`conv_to_matrix` is a gather of the kernel values
 through that map, and the trainer folds the gradient of the lowered matrix
-back onto the kernels through the same map.  The layers compute true
-convolution (kernel flipped), not cross-correlation, so training and
-encoding agree exactly.
+back onto the kernels through the same map (:func:`conv_taps` keeps its
+nonzero positions).  The layers compute true convolution (kernel flipped),
+not cross-correlation, so training and encoding agree exactly.
 
 All kernels here are pure functions on immutable inputs.  The products
 use ``np.einsum`` without BLAS dispatch, so a result is the same bit for bit
 for the same operands in the same memory layout on the same numpy build.
-The summation order is not left to right: einsum vectorizes each sum over
-a C-ordered row, so a row's sum can differ in its last bits from a plain
-left-to-right loop (and from the same product on an F-ordered copy, which
-is summed one term at a time), and another numpy build may differ too.
+When the result has two or more columns and both operands are C-ordered,
+einsum sums each entry left to right over the shared index, one term at a
+time; zero terms then change nothing, since that sum starts from +0.0 and
+never becomes -0.0.  That is why :func:`conv_matmat`, which drops the
+lowered matrix's structural zeros and keeps the other terms in order,
+equals ``matmat(conv_to_matrix(k, spec), x)`` byte for byte.  A one-column
+result is summed otherwise: einsum vectorizes each row's sum, so it can
+differ in its last bits from the left-to-right sum (as :func:`matvec`
+does), and another numpy build may differ too.
 """
 
 from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from .errors import InvalidArgument, UnsupportedFeature
 
 __all__ = [
-    "ConvSpec", "as_matrix", "toeplitz_1d", "conv_index_map", "conv_to_matrix", "matvec",
-    "matmat",
+    "ConvSpec", "ConvTaps", "as_matrix", "toeplitz_1d", "conv_index_map", "conv_taps",
+    "conv_to_matrix", "conv_matmat", "matvec", "matmat",
 ]
 
 
@@ -203,6 +211,44 @@ def conv_index_map(spec: ConvSpec) -> np.ndarray:
     return out
 
 
+class ConvTaps(NamedTuple):
+    """The lowered matrix of a :class:`ConvSpec` as its nonzero entries.
+
+    ``index`` is (taps, positions), taps = in_channels * kernel_h *
+    kernel_w and positions = output_h * output_w: entry (t, p) is the input
+    position tap t of output position p reads, in ascending input order down
+    each column, or ``input_size`` where the tap lands on padding.  Tap t
+    multiplies the kernel entry at t of the kernels flipped in both spatial
+    axes and flattened per output channel.  ``placed`` holds the flat
+    positions (C order) of the lowered matrix's kernel entries and
+    ``kernel_ids`` the flat kernel index at each.
+    """
+
+    index: np.ndarray
+    placed: np.ndarray
+    kernel_ids: np.ndarray
+
+
+@functools.lru_cache(maxsize=64)
+def conv_taps(spec: ConvSpec) -> ConvTaps:
+    """The nonzero entries of the lowered matrix, read off
+    :func:`conv_index_map` once per spec and cached read-only."""
+    kmap = conv_index_map(spec)
+    window = spec.kernel_h * spec.kernel_w
+    positions = spec.output_h * spec.output_w
+    # output channel 0's block holds kernel ids 0 .. in_channels * window - 1;
+    # flipping each channel's window puts its taps in ascending input order
+    pos, col = np.nonzero(kmap[:positions] >= 0)
+    channel, entry = np.divmod(kmap[pos, col], window)
+    index = np.full((spec.in_channels * window, positions), spec.input_size, dtype=np.intp)
+    index[channel * window + window - 1 - entry, pos] = col
+    placed = np.flatnonzero(kmap >= 0)
+    taps = ConvTaps(index, placed, kmap.ravel()[placed])
+    for a in taps:
+        a.flags.writeable = False
+    return taps
+
+
 def conv_to_matrix(kernels, spec: ConvSpec) -> np.ndarray:
     """Lower a convolution to one dense matrix on the flattened input.
 
@@ -223,6 +269,26 @@ def conv_to_matrix(kernels, spec: ConvSpec) -> np.ndarray:
     return np.append(k.ravel(), 0.0)[conv_index_map(spec)]
 
 
+def conv_matmat(kernels: np.ndarray, spec: ConvSpec, x: np.ndarray) -> np.ndarray:
+    """``matmat(conv_to_matrix(kernels, spec), x)`` without the structural zeros.
+
+    ``x`` is (input_size, n), one input per column.  Each output position's
+    taps are gathered through :func:`conv_taps` (a padding tap reads an
+    appended zero row), and one product of (out_channels, taps) by
+    (taps, positions * n) forms every output.  For finite ``x`` and n >= 2
+    the result is the lowered product byte for byte (see the module
+    docstring); for n = 1 it
+    can differ in the last bit, so a one-column batch should use the
+    lowered matrix.
+    """
+    if x.ndim != 2 or x.shape[0] != spec.input_size:
+        raise InvalidArgument(f"input shape {x.shape} does not match spec input {spec.input_size}")
+    index = conv_taps(spec).index
+    cols = np.concatenate([x, np.zeros((1, x.shape[1]))])[index].reshape(index.shape[0], -1)
+    flipped = kernels[:, :, ::-1, ::-1].reshape(spec.out_channels, -1)
+    return matmat(flipped, cols).reshape(spec.output_size, x.shape[1])
+
+
 def matvec(m: np.ndarray, v) -> np.ndarray:
     """Matrix-vector product through ``np.einsum``: the same bits for the same
     operands and memory layout on the same numpy build (see the module
@@ -235,7 +301,8 @@ def matvec(m: np.ndarray, v) -> np.ndarray:
 
 def matmat(m: np.ndarray, x: np.ndarray) -> np.ndarray:
     """Matrix-matrix product through ``np.einsum``, repeatable as
-    :func:`matvec` is."""
+    :func:`matvec` is.  With C-ordered operands and two or more result
+    columns each entry is the left-to-right sum over the shared index."""
     if m.ndim != 2 or x.ndim != 2 or m.shape[1] != x.shape[0]:
         raise InvalidArgument(f"dimension mismatch: {m.shape} @ {x.shape}")
     return np.einsum("ij,jk->ik", m, x, optimize=False)

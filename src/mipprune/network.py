@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InvalidArgument, ModelFormatError
-from .linalg import ConvSpec, as_matrix, conv_to_matrix, matmat, matvec
+from .linalg import ConvSpec, as_matrix, conv_matmat, conv_to_matrix, matmat, matvec
 
 __all__ = [
     "LayerSpec",
@@ -220,7 +220,11 @@ def forward(net: Network, x, mask: Mask | None = None) -> ForwardTrace:
     one flat input.  The affine step is :func:`~mipprune.linalg.matvec` for
     one input and :func:`~mipprune.linalg.matmat` for a batch.  The two do
     not agree bit for bit, so a caller that must match another per-input
-    computation exactly passes its inputs one at a time.
+    computation exactly passes its inputs one at a time.  A conv layer on a
+    batch of two or more inputs multiplies its kernels' taps instead of the
+    lowered matrix (:func:`~mipprune.linalg.conv_matmat`), which gives the
+    lowered product's bits without its structural zeros; a one-input batch
+    keeps the lowered product, whose bits the tap product does not match.
 
     Masking acts on post-activations: a masked dense neuron or conv feature
     map outputs exactly 0 for every input.
@@ -236,7 +240,9 @@ def forward(net: Network, x, mask: Mask | None = None) -> ForwardTrace:
     post: list[np.ndarray] = []
     for idx, spec in enumerate(net.layers):
         if spec.kind in ("dense", "conv"):
-            if batch:
+            if batch and spec.kind == "conv" and v.shape[1] >= 2:
+                z = conv_matmat(spec.kernels, spec.conv, v) + spec.bias[:, None]
+            elif batch:
                 z = matmat(spec.weight, v) + spec.bias[:, None]
             else:
                 z = matvec(spec.weight, v) + spec.bias

@@ -9,22 +9,30 @@ the forward pass and the MIP encoding with hand-set weights.
 
 The trainer has no layer walk of its own: a minibatch goes through
 :func:`mipprune.network.forward` as a 2-D batch, and backprop reads the
-trace's per-layer ``(size, n)`` arrays.  :func:`evaluate` is the same one
-batched pass, with or without a mask.
+trace's per-layer ``(size, n)`` arrays.  Backprop stops at the lowest
+parametric layer: nothing reads the gradient of the input.
+:func:`evaluate` is the same one batched pass, with or without a mask.
+
+:func:`train` makes every trained array of its copy of the network (dense
+weight and bias, conv kernels and channel bias) a view into one flat
+parameter vector, so a step joins the gradients once and runs the optimizer
+once over that vector; conv layers then re-lower their weight and bias.
+Every element gets the update it would get on its own array, bit for bit.
 """
 
 from __future__ import annotations
 
 import copy
 import csv
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .datasets import Dataset
 from .errors import InvalidArgument, TrainingDiverged, UnsupportedFeature
-from .linalg import conv_index_map, conv_to_matrix, matmat
-from .network import LayerSpec, Mask, Network, forward
+from .linalg import conv_taps, conv_to_matrix, matmat
+from .network import Mask, Network, forward
 
 __all__ = ["TrainConfig", "TrainResult", "train", "evaluate", "loss_and_grads", "write_trace_csv"]
 
@@ -43,6 +51,10 @@ class TrainConfig:
     def __post_init__(self):
         if self.epochs < 1:
             raise InvalidArgument("epochs must be >= 1")
+        if self.batch_size < 1:
+            raise InvalidArgument("batch_size must be >= 1")
+        if not math.isfinite(self.learning_rate):
+            raise InvalidArgument("learning_rate must be finite")
         if self.learning_rate < 0:
             raise InvalidArgument("learning_rate must be >= 0")
         if self.optimizer not in ("sgd", "rmsprop"):
@@ -71,7 +83,7 @@ def loss_and_grads(net: Network, x: np.ndarray, y: np.ndarray):
     Returns (loss, grads) with grads[i] = (dW-or-dkernels, dbias) matching
     the layer's parameter shapes. Conv gradients are folded from the lowered
     matrix back onto the kernel entries through
-    :func:`~mipprune.linalg.conv_index_map`.
+    :func:`~mipprune.linalg.conv_taps`.
     """
     if any(s.kind == "maxpool" for s in net.layers):
         raise UnsupportedFeature("max pooling layers cannot be trained")
@@ -85,8 +97,9 @@ def loss_and_grads(net: Network, x: np.ndarray, y: np.ndarray):
     delta[y, np.arange(n)] -= 1.0
     delta /= n  # d loss / d logits
 
+    p_layers = _param_layers(net)
     grads: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-    for idx in range(len(net.layers) - 1, -1, -1):
+    for idx in range(len(net.layers) - 1, p_layers[0] - 1, -1):
         spec = net.layers[idx]
         below = trace.post[idx - 1] if idx > 0 else x.T
         if spec.kind in ("dense", "conv"):
@@ -95,32 +108,39 @@ def loss_and_grads(net: Network, x: np.ndarray, y: np.ndarray):
             dw = matmat(delta, below.T.copy())
             db = delta.sum(axis=1)
             if spec.kind == "conv":
-                kmap = conv_index_map(spec.conv)
-                placed = kmap >= 0
-                dk = np.bincount(kmap[placed], weights=dw[placed], minlength=spec.kernels.size)
+                taps = conv_taps(spec.conv)
+                dk = np.bincount(taps.kernel_ids, weights=dw.ravel()[taps.placed],
+                                 minlength=spec.kernels.size)
                 dcb = db.reshape(-1, spec.rows_per_unit).sum(axis=1)
                 grads[idx] = (dk.reshape(spec.kernels.shape), dcb)
             else:
                 grads[idx] = (dw, db)
-            delta = matmat(spec.weight.T.copy(), delta)
+            if idx > p_layers[0]:
+                delta = matmat(spec.weight.T.copy(), delta)
         elif spec.kind == "avgpool":
             w = spec.pool_window
             delta = np.repeat(delta / w, w, axis=0)
         # flatten: delta passes through unchanged
-    ordered = [grads[i] for i in _param_layers(net)]
+    ordered = [grads[i] for i in p_layers]
     return loss, ordered
 
 
-def _apply_update(spec: LayerSpec, dw: np.ndarray, db: np.ndarray) -> None:
-    """Write updated parameters in place, re-lowering conv layers."""
-    if spec.kind == "dense":
-        spec.weight -= dw
-        spec.bias -= db
-    else:
-        spec.kernels -= dw
-        spec.channel_bias -= db
-        spec.weight[...] = conv_to_matrix(spec.kernels, spec.conv)
-        spec.bias[...] = np.repeat(spec.channel_bias, spec.rows_per_unit)
+def _flatten_params(net: Network) -> np.ndarray:
+    """One vector holding every trained array of ``net``, which become views into it.
+
+    The order is that of :func:`loss_and_grads`' gradients: per parametric
+    layer, the weight (dense) or kernels (conv), then the bias or channel bias.
+    """
+    names = {"dense": ("weight", "bias"), "conv": ("kernels", "channel_bias")}
+    fields = [(spec, name) for spec in (net.layers[i] for i in _param_layers(net))
+              for name in names[spec.kind]]
+    theta = np.concatenate([getattr(spec, name).ravel() for spec, name in fields])
+    start = 0
+    for spec, name in fields:
+        a = getattr(spec, name)
+        setattr(spec, name, theta[start : start + a.size].reshape(a.shape))
+        start += a.size
+    return theta
 
 
 def train(net: Network, ds: Dataset, cfg: TrainConfig) -> TrainResult:
@@ -129,16 +149,9 @@ def train(net: Network, ds: Dataset, cfg: TrainConfig) -> TrainResult:
         raise InvalidArgument(f"dataset dim {ds.dim} != network input {net.input_size}")
     model = copy.deepcopy(net)
     rng = np.random.Generator(np.random.PCG64(cfg.seed))
-    p_layers = _param_layers(model)
-    sq_avg = None
-    if cfg.optimizer == "rmsprop":
-        sq_avg = []
-        for i in p_layers:
-            s = model.layers[i]
-            if s.kind == "dense":
-                sq_avg.append((np.zeros_like(s.weight), np.zeros_like(s.bias)))
-            else:
-                sq_avg.append((np.zeros_like(s.kernels), np.zeros_like(s.channel_bias)))
+    theta = _flatten_params(model)
+    convs = [s for s in model.layers if s.kind == "conv"]
+    sq = np.zeros_like(theta) if cfg.optimizer == "rmsprop" else None
     trace: list[tuple[int, float, float]] = []
     n = ds.inputs.shape[0]
     for epoch in range(cfg.epochs):
@@ -150,19 +163,15 @@ def train(net: Network, ds: Dataset, cfg: TrainConfig) -> TrainResult:
             if not np.isfinite(loss):
                 raise TrainingDiverged(epoch)
             epoch_loss += loss * sel.size
-            for j, layer_idx in enumerate(p_layers):
-                dw, db = grads[j]
-                if cfg.optimizer == "rmsprop":
-                    sw, sb = sq_avg[j]
-                    sw *= RMSPROP_DECAY
-                    sw += (1 - RMSPROP_DECAY) * dw * dw
-                    sb *= RMSPROP_DECAY
-                    sb += (1 - RMSPROP_DECAY) * db * db
-                    dw = dw / (np.sqrt(sw) + RMSPROP_EPS)
-                    db = db / (np.sqrt(sb) + RMSPROP_EPS)
-                _apply_update(
-                    model.layers[layer_idx], cfg.learning_rate * dw, cfg.learning_rate * db
-                )
+            g = np.concatenate([a.ravel() for pair in grads for a in pair])
+            if sq is not None:
+                sq *= RMSPROP_DECAY
+                sq += (1 - RMSPROP_DECAY) * g * g
+                g = g / (np.sqrt(sq) + RMSPROP_EPS)
+            theta -= cfg.learning_rate * g
+            for spec in convs:
+                spec.weight[...] = conv_to_matrix(spec.kernels, spec.conv)
+                spec.bias[...] = np.repeat(spec.channel_bias, spec.rows_per_unit)
         acc = evaluate(model, ds)
         trace.append((epoch, epoch_loss / n, acc))
     return TrainResult(net=model, trace=trace)

@@ -195,6 +195,16 @@ class TestExitCodes:
         assert err.startswith("error: ") and repr(shape) in err
         assert list(out.iterdir()) == []
 
+    @pytest.mark.parametrize("flag, value", [("--batch-size", "0"), ("--batch-size", "-5"),
+                                             ("--lr", "nan"), ("--lr", "inf")])
+    def test_training_setting_that_trains_nothing_exits_one(self, tmp_path, capsys, flag, value):
+        out = tmp_path / "out"
+        assert main(["train", "--out", str(out), *DATA, "--arch", "dense:3", "--epochs", "1",
+                     flag, value]) == 1
+        field = {"--batch-size": "batch_size", "--lr": "learning_rate"}[flag]
+        assert capsys.readouterr().err.startswith(f"error: {field} must be")
+        assert list(out.iterdir()) == []
+
     def test_truncated_report_exits_one(self, trained_model, tmp_path, capsys):
         run_ok(["score", "--out", str(tmp_path / "s"), *DATA, "--model", str(trained_model)])
         report = one_run_dir(tmp_path / "s") / "report.txt"

@@ -8,6 +8,8 @@ from mipprune.linalg import (
     ConvSpec,
     as_matrix,
     conv_index_map,
+    conv_matmat,
+    conv_taps,
     conv_to_matrix,
     matmat,
     matvec,
@@ -148,12 +150,41 @@ class TestConvToMatrix:
         with pytest.raises(ValueError):
             kmap[0, 0] = 0
 
+    def test_taps_cached_read_only(self):
+        spec = ConvSpec(2, 3, 2, 3, 4, 5, padding=1)
+        taps = conv_taps(spec)
+        assert conv_taps(ConvSpec(2, 3, 2, 3, 4, 5, padding=1)) is taps
+        assert taps.index.shape == (2 * 2 * 3, spec.output_h * spec.output_w)
+        assert not any(a.flags.writeable for a in taps)
+
     def test_index_map_places_every_kernel_entry(self):
         # without padding each kernel entry lands once per output position of its map
         spec = ConvSpec(2, 3, 2, 2, 3, 3, padding=0)
         kmap = conv_index_map(spec)
         counts = np.bincount(kmap[kmap >= 0], minlength=24)
         assert counts.tolist() == [spec.output_h * spec.output_w] * 24
+
+
+class TestConvMatmat:
+    def test_equals_the_lowered_product_byte_for_byte(self):
+        rng = np.random.default_rng(15)
+        for _ in range(200):
+            ic, oc, kh, kw = (int(d) for d in rng.integers(1, 4, size=4))
+            pad = int(rng.integers(0, 3))
+            h = int(rng.integers(max(1, kh - 2 * pad), 8))
+            w = int(rng.integers(max(1, kw - 2 * pad), 8))
+            spec = ConvSpec(ic, oc, kh, kw, h, w, padding=pad)
+            k = rng.normal(size=(oc, ic, kh, kw))
+            k[rng.random(k.shape) < 0.2] = 0.0
+            x = rng.normal(size=(spec.input_size, int(rng.integers(2, 40))))
+            x[rng.random(x.shape) < 0.2] = 0.0
+            want = matmat(conv_to_matrix(k, spec), x)
+            assert conv_matmat(k, spec, x).tobytes() == want.tobytes(), spec
+
+    def test_input_size_mismatch(self):
+        spec = ConvSpec(1, 1, 2, 2, 3, 3)
+        with pytest.raises(InvalidArgument):
+            conv_matmat(np.ones((1, 1, 2, 2)), spec, np.ones((8, 2)))
 
 
 class TestMatvec:
@@ -193,6 +224,18 @@ class TestMatvec:
         for j in range(3):
             assert np.max(np.abs(got[:, j] - matvec(m, x[:, j]))) <= 1e-13
         assert matmat(m, x).tobytes() == matmat(m.copy(), x.copy()).tobytes()
+
+    @pytest.mark.parametrize("cols", [2, 3, 17])
+    def test_matmat_sums_left_to_right_from_two_columns(self, cols):
+        """The property :func:`conv_matmat` rests on: with two or more result
+        columns each entry is the left-to-right sum over the shared index."""
+        rng = np.random.default_rng(16)
+        m = rng.normal(size=(5, 80)) * rng.choice([1e-8, 1.0, 1e8], size=(5, 80))
+        x = rng.normal(size=(80, cols))
+        want = np.zeros((5, cols))
+        for j in range(80):
+            want += np.outer(m[:, j], x[j])
+        assert matmat(m, x).tobytes() == want.tobytes()
 
 
 class TestAsMatrix:

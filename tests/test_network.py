@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from mipprune.errors import InvalidArgument, ModelFormatError
+from mipprune.linalg import matmat
 from mipprune.network import (
     Mask,
     apply_mask,
@@ -107,6 +108,22 @@ class TestForward:
             single = forward(net, x, mask)
             for got, want in zip(batch.pre + batch.post, single.pre + single.post):
                 assert np.max(np.abs(got[:, k] - want)) <= 1e-12
+
+    @pytest.mark.parametrize("n", [1, 2, 5])
+    def test_batched_conv_has_the_lowered_products_bits(self, n):
+        """A conv layer on a batch gives ``matmat(weight, x) + bias`` byte for
+        byte: two or more inputs through the tap product, one input through
+        the lowered matrix itself (the tap product's one-column sum differs)."""
+        net = init_network((2, 5, 5), [conv(3, 3, 3, padding=1), conv(2, 2, 2), flatten(),
+                                       dense(3, activation="none")], seed=13)
+        xs = np.random.default_rng(14).normal(size=(n, net.input_size))
+        trace = forward(net, xs)
+        v = xs.T.copy()
+        for idx in (0, 1):
+            spec = net.layers[idx]
+            want = matmat(spec.weight, v) + spec.bias[:, None]
+            assert trace.pre[idx].tobytes() == want.tobytes()
+            v = trace.post[idx]
 
 
 class TestApplyMask:

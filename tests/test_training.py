@@ -3,7 +3,7 @@ import pytest
 
 from mipprune.datasets import Dataset, make_dataset
 from mipprune.errors import InvalidArgument, TrainingDiverged, UnsupportedFeature
-from mipprune.linalg import conv_index_map
+from mipprune.linalg import conv_index_map, conv_taps
 from mipprune.network import (
     Mask,
     apply_mask,
@@ -19,6 +19,19 @@ from mipprune.training import TrainConfig, evaluate, loss_and_grads, train
 
 
 from gradcheck import finite_difference_grads, rel_err
+
+
+class TestTrainConfig:
+    @pytest.mark.parametrize("field, value, message", [
+        ("batch_size", 0, "batch_size must be >= 1"),
+        ("batch_size", -5, "batch_size must be >= 1"),
+        ("learning_rate", float("nan"), "learning_rate must be finite"),
+        ("learning_rate", float("inf"), "learning_rate must be finite"),
+        ("learning_rate", -1e-3, "learning_rate must be >= 0"),
+    ])
+    def test_bad_batch_size_and_learning_rate_rejected(self, field, value, message):
+        with pytest.raises(InvalidArgument, match=message):
+            TrainConfig(**{field: value})
 
 
 class TestGradients:
@@ -72,10 +85,14 @@ class TestTrain:
         net = init_network((1, 8, 8), [conv(2, 3, 3), avgpool(4), flatten(),
                                        dense(10, activation="none")], seed=2)
         conv_index_map.cache_clear()
+        conv_taps.cache_clear()
         train(net, ds, TrainConfig(epochs=3, batch_size=8, learning_rate=1e-2, seed=0))
+        # the walk: one re-lowering per step, and once for the tap map
         info = conv_index_map.cache_info()
-        # one gradient fold and one re-lowering per step; only the first builds the map
-        assert (info.misses, info.hits) == (1, 2 * 15 - 1)
+        assert (info.misses, info.hits) == (1, 15)
+        # the taps: one forward and one gradient fold per step, one forward per evaluation
+        info = conv_taps.cache_info()
+        assert (info.misses, info.hits) == (1, 2 * 15 + 3 - 1)
 
     def test_bit_deterministic(self):
         ds = make_dataset("moons", 15, seed=8)
