@@ -17,15 +17,23 @@ Shared across points:
 A ReLU unit with pre-activation bounds [L, U] and importance s satisfies
 
     h >= 0
-    h + (1 - z) L <= w.h_prev + b - (1 - s) max(U, 0)
-    h <= z U
-    h >= w.h_prev + b - (1 - s) max(U, 0)
+    h + (1 - z) L <= w.h_prev + b - (1 - s) max(U, 0)     'relu_upper_on'
+    h <= z U                                             'relu_cap'
+    h >= w.h_prev + b - (1 - s) max(U, 0)                'relu_lower_on'
 
 so an active unit outputs its affine value damped by (1 - s) max(U, 0) and
 an inactive one outputs zero; units whose upper bound is never positive can
 take s = 0 at no cost.  Bounds come from interval propagation per input
-point.  Units with U <= 0 have z fixed to 0 and units with L >= 0 have z
-fixed to 1 before solving.
+point.  The bounds decide a stable unit's z, fixed before solving: z = 1
+when L >= 0 < U, z = 0 when U <= 0.  Only an unstable unit gets all three
+rows.  A stable unit's cap is its h's box [0, max(U, 0)], so it is not
+written; a stable inactive unit keeps its upper and lower rows, and a
+stable active one is the single row
+
+    h - w.h_prev - max(U, 0) s = b - max(U, 0)            'relu_active'
+
+with the lower row's entries and rhs, bit for bit (Tjeng, Xiao & Tedrake,
+ICLR 2019, encode a decided unit linearly too).
 
 The objective minimizes
 
@@ -46,10 +54,9 @@ or average-pool layer's rows for one point are built as arrays and
 appended in one step by ``MipModel.add_rows``; a pool is written as the
 affine layer of its window means), then each tangent cut of a solve is one
 more row.  The solver, the LP writer and the feasibility
-check all read these arrays.  The solver reads them through ``MipModel.split_fixed``: the
-node LP over the variables the model leaves free, with the rows its
-presolve drops as unable to bind, and each stable active unit's two ReLU
-rows folded into one equality where their right-hand sides are equal.
+check all read these arrays.  The solver reads them through
+``MipModel.split_fixed``: the node LP over the variables the model leaves
+free, without the rows its presolve drops as unable to bind.
 """
 
 from __future__ import annotations
@@ -98,15 +105,14 @@ def softmax_probs(v: np.ndarray) -> np.ndarray:
 
 
 class Presolve(NamedTuple):
-    """Which of a model's first ``n_rows`` rows its node LP keeps, and why the
-    others go (see :meth:`MipModel.presolve`)."""
+    """Which of a model's first ``n_rows`` rows its node LP keeps, each as
+    the model writes it, and why the others go (see
+    :meth:`MipModel.presolve`)."""
 
     n_rows: int
     rows: np.ndarray   # the kept row ids, ascending
-    sense: np.ndarray  # each kept row's sense in the LP: 'E' for a folded pair
     empty: int         # rows dropped with no unfixed column
     implied: int       # one-column rows dropped as implied by the column's box
-    folded: int        # 'L'/'G' pairs folded into one 'E' row
 
 
 class LpRows(NamedTuple):
@@ -273,12 +279,14 @@ class MipModel:
         same feasible set.  A row is dropped when it has no unfixed column
         and its constant holds, or when it has one and that column's own box
         implies it: the box's extreme values, each a product rounded once,
-        satisfy the row.  An 'L' row and a 'G' row with the same unfixed
-        coefficients and equal substituted right-hand sides are folded into
-        one 'E' row in the lower row's place.  Any row that fails these tests
-        is kept as it is: a violated empty row, say, or one of a pair whose
-        right-hand sides differ in the last bit.  Ref: Andersen & Andersen,
-        "Presolving in linear programming", Math. Prog. 71, 1995.
+        satisfy the row.  On an encoded network the first rule drops, among
+        others, the rows of first-layer stable inactive units, and the
+        second the ``maxpool_ge`` rows over a stable inactive unit; a stable
+        unit's rows need no more, since the encoder writes them in their
+        final form.  Any row that fails both tests is kept as it is, a
+        violated empty row included, so the LP reports the model
+        infeasible.  Ref: Andersen & Andersen, "Presolving in linear
+        programming", Math. Prog. 71, 1995.
         """
         if self._presolve is None:
             m = len(self.rhs)
@@ -295,41 +303,15 @@ class MipModel:
             lo, hi = v * np.where(v > 0.0, lb[j], ub[j]), v * np.where(v > 0.0, ub[j], lb[j])
             implied = np.zeros(m, dtype=bool)
             implied[r] = np.where(le[r], hi <= b[r], ge[r] & (lo >= b[r]))
-            # L/G pairs: sort the candidates by unfixed-entry count, a
-            # fingerprint of the unfixed entries (summed in entry order, so
-            # equal rows give equal bits) and rhs, 'L' before 'G'; then
-            # compare the entries of each adjacent L, G pair
-            cand = np.flatnonzero((le | ge) & (n_free > 0) & ~implied)
-            weight = _mark_weights(len(self.variables))
-            mark = np.bincount(rows[free], weights=val[free] * weight[var[free]], minlength=m)
-            cand = cand[np.lexsort((ge[cand], b[cand], mark[cand], n_free[cand]))]
-            p, q = cand[:-1], cand[1:]
-            pair = (le[p] & ge[q] & (n_free[p] == n_free[q]) & (mark[p] == mark[q])
-                    & (b[p] == b[q]))
-            p, q = p[pair], q[pair]
-            start = np.cumsum(n_free) - n_free  # each row's first entry in ``entry``
-            entry = np.flatnonzero(free)        # the unfixed entries, row by row
-            cnt = n_free[p]
-            offset = np.arange(cnt.sum()) - np.repeat(np.cumsum(cnt) - cnt, cnt)
-            ep = entry[np.repeat(start[p], cnt) + offset]
-            eq = entry[np.repeat(start[q], cnt) + offset]
-            differ = (var[ep] != var[eq]) | (val[ep] != val[eq])
-            same = np.bincount(np.repeat(np.arange(p.size), cnt), weights=differ,
-                               minlength=p.size) == 0
-            p, q = p[same], q[same]
-            keep = ~(empty | implied)
-            keep[np.maximum(p, q)] = False
-            sense[np.minimum(p, q)] = "E"
-            kept = np.flatnonzero(keep)
-            self._presolve = Presolve(m, *_frozen(kept, sense[kept]), int(empty.sum()),
-                                      int(implied.sum()), int(p.size))
+            kept = np.flatnonzero(~(empty | implied))
+            self._presolve = Presolve(m, *_frozen(kept), int(empty.sum()), int(implied.sum()))
         return self._presolve
 
     def split_fixed(self) -> LpRows:
         """The node LP's rows, read-only (see :class:`LpRows`): the rows
-        :meth:`presolve` keeps, then every row appended since, over the
-        variables the model leaves free, with the fixed variables
-        substituted into each rhs.
+        :meth:`presolve` keeps, then every row appended since, each with its
+        model sense, over the variables the model leaves free, with the
+        fixed variables substituted into each rhs.
 
         The LP block is C-ordered, and that layout fixes the last bits of
         the LP arithmetic: :mod:`.linalg`'s products sum a row in an order
@@ -351,7 +333,7 @@ class MipModel:
             is_fixed = lb == ub
             cols, fixed = np.flatnonzero(~is_fixed), np.flatnonzero(is_fixed)
             lp_rows = np.concatenate([pre.rows, np.arange(pre.n_rows, m)])
-            sense = np.concatenate([pre.sense, np.array(self.sense[pre.n_rows:], dtype="U1")])
+            sense = np.array(self.sense, dtype="U1")[lp_rows]
             rows, var, val, b = self._substituted(lb, is_fixed)
             at = np.full(m, -1)  # each model row's LP row, -1 when dropped
             at[lp_rows] = np.arange(lp_rows.size)
@@ -392,7 +374,7 @@ class MipModel:
     # -- evaluation --------------------------------------------------------
 
     def n_binary(self) -> int:
-        return sum(1 for v in self.variables if v.binary)
+        return int(self.binary_mask().sum())
 
     def objective_value(self, x: np.ndarray) -> float:
         return float(self.objective_const + sum(c * x[j] for j, c in self.objective.items()))
@@ -452,12 +434,6 @@ class MipModel:
         return {
             key: min(1.0, max(0.0, float(x[idx]))) for key, idx in self.s_vars.items()
         }
-
-
-def _mark_weights(n: int) -> np.ndarray:
-    """One fixed pseudo-random weight per variable: a row's fingerprint in
-    :meth:`MipModel.presolve` is the sum of its entries times these."""
-    return np.random.default_rng(0).random(n)
 
 
 def _frozen(*arrays: np.ndarray) -> tuple:
@@ -569,8 +545,8 @@ def _encode_affine_layer(model: MipModel, weight: np.ndarray, bias: np.ndarray, 
     layers all come here: a pool is the weight 1/window on each window,
     with zero bias and no activation.
 
-    Each unit j gets ``h`` (then ``z`` for a ReLU, with the three rows of
-    the module docstring, else one 'affine_out' equality).  ``s_ids`` holds
+    Each unit j gets ``h`` (then ``z`` for a ReLU, with the rows the module
+    docstring gives its state, else one 'affine_out' equality).  ``s_ids`` holds
     the importance variable of each unit of a prunable layer, None
     otherwise.  The terms ``-w.h_prev`` move to the left; ``w.h_prev + b``
     over the constants of the previous layer is the constant ``pc`` (see
@@ -597,36 +573,47 @@ def _encode_affine_layer(model: MipModel, weight: np.ndarray, bias: np.ndarray, 
                        ["E"] * n_units, pc + 0.0, ["affine_out"] * n_units)
     else:
         max_u = np.where(0.0 > hi, 0.0, hi)  # max(hi, 0.0), -0.0 kept as Python keeps it
-        # stable inactive (U <= 0): z = 0; stable active (L >= 0): z = 1
-        z_lb = np.where((hi > 0.0) & (lo >= 0.0), 1.0, 0.0).tolist()
-        z_ub = np.where(hi <= 0.0, 0.0, 1.0).tolist()
+        # stable active (L >= 0 < U): z = 1; stable inactive (U <= 0): z = 0
+        active, inactive = (hi > 0.0) & (lo >= 0.0), hi <= 0.0
+        z_lb, z_ub = np.where(active, 1.0, 0.0), np.where(inactive, 0.0, 1.0)
         refs: list[VarRef] = []
-        for j, (i, u, zl, zu) in enumerate(zip(h.tolist(), max_u.tolist(), z_lb, z_ub)):
+        for j, (i, u, zl, zu) in enumerate(zip(h.tolist(), max_u.tolist(), z_lb.tolist(),
+                                               z_ub.tolist())):
             refs += (VarRef(i, f"h_{l_idx}_{j}_{point}", "h", 0.0, u, False, l_idx, j, point),
                      VarRef(i + 1, f"z_{l_idx}_{j}_{point}", "z", zl, zu, True, l_idx, j, point))
         model.add_vars(refs)
         z = h + 1
-        units = np.arange(n_units)
-        upper, cap, lower = 3 * units, 3 * units + 1, 3 * units + 2
-        rows = [upper, upper, 3 * ju, cap, cap, lower, 3 * ju + 2]
-        cols = [h, z, prev_ids, h, z, h, prev_ids]
-        vals = [np.ones(n_units), -lo, neg_w, np.ones(n_units), -hi, np.ones(n_units), neg_w]
+        # rows per unit: unstable 3 (upper, cap, lower), stable inactive 2
+        # (upper, lower), stable active 1 (the lower row as an equality)
+        unstable, on = ~(active | inactive), ~active  # ``on``: the units with an upper row
+        count = np.where(active, 1, np.where(unstable, 3, 2))
+        upper = np.cumsum(count) - count
+        cap, lower = upper[unstable] + 1, upper + count - 1
+        e = on[ju]  # the -w.h_prev entries of the upper rows
+        rows = [upper[on], upper[on], upper[ju[e]], cap, cap, lower, lower[ju]]
+        cols = [h[on], z[on], prev_ids[e], h[unstable], z[unstable], h, prev_ids]
+        vals = [np.ones(on.sum()), -lo[on], neg_w[e], np.ones(cap.size), -hi[unstable],
+                np.ones(n_units), neg_w]
         shift = np.zeros(n_units)
         if s_ids is not None:
             # -(1 - s) max(U, 0): the s term on the left, the constant in the rhs
-            rows += [upper, lower]
-            cols += [s_ids, s_ids]
-            vals += [-max_u, -max_u]
+            rows += [upper[on], lower]
+            cols += [s_ids[on], s_ids]
+            vals += [-max_u[on], -max_u]
             shift = max_u
         # h + (1 - z) L <= psum - (1 - s) max(U, 0);  h <= z U;
-        # h >= psum - (1 - s) max(U, 0)
-        rhs = np.stack([(pc - lo) - shift + 0.0, np.zeros(n_units), pc - shift + 0.0], axis=1)
+        # h >= psum - (1 - s) max(U, 0), or = where z is 1
+        rhs, sense = np.zeros(count.sum()), np.full(count.sum(), "L")
+        tag = np.full(count.sum(), "relu_upper_on")
+        rhs[upper[on]] = ((pc - lo) - shift + 0.0)[on]
+        rhs[lower] = pc - shift + 0.0
+        sense[lower], tag[cap], tag[lower] = "G", "relu_cap", "relu_lower_on"
+        sense[lower[active]], tag[lower[active]] = "E", "relu_active"
         model.add_rows(np.concatenate(rows), np.concatenate(cols), np.concatenate(vals),
-                       ["L", "L", "G"] * n_units, rhs.ravel(),
-                       ["relu_upper_on", "relu_cap", "relu_lower_on"] * n_units)
+                       sense.tolist(), rhs, tag.tolist())
         # the binary's reference is the unit's observed state, or its fixed value
         z_obs = np.where(np.asarray(trace.pre[l_idx]) > 0.0, 1.0, 0.0)
-        z_obs = np.where(np.array(z_lb) == np.array(z_ub), z_lb, z_obs)
+        z_obs = np.where(unstable, z_obs, z_lb)
         reference.update(zip(z.tolist(), z_obs.tolist()))
     ids = h.tolist()
     reference.update(zip(ids, np.asarray(trace.post[l_idx], dtype=np.float64).tolist()))

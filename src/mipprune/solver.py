@@ -21,9 +21,9 @@ built once per model and again only when a cut round appends rows.  It
 leaves out the variables the model itself fixes (stable units' binaries
 among them), with their terms already in each rhs, and of the encoded
 rows it keeps only those that can bind: a row with no unfixed column whose
-constant holds, or with one whose box implies it, is dropped, and each
-'L'/'G' pair with the same unfixed coefficients and an equal rhs (a stable
-active unit's two ReLU rows) is one 'E' row.  The cut rows are appended
+constant holds, or with one whose box implies it, is dropped.  (A stable
+unit's rows come from the encoder in their final form: a stable active
+unit is one 'E' row.)  The cut rows are appended
 after the kept rows, so row ids hold from one LP to the next.  A branching
 fixes a binary as a column of width 0.  Each queued node carries the final
 basis of the LP it came from: a child gets its parent's, a cut round its
@@ -103,10 +103,10 @@ class LpCounters:
     original arrays.  ``dual_pivots`` plus ``primal_pivots`` make
     ``Solution.lp_pivots``; the move pivots are not in it.
     ``bland_switches`` counts the dual and primal loops' turns to Bland's
-    rule.  The last four come from the model's presolve
+    rule.  The last three come from the model's presolve
     (:meth:`MipModel.presolve`): ``lp_rows`` encoded rows kept in the node
-    LP (cut rows come on top), ``empty_rows`` and ``implied_rows`` dropped,
-    and ``folded_pairs``.
+    LP (cut rows come on top), and ``empty_rows`` and ``implied_rows``
+    dropped.
     """
 
     answered: Counter[str] = field(default_factory=Counter)
@@ -120,7 +120,6 @@ class LpCounters:
     lp_rows: int = 0
     empty_rows: int = 0
     implied_rows: int = 0
-    folded_pairs: int = 0
 
     def add(self, res: LpResult) -> None:
         for kind, reason, moved, levels in res.attempts:
@@ -148,7 +147,7 @@ class LpCounters:
                 f"dual_pivots {self.dual_pivots} primal_pivots {self.primal_pivots} "
                 f"bland_switches {self.bland_switches} "
                 f"lp_rows {self.lp_rows} presolve empty:{self.empty_rows},"
-                f"implied:{self.implied_rows},folded:{self.folded_pairs}")
+                f"implied:{self.implied_rows}")
 
 
 @dataclass
@@ -194,7 +193,7 @@ def solve_lp(model: MipModel, fixings: dict[int, float] | None = None,
 
     The LP is the model's node LP (:meth:`MipModel.split_fixed`): the
     variables the model itself fixes (``lb == ub``) are substituted out, and
-    the rows its presolve drops or folds are gone; a fixing makes a column
+    the rows its presolve drops are gone; a fixing makes a column
     of width 0.  So ``basis`` and ``tableau``, like the answer's, index only
     that LP's columns and rows, while the answer's ``x`` has every
     variable.  A fixing may only fix a variable the model leaves free, or
@@ -272,8 +271,7 @@ def solve_mip(model: MipModel, config: SolveConfig | None = None,
     t0 = time.perf_counter()
     log: list[str] = []
     pre = model.presolve()
-    counters = LpCounters(lp_rows=pre.rows.size, empty_rows=pre.empty, implied_rows=pre.implied,
-                          folded_pairs=pre.folded)
+    counters = LpCounters(lp_rows=pre.rows.size, empty_rows=pre.empty, implied_rows=pre.implied)
     # the binaries the model itself leaves free; a branching fixes them at 0 or 1
     lb, ub, _ = model.var_arrays()
     binaries = np.flatnonzero(model.binary_mask() & (lb < ub))

@@ -339,12 +339,13 @@ class TestCriterion08RescalingDirection:
     def test_rescale_none_lps_answered_without_giving_up(self, monkeypatch):
         """The seed-1 'none' solve answers every LP without a give-up, and
         every answer passes its check.  Its long degenerate runs came from
-        the stable units' row pairs, which the presolve folds, so the guard
-        on Bland's rule replays the search's LPs on the model's unpresolved
-        rows: each LP fresh from the unpresolved answer of the LP its node's
-        basis came from, the root from the warm vertex.  Some of those still
-        leave a degenerate run by Bland's rule, and each answer has the
-        presolved LP's objective."""
+        the stable active units' 'L'/'G' row pairs, which the encoder now
+        writes as one 'E' row each, so the guard on Bland's rule replays the
+        search's LPs on the model's unpresolved rows with each such row
+        split back into its pair: each LP fresh from the replayed answer of
+        the LP its node's basis came from, the root from the warm vertex.
+        Some of those still leave a degenerate run by Bland's rule, and each
+        answer has the search's objective."""
         net, train_ds, _ = crit6_setup(1)
         xs, ys = balanced_batch(train_ds, 1)
         model = encode_network(net, xs, ys, propagate_batch(net, xs, EPSILON), lam=LAMBDA,
@@ -364,13 +365,21 @@ class TestCriterion08RescalingDirection:
         assert not counts.gave_up
         assert counts.uncertified_lps == 0
         assert sol.objective == crit6_report(1, rescale="none").objective
-        assert counts.folded_pairs > 0
+        assert counts.empty_rows > 0
 
         a, sense, rhs = model.dense_rows()
+        # each 'relu_active' row twice in a row, first as 'L', then as 'G'
+        order = np.sort(np.concatenate([np.arange(rhs.size),
+                                        np.flatnonzero(np.array(model.tag) == "relu_active")]))
+        twin = order[1:] == order[:-1]
+        assert twin.sum() > 0
+        a, sense, rhs = a[order], sense[order], rhs[order]
+        sense[np.flatnonzero(twin)], sense[np.flatnonzero(twin) + 1] = "L", "G"
         lb0, ub0, c = model.var_arrays()
         cols, fixed = np.flatnonzero(lb0 < ub0), np.flatnonzero(lb0 == ub0)
         replayed, switches = [], 0
         for fixings, parent, m, res in calls:
+            m = int(np.searchsorted(order, m))  # the rows of the LP's model rows
             lb, ub = lb0.copy(), ub0.copy()
             for j, val in fixings.items():
                 lb[j] = ub[j] = val

@@ -4,7 +4,6 @@ import pytest
 from mipprune.bounds import propagate_batch
 from mipprune.encoding import (
     MipModel,
-    _mark_weights,
     add_lse_cut,
     encode_maxpool,
     encode_network,
@@ -53,29 +52,81 @@ class TestVariableCounts:
 
 class TestReluConstraintAlgebra:
     def test_s_equal_one_recovers_plain_big_m(self):
+        """At s = 1 each first-layer row is the plain big-M row of its unit,
+        found through the row's own ``h`` (the row's last 'h' entry)."""
         net = tiny_net(seed=3)
         x = np.array([[0.7, 0.2]])
         model = encoded(net, x, [0])
         bounds = propagate_batch(net, x, 0.0)[0]
         w, b = net.layers[0].weight, net.layers[0].bias
-        ups = [i for i in model.constraints if model.tag[i] == "relu_upper_on"]
-        los = [i for i in model.constraints if model.tag[i] == "relu_lower_on"]
-        for j, i in enumerate(ups):
-            coefs = model.row(i)
-            lo = bounds.pre_lo[0][j]
-            hi = bounds.pre_hi[0][j]
-            max_u = max(hi, 0.0)
+        seen = []
+        for i in model.constraints:
+            h = [model.variables[j] for j in model.row(i) if model.variables[j].kind == "h"]
+            if not model.tag[i].startswith("relu_") or h[-1].layer != 0:
+                continue
+            j = h[-1].unit
+            coefs, psum = model.row(i), float(w[j] @ x[0] + b[j])
             s_idx = model.s_vars[(0, j)]
-            # substituting s=1 must leave: h + (1-z) L <= w x + b
             rhs_at_s1 = model.rhs[i] - coefs.get(s_idx, 0.0) * 1.0
-            # expected: h - L z <= w x + b - L  (inputs are constants)
-            assert rhs_at_s1 == pytest.approx(float(w[j] @ x[0] + b[j]) - lo, abs=1e-12)
-            assert coefs.get(s_idx, 0.0) == pytest.approx(-max_u)
-        for j, i in enumerate(los):
-            s_idx = model.s_vars[(0, j)]
-            rhs_at_s1 = model.rhs[i] - model.row(i).get(s_idx, 0.0) * 1.0
-            # expected: h >= w x + b, i.e. h - (w x + b) >= 0
-            assert rhs_at_s1 == pytest.approx(float(w[j] @ x[0] + b[j]), abs=1e-12)
+            if model.tag[i] != "relu_cap":
+                assert coefs.get(s_idx, 0.0) == pytest.approx(-max(bounds.pre_hi[0][j], 0.0))
+            seen.append((j, model.tag[i]))
+            if model.tag[i] == "relu_upper_on":
+                # h + (1-z) L <= w x + b, i.e. h - L z <= w x + b - L
+                assert rhs_at_s1 == pytest.approx(psum - bounds.pre_lo[0][j], abs=1e-12)
+            elif model.tag[i] in ("relu_lower_on", "relu_active"):
+                # h >= w x + b, or h = w x + b for a stable active unit
+                assert rhs_at_s1 == pytest.approx(psum, abs=1e-12)
+        # an inactive unit (upper and lower rows) and an active one (one 'E' row)
+        assert sorted(seen) == [(0, "relu_lower_on"), (0, "relu_upper_on"), (1, "relu_active")]
+
+    def test_each_unit_writes_the_rows_of_its_state(self):
+        """Rebuilt unit by unit from the weights and bounds, each ReLU unit's
+        rows by tag, sense, entries and rhs bits: an unstable unit (L < 0 <
+        U) has its upper, cap and lower rows, a stable inactive one (U <= 0)
+        upper and lower, a stable active one (L >= 0 < U) only the lower
+        row as an equality, tagged 'relu_active'.  Rows find their unit
+        through their own ``h``, the row's largest 'h' id."""
+        net = init_network(2, [dense(6), dense(5), dense(3, activation="none")], seed=4)
+        xs = np.array([[0.4, -0.2], [-0.7, 0.3]])
+        model = encoded(net, xs, [0, 2], eps=0.2)
+        bounds = propagate_batch(net, xs, 0.2)
+        ids = {v.name: v.idx for v in model.variables}
+        got = {}
+        for i in model.constraints:
+            if model.tag[i].startswith("relu_"):
+                own = max(j for j in model.row(i) if model.variables[j].kind == "h")
+                got.setdefault(own, []).append((model.tag[i], model.sense[i], model.row(i),
+                                                model.rhs[i].hex()))
+        states = set()
+        for k, l in ((k, l) for k in range(2) for l in range(2)):
+            weight, bias = net.layers[l].weight, net.layers[l].bias
+            for j in range(weight.shape[0]):
+                lo, hi = bounds[k].pre_lo[l][j], bounds[k].pre_hi[l][j]
+                max_u, h, z = max(hi, 0.0), ids[f"h_{l}_{j}_{k}"], ids[f"z_{l}_{j}_{k}"]
+                pc, prev = float(bias[j]), {}
+                for i, wi in enumerate(weight[j].tolist()):
+                    if wi != 0.0 and l == 0:
+                        pc = pc + wi * float(xs[k][i])
+                    elif wi != 0.0:
+                        prev[ids[f"h_0_{i}_{k}"]] = -wi
+                damped = {h: 1.0, **prev, model.s_vars[(l, j)]: -max_u}
+                upper = ("relu_upper_on", "L", {**damped, z: -lo}, ((pc - lo) - max_u + 0.0).hex())
+                cap = ("relu_cap", "L", {h: 1.0, z: -hi}, (0.0).hex())
+                lower = ("relu_lower_on", "G", damped, (pc - max_u + 0.0).hex())
+                if lo >= 0.0 < hi:
+                    want, state = [("relu_active", "E", *lower[2:])], "active"
+                elif hi <= 0.0:
+                    want, state = [upper, lower], "inactive"
+                else:
+                    want, state = [upper, cap, lower], "unstable"
+                for _, _, coefs, _ in want:  # zero coefficients are not stored
+                    for key in [key for key, val in coefs.items() if val == 0.0]:
+                        del coefs[key]
+                assert got.pop(h) == want, (k, l, j)
+                states.add((l, state))
+        assert not got
+        assert states == {(l, s) for l in range(2) for s in ("active", "inactive", "unstable")}
 
     def test_dead_neuron_admits_zero_score(self):
         # force one hidden neuron dead: large negative bias
@@ -348,13 +399,13 @@ class TestAddConstraint:
         rows the presolve keeps, then every row appended since, in row order.
         Each LP row equals its model row over the unfixed columns bit for
         bit, its rhs is the model rhs minus the fixed terms summed in entry
-        order, and its sense is the model's, or 'E' for a folded pair.  A
-        cut extends the LP by one row and changes none before it."""
+        order, and its sense is the model's.  A cut extends the LP by one
+        row and changes none before it."""
         net = init_network(2, [dense(6), dense(3, activation="none")], seed=4)
         xs = np.array([[0.4, -0.2], [-0.7, 0.3]])
         model = encoded(net, xs, [0, 2], eps=0.2)
         pre = model.presolve()
-        assert pre.empty > 0 and pre.implied > 0 and pre.folded > 0
+        assert pre.empty > 0 and set(np.array(model.sense)[pre.rows]) == {"L", "G", "E"}
         lb, ub, _ = model.var_arrays()
         last = None
         for k, anchor in enumerate(np.random.default_rng(5).normal(size=(6, 3))):
@@ -373,10 +424,8 @@ class TestAddConstraint:
                     if lb[j] == ub[j]:
                         fixed_part += coef * lb[j]
                 want_rhs.append(rhs[i] - fixed_part)
-            folded = lp.sense != sense[lp.rows]
-            assert set(lp.sense[folded].tolist()) == {"E"} and folded.sum() == pre.folded
             for got, want in ((lp.a, a[lp.rows][:, lp.cols]), (lp.rhs, np.array(want_rhs)),
-                              (lp.sense[~folded], sense[lp.rows][~folded])):
+                              (lp.sense, sense[lp.rows])):
                 assert (got.dtype, got.shape) == (want.dtype, want.shape)
                 assert got.tobytes() == want.tobytes()
             assert not (lp.a.flags.writeable or lp.rhs.flags.writeable
@@ -388,7 +437,7 @@ class TestAddConstraint:
             last = lp
         dropped = np.setdiff1d(np.arange(pre.n_rows), pre.rows).tolist()
         n_free = [sum(lb[j] < ub[j] for j in model.row(i)) for i in dropped]
-        assert len(dropped) == pre.empty + pre.implied + pre.folded
+        assert len(dropped) == pre.empty + pre.implied
         assert n_free.count(0) == pre.empty
 
     def test_variable_arrays_follow_bounds_and_objective(self):
@@ -433,8 +482,8 @@ class TestPresolveRows:
         )
         pre = model.presolve()
         assert pre.rows.tolist() == [1, 3, 5, 6, 7]
-        assert (pre.n_rows, pre.empty, pre.implied, pre.folded) == (8, 1, 2, 0)
-        assert pre.sense.tolist() == ["G", "L", "G", "E", "L"]
+        assert (pre.n_rows, pre.empty, pre.implied) == (8, 1, 2)
+        assert model.split_fixed().sense.tolist() == ["G", "L", "G", "E", "L"]
 
     @pytest.mark.parametrize("arch, eps", [
         ([dense(6), dense(3, activation="none")], 0.2),
@@ -442,14 +491,14 @@ class TestPresolveRows:
         ([dense(6), dense(5), dense(3, activation="none")], 0.0),
     ])
     def test_matches_a_loop_over_the_rows(self, arch, eps):
-        """The vectorized presolve keeps the rows, senses and counts a walk
-        over the rows gives, pairing the last 'L' with the first 'G' among
-        equal rows."""
+        """The vectorized presolve keeps the rows and counts a walk over the
+        rows gives.  Each model drops empty rows (its first-layer stable
+        inactive units'); only a max pool over such a unit leaves rows its
+        box implies (``maxpool_ge``), since no stable unit has a cap."""
         net = init_network(2, arch, seed=4)
         model = encoded(net, np.array([[0.4, -0.2], [-0.7, 0.3]]), [0, 2], eps=eps)
         lb, ub, _ = model.var_arrays()
-        empty, implied, groups = 0, 0, {}
-        keep, sense = {}, {}
+        empty, implied, keep = [], [], []
         for i in model.constraints:
             free = {j: c for j, c in model.row(i).items() if lb[j] < ub[j]}
             fixed_part = 0.0
@@ -459,27 +508,18 @@ class TestPresolveRows:
             b, s = model.rhs[i] - fixed_part, model.sense[i]
             holds = {"L": lambda v: v <= b, "G": lambda v: v >= b, "E": lambda v: v == b}[s]
             if not free and holds(0.0):
-                empty += 1
+                empty.append(i)
             elif len(free) == 1 and s != "E" and all(
                     holds(c * bound) for j, c in free.items() for bound in (lb[j], ub[j])):
-                implied += 1
+                implied.append(i)
             else:
-                keep[i], sense[i] = True, s
-                if s != "E" and free:
-                    groups.setdefault((tuple(free.items()), b), {"L": [], "G": []})[s].append(i)
-        folded = 0
-        for rows in groups.values():
-            if rows["L"] and rows["G"]:
-                low, high = sorted((rows["L"][-1], rows["G"][0]))
-                del keep[high]
-                sense[low] = "E"
-                folded += 1
+                keep.append(i)
         pre = model.presolve()
-        assert pre.rows.tolist() == sorted(keep)
-        assert pre.sense.tolist() == [sense[i] for i in sorted(keep)]
-        assert (pre.n_rows, pre.empty, pre.implied, pre.folded) == (
-            len(model.constraints), empty, implied, folded)
-        assert min(empty, implied, folded) > 0
+        assert pre.rows.tolist() == keep
+        assert (pre.n_rows, pre.empty, pre.implied) == (len(model.constraints), len(empty),
+                                                        len(implied))
+        pooled = any(spec["kind"] == "maxpool" for spec in arch)
+        assert empty and {model.tag[i] for i in implied} == ({"maxpool_ge"} if pooled else set())
 
     def test_violated_empty_row_kept_and_the_lp_certified_infeasible(self):
         model = self.model(({1: 1.0, 2: 1.0}, "L", 1.0), ({0: 1.0}, "L", 0.5))
@@ -487,33 +527,6 @@ class TestPresolveRows:
         assert pre.rows.tolist() == [0, 1] and pre.empty == 0
         res = solve_lp(model)
         assert res.status == "infeasible" and res.certified
-
-    def test_pair_folds_only_with_equal_rhs_and_coefficients(self):
-        half, below = 0.5, np.nextafter(0.5, 0.0)
-        w = _mark_weights(3)
-        model = self.model(
-            ({0: 1.0, 1: 1.0, 2: -1.0}, "G", 1.5),     # y - z >= 0.5 ...
-            ({0: 1.0, 1: 1.0, 2: -1.0}, "L", 1.5),     # ... and <= 0.5: one 'E' row
-            ({1: 1.0, 2: 1.0}, "L", half),             # y + z <= 0.5 ...
-            ({1: 1.0, 2: 1.0}, "G", below),            # ... >= one ulp less: kept
-            ({1: 2.0, 2: 1.0}, "L", 1.0),              # other coefficients ...
-            ({1: 2.0, 2: 3.0}, "G", 1.0),              # ... same rhs: kept
-            ({1: -w[2]}, "L", -0.5 * w[1] * w[2]),     # equal fingerprints, other
-            ({2: -w[1]}, "G", -0.5 * w[1] * w[2]),     # entries: kept
-        )
-        pre = model.presolve()
-        assert (pre.empty, pre.implied, pre.folded) == (0, 0, 1)
-        lp = model.split_fixed()
-        assert lp.rows.tolist() == [0, 2, 3, 4, 5, 6, 7]
-        assert lp.sense.tolist() == ["E", "L", "G", "L", "G", "L", "G"]
-        assert lp.rhs.tolist() == [half, half, below, 1.0, 1.0] + [-0.5 * w[1] * w[2]] * 2
-        res = solve_lp(model)
-        assert res.status == "optimal" and res.certified
-        assert res.x[1] - res.x[2] == pytest.approx(0.5, abs=1e-12)
-        assert model.check_assignment(res.x, tol=1e-9) == []
-        # one ulp apart the other way round, L before G in the sorted order
-        model = self.model(({1: 1.0, 2: 1.0}, "L", below), ({1: 1.0, 2: 1.0}, "G", half))
-        assert model.presolve().rows.tolist() == [0, 1] and model.presolve().folded == 0
 
 
 class TestPresolveFixing:

@@ -142,9 +142,9 @@ class TestGoldenText:
                                      dense(3, activation="none")]),
     }
     DIGESTS = {
-        "dense": "b42a98bd0046fabd1d3899906cb63a4ba0b7f3e27269456831c5c6f3206fffa9",
-        "conv-avgpool": "388e0eaea72a54a6e6479f411e7e50d2870187822b76ae06c1b079c70ea23290",
-        "conv-maxpool": "1eb3fbc071f90860a7b758adf2149f45ea3a450e9d380180d1d6dd5a9a256393",
+        "dense": "2facb4a9d8c8284cdb3f4f470369994b70d383558f4019ea0585c699c6a3df4d",
+        "conv-avgpool": "7679566ef2164dd713a012f8d2a464f34d700b2caf38adf6162c241e755357f6",
+        "conv-maxpool": "729fad88cf352ac0048c5db72bdde45583b32babf97fd50ce0de36c2c518cd2d",
     }
 
     @pytest.mark.parametrize("name", sorted(ARCHS))
@@ -159,7 +159,7 @@ class TestGoldenText:
         write_lp(model, p)
         assert hashlib.sha256(p.read_bytes()).hexdigest() == self.DIGESTS[name]
 
-    POOL_OVER_INPUT = "545c075028c8c2b904544919fe698b591a29f3616c2dfc106f34fa093d626526"
+    POOL_OVER_INPUT = "a9ea8915982f3fc25d447f5e559988c0e325fed6ba1ef0824d24d4de214f44e7"
 
     def test_pool_over_input_digest(self, tmp_path):
         """An average pool over the input, whose rows read constants only
@@ -174,8 +174,8 @@ class TestGoldenText:
         assert hashlib.sha256(p.read_bytes()).hexdigest() == self.POOL_OVER_INPUT
 
     BENCH_DIGESTS = {
-        "dense-1pt-seed0": "a5225580a6f9e2bf1ed43dbbf8cd6d2faa1bef4ad04ffd5176fce8ac1e569293",
-        "conv-classwise-class0": "b189a4991f79e2e648492fd7343586d4797eafb5a024d6a93ff79bc5f19df917",
+        "dense-1pt-seed0": "79f995260f8937fa291e0d4a064412db839a83df4ecd3d3b509407088dd792b5",
+        "conv-classwise-class0": "2c74280160965aad78911f0f843cc211afdb6a3ff1574efaca4fffb32ef7efd7",
     }
 
     @pytest.mark.parametrize("name", sorted(BENCH_DIGESTS))

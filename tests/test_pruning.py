@@ -305,9 +305,9 @@ class TestGoldenReports:
     """
 
     DIGESTS = {
-        "dense-seed0": "be822d48a577097d6be234b9bb34f7168e8209d450cac5637beda5d688d57939",
-        "conv-class4": "d4f8610dda44a7119fdd7a62078e684a0dfc73efdf55026ca6dbe85634ce8bcd",
-        "conv-class6": "f33f634f25a9da3bb90b9582ff6159f80c5a358ebc52373d7f85461038e53262",
+        "dense-seed0": "dda1a70fba8ca6f608ab39bd028f7af1e6e1254cf419b37f0a05c22e0f1aca26",
+        "conv-class4": "8bdf9e341124aad1461f4810f08a12ca7d4cd58ea8f04f314b70b27931b888bf",
+        "conv-class6": "6c83fc36bb8016b576f778334e35f5e739381b4d1191bffc863e9dd887ec4ba7",
     }
 
     @staticmethod
@@ -426,7 +426,7 @@ class TestPresolvedLp:
         linprog = pytest.importorskip("scipy.optimize").linprog
         model = self.model(name)
         pre = model.presolve()
-        assert pre.empty > 0 and pre.implied > 0 and pre.folded > 0
+        assert pre.empty > 0 and pre.implied == 0 and "relu_active" in model.tag
         res = solve_lp(model, point=model.with_exact_lse(model.reference_assignment))
         a, sense, rhs = model.dense_rows()
         lb, ub, c = model.var_arrays()
@@ -436,11 +436,11 @@ class TestPresolvedLp:
         assert ref.status == 0 and res.status == "optimal" and res.certified
         assert res.objective == pytest.approx(ref.fun + model.objective_const, abs=1e-8)
 
-    def test_dropped_and_folded_rows_hold_at_every_lp_answer(self, monkeypatch):
-        """Every row the presolve drops, and both rows of each folded pair,
-        hold within ``_CERT_PRIMAL`` at every LP answer of the class-8
-        search, cut rounds included.  The presolve's counts are on the log's
-        ``end status`` line, not in the report."""
+    def test_dropped_rows_hold_at_every_lp_answer(self, monkeypatch):
+        """Every row the presolve drops holds within ``_CERT_PRIMAL`` at every
+        LP answer of the class-8 search, cut rounds included.  The
+        presolve's counts are on the log's ``end status`` line, not in the
+        report."""
         answers, sols = [], []
         real, real_lp = mipprune.pruning.solve_mip, mipprune.solver.solve_lp
 
@@ -458,14 +458,12 @@ class TestPresolvedLp:
         rep = score(net, xs[8:9], ys[8:9], lam=5.0, epsilon=0.05, allow_imbalanced=True)
         model = answers[0][0]
         pre = model.presolve()
-        assert (f" lp_rows {pre.rows.size} presolve empty:{pre.empty},implied:{pre.implied},"
-                f"folded:{pre.folded}") in sols[0].log_lines[-1]
+        assert (f" lp_rows {pre.rows.size} presolve empty:{pre.empty},"
+                f"implied:{pre.implied}") in sols[0].log_lines[-1]
         assert "lp_rows" not in rep.to_text() and "presolve" not in rep.to_text()
         a, sense, rhs = model.dense_rows()
-        folded = pre.rows[pre.sense != sense[pre.rows]]
-        rows = np.union1d(np.setdiff1d(np.arange(pre.n_rows), pre.rows), folded)
-        assert pre.empty > 0 and pre.implied > 0 and pre.folded > 0
-        assert rows.size == pre.empty + pre.implied + 2 * pre.folded
+        rows = np.setdiff1d(np.arange(pre.n_rows), pre.rows)
+        assert rows.size == pre.empty + pre.implied > 0
         points = [res.x for _, res in answers if res.status == "optimal"]
         assert len(points) > 40
         for x in points:
