@@ -4,7 +4,9 @@ Variables, per batch point k:
 
 * ``h_l_j_k``  continuous activation of unit j in layer l (post-ReLU for
   hidden layers, raw logits for the output layer, pooled values for pools);
-* ``z_l_j_k``  binary on/off state of a ReLU unit;
+* ``z_l_j_k``  binary on/off state of an unstable ReLU unit (one whose
+  bounds leave its state undecided), the only decision the search makes
+  for a unit;
 * ``t_lse_k``  epigraph value for the log-sum-exp of the logits.
 
 Shared across points:
@@ -24,11 +26,12 @@ A ReLU unit with pre-activation bounds [L, U] and importance s satisfies
 so an active unit outputs its affine value damped by (1 - s) max(U, 0) and
 an inactive one outputs zero; units whose upper bound is never positive can
 take s = 0 at no cost.  Bounds come from interval propagation per input
-point.  The bounds decide a stable unit's z, fixed before solving: z = 1
-when L >= 0 < U, z = 0 when U <= 0.  Only an unstable unit gets all three
-rows.  A stable unit's cap is its h's box [0, max(U, 0)], so it is not
-written; a stable inactive unit keeps its upper and lower rows, and a
-stable active one is the single row
+point.  The bounds decide a stable unit's state, so it has no z: it is
+active when L >= 0 < U and inactive when U <= 0.  Only an unstable unit
+gets z and all three rows.  A stable unit's cap is its h's box
+[0, max(U, 0)], so it is not written; a stable inactive unit keeps its
+upper row at z = 0, with no z term, and its lower row, and a stable
+active one is the single row
 
     h - w.h_prev - max(U, 0) s = b - max(U, 0)            'relu_active'
 
@@ -56,7 +59,9 @@ affine layer of its window means), then each tangent cut of a solve is one
 more row.  The solver, the LP writer and the feasibility
 check all read these arrays.  The solver reads them through
 ``MipModel.split_fixed``: the node LP over the variables the model leaves
-free, without the rows its presolve drops as unable to bind.
+free, without the rows left with no free column whose constant holds.
+There is no other presolve: the encoder already writes a decided unit's
+rows in their final form, and no ``maxpool_ge`` row over a fixed input.
 """
 
 from __future__ import annotations
@@ -77,7 +82,6 @@ __all__ = [
     "VarRef",
     "LpRows",
     "MipModel",
-    "Presolve",
     "RESCALE_OFFSETS",
     "encode_network",
     "encode_maxpool",
@@ -104,24 +108,14 @@ def softmax_probs(v: np.ndarray) -> np.ndarray:
     return e / e.sum()
 
 
-class Presolve(NamedTuple):
-    """Which of a model's first ``n_rows`` rows its node LP keeps, each as
-    the model writes it, and why the others go (see
-    :meth:`MipModel.presolve`)."""
-
-    n_rows: int
-    rows: np.ndarray   # the kept row ids, ascending
-    empty: int         # rows dropped with no unfixed column
-    implied: int       # one-column rows dropped as implied by the column's box
-
-
 class LpRows(NamedTuple):
     """A model's node LP, as :meth:`MipModel.split_fixed` reads it from the
-    row store; every array is read-only."""
+    row store; every array is read-only.  The model rows missing from
+    ``rows`` are those with no free column whose constant holds."""
 
     cols: np.ndarray   # ids of the variables with lb < ub: the LP's columns
     fixed: np.ndarray  # ids of the variables with lb == ub
-    rows: np.ndarray   # the model row each LP row stands for
+    rows: np.ndarray   # the model row each LP row stands for, ascending
     a: np.ndarray      # the LP rows over ``cols``, C-ordered
     sense: np.ndarray
     rhs: np.ndarray    # each LP row's rhs with the fixed variables substituted
@@ -149,10 +143,10 @@ class MipModel:
     or 'E' (=); ``tag[i]`` names the kind of row (``relu_cap``, ``lse_cut``,
     ...).  Cuts append rows, so row ids never change.  ``dense_rows`` gives
     the same rows as a dense matrix.  ``split_fixed`` gives the node LP: the
-    rows ``presolve`` keeps, over the variables the model's own bounds leave
-    free, cached until a row or variable is added.  ``var_arrays`` gives the
-    bounds and the objective as arrays, cached until a variable or an
-    objective term is added.
+    rows over the variables the model's own bounds leave free, but those
+    left empty and holding, cached until a row or variable is added.
+    ``var_arrays`` gives the bounds and the objective as arrays, cached
+    until a variable or an objective term is added.
     """
 
     variables: list[VarRef] = field(default_factory=list)
@@ -175,7 +169,6 @@ class MipModel:
     prunable: list[tuple[int, int]] = field(default_factory=list)
     reference_assignment: np.ndarray | None = None
     batch_digest: str = ""
-    _presolve: Presolve | None = field(default=None, init=False, repr=False, compare=False)
     _split: LpRows | None = field(default=None, init=False, repr=False, compare=False)
     _vars: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
@@ -191,7 +184,7 @@ class MipModel:
     def add_vars(self, refs: list[VarRef]) -> None:
         """Append variables in one step; their ids must continue the model's."""
         self.variables.extend(refs)
-        self._presolve = self._split = self._vars = None
+        self._split = self._vars = None
 
     def add_constraint(self, coefs: Mapping[int, float], sense: str, rhs: float,
                        tag: str) -> int:
@@ -211,11 +204,16 @@ class MipModel:
 
         The entries may come in any order, each variable at most once a row;
         zero coefficients are dropped and each row's entries are stored in
-        ascending id order.  Nothing is appended when a row has no entry
-        left, or non-finite data.
+        ascending id order.  Nothing is appended when a row names a variable
+        the model does not have, or has no entry left, or non-finite data.
         """
         rows = np.asarray(rows, dtype=np.intp)
         cols = np.asarray(cols, dtype=np.int64)
+        bad = np.flatnonzero((cols < 0) | (cols >= len(self.variables)))
+        if bad.size:
+            e = bad[np.argmin(rows[bad])]
+            raise InvalidArgument(f"constraint {tag[rows[e]]!r} names variable {cols[e]}, "
+                                  f"not in [0, {len(self.variables)})")
         vals = np.asarray(vals, dtype=np.float64)
         rhs = np.asarray(rhs, dtype=np.float64)
         on = vals != 0.0
@@ -269,56 +267,25 @@ class MipModel:
         rows = np.repeat(np.arange(len(self.rhs)), np.diff(self.row_ptr))
         return rows, np.array(self.col_idx, dtype=np.intp), np.array(self.row_val)
 
-    def presolve(self) -> Presolve:
-        """Which rows the node LP keeps, decided once over the rows the model
-        has at the first call (its encoded rows), and cached until a
-        variable is added; the rows appended later (cuts) are all kept.
-
-        Every test is exact, on the rhs with the fixed variables (``lb ==
-        ub``) substituted (see :meth:`split_fixed`), so the LP keeps the
-        same feasible set.  A row is dropped when it has no unfixed column
-        and its constant holds, or when it has one and that column's own box
-        implies it: the box's extreme values, each a product rounded once,
-        satisfy the row.  On an encoded network the first rule drops, among
-        others, the rows of first-layer stable inactive units, and the
-        second the ``maxpool_ge`` rows over a stable inactive unit; a stable
-        unit's rows need no more, since the encoder writes them in their
-        final form.  Any row that fails both tests is kept as it is, a
-        violated empty row included, so the LP reports the model
-        infeasible.  Ref: Andersen & Andersen, "Presolving in linear
-        programming", Math. Prog. 71, 1995.
-        """
-        if self._presolve is None:
-            m = len(self.rhs)
-            lb, ub, _ = self.var_arrays()
-            rows, var, val, b = self._substituted(lb, lb == ub)
-            free = lb[var] < ub[var]
-            sense = np.array(self.sense, dtype="U1")
-            le, ge = sense == "L", sense == "G"
-            n_free = np.bincount(rows[free], minlength=m)
-            empty = (n_free == 0) & np.where(le, b >= 0.0, np.where(ge, b <= 0.0, b == 0.0))
-            # one unfixed column j: the row holds at both ends of j's box
-            one = free & (n_free[rows] == 1)
-            r, j, v = rows[one], var[one], val[one]
-            lo, hi = v * np.where(v > 0.0, lb[j], ub[j]), v * np.where(v > 0.0, ub[j], lb[j])
-            implied = np.zeros(m, dtype=bool)
-            implied[r] = np.where(le[r], hi <= b[r], ge[r] & (lo >= b[r]))
-            kept = np.flatnonzero(~(empty | implied))
-            self._presolve = Presolve(m, *_frozen(kept), int(empty.sum()), int(implied.sum()))
-        return self._presolve
-
     def split_fixed(self) -> LpRows:
-        """The node LP's rows, read-only (see :class:`LpRows`): the rows
-        :meth:`presolve` keeps, then every row appended since, each with its
-        model sense, over the variables the model leaves free, with the
-        fixed variables substituted into each rhs.
+        """The node LP's rows, read-only (see :class:`LpRows`): the model's
+        rows in row order, each with its model sense, over the variables the
+        model leaves free, with the fixed variables (``lb == ub``)
+        substituted into each rhs, summed in entry order.
+
+        A row with no free column whose constant holds is left out, an exact
+        test on the substituted rhs, so the LP keeps the same feasible set;
+        a violated one is kept, so the LP reports the model infeasible.  On
+        an encoded network these are, among others, the rows of first-layer
+        stable inactive units.  A cut row always has a free ``t_lse``.
+        Ref: Andersen & Andersen, "Presolving in linear programming", Math.
+        Prog. 71, 1995.
 
         The LP block is C-ordered, and that layout fixes the last bits of
         the LP arithmetic: :mod:`.linalg`'s products sum a row in an order
         that depends on its operand's memory layout, so an F-ordered block
         gives other round-off, and can give other pivots and another
-        alternate optimum.  The substituted rhs sums each row's fixed terms
-        in entry order.
+        alternate optimum.
 
         Cached until a row or a variable is added, and then written again
         straight from the row store.  (Extended in place by a cut round's
@@ -327,32 +294,29 @@ class MipModel:
         the same time.)
         """
         if self._split is None:
-            pre = self.presolve()
             m = len(self.rhs)
             lb, ub, _ = self.var_arrays()
             is_fixed = lb == ub
             cols, fixed = np.flatnonzero(~is_fixed), np.flatnonzero(is_fixed)
-            lp_rows = np.concatenate([pre.rows, np.arange(pre.n_rows, m)])
-            sense = np.array(self.sense, dtype="U1")[lp_rows]
-            rows, var, val, b = self._substituted(lb, is_fixed)
-            at = np.full(m, -1)  # each model row's LP row, -1 when dropped
+            rows, var, val = self._entries()
+            on = is_fixed[var]
+            b = np.array(self.rhs) - np.bincount(rows[on], weights=val[on] * lb[var[on]],
+                                                 minlength=m)
+            sense = np.array(self.sense, dtype="U1")
+            kept = np.bincount(rows[~on], minlength=m) > 0
+            i = np.flatnonzero(~kept)  # the rows with no free column: kept when violated
+            kept[i] = np.where(sense[i] == "L", b[i] < 0.0,
+                               np.where(sense[i] == "G", b[i] > 0.0, b[i] != 0.0))
+            lp_rows = np.flatnonzero(kept)
+            at = np.full(m, -1)  # each model row's LP row, -1 when left out
             at[lp_rows] = np.arange(lp_rows.size)
             pos = np.empty(is_fixed.size, dtype=np.intp)  # each variable's LP column
             pos[cols] = np.arange(cols.size)
-            on = ~is_fixed[var] & (at[rows] >= 0)
+            on = ~on & kept[rows]
             a = np.zeros((lp_rows.size, cols.size), dtype=np.float64)
             a[at[rows[on]], pos[var[on]]] = val[on]
-            self._split = LpRows(*_frozen(cols, fixed, lp_rows, a, sense, b[lp_rows]))
+            self._split = LpRows(*_frozen(cols, fixed, lp_rows, a, sense[lp_rows], b[lp_rows]))
         return self._split
-
-    def _substituted(self, lb: np.ndarray, is_fixed: np.ndarray) -> tuple[np.ndarray, ...]:
-        """``(rows, var, val, b)``: each entry's row, variable and coefficient,
-        and each row's rhs minus its fixed variables' terms at ``lb``, summed
-        in entry order."""
-        rows, var, val = self._entries()
-        on = is_fixed[var]
-        fixed_part = np.bincount(rows[on], weights=val[on] * lb[var[on]], minlength=len(self.rhs))
-        return rows, var, val, np.array(self.rhs) - fixed_part
 
     def var_arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Read-only ``(lb, ub, c)``: each variable's bounds and objective
@@ -446,9 +410,10 @@ def encode_maxpool(model: MipModel, input_vars: list[int], uppers, layer: int, g
                    point: int) -> tuple[int, list[int], list[int]]:
     """Max of ``input_vars`` via selection binaries and product variables.
 
-    Exactly one selector m_i is on; the output x dominates every input and
-    is capped by the selected input through the product w_i = h_i m_i,
-    linearized with the standard envelope over [0, U_i].  Returns the output
+    Exactly one selector m_i is on; the output x dominates every input (a
+    fixed one through x's lower bound, with no row) and is capped by the
+    selected input through the product w_i = h_i m_i, linearized with the
+    standard envelope over [0, U_i].  Returns the output
     variable, the selector variables, and the product variables.
     """
     uppers = [float(u) for u in uppers]
@@ -469,8 +434,9 @@ def encode_maxpool(model: MipModel, input_vars: list[int], uppers, layer: int, g
                           layer=layer, unit=group, point=point)
         m_vars.append(m)
         w_vars.append(w)
-        # x >= h_i
-        model.add_constraint({out: 1.0, hj: -1.0}, "G", 0.0, "maxpool_ge")
+        # x >= h_i, which x's lower bound max(lbs) implies for a fixed h_i
+        if model.variables[hj].lb != model.variables[hj].ub:
+            model.add_constraint({out: 1.0, hj: -1.0}, "G", 0.0, "maxpool_ge")
         # x <= w_i + U_pool (1 - m_i): binding only for the selected input
         model.add_constraint({out: 1.0, w: -1.0, m: u_pool}, "L", u_pool, "maxpool_select")
         # product envelope: w_i <= U_i m_i ; w_i <= h_i ; w_i >= h_i - U_i (1 - m_i)
@@ -545,11 +511,12 @@ def _encode_affine_layer(model: MipModel, weight: np.ndarray, bias: np.ndarray, 
     layers all come here: a pool is the weight 1/window on each window,
     with zero bias and no activation.
 
-    Each unit j gets ``h`` (then ``z`` for a ReLU, with the rows the module
-    docstring gives its state, else one 'affine_out' equality).  ``s_ids`` holds
-    the importance variable of each unit of a prunable layer, None
-    otherwise.  The terms ``-w.h_prev`` move to the left; ``w.h_prev + b``
-    over the constants of the previous layer is the constant ``pc`` (see
+    Each unit j gets ``h``, then ``z`` when it is an unstable ReLU unit.  A
+    ReLU unit gets the rows the module docstring gives its state, any other
+    unit one 'affine_out' equality.  ``s_ids`` holds the importance variable
+    of each unit of a prunable layer, None otherwise.  The terms
+    ``-w.h_prev`` move to the left; ``w.h_prev + b`` over the constants of
+    the previous layer is the constant ``pc`` (see
     :func:`_affine_constants`).  "+ 0.0" turns a -0.0 rhs into 0.0, which
     prints as 0.0.
     """
@@ -557,8 +524,12 @@ def _encode_affine_layer(model: MipModel, weight: np.ndarray, bias: np.ndarray, 
     lo = np.asarray(bnd.pre_lo[l_idx], dtype=np.float64)
     hi = np.asarray(bnd.pre_hi[l_idx], dtype=np.float64)
     pc = _affine_constants(weight, bias, prev_const)
-    per = 2 if relu else 1  # variables per unit
-    h = len(model.variables) + per * np.arange(n_units)
+    # stable active (L >= 0 < U) and stable inactive (U <= 0) ReLU units are
+    # decided by their bounds; only an unstable one gets a z, right after its h
+    active, inactive = (hi > 0.0) & (lo >= 0.0), hi <= 0.0
+    unstable = relu & ~(active | inactive)
+    per = 1 + unstable  # variables per unit
+    h = len(model.variables) + np.cumsum(per) - per
     # -w.h_prev: entry e of unit ju[e] on the previous layer's variable
     ju, ii = np.nonzero(weight) if prev_vars is not None else (np.zeros(0, np.intp),) * 2
     prev_ids = np.zeros(0, np.int64) if prev_vars is None else prev_vars[ii]
@@ -573,26 +544,24 @@ def _encode_affine_layer(model: MipModel, weight: np.ndarray, bias: np.ndarray, 
                        ["E"] * n_units, pc + 0.0, ["affine_out"] * n_units)
     else:
         max_u = np.where(0.0 > hi, 0.0, hi)  # max(hi, 0.0), -0.0 kept as Python keeps it
-        # stable active (L >= 0 < U): z = 1; stable inactive (U <= 0): z = 0
-        active, inactive = (hi > 0.0) & (lo >= 0.0), hi <= 0.0
-        z_lb, z_ub = np.where(active, 1.0, 0.0), np.where(inactive, 0.0, 1.0)
         refs: list[VarRef] = []
-        for j, (i, u, zl, zu) in enumerate(zip(h.tolist(), max_u.tolist(), z_lb.tolist(),
-                                               z_ub.tolist())):
-            refs += (VarRef(i, f"h_{l_idx}_{j}_{point}", "h", 0.0, u, False, l_idx, j, point),
-                     VarRef(i + 1, f"z_{l_idx}_{j}_{point}", "z", zl, zu, True, l_idx, j, point))
+        for j, (i, u, free) in enumerate(zip(h.tolist(), max_u.tolist(), unstable.tolist())):
+            refs.append(VarRef(i, f"h_{l_idx}_{j}_{point}", "h", 0.0, u, False, l_idx, j, point))
+            if free:
+                refs.append(VarRef(i + 1, f"z_{l_idx}_{j}_{point}", "z", 0.0, 1.0, True, l_idx,
+                                   j, point))
         model.add_vars(refs)
-        z = h + 1
+        z = h[unstable] + 1
         # rows per unit: unstable 3 (upper, cap, lower), stable inactive 2
         # (upper, lower), stable active 1 (the lower row as an equality)
-        unstable, on = ~(active | inactive), ~active  # ``on``: the units with an upper row
+        on = ~active  # the units with an upper row
         count = np.where(active, 1, np.where(unstable, 3, 2))
         upper = np.cumsum(count) - count
         cap, lower = upper[unstable] + 1, upper + count - 1
         e = on[ju]  # the -w.h_prev entries of the upper rows
-        rows = [upper[on], upper[on], upper[ju[e]], cap, cap, lower, lower[ju]]
-        cols = [h[on], z[on], prev_ids[e], h[unstable], z[unstable], h, prev_ids]
-        vals = [np.ones(on.sum()), -lo[on], neg_w[e], np.ones(cap.size), -hi[unstable],
+        rows = [upper[on], upper[unstable], upper[ju[e]], cap, cap, lower, lower[ju]]
+        cols = [h[on], z, prev_ids[e], h[unstable], z, h, prev_ids]
+        vals = [np.ones(on.sum()), -lo[unstable], neg_w[e], np.ones(cap.size), -hi[unstable],
                 np.ones(n_units), neg_w]
         shift = np.zeros(n_units)
         if s_ids is not None:
@@ -601,8 +570,8 @@ def _encode_affine_layer(model: MipModel, weight: np.ndarray, bias: np.ndarray, 
             cols += [s_ids[on], s_ids]
             vals += [-max_u[on], -max_u]
             shift = max_u
-        # h + (1 - z) L <= psum - (1 - s) max(U, 0);  h <= z U;
-        # h >= psum - (1 - s) max(U, 0), or = where z is 1
+        # h + (1 - z) L <= psum - (1 - s) max(U, 0), with z = 0 when U <= 0;
+        # h <= z U;  h >= psum - (1 - s) max(U, 0), or = when L >= 0 < U
         rhs, sense = np.zeros(count.sum()), np.full(count.sum(), "L")
         tag = np.full(count.sum(), "relu_upper_on")
         rhs[upper[on]] = ((pc - lo) - shift + 0.0)[on]
@@ -611,9 +580,8 @@ def _encode_affine_layer(model: MipModel, weight: np.ndarray, bias: np.ndarray, 
         sense[lower[active]], tag[lower[active]] = "E", "relu_active"
         model.add_rows(np.concatenate(rows), np.concatenate(cols), np.concatenate(vals),
                        sense.tolist(), rhs, tag.tolist())
-        # the binary's reference is the unit's observed state, or its fixed value
-        z_obs = np.where(np.asarray(trace.pre[l_idx]) > 0.0, 1.0, 0.0)
-        z_obs = np.where(unstable, z_obs, z_lb)
+        # the binary's reference is the unit's observed state
+        z_obs = np.where(np.asarray(trace.pre[l_idx])[unstable] > 0.0, 1.0, 0.0)
         reference.update(zip(z.tolist(), z_obs.tolist()))
     ids = h.tolist()
     reference.update(zip(ids, np.asarray(trace.post[l_idx], dtype=np.float64).tolist()))

@@ -16,16 +16,14 @@ than Kelley's, which jump with each LP point.  Ref:
 Ben-Ameur & Neto, "Acceleration of cutting-plane and column generation
 algorithms", Networks 49, 2007; Kelley, J. SIAM 8, 1960.
 
-Each node LP is the model's presolved LP (:meth:`MipModel.split_fixed`),
-built once per model and again only when a cut round appends rows.  It
-leaves out the variables the model itself fixes (stable units' binaries
-among them), with their terms already in each rhs, and of the encoded
-rows it keeps only those that can bind: a row with no unfixed column whose
-constant holds, or with one whose box implies it, is dropped.  (A stable
-unit's rows come from the encoder in their final form: a stable active
-unit is one 'E' row.)  The cut rows are appended
-after the kept rows, so row ids hold from one LP to the next.  A branching
-fixes a binary as a column of width 0.  Each queued node carries the final
+Each node LP is read from :meth:`MipModel.split_fixed`, built once per
+model and again only when a cut round appends rows.  It leaves out the
+variables the model itself fixes, with their terms already in each rhs,
+and the rows left with no free column whose constant holds.  (The model
+holds only the search's decisions: a binary ``z`` for an unstable unit
+alone, and a stable unit's rows in their final form.)  The cut rows are
+appended after the kept rows, so row ids hold from one LP to the next.  A
+branching fixes a binary as a column of width 0.  Each queued node carries the final
 basis of the LP it came from: a child gets its parent's, a cut round its
 own node's (the new cut rows enter with their logicals basic).  The
 search also keeps the final tableau of the last LP answered, the root's
@@ -43,8 +41,8 @@ a warm incumbent, and an LP whose every start gives up, take the 'cold'
 start: a fresh tableau moved to the final basis of the LP's recession LP,
 finished by the dual simplex too.  Each LP records its starts in
 ``LpResult.attempts``, with the pivots and elimination levels that moved
-its tableau; :class:`LpCounters` sums them and adds the presolve's counts,
-and the log's ``end status`` line shows them all.
+its tableau; :class:`LpCounters` sums them and adds the node LP's row
+counts, and the log's ``end status`` line shows them all.
 
 Everything is deterministic: node selection breaks ties by insertion order,
 branching picks the most fractional binary (lowest id on ties), and the
@@ -103,10 +101,10 @@ class LpCounters:
     original arrays.  ``dual_pivots`` plus ``primal_pivots`` make
     ``Solution.lp_pivots``; the move pivots are not in it.
     ``bland_switches`` counts the dual and primal loops' turns to Bland's
-    rule.  The last three come from the model's presolve
-    (:meth:`MipModel.presolve`): ``lp_rows`` encoded rows kept in the node
-    LP (cut rows come on top), and ``empty_rows`` and ``implied_rows``
-    dropped.
+    rule.  The last two come from the node LP at the start of the search
+    (:meth:`MipModel.split_fixed`): its ``lp_rows`` rows (later cut rows
+    come on top), and the ``empty_rows`` model rows it leaves out, with no
+    free column and a constant that holds.
     """
 
     answered: Counter[str] = field(default_factory=Counter)
@@ -119,7 +117,6 @@ class LpCounters:
     bland_switches: int = 0
     lp_rows: int = 0
     empty_rows: int = 0
-    implied_rows: int = 0
 
     def add(self, res: LpResult) -> None:
         for kind, reason, moved, levels in res.attempts:
@@ -146,8 +143,7 @@ class LpCounters:
                 f"uncertified_lps {self.uncertified_lps} "
                 f"dual_pivots {self.dual_pivots} primal_pivots {self.primal_pivots} "
                 f"bland_switches {self.bland_switches} "
-                f"lp_rows {self.lp_rows} presolve empty:{self.empty_rows},"
-                f"implied:{self.implied_rows}")
+                f"lp_rows {self.lp_rows} empty_rows {self.empty_rows}")
 
 
 @dataclass
@@ -193,13 +189,13 @@ def solve_lp(model: MipModel, fixings: dict[int, float] | None = None,
 
     The LP is the model's node LP (:meth:`MipModel.split_fixed`): the
     variables the model itself fixes (``lb == ub``) are substituted out, and
-    the rows its presolve drops are gone; a fixing makes a column
-    of width 0.  So ``basis`` and ``tableau``, like the answer's, index only
-    that LP's columns and rows, while the answer's ``x`` has every
-    variable.  A fixing may only fix a variable the model leaves free, or
-    repeat a fixed one's value: one that moves a variable the model fixes
-    raises :class:`InvalidArgument`, since that variable's terms are
-    already in the presolved rows.
+    the rows that leaves empty and holding are gone; a fixing makes a
+    column of width 0.  So ``basis`` and ``tableau``, like the answer's,
+    index only that LP's columns and rows, while the answer's ``x`` has
+    every variable.  A fixing may only fix a variable the model leaves
+    free, or repeat a fixed one's value: one that moves a variable the
+    model fixes raises :class:`InvalidArgument`, since that variable's
+    terms are already in the LP's rhs.
     """
     if fixings and any(model.variables[j].lb == model.variables[j].ub != val
                        for j, val in fixings.items()):
@@ -270,8 +266,8 @@ def solve_mip(model: MipModel, config: SolveConfig | None = None,
     cfg = config or SolveConfig()
     t0 = time.perf_counter()
     log: list[str] = []
-    pre = model.presolve()
-    counters = LpCounters(lp_rows=pre.rows.size, empty_rows=pre.empty, implied_rows=pre.implied)
+    lp_rows = model.split_fixed().rows.size
+    counters = LpCounters(lp_rows=lp_rows, empty_rows=len(model.constraints) - lp_rows)
     # the binaries the model itself leaves free; a branching fixes them at 0 or 1
     lb, ub, _ = model.var_arrays()
     binaries = np.flatnonzero(model.binary_mask() & (lb < ub))

@@ -341,9 +341,9 @@ class TestCriterion08RescalingDirection:
         every answer passes its check.  Its long degenerate runs came from
         the stable active units' 'L'/'G' row pairs, which the encoder now
         writes as one 'E' row each, so the guard on Bland's rule replays the
-        search's LPs on the model's unpresolved rows with each such row
-        split back into its pair: each LP fresh from the replayed answer of
-        the LP its node's basis came from, the root from the warm vertex.
+        search's LPs on all the model's rows, empty ones too, with each such
+        row split back into its pair: each LP fresh from the replayed answer
+        of the LP its node's basis came from, the root from the warm vertex.
         Some of those still leave a degenerate run by Bland's rule, and each
         answer has the search's objective."""
         net, train_ds, _ = crit6_setup(1)

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import test_pruning
 
 from mipprune.bounds import propagate_batch
 from mipprune.encoding import (
@@ -11,6 +12,7 @@ from mipprune.encoding import (
     softmax_probs,
 )
 from mipprune.errors import InvalidArgument
+from mipprune.lpformat import write_lp
 from mipprune.network import avgpool, build_network, conv, dense, flatten, forward, init_network, maxpool
 from mipprune.solver import SolveConfig, solve_lp, solve_mip
 
@@ -32,11 +34,47 @@ class TestVariableCounts:
         for v in model.variables:
             kinds[v.kind] = kinds.get(v.kind, 0) + 1
         assert kinds["h"] == 4          # 2 hidden + 2 logits, input folded as constants
-        assert kinds["z"] == 2
+        assert kinds.get("z", 0) == 0   # eps 0 decides every unit
         assert kinds["s"] == 2          # logit head is not prunable
         assert kinds.get("m", 0) == 0
         assert kinds["t_lse"] == 1
         assert kinds["t_min"] == 1
+
+    def test_only_unstable_units_get_a_binary(self, tmp_path):
+        """A ReLU unit has a ``z`` exactly when its bounds leave it unstable
+        (L < 0 < U), right after its ``h``; so every binary is free, and the
+        LP file lists exactly those.  On a net where both hidden layers have
+        unstable, stable active and stable inactive units, and on the
+        benchmark's dense-1pt seed-0 model (88 of 96 units stable)."""
+        net = init_network(2, [dense(6), dense(5), dense(3, activation="none")], seed=4)
+        xs = np.array([[0.4, -0.2], [-0.7, 0.3]])
+        model = encoded(net, xs, [0, 2], eps=0.2)
+        bounds = propagate_batch(net, xs, 0.2)
+        ids = {v.name: v.idx for v in model.variables}
+        states = set()
+        for k in range(2):
+            for l in range(2):
+                for j, (lo, hi) in enumerate(zip(bounds[k].pre_lo[l], bounds[k].pre_hi[l])):
+                    state = "active" if lo >= 0.0 < hi else "inactive" if hi <= 0.0 else "unstable"
+                    states.add((l, state))
+                    h = ids[f"h_{l}_{j}_{k}"]
+                    if state == "unstable":
+                        assert ids[f"z_{l}_{j}_{k}"] == h + 1
+                    else:
+                        assert f"z_{l}_{j}_{k}" not in ids
+        assert states == {(l, s) for l in range(2) for s in ("active", "inactive", "unstable")}
+        lb, ub, _ = model.var_arrays()
+        binary = model.binary_mask()
+        assert binary.any() and np.all(lb[binary] < ub[binary])
+        write_lp(model, tmp_path / "m.lp")
+        listed = (tmp_path / "m.lp").read_text().split("Binaries\n")[1].split("End")[0].split()
+        assert listed == [model.variables[j].name for j in np.flatnonzero(binary & (lb < ub))]
+        net, xs, ys = test_pruning.TestGoldenReports.dense_instance()
+        model = encode_network(net, xs, ys, propagate_batch(net, xs, 0.5), lam=5.0)
+        lb, ub, _ = model.var_arrays()
+        binary = model.binary_mask()
+        assert (len(model.variables), int(binary.sum())) == (149, 8)
+        assert np.all(lb[binary] < ub[binary])
 
     def test_lambda_must_be_positive(self):
         with pytest.raises(InvalidArgument):
@@ -85,8 +123,9 @@ class TestReluConstraintAlgebra:
         rows by tag, sense, entries and rhs bits: an unstable unit (L < 0 <
         U) has its upper, cap and lower rows, a stable inactive one (U <= 0)
         upper and lower, a stable active one (L >= 0 < U) only the lower
-        row as an equality, tagged 'relu_active'.  Rows find their unit
-        through their own ``h``, the row's largest 'h' id."""
+        row as an equality, tagged 'relu_active'.  Only an unstable unit
+        has a ``z``.  Rows find their unit through their own ``h``, the
+        row's largest 'h' id."""
         net = init_network(2, [dense(6), dense(5), dense(3, activation="none")], seed=4)
         xs = np.array([[0.4, -0.2], [-0.7, 0.3]])
         model = encoded(net, xs, [0, 2], eps=0.2)
@@ -103,7 +142,7 @@ class TestReluConstraintAlgebra:
             weight, bias = net.layers[l].weight, net.layers[l].bias
             for j in range(weight.shape[0]):
                 lo, hi = bounds[k].pre_lo[l][j], bounds[k].pre_hi[l][j]
-                max_u, h, z = max(hi, 0.0), ids[f"h_{l}_{j}_{k}"], ids[f"z_{l}_{j}_{k}"]
+                max_u, h, z = max(hi, 0.0), ids[f"h_{l}_{j}_{k}"], ids.get(f"z_{l}_{j}_{k}")
                 pc, prev = float(bias[j]), {}
                 for i, wi in enumerate(weight[j].tolist()):
                     if wi != 0.0 and l == 0:
@@ -111,15 +150,18 @@ class TestReluConstraintAlgebra:
                     elif wi != 0.0:
                         prev[ids[f"h_0_{i}_{k}"]] = -wi
                 damped = {h: 1.0, **prev, model.s_vars[(l, j)]: -max_u}
-                upper = ("relu_upper_on", "L", {**damped, z: -lo}, ((pc - lo) - max_u + 0.0).hex())
-                cap = ("relu_cap", "L", {h: 1.0, z: -hi}, (0.0).hex())
+                upper_rhs = ((pc - lo) - max_u + 0.0).hex()
                 lower = ("relu_lower_on", "G", damped, (pc - max_u + 0.0).hex())
                 if lo >= 0.0 < hi:
                     want, state = [("relu_active", "E", *lower[2:])], "active"
                 elif hi <= 0.0:
-                    want, state = [upper, lower], "inactive"
+                    want = [("relu_upper_on", "L", dict(damped), upper_rhs), lower]
+                    state = "inactive"
                 else:
-                    want, state = [upper, cap, lower], "unstable"
+                    want = [("relu_upper_on", "L", {**damped, z: -lo}, upper_rhs),
+                            ("relu_cap", "L", {h: 1.0, z: -hi}, (0.0).hex()), lower]
+                    state = "unstable"
+                assert (z is None) == (state != "unstable"), (k, l, j)
                 for _, _, coefs, _ in want:  # zero coefficients are not stored
                     for key in [key for key, val in coefs.items() if val == 0.0]:
                         del coefs[key]
@@ -335,6 +377,22 @@ class TestAddConstraint:
         with pytest.raises(InvalidArgument):
             model.add_constraint({a: 0.0}, "L", 0.0, "t")
 
+    @pytest.mark.parametrize("bad", [-1, 2, 5])
+    def test_variable_outside_the_model_rejected(self, bad):
+        """An id below 0 would bind the last variable through Python's
+        indexing, and one past the end would fail only when the LP is built;
+        both are refused with the row's tag, and nothing is appended."""
+        model = MipModel()
+        for j in range(2):
+            model.add_var(f"h_0_{j}_0", "h", 0.0, 2.0)
+        model.add_constraint({0: 1.0}, "L", 1.0, "ok")
+        with pytest.raises(InvalidArgument, match=f"'x' names variable {bad}, not in \\[0, 2\\)"):
+            model.add_constraint({bad: 1.0}, "L", 1.5, "x")
+        with pytest.raises(InvalidArgument, match="'second' names variable"):
+            model.add_rows([1, 0, 1], [0, 1, bad], [1.0, 1.0, 1.0], list("LL"), np.zeros(2),
+                           ["first", "second"])
+        assert len(model.constraints) == 1 and len(model.col_idx) == 1
+
     def test_non_finite_data_rejected(self):
         model = MipModel()
         a = model.add_var("h_0_0_0", "h", 0.0, 1.0)
@@ -396,27 +454,27 @@ class TestAddConstraint:
 
     def test_split_blocks_after_cuts_equal_the_dense_columns(self):
         """Read after every cut, as a search reads them, the node LP holds the
-        rows the presolve keeps, then every row appended since, in row order.
-        Each LP row equals its model row over the unfixed columns bit for
-        bit, its rhs is the model rhs minus the fixed terms summed in entry
-        order, and its sense is the model's.  A cut extends the LP by one
-        row and changes none before it."""
+        encoded rows but the empty ones, then every row appended since, in
+        row order.  Each LP row equals its model row over the unfixed
+        columns bit for bit, its rhs is the model rhs minus the fixed terms
+        summed in entry order, and its sense is the model's.  A cut extends
+        the LP by one row and changes none before it.  The encoded rows
+        left out are exactly those with no unfixed column (each holds)."""
         net = init_network(2, [dense(6), dense(3, activation="none")], seed=4)
         xs = np.array([[0.4, -0.2], [-0.7, 0.3]])
         model = encoded(net, xs, [0, 2], eps=0.2)
-        pre = model.presolve()
-        assert pre.empty > 0 and set(np.array(model.sense)[pre.rows]) == {"L", "G", "E"}
+        n_encoded, first = len(model.constraints), model.split_fixed()
+        assert set(np.array(model.sense)[first.rows]) == {"L", "G", "E"}
         lb, ub, _ = model.var_arrays()
         last = None
         for k, anchor in enumerate(np.random.default_rng(5).normal(size=(6, 3))):
             add_lse_cut(model, k % 2, anchor)
             a, sense, rhs = model.dense_rows()
             lp = model.split_fixed()
-            assert model.presolve() is pre and pre.n_rows < len(rhs)
             assert np.array_equal(lp.fixed, np.flatnonzero(lb == ub)) and lp.fixed.size > 0
             assert np.array_equal(lp.cols, np.flatnonzero(lb < ub))
-            assert np.array_equal(lp.rows, np.concatenate([pre.rows,
-                                                           np.arange(pre.n_rows, len(rhs))]))
+            assert np.array_equal(lp.rows, np.concatenate([first.rows,
+                                                           np.arange(n_encoded, len(rhs))]))
             want_rhs = []
             for i in lp.rows.tolist():
                 fixed_part = 0.0
@@ -435,10 +493,9 @@ class TestAddConstraint:
                 assert lp.a[:-1].tobytes() == last.a.tobytes()
                 assert lp.rhs[:-1].tobytes() == last.rhs.tobytes()
             last = lp
-        dropped = np.setdiff1d(np.arange(pre.n_rows), pre.rows).tolist()
-        n_free = [sum(lb[j] < ub[j] for j in model.row(i)) for i in dropped]
-        assert len(dropped) == pre.empty + pre.implied
-        assert n_free.count(0) == pre.empty
+        dropped = np.setdiff1d(np.arange(n_encoded), first.rows).tolist()
+        assert dropped and dropped == [i for i in range(n_encoded)
+                                       if not any(lb[j] < ub[j] for j in model.row(i))]
 
     def test_variable_arrays_follow_bounds_and_objective(self):
         model = MipModel()
@@ -470,20 +527,25 @@ class TestPresolveRows:
         return model
 
     def test_each_rule_drops_only_rows_that_hold(self):
+        """The one rule: a row with no unfixed column is dropped when its
+        constant holds.  A one-column row is kept, even where the column's
+        box implies it."""
         model = self.model(
             ({0: 1.0}, "L", 1.0),             # 1 <= 1: dropped
             ({0: 2.0}, "G", 2.5),             # 2 >= 2.5 fails: kept
-            ({0: 1.0, 1: 1.0}, "L", 3.0),     # y <= 2, y's box: dropped
+            ({0: 1.0, 1: 1.0}, "L", 3.0),     # y <= 2, y's box: kept
             ({0: 1.0, 1: 1.0}, "L", 2.5),     # y <= 1.5: kept
-            ({2: -2.0}, "G", -2.0),           # z <= 1, z's box: dropped
+            ({2: -2.0}, "G", -2.0),           # z <= 1, z's box: kept
             ({2: -2.0}, "G", -1.0),           # z <= 0.5: kept
-            ({1: 1.0}, "E", 2.0),             # y = 2 is no box bound: kept
+            ({1: 1.0}, "E", 2.0),             # y = 2: kept
             ({1: 1.0, 2: 1.0}, "L", 3.0),     # two columns: kept
         )
-        pre = model.presolve()
-        assert pre.rows.tolist() == [1, 3, 5, 6, 7]
-        assert (pre.n_rows, pre.empty, pre.implied) == (8, 1, 2)
-        assert model.split_fixed().sense.tolist() == ["G", "L", "G", "E", "L"]
+        lp = model.split_fixed()
+        assert lp.rows.tolist() == [1, 2, 3, 4, 5, 6, 7]
+        assert lp.sense.tolist() == ["G", "L", "L", "G", "G", "E", "L"]
+        assert lp.rhs.tolist() == [0.5, 2.0, 1.5, -2.0, -1.0, 2.0, 3.0]
+        assert lp.a.tolist() == [[0.0, 0.0], [1.0, 0.0], [1.0, 0.0], [0.0, -2.0], [0.0, -2.0],
+                                 [1.0, 0.0], [1.0, 1.0]]
 
     @pytest.mark.parametrize("arch, eps", [
         ([dense(6), dense(3, activation="none")], 0.2),
@@ -491,14 +553,15 @@ class TestPresolveRows:
         ([dense(6), dense(5), dense(3, activation="none")], 0.0),
     ])
     def test_matches_a_loop_over_the_rows(self, arch, eps):
-        """The vectorized presolve keeps the rows and counts a walk over the
-        rows gives.  Each model drops empty rows (its first-layer stable
-        inactive units'); only a max pool over such a unit leaves rows its
-        box implies (``maxpool_ge``), since no stable unit has a cap."""
+        """The node LP keeps the rows a walk over the rows keeps: all but
+        the empty ones that hold.  Each model has empty rows (its first-layer
+        stable inactive units').  A max pool writes no ``maxpool_ge`` row
+        over a fixed input, whose box implies it: each such row's input is
+        free, and the pooled model has fewer such rows than inputs."""
         net = init_network(2, arch, seed=4)
         model = encoded(net, np.array([[0.4, -0.2], [-0.7, 0.3]]), [0, 2], eps=eps)
         lb, ub, _ = model.var_arrays()
-        empty, implied, keep = [], [], []
+        empty, keep = [], []
         for i in model.constraints:
             free = {j: c for j, c in model.row(i).items() if lb[j] < ub[j]}
             fixed_part = 0.0
@@ -507,43 +570,35 @@ class TestPresolveRows:
                     fixed_part += c * lb[j]
             b, s = model.rhs[i] - fixed_part, model.sense[i]
             holds = {"L": lambda v: v <= b, "G": lambda v: v >= b, "E": lambda v: v == b}[s]
-            if not free and holds(0.0):
-                empty.append(i)
-            elif len(free) == 1 and s != "E" and all(
-                    holds(c * bound) for j, c in free.items() for bound in (lb[j], ub[j])):
-                implied.append(i)
-            else:
-                keep.append(i)
-        pre = model.presolve()
-        assert pre.rows.tolist() == keep
-        assert (pre.n_rows, pre.empty, pre.implied) == (len(model.constraints), len(empty),
-                                                        len(implied))
+            (empty if not free and holds(0.0) else keep).append(i)
+        assert empty and model.split_fixed().rows.tolist() == keep
         pooled = any(spec["kind"] == "maxpool" for spec in arch)
-        assert empty and {model.tag[i] for i in implied} == ({"maxpool_ge"} if pooled else set())
+        ge = [i for i in model.constraints if model.tag[i] == "maxpool_ge"]
+        inputs = [j for i in ge for j, c in model.row(i).items() if c == -1.0]
+        assert len(inputs) == len(ge) and all(lb[j] < ub[j] for j in inputs)
+        n_inputs = sum(v.kind == "m" for v in model.variables)
+        assert (0 < len(ge) < n_inputs) if pooled else not ge
 
     def test_violated_empty_row_kept_and_the_lp_certified_infeasible(self):
         model = self.model(({1: 1.0, 2: 1.0}, "L", 1.0), ({0: 1.0}, "L", 0.5))
-        pre = model.presolve()
-        assert pre.rows.tolist() == [0, 1] and pre.empty == 0
+        assert model.split_fixed().rows.tolist() == [0, 1]
         res = solve_lp(model)
         assert res.status == "infeasible" and res.certified
 
 
 class TestPresolveFixing:
     def test_z_fixed_from_bounds(self):
+        """At eps 0 the bounds decide every unit, so the model has no z; a
+        stable inactive unit's h is fixed at 0 by its box [0, max(U, 0)]."""
         net = tiny_net(seed=11)
         xs = np.array([[0.9, -0.4]])
         model = encoded(net, xs, [0])
         bounds = propagate_batch(net, xs, 0.0)[0]
-        for v in model.variables:
-            if v.kind != "z":
-                continue
-            hi = bounds.pre_hi[v.layer][v.unit]
-            lo = bounds.pre_lo[v.layer][v.unit]
-            if hi <= 0:
-                assert v.lb == v.ub == 0.0
-            elif lo >= 0:
-                assert v.lb == v.ub == 1.0
+        assert not any(v.kind == "z" or v.binary for v in model.variables)
+        hidden = [v for v in model.variables if v.kind == "h" and v.layer == 0]
+        assert len(hidden) == 2
+        for v in hidden:
+            assert (v.lb, v.ub) == (0.0, max(bounds.pre_hi[0][v.unit], 0.0))
 
     def test_z_free_inside_wide_bounds(self):
         net = tiny_net(seed=12)

@@ -20,7 +20,7 @@ FIRST_TERM = rf"-?{NUM} [a-z][a-z0-9_]*"
 EXPR = rf"{FIRST_TERM}( {TERM})*"
 
 
-def make_model(seed=0, with_pool=False):
+def make_model(seed=0, with_pool=False, eps=0.0):
     if with_pool:
         net = init_network(4, [dense(4), maxpool(2), dense(2, activation="none")], seed=seed)
         xs = np.random.default_rng(seed).normal(size=(2, 4))
@@ -28,7 +28,7 @@ def make_model(seed=0, with_pool=False):
         net = init_network(2, [dense(3), dense(2, activation="none")], seed=seed)
         xs = np.random.default_rng(seed).normal(size=(2, 2))
     ys = np.array([0, 1])
-    bounds = propagate_batch(net, xs, 0.0)
+    bounds = propagate_batch(net, xs, eps)
     return encode_network(net, xs, ys, bounds)
 
 
@@ -69,17 +69,20 @@ class TestWriter:
                 assert re.fullmatch(r"([a-z][a-z0-9_]*)( [a-z][a-z0-9_]*)*", body), body
 
     def test_binaries_section_lists_exactly_z_and_m(self, tmp_path):
-        model = make_model(with_pool=True)
+        """At eps 0.5 some units stay unstable, so the section holds both
+        kinds of binary."""
+        model = make_model(with_pool=True, eps=0.5)
         p = tmp_path / "m.lp"
         write_lp(model, p)
         text = p.read_text()
         body = text.split("Binaries")[1].split("End")[0].split()
         want = sorted(v.name for v in model.variables if v.binary)
         assert sorted(body) == want
-        assert all(name.startswith(("z_", "m_")) for name in body)
+        assert {name[:2] for name in body} == {"z_", "m_"}
 
     def test_stable_variable_names(self, tmp_path):
-        model = make_model()
+        """Names of every kind, a ``z`` too: at eps 0.5 some unit is unstable."""
+        model = make_model(eps=0.5)
         names = [v.name for v in model.variables]
         assert any(re.fullmatch(r"h_\d+_\d+_\d+", n) for n in names)
         assert any(re.fullmatch(r"z_\d+_\d+_\d+", n) for n in names)
@@ -142,9 +145,9 @@ class TestGoldenText:
                                      dense(3, activation="none")]),
     }
     DIGESTS = {
-        "dense": "2facb4a9d8c8284cdb3f4f470369994b70d383558f4019ea0585c699c6a3df4d",
-        "conv-avgpool": "7679566ef2164dd713a012f8d2a464f34d700b2caf38adf6162c241e755357f6",
-        "conv-maxpool": "729fad88cf352ac0048c5db72bdde45583b32babf97fd50ce0de36c2c518cd2d",
+        "dense": "e742b5545d463468ee87250be179149f2bba9317c3f3163bbf8455eaf948d326",
+        "conv-avgpool": "0ad100d666d35d092626290ba2067248bec82a2d0d62250396e5edb086f9993e",
+        "conv-maxpool": "e0a03aeb69b085939ac6235a7e04b8f78749829d95e92bba68bfa0f3b591dba5",
     }
 
     @pytest.mark.parametrize("name", sorted(ARCHS))
@@ -159,7 +162,7 @@ class TestGoldenText:
         write_lp(model, p)
         assert hashlib.sha256(p.read_bytes()).hexdigest() == self.DIGESTS[name]
 
-    POOL_OVER_INPUT = "a9ea8915982f3fc25d447f5e559988c0e325fed6ba1ef0824d24d4de214f44e7"
+    POOL_OVER_INPUT = "8ba0d8cfb32ea86ab28465aae4db62d53459d4eb8177cdb5fd88ab0381c2282c"
 
     def test_pool_over_input_digest(self, tmp_path):
         """An average pool over the input, whose rows read constants only
@@ -174,8 +177,8 @@ class TestGoldenText:
         assert hashlib.sha256(p.read_bytes()).hexdigest() == self.POOL_OVER_INPUT
 
     BENCH_DIGESTS = {
-        "dense-1pt-seed0": "79f995260f8937fa291e0d4a064412db839a83df4ecd3d3b509407088dd792b5",
-        "conv-classwise-class0": "2c74280160965aad78911f0f843cc211afdb6a3ff1574efaca4fffb32ef7efd7",
+        "dense-1pt-seed0": "38e23a29dc19294979d86a7cf8bcc5d2d372460eb60833738e10265e9910f96b",
+        "conv-classwise-class0": "39e4b5a0baaa16aa4ca7eb8378893b9acddf55cef8631e074e9cd3a7721f6e57",
     }
 
     @pytest.mark.parametrize("name", sorted(BENCH_DIGESTS))

@@ -298,7 +298,7 @@ class TestGoldenReports:
     classes 4 and 6 of its ``conv-classwise`` workload (eps 0.05; class 4
     needs 1 cut round, class 6 needs 7).  Any change to the simplex's
     arithmetic (the round-off each pivot drops below ``_DROP_TOL`` among
-    it), its pivot choices, the rows the presolve keeps, the cut rows or
+    it), its pivot choices, the rows the node LP keeps, the cut rows or
     the search moves at least one digest; an alternate optimum within
     ``gap_tol`` is a new digest, and CHANGES.md lists the objectives before
     and after each re-pin.
@@ -406,8 +406,9 @@ class TestGoldenReports:
 
 
 class TestPresolvedLp:
-    """The node LP after the model's presolve, checked against the full rows
-    on two benchmark models: the dense-1pt seed-0 net and conv class 8."""
+    """The node LP, without the model's empty rows, checked against the full
+    rows on two benchmark models: the dense-1pt seed-0 net and conv class
+    8."""
 
     @staticmethod
     def model(name):
@@ -422,14 +423,16 @@ class TestPresolvedLp:
     def test_root_lp_matches_highs_on_the_full_rows(self, name):
         """The root LP as the search solves it, from the warm vertex.  HiGHS
         gives conv class 8's full LP 3.2e-9 above this solver's optimum, with
-        or without the presolve, hence the 1e-8."""
+        or without the empty rows, hence the 1e-8.  The model has no fixed
+        binary, and its node LP leaves some empty rows out."""
         linprog = pytest.importorskip("scipy.optimize").linprog
         model = self.model(name)
-        pre = model.presolve()
-        assert pre.empty > 0 and pre.implied == 0 and "relu_active" in model.tag
+        lb, ub, c = model.var_arrays()
+        binary = model.binary_mask()
+        assert model.split_fixed().rows.size < len(model.constraints)
+        assert "relu_active" in model.tag and binary.any() and np.all(lb[binary] < ub[binary])
         res = solve_lp(model, point=model.with_exact_lse(model.reference_assignment))
         a, sense, rhs = model.dense_rows()
-        lb, ub, c = model.var_arrays()
         le, ge, eq = sense == "L", sense == "G", sense == "E"
         ref = linprog(c, A_ub=np.vstack([a[le], -a[ge]]), b_ub=np.concatenate([rhs[le], -rhs[ge]]),
                       A_eq=a[eq], b_eq=rhs[eq], bounds=list(zip(lb, ub)), method="highs")
@@ -437,10 +440,10 @@ class TestPresolvedLp:
         assert res.objective == pytest.approx(ref.fun + model.objective_const, abs=1e-8)
 
     def test_dropped_rows_hold_at_every_lp_answer(self, monkeypatch):
-        """Every row the presolve drops holds within ``_CERT_PRIMAL`` at every
-        LP answer of the class-8 search, cut rounds included.  The
-        presolve's counts are on the log's ``end status`` line, not in the
-        report."""
+        """Every row the node LP leaves out holds within ``_CERT_PRIMAL`` at
+        every LP answer of the class-8 search, cut rounds included.  The
+        node LP's row counts at the start of the search are on the log's
+        ``end status`` line, not in the report."""
         answers, sols = [], []
         real, real_lp = mipprune.pruning.solve_mip, mipprune.solver.solve_lp
 
@@ -457,13 +460,14 @@ class TestPresolvedLp:
         net, xs, ys = TestGoldenReports.conv_instance()
         rep = score(net, xs[8:9], ys[8:9], lam=5.0, epsilon=0.05, allow_imbalanced=True)
         model = answers[0][0]
-        pre = model.presolve()
-        assert (f" lp_rows {pre.rows.size} presolve empty:{pre.empty},"
-                f"implied:{pre.implied}") in sols[0].log_lines[-1]
-        assert "lp_rows" not in rep.to_text() and "presolve" not in rep.to_text()
+        kept, n_cuts = model.split_fixed().rows, sum(sols[0].oa_cuts.values())
         a, sense, rhs = model.dense_rows()
-        rows = np.setdiff1d(np.arange(pre.n_rows), pre.rows)
-        assert rows.size == pre.empty + pre.implied > 0
+        rows = np.setdiff1d(np.arange(rhs.size), kept)
+        assert rows.size > 0 and n_cuts > 0 and kept[-n_cuts:].tolist() == list(
+            range(rhs.size - n_cuts, rhs.size))
+        assert (f" lp_rows {kept.size - n_cuts} empty_rows {rows.size}"
+                in sols[0].log_lines[-1])
+        assert "lp_rows" not in rep.to_text() and "empty_rows" not in rep.to_text()
         points = [res.x for _, res in answers if res.status == "optimal"]
         assert len(points) > 40
         for x in points:

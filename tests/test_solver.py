@@ -105,7 +105,7 @@ class TestModelFixedColumns:
         columns: the answer's basis covers the other two only, while its x
         and objective are those of the full LP.  A fixing that moves a
         variable the model fixes is rejected: its terms are already in the
-        presolved rows."""
+        LP's rhs."""
         c, lb, ub = [-1.0, -2.0, 0.1, 0.5], [0.0, 0.5, 0.0, 1.0], [1.0, 0.5, 2.0, 1.0]
         a, sense, rhs = [[1.0, 0.0, -1.0, 1.0], [1.0, 1.0, 1.0, 0.0]], ["L", "G"], [1.3, 1.0]
         model = build_model(c, a, sense, rhs, lb, ub, [True, False, False, False])
