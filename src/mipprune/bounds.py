@@ -51,8 +51,8 @@ class IntervalBounds:
 
 def propagate(net: Network, x, epsilon: float = 0.0) -> IntervalBounds:
     """Bounds for one input point under an L-infinity ball of radius epsilon."""
-    if epsilon < 0:
-        raise InvalidArgument("epsilon must be >= 0")
+    if not (np.isfinite(epsilon) and epsilon >= 0):
+        raise InvalidArgument(f"epsilon must be finite and >= 0, got {epsilon}")
     v = np.asarray(x, dtype=np.float64).ravel()
     if v.size != net.input_size:
         raise InvalidArgument(f"input size {v.size}, network expects {net.input_size}")
@@ -71,10 +71,11 @@ def propagate(net: Network, x, epsilon: float = 0.0) -> IntervalBounds:
     pre_lo, pre_hi, post_lo, post_hi = [], [], [], []
     for spec in net.layers:
         if spec.kind in ("dense", "conv"):
-            w_pos = np.maximum(spec.weight, 0.0)
-            w_neg = np.minimum(spec.weight, 0.0)
-            zl = matvec(w_pos, lo) + matvec(w_neg, hi) + spec.bias
-            zh = matvec(w_pos, hi) + matvec(w_neg, lo) + spec.bias
+            weight, bias = spec.weight, spec.bias  # a conv's are lowered on each read
+            w_pos = np.maximum(weight, 0.0)
+            w_neg = np.minimum(weight, 0.0)
+            zl = matvec(w_pos, lo) + matvec(w_neg, hi) + bias
+            zh = matvec(w_pos, hi) + matvec(w_neg, lo) + bias
             if spec.activation == "relu":
                 al, ah = np.maximum(zl, 0.0), np.maximum(zh, 0.0)
             else:

@@ -61,7 +61,8 @@ check all read these arrays.  The solver reads them through
 ``MipModel.split_fixed``: the node LP over the variables the model leaves
 free, without the rows left with no free column whose constant holds.
 There is no other presolve: the encoder already writes a decided unit's
-rows in their final form, and no ``maxpool_ge`` row over a fixed input.
+rows in their final form, no ``maxpool_ge`` row over a fixed input, and no
+selector for a pooled input that another input's lower bound dominates.
 """
 
 from __future__ import annotations
@@ -407,14 +408,17 @@ def _frozen(*arrays: np.ndarray) -> tuple:
 
 
 def encode_maxpool(model: MipModel, input_vars: list[int], uppers, layer: int, group: int,
-                   point: int) -> tuple[int, list[int], list[int]]:
+                   point: int) -> tuple[int, dict[int, int], dict[int, int]]:
     """Max of ``input_vars`` via selection binaries and product variables.
 
     Exactly one selector m_i is on; the output x dominates every input (a
     fixed one through x's lower bound, with no row) and is capped by the
     selected input through the product w_i = h_i m_i, linearized with the
-    standard envelope over [0, U_i].  Returns the output
-    variable, the selector variables, and the product variables.
+    standard envelope over [0, U_i].  A member another member k dominates,
+    U_i < L_k or U_i <= L_k with k < i, gets no selector, product or row:
+    x's lower bound max(L) already gives x >= h_i, and the lowest member
+    with the largest L is never dominated.  Returns the output variable and
+    the selector and product variables keyed by member position.
     """
     uppers = [float(u) for u in uppers]
     if len(uppers) != len(input_vars):
@@ -422,18 +426,22 @@ def encode_maxpool(model: MipModel, input_vars: list[int], uppers, layer: int, g
     if not all(np.isfinite(uppers)):
         raise InvalidArgument("pooled inputs need finite upper bounds")
     lbs = [model.variables[j].lb for j in input_vars]
+    lb_pool = max(lbs)
     u_pool = max(uppers)  # deactivated selectors must not cap the pooled max
-    out = model.add_var(f"h_{layer}_{group}_{point}", "h", max(lbs), u_pool,
+    out = model.add_var(f"h_{layer}_{group}_{point}", "h", lb_pool, u_pool,
                         layer=layer, unit=group, point=point)
-    m_vars: list[int] = []
-    w_vars: list[int] = []
+    m_vars: dict[int, int] = {}
+    w_vars: dict[int, int] = {}
+    lb_before = -INF  # the largest lower bound of the members before i
     for i, (hj, u) in enumerate(zip(input_vars, uppers)):
-        m = model.add_var(f"m_{layer}_{group}_{i}_{point}", "m", 0.0, 1.0, binary=True,
-                          layer=layer, unit=group, point=point)
-        w = model.add_var(f"w_{layer}_{group}_{i}_{point}", "w", 0.0, max(u, 0.0),
-                          layer=layer, unit=group, point=point)
-        m_vars.append(m)
-        w_vars.append(w)
+        dominated = u < lb_pool or u <= lb_before
+        lb_before = max(lb_before, lbs[i])
+        if dominated:
+            continue
+        m = m_vars[i] = model.add_var(f"m_{layer}_{group}_{i}_{point}", "m", 0.0, 1.0,
+                                      binary=True, layer=layer, unit=group, point=point)
+        w = w_vars[i] = model.add_var(f"w_{layer}_{group}_{i}_{point}", "w", 0.0, max(u, 0.0),
+                                      layer=layer, unit=group, point=point)
         # x >= h_i, which x's lower bound max(lbs) implies for a fixed h_i
         if model.variables[hj].lb != model.variables[hj].ub:
             model.add_constraint({out: 1.0, hj: -1.0}, "G", 0.0, "maxpool_ge")
@@ -443,7 +451,7 @@ def encode_maxpool(model: MipModel, input_vars: list[int], uppers, layer: int, g
         model.add_constraint({w: 1.0, m: -u}, "L", 0.0, "maxpool_prod_cap")
         model.add_constraint({w: 1.0, hj: -1.0}, "L", 0.0, "maxpool_prod_le")
         model.add_constraint({w: 1.0, hj: -1.0, m: -u}, "G", -u, "maxpool_prod_ge")
-    model.add_constraint(dict.fromkeys(m_vars, 1.0), "E", 1.0, "maxpool_choose")
+    model.add_constraint(dict.fromkeys(m_vars.values(), 1.0), "E", 1.0, "maxpool_choose")
     return out, m_vars, w_vars
 
 
@@ -602,8 +610,8 @@ def encode_network(net: Network, xs: np.ndarray, ys: np.ndarray,
         raise InvalidArgument("batch must be a non-empty (n, d) array")
     if ys.shape != (xs.shape[0],):
         raise InvalidArgument("labels must be one per batch point")
-    if lam <= 0:
-        raise InvalidArgument("lambda must be positive")
+    if not (np.isfinite(lam) and lam > 0):
+        raise InvalidArgument(f"lambda must be positive and finite, got {lam}")
     if rescale not in RESCALE_OFFSETS:
         raise InvalidArgument(f"unknown rescale mode {rescale!r}")
     if len(bounds) != xs.shape[0]:
@@ -679,9 +687,9 @@ def encode_network(net: Network, xs: np.ndarray, ys: np.ndarray,
                     vals = trace.post[l_idx - 1][g * window : (g + 1) * window]
                     best = int(np.argmax(vals))
                     reference[out] = float(trace.post[l_idx][g])
-                    for i, (m, w) in enumerate(zip(m_vars, w_vars)):
+                    for i, m in m_vars.items():
                         reference[m] = 1.0 if i == best else 0.0
-                        reference[w] = float(vals[i]) if i == best else 0.0
+                        reference[w_vars[i]] = float(vals[i]) if i == best else 0.0
             else:  # flatten
                 continue
             prev_vars = np.array(cur, dtype=np.int64)

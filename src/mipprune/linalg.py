@@ -1,22 +1,21 @@
 """Dense matrix kernels and the lowering of 2-D convolution to matrix form.
 
-Convolution layers in this package are rewritten once, at model build time,
-as a single dense matrix acting on the flattened input image.  The
-consumers that reason about a layer (interval propagation, the
-mixed-integer encoding, the one-input forward pass) therefore only ever
+A convolution layer is stored as its kernels.  The consumers that reason
+about a layer (interval propagation, the mixed-integer encoding, the
+one-input forward pass) read it as one dense matrix acting on the flattened
+input image, derived from the kernels where it is read, so they only ever
 deal with one layer shape: y = W x + b.  The batched forward pass computes
 the same W x without W's structural zeros (:func:`conv_matmat`).
 
-The lowering assembles small Toeplitz matrices, one per kernel row, into a
-doubly blocked Toeplitz matrix whose action on vec(input) is the full 2-D
-convolution; padded outputs are obtained by selecting the appropriate rows
-and columns.  That walk depends only on the layer's shape, so it is run
-once per :class:`ConvSpec` over kernel *indices* (:func:`conv_index_map`,
-cached read-only); :func:`conv_to_matrix` is a gather of the kernel values
-through that map, and the trainer folds the gradient of the lowered matrix
-back onto the kernels through the same map (:func:`conv_taps` keeps its
-nonzero positions).  The layers compute true convolution (kernel flipped),
-not cross-correlation, so training and encoding agree exactly.
+The lowered matrix is doubly blocked Toeplitz.  Its pattern depends only on
+the layer's shape, so it is built once per :class:`ConvSpec` as kernel
+*indices*, straight from the definition of the convolution
+(:func:`conv_index_map`, cached read-only); :func:`conv_to_matrix` is a
+gather of the kernel values through that map, and the trainer folds the
+gradient of the lowered matrix back onto the kernels through the same map
+(:func:`conv_taps` keeps its nonzero positions).  The layers compute true
+convolution (kernel flipped), not cross-correlation, so training and
+encoding agree exactly.
 
 All kernels here are pure functions on immutable inputs.  The products
 use ``np.einsum`` without BLAS dispatch, so a result is the same bit for bit
@@ -43,8 +42,8 @@ import numpy as np
 from .errors import InvalidArgument, UnsupportedFeature
 
 __all__ = [
-    "ConvSpec", "ConvTaps", "as_matrix", "toeplitz_1d", "conv_index_map", "conv_taps",
-    "conv_to_matrix", "conv_matmat", "matvec", "matmat",
+    "ConvSpec", "ConvTaps", "as_matrix", "as_kernels", "toeplitz_1d", "conv_index_map",
+    "conv_taps", "conv_to_matrix", "conv_matmat", "matvec", "matmat",
 ]
 
 
@@ -120,13 +119,17 @@ class ConvSpec:
         return self.out_channels * self.output_h * self.output_w
 
 
-def _toeplitz(seq: np.ndarray, n_cols: int, fill) -> np.ndarray:
-    """``seq`` as first column, shifted down one row per column, ``fill`` elsewhere."""
-    k = seq.size
-    out = np.full((k + n_cols - 1, n_cols), fill, dtype=seq.dtype)
-    for j in range(n_cols):
-        out[j : j + k, j] = seq
-    return out
+def as_kernels(data, spec: ConvSpec) -> np.ndarray:
+    """Validate and return the (out_channels, in_channels, kernel_h, kernel_w)
+    float64 kernels of ``spec`` as a C-contiguous copy, as :func:`as_matrix`
+    does; rejects another shape, NaN and infinity."""
+    k = np.array(data, dtype=np.float64, order="C")
+    expect = (spec.out_channels, spec.in_channels, spec.kernel_h, spec.kernel_w)
+    if k.shape != expect:
+        raise InvalidArgument(f"kernel shape {k.shape} does not match spec {expect}")
+    if not np.all(np.isfinite(k)):
+        raise InvalidArgument("kernel entries must be finite")
+    return k
 
 
 def toeplitz_1d(sequence, n_cols: int) -> np.ndarray:
@@ -141,50 +144,10 @@ def toeplitz_1d(sequence, n_cols: int) -> np.ndarray:
         raise InvalidArgument("sequence must be non-empty")
     if n_cols < 1:
         raise InvalidArgument("n_cols must be >= 1")
-    return _toeplitz(seq, n_cols, 0.0)
-
-
-def _full_conv_index(kernel_idx: np.ndarray, in_h: int, in_w: int) -> np.ndarray:
-    """Doubly blocked Toeplitz matrix of the full 2-D convolution, as kernel indices.
-
-    Block column i holds the Toeplitz matrix of kernel row d at block row
-    i + d, mirroring how a 1-D Toeplitz matrix is built from a sequence.
-    Entries no kernel entry reaches hold -1.
-    """
-    kh, kw = kernel_idx.shape
-    out_w = in_w + kw - 1
-    blocks = [_toeplitz(kernel_idx[d], in_w, -1) for d in range(kh)]
-    m = np.full(((in_h + kh - 1) * out_w, in_h * in_w), -1, dtype=np.intp)
-    for i in range(in_h):
-        for d in range(kh):
-            r = (i + d) * out_w
-            c = i * in_w
-            m[r : r + out_w, c : c + in_w] = blocks[d]
-    return m
-
-
-def _pad_select(spec: ConvSpec, m_full_padded: np.ndarray) -> np.ndarray:
-    """Restrict the padded-input full-convolution matrix to the layer's output.
-
-    Columns for the zero padding are dropped; rows are selected so the output
-    covers exactly the stride-1 window positions of the padded input.
-    """
-    wp = spec.padded_w
-    fw = wp + spec.kernel_w - 1
-    p = spec.padding
-    # columns: positions of the original image inside the zero-padded image
-    cols = np.array(
-        [(r + p) * wp + (c + p) for r in range(spec.input_h) for c in range(spec.input_w)],
-        dtype=np.intp,
-    )
-    # rows: the "valid" region of the full convolution over the padded image
-    r0 = spec.kernel_h - 1
-    c0 = spec.kernel_w - 1
-    rows = np.array(
-        [(r0 + r) * fw + (c0 + c) for r in range(spec.output_h) for c in range(spec.output_w)],
-        dtype=np.intp,
-    )
-    return m_full_padded[np.ix_(rows, cols)]
+    out = np.zeros((seq.size + n_cols - 1, n_cols))
+    for j in range(n_cols):
+        out[j : j + seq.size, j] = seq
+    return out
 
 
 @functools.lru_cache(maxsize=64)
@@ -193,20 +156,24 @@ def conv_index_map(spec: ConvSpec) -> np.ndarray:
 
     The result has shape (spec.output_size, spec.input_size); entry (i, j)
     is the position in ``kernels.ravel()`` of the kernel entry the lowering
-    places there.  It is built once per spec by the Toeplitz walk and cached
-    read-only, so lowering is a gather and folding a gradient of the lowered
-    matrix back onto the kernels is a scatter-add over the same map.
+    places there.  Output (o, oy, ox) reads input (c, iy, ix) through kernel
+    entry (o, c, ky, kx) where iy = oy + kernel_h - 1 - ky - padding and
+    ix = ox + kernel_w - 1 - kx - padding, the flipped kernel of true
+    convolution; taps that land on padding place nothing.  The map is built
+    once per spec and cached read-only, so lowering is a gather and folding
+    a gradient of the lowered matrix back onto the kernels is a scatter-add
+    over the same map.
     """
-    ohw = spec.output_h * spec.output_w
-    ihw = spec.input_h * spec.input_w
-    kernel_idx = np.arange(
-        spec.out_channels * spec.in_channels * spec.kernel_h * spec.kernel_w, dtype=np.intp
-    ).reshape(spec.out_channels, spec.in_channels, spec.kernel_h, spec.kernel_w)
+    oc, ic, kh, kw = spec.out_channels, spec.in_channels, spec.kernel_h, spec.kernel_w
+    oh, ow, h, w = spec.output_h, spec.output_w, spec.input_h, spec.input_w
+    o, c, oy, ox, ky, kx = np.indices((oc, ic, oh, ow, kh, kw)).reshape(6, -1)
+    iy = oy + kh - 1 - ky - spec.padding
+    ix = ox + kw - 1 - kx - spec.padding
+    inside = (iy >= 0) & (iy < h) & (ix >= 0) & (ix < w)
     out = np.full((spec.output_size, spec.input_size), -1, dtype=np.intp)
-    for oc in range(spec.out_channels):
-        for ic in range(spec.in_channels):
-            full = _full_conv_index(kernel_idx[oc, ic], spec.padded_h, spec.padded_w)
-            out[oc * ohw : (oc + 1) * ohw, ic * ihw : (ic + 1) * ihw] = _pad_select(spec, full)
+    rows = ((o * oh + oy) * ow + ox)[inside]
+    cols = ((c * h + iy) * w + ix)[inside]
+    out[rows, cols] = (((o * ic + c) * kh + ky) * kw + kx)[inside]
     out.flags.writeable = False
     return out
 
@@ -259,12 +226,7 @@ def conv_to_matrix(kernels, spec: ConvSpec) -> np.ndarray:
     Input and output vectors are laid out channel-major, row-major inside
     each channel.  M is a fresh array the caller may write to.
     """
-    k = np.asarray(kernels, dtype=np.float64)
-    expect = (spec.out_channels, spec.in_channels, spec.kernel_h, spec.kernel_w)
-    if k.shape != expect:
-        raise InvalidArgument(f"kernel shape {k.shape} does not match spec {expect}")
-    if not np.all(np.isfinite(k)):
-        raise InvalidArgument("kernel entries must be finite")
+    k = as_kernels(kernels, spec)
     # index -1 reads the appended structural zero
     return np.append(k.ravel(), 0.0)[conv_index_map(spec)]
 

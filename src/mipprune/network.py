@@ -1,16 +1,16 @@
 """Network definition, deterministic init, forward pass, masking, and model files.
 
 A network is an ordered list of layers over flat float64 vectors.  Layer
-kinds: ``dense``, ``conv`` (stored as kernels but lowered eagerly to a dense
-matrix, see :mod:`mipprune.linalg`), ``avgpool`` / ``maxpool`` (consecutive
-non-overlapping windows of the previous output), and ``flatten`` (a no-op
-marker, kept so conv architectures read naturally).
+kinds: ``dense``, ``conv`` (stored as its kernels; its dense matrix is
+lowered from them where it is read, see :mod:`mipprune.linalg`),
+``avgpool`` / ``maxpool`` (consecutive non-overlapping windows of the
+previous output), and ``flatten`` (a no-op marker, kept so conv
+architectures read naturally).
 
 :func:`build_network` is the only constructor of layers: it turns layer
 descriptors (``dense(...)``, ``conv(...)``, ...) and parameters into a
-checked :class:`Network`, lowering each conv once.  Initialization, model
-files and structural pruning all produce descriptors and parameters and
-call it.
+checked :class:`Network`.  Initialization, model files and structural
+pruning all produce descriptors and parameters and call it.
 
 Maskable units are dense-layer neurons and whole conv feature maps; a unit
 owns ``LayerSpec.rows_per_unit`` consecutive rows of the (lowered) weight
@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InvalidArgument, ModelFormatError
-from .linalg import ConvSpec, as_matrix, conv_matmat, conv_to_matrix, matmat, matvec
+from .linalg import ConvSpec, as_kernels, as_matrix, conv_matmat, conv_to_matrix, matmat, matvec
 
 __all__ = [
     "LayerSpec",
@@ -60,19 +60,51 @@ class LayerSpec:
 
     dense: weight (out x in), bias (out), activation.
     conv:  kernels (oc, ic, kh, kw), channel_bias (oc), conv spec, activation;
-           weight/bias hold the lowered dense equivalents and are derived.
+           ``weight`` and ``bias`` are the lowered dense equivalents, derived
+           from the kernels and channel bias on every read and read-only, so
+           they always follow an edit of the kernels.
     avgpool/maxpool: pool_window (window length over the flat input).
     flatten: nothing.
     """
 
     kind: str
-    weight: np.ndarray | None = None
-    bias: np.ndarray | None = None
+    _weight: np.ndarray | None = field(default=None, repr=False)
+    _bias: np.ndarray | None = field(default=None, repr=False)
     activation: str = "none"
     pool_window: int = 0
     conv: ConvSpec | None = None
     kernels: np.ndarray | None = None
     channel_bias: np.ndarray | None = None
+
+    @property
+    def weight(self) -> np.ndarray | None:
+        """The layer's dense matrix; a conv's is lowered from its kernels."""
+        if self.kind != "conv":
+            return self._weight
+        w = conv_to_matrix(self.kernels, self.conv)
+        w.flags.writeable = False
+        return w
+
+    @weight.setter
+    def weight(self, value: np.ndarray) -> None:
+        if self.kind == "conv":
+            raise AttributeError("a conv layer's weight is derived from its kernels")
+        self._weight = value
+
+    @property
+    def bias(self) -> np.ndarray | None:
+        """The layer's bias vector; a conv's repeats each channel bias per position."""
+        if self.kind != "conv":
+            return self._bias
+        b = np.repeat(self.channel_bias, self.rows_per_unit)
+        b.flags.writeable = False
+        return b
+
+    @bias.setter
+    def bias(self, value: np.ndarray) -> None:
+        if self.kind == "conv":
+            raise AttributeError("a conv layer's bias is derived from its channel bias")
+        self._bias = value
 
     @property
     def rows_per_unit(self) -> int:
@@ -84,8 +116,10 @@ class LayerSpec:
         return self.conv.output_h * self.conv.output_w if self.kind == "conv" else 1
 
     def out_size(self, in_size: int) -> int:
-        if self.kind in ("dense", "conv"):
+        if self.kind == "dense":
             return self.weight.shape[0]
+        if self.kind == "conv":
+            return self.conv.output_size
         if self.kind in ("avgpool", "maxpool"):
             if in_size % self.pool_window != 0:
                 raise InvalidArgument(
@@ -337,8 +371,8 @@ def build_network(input_shape, layer_descs: list[dict], seed: int = 0,
     """Assemble a Network from layer descriptors and explicit parameters.
 
     This is the one place layers are made: every network, whether
-    initialized, loaded from a file or pruned, comes from here, so shapes,
-    finiteness and the conv lowering are checked and done once.
+    initialized, loaded from a file or pruned, comes from here, so shapes and
+    finiteness are checked once.
     ``params`` supplies (weight-or-kernels, bias) per parametric layer in
     order; pass None to zero-initialize.  Errors name the layer index.
     """
@@ -367,8 +401,8 @@ def build_network(input_shape, layer_descs: list[dict], seed: int = 0,
                 if width < 1:
                     raise InvalidArgument(f"dense width must be >= 1, got {width}")
                 w, b = p or (np.zeros((width, in_size)), np.zeros(width))
-                spec = LayerSpec(kind="dense", weight=as_matrix(w, width, in_size),
-                                 bias=_vector(b, width, "bias"), activation=desc["activation"])
+                spec = LayerSpec(kind="dense", _weight=as_matrix(w, width, in_size),
+                                 _bias=_vector(b, width, "bias"), activation=desc["activation"])
             elif kind == "conv":
                 if len(shape) != 3:
                     raise InvalidArgument("conv layer requires a (channels, h, w) input shape")
@@ -377,11 +411,9 @@ def build_network(input_shape, layer_descs: list[dict], seed: int = 0,
                              input_h=shape[1], input_w=shape[2], padding=desc["padding"])
                 kern, cb = p or (np.zeros((c.out_channels, c.in_channels, c.kernel_h, c.kernel_w)),
                                  np.zeros(c.out_channels))
-                spec = LayerSpec(kind="conv", weight=conv_to_matrix(kern, c),
-                                 activation=desc["activation"], conv=c,
-                                 kernels=np.array(kern, dtype=np.float64),
+                spec = LayerSpec(kind="conv", activation=desc["activation"], conv=c,
+                                 kernels=as_kernels(kern, c),
                                  channel_bias=_vector(cb, c.out_channels, "channel bias"))
-                spec.bias = np.repeat(spec.channel_bias, spec.rows_per_unit)
             elif kind in ("avgpool", "maxpool"):
                 if desc["window"] < 1:
                     raise InvalidArgument(f"pool window must be >= 1, got {desc['window']}")

@@ -291,10 +291,12 @@ def score_classwise(net: Network, ds: Dataset, lam: float = 5.0, epsilon: float 
 def mask_from_scores(report: ImportanceReport, threshold: float) -> Mask:
     """Mask units scoring strictly below the threshold, never emptying a layer.
 
-    Thresholds outside [0, 1] are clamped with a warning.  If a layer would
-    lose every unit, its top scorer survives (lowest index on ties) and a
-    warning is emitted.
+    Thresholds outside [0, 1] are clamped with a warning, and NaN is
+    rejected.  If a layer would lose every unit, its top scorer survives
+    (lowest index on ties) and a warning is emitted.
     """
+    if np.isnan(threshold):
+        raise InvalidArgument(f"threshold must be a number, got {threshold}")
     if threshold < 0.0 or threshold > 1.0:
         clamped = min(1.0, max(0.0, threshold))
         warnings.warn(f"threshold {threshold} clamped to {clamped}")

@@ -16,8 +16,9 @@ parametric layer: nothing reads the gradient of the input.
 :func:`train` makes every trained array of its copy of the network (dense
 weight and bias, conv kernels and channel bias) a view into one flat
 parameter vector, so a step joins the gradients once and runs the optimizer
-once over that vector; conv layers then re-lower their weight and bias.
-Every element gets the update it would get on its own array, bit for bit.
+once over that vector.  Every element gets the update it would get on its
+own array, bit for bit.  A conv layer's lowered weight and bias are derived
+from its kernels where they are read, so nothing follows the update.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ import numpy as np
 
 from .datasets import Dataset
 from .errors import InvalidArgument, TrainingDiverged, UnsupportedFeature
-from .linalg import conv_taps, conv_to_matrix, matmat
+from .linalg import conv_taps, matmat
 from .network import Mask, Network, forward
 
 __all__ = ["TrainConfig", "TrainResult", "train", "evaluate", "loss_and_grads", "write_trace_csv"]
@@ -150,7 +151,6 @@ def train(net: Network, ds: Dataset, cfg: TrainConfig) -> TrainResult:
     model = copy.deepcopy(net)
     rng = np.random.Generator(np.random.PCG64(cfg.seed))
     theta = _flatten_params(model)
-    convs = [s for s in model.layers if s.kind == "conv"]
     sq = np.zeros_like(theta) if cfg.optimizer == "rmsprop" else None
     trace: list[tuple[int, float, float]] = []
     n = ds.inputs.shape[0]
@@ -169,9 +169,6 @@ def train(net: Network, ds: Dataset, cfg: TrainConfig) -> TrainResult:
                 sq += (1 - RMSPROP_DECAY) * g * g
                 g = g / (np.sqrt(sq) + RMSPROP_EPS)
             theta -= cfg.learning_rate * g
-            for spec in convs:
-                spec.weight[...] = conv_to_matrix(spec.kernels, spec.conv)
-                spec.bias[...] = np.repeat(spec.channel_bias, spec.rows_per_unit)
         acc = evaluate(model, ds)
         trace.append((epoch, epoch_loss / n, acc))
     return TrainResult(net=model, trace=trace)

@@ -27,10 +27,6 @@ def finite_difference_grads(net, x, y, h=1e-5):
                 nn = copy.deepcopy(net)
                 target = getattr(nn.layers[layer_idx], w_name)
                 target[idx] += sign * h
-                if spec.kind == "conv":
-                    from mipprune.linalg import conv_to_matrix
-                    nn.layers[layer_idx].weight[...] = conv_to_matrix(
-                        nn.layers[layer_idx].kernels, spec.conv)
                 if sign > 0:
                     up = loss_of(nn)
                 else:
@@ -40,10 +36,6 @@ def finite_difference_grads(net, x, y, h=1e-5):
             for sign in (+1, -1):
                 nn = copy.deepcopy(net)
                 getattr(nn.layers[layer_idx], b_name)[idx] += sign * h
-                if spec.kind == "conv":
-                    hw = spec.conv.output_h * spec.conv.output_w
-                    nn.layers[layer_idx].bias[...] = np.repeat(
-                        nn.layers[layer_idx].channel_bias, hw)
                 if sign > 0:
                     up = loss_of(nn)
                 else:

@@ -86,6 +86,12 @@ class TestPropagate:
         with pytest.raises(InvalidArgument):
             propagate(net, [0.0, 0.0], -0.1)
 
+    @pytest.mark.parametrize("eps", [float("nan"), float("inf")])
+    def test_non_finite_epsilon_rejected(self, eps):
+        net = init_network(2, [dense(3), dense(2, activation="none")], seed=7)
+        with pytest.raises(InvalidArgument, match=f"epsilon must be finite and >= 0, got {eps}"):
+            propagate(net, [0.0, 0.0], eps)
+
     @given(st.integers(min_value=0, max_value=10_000))
     @settings(max_examples=20, deadline=None)
     def test_relu_clipping_keeps_post_bounds_nonnegative(self, seed):
@@ -100,6 +106,11 @@ class TestSoundness:
     def test_zero_epsilon_single_sample(self):
         net = init_network(2, [dense(4), dense(2, activation="none")], seed=8)
         assert check_soundness(net, [0.3, -0.7], 0.0, 1) == 0
+
+    def test_nan_epsilon_is_no_vacuous_pass(self):
+        net = init_network(2, [dense(4), dense(2, activation="none")], seed=8)
+        with pytest.raises(InvalidArgument, match="got nan"):
+            check_soundness(net, [0.3, -0.7], float("nan"), 10)
 
     def test_random_three_layer_nets(self):
         rng = np.random.default_rng(9)

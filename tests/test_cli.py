@@ -205,6 +205,24 @@ class TestExitCodes:
         assert capsys.readouterr().err.startswith(f"error: {field} must be")
         assert list(out.iterdir()) == []
 
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_non_finite_lambda_exits_one(self, trained_model, tmp_path, capsys, value):
+        out = tmp_path / "out"
+        assert main(["score", "--out", str(out), *DATA, "--model", str(trained_model),
+                     "--lambda", value]) == 1
+        assert capsys.readouterr().err == (
+            f"error: lambda must be positive and finite, got {value}\n")
+        assert list(out.iterdir()) == []
+
+    def test_nan_threshold_exits_one(self, trained_model, tmp_path, capsys):
+        run_ok(["score", "--out", str(tmp_path / "s"), *DATA, "--model", str(trained_model)])
+        report = one_run_dir(tmp_path / "s") / "report.txt"
+        capsys.readouterr()
+        assert main(["prune", "--out", str(tmp_path / "p"), "--model", str(trained_model),
+                     "--report", str(report), "--threshold", "nan"]) == 1
+        assert capsys.readouterr().err == "error: threshold must be a number, got nan\n"
+        assert list((tmp_path / "p").iterdir()) == []
+
     def test_truncated_report_exits_one(self, trained_model, tmp_path, capsys):
         run_ok(["score", "--out", str(tmp_path / "s"), *DATA, "--model", str(trained_model)])
         report = one_run_dir(tmp_path / "s") / "report.txt"

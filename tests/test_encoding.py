@@ -253,11 +253,32 @@ class TestMaxpoolEncoding:
 
     def test_three_one_only_argmax_feasible(self):
         model, out, m_vars = self.build([3.0, 1.0], [3.0, 1.0])
+        assert list(m_vars) == [0]  # the 1, below the 3's lower bound, gets no selector
         model.add_objective_term(out, 1.0)
         sol = solve_mip(model, SolveConfig())
         assert sol.values[out] == pytest.approx(3.0, abs=1e-9)
         assert sol.values[m_vars[0]] == pytest.approx(1.0, abs=1e-6)
-        assert sol.values[m_vars[1]] == pytest.approx(0.0, abs=1e-6)
+
+    def test_dominated_members_get_no_selector(self):
+        """A member whose upper bound is below another's lower bound, or
+        equal to an earlier one's, gets no selector, product or row; the
+        pooled output still spans [max L, max U] and equals the max."""
+        boxes = [(1.0, 2.0), (0.0, 0.5), (1.0, 3.0), (0.5, 1.0), (2.0, 2.5), (2.0, 2.0)]
+        model = MipModel()
+        in_vars = [model.add_var(f"h_0_{i}_0", "h", lo, hi) for i, (lo, hi) in enumerate(boxes)]
+        n_rows = len(model.constraints)
+        out, m_vars, w_vars = encode_maxpool(model, in_vars, [hi for _, hi in boxes], 1, 0, 0)
+        assert list(m_vars) == list(w_vars) == [0, 2, 4]
+        assert sum(v.kind in ("m", "w") for v in model.variables) == 6
+        # per kept member: ge, select and three product rows; one choose row
+        assert len(model.constraints) - n_rows == 3 * 5 + 1
+        assert (model.variables[out].lb, model.variables[out].ub) == (2.0, 3.0)
+        for sign, want in ((1.0, 2.0), (-1.0, 3.0)):
+            model.objective.clear()
+            model.add_objective_term(out, sign)
+            sol = solve_mip(model, SolveConfig())
+            assert sol.values[out] == pytest.approx(want, abs=1e-9)
+            assert sol.values[out] == pytest.approx(max(sol.values[in_vars]), abs=1e-9)
 
     def test_all_zero_inputs(self):
         model, out, _ = self.build([0.0, 0.0, 0.0], [0.0, 0.0, 0.0])
@@ -576,7 +597,7 @@ class TestPresolveRows:
         ge = [i for i in model.constraints if model.tag[i] == "maxpool_ge"]
         inputs = [j for i in ge for j, c in model.row(i).items() if c == -1.0]
         assert len(inputs) == len(ge) and all(lb[j] < ub[j] for j in inputs)
-        n_inputs = sum(v.kind == "m" for v in model.variables)
+        n_inputs = sum(v.kind == "h" and v.layer == 0 for v in model.variables)
         assert (0 < len(ge) < n_inputs) if pooled else not ge
 
     def test_violated_empty_row_kept_and_the_lp_certified_infeasible(self):

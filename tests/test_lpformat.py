@@ -147,7 +147,7 @@ class TestGoldenText:
     DIGESTS = {
         "dense": "e742b5545d463468ee87250be179149f2bba9317c3f3163bbf8455eaf948d326",
         "conv-avgpool": "0ad100d666d35d092626290ba2067248bec82a2d0d62250396e5edb086f9993e",
-        "conv-maxpool": "e0a03aeb69b085939ac6235a7e04b8f78749829d95e92bba68bfa0f3b591dba5",
+        "conv-maxpool": "328650ff914f5880d7a14e778f1a94df3481899b7129927f833743cff3d04fab",
     }
 
     @pytest.mark.parametrize("name", sorted(ARCHS))

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from mipprune.errors import InvalidArgument, ModelFormatError
-from mipprune.linalg import matmat
+from mipprune.linalg import conv_to_matrix, matmat, matvec
 from mipprune.network import (
     Mask,
     apply_mask,
@@ -124,6 +124,33 @@ class TestForward:
             want = matmat(spec.weight, v) + spec.bias[:, None]
             assert trace.pre[idx].tobytes() == want.tobytes()
             v = trace.post[idx]
+
+
+class TestConvLayer:
+    NET = ((2, 5, 5), [conv(3, 3, 3, padding=1), flatten(), dense(3, activation="none")])
+
+    def test_weight_and_bias_follow_the_kernels(self):
+        net = init_network(*self.NET, seed=15)
+        spec = net.layers[0]
+        spec.kernels[1, 0, 2, 1] += 0.25
+        spec.channel_bias[2] = -1.5
+        assert spec.weight.tobytes() == conv_to_matrix(spec.kernels, spec.conv).tobytes()
+        assert spec.bias.tobytes() == np.repeat(spec.channel_bias, 25).tobytes()
+        x = np.random.default_rng(16).normal(size=net.input_size)
+        assert forward(net, x).pre[0].tobytes() == (
+            matvec(spec.weight, x) + spec.bias).tobytes()
+
+    def test_write_into_weight_or_bias_raises(self):
+        spec = init_network(*self.NET, seed=15).layers[0]
+        with pytest.raises(ValueError, match="read-only"):
+            spec.weight[0, 0] = 1.0
+        with pytest.raises(ValueError, match="read-only"):
+            spec.bias[0] = 1.0
+        with pytest.raises(AttributeError, match="derived from its kernels"):
+            spec.weight = np.zeros((75, 50))
+        dense_spec = init_network(*self.NET, seed=15).layers[2]
+        dense_spec.weight[0, 0] = 1.0  # a dense layer's stored weight stays writable
+        assert dense_spec.weight[0, 0] == 1.0
 
 
 class TestApplyMask:

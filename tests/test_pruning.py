@@ -79,6 +79,14 @@ class TestScore:
         b = score(net, xs, ys, lam=5.0, epsilon=0.1)
         assert a.to_text() == b.to_text()
 
+    @pytest.mark.parametrize("lam", [float("nan"), float("inf")])
+    def test_non_finite_lambda_rejected(self, lam):
+        net = init_network(2, [dense(3), dense(2, activation="none")], seed=1)
+        xs, ys = np.array([[0.1, 0.2], [0.3, -0.1]]), np.array([0, 1])
+        msg = f"lambda must be positive and finite, got {lam}"
+        with pytest.raises(InvalidArgument, match=msg):
+            score(net, xs, ys, lam=lam)
+
     def test_imbalanced_batch_needs_flag(self):
         net, train_ds, _ = small_trained(seed=4)
         xs, ys = balanced_batch(train_ds, 1)
@@ -98,6 +106,11 @@ class TestScore:
 
 
 class TestMaskFromScores:
+    def test_nan_threshold_rejected(self):
+        rep = report_from({(0, 0): 0.5, (0, 1): 1.0})
+        with pytest.raises(InvalidArgument, match="threshold must be a number, got nan"):
+            mask_from_scores(rep, float("nan"))
+
     def test_threshold_zero_masks_nothing(self):
         rep = report_from({(0, 0): 0.0, (0, 1): 0.7})
         assert mask_from_scores(rep, 0.0).is_empty()
