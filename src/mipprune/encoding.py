@@ -651,6 +651,17 @@ def encode_network(net: Network, xs: np.ndarray, ys: np.ndarray,
                                net.layers[layer].rows_per_unit)
               for layer, n_units in model.prunable}
     reference: dict[int, float] = {}
+    # (weight, bias, relu) of each affine layer, read once: a conv's weight
+    # is lowered on every read, and a window mean is affine with weight
+    # 1/window on each window
+    affine: dict[int, tuple[np.ndarray, np.ndarray, bool]] = {}
+    for l_idx, (spec, size) in enumerate(zip(net.layers, net.layer_sizes()[1:])):
+        if spec.kind in ("dense", "conv"):
+            affine[l_idx] = (spec.weight, spec.bias, spec.activation == "relu")
+        elif spec.kind == "avgpool":
+            window = spec.pool_window
+            affine[l_idx] = (np.kron(np.eye(size), np.full(window, 1.0 / window)),
+                             np.zeros(size), False)
 
     for k in range(xs.shape[0]):
         bnd = bounds[k]
@@ -660,18 +671,9 @@ def encode_network(net: Network, xs: np.ndarray, ys: np.ndarray,
         prev_vars: np.ndarray | None = None
         prev_const = xs[k]
         for l_idx, spec in enumerate(net.layers):
-            if spec.kind == "avgpool":
-                # a window mean is affine: weight 1/window on each window
-                window = spec.pool_window
-                n_groups = len(prev_const) // window
-                cur = _encode_affine_layer(
-                    model, np.kron(np.eye(n_groups), np.full(window, 1.0 / window)),
-                    np.zeros(n_groups), False, None, l_idx, k, bnd, trace, prev_vars,
-                    prev_const, reference)
-            elif spec.kind in ("dense", "conv"):
-                cur = _encode_affine_layer(model, spec.weight, spec.bias,
-                                           spec.activation == "relu", s_rows.get(l_idx), l_idx,
-                                           k, bnd, trace, prev_vars, prev_const, reference)
+            if l_idx in affine:
+                cur = _encode_affine_layer(model, *affine[l_idx], s_rows.get(l_idx), l_idx, k,
+                                           bnd, trace, prev_vars, prev_const, reference)
             elif spec.kind == "maxpool":
                 if prev_vars is None:
                     raise InvalidArgument(

@@ -1,11 +1,11 @@
 """Dense matrix kernels and the lowering of 2-D convolution to matrix form.
 
 A convolution layer is stored as its kernels.  The consumers that reason
-about a layer (interval propagation, the mixed-integer encoding, the
-one-input forward pass) read it as one dense matrix acting on the flattened
-input image, derived from the kernels where it is read, so they only ever
-deal with one layer shape: y = W x + b.  The batched forward pass computes
-the same W x without W's structural zeros (:func:`conv_matmat`).
+about a layer (interval propagation, the mixed-integer encoding) read it as
+one dense matrix acting on the flattened input image, derived from the
+kernels where it is read, so they only ever deal with one layer shape:
+y = W x + b.  The forward pass computes W x without W's structural zeros
+(:func:`conv_matmat`).
 
 The lowered matrix is doubly blocked Toeplitz.  Its pattern depends only on
 the layer's shape, so it is built once per :class:`ConvSpec` as kernel
@@ -28,7 +28,9 @@ lowered matrix's structural zeros and keeps the other terms in order,
 equals ``matmat(conv_to_matrix(k, spec), x)`` byte for byte.  A one-column
 result is summed otherwise: einsum vectorizes each row's sum, so it can
 differ in its last bits from the left-to-right sum (as :func:`matvec`
-does), and another numpy build may differ too.
+does), and another numpy build may differ too.  :func:`conv_matmat`
+multiplies by ``positions * n`` columns, so its output for one input is
+that input's column of any batch, bit for bit.
 """
 
 from __future__ import annotations
@@ -237,11 +239,9 @@ def conv_matmat(kernels: np.ndarray, spec: ConvSpec, x: np.ndarray) -> np.ndarra
     ``x`` is (input_size, n), one input per column.  Each output position's
     taps are gathered through :func:`conv_taps` (a padding tap reads an
     appended zero row), and one product of (out_channels, taps) by
-    (taps, positions * n) forms every output.  For finite ``x`` and n >= 2
-    the result is the lowered product byte for byte (see the module
-    docstring); for n = 1 it
-    can differ in the last bit, so a one-column batch should use the
-    lowered matrix.
+    (taps, positions * n) forms every output, so an input's column is the
+    same for every n.  For finite ``x`` and n >= 2 the result is the lowered
+    product byte for byte (see the module docstring).
     """
     if x.ndim != 2 or x.shape[0] != spec.input_size:
         raise InvalidArgument(f"input shape {x.shape} does not match spec input {spec.input_size}")

@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InvalidArgument, ModelFormatError
-from .linalg import ConvSpec, as_kernels, as_matrix, conv_matmat, conv_to_matrix, matmat, matvec
+from .linalg import ConvSpec, as_kernels, as_matrix, conv_matmat, conv_to_matrix, matmat
 
 __all__ = [
     "LayerSpec",
@@ -251,21 +251,19 @@ def forward(net: Network, x, mask: Mask | None = None) -> ForwardTrace:
 
     A 2-D ``x`` is a batch with one input per row, and every layer array of
     the trace is ``(size, n)`` with one column per input; any other ``x`` is
-    one flat input.  The affine step is :func:`~mipprune.linalg.matvec` for
-    one input and :func:`~mipprune.linalg.matmat` for a batch.  The two do
-    not agree bit for bit, so a caller that must match another per-input
-    computation exactly passes its inputs one at a time.  A conv layer on a
-    batch of two or more inputs multiplies its kernels' taps instead of the
-    lowered matrix (:func:`~mipprune.linalg.conv_matmat`), which gives the
-    lowered product's bits without its structural zeros; a one-input batch
-    keeps the lowered product, whose bits the tap product does not match.
+    one flat input, run as a batch of one and returned as ``(size,)`` arrays.
+    A dense layer's product (:func:`~mipprune.linalg.matmat`) for one column
+    can differ in its last bits from a column of a wider batch, so a caller
+    that must match another per-input computation exactly passes its inputs
+    one at a time.  A conv layer multiplies its taps
+    (:func:`~mipprune.linalg.conv_matmat`), the same bits at every batch size.
 
     Masking acts on post-activations: a masked dense neuron or conv feature
     map outputs exactly 0 for every input.
     """
     x = np.asarray(x, dtype=np.float64)
     batch = x.ndim == 2
-    v = x.T.copy() if batch else x.ravel()
+    v = x.T.copy() if batch else np.ascontiguousarray(x).reshape(-1, 1)
     if v.shape[0] != net.input_size:
         raise InvalidArgument(f"input size {v.shape[0]}, network expects {net.input_size}")
     if mask is not None:
@@ -274,17 +272,13 @@ def forward(net: Network, x, mask: Mask | None = None) -> ForwardTrace:
     post: list[np.ndarray] = []
     for idx, spec in enumerate(net.layers):
         if spec.kind in ("dense", "conv"):
-            if batch and spec.kind == "conv" and v.shape[1] >= 2:
-                z = conv_matmat(spec.kernels, spec.conv, v) + spec.bias[:, None]
-            elif batch:
-                z = matmat(spec.weight, v) + spec.bias[:, None]
-            else:
-                z = matvec(spec.weight, v) + spec.bias
+            z = (conv_matmat(spec.kernels, spec.conv, v) if spec.kind == "conv"
+                 else matmat(spec.weight, v)) + spec.bias[:, None]
             a = np.maximum(z, 0.0) if spec.activation == "relu" else z.copy()
             if mask is not None and idx in mask.bits:
                 a[np.repeat(mask.bits[idx], spec.rows_per_unit)] = 0.0
         elif spec.kind in ("avgpool", "maxpool"):
-            groups = v.reshape(-1, spec.pool_window, *v.shape[1:])
+            groups = v.reshape(-1, spec.pool_window, v.shape[1])
             z = groups.mean(axis=1) if spec.kind == "avgpool" else groups.max(axis=1)
             a = z.copy()
         else:  # flatten
@@ -293,6 +287,8 @@ def forward(net: Network, x, mask: Mask | None = None) -> ForwardTrace:
         pre.append(z)
         post.append(a)
         v = a
+    if not batch:
+        pre, post = [z.ravel() for z in pre], [a.ravel() for a in post]
     return ForwardTrace(pre=pre, post=post)
 
 

@@ -151,6 +151,8 @@ def load_report(path) -> ImportanceReport:
             raise ModelFormatError("expected 'layer unit score'", lineno)
         layer, unit, s = (parse(conv, t, lineno, "score line")
                           for conv, t in zip((int, int, float), toks))
+        if not np.isfinite(s):
+            raise ModelFormatError(f"score must be finite, got {toks[2]}", lineno)
         if (layer, unit) in scores:
             raise ModelFormatError(f"duplicate score for layer {layer} unit {unit}", lineno)
         scores[(layer, unit)] = s

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import mipprune.bounds
 from mipprune.bounds import check_soundness, propagate
 from mipprune.errors import InvalidArgument
 from mipprune.network import avgpool, build_network, conv, dense, flatten, forward, init_network, maxpool
@@ -124,6 +125,51 @@ class TestSoundness:
                                        dense(2, activation="none")], seed=10)
         x = np.random.default_rng(11).normal(size=9)
         assert check_soundness(net, x, 0.05, 500, seed=1) == 0
+
+    SHRUNK_NET = ((1, 4, 4), [conv(2, 2, 2), avgpool(3), flatten(), dense(4),
+                              dense(2, activation="none")])
+
+    @pytest.mark.parametrize("eps", [0.05, 0.0])
+    def test_count_equals_a_per_sample_loop(self, eps, monkeypatch):
+        """Bounds shrunk toward their midpoint let samples escape; the batched
+        count equals one forward pass a sample against the same bounds."""
+        net = init_network(*self.SHRUNK_NET, seed=14)
+        x = np.random.default_rng(15).normal(size=net.input_size)
+
+        def shrunk(net, x, epsilon=0.0):
+            b = propagate(net, x, epsilon)
+            for lo, hi in zip(b.pre_lo, b.pre_hi):
+                mid, half = (lo + hi) / 2, (hi - lo) / 2
+                lo[:], hi[:] = mid - half / 2, mid + half / 2
+                lo[::2] += 1e-3  # at eps 0 the box is a point: move half of them off it
+            return b
+
+        monkeypatch.setattr(mipprune.bounds, "propagate", shrunk)
+        b = shrunk(net, x, eps)
+        rng = np.random.Generator(np.random.PCG64(3))
+        want = 0
+        for _ in range(300):
+            trace = forward(net, np.asarray(x) + rng.uniform(-eps, eps, size=net.input_size)
+                            if eps > 0 else x)
+            for z, lo, hi in zip(trace.pre, b.pre_lo, b.pre_hi):
+                want += int(np.sum(z < lo)) + int(np.sum(z > hi))
+        assert want > 0
+        assert check_soundness(net, x, eps, 300, seed=3) == want
+
+    def test_samples_run_in_batches(self, monkeypatch):
+        net = init_network(3, [dense(4), dense(2, activation="none")], seed=16)
+        seen = []
+
+        def counting_forward(net, x, mask=None):
+            seen.append(np.shape(x))
+            return forward(net, x, mask)
+
+        monkeypatch.setattr(mipprune.bounds, "forward", counting_forward)
+        assert check_soundness(net, [0.1, 0.2, 0.3], 0.05, 2500) == 0
+        assert seen == [(1024, 3), (1024, 3), (452, 3)]
+        seen.clear()
+        assert check_soundness(net, [0.1, 0.2, 0.3], 0.0, 2500) == 0
+        assert seen == [(3,), (1, 3)]  # propagate's pass at eps 0, then the point's
 
     def test_widened_bounds_still_sound(self):
         net = init_network(2, [dense(3), dense(2, activation="none")], seed=12)

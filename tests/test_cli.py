@@ -244,6 +244,21 @@ class TestExitCodes:
                      "--report", str(report), "--threshold", "0.3"]) == 1
         assert capsys.readouterr().err.startswith("error: line ")
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_non_finite_score_exits_one(self, trained_model, tmp_path, capsys, value):
+        run_ok(["score", "--out", str(tmp_path / "s"), *DATA, "--model", str(trained_model)])
+        report = one_run_dir(tmp_path / "s") / "report.txt"
+        lines = report.read_text().splitlines()
+        i = next(k for k, line in enumerate(lines) if line.startswith("0 1 "))
+        lines[i] = f"0 1 {value}"
+        report.write_text("\n".join(lines) + "\n")
+        capsys.readouterr()
+        assert main(["prune", "--out", str(tmp_path / "p"), "--model", str(trained_model),
+                     "--report", str(report), "--threshold", "0.3"]) == 1
+        assert capsys.readouterr().err == (
+            f"error: line {i + 1}: score must be finite, got {value}\n")
+        assert list((tmp_path / "p").iterdir()) == []
+
     def test_missing_threshold_for_masked_eval(self, trained_model, tmp_path):
         run_ok(["score", "--out", str(tmp_path / "s"), *DATA, "--model", str(trained_model)])
         report = one_run_dir(tmp_path / "s") / "report.txt"

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 import test_pruning
 
+import mipprune.network
 from mipprune.bounds import propagate_batch
 from mipprune.encoding import (
     MipModel,
@@ -12,6 +13,7 @@ from mipprune.encoding import (
     softmax_probs,
 )
 from mipprune.errors import InvalidArgument
+from mipprune.linalg import conv_to_matrix
 from mipprune.lpformat import write_lp
 from mipprune.network import avgpool, build_network, conv, dense, flatten, forward, init_network, maxpool
 from mipprune.solver import SolveConfig, solve_lp, solve_mip
@@ -210,6 +212,22 @@ class TestReluConstraintAlgebra:
                                        dense(2, activation="none")], seed=7)
         xs = rng.normal(size=(2, 9))
         model = encoded(net, xs, [0, 1])
+        assert model.check_assignment(model.reference_assignment, tol=1e-9) == []
+
+    def test_each_conv_is_lowered_once_per_model(self, monkeypatch):
+        net = init_network((1, 5, 5), [conv(2, 2, 2), conv(2, 2, 2), avgpool(2), flatten(),
+                                       dense(2, activation="none")], seed=9)
+        xs = np.random.default_rng(10).normal(size=(3, 25))
+        bounds = propagate_batch(net, xs, 0.1)
+        calls = []
+
+        def counting(kernels, spec):
+            calls.append(spec)
+            return conv_to_matrix(kernels, spec)
+
+        monkeypatch.setattr(mipprune.network, "conv_to_matrix", counting)
+        model = encode_network(net, xs, np.array([0, 1, 0]), bounds)
+        assert calls == [net.layers[0].conv, net.layers[1].conv]
         assert model.check_assignment(model.reference_assignment, tol=1e-9) == []
 
     def test_maxpool_reference_feasible(self):

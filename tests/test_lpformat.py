@@ -178,7 +178,7 @@ class TestGoldenText:
 
     BENCH_DIGESTS = {
         "dense-1pt-seed0": "38e23a29dc19294979d86a7cf8bcc5d2d372460eb60833738e10265e9910f96b",
-        "conv-classwise-class0": "39e4b5a0baaa16aa4ca7eb8378893b9acddf55cef8631e074e9cd3a7721f6e57",
+        "conv-classwise-class0": "bf4d7cc228a0faf97c392d9ee629af086a7c47d24ab43a8f8000cea292583604",
     }
 
     @pytest.mark.parametrize("name", sorted(BENCH_DIGESTS))
@@ -215,7 +215,7 @@ class TestGoldenText:
     TRAINED_DIGESTS = {
         "dense-blobs": "0a26baa795f8fa70e3f1e2fcc869c67873c1da4b597f990fbfe41835a591c2aa",
         "conv-minidigits": "ebc38ba6f949e0d36aa3e444206248f984252e938186299fd03fb03d016305d2",
-        "conv-conv-rmsprop": "9e7f5d823fb60b956eae0c95da960aaa1f15bd3f8f4815d83b76aac458ed0e62",
+        "conv-conv-rmsprop": "4643b402aca9a4d0ed5a6f1686510d9ecdf85e2d89bc4bfa26738eac03948c83",
         "conv-conv-sgd": "823b5be72997cac314e82f74922fe70bf454172ed12a42923c5d149ec397977a",
     }
 

@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
+import mipprune.network
 from mipprune.errors import InvalidArgument, ModelFormatError
-from mipprune.linalg import conv_to_matrix, matmat, matvec
+from mipprune.linalg import conv_matmat, conv_to_matrix, matmat
 from mipprune.network import (
     Mask,
     apply_mask,
@@ -111,9 +112,9 @@ class TestForward:
 
     @pytest.mark.parametrize("n", [1, 2, 5])
     def test_batched_conv_has_the_lowered_products_bits(self, n):
-        """A conv layer on a batch gives ``matmat(weight, x) + bias`` byte for
-        byte: two or more inputs through the tap product, one input through
-        the lowered matrix itself (the tap product's one-column sum differs)."""
+        """A conv layer on a batch multiplies its taps; for two or more inputs
+        that is ``matmat(weight, x) + bias`` byte for byte (a one-column sum
+        can differ from the lowered product in its last bits)."""
         net = init_network((2, 5, 5), [conv(3, 3, 3, padding=1), conv(2, 2, 2), flatten(),
                                        dense(3, activation="none")], seed=13)
         xs = np.random.default_rng(14).normal(size=(n, net.input_size))
@@ -121,9 +122,35 @@ class TestForward:
         v = xs.T.copy()
         for idx in (0, 1):
             spec = net.layers[idx]
-            want = matmat(spec.weight, v) + spec.bias[:, None]
+            want = conv_matmat(spec.kernels, spec.conv, v) + spec.bias[:, None]
             assert trace.pre[idx].tobytes() == want.tobytes()
+            if n >= 2:
+                lowered = matmat(spec.weight, v) + spec.bias[:, None]
+                assert want.tobytes() == lowered.tobytes()
             v = trace.post[idx]
+
+    def test_one_input_conv_is_its_column_of_a_batch(self):
+        net = init_network((2, 5, 5), [conv(3, 3, 3, padding=1), conv(2, 2, 2), avgpool(2),
+                                       flatten(), dense(3, activation="none")], seed=17)
+        xs = np.random.default_rng(18).normal(size=(4, net.input_size))
+        batch = forward(net, xs)
+        for k, x in enumerate(xs):
+            single = forward(net, x)
+            for idx in (0, 1):
+                assert single.pre[idx].tobytes() == batch.pre[idx][:, k].tobytes()
+
+    def test_one_input_conv_forward_lowers_nothing(self, monkeypatch):
+        calls = []
+
+        def counting(kernels, spec):
+            calls.append(spec)
+            return conv_to_matrix(kernels, spec)
+
+        monkeypatch.setattr(mipprune.network, "conv_to_matrix", counting)
+        net = init_network((1, 5, 5), [conv(2, 2, 2), conv(2, 2, 2), flatten(),
+                                       dense(3, activation="none")], seed=19)
+        forward(net, np.random.default_rng(20).normal(size=net.input_size))
+        assert calls == []
 
 
 class TestConvLayer:
@@ -138,7 +165,7 @@ class TestConvLayer:
         assert spec.bias.tobytes() == np.repeat(spec.channel_bias, 25).tobytes()
         x = np.random.default_rng(16).normal(size=net.input_size)
         assert forward(net, x).pre[0].tobytes() == (
-            matvec(spec.weight, x) + spec.bias).tobytes()
+            conv_matmat(spec.kernels, spec.conv, x[:, None]).ravel() + spec.bias).tobytes()
 
     def test_write_into_weight_or_bias_raises(self):
         spec = init_network(*self.NET, seed=15).layers[0]

@@ -287,8 +287,11 @@ class TestReportFiles:
         (lambda ls: ls[:-1], 15),                                         # too few scores
         (lambda ls: ls[:-1] + ["1 0 1.0"], 16),                           # unit 0 twice
         (lambda ls: ls[:-1] + ["1 2 1.0"], 16),                           # units 0 and 2
+        (lambda ls: ls[:-1] + ["1 1 nan"], 16),                           # non-finite scores
+        (lambda ls: ls[:-1] + ["1 1 inf"], 16),
+        (lambda ls: ls[:-2] + ["1 0 -inf"] + ls[-1:], 15),
     ], ids=["no-scores-line", "missing-key", "non-numeric", "truncated-scores",
-            "duplicate-unit", "unit-gap"])
+            "duplicate-unit", "unit-gap", "nan-score", "inf-score", "minus-inf-score"])
     def test_malformed_report_names_its_line(self, tmp_path, edit, line):
         text = report_from({(1, 0): 0.25, (1, 1): 1.0}).to_text()
         (tmp_path / "r.txt").write_text("\n".join(edit(text.splitlines())) + "\n")
