@@ -8,10 +8,7 @@ layer as a plain dense layer.
 
 import numpy as np
 
-from mipprune.linalg import ConvSpec, conv_to_matrix, matvec, toeplitz_1d
-
-print("A 1-D Toeplitz matrix is the full-convolution operator of its first column:")
-print(toeplitz_1d([1.0, 2.0, 3.0], 2), "\n")
+from mipprune.linalg import ConvSpec, conv_to_matrix, matvec
 
 spec = ConvSpec(in_channels=1, out_channels=1, kernel_h=3, kernel_w=3,
                 input_h=5, input_w=5, padding=1)

@@ -18,7 +18,7 @@ from .errors import (
     TrainingDiverged,
     UnsupportedFeature,
 )
-from .linalg import ConvSpec, conv_to_matrix, matvec, toeplitz_1d
+from .linalg import ConvSpec, conv_to_matrix, matvec
 from .lpformat import read_solution, write_lp, write_solution
 from .network import (
     LayerSpec,

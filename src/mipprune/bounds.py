@@ -6,11 +6,20 @@ parts: the lower bound takes the negative part against the upper input and
 vice versa.  Intervals are clipped at zero through every ReLU before the
 next layer, matching what the activations can actually attain.
 
-With eps == 0 the box is a single point, and the propagation is computed
-as the exact forward pass (same products, same summation order), so the
-degenerate interval equals the true pre-activations bit-for-bit.
+One pass bounds a whole batch, its boxes held as rows: every point's lower
+bounds, then every point's upper bounds.  Each dense or conv layer multiplies
+them all at once through :func:`~mipprune.linalg.matmat` on the rows
+transposed, an F-ordered operand, which sums each column as
+:func:`~mipprune.linalg.matvec` sums it alone, so a point's bounds are the
+same bits at every batch size.  A conv is read as its lowered matrix, once a
+call: its taps (:func:`~mipprune.linalg.conv_matmat` on the kernels'
+positive and negative parts) sum in another order, which moves the last bits
+of the big-M constants and, with them, the solver's path.
 
-Bounds are computed per input point; they serve as the big-M constants of
+At eps == 0 each point's bounds are its own one-input forward pass, the true
+pre-activations bit for bit, as the encoder's per-point trace and
+:func:`check_soundness` need; a batched forward pass can differ from it in
+the last bits of a dense layer.  The bounds serve as the big-M constants of
 the mixed-integer encoding and the slack that lets importance scores drop
 for neurons that are never active.
 """
@@ -24,7 +33,7 @@ import numpy as np
 
 from .errors import InvalidArgument
 from .network import Network, forward
-from .linalg import matvec
+from .linalg import matmat
 
 __all__ = ["IntervalBounds", "propagate", "propagate_batch", "check_soundness", "dump_bounds_csv"]
 SOUNDNESS_CHUNK = 1024  # samples per forward pass in check_soundness
@@ -52,58 +61,46 @@ class IntervalBounds:
 
 def propagate(net: Network, x, epsilon: float = 0.0) -> IntervalBounds:
     """Bounds for one input point under an L-infinity ball of radius epsilon."""
-    if not (np.isfinite(epsilon) and epsilon >= 0):
-        raise InvalidArgument(f"epsilon must be finite and >= 0, got {epsilon}")
-    v = np.asarray(x, dtype=np.float64).ravel()
-    if v.size != net.input_size:
-        raise InvalidArgument(f"input size {v.size}, network expects {net.input_size}")
-
-    if epsilon == 0.0:
-        trace = forward(net, v)
-        return IntervalBounds(
-            pre_lo=[z.copy() for z in trace.pre],
-            pre_hi=[z.copy() for z in trace.pre],
-            post_lo=[a.copy() for a in trace.post],
-            post_hi=[a.copy() for a in trace.post],
-        )
-
-    lo = v - epsilon
-    hi = v + epsilon
-    pre_lo, pre_hi, post_lo, post_hi = [], [], [], []
-    for spec in net.layers:
-        if spec.kind in ("dense", "conv"):
-            weight, bias = spec.weight, spec.bias  # a conv's are lowered on each read
-            w_pos = np.maximum(weight, 0.0)
-            w_neg = np.minimum(weight, 0.0)
-            zl = matvec(w_pos, lo) + matvec(w_neg, hi) + bias
-            zh = matvec(w_pos, hi) + matvec(w_neg, lo) + bias
-            if spec.activation == "relu":
-                al, ah = np.maximum(zl, 0.0), np.maximum(zh, 0.0)
-            else:
-                al, ah = zl.copy(), zh.copy()
-        elif spec.kind == "avgpool":
-            zl = lo.reshape(-1, spec.pool_window).mean(axis=1)
-            zh = hi.reshape(-1, spec.pool_window).mean(axis=1)
-            al, ah = zl.copy(), zh.copy()
-        elif spec.kind == "maxpool":
-            zl = lo.reshape(-1, spec.pool_window).max(axis=1)
-            zh = hi.reshape(-1, spec.pool_window).max(axis=1)
-            al, ah = zl.copy(), zh.copy()
-        else:
-            zl, zh = lo.copy(), hi.copy()
-            al, ah = lo.copy(), hi.copy()
-        pre_lo.append(zl)
-        pre_hi.append(zh)
-        post_lo.append(al)
-        post_hi.append(ah)
-        lo, hi = al, ah
-    out = IntervalBounds(pre_lo=pre_lo, pre_hi=pre_hi, post_lo=post_lo, post_hi=post_hi)
-    out.check()
-    return out
+    return propagate_batch(net, np.asarray(x, dtype=np.float64).reshape(1, -1), epsilon)[0]
 
 
 def propagate_batch(net: Network, xs: np.ndarray, epsilon: float = 0.0) -> list[IntervalBounds]:
-    return [propagate(net, xs[i], epsilon) for i in range(xs.shape[0])]
+    """Bounds for each row of ``xs`` under an L-infinity ball of radius epsilon."""
+    if not (np.isfinite(epsilon) and epsilon >= 0):
+        raise InvalidArgument(f"epsilon must be finite and >= 0, got {epsilon}")
+    xs = np.asarray(xs, dtype=np.float64)
+    if xs.ndim != 2 or xs.shape[1] != net.input_size:
+        raise InvalidArgument(f"input shape {xs.shape}, network expects (n, {net.input_size})")
+
+    n = xs.shape[0]
+    if epsilon == 0.0:  # each point's own forward pass is both its lower and its upper row
+        traces = [forward(net, x) for x in xs] * 2
+        pre = [np.stack(z) for z in zip(*(t.pre for t in traces))]
+        post = [np.stack(a) for a in zip(*(t.post for t in traces))]
+    else:
+        pre, post = [], []  # per layer (2n, size): each point's lower row, then each upper row
+        box = np.concatenate([xs - epsilon, xs + epsilon])
+        for spec in net.layers:
+            if spec.kind in ("dense", "conv"):
+                weight = spec.weight  # a conv's is lowered on each read: once a layer here
+                pos = matmat(np.maximum(weight, 0.0), box.T).T
+                neg = matmat(np.minimum(weight, 0.0), box.T).T
+                z = np.concatenate([pos[:n] + neg[n:], pos[n:] + neg[:n]]) + spec.bias
+                a = np.maximum(z, 0.0) if spec.activation == "relu" else z
+            elif spec.kind in ("avgpool", "maxpool"):
+                groups = box.reshape(2 * n, box.shape[1] // spec.pool_window, spec.pool_window)
+                z = a = groups.mean(axis=2) if spec.kind == "avgpool" else groups.max(axis=2)
+            else:  # flatten
+                z = a = box
+            pre.append(z)
+            post.append(a)
+            box = np.ascontiguousarray(a)  # so box.T is F-ordered: summed as matvec sums
+    out = [IntervalBounds([z[k].copy() for z in pre], [z[n + k].copy() for z in pre],
+                          [a[k].copy() for a in post], [a[n + k].copy() for a in post])
+           for k in range(n)]
+    for b in out:
+        b.check()
+    return out
 
 
 def check_soundness(net: Network, x, epsilon: float, n_samples: int, seed: int = 0) -> int:

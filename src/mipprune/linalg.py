@@ -30,7 +30,10 @@ result is summed otherwise: einsum vectorizes each row's sum, so it can
 differ in its last bits from the left-to-right sum (as :func:`matvec`
 does), and another numpy build may differ too.  :func:`conv_matmat`
 multiplies by ``positions * n`` columns, so its output for one input is
-that input's column of any batch, bit for bit.
+that input's column of any batch, bit for bit.  An F-ordered right operand
+(one input per row, transposed) is summed the other way: each column as
+:func:`matvec` sums it alone, whatever the number of columns, which is what
+the batched interval pass relies on.
 """
 
 from __future__ import annotations
@@ -44,7 +47,7 @@ import numpy as np
 from .errors import InvalidArgument, UnsupportedFeature
 
 __all__ = [
-    "ConvSpec", "ConvTaps", "as_matrix", "as_kernels", "toeplitz_1d", "conv_index_map",
+    "ConvSpec", "ConvTaps", "as_matrix", "as_kernels", "conv_index_map",
     "conv_taps", "conv_to_matrix", "conv_matmat", "matvec", "matmat",
 ]
 
@@ -132,24 +135,6 @@ def as_kernels(data, spec: ConvSpec) -> np.ndarray:
     if not np.all(np.isfinite(k)):
         raise InvalidArgument("kernel entries must be finite")
     return k
-
-
-def toeplitz_1d(sequence, n_cols: int) -> np.ndarray:
-    """Toeplitz matrix with ``sequence`` as first column, shifted down per column.
-
-    The result has ``len(sequence) + n_cols - 1`` rows (the sequence is
-    zero-extended above and below), so ``M @ x`` is the full 1-D convolution
-    of ``sequence`` with a length ``n_cols`` vector ``x``.
-    """
-    seq = np.asarray(sequence, dtype=np.float64).ravel()
-    if seq.size == 0:
-        raise InvalidArgument("sequence must be non-empty")
-    if n_cols < 1:
-        raise InvalidArgument("n_cols must be >= 1")
-    out = np.zeros((seq.size + n_cols - 1, n_cols))
-    for j in range(n_cols):
-        out[j : j + seq.size, j] = seq
-    return out
 
 
 @functools.lru_cache(maxsize=64)
@@ -264,7 +249,8 @@ def matvec(m: np.ndarray, v) -> np.ndarray:
 def matmat(m: np.ndarray, x: np.ndarray) -> np.ndarray:
     """Matrix-matrix product through ``np.einsum``, repeatable as
     :func:`matvec` is.  With C-ordered operands and two or more result
-    columns each entry is the left-to-right sum over the shared index."""
+    columns each entry is the left-to-right sum over the shared index; with
+    an F-ordered ``x`` each column is ``matvec(m, x[:, k])``, bit for bit."""
     if m.ndim != 2 or x.ndim != 2 or m.shape[1] != x.shape[0]:
         raise InvalidArgument(f"dimension mismatch: {m.shape} @ {x.shape}")
     return np.einsum("ij,jk->ik", m, x, optimize=False)

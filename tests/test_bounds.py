@@ -4,8 +4,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import mipprune.bounds
-from mipprune.bounds import check_soundness, propagate
+from mipprune.bounds import check_soundness, propagate, propagate_batch
 from mipprune.errors import InvalidArgument
+from mipprune.linalg import matvec
 from mipprune.network import avgpool, build_network, conv, dense, flatten, forward, init_network, maxpool
 
 
@@ -101,6 +102,69 @@ class TestPropagate:
         b = propagate(net, x, 0.1)
         assert np.all(b.post_lo[0] >= 0.0)
         assert np.all(b.post_hi[0] >= 0.0)
+
+
+def per_point_bounds(net, x, eps):
+    """Reference: one point at a time, each product a matvec on the lowered matrix."""
+    if eps == 0.0:
+        trace = forward(net, x)
+        return trace.pre, trace.pre, trace.post, trace.post
+    lo, hi = x - eps, x + eps
+    out = [[], [], [], []]
+    for spec in net.layers:
+        if spec.kind in ("dense", "conv"):
+            w_pos, w_neg = np.maximum(spec.weight, 0.0), np.minimum(spec.weight, 0.0)
+            zl = matvec(w_pos, lo) + matvec(w_neg, hi) + spec.bias
+            zh = matvec(w_pos, hi) + matvec(w_neg, lo) + spec.bias
+            al, ah = zl, zh
+            if spec.activation == "relu":
+                al, ah = np.maximum(zl, 0.0), np.maximum(zh, 0.0)
+        elif spec.kind == "avgpool":
+            zl = al = lo.reshape(-1, spec.pool_window).mean(axis=1)
+            zh = ah = hi.reshape(-1, spec.pool_window).mean(axis=1)
+        elif spec.kind == "maxpool":
+            zl = al = lo.reshape(-1, spec.pool_window).max(axis=1)
+            zh = ah = hi.reshape(-1, spec.pool_window).max(axis=1)
+        else:
+            zl = al = lo
+            zh = ah = hi
+        for arrays, v in zip(out, (zl, zh, al, ah)):
+            arrays.append(v)
+        lo, hi = al, ah
+    return out
+
+
+BATCH_NETS = {
+    "dense": (12, [dense(16), dense(10), dense(3, activation="none")]),
+    "conv-avgpool": ((2, 6, 6), [conv(3, 3, 3), avgpool(2), flatten(),
+                                 dense(3, activation="none")]),
+    "conv-maxpool": ((2, 6, 6), [conv(3, 3, 3), maxpool(2), flatten(),
+                                 dense(3, activation="none")]),
+    "padded-conv-conv": ((1, 6, 6), [conv(2, 3, 3, padding=1), conv(3, 3, 3), flatten(),
+                                     dense(3, activation="none")]),
+}
+
+
+class TestBatch:
+    @pytest.mark.parametrize("eps", [0.0, 0.05, 0.5])
+    @pytest.mark.parametrize("name", sorted(BATCH_NETS))
+    def test_batch_has_the_per_point_bits(self, name, eps):
+        """Each point's bounds in one batched pass are the bytes of a pass of
+        matvec products on that point alone, at every batch size."""
+        net = init_network(*BATCH_NETS[name], seed=17)
+        rng = np.random.default_rng(18)
+        for n in (1, 2, 7):
+            xs = rng.normal(size=(n, net.input_size))
+            batch = propagate_batch(net, xs, eps)
+            assert len(batch) == n
+            for k, b in enumerate(batch):
+                single = propagate(net, xs[k], eps)
+                for got, alone, want in zip((b.pre_lo, b.pre_hi, b.post_lo, b.post_hi),
+                                            (single.pre_lo, single.pre_hi, single.post_lo,
+                                             single.post_hi),
+                                            per_point_bounds(net, xs[k], eps)):
+                    assert [g.tobytes() for g in got] == [w.tobytes() for w in want]
+                    assert [g.tobytes() for g in got] == [s.tobytes() for s in alone]
 
 
 class TestSoundness:

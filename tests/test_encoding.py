@@ -230,6 +230,20 @@ class TestReluConstraintAlgebra:
         assert calls == [net.layers[0].conv, net.layers[1].conv]
         assert model.check_assignment(model.reference_assignment, tol=1e-9) == []
 
+    def test_each_conv_is_lowered_once_per_bounds_pass(self, monkeypatch):
+        net = init_network((1, 5, 5), [conv(2, 2, 2), conv(2, 2, 2), avgpool(2), flatten(),
+                                       dense(2, activation="none")], seed=9)
+        xs = np.random.default_rng(11).normal(size=(10, 25))
+        calls = []
+
+        def counting(kernels, spec):
+            calls.append(spec)
+            return conv_to_matrix(kernels, spec)
+
+        monkeypatch.setattr(mipprune.network, "conv_to_matrix", counting)
+        assert len(propagate_batch(net, xs, 0.05)) == 10
+        assert calls == [net.layers[0].conv, net.layers[1].conv]
+
     def test_maxpool_reference_feasible(self):
         rng = np.random.default_rng(4)
         net = init_network(4, [dense(4), maxpool(2), dense(2, activation="none")], seed=8)

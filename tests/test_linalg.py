@@ -1,7 +1,5 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from mipprune.errors import InvalidArgument, UnsupportedFeature
 from mipprune.linalg import (
@@ -13,7 +11,6 @@ from mipprune.linalg import (
     conv_to_matrix,
     matmat,
     matvec,
-    toeplitz_1d,
 )
 
 
@@ -33,47 +30,6 @@ def direct_conv2d(x, kernel, pad):
                     acc += kernel[p, q] * xp[r + kh - 1 - p, c + kw - 1 - q]
             out[r, c] = acc
     return out
-
-
-def direct_conv1d_full(kernel, x):
-    out = np.zeros(len(kernel) + len(x) - 1)
-    for i, k in enumerate(kernel):
-        for j, v in enumerate(x):
-            out[i + j] += k * v
-    return out
-
-
-class TestToeplitz1d:
-    def test_single_entry(self):
-        assert toeplitz_1d([1], 1).tolist() == [[1.0]]
-
-    def test_three_by_two_shifts(self):
-        a0, a1, a2 = 2.0, -3.0, 5.0
-        m = toeplitz_1d([a0, a1, a2], 2)
-        assert m.tolist() == [[a0, 0.0], [a1, a0], [a2, a1], [0.0, a2]]
-
-    def test_matches_direct_full_convolution(self):
-        rng = np.random.default_rng(11)
-        kernel = np.array([2.0, -1.0])
-        m = toeplitz_1d(kernel, 3)
-        for _ in range(100):
-            x = rng.normal(size=3)
-            assert np.max(np.abs(matvec(m, x) - direct_conv1d_full(kernel, x))) == 0.0
-
-    def test_empty_sequence_rejected(self):
-        with pytest.raises(InvalidArgument):
-            toeplitz_1d([], 2)
-
-    @given(st.lists(st.floats(-10, 10), min_size=1, max_size=6),
-           st.integers(min_value=1, max_value=6))
-    @settings(max_examples=50, deadline=None)
-    def test_constant_along_every_diagonal(self, seq, n_cols):
-        m = toeplitz_1d(seq, n_cols)
-        rows, cols = m.shape
-        for r in range(rows):
-            for c in range(cols):
-                if r + 1 < rows and c + 1 < cols:
-                    assert m[r, c] == m[r + 1, c + 1]
 
 
 class TestConvToMatrix:
@@ -217,6 +173,8 @@ class TestMatvec:
         assert a.tobytes() == b.tobytes()
 
     def test_matmat_matches_columnwise_matvec(self):
+        """Close for a C-ordered ``x``; an F-ordered one (one input per row,
+        transposed) gives each column matvec's bits at every width."""
         rng = np.random.default_rng(12)
         m = rng.normal(size=(4, 6))
         x = rng.normal(size=(6, 3))
@@ -224,6 +182,12 @@ class TestMatvec:
         for j in range(3):
             assert np.max(np.abs(got[:, j] - matvec(m, x[:, j]))) <= 1e-13
         assert matmat(m, x).tobytes() == matmat(m.copy(), x.copy()).tobytes()
+        m = rng.normal(size=(5, 80)) * rng.choice([1e-8, 1.0, 1e8], size=(5, 80))
+        for cols in (1, 2, 3, 17):
+            x = rng.normal(size=(cols, 80)).T
+            got = matmat(m, x)
+            assert [got[:, j].tobytes() for j in range(cols)] == \
+                [matvec(m, x[:, j]).tobytes() for j in range(cols)]
 
     @pytest.mark.parametrize("cols", [2, 3, 17])
     def test_matmat_sums_left_to_right_from_two_columns(self, cols):
