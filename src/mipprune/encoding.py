@@ -48,6 +48,18 @@ term is linearized through ``t_min <= I_l``; the log-sum-exp epigraph is
 enforced by an outer-approximation cut pool seeded with one tangent cut at
 the reference logits of every point.
 
+Every variable has two finite bounds, so every node LP is boxed.  Each
+``t`` gets a box that no LP optimum touches, with n_l the units of
+prunable layer l and [L_k, U_k] the logit bounds of point k:
+
+    t_min    in [min_l n_l offset - 1,  min_l n_l (1 + offset) + 1]
+    t_lse_k  in [c0_k - 1,  lse(U_k) + 1]
+
+At an optimum t_min = min_l I_l, which lies in [min_l n_l offset,
+min_l n_l (1 + offset)].  c0_k is the seed cut with every logit at L_k, so
+every LP implies t_lse_k >= c0_k; lambda > 0 keeps t_lse_k on its cuts,
+and no tangent exceeds lse(U_k) on the logit box.
+
 Constraints are stored once, as a compressed row store on ``MipModel``:
 ``row_ptr`` (row i owns entries ``row_ptr[i]:row_ptr[i + 1]``), ``col_idx``
 (variable ids, ascending within a row) and ``row_val`` (coefficients), plus
@@ -640,7 +652,10 @@ def encode_network(net: Network, xs: np.ndarray, ys: np.ndarray,
             model.add_objective_term(s, 1.0 / n_prunable)
     model.objective_const += offset
 
-    t_min = model.add_var("t_min", "t_min", -INF, INF)
+    # the box of min_l I_l, widened by 1: no LP optimum touches it
+    layer_consts = [n * (1.0 + offset) for _, n in model.prunable]
+    t_min = model.add_var("t_min", "t_min", min(n * offset for _, n in model.prunable) - 1.0,
+                          min(layer_consts) + 1.0)
     model.add_objective_term(t_min, -1.0 / n_prunable)
     for layer, n_units in model.prunable:
         coefs = {t_min: 1.0, **{model.s_vars[(layer, u)]: -1.0 for u in range(n_units)}}
@@ -651,6 +666,7 @@ def encode_network(net: Network, xs: np.ndarray, ys: np.ndarray,
                                net.layers[layer].rows_per_unit)
               for layer, n_units in model.prunable}
     reference: dict[int, float] = {}
+    anchors: list[np.ndarray] = []  # each point's reference logits: its seed cut's anchor
     # (weight, bias, relu) of each affine layer, read once: a conv's weight
     # is lowered on every read, and a window mean is affine with weight
     # 1/window on each window
@@ -697,21 +713,24 @@ def encode_network(net: Network, xs: np.ndarray, ys: np.ndarray,
             prev_vars = np.array(cur, dtype=np.int64)
             prev_const = np.zeros(len(cur))
         model.logit_vars.append(prev_vars.tolist())
-        t = model.add_var(f"t_lse_{k}", "t_lse", -INF, INF, point=k)
+        anchors.append(np.array([reference[j] for j in model.logit_vars[k]]))
+        lb, ub, _ = model.var_arrays()
+        lo, hi = lb[model.logit_vars[k]], ub[model.logit_vars[k]]
+        # the seed tangent at the logits' lower bounds, which every LP implies,
+        # and the largest log-sum-exp, which lambda > 0 keeps every LP under
+        seed = log_sum_exp(anchors[k]) + float(np.dot(softmax_probs(anchors[k]), lo - anchors[k]))
+        t = model.add_var(f"t_lse_{k}", "t_lse", seed - 1.0, log_sum_exp(hi) + 1.0, point=k)
         model.tlse_vars.append(t)
         model.add_objective_term(t, lam)
-        logits_obs = trace.logits
-        reference[t] = log_sum_exp(logits_obs)
+        reference[t] = log_sum_exp(trace.logits)
         model.add_objective_term(model.logit_vars[k][int(ys[k])], -lam)
 
     # importance defaults and epigraph reference values
     for key, idx in model.s_vars.items():
         reference[idx] = 1.0
-    layer_consts = [n * (1.0 + offset) for _, n in model.prunable]
     reference[t_min] = min(layer_consts)
 
-    for k in range(xs.shape[0]):
-        anchor = np.array([reference[j] for j in model.logit_vars[k]])
+    for k, anchor in enumerate(anchors):
         add_lse_cut(model, k, anchor)
 
     x_ref = np.zeros(len(model.variables), dtype=np.float64)

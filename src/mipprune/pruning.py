@@ -282,7 +282,8 @@ def score_classwise(net: Network, ds: Dataset, lam: float = 5.0, epsilon: float 
         batch_digest=digest,
         objective=float(np.mean([r.objective for r in reports])),
         gap=max(r.gap for r in reports),
-        status="optimal" if all(r.status == "optimal" for r in reports) else "limit",
+        # the worst of the classes' statuses
+        status=max((r.status for r in reports), key=("optimal", "unverified", "limit").index),
         node_count=sum(r.node_count for r in reports),
         cut_rounds=sum(r.cut_rounds for r in reports),
         lp_pivots=sum(r.lp_pivots for r in reports),

@@ -2,26 +2,26 @@
 moves a tableau to a starting basis, then runs a dual simplex and a primal
 clean-up or, from a feasible vertex, the primal simplex alone.
 
-Every variable is one tableau column ``v >= 0`` with ``x = base + dirn * v``:
-shifted from a finite lower bound, mirrored from a finite upper bound when
-there is no lower one (or when a start puts it there), or left free when
-both bounds are infinite.  A finite width ``ub - lb`` is enforced in the
-ratio test: a variable that reaches it is complemented (``v' = width - v``),
-so nonbasic columns always sit at zero, the rhs column holds the basic
-values, and ``base`` is ``lb`` or ``ub`` as ``dirn`` is +1 or -1.  The
-tableau is one dense numpy array, but encodings leave most of it zero, so
-each pivot's rank-1 update touches only the nonzero rows of the pivot column
-crossed with the nonzero columns of the pivot row, and keeps it sparse by
-zeroing each entry it leaves below ``_DROP_TOL`` (round-off).
+Every structural column is boxed: ``lb <= x <= ub`` with both bounds
+finite (:func:`solve_lp_arrays` refuses an infinite one), so the LP has an
+optimum whenever it is feasible, and there are no rays.  A column is
+``v >= 0`` with ``x = base + dirn * v``, measured from ``lb`` (``dirn``
++1) or from ``ub`` (``dirn`` -1).  Its width ``ub - lb`` is enforced in the
+ratio test: a variable that reaches it is complemented (``v' = width -
+v``), so nonbasic columns always sit at zero and the rhs column holds the
+basic values.  The tableau is one dense numpy array, but encodings leave
+most of it zero, so each pivot's rank-1 update touches only the nonzero
+rows of the pivot column crossed with the nonzero columns of the pivot row,
+and keeps it sparse by zeroing each entry it leaves below ``_DROP_TOL``
+(round-off).
 
 Primal pricing is Dantzig's rule (most negative reduced cost, lowest index
-on ties; a free nonbasic column prices by its magnitude), and the dual
-simplex lets the largest bound violation leave (Harris two-pass ratio
-test).  A step is degenerate in both unless it moves the objective past its
-best value by more than 1e-12 relative.  After a streak of 2*(m+n)
-degenerate steps either loop keeps to Bland's rule, which guarantees
-termination (the dual one passes over tiny pivots); each switch is counted
-on the :class:`LpResult`.
+on ties), and the dual simplex lets the largest bound violation leave
+(Harris two-pass ratio test).  A step is degenerate in both unless it moves
+the objective past its best value by more than 1e-12 relative.  After a
+streak of 2*(m+n) degenerate steps either loop keeps to Bland's rule, which
+guarantees termination (the dual one passes over tiny pivots); each switch
+is counted on the :class:`LpResult`.
 
 The tableau keeps every structural column (a fixed one has width 0) and
 gives row ``i`` one logical ``s_i`` in ``a_i x + s_i = rhs_i``, bounded by
@@ -41,23 +41,26 @@ Products use the kernels of :mod:`.linalg`, never BLAS or LAPACK, so
 results repeat bit for bit for the same operand layout on the same numpy
 build.
 
-Every 'optimal' answer is checked on the original arrays: the primal
-residual of rows and bounds, and the reduced costs recomputed from the row
-duals.  A certified 'infeasible' answer comes with a Farkas row that proves
-it on the original rows and bounds, and a certified 'unbounded' one with an
-improving ray and a feasible point that passed their checks; only the last
-start's answer can be uncertified.  :func:`solve_lp_arrays`
-tries the starts of an LP in order and the first that answers is returned:
-with a basis, the final tableau of the last answer when the caller carries
-one (a branch-and-bound search passes each LP's tableau to the next), then
-a fresh all-logical tableau; with a vertex, the all-logical tableau moved
-to the vertex's basis (a ReLU network's vertex basis is triangular, layer
-by layer, so this takes one level a layer and no pivot).  The last start,
-and the only one of an LP given none, is a fresh tableau moved to the
-final basis of the LP's recession LP; it keeps its answer.  Each start is
-recorded on the :class:`LpResult`.
-An LP with no rows or no columns needs none of this: its first start
-answers it with each column at the bound its cost asks for.
+:func:`solve_lp_arrays` tries the starts of an LP in order and returns the
+first that answers: with a basis, the final tableau of the last answer when
+the caller carries one (a branch-and-bound search passes each LP's tableau
+to the next), then a fresh all-logical tableau; with a vertex, the
+all-logical tableau moved to the vertex's basis (a ReLU network's vertex
+basis is triangular, layer by layer, so this takes one level a layer and
+no pivot).  The last start, and the only one of an LP given none, is
+'cold': the all-logical tableau with each column at the bound its cost
+prefers, which is dual feasible, so the dual simplex runs from it at once.
+It always answers, an LP with no rows or no columns too: with no rows each
+column stays at its cost's bound, and with no columns a violated row is its
+own Farkas row.  Each start is recorded on the :class:`LpResult`.
+
+An answer is 'optimal' or 'infeasible'.  Every 'optimal' answer is checked
+on the original arrays: the primal residual of rows and bounds, and the
+reduced costs recomputed from the row duals.  A certified 'infeasible'
+answer comes with a Farkas row that proves it on the original rows and
+bounds.  An answer that fails its check ends its start, except on the cold
+start, which keeps it with ``certified`` false: only a cold answer can be
+uncertified.
 Ref: Koberstein, "The dual simplex method, techniques for a fast and stable
 implementation", PhD thesis, Paderborn 2005, ch. 4-6; Bixby, "Solving
 real-world linear programs: a decade and more of progress", Oper. Res. 50,
@@ -90,8 +93,7 @@ _CRASH_PIV = 1e-2      # least |pivot| of a crash level, relative to its row and
 
 
 class SimplexNumericsError(MipPruneError, RuntimeError):
-    """A pivot loop exceeded its safety cap, or the last start of an LP gave
-    up; the instance is ill-posed."""
+    """A pivot loop exceeded its safety cap; the instance is ill-posed."""
 
 
 @dataclass
@@ -102,8 +104,8 @@ class LinearProgram:
     a: np.ndarray          # (m, n), dense
     sense: np.ndarray      # array of 'L', 'G', 'E'
     rhs: np.ndarray
-    lb: np.ndarray         # -inf allowed
-    ub: np.ndarray         # +inf allowed
+    lb: np.ndarray         # finite
+    ub: np.ndarray         # finite
     const: float = 0.0
 
     @property
@@ -157,23 +159,21 @@ class LpResult:
     ``attempts`` records each start tried, in order, as ``(kind, reason,
     move_pivots, levels)``.  ``kind`` is 'carried' (the carried tableau),
     'fresh' (an all-logical tableau moved to the given basis), 'vertex' (one
-    moved to the basis of the given point) or 'cold' (one moved to the final
-    basis of the recession LP, see :func:`_solve_cold`).  ``reason`` is None
+    moved to the basis of the given point) or 'cold' (the all-logical one with
+    each column at the bound its cost prefers).  ``reason`` is None
     for the one start that answered and says why each other gave up (see
     :func:`_solve_from`).  ``levels`` placed the triangular part of an
     all-logical start's basis (see :func:`_crash`), and ``move_pivots``
     moved the start's tableau the rest of the way to its basis: the bump of
     an all-logical start, every column of a carried one.  They are not in
-    ``pivots``, which counts the simplex iterations of every attempt and of
-    the recession LP, dual and primal: basis changes plus bound flips.
-    ``bland_switches`` counts both loops' turns to Bland's rule.  An LP with
-    no rows or no columns is answered by its first start with no move and no
-    pivot.  Only a 'cold' answer can be uncertified.  Every 'optimal'
-    answer, and every certified 'infeasible' one on the LP's own costs, has
-    its final ``tableau``.
+    ``pivots``, which counts the simplex iterations of every attempt, dual
+    and primal: basis changes plus bound flips.  ``bland_switches`` counts
+    both loops' turns to Bland's rule.  The 'cold' start always answers, and
+    only its answer can be uncertified.  Every 'optimal' answer, and every
+    'infeasible' one a start proved, has its final ``tableau``.
     """
 
-    status: str            # 'optimal' | 'infeasible' | 'unbounded'
+    status: str            # 'optimal' | 'infeasible'
     x: np.ndarray | None
     objective: float | None
     pivots: int = 0
@@ -185,10 +185,7 @@ class LpResult:
     attempts: list[tuple[str, str | None, int, int]] = field(default_factory=list)
 
     def attempt(self, kind: str, reason: str | None, moved: int = 0, levels: int = 0) -> bool:
-        """Record one start; returns whether it answered.  The 'cold' start
-        is the last one: its give-up raises :class:`SimplexNumericsError`."""
-        if kind == "cold" and reason is not None:
-            raise SimplexNumericsError(f"the cold start gave up: {reason}")
+        """Record one start; returns whether it answered."""
         self.attempts.append((kind, reason, moved, levels))
         return reason is None
 
@@ -199,7 +196,7 @@ class LpResult:
 
 
 def _complement(t: np.ndarray, dirn: np.ndarray, j: int, w: float) -> None:
-    """Substitute ``v_j = w - v_j'`` in ``t``; ``w = 0`` negates a free column."""
+    """Substitute ``v_j = w - v_j'`` in ``t``."""
     if w:
         t[:, -1] -= w * t[:, j]
     t[:, j] *= -1.0
@@ -227,18 +224,22 @@ def _pivot(t: np.ndarray, basis: np.ndarray, r: int, j: int) -> None:
     basis[r] = j
 
 
-def _pivot_loop(t: np.ndarray, basis: np.ndarray, width: np.ndarray, free: np.ndarray,
-                dirn: np.ndarray, bland_after: int, out: LpResult) -> tuple[str, int]:
-    """Run primal simplex iterations on tableau ``t`` in place.
+def _pivot_loop(t: np.ndarray, basis: np.ndarray, width: np.ndarray, dirn: np.ndarray,
+                bland_after: int, out: LpResult) -> int:
+    """Run primal simplex iterations on tableau ``t`` in place, until no
+    column prices below ``-_RC_TOL``; returns the iteration count.
 
     ``t`` is (m+1, k+1): m constraint rows, reduced-cost row last, rhs column
-    last.  ``width``, ``free`` and ``dirn`` describe the k columns; ``dirn``
-    is updated by each complement.  A column of width 0 never enters.  A
-    step is degenerate unless it lowers the objective past its best value so
-    far by more than 1e-12 relative, as in :func:`_dual_loop`; after
+    last.  ``width`` and ``dirn`` describe the k columns; ``dirn`` is
+    updated by each complement.  A column of width 0 never enters.  A step
+    is degenerate unless it lowers the objective past its best value so far
+    by more than 1e-12 relative, as in :func:`_dual_loop`; after
     ``bland_after`` in a row the loop keeps to Bland's rule, counted in
-    ``out``: the lowest column priced below ``-_RC_TOL`` enters.  Returns
-    (status, iteration count).
+    ``out``: the lowest column priced below ``-_RC_TOL`` enters.  Only a
+    logical can enter with no bound on its step, and then its column moves
+    no basic structural by more than ``_PIV_TOL`` a unit, so its price is
+    round-off: the loop stops there, and the answer's check judges the
+    point.
     """
     m = t.shape[0] - 1
     pivots = 0
@@ -247,35 +248,23 @@ def _pivot_loop(t: np.ndarray, basis: np.ndarray, width: np.ndarray, free: np.nd
     bland = False
     rc_view = t[-1, :-1]
     rhs_col = t[:-1, -1]
-    allowed = (width > 0.0) | free
+    allowed = width > 0.0
     while True:
-        price = np.where(free, -np.abs(rc_view), rc_view)
-        if bland:
-            cands = np.flatnonzero((price < -_RC_TOL) & allowed)
-            if cands.size == 0:
-                return "optimal", pivots
-            j = int(cands[0])
-        else:
-            masked = np.where(allowed, price, 0.0)
-            j = int(np.argmin(masked))
-            if masked[j] >= -_RC_TOL:
-                return "optimal", pivots
-        if rc_view[j] > 0.0:
-            _complement(t, dirn, j, 0.0)  # a free column enters downward
+        price = np.where(allowed, rc_view, 0.0)
+        cands = np.flatnonzero(price < -_RC_TOL)
+        if cands.size == 0:
+            return pivots
+        j = int(cands[0]) if bland else int(np.argmin(price))
         col = t[:-1, j]
         wb = width[basis]
-        down = (col > _PIV_TOL) & ~free[basis]
+        down = col > _PIV_TOL
         up = (col < -_PIV_TOL) & np.isfinite(wb)
         ratios = np.full(m, np.inf)
         ratios[down] = rhs_col[down] / col[down]
         ratios[up] = (rhs_col[up] - wb[up]) / col[up]
         rmin = float(ratios.min(initial=np.inf))
         if min(rmin, float(width[j])) == np.inf:
-            # a ray whose reduced cost is only noise-deep is a stalled optimum,
-            # not a real unbounded direction
-            if rc_view[j] > -1e-7:
-                return "optimal", pivots
-            return "unbounded", pivots
+            return pivots
         if width[j] <= rmin:
             _complement(t, dirn, j, width[j])  # bound flip, basis unchanged
         else:
@@ -308,8 +297,8 @@ def _pivot_loop(t: np.ndarray, basis: np.ndarray, width: np.ndarray, free: np.nd
             raise SimplexNumericsError(f"pivot cap {_MAX_PIVOTS} exceeded")
 
 
-def _dual_loop(t: np.ndarray, basis: np.ndarray, width: np.ndarray, free: np.ndarray,
-               dirn: np.ndarray, bland_after: int, out: LpResult) -> tuple[str, int, int]:
+def _dual_loop(t: np.ndarray, basis: np.ndarray, width: np.ndarray, dirn: np.ndarray,
+               bland_after: int, out: LpResult) -> tuple[str, int, int]:
     """Run dual simplex iterations on tableau ``t`` in place.
 
     ``t`` is laid out as in :func:`_pivot_loop` and starts dual feasible.
@@ -330,7 +319,7 @@ def _dual_loop(t: np.ndarray, basis: np.ndarray, width: np.ndarray, free: np.nda
     """
     rhs = t[:-1, -1]
     d = t[-1, :-1]
-    movable = (width > 0.0) | free
+    movable = width > 0.0
     nonbasic = np.ones(d.size, dtype=bool)
     nonbasic[basis] = False
     pivots = 0
@@ -340,7 +329,6 @@ def _dual_loop(t: np.ndarray, basis: np.ndarray, width: np.ndarray, free: np.nda
     while True:
         wb = width[basis]
         viol = np.maximum(-rhs, rhs - wb)
-        viol[free[basis]] = 0.0
         worst = viol.max(initial=0.0)
         if worst <= _DUAL_FEAS_TOL:
             return "optimal", -1, pivots
@@ -350,12 +338,11 @@ def _dual_loop(t: np.ndarray, basis: np.ndarray, width: np.ndarray, free: np.nda
             _complement(t, dirn, basis[r], wb[r])
             t[r] *= -1.0
         row = t[r, :-1]
-        cand = np.flatnonzero(nonbasic & movable
-                              & ((row < -_PIV_TOL) | (free & (row > _PIV_TOL))))
+        cand = np.flatnonzero(nonbasic & movable & (row < -_PIV_TOL))
         if cand.size == 0:
             return "infeasible", r, pivots
-        alpha = np.abs(row[cand])
-        dj = np.where(free[cand], np.abs(d[cand]), np.maximum(d[cand], 0.0))
+        alpha = -row[cand]
+        dj = np.maximum(d[cand], 0.0)
         theta = float(((dj + _HARRIS_TOL) / alpha).min())
         within = np.flatnonzero(dj / alpha <= theta)
         if bland:
@@ -364,8 +351,6 @@ def _dual_loop(t: np.ndarray, basis: np.ndarray, width: np.ndarray, free: np.nda
         else:
             i = int(within[np.argmax(alpha[within])])
         q = int(cand[i])
-        if row[q] > 0.0:
-            _complement(t, dirn, q, 0.0)  # a free column enters downward
         nonbasic[basis[r]] = True
         nonbasic[q] = False
         _pivot(t, basis, r, q)
@@ -419,8 +404,7 @@ def _certified_infeasible(lp: LinearProgram, lb: np.ndarray, ub: np.ndarray,
     With ``u = mult * rho`` (normalized, wrong-signed entries set to zero so
     that ``g x <= u.rhs`` with ``g = a.T u`` is valid), infeasibility is
     proven when the least ``g x`` over the bounds exceeds ``u.rhs`` by more
-    than ``_CERT_PRIMAL``.  A coefficient up to ``_PIV_TOL`` on an unbounded
-    side counts as zero.
+    than ``_CERT_PRIMAL``.
     """
     top = np.abs(mult).max(initial=0.0)
     if top == 0.0:
@@ -430,7 +414,6 @@ def _certified_infeasible(lp: LinearProgram, lb: np.ndarray, ub: np.ndarray,
     u[((sense == "L") & (u < 0.0)) | ((sense == "G") & (u > 0.0))] = 0.0
     g = matvec(lp.a.T, u)
     side = np.where(g > 0.0, lb, ub)
-    side[np.isinf(side) & (np.abs(g) <= _PIV_TOL)] = 0.0
     return float((g * side).sum()) - float((u * lp.rhs).sum()) > _CERT_PRIMAL
 
 
@@ -450,34 +433,32 @@ def _finish(res: LpResult, lp: LinearProgram, lb: np.ndarray, ub: np.ndarray,
         res.status, res.x, res.certified, res.tableau = "optimal", x, certified, tab
         # recompute the objective from the original data: immune to tableau drift
         res.objective = float(np.dot(lp.c, x)) + lp.const
-        res.basis = Basis(np.sort(tab.basis).astype(np.int32),
-                          (dirn[:n] < 0) & (np.isfinite(lb) | np.isfinite(ub)))
+        res.basis = Basis(np.sort(tab.basis).astype(np.int32), dirn[:n] < 0)
     return certified
 
 
 def _row_scale(a: np.ndarray, b: np.ndarray, sense: np.ndarray) -> np.ndarray:
     """``rho``: tableau row ``i`` is ``rho_i`` times row ``i``, scaled so that its
     largest entry, rhs ``b_i`` included, is 1 and negated for a 'G' row, so
-    that every logical is >= 0."""
-    scale = np.maximum(np.maximum(a.max(axis=1, initial=0.0), -a.min(axis=1, initial=0.0)),
-                       np.abs(b))
+    that every logical is >= 0.  A row with no entries is not scaled, so that
+    its constant's breach is judged in the row's own units."""
+    big = np.maximum(a.max(axis=1, initial=0.0), -a.min(axis=1, initial=0.0))
+    scale = np.where(big > 0.0, np.maximum(big, np.abs(b)), 1.0)
     scale[scale < 1e-12] = 1.0
     return np.where(np.asarray(sense, dtype="U1") == "G", -1.0, 1.0) / scale
 
 
 def _base(lb: np.ndarray, ub: np.ndarray, dirn: np.ndarray) -> np.ndarray:
-    """The bound each structural's column is measured from: 0 when free."""
-    return np.where(np.isinf(lb) & np.isinf(ub), 0.0, np.where(dirn > 0, lb, ub))
+    """The bound each structural's column is measured from."""
+    return np.where(dirn > 0, lb, ub)
 
 
 def _all_logical(lp: LinearProgram, lb: np.ndarray, ub: np.ndarray,
                  at_upper: np.ndarray) -> Tableau:
     """The tableau of ``lp`` on its all-logical basis, basic values included; a
-    structural sits at its upper bound where ``at_upper`` says so or where it
-    has no lower one."""
+    structural sits at its upper bound where ``at_upper`` says so."""
     m, n = lp.m, lp.n
-    has_lo, has_hi = np.isfinite(lb), np.isfinite(ub)
-    dirn = np.concatenate([np.where(has_hi & (at_upper | ~has_lo), -1.0, 1.0), np.ones(m)])
+    dirn = np.concatenate([np.where(at_upper, -1.0, 1.0), np.ones(m)])
     b = lp.rhs - matvec(lp.a, _base(lb, ub, dirn[:n]))
     rho = _row_scale(lp.a, b, lp.sense)
     t = np.zeros((m + 1, n + m + 1), dtype=np.float64)
@@ -493,18 +474,14 @@ def _carry(tab: Tableau, lp: LinearProgram, lb: np.ndarray, ub: np.ndarray) -> T
     """``tab``, the final tableau of an LP with the first rows and the objective
     of ``lp``, made a tableau of ``lp``.
 
-    A column whose base bound is gone is mirrored.  The rows ``tab`` lacks
-    are appended with their logicals basic, after the basic columns are
-    eliminated from them.
+    The rows ``tab`` lacks are appended with their logicals basic, after
+    the basic columns are eliminated from them.
     """
     m, n, m0 = lp.m, lp.n, tab.basis.size
     if m0 > m or tab.t.shape != (m0 + 1, n + m0 + 1):
         raise InvalidArgument(f"tableau of {m0} rows does not fit an LP with {m} rows "
                               f"and {n} columns")
-    has_lo, has_hi = np.isfinite(lb), np.isfinite(ub)
     dirn = tab.dirn
-    for j in np.flatnonzero(np.where(dirn[:n] > 0, has_hi & ~has_lo, has_lo & ~has_hi)).tolist():
-        _complement(tab.t, dirn, j, 0.0)
     if m == m0:
         return tab
     k0, p = n + m0, m - m0
@@ -619,32 +596,30 @@ def _solve_from(tab: Tableau, lp: LinearProgram, lb: np.ndarray, ub: np.ndarray,
     More wanted ids than rows give up at once ('not_vertex'); with fewer,
     the rows no wanted id takes keep their unwanted basic column.  The
     objective is fixed, so the reduced-cost row needs no price-out.  Unless
-    ``kind`` is 'vertex' the start is made dual feasible (nonbasic boxed
-    columns move to the bound their reduced cost asks for), the rhs column
-    is computed from the original arrays, and a dual simplex and a primal
-    clean-up follow.  A 'vertex' start keeps each nonbasic column at the
-    bound the tableau measures it from, and phase two runs from it if no
-    basic value breaks its bounds by more than ``_FEAS_TOL``.  ``out`` gets
-    the answer and the simplex iterations, and the attempt with the pivots
-    and levels of the move and, when the start gives up, its reason:
-    'not_vertex', 'singular', 'dual_infeasible' (a wrong-signed reduced cost
-    on an unbounded column), 'infeasible_start' (a 'vertex' start out of
-    bounds), 'unbounded' (the primal loop found a ray) or 'uncertified' (the
-    answer failed its check; ``out`` keeps no part of it).  A 'cold' start
-    answers whatever its loops end on, with ``certified`` false unless
-    checked: an uncertified optimum, 'unbounded' for a ray of the clean-up,
-    and an unproven infeasible verdict taken for round-off, the clean-up
-    running from the clipped basic values; if its point breaks a row or
-    bound, the answer is 'infeasible'.  Returns whether the start answered.
+    ``kind`` is 'vertex' the start is made dual feasible (nonbasic
+    structurals move to the bound their reduced cost asks for), the rhs
+    column is computed from the original arrays, and a dual simplex and a
+    primal clean-up follow.  A 'vertex' start keeps each nonbasic column at
+    the bound the tableau measures it from, and phase two runs from it if
+    no basic value breaks its bounds by more than ``_FEAS_TOL``.  ``out``
+    gets the answer and the simplex iterations, and the attempt with the
+    pivots and levels of the move and, when the start gives up, its reason:
+    'not_vertex', 'singular', 'dual_infeasible' (a nonbasic logical priced
+    the wrong way), 'infeasible_start' (a 'vertex' start out of bounds) or
+    'uncertified' (the answer failed its check; ``out`` keeps no part of
+    it).  The 'cold' start wants the all-logical basis, so none of these
+    can stop it: it answers whatever its loops end on, with ``certified``
+    false unless checked: an uncertified optimum, or an unproven infeasible
+    verdict taken for round-off, the clean-up running from the clipped
+    basic values; if that point breaks a row or bound, the answer is
+    'infeasible'.  Returns whether the start answered.
     """
     m, n = lp.m, lp.n
     k = n + m
     primal, last = kind == "vertex", kind == "cold"
     t, basis, dirn, rho = tab.t, tab.basis, tab.dirn, tab.rho
-    sense = np.asarray(lp.sense, dtype="U1")
-    has_lo, has_hi = np.isfinite(lb), np.isfinite(ub)
-    free = np.concatenate([~has_lo & ~has_hi, np.zeros(m, dtype=bool)])
-    width = np.concatenate([ub - lb, np.where(sense == "E", 0.0, np.inf)])
+    width = np.concatenate([ub - lb, np.where(np.asarray(lp.sense, dtype="U1") == "E", 0.0,
+                                              np.inf)])
     if np.count_nonzero(wanted) > m:
         return out.attempt(kind, "not_vertex")
     t[:, -1] = 0.0  # computed after the move
@@ -662,12 +637,12 @@ def _solve_from(tab: Tableau, lp: LinearProgram, lb: np.ndarray, ub: np.ndarray,
         moved += 1
 
     if not primal:
-        # a dual feasible start: boxed columns move to the bound their reduced
-        # cost asks for; an unbounded one priced the wrong way gives up
+        # a dual feasible start: structurals move to the bound their reduced
+        # cost asks for; a logical priced the wrong way gives up
         d = t[-1, :-1]
         nonbasic = np.ones(k, dtype=bool)
         nonbasic[basis] = False
-        if np.any(nonbasic & np.isinf(width) & (np.where(free, np.abs(d), -d) > _CERT_DUAL)):
+        if np.any(nonbasic & np.isinf(width) & (d < -_CERT_DUAL)):
             return out.attempt(kind, "dual_infeasible", moved, levels)
         flip = np.flatnonzero(nonbasic & np.isfinite(width) & (width > 0.0) & (d < -_RC_TOL))
         t[:, flip] *= -1.0
@@ -682,10 +657,10 @@ def _solve_from(tab: Tableau, lp: LinearProgram, lb: np.ndarray, ub: np.ndarray,
 
     dual = "optimal"
     if primal:
-        if np.any(~free[basis] & (np.maximum(-rhs, rhs - width[basis]) > _FEAS_TOL)):
+        if np.any(np.maximum(-rhs, rhs - width[basis]) > _FEAS_TOL):
             return out.attempt(kind, "infeasible_start", moved, levels)
     else:
-        dual, r, p = _dual_loop(t, basis, width, free, dirn, 2 * (m + k), out)
+        dual, r, p = _dual_loop(t, basis, width, dirn, 2 * (m + k), out)
         out.dual_pivots += p
         out.pivots += p
         if dual == "infeasible":
@@ -694,14 +669,9 @@ def _solve_from(tab: Tableau, lp: LinearProgram, lb: np.ndarray, ub: np.ndarray,
                 return out.attempt(kind, None, moved, levels)
             if not last:
                 return out.attempt(kind, "uncertified", moved, levels)
-    np.clip(rhs, np.where(free[basis], -np.inf, 0.0), width[basis], out=rhs)
-    status, p = _pivot_loop(t, basis, width, free, dirn, 2 * (m + k), out)
-    out.pivots += p
-    if status == "unbounded":
-        if not last:
-            return out.attempt(kind, status, moved, levels)
-        out.verdict(status, False)  # the clean-up's ray is not checked
-    elif not _finish(out, lp, lb, ub, tab, keep=last):
+    np.clip(rhs, 0.0, width[basis], out=rhs)
+    out.pivots += _pivot_loop(t, basis, width, dirn, 2 * (m + k), out)
+    if not _finish(out, lp, lb, ub, tab, keep=last):
         if not last:
             return out.attempt(kind, "uncertified", moved, levels)
         if dual == "infeasible" and not _certified_optimal(lp, lb, ub, out.x, None):
@@ -725,16 +695,16 @@ def _wanted(lp: LinearProgram, basis: Basis) -> np.ndarray:
 
 def _starts(lp: LinearProgram, lb: np.ndarray, ub: np.ndarray, basis: Basis | None,
             carried: Tableau | None, point: np.ndarray | None):
-    """Yield the warm starts of ``lp`` as ``(kind, tableau, wanted)``, in the
-    order they are tried; each tableau is made only when its start is
-    reached.
+    """Yield the starts of ``lp`` as ``(kind, tableau, wanted)``, in the order
+    they are tried; each tableau is made only when its start is reached.
 
     With ``basis``: the ``carried`` tableau, when given, then a fresh
     all-logical one, both moved to ``basis``.  With ``point``: a fresh
     tableau moved to the point's basis, where a structural within
     ``_FEAS_TOL`` of a bound is nonbasic there and every other one is wanted
     basic, in a row ``point`` holds tight (within ``_FEAS_TOL``), while the
-    logicals of the other rows stay basic.
+    logicals of the other rows stay basic.  Last, 'cold': the all-logical
+    tableau with each structural at the bound its cost prefers.
     """
     if basis is not None:
         wanted = _wanted(lp, basis)
@@ -747,84 +717,24 @@ def _starts(lp: LinearProgram, lb: np.ndarray, ub: np.ndarray, basis: Basis | No
         tight = np.abs(matvec(lp.a, point) - lp.rhs) <= _FEAS_TOL
         yield ("vertex", _all_logical(lp, lb, ub, at_hi & ~at_lo),
                np.concatenate([~(at_lo | at_hi), ~tight]))
-
-
-def _solve_cold(lp: LinearProgram, lb: np.ndarray, ub: np.ndarray, out: LpResult) -> None:
-    """Answer ``lp`` into ``out`` by its 'cold' start.
-
-    The recession LP has the rows and objective of ``lp``, rhs 0, and boxes
-    of the directions each column can move in without limit: [0, 0] when
-    boxed or fixed, [0, 1] with only a lower bound, [-1, 0] with only an
-    upper one, [-1, 1] when free.  It starts from the all-logical tableau
-    of ``lp``, which is dual feasible for it and scales the rows as every
-    start here does, so that both LPs judge reduced costs alike.  If its
-    objective is at least ``-_CERT_DUAL``, its final basis is dual feasible
-    for ``lp``, and the start is a fresh all-logical tableau moved there.
-    Otherwise its point is an improving ray, and ``lp`` is unbounded when
-    feasible: the start solves ``lp`` with the unbounded columns' costs set
-    to 0 from the all-logical tableau.  The recession LP is answered into
-    ``out`` too, which the start then overwrites; it adds iterations but no
-    attempt.  A give-up raises :class:`SimplexNumericsError`.
-    """
-    m, n = lp.m, lp.n
-    has_lo, has_hi = np.isfinite(lb), np.isfinite(ub)
-    logicals, lower = np.arange(n + m) >= n, np.zeros(n, dtype=bool)
-    rlb, rub = np.where(has_lo, 0.0, -1.0), np.where(has_hi, 0.0, 1.0)
-    rec = LinearProgram(lp.c, lp.a, lp.sense, np.zeros(m), rlb, rub)
-    _solve_from(_all_logical(lp, lb, ub, lower), rec, rlb, rub, logicals, out, "cold")
-    out.attempts.pop()  # the recession LP is not a start of ``lp``
-    rec_basis, rec_optimal = out.basis, out.status == "optimal"
-    if rec_optimal and out.objective >= -_CERT_DUAL:
-        _solve_from(_all_logical(lp, lb, ub, lower), lp, lb, ub, _wanted(lp, rec_basis), out,
-                    "cold")
-        return
-    if not (rec_optimal and out.certified):
-        raise SimplexNumericsError("the recession LP found no checked improving ray")
-    feas = LinearProgram(np.where(has_lo & has_hi, lp.c, 0.0), lp.a, lp.sense, lp.rhs, lb, ub)
-    _solve_from(_all_logical(feas, lb, ub, lower), feas, lb, ub, logicals, out, "cold")
-    if out.status == "infeasible":
-        out.tableau = None  # priced for the zeroed costs, not for those of ``lp``
-    else:
-        out.verdict("unbounded", out.certified)
-
-
-def _solve_direct(lp: LinearProgram, lb: np.ndarray, ub: np.ndarray, out: LpResult,
-                  kind: str) -> None:
-    """Answer ``lp``, which has no rows or no columns, into ``out`` with no
-    pivot, as its start ``kind``.
-
-    Each column sits at the bound its cost asks for (at 0 when free), on the
-    all-logical tableau.  With no rows, a cost beyond ``_CERT_DUAL`` toward
-    an infinite bound is an improving ray of the feasible box: the answer is
-    'unbounded'.  With no columns, rows whose constant breaks them by more
-    than ``_CERT_PRIMAL`` are their own Farkas rows: 'infeasible'.  Every
-    other answer is an optimum that passed its check.
-    """
-    tab = _all_logical(lp, lb, ub, lp.c < 0.0)
-    ray = np.where(lp.c > 0.0, np.isinf(lb), np.isinf(ub)) & (np.abs(lp.c) > _CERT_DUAL)
-    if lp.m == 0 and ray.any():
-        out.verdict("unbounded", True)
-    elif not _finish(out, lp, lb, ub, tab):
-        mult = -np.sign(lp.rhs * tab.rho)  # each row's multiplier towards its breach
-        out.verdict("infeasible", _certified_infeasible(lp, lb, ub, mult, tab.rho), tab)
-    out.attempt(kind, None)
+    yield "cold", _all_logical(lp, lb, ub, lp.c < 0.0), np.arange(lp.n + lp.m) >= lp.n
 
 
 def solve_lp_arrays(lp: LinearProgram, basis: Basis | None = None,
                     tableau: Tableau | None = None, point: np.ndarray | None = None) -> LpResult:
     """Solve a bounded-variable LP from the first of its starts that answers.
 
-    With ``basis`` the starts are the carried ``tableau``, when one is given,
-    then a fresh all-logical tableau, both moved to ``basis``.  ``tableau`` is
-    the final tableau of an earlier answer on the same rows and objective
+    Every structural column must be boxed: a column with an infinite bound
+    raises :class:`InvalidArgument`, which names it.  With ``basis`` the
+    starts are the carried ``tableau``, when one is given, then a fresh
+    all-logical tableau, both moved to ``basis``.  ``tableau`` is the final
+    tableau of an earlier answer on the same rows and objective
     (``LpResult.tableau``; other bounds and appended rows are fine), and it
     is consumed.  With ``point``, a feasible vertex of ``lp``, the start is a
-    fresh tableau moved to its basis, and phase two runs from there.  When
-    every start gives up, or there is none, the 'cold' start answers (see
-    :func:`_solve_cold`); an answer of it that fails its check is returned
-    with ``certified`` false.  An LP with no rows or no columns needs no
-    pivot: its first start answers it at once (see :func:`_solve_direct`).
-    ``LpResult.attempts`` records every start.
+    fresh tableau moved to its basis, and phase two runs from there.  The
+    'cold' start comes last and always answers; its answer is returned with
+    ``certified`` false when it fails its check.  ``LpResult.attempts``
+    records every start.
     """
     if tableau is not None and basis is None:
         raise InvalidArgument("a carried tableau needs a basis to move to")
@@ -832,20 +742,17 @@ def solve_lp_arrays(lp: LinearProgram, basis: Basis | None = None,
         raise InvalidArgument("a start point needs one value per column and no basis")
     lb = lp.lb.astype(np.float64)
     ub = lp.ub.astype(np.float64)
+    unboxed = np.flatnonzero(~(np.isfinite(lb) & np.isfinite(ub)))
+    if unboxed.size:
+        j = int(unboxed[0])
+        raise InvalidArgument(f"column {j} has bounds [{float(lb[j])!r}, {float(ub[j])!r}]: "
+                              "every column needs two finite bounds")
     if np.any(lb > ub):
         out = LpResult("infeasible", None, None, certified=True)
         out.attempt("cold", None)
         return out
     out = LpResult("optimal", None, None)
-    if lp.m == 0 or lp.n == 0:
-        if basis is not None:
-            _wanted(lp, basis)  # raises unless the basis fits
-        first = ("carried" if tableau is not None else "fresh" if basis is not None
-                 else "vertex" if point is not None else "cold")
-        _solve_direct(lp, lb, ub, out, first)
-        return out
     for kind, tab, wanted in _starts(lp, lb, ub, basis, tableau, point):
         if _solve_from(tab, lp, lb, ub, wanted, out, kind):
-            return out
-    _solve_cold(lp, lb, ub, out)
+            break
     return out

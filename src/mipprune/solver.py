@@ -38,11 +38,18 @@ is built from the all-logical one by elimination levels, one per layer and
 one for the epigraph rows, with no general pivot; a basis with a part no
 level places pivots that part in, and counts the pivots.  A root without
 a warm incumbent, and an LP whose every start gives up, take the 'cold'
-start: a fresh tableau moved to the final basis of the LP's recession LP,
-finished by the dual simplex too.  Each LP records its starts in
+start: the all-logical tableau with each column at the bound its cost
+prefers, finished by the dual simplex too.  Every column is boxed (the
+encoder bounds ``t_min`` and each ``t_lse``), so every node LP has an
+optimum or is infeasible.  Each LP records its starts in
 ``LpResult.attempts``, with the pivots and elimination levels that moved
 its tableau; :class:`LpCounters` sums them and adds the node LP's row
 counts, and the log's ``end status`` line shows them all.
+
+A solve ends 'optimal' when the search closed the gap on LP answers that
+all passed their check on the original arrays, 'unverified' when it closed
+it but used an answer that did not (only a cold start returns one), and
+'limit' when a node or time limit stopped it first.
 
 Everything is deterministic: node selection breaks ties by insertion order,
 branching picks the most fractional binary (lowest id on ties), and the
@@ -157,7 +164,8 @@ class Solution:
     counts the LPs by the start that answered them and the starts that gave
     up, by reason.  ``cut_incumbents`` counts the cut rounds whose point
     became the incumbent, and ``oa_cuts`` the tangent cuts by anchor: 'inout'
-    or 'lp'.
+    or 'lp'.  ``status`` is 'optimal', 'unverified' or 'limit', as the
+    module docstring says.
     """
 
     values: np.ndarray
@@ -167,7 +175,7 @@ class Solution:
     cut_rounds: int
     wall_time: float
     lp_pivots: int
-    status: str                      # 'optimal' | 'limit'
+    status: str                      # 'optimal' | 'unverified' | 'limit'
     cut_incumbents: int = 0
     oa_cuts: Counter[str] = field(default_factory=Counter)
     log_lines: list[str] = field(default_factory=list)
@@ -184,8 +192,8 @@ def solve_lp(model: MipModel, fixings: dict[int, float] | None = None,
     all-logical tableau moved to it; with ``point`` (one value per
     variable), a fresh tableau moved to the basis of that vertex.  When
     every start gives up, or there is none, the 'cold' start answers from
-    the final basis of the LP's recession LP.  The answer's ``attempts``
-    says how each start went.
+    the all-logical basis.  The answer's ``attempts`` says how each start
+    went.
 
     The LP is the model's node LP (:meth:`MipModel.split_fixed`): the
     variables the model itself fixes (``lb == ub``) are substituted out, and
@@ -320,8 +328,6 @@ def solve_mip(model: MipModel, config: SolveConfig | None = None,
         if res.status == "infeasible":
             node_line("pruned-infeasible")
             continue
-        if res.status == "unbounded":
-            raise NoIncumbent("node relaxation is unbounded")
         x = res.x
         obj = res.objective
         if incumbent is not None and obj >= incumbent_obj - cfg.gap_tol * max(1.0, abs(incumbent_obj)):
@@ -378,6 +384,8 @@ def solve_mip(model: MipModel, config: SolveConfig | None = None,
     gap = current_gap(best_bound)
     if gap > cfg.gap_tol:
         status = "limit"
+    elif status == "optimal" and counters.uncertified_lps:
+        status = "unverified"
     log.append(f"end status {status} nodes {node_count} cut_rounds {cut_rounds} "
                f"cut_incumbents {cut_incumbents} "
                f"oa_cuts inout:{oa_cuts['inout']},lp:{oa_cuts['lp']} "

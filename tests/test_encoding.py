@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import test_lpformat
 import test_pruning
 
 import mipprune.network
@@ -333,7 +334,8 @@ class TestLseCuts:
         model = MipModel(n_points=1, labels=np.array([0]))
         h1 = model.add_var("h_2_0_0", "h", -10.0, 10.0)
         h2 = model.add_var("h_2_1_0", "h", -10.0, 10.0)
-        t = model.add_var("t_lse_0", "t_lse", -np.inf, np.inf)
+        # a box no LP optimum touches: every cut keeps t within ln 2 + 10
+        t = model.add_var("t_lse_0", "t_lse", -20.0, 20.0)
         model.logit_vars = [[h1, h2]]
         model.tlse_vars = [t]
         return model, (h1, h2), t
@@ -659,3 +661,54 @@ class TestPresolveFixing:
         model = encoded(net, xs, [0], eps=5.0)
         free = [v for v in model.variables if v.kind == "z" and v.lb != v.ub]
         assert free, "a wide input ball should leave some units undecided"
+
+
+class TestBoxedColumns:
+    """Every variable the encoder writes has two finite bounds, so every node
+    LP is boxed.  ``t_min`` gets the box of min_l I_l and each ``t_lse`` one
+    from its seed cut up to the largest log-sum-exp, each widened by 1, so
+    no LP optimum touches them.  The fixtures are the three small encodings
+    of the LP-text goldens and the two benchmark models."""
+
+    NAMES = ["dense", "conv-avgpool", "conv-maxpool", "dense-1pt-seed0", "conv-classwise-class0"]
+
+    @staticmethod
+    def model(name):
+        golden = test_pruning.TestGoldenReports
+        if name == "dense-1pt-seed0":
+            (net, xs, ys), eps = golden.dense_instance(), 0.5
+        elif name == "conv-classwise-class0":
+            net, xs, ys = golden.conv_instance()
+            xs, ys, eps = xs[0:1], ys[0:1], 0.05
+        else:
+            shape, arch = test_lpformat.TestGoldenText.ARCHS[name]
+            net = init_network(shape, arch, seed=5)
+            xs = np.random.default_rng(5).normal(size=(2, int(np.prod(shape))))
+            ys, eps = np.array([0, 2]), 0.1
+        return encode_network(net, xs, ys, propagate_batch(net, xs, eps), lam=5.0)
+
+    @pytest.mark.parametrize("name", NAMES)
+    def test_reference_and_incumbent_strictly_inside(self, name):
+        model = self.model(name)
+        lb, ub, _ = model.var_arrays()
+        assert np.isfinite(lb).all() and np.isfinite(ub).all()
+        t = [v.idx for v in model.variables if v.kind in ("t_min", "t_lse")]
+        assert len(t) == 1 + model.n_points
+        sol = solve_mip(model, SolveConfig(), warm=model.reference_assignment)
+        assert sol.status == "optimal"
+        for x in (model.reference_assignment, sol.values):
+            assert np.all(lb[t] < x[t]) and np.all(x[t] < ub[t])
+
+    @pytest.mark.parametrize("name", NAMES)
+    def test_seed_cut_implies_the_t_lse_lower_bound(self, name):
+        """Each point's seed cut, with every logit at the bound that makes
+        it weakest, gives ``t_lse >= lb + 1``: the LP never reaches lb."""
+        model = self.model(name)
+        lb, ub, _ = model.var_arrays()
+        seeds = [i for i in model.constraints if model.tag[i] == "lse_cut"]
+        assert len(seeds) == model.n_points
+        for i, t in zip(seeds, model.tlse_vars):
+            row = model.row(i)
+            assert row.pop(t) == 1.0
+            implied = model.rhs[i] - sum(c * (ub[j] if c > 0.0 else lb[j]) for j, c in row.items())
+            assert implied - lb[t] == pytest.approx(1.0, abs=1e-9)

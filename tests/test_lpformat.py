@@ -145,9 +145,9 @@ class TestGoldenText:
                                      dense(3, activation="none")]),
     }
     DIGESTS = {
-        "dense": "e742b5545d463468ee87250be179149f2bba9317c3f3163bbf8455eaf948d326",
-        "conv-avgpool": "0ad100d666d35d092626290ba2067248bec82a2d0d62250396e5edb086f9993e",
-        "conv-maxpool": "328650ff914f5880d7a14e778f1a94df3481899b7129927f833743cff3d04fab",
+        "dense": "0c1f24d5f3699d88bb59a7ef59ae77292f9a580ae3e7c117b4da2437c747946e",
+        "conv-avgpool": "6ff4bfa79ffbb97a16b6d95394b5f890f1748f9470e19660fa5be7dd799d0922",
+        "conv-maxpool": "a8438bae5a7dfea43bb87289b5c32054be6ad44f56fa2c98053109aefc8ecd52",
     }
 
     @pytest.mark.parametrize("name", sorted(ARCHS))
@@ -162,7 +162,7 @@ class TestGoldenText:
         write_lp(model, p)
         assert hashlib.sha256(p.read_bytes()).hexdigest() == self.DIGESTS[name]
 
-    POOL_OVER_INPUT = "8ba0d8cfb32ea86ab28465aae4db62d53459d4eb8177cdb5fd88ab0381c2282c"
+    POOL_OVER_INPUT = "e5fe1d91226db6971198387efcf359114f99276749d1eafaf6b209019b9eea4d"
 
     def test_pool_over_input_digest(self, tmp_path):
         """An average pool over the input, whose rows read constants only
@@ -177,8 +177,8 @@ class TestGoldenText:
         assert hashlib.sha256(p.read_bytes()).hexdigest() == self.POOL_OVER_INPUT
 
     BENCH_DIGESTS = {
-        "dense-1pt-seed0": "38e23a29dc19294979d86a7cf8bcc5d2d372460eb60833738e10265e9910f96b",
-        "conv-classwise-class0": "bf4d7cc228a0faf97c392d9ee629af086a7c47d24ab43a8f8000cea292583604",
+        "dense-1pt-seed0": "5b0147bba75a0676744a940896dcef82b5d53b5a9332e098d4421fb0afa10986",
+        "conv-classwise-class0": "5185f7d1c7eee3cf6ed0d481fbd20b5d0d106fc02b764f853fb84c72ce76bd3e",
     }
 
     @pytest.mark.parametrize("name", sorted(BENCH_DIGESTS))

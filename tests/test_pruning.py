@@ -1,3 +1,4 @@
+import dataclasses
 import functools
 import hashlib
 
@@ -206,6 +207,19 @@ class TestClasswise:
         assert texts[-1].splitlines()[-1].startswith("end status ")
 
 
+    @pytest.mark.parametrize("statuses, want", [
+        (("optimal", "optimal", "optimal"), "optimal"),
+        (("optimal", "unverified", "optimal"), "unverified"),
+        (("unverified", "limit", "optimal"), "limit"),
+    ])
+    def test_status_is_the_worst_of_the_classes(self, statuses, want, monkeypatch):
+        ds = Dataset("three", np.zeros((3, 2)), np.arange(3, dtype=np.int64), 3, 0)
+        it = iter(statuses)
+        monkeypatch.setattr(mipprune.pruning, "score", lambda *args, **kwargs: dataclasses.replace(
+            report_from({(0, 0): 0.5}), status=next(it)))
+        assert score_classwise(None, ds).status == want
+
+
 class TestTransfer:
     ARCH = [dense(6), dense(4), dense(2, activation="none")]
 
@@ -322,8 +336,8 @@ class TestGoldenReports:
 
     DIGESTS = {
         "dense-seed0": "dda1a70fba8ca6f608ab39bd028f7af1e6e1254cf419b37f0a05c22e0f1aca26",
-        "conv-class4": "8bdf9e341124aad1461f4810f08a12ca7d4cd58ea8f04f314b70b27931b888bf",
-        "conv-class6": "6c83fc36bb8016b576f778334e35f5e739381b4d1191bffc863e9dd887ec4ba7",
+        "conv-class4": "3917b37448bcd9923217768c7882c6db57c2cd69909c4fa1a07e2016ccd63978",
+        "conv-class6": "c5c720e6818b47756b7b2a76ba77dd20438d692e185420fee4a2b968417dac56",
     }
 
     @staticmethod

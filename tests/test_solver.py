@@ -323,6 +323,32 @@ class TestUncertifiedAnswers:
         assert counts.gave_up == {"carried:uncertified": 1, "fresh:uncertified": 1}
         assert counts.answered["cold"] == 2 and counts.uncertified_lps == 1
 
+    def test_uncertified_cold_answers_make_the_solve_unverified(self, monkeypatch):
+        """With every optimum failing its check, each LP that ends on one is
+        answered by the cold start, which keeps it uncertified.  The search
+        closes the gap as it does with the check, but on answers no check
+        passed, so the solve ends 'unverified', not 'optimal'."""
+        want = solve_mip(fractional_knapsack(), SolveConfig())
+        monkeypatch.setattr(simplex, "_certified_optimal", lambda *args: False)
+        sol = solve_mip(fractional_knapsack(), SolveConfig())
+        assert (want.status, sol.status) == ("optimal", "unverified")
+        assert sol.gap <= 1e-6 and sol.objective == pytest.approx(want.objective, abs=1e-9)
+        counts = sol.lp_counters
+        assert counts.uncertified_lps == counts.answered["cold"] > 0
+        assert sol.log_lines[-1].startswith("end status unverified ")
+
+
+class TestBoxedLps:
+    def test_unboxed_column_rejected(self):
+        """Every column of a node LP needs two finite bounds; the error names
+        the LP's column (here the model's variable 1, as no variable is
+        fixed)."""
+        model = build_model(c=[1.0, 1.0], a=[[1.0, 1.0]], sense=["G"], rhs=[1.0],
+                            lb=[0.0, -np.inf], ub=[1.0, 2.0], binary_mask=[True, False])
+        for solve in (solve_lp, solve_mip):
+            with pytest.raises(InvalidArgument, match=r"^column 1 has bounds \[-inf, 2\.0\]"):
+                solve(model)
+
 
 def fractional_knapsack():
     rng = np.random.default_rng(42)  # a knapsack whose relaxation is fractional
@@ -399,10 +425,10 @@ class TestWarmStartedNodes:
         assert carried > 0
         assert counts.gave_up == {"carried:uncertified": carried}
         assert counts.answered == {"cold": 1, "fresh": carried}
-        # two fresh tableaus for the root (its recession LP's and its own)
-        # and one for each carried LP that gave up
+        # one fresh tableau for the root and one for each carried LP that
+        # gave up
         assert carrying.count(True) == carried
-        assert carrying.count(False) == carried + 2 and not carrying[0]
+        assert carrying.count(False) == carried + 1 and not carrying[0]
         assert counts.elim_levels["fresh"] > 0
         assert set(want.lp_counters.move_pivots) <= {"carried"}
         assert sol.objective == want.objective
