@@ -29,14 +29,19 @@ take s = 0 at no cost.  Bounds come from interval propagation per input
 point.  The bounds decide a stable unit's state, so it has no z: it is
 active when L >= 0 < U and inactive when U <= 0.  Only an unstable unit
 gets z and all three rows.  A stable unit's cap is its h's box
-[0, max(U, 0)], so it is not written; a stable inactive unit keeps its
-upper row at z = 0, with no z term, and its lower row, and a stable
-active one is the single row
+[0, max(U, 0)], so it is not written, and a stable active one is the
+single row
 
     h - w.h_prev - max(U, 0) s = b - max(U, 0)            'relu_active'
 
-with the lower row's entries and rhs, bit for bit (Tjeng, Xiao & Tedrake,
-ICLR 2019, encode a decided unit linearly too).
+with the lower row's entries and rhs, bit for bit.  A hidden unit whose box
+is a single point (a stable inactive unit's [0, 0], or a max pool over
+such units only) is a constant of the next layer, as an input is, and has
+no variable: its rows keep their variable entries and their rhs.  A row
+left with no variable is not written; its constant must hold within
+``CONST_TOL`` (round-off), or the bounds are not sound for the point and
+:func:`encode_network` raises.  (Tjeng, Xiao & Tedrake, ICLR 2019, encode
+a decided unit linearly too, and drop the units it switches off.)
 
 The objective minimizes
 
@@ -68,22 +73,21 @@ encoder writes the network's rows one layer block at a time (a dense, conv
 or average-pool layer's rows for one point are built as arrays and
 appended in one step by ``MipModel.add_rows``; a pool is written as the
 affine layer of its window means), then each tangent cut of a solve is one
-more row.  The solver, the LP writer and the feasibility
-check all read these arrays.  The solver reads them through
-``MipModel.split_fixed``: the node LP over the variables the model leaves
-free, without the rows left with no free column whose constant holds.
-There is no other presolve: the encoder already writes a decided unit's
-rows in their final form, no ``maxpool_ge`` row over a fixed input, and no
-selector for a pooled input that another input's lower bound dominates.
+more row.  The solver, the LP writer and the feasibility check all read
+these arrays, and the node LP is these rows over every variable
+(``MipModel.dense_rows``).  There is no presolve: the encoder writes a
+decided unit's rows in their final form, no variable for a unit its bounds
+fix, and no selector for a pooled input that another input's lower bound
+dominates.
 """
 
 from __future__ import annotations
 
 import hashlib
+import math
 from array import array
 from collections.abc import Mapping
 from dataclasses import dataclass, field
-from typing import NamedTuple
 
 import numpy as np
 
@@ -93,7 +97,6 @@ from .network import Network, forward
 
 __all__ = [
     "VarRef",
-    "LpRows",
     "MipModel",
     "RESCALE_OFFSETS",
     "encode_network",
@@ -106,8 +109,8 @@ __all__ = [
 
 RESCALE_OFFSETS = {"minus2": -2.0, "minus1": -1.0, "none": 0.0}
 
-INF = float("inf")
 CUT_SNAP = 1e-12   # softmax entry below which a tangent drops its logit term
+CONST_TOL = 1e-6   # breach a row left with no variable may show (round-off)
 
 
 def log_sum_exp(v: np.ndarray) -> float:
@@ -119,19 +122,6 @@ def softmax_probs(v: np.ndarray) -> np.ndarray:
     m = np.max(v)
     e = np.exp(v - m)
     return e / e.sum()
-
-
-class LpRows(NamedTuple):
-    """A model's node LP, as :meth:`MipModel.split_fixed` reads it from the
-    row store; every array is read-only.  The model rows missing from
-    ``rows`` are those with no free column whose constant holds."""
-
-    cols: np.ndarray   # ids of the variables with lb < ub: the LP's columns
-    fixed: np.ndarray  # ids of the variables with lb == ub
-    rows: np.ndarray   # the model row each LP row stands for, ascending
-    a: np.ndarray      # the LP rows over ``cols``, C-ordered
-    sense: np.ndarray
-    rhs: np.ndarray    # each LP row's rhs with the fixed variables substituted
 
 
 @dataclass
@@ -154,12 +144,12 @@ class MipModel:
     Row i reads ``sum(row_val[e] * x[col_idx[e]]) sense[i] rhs[i]`` over the
     entries e in ``row_ptr[i]:row_ptr[i + 1]``, with sense 'L' (<=), 'G' (>=)
     or 'E' (=); ``tag[i]`` names the kind of row (``relu_cap``, ``lse_cut``,
-    ...).  Cuts append rows, so row ids never change.  ``dense_rows`` gives
-    the same rows as a dense matrix.  ``split_fixed`` gives the node LP: the
-    rows over the variables the model's own bounds leave free, but those
-    left empty and holding, cached until a row or variable is added.
-    ``var_arrays`` gives the bounds and the objective as arrays, cached
-    until a variable or an objective term is added.
+    ...).  Cuts append rows, so row ids never change.  Every variable has
+    two finite bounds.  The node LP is the model itself: ``dense_rows``
+    gives the rows as a dense matrix over every variable, cached until a
+    row or a variable is added, and ``var_arrays`` the bounds and the
+    objective as arrays, cached until a variable or an objective term is
+    added.
     """
 
     variables: list[VarRef] = field(default_factory=list)
@@ -182,7 +172,7 @@ class MipModel:
     prunable: list[tuple[int, int]] = field(default_factory=list)
     reference_assignment: np.ndarray | None = None
     batch_digest: str = ""
-    _split: LpRows | None = field(default=None, init=False, repr=False, compare=False)
+    _rows: tuple | None = field(default=None, init=False, repr=False, compare=False)
     _vars: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     # -- construction ------------------------------------------------------
@@ -195,9 +185,15 @@ class MipModel:
         return idx
 
     def add_vars(self, refs: list[VarRef]) -> None:
-        """Append variables in one step; their ids must continue the model's."""
+        """Append variables in one step; their ids must continue the model's.
+        A variable with a non-finite bound is refused, by name, and nothing
+        is appended."""
+        for v in refs:
+            if not (math.isfinite(v.lb) and math.isfinite(v.ub)):
+                raise InvalidArgument(f"variable {v.name!r} has bounds [{float(v.lb)!r}, "
+                                      f"{float(v.ub)!r}]: every variable needs two finite bounds")
         self.variables.extend(refs)
-        self._split = self._vars = None
+        self._rows = self._vars = None
 
     def add_constraint(self, coefs: Mapping[int, float], sense: str, rhs: float,
                        tag: str) -> int:
@@ -248,7 +244,7 @@ class MipModel:
         self.sense.extend(sense)
         self.rhs.frombytes(rhs.tobytes())
         self.tag.extend(tag)
-        self._split = None
+        self._rows = None
 
     def add_objective_term(self, idx: int, coef: float) -> None:
         self.objective[idx] = self.objective.get(idx, 0.0) + coef
@@ -267,38 +263,14 @@ class MipModel:
         return dict(zip(self.col_idx[lo:hi], self.row_val[lo:hi]))
 
     def dense_rows(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Read-only ``(a, sense, rhs)`` with ``a`` dense, rows by variables,
-        built on each call."""
-        a = np.zeros((len(self.rhs), len(self.variables)), dtype=np.float64)
-        rows, var, val = self._entries()
-        a[rows, var] = val
-        return _frozen(a, np.array(self.sense, dtype="U1"), np.array(self.rhs))
+        """The node LP's rows, read-only ``(a, sense, rhs)``: ``a`` dense,
+        rows by variables.
 
-    def _entries(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """``(rows, var, val)``: each stored entry's row, variable and
-        coefficient, row by row."""
-        rows = np.repeat(np.arange(len(self.rhs)), np.diff(self.row_ptr))
-        return rows, np.array(self.col_idx, dtype=np.intp), np.array(self.row_val)
-
-    def split_fixed(self) -> LpRows:
-        """The node LP's rows, read-only (see :class:`LpRows`): the model's
-        rows in row order, each with its model sense, over the variables the
-        model leaves free, with the fixed variables (``lb == ub``)
-        substituted into each rhs, summed in entry order.
-
-        A row with no free column whose constant holds is left out, an exact
-        test on the substituted rhs, so the LP keeps the same feasible set;
-        a violated one is kept, so the LP reports the model infeasible.  On
-        an encoded network these are, among others, the rows of first-layer
-        stable inactive units.  A cut row always has a free ``t_lse``.
-        Ref: Andersen & Andersen, "Presolving in linear programming", Math.
-        Prog. 71, 1995.
-
-        The LP block is C-ordered, and that layout fixes the last bits of
-        the LP arithmetic: :mod:`.linalg`'s products sum a row in an order
-        that depends on its operand's memory layout, so an F-ordered block
-        gives other round-off, and can give other pivots and another
-        alternate optimum.
+        ``a`` is C-ordered, and that layout fixes the last bits of the LP
+        arithmetic: :mod:`.linalg`'s products sum a row in an order that
+        depends on its operand's memory layout, so an F-ordered ``a`` gives
+        other round-off, and can give other pivots and another alternate
+        optimum.
 
         Cached until a row or a variable is added, and then written again
         straight from the row store.  (Extended in place by a cut round's
@@ -306,30 +278,18 @@ class MipModel:
         tableaux and raised peak RSS by 1-2 MB on the score benchmark, in
         the same time.)
         """
-        if self._split is None:
-            m = len(self.rhs)
-            lb, ub, _ = self.var_arrays()
-            is_fixed = lb == ub
-            cols, fixed = np.flatnonzero(~is_fixed), np.flatnonzero(is_fixed)
+        if self._rows is None:
+            a = np.zeros((len(self.rhs), len(self.variables)), dtype=np.float64)
             rows, var, val = self._entries()
-            on = is_fixed[var]
-            b = np.array(self.rhs) - np.bincount(rows[on], weights=val[on] * lb[var[on]],
-                                                 minlength=m)
-            sense = np.array(self.sense, dtype="U1")
-            kept = np.bincount(rows[~on], minlength=m) > 0
-            i = np.flatnonzero(~kept)  # the rows with no free column: kept when violated
-            kept[i] = np.where(sense[i] == "L", b[i] < 0.0,
-                               np.where(sense[i] == "G", b[i] > 0.0, b[i] != 0.0))
-            lp_rows = np.flatnonzero(kept)
-            at = np.full(m, -1)  # each model row's LP row, -1 when left out
-            at[lp_rows] = np.arange(lp_rows.size)
-            pos = np.empty(is_fixed.size, dtype=np.intp)  # each variable's LP column
-            pos[cols] = np.arange(cols.size)
-            on = ~on & kept[rows]
-            a = np.zeros((lp_rows.size, cols.size), dtype=np.float64)
-            a[at[rows[on]], pos[var[on]]] = val[on]
-            self._split = LpRows(*_frozen(cols, fixed, lp_rows, a, sense[lp_rows], b[lp_rows]))
-        return self._split
+            a[rows, var] = val
+            self._rows = _frozen(a, np.array(self.sense, dtype="U1"), np.array(self.rhs))
+        return self._rows
+
+    def _entries(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``(rows, var, val)``: each stored entry's row, variable and
+        coefficient, row by row."""
+        rows = np.repeat(np.arange(len(self.rhs)), np.diff(self.row_ptr))
+        return rows, np.array(self.col_idx, dtype=np.intp), np.array(self.row_val)
 
     def var_arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Read-only ``(lb, ub, c)``: each variable's bounds and objective
@@ -423,28 +383,34 @@ def encode_maxpool(model: MipModel, input_vars: list[int], uppers, layer: int, g
                    point: int) -> tuple[int, dict[int, int], dict[int, int]]:
     """Max of ``input_vars`` via selection binaries and product variables.
 
-    Exactly one selector m_i is on; the output x dominates every input (a
-    fixed one through x's lower bound, with no row) and is capped by the
-    selected input through the product w_i = h_i m_i, linearized with the
-    standard envelope over [0, U_i].  A member another member k dominates,
-    U_i < L_k or U_i <= L_k with k < i, gets no selector, product or row:
-    x's lower bound max(L) already gives x >= h_i, and the lowest member
-    with the largest L is never dominated.  Returns the output variable and
-    the selector and product variables keyed by member position.
+    An id of -1 is a constant member, whose value is its upper bound.
+    Exactly one selector m_i is on; the output x dominates every variable
+    input through a row, and every constant one through x's lower bound, and
+    is capped by the selected input through the product w_i = h_i m_i,
+    linearized with the standard envelope over [0, U_i]; a constant c_i's
+    product is c_i m_i itself, so it gets a selector and its select row
+    only.  A member another member k dominates, U_i < L_k or U_i <= L_k
+    with k < i, gets no selector, product or row: x's lower bound max(L)
+    already gives x >= h_i, and the lowest member with the largest L is
+    never dominated.  Returns the output variable and the selector and
+    product variables keyed by member position.  A window of constants is
+    the constant max(U): it gets no variable and no row, and its id is -1.
     """
     uppers = [float(u) for u in uppers]
     if len(uppers) != len(input_vars):
         raise InvalidArgument("one upper bound per pooled input is required")
     if not all(np.isfinite(uppers)):
         raise InvalidArgument("pooled inputs need finite upper bounds")
-    lbs = [model.variables[j].lb for j in input_vars]
+    lbs = [u if j < 0 else model.variables[j].lb for j, u in zip(input_vars, uppers)]
     lb_pool = max(lbs)
     u_pool = max(uppers)  # deactivated selectors must not cap the pooled max
-    out = model.add_var(f"h_{layer}_{group}_{point}", "h", lb_pool, u_pool,
-                        layer=layer, unit=group, point=point)
     m_vars: dict[int, int] = {}
     w_vars: dict[int, int] = {}
-    lb_before = -INF  # the largest lower bound of the members before i
+    if max(input_vars) < 0:
+        return -1, m_vars, w_vars
+    out = model.add_var(f"h_{layer}_{group}_{point}", "h", lb_pool, u_pool,
+                        layer=layer, unit=group, point=point)
+    lb_before = -np.inf  # the largest lower bound of the members before i
     for i, (hj, u) in enumerate(zip(input_vars, uppers)):
         dominated = u < lb_pool or u <= lb_before
         lb_before = max(lb_before, lbs[i])
@@ -452,11 +418,13 @@ def encode_maxpool(model: MipModel, input_vars: list[int], uppers, layer: int, g
             continue
         m = m_vars[i] = model.add_var(f"m_{layer}_{group}_{i}_{point}", "m", 0.0, 1.0,
                                       binary=True, layer=layer, unit=group, point=point)
+        if hj < 0:
+            # x <= c_i m_i + U_pool (1 - m_i)
+            model.add_constraint({out: 1.0, m: u_pool - u}, "L", u_pool, "maxpool_select")
+            continue
         w = w_vars[i] = model.add_var(f"w_{layer}_{group}_{i}_{point}", "w", 0.0, max(u, 0.0),
                                       layer=layer, unit=group, point=point)
-        # x >= h_i, which x's lower bound max(lbs) implies for a fixed h_i
-        if model.variables[hj].lb != model.variables[hj].ub:
-            model.add_constraint({out: 1.0, hj: -1.0}, "G", 0.0, "maxpool_ge")
+        model.add_constraint({out: 1.0, hj: -1.0}, "G", 0.0, "maxpool_ge")
         # x <= w_i + U_pool (1 - m_i): binding only for the selected input
         model.add_constraint({out: 1.0, w: -1.0, m: u_pool}, "L", u_pool, "maxpool_select")
         # product envelope: w_i <= U_i m_i ; w_i <= h_i ; w_i >= h_i - U_i (1 - m_i)
@@ -475,7 +443,7 @@ def lse_tangent(model: MipModel, point: int, anchor: np.ndarray) -> tuple[dict[i
     A softmax entry below ``CUT_SNAP`` (a logit 28 under the largest gives
     7e-13) is snapped soundly: its term ``sigma_j h_j`` is dropped and
     ``sigma_j lb_j`` added to the rhs, which only weakens the row since
-    ``h_j >= lb_j``.  A logit with no finite lower bound keeps its term.
+    ``h_j >= lb_j``.
     """
     anchor = np.asarray(anchor, dtype=np.float64)
     if not np.all(np.isfinite(anchor)):
@@ -484,9 +452,8 @@ def lse_tangent(model: MipModel, point: int, anchor: np.ndarray) -> tuple[dict[i
     rhs = log_sum_exp(anchor) - float(np.dot(sig, anchor))
     coefs = {model.tlse_vars[point]: 1.0}
     for j, s in zip(model.logit_vars[point], sig.tolist()):
-        lb = model.variables[j].lb
-        if s < CUT_SNAP and np.isfinite(lb):
-            rhs += s * lb
+        if s < CUT_SNAP:
+            rhs += s * model.variables[j].lb
         else:
             coefs[j] = -s
     return coefs, rhs
@@ -521,22 +488,44 @@ def _affine_constants(weight: np.ndarray, bias: np.ndarray, const: np.ndarray) -
     return pc
 
 
+def _add_block(model: MipModel, rows: np.ndarray, cols: np.ndarray, vals: np.ndarray,
+               sense: np.ndarray, rhs: np.ndarray, tag: np.ndarray) -> None:
+    """``MipModel.add_rows`` without the block's rows that have no variable
+    entry left.  Such a row reads ``0 sense rhs``; a breach above
+    ``CONST_TOL`` means the bounds are not sound for the point, and raises
+    :class:`InvalidArgument` with nothing appended."""
+    on = vals != 0.0
+    rows, cols, vals = rows[on], cols[on], vals[on]
+    kept = np.bincount(rows, minlength=rhs.size) > 0
+    i = np.flatnonzero(~kept)
+    breach = np.where(sense[i] == "L", -rhs[i], np.where(sense[i] == "G", rhs[i], np.abs(rhs[i])))
+    if np.any(breach > CONST_TOL):
+        b = int(np.argmax(breach))
+        raise InvalidArgument(f"constraint {str(tag[i[b]])!r} has no variables and is broken by "
+                              f"{float(breach[b])!r}: the bounds are not sound for the point")
+    model.add_rows((np.cumsum(kept) - 1)[rows], cols, vals, sense[kept].tolist(), rhs[kept],
+                   tag[kept].tolist())
+
+
 def _encode_affine_layer(model: MipModel, weight: np.ndarray, bias: np.ndarray, relu: bool,
                          s_ids: np.ndarray | None, l_idx: int, point: int, bnd: IntervalBounds,
-                         trace, prev_vars: np.ndarray | None, prev_const: np.ndarray,
-                         reference: dict[int, float]) -> list[int]:
+                         trace, prev_vars: np.ndarray, prev_const: np.ndarray, hidden: bool,
+                         reference: dict[int, float]) -> tuple[np.ndarray, np.ndarray]:
     """Add an affine layer's variables for one point, and its rows as one
-    block; returns the layer's ``h`` ids and records their reference values
-    (and the binaries') in ``reference``.  Dense, conv and average-pool
-    layers all come here: a pool is the weight 1/window on each window,
-    with zero bias and no activation.
+    block; returns the layer's ``(ids, constants)`` and records the
+    reference values of its variables in ``reference``.  Dense, conv and
+    average-pool layers all come here: a pool is the weight 1/window on each
+    window, with zero bias and no activation.
 
-    Each unit j gets ``h``, then ``z`` when it is an unstable ReLU unit.  A
-    ReLU unit gets the rows the module docstring gives its state, any other
-    unit one 'affine_out' equality.  ``s_ids`` holds the importance variable
-    of each unit of a prunable layer, None otherwise.  The terms
-    ``-w.h_prev`` move to the left; ``w.h_prev + b`` over the constants of
-    the previous layer is the constant ``pc`` (see
+    Each unit j gets ``h``, then ``z`` when it is an unstable ReLU unit,
+    unless it is ``hidden`` and its box is a single point: then it is a
+    constant, with id -1 and that point as its constant (0 for every other
+    unit).  ``prev_vars`` and ``prev_const`` give the previous layer the
+    same way.  A ReLU unit gets the rows the module docstring gives its
+    state, any other unit one 'affine_out' equality.  ``s_ids`` holds the
+    importance variable of each unit of a prunable layer, None otherwise.
+    The terms ``-w.h_prev`` over the previous layer's variables move to the
+    left; ``w.h_prev + b`` over its constants is the constant ``pc`` (see
     :func:`_affine_constants`).  "+ 0.0" turns a -0.0 rhs into 0.0, which
     prints as 0.0.
     """
@@ -548,29 +537,33 @@ def _encode_affine_layer(model: MipModel, weight: np.ndarray, bias: np.ndarray, 
     # decided by their bounds; only an unstable one gets a z, right after its h
     active, inactive = (hi > 0.0) & (lo >= 0.0), hi <= 0.0
     unstable = relu & ~(active | inactive)
-    per = 1 + unstable  # variables per unit
+    max_u = np.where(0.0 > hi, 0.0, hi)  # max(hi, 0.0), -0.0 kept as Python keeps it
+    box_lo, box_hi = (np.zeros(n_units), max_u) if relu else (lo, hi)
+    const = hidden & (box_lo == box_hi)
+    var = ~const
+    per = var.astype(np.int64) + unstable  # variables per unit
     h = len(model.variables) + np.cumsum(per) - per
     # -w.h_prev: entry e of unit ju[e] on the previous layer's variable
-    ju, ii = np.nonzero(weight) if prev_vars is not None else (np.zeros(0, np.intp),) * 2
-    prev_ids = np.zeros(0, np.int64) if prev_vars is None else prev_vars[ii]
-    neg_w = -weight[ju, ii]
+    ju, ii = np.nonzero(weight)
+    live = prev_vars[ii] >= 0
+    ju, ii = ju[live], ii[live]
+    prev_ids, neg_w = prev_vars[ii], -weight[ju, ii]
+    refs: list[VarRef] = []
+    for j, (i, lb, ub, has_h, free) in enumerate(zip(h.tolist(), box_lo.tolist(), box_hi.tolist(),
+                                                     var.tolist(), unstable.tolist())):
+        if has_h:
+            refs.append(VarRef(i, f"h_{l_idx}_{j}_{point}", "h", lb, ub, False, l_idx, j, point))
+        if free:
+            refs.append(VarRef(i + 1, f"z_{l_idx}_{j}_{point}", "z", 0.0, 1.0, True, l_idx, j,
+                               point))
+    model.add_vars(refs)
     if not relu:
-        model.add_vars([VarRef(i, f"h_{l_idx}_{j}_{point}", "h", lb, ub, False, l_idx, j, point)
-                        for j, (i, lb, ub) in enumerate(zip(h.tolist(), lo.tolist(),
-                                                            hi.tolist()))])
-        model.add_rows(np.concatenate([np.arange(n_units), ju]),
-                       np.concatenate([h, prev_ids]),
-                       np.concatenate([np.ones(n_units), neg_w]),
-                       ["E"] * n_units, pc + 0.0, ["affine_out"] * n_units)
+        _add_block(model, np.concatenate([np.flatnonzero(var), ju]),
+                   np.concatenate([h[var], prev_ids]),
+                   np.concatenate([np.ones(var.sum()), neg_w]),
+                   np.full(n_units, "E"), pc - np.where(const, lo, 0.0) + 0.0,
+                   np.full(n_units, "affine_out"))
     else:
-        max_u = np.where(0.0 > hi, 0.0, hi)  # max(hi, 0.0), -0.0 kept as Python keeps it
-        refs: list[VarRef] = []
-        for j, (i, u, free) in enumerate(zip(h.tolist(), max_u.tolist(), unstable.tolist())):
-            refs.append(VarRef(i, f"h_{l_idx}_{j}_{point}", "h", 0.0, u, False, l_idx, j, point))
-            if free:
-                refs.append(VarRef(i + 1, f"z_{l_idx}_{j}_{point}", "z", 0.0, 1.0, True, l_idx,
-                                   j, point))
-        model.add_vars(refs)
         z = h[unstable] + 1
         # rows per unit: unstable 3 (upper, cap, lower), stable inactive 2
         # (upper, lower), stable active 1 (the lower row as an equality)
@@ -579,10 +572,10 @@ def _encode_affine_layer(model: MipModel, weight: np.ndarray, bias: np.ndarray, 
         upper = np.cumsum(count) - count
         cap, lower = upper[unstable] + 1, upper + count - 1
         e = on[ju]  # the -w.h_prev entries of the upper rows
-        rows = [upper[on], upper[unstable], upper[ju[e]], cap, cap, lower, lower[ju]]
-        cols = [h[on], z, prev_ids[e], h[unstable], z, h, prev_ids]
-        vals = [np.ones(on.sum()), -lo[unstable], neg_w[e], np.ones(cap.size), -hi[unstable],
-                np.ones(n_units), neg_w]
+        rows = [upper[unstable], upper[unstable], upper[ju[e]], cap, cap, lower[var], lower[ju]]
+        cols = [h[unstable], z, prev_ids[e], h[unstable], z, h[var], prev_ids]
+        vals = [np.ones(z.size), -lo[unstable], neg_w[e], np.ones(z.size), -hi[unstable],
+                np.ones(var.sum()), neg_w]
         shift = np.zeros(n_units)
         if s_ids is not None:
             # -(1 - s) max(U, 0): the s term on the left, the constant in the rhs
@@ -590,22 +583,23 @@ def _encode_affine_layer(model: MipModel, weight: np.ndarray, bias: np.ndarray, 
             cols += [s_ids[on], s_ids]
             vals += [-max_u[on], -max_u]
             shift = max_u
-        # h + (1 - z) L <= psum - (1 - s) max(U, 0), with z = 0 when U <= 0;
-        # h <= z U;  h >= psum - (1 - s) max(U, 0), or = when L >= 0 < U
+        # h + (1 - z) L <= psum - (1 - s) max(U, 0), with z = 0 and h = 0
+        # when U <= 0;  h <= z U;  h >= psum - (1 - s) max(U, 0), or = when
+        # L >= 0 < U
         rhs, sense = np.zeros(count.sum()), np.full(count.sum(), "L")
         tag = np.full(count.sum(), "relu_upper_on")
         rhs[upper[on]] = ((pc - lo) - shift + 0.0)[on]
         rhs[lower] = pc - shift + 0.0
         sense[lower], tag[cap], tag[lower] = "G", "relu_cap", "relu_lower_on"
         sense[lower[active]], tag[lower[active]] = "E", "relu_active"
-        model.add_rows(np.concatenate(rows), np.concatenate(cols), np.concatenate(vals),
-                       sense.tolist(), rhs, tag.tolist())
+        _add_block(model, np.concatenate(rows), np.concatenate(cols), np.concatenate(vals),
+                   sense, rhs, tag)
         # the binary's reference is the unit's observed state
         z_obs = np.where(np.asarray(trace.pre[l_idx])[unstable] > 0.0, 1.0, 0.0)
         reference.update(zip(z.tolist(), z_obs.tolist()))
-    ids = h.tolist()
-    reference.update(zip(ids, np.asarray(trace.post[l_idx], dtype=np.float64).tolist()))
-    return ids
+    post = np.asarray(trace.post[l_idx], dtype=np.float64)
+    reference.update(zip(h[var].tolist(), post[var].tolist()))
+    return np.where(const, -1, h), np.where(const, box_lo, 0.0)
 
 
 def encode_network(net: Network, xs: np.ndarray, ys: np.ndarray,
@@ -614,7 +608,10 @@ def encode_network(net: Network, xs: np.ndarray, ys: np.ndarray,
     """Build the full model for a batch of inputs with one-hot labels ``ys``.
 
     ``bounds[k]`` must hold the interval bounds of input k.  Inputs enter as
-    constants, not variables; epsilon only widens the bounds.
+    constants, not variables, as does every hidden unit whose box is a
+    single point; epsilon only widens the bounds.  Bounds that switch a
+    unit off where the point turns it on break a row with no variable, and
+    raise :class:`InvalidArgument`.
     """
     xs = np.asarray(xs, dtype=np.float64)
     ys = np.asarray(ys, dtype=np.int64)
@@ -679,39 +676,39 @@ def encode_network(net: Network, xs: np.ndarray, ys: np.ndarray,
             affine[l_idx] = (np.kron(np.eye(size), np.full(window, 1.0 / window)),
                              np.zeros(size), False)
 
+    if next(s.kind for s in net.layers if s.kind != "flatten") == "maxpool":
+        raise InvalidArgument("max pooling directly over the input layer is not supported")
+    last = len(net.layers) - 1
     for k in range(xs.shape[0]):
         bnd = bounds[k]
         trace = forward(net, xs[k])
-        # the previous layer: its variable ids (None while it is the input,
-        # which enters as constants) and its constant values
-        prev_vars: np.ndarray | None = None
-        prev_const = xs[k]
+        # the previous layer: its variable ids, -1 for a constant (every input
+        # is one), and its constants' values, 0 for a variable
+        prev_vars, prev_const = np.full(xs.shape[1], -1), xs[k]
         for l_idx, spec in enumerate(net.layers):
             if l_idx in affine:
-                cur = _encode_affine_layer(model, *affine[l_idx], s_rows.get(l_idx), l_idx, k,
-                                           bnd, trace, prev_vars, prev_const, reference)
+                prev_vars, prev_const = _encode_affine_layer(
+                    model, *affine[l_idx], s_rows.get(l_idx), l_idx, k, bnd, trace, prev_vars,
+                    prev_const, l_idx < last, reference)
             elif spec.kind == "maxpool":
-                if prev_vars is None:
-                    raise InvalidArgument(
-                        "max pooling directly over the input layer is not supported"
-                    )
                 window = spec.pool_window
-                cur = []
-                for g in range(len(prev_vars) // window):
+                cur, values = [], np.zeros(len(prev_vars) // window)
+                for g in range(values.size):
                     members = prev_vars[g * window : (g + 1) * window].tolist()
                     uppers = bnd.post_hi[l_idx - 1][g * window : (g + 1) * window]
                     out, m_vars, w_vars = encode_maxpool(model, members, uppers, l_idx, g, k)
                     cur.append(out)
                     vals = trace.post[l_idx - 1][g * window : (g + 1) * window]
                     best = int(np.argmax(vals))
-                    reference[out] = float(trace.post[l_idx][g])
+                    if out < 0:
+                        values[g] = max(uppers)
+                    else:
+                        reference[out] = float(trace.post[l_idx][g])
                     for i, m in m_vars.items():
                         reference[m] = 1.0 if i == best else 0.0
-                        reference[w_vars[i]] = float(vals[i]) if i == best else 0.0
-            else:  # flatten
-                continue
-            prev_vars = np.array(cur, dtype=np.int64)
-            prev_const = np.zeros(len(cur))
+                    for i, w in w_vars.items():
+                        reference[w] = float(vals[i]) if i == best else 0.0
+                prev_vars, prev_const = np.array(cur, dtype=np.int64), values
         model.logit_vars.append(prev_vars.tolist())
         anchors.append(np.array([reference[j] for j in model.logit_vars[k]]))
         lb, ub, _ = model.var_arrays()

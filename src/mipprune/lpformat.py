@@ -53,15 +53,9 @@ def write_lp(model: MipModel, path) -> None:
             + f" {sense_txt[model.sense[i]]} {_num(model.rhs[i])}"
         )
     lines.append("Bounds")
-    for v in model.variables:
-        lo = "-inf" if not np.isfinite(v.lb) else _num(v.lb)
-        hi = "+inf" if not np.isfinite(v.ub) else _num(v.ub)
-        if lo == hi:
-            lines.append(f" {v.name} = {lo}")
-        elif not np.isfinite(v.lb) and not np.isfinite(v.ub):
-            lines.append(f" {v.name} free")
-        else:
-            lines.append(f" {lo} <= {v.name} <= {hi}")
+    for v in model.variables:  # every bound is finite
+        lo, hi = _num(v.lb), _num(v.ub)
+        lines.append(f" {v.name} = {lo}" if lo == hi else f" {lo} <= {v.name} <= {hi}")
     binaries = [v.name for v in model.variables if v.binary]
     if binaries:
         lines.append("Binaries")

@@ -217,6 +217,21 @@ def save_result(result: ExperimentResult, path) -> None:
         fh.write(result.to_text())
 
 
+def _labels(ys, n_classes: int) -> np.ndarray:
+    """``ys`` as int64, once each is known to be an integer in
+    [0, n_classes): a negative label would fail in numpy's ``bincount``,
+    and a fractional one would be truncated."""
+    ys = np.asarray(ys)
+    if ys.ndim != 1 or ys.dtype.kind not in "iuf":
+        raise InvalidArgument(f"labels must be a 1-d array of numbers, got shape {ys.shape} "
+                              f"of {ys.dtype}")
+    bad = np.flatnonzero(~((ys >= 0) & (ys < n_classes) & (ys == np.floor(ys))))
+    if bad.size:
+        raise InvalidArgument(f"label {ys[bad[0]].item()!r} at {int(bad[0])} is not an integer "
+                              f"in [0, {n_classes})")
+    return ys.astype(np.int64)
+
+
 def _check_balanced(ys: np.ndarray, n_classes: int, allow_imbalanced: bool) -> None:
     counts = np.bincount(ys, minlength=n_classes)
     if allow_imbalanced:
@@ -234,7 +249,7 @@ def score(net: Network, xs: np.ndarray, ys: np.ndarray, lam: float = 5.0,
           allow_imbalanced: bool = False) -> ImportanceReport:
     """Bounds -> encoding -> warm start -> solve -> extract scores."""
     xs = np.asarray(xs, dtype=np.float64)
-    ys = np.asarray(ys, dtype=np.int64)
+    ys = _labels(ys, net.n_classes)
     _check_balanced(ys, net.n_classes, allow_imbalanced)
     t0 = time.perf_counter()
     bounds = propagate_batch(net, xs, epsilon)

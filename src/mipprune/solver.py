@@ -16,17 +16,16 @@ than Kelley's, which jump with each LP point.  Ref:
 Ben-Ameur & Neto, "Acceleration of cutting-plane and column generation
 algorithms", Networks 49, 2007; Kelley, J. SIAM 8, 1960.
 
-Each node LP is read from :meth:`MipModel.split_fixed`, built once per
-model and again only when a cut round appends rows.  It leaves out the
-variables the model itself fixes, with their terms already in each rhs,
-and the rows left with no free column whose constant holds.  (The model
-holds only the search's decisions: a binary ``z`` for an unstable unit
-alone, and a stable unit's rows in their final form.)  The cut rows are
-appended after the kept rows, so row ids hold from one LP to the next.  A
-branching fixes a binary as a column of width 0.  Each queued node carries the final
-basis of the LP it came from: a child gets its parent's, a cut round its
-own node's (the new cut rows enter with their logicals basic).  The
-search also keeps the final tableau of the last LP answered, the root's
+Each node LP is the model's own rows and columns
+(:meth:`MipModel.dense_rows`), built once per model and again only when a
+cut round appends rows.  (The model holds only the search's decisions: a
+binary ``z`` for an unstable unit alone, a stable unit's rows in their
+final form, and no variable for a unit its bounds switch off.)  The cut
+rows are appended after the encoded rows, so row ids hold from one LP to
+the next.  A branching fixes a binary as a column of width 0.  Each queued
+node carries the final basis of the LP it came from: a child gets its
+parent's, a cut round its own node's (the new cut rows enter with their
+logicals basic).  The search also keeps the final tableau of the last LP answered, the root's
 included; that tableau lives in one :func:`solve_mip` call only.  A node's
 LP tries its starts in order: that carried tableau moved to the node's
 basis in a few pivots, then a fresh all-logical tableau moved there, each
@@ -108,10 +107,8 @@ class LpCounters:
     original arrays.  ``dual_pivots`` plus ``primal_pivots`` make
     ``Solution.lp_pivots``; the move pivots are not in it.
     ``bland_switches`` counts the dual and primal loops' turns to Bland's
-    rule.  The last two come from the node LP at the start of the search
-    (:meth:`MipModel.split_fixed`): its ``lp_rows`` rows (later cut rows
-    come on top), and the ``empty_rows`` model rows it leaves out, with no
-    free column and a constant that holds.
+    rule.  ``lp_rows`` counts the model's rows at the start of the search;
+    later cut rows come on top.
     """
 
     answered: Counter[str] = field(default_factory=Counter)
@@ -123,7 +120,6 @@ class LpCounters:
     primal_pivots: int = 0
     bland_switches: int = 0
     lp_rows: int = 0
-    empty_rows: int = 0
 
     def add(self, res: LpResult) -> None:
         for kind, reason, moved, levels in res.attempts:
@@ -150,7 +146,7 @@ class LpCounters:
                 f"uncertified_lps {self.uncertified_lps} "
                 f"dual_pivots {self.dual_pivots} primal_pivots {self.primal_pivots} "
                 f"bland_switches {self.bland_switches} "
-                f"lp_rows {self.lp_rows} empty_rows {self.empty_rows}")
+                f"lp_rows {self.lp_rows}")
 
 
 @dataclass
@@ -195,34 +191,18 @@ def solve_lp(model: MipModel, fixings: dict[int, float] | None = None,
     the all-logical basis.  The answer's ``attempts`` says how each start
     went.
 
-    The LP is the model's node LP (:meth:`MipModel.split_fixed`): the
-    variables the model itself fixes (``lb == ub``) are substituted out, and
-    the rows that leaves empty and holding are gone; a fixing makes a
-    column of width 0.  So ``basis`` and ``tableau``, like the answer's,
-    index only that LP's columns and rows, while the answer's ``x`` has
-    every variable.  A fixing may only fix a variable the model leaves
-    free, or repeat a fixed one's value: one that moves a variable the
-    model fixes raises :class:`InvalidArgument`, since that variable's
-    terms are already in the LP's rhs.
+    The LP is the model itself: its rows over every variable, with a
+    fixing as a column of width 0, so ``basis``, ``tableau``, ``point`` and
+    the answer all index the model's variables and rows.
     """
-    if fixings and any(model.variables[j].lb == model.variables[j].ub != val
-                       for j, val in fixings.items()):
-        raise InvalidArgument("a fixing moves a variable the model fixes")
-    cols, fixed, _, a, sense, rhs = model.split_fixed()
+    a, sense, rhs = model.dense_rows()
     lb, ub, c = model.var_arrays()
     if fixings:
         lb, ub = lb.copy(), ub.copy()
         for j, val in fixings.items():
             lb[j] = ub[j] = val
-    res = solve_lp_arrays(LinearProgram(
-        c=c[cols], a=a, sense=sense, rhs=rhs, lb=lb[cols], ub=ub[cols],
-        const=model.objective_const + float(np.dot(c[fixed], lb[fixed]))),
-        basis, tableau, None if point is None else point[cols])
-    if res.x is not None:
-        x = lb.copy()
-        x[cols] = res.x
-        res.x = x
-    return res
+    return solve_lp_arrays(LinearProgram(c=c, a=a, sense=sense, rhs=rhs, lb=lb, ub=ub,
+                                         const=model.objective_const), basis, tableau, point)
 
 
 def warm_start(model: MipModel, assignment: np.ndarray) -> float:
@@ -274,8 +254,7 @@ def solve_mip(model: MipModel, config: SolveConfig | None = None,
     cfg = config or SolveConfig()
     t0 = time.perf_counter()
     log: list[str] = []
-    lp_rows = model.split_fixed().rows.size
-    counters = LpCounters(lp_rows=lp_rows, empty_rows=len(model.constraints) - lp_rows)
+    counters = LpCounters(lp_rows=len(model.constraints))
     # the binaries the model itself leaves free; a branching fixes them at 0 or 1
     lb, ub, _ = model.var_arrays()
     binaries = np.flatnonzero(model.binary_mask() & (lb < ub))

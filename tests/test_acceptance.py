@@ -341,8 +341,8 @@ class TestCriterion08RescalingDirection:
         every answer passes its check.  Its long degenerate runs came from
         the stable active units' 'L'/'G' row pairs, which the encoder now
         writes as one 'E' row each, so the guard on Bland's rule replays the
-        search's LPs on all the model's rows, empty ones too, with each such
-        row split back into its pair: each LP fresh from the replayed answer
+        search's LPs on the model's rows with each such row split back into
+        its pair: each LP fresh from the replayed answer
         of the LP its node's basis came from, the root from the warm vertex.
         Some of those still leave a degenerate run by Bland's rule, and each
         answer has the search's objective."""
@@ -365,7 +365,6 @@ class TestCriterion08RescalingDirection:
         assert not counts.gave_up
         assert counts.uncertified_lps == 0
         assert sol.objective == crit6_report(1, rescale="none").objective
-        assert counts.empty_rows > 0
 
         a, sense, rhs = model.dense_rows()
         # each 'relu_active' row twice in a row, first as 'L', then as 'G'
@@ -376,19 +375,15 @@ class TestCriterion08RescalingDirection:
         a, sense, rhs = a[order], sense[order], rhs[order]
         sense[np.flatnonzero(twin)], sense[np.flatnonzero(twin) + 1] = "L", "G"
         lb0, ub0, c = model.var_arrays()
-        cols, fixed = np.flatnonzero(lb0 < ub0), np.flatnonzero(lb0 == ub0)
         replayed, switches = [], 0
         for fixings, parent, m, res in calls:
             m = int(np.searchsorted(order, m))  # the rows of the LP's model rows
             lb, ub = lb0.copy(), ub0.copy()
             for j, val in fixings.items():
                 lb[j] = ub[j] = val
-            lp = LinearProgram(c[cols], np.ascontiguousarray(a[:m, cols]), sense[:m],
-                               rhs[:m] - matvec(np.ascontiguousarray(a[:m, fixed]), lb[fixed]),
-                               lb[cols], ub[cols],
-                               model.objective_const + float(np.dot(c[fixed], lb[fixed])))
+            lp = LinearProgram(c, a[:m], sense[:m], rhs[:m], lb, ub, model.objective_const)
             if parent is None:
-                full = solve_lp_arrays(lp, point=model.reference_assignment[cols])
+                full = solve_lp_arrays(lp, point=model.reference_assignment)
             else:
                 full = solve_lp_arrays(lp, replayed[parent].basis)
             replayed.append(full)

@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 import test_lpformat
@@ -7,6 +9,7 @@ import mipprune.network
 from mipprune.bounds import propagate_batch
 from mipprune.encoding import (
     MipModel,
+    _affine_constants,
     add_lse_cut,
     encode_maxpool,
     encode_network,
@@ -17,6 +20,7 @@ from mipprune.errors import InvalidArgument
 from mipprune.linalg import conv_to_matrix
 from mipprune.lpformat import write_lp
 from mipprune.network import avgpool, build_network, conv, dense, flatten, forward, init_network, maxpool
+from mipprune.simplex import LinearProgram, solve_lp_arrays
 from mipprune.solver import SolveConfig, solve_lp, solve_mip
 
 
@@ -45,10 +49,11 @@ class TestVariableCounts:
 
     def test_only_unstable_units_get_a_binary(self, tmp_path):
         """A ReLU unit has a ``z`` exactly when its bounds leave it unstable
-        (L < 0 < U), right after its ``h``; so every binary is free, and the
-        LP file lists exactly those.  On a net where both hidden layers have
-        unstable, stable active and stable inactive units, and on the
-        benchmark's dense-1pt seed-0 model (88 of 96 units stable)."""
+        (L < 0 < U), right after its ``h``, and a stable inactive one (U <= 0)
+        has neither; so every binary is free, and the LP file lists exactly
+        those.  On a net where both hidden layers have unstable, stable
+        active and stable inactive units, and on the benchmark's dense-1pt
+        seed-0 model (88 of 96 units stable, 45 of them inactive)."""
         net = init_network(2, [dense(6), dense(5), dense(3, activation="none")], seed=4)
         xs = np.array([[0.4, -0.2], [-0.7, 0.3]])
         model = encoded(net, xs, [0, 2], eps=0.2)
@@ -60,6 +65,9 @@ class TestVariableCounts:
                 for j, (lo, hi) in enumerate(zip(bounds[k].pre_lo[l], bounds[k].pre_hi[l])):
                     state = "active" if lo >= 0.0 < hi else "inactive" if hi <= 0.0 else "unstable"
                     states.add((l, state))
+                    if state == "inactive":
+                        assert f"h_{l}_{j}_{k}" not in ids and f"z_{l}_{j}_{k}" not in ids
+                        continue
                     h = ids[f"h_{l}_{j}_{k}"]
                     if state == "unstable":
                         assert ids[f"z_{l}_{j}_{k}"] == h + 1
@@ -76,7 +84,7 @@ class TestVariableCounts:
         model = encode_network(net, xs, ys, propagate_batch(net, xs, 0.5), lam=5.0)
         lb, ub, _ = model.var_arrays()
         binary = model.binary_mask()
-        assert (len(model.variables), int(binary.sum())) == (149, 8)
+        assert (len(model.variables), int(binary.sum())) == (104, 8)
         assert np.all(lb[binary] < ub[binary])
 
     def test_lambda_must_be_positive(self):
@@ -94,7 +102,9 @@ class TestVariableCounts:
 class TestReluConstraintAlgebra:
     def test_s_equal_one_recovers_plain_big_m(self):
         """At s = 1 each first-layer row is the plain big-M row of its unit,
-        found through the row's own ``h`` (the row's last 'h' entry)."""
+        found through the row's own ``h`` (the row's last 'h' entry).  The
+        inactive unit is the constant 0: no ``h``, and its rows, with no
+        variable left, are not written."""
         net = tiny_net(seed=3)
         x = np.array([[0.7, 0.2]])
         model = encoded(net, x, [0])
@@ -118,59 +128,64 @@ class TestReluConstraintAlgebra:
             elif model.tag[i] in ("relu_lower_on", "relu_active"):
                 # h >= w x + b, or h = w x + b for a stable active unit
                 assert rhs_at_s1 == pytest.approx(psum, abs=1e-12)
-        # an inactive unit (upper and lower rows) and an active one (one 'E' row)
-        assert sorted(seen) == [(0, "relu_lower_on"), (0, "relu_upper_on"), (1, "relu_active")]
+        # an inactive unit (no variable, no row) and an active one (one 'E' row)
+        assert bounds.pre_hi[0][0] <= 0.0 < bounds.pre_lo[0][1]
+        assert "h_0_0_0" not in {v.name for v in model.variables}
+        assert sorted(seen) == [(1, "relu_active")]
 
     def test_each_unit_writes_the_rows_of_its_state(self):
-        """Rebuilt unit by unit from the weights and bounds, each ReLU unit's
-        rows by tag, sense, entries and rhs bits: an unstable unit (L < 0 <
-        U) has its upper, cap and lower rows, a stable inactive one (U <= 0)
-        upper and lower, a stable active one (L >= 0 < U) only the lower
-        row as an equality, tagged 'relu_active'.  Only an unstable unit
-        has a ``z``.  Rows find their unit through their own ``h``, the
-        row's largest 'h' id."""
+        """Rebuilt unit by unit from the weights and bounds, the ReLU rows in
+        order by tag, sense, entries and rhs bits: an unstable unit (L < 0 <
+        U) has its upper, cap and lower rows, a stable active one (L >= 0 <
+        U) only the lower row as an equality, tagged 'relu_active', and a
+        stable inactive one (U <= 0) is the constant 0, with no ``h``: its
+        upper and lower rows keep their entries on the previous layer's
+        variables, and a row left with none is not written, its constant
+        holding.  Only an unstable unit has a ``z``."""
         net = init_network(2, [dense(6), dense(5), dense(3, activation="none")], seed=4)
         xs = np.array([[0.4, -0.2], [-0.7, 0.3]])
         model = encoded(net, xs, [0, 2], eps=0.2)
         bounds = propagate_batch(net, xs, 0.2)
         ids = {v.name: v.idx for v in model.variables}
-        got = {}
-        for i in model.constraints:
-            if model.tag[i].startswith("relu_"):
-                own = max(j for j in model.row(i) if model.variables[j].kind == "h")
-                got.setdefault(own, []).append((model.tag[i], model.sense[i], model.row(i),
-                                                model.rhs[i].hex()))
-        states = set()
+        got = [(model.tag[i], model.sense[i], model.row(i), model.rhs[i].hex())
+               for i in model.constraints if model.tag[i].startswith("relu_")]
+        want, states = [], set()
         for k, l in ((k, l) for k in range(2) for l in range(2)):
             weight, bias = net.layers[l].weight, net.layers[l].bias
             for j in range(weight.shape[0]):
                 lo, hi = bounds[k].pre_lo[l][j], bounds[k].pre_hi[l][j]
-                max_u, h, z = max(hi, 0.0), ids[f"h_{l}_{j}_{k}"], ids.get(f"z_{l}_{j}_{k}")
+                max_u, h, z = max(hi, 0.0), ids.get(f"h_{l}_{j}_{k}"), ids.get(f"z_{l}_{j}_{k}")
                 pc, prev = float(bias[j]), {}
                 for i, wi in enumerate(weight[j].tolist()):
                     if wi != 0.0 and l == 0:
                         pc = pc + wi * float(xs[k][i])
-                    elif wi != 0.0:
+                    elif wi != 0.0 and f"h_0_{i}_{k}" in ids:
                         prev[ids[f"h_0_{i}_{k}"]] = -wi
-                damped = {h: 1.0, **prev, model.s_vars[(l, j)]: -max_u}
-                upper_rhs = ((pc - lo) - max_u + 0.0).hex()
-                lower = ("relu_lower_on", "G", damped, (pc - max_u + 0.0).hex())
+                damped = {**prev, model.s_vars[(l, j)]: -max_u}
+                upper_rhs = (pc - lo) - max_u + 0.0
+                lower_rhs = pc - max_u + 0.0
                 if lo >= 0.0 < hi:
-                    want, state = [("relu_active", "E", *lower[2:])], "active"
+                    rows, state = [("relu_active", "E", {h: 1.0, **damped}, lower_rhs)], "active"
                 elif hi <= 0.0:
-                    want = [("relu_upper_on", "L", dict(damped), upper_rhs), lower]
+                    rows = [("relu_upper_on", "L", damped, upper_rhs),
+                            ("relu_lower_on", "G", dict(damped), lower_rhs)]
                     state = "inactive"
                 else:
-                    want = [("relu_upper_on", "L", {**damped, z: -lo}, upper_rhs),
-                            ("relu_cap", "L", {h: 1.0, z: -hi}, (0.0).hex()), lower]
+                    rows = [("relu_upper_on", "L", {h: 1.0, **damped, z: -lo}, upper_rhs),
+                            ("relu_cap", "L", {h: 1.0, z: -hi}, 0.0),
+                            ("relu_lower_on", "G", {h: 1.0, **damped}, lower_rhs)]
                     state = "unstable"
+                assert (h is None) == (state == "inactive"), (k, l, j)
                 assert (z is None) == (state != "unstable"), (k, l, j)
-                for _, _, coefs, _ in want:  # zero coefficients are not stored
+                for tag, sense, coefs, rhs in rows:
                     for key in [key for key, val in coefs.items() if val == 0.0]:
-                        del coefs[key]
-                assert got.pop(h) == want, (k, l, j)
+                        del coefs[key]  # zero coefficients are not stored
+                    if coefs:
+                        want.append((tag, sense, coefs, rhs.hex()))
+                    else:
+                        assert (rhs >= 0.0) if sense == "L" else (rhs <= 0.0)
                 states.add((l, state))
-        assert not got
+        assert got == want
         assert states == {(l, s) for l in range(2) for s in ("active", "inactive", "unstable")}
 
     def test_dead_neuron_admits_zero_score(self):
@@ -319,6 +334,36 @@ class TestMaxpoolEncoding:
         sol = solve_mip(model, SolveConfig())
         assert sol.values[out] == pytest.approx(0.0, abs=1e-9)
 
+    def test_constant_members(self):
+        """A member given as -1 is a constant, its value its upper bound.  An
+        undominated one gets a selector and the select row x <= c m +
+        U (1 - m) only, the row that x <= w + U (1 - m) is at w = c m; a
+        window of constants is the constant max, with no variable or row."""
+        model = MipModel()
+        h = model.add_var("h_0_1_0", "h", 0.0, 3.0)
+        out, m_vars, w_vars = encode_maxpool(model, [-1, h, -1], [1.0, 3.0, 0.5], 1, 0, 0)
+        assert (model.variables[out].lb, model.variables[out].ub) == (1.0, 3.0)
+        assert list(m_vars) == [0, 1] and list(w_vars) == [1]  # the 0.5 is dominated
+        selects = [(model.row(i), model.rhs[i]) for i in model.constraints
+                   if model.tag[i] == "maxpool_select"]
+        assert selects[0] == ({out: 1.0, m_vars[0]: 2.0}, 3.0)
+        assert sum(model.row(i).get(h) is not None for i in model.constraints) == 3
+        for sign, want in ((1.0, 1.0), (-1.0, 3.0)):
+            model.objective.clear()
+            model.add_objective_term(out, sign)
+            assert solve_mip(model, SolveConfig()).values[out] == pytest.approx(want, abs=1e-9)
+        n_vars, n_rows = len(model.variables), len(model.constraints)
+        assert encode_maxpool(model, [-1, -1], [0.0, 0.0], 1, 1, 0) == (-1, {}, {})
+        assert (len(model.variables), len(model.constraints)) == (n_vars, n_rows)
+
+    @pytest.mark.parametrize("head", [[], [flatten()]])
+    def test_pool_over_the_input_refused(self, head):
+        """A max pool whose members are inputs, after a flatten or not, is
+        refused: an input is a constant, but not its box's upper bound."""
+        net = init_network(4, head + [maxpool(2), dense(2), dense(2, activation="none")], seed=0)
+        with pytest.raises(InvalidArgument, match="max pooling directly over the input"):
+            encoded(net, [[0.1, 0.5, 0.2, 0.3], [0.3, 0.2, 0.9, 0.1]], [0, 1], eps=0.1)
+
     def test_random_fixings_match_arithmetic_max(self):
         rng = np.random.default_rng(6)
         for _ in range(50):
@@ -390,26 +435,24 @@ class TestLseCuts:
 
     def test_tiny_softmax_terms_snapped_soundly(self):
         """At the anchor (10, -46, 0, -60) the softmax of the second and fourth
-        logits is about 1e-25 and 1e-31.  The second has a finite lower bound,
-        so its term leaves the row and sigma * lb joins the rhs; the fourth has
-        none and keeps its coefficient.  The row still never exceeds the
-        log-sum-exp over the box."""
+        logits is about 1e-25 and 1e-31.  Each of their terms leaves the row
+        and sigma * lb joins the rhs, the second's first.  The row still never
+        exceeds the log-sum-exp over the box."""
         model = MipModel(n_points=1, labels=np.array([0]))
         h = [model.add_var(f"h_2_{j}_0", "h", lo, 50.0)
-             for j, lo in enumerate((-50.0, -50.0, -50.0, -np.inf))]
-        t = model.add_var("t_lse_0", "t_lse", -np.inf, np.inf)
+             for j, lo in enumerate((-50.0, -50.0, -50.0, -70.0))]
+        t = model.add_var("t_lse_0", "t_lse", -100.0, 100.0)
         model.logit_vars, model.tlse_vars = [h], [t]
         anchor = np.array([10.0, -46.0, 0.0, -60.0])
         sig = softmax_probs(anchor)
         assert sig[1] < 1e-12 and sig[3] < 1e-12
         idx = add_lse_cut(model, 0, anchor)
         coefs = model.row(idx)
-        assert sorted(coefs) == [h[0], h[2], h[3], t]
-        assert coefs[h[3]] == -sig[3]
+        assert sorted(coefs) == [h[0], h[2], t]
         assert model.rhs[idx] == (log_sum_exp(anchor) - float(np.dot(sig, anchor))
-                                  + sig[1] * -50.0)
+                                  + sig[1] * -50.0 + sig[3] * -70.0)
         rng = np.random.default_rng(9)
-        for point in rng.uniform(-50.0, 50.0, size=(200, 4)):
+        for point in rng.uniform([-50.0, -50.0, -50.0, -70.0], 50.0, size=(200, 4)):
             cut = model.rhs[idx] + sum(-c * point[h.index(j)] for j, c in coefs.items() if j != t)
             assert cut <= log_sum_exp(point) + 1e-9
 
@@ -507,68 +550,56 @@ class TestAddConstraint:
         model.add_constraint({a: 1.0}, "L", 1.0, "cut")
         assert model.dense_rows()[0].shape == (3, 3)
 
-    def test_split_blocks_after_cuts_equal_the_dense_columns(self):
-        """Read after every cut, as a search reads them, the node LP holds the
-        encoded rows but the empty ones, then every row appended since, in
-        row order.  Each LP row equals its model row over the unfixed
-        columns bit for bit, its rhs is the model rhs minus the fixed terms
-        summed in entry order, and its sense is the model's.  A cut extends
-        the LP by one row and changes none before it.  The encoded rows
-        left out are exactly those with no unfixed column (each holds)."""
+    def test_node_lp_after_cuts_is_the_row_store(self):
+        """Read after every cut, as a search reads it, the node LP is the
+        model's own rows over every variable, bit for bit, read-only, and
+        cached until a row is added.  A cut extends it by one row and
+        changes none before it."""
         net = init_network(2, [dense(6), dense(3, activation="none")], seed=4)
         xs = np.array([[0.4, -0.2], [-0.7, 0.3]])
         model = encoded(net, xs, [0, 2], eps=0.2)
-        n_encoded, first = len(model.constraints), model.split_fixed()
-        assert set(np.array(model.sense)[first.rows]) == {"L", "G", "E"}
-        lb, ub, _ = model.var_arrays()
-        last = None
+        assert set(model.sense) == {"L", "G", "E"}
+        last = model.dense_rows()
+        assert model.dense_rows() is last
         for k, anchor in enumerate(np.random.default_rng(5).normal(size=(6, 3))):
             add_lse_cut(model, k % 2, anchor)
-            a, sense, rhs = model.dense_rows()
-            lp = model.split_fixed()
-            assert np.array_equal(lp.fixed, np.flatnonzero(lb == ub)) and lp.fixed.size > 0
-            assert np.array_equal(lp.cols, np.flatnonzero(lb < ub))
-            assert np.array_equal(lp.rows, np.concatenate([first.rows,
-                                                           np.arange(n_encoded, len(rhs))]))
-            want_rhs = []
-            for i in lp.rows.tolist():
-                fixed_part = 0.0
-                for j, coef in model.row(i).items():
-                    if lb[j] == ub[j]:
-                        fixed_part += coef * lb[j]
-                want_rhs.append(rhs[i] - fixed_part)
-            for got, want in ((lp.a, a[lp.rows][:, lp.cols]), (lp.rhs, np.array(want_rhs)),
-                              (lp.sense, sense[lp.rows])):
-                assert (got.dtype, got.shape) == (want.dtype, want.shape)
-                assert got.tobytes() == want.tobytes()
-            assert not (lp.a.flags.writeable or lp.rhs.flags.writeable
-                        or lp.sense.flags.writeable or lp.rows.flags.writeable)
-            if last is not None:
-                assert np.array_equal(lp.rows[:-1], last.rows)
-                assert lp.a[:-1].tobytes() == last.a.tobytes()
-                assert lp.rhs[:-1].tobytes() == last.rhs.tobytes()
+            a, sense, rhs = lp = model.dense_rows()
+            assert a.shape == (len(model.constraints), len(model.variables)) and a.flags.c_contiguous
+            for i in model.constraints:
+                cols = np.flatnonzero(a[i])
+                assert cols.tolist() == list(model.row(i))
+                assert a[i, cols].tobytes() == np.array(list(model.row(i).values())).tobytes()
+            assert rhs.tobytes() == np.array(model.rhs).tobytes()
+            assert sense.tolist() == model.sense
+            assert not any(arr.flags.writeable for arr in lp)
+            assert a[:-1].tobytes() == last[0].tobytes()
+            assert rhs[:-1].tobytes() == last[2].tobytes()
             last = lp
-        dropped = np.setdiff1d(np.arange(n_encoded), first.rows).tolist()
-        assert dropped and dropped == [i for i in range(n_encoded)
-                                       if not any(lb[j] < ub[j] for j in model.row(i))]
 
     def test_variable_arrays_follow_bounds_and_objective(self):
         model = MipModel()
         a = model.add_var("s_0_0", "s", 0.0, 1.0)
-        b = model.add_var("t_min", "t_min", -np.inf, np.inf)
+        b = model.add_var("t_min", "t_min", -3.0, 4.0)
         model.add_objective_term(a, 0.5)
         lb, ub, c = model.var_arrays()
-        assert (lb.tolist(), ub.tolist(), c.tolist()) == ([0.0, -np.inf], [1.0, np.inf],
-                                                          [0.5, 0.0])
+        assert (lb.tolist(), ub.tolist(), c.tolist()) == ([0.0, -3.0], [1.0, 4.0], [0.5, 0.0])
         model.add_objective_term(b, -2.0)
         model.add_var("h_0_0_0", "h", 0.0, 0.0)
         lb, ub, c = model.var_arrays()
-        assert (lb.tolist(), ub.tolist(), c.tolist()) == ([0.0, -np.inf, 0.0], [1.0, np.inf, 0.0],
+        assert (lb.tolist(), ub.tolist(), c.tolist()) == ([0.0, -3.0, 0.0], [1.0, 4.0, 0.0],
                                                           [0.5, -2.0, 0.0])
         assert not (lb.flags.writeable or ub.flags.writeable or c.flags.writeable)
+        for lo, hi in ((-np.inf, 1.0), (0.0, np.inf), (np.nan, 1.0)):
+            with pytest.raises(InvalidArgument, match=r"^variable 'h_0_1_0' has bounds \["):
+                model.add_var("h_0_1_0", "h", lo, hi)
+        assert len(model.variables) == 3 and model.var_arrays()[0].size == 3
 
 
 class TestPresolveRows:
+    """No presolve runs between the model and its node LP.  The rows one
+    would drop, those with no variable, are never written by the encoder,
+    and a hand-built row over width-0 columns only stays in the LP."""
+
     @staticmethod
     def model(*rows):
         """x fixed at 1, y in [0, 2], z in [-1, 1], then the given rows."""
@@ -581,26 +612,28 @@ class TestPresolveRows:
             model.add_constraint(coefs, sense, rhs, "row")
         return model
 
-    def test_each_rule_drops_only_rows_that_hold(self):
-        """The one rule: a row with no unfixed column is dropped when its
-        constant holds.  A one-column row is kept, even where the column's
-        box implies it."""
-        model = self.model(
-            ({0: 1.0}, "L", 1.0),             # 1 <= 1: dropped
-            ({0: 2.0}, "G", 2.5),             # 2 >= 2.5 fails: kept
-            ({0: 1.0, 1: 1.0}, "L", 3.0),     # y <= 2, y's box: kept
-            ({0: 1.0, 1: 1.0}, "L", 2.5),     # y <= 1.5: kept
-            ({2: -2.0}, "G", -2.0),           # z <= 1, z's box: kept
-            ({2: -2.0}, "G", -1.0),           # z <= 0.5: kept
-            ({1: 1.0}, "E", 2.0),             # y = 2: kept
-            ({1: 1.0, 2: 1.0}, "L", 3.0),     # two columns: kept
+    def test_every_row_reaches_the_lp(self):
+        """No rule drops a row: the node LP holds every model row as it is,
+        over every column, one over the fixed x alone too, and answers as
+        the LP over y and z with x's terms moved to the rhs."""
+        rows = (
+            ({0: 1.0}, "L", 1.0),             # 1 <= 1
+            ({0: 1.0, 1: 1.0}, "L", 2.5),     # y <= 1.5
+            ({2: -2.0}, "G", -1.0),           # z <= 0.5
+            ({0: -1.0, 1: 1.0, 2: 1.0}, "G", 0.5),   # y + z >= 1.5
         )
-        lp = model.split_fixed()
-        assert lp.rows.tolist() == [1, 2, 3, 4, 5, 6, 7]
-        assert lp.sense.tolist() == ["G", "L", "L", "G", "G", "E", "L"]
-        assert lp.rhs.tolist() == [0.5, 2.0, 1.5, -2.0, -1.0, 2.0, 3.0]
-        assert lp.a.tolist() == [[0.0, 0.0], [1.0, 0.0], [1.0, 0.0], [0.0, -2.0], [0.0, -2.0],
-                                 [1.0, 0.0], [1.0, 1.0]]
+        model = self.model(*rows)
+        a, sense, rhs = model.dense_rows()
+        assert a.tolist() == [[1.0, 0.0, 0.0], [1.0, 1.0, 0.0], [0.0, 0.0, -2.0],
+                              [-1.0, 1.0, 1.0]]
+        assert sense.tolist() == ["L", "L", "G", "G"] and rhs.tolist() == [1.0, 2.5, -1.0, 0.5]
+        res = solve_lp(model)
+        moved = solve_lp_arrays(LinearProgram(np.array([1.0, 0.0]), a[1:, 1:], sense[1:],
+                                              rhs[1:] - a[1:, 0], np.array([0.0, -1.0]),
+                                              np.array([2.0, 1.0])))
+        assert res.status == moved.status == "optimal" and res.certified
+        assert res.objective == pytest.approx(moved.objective, abs=1e-12)
+        assert res.x.tolist() == pytest.approx([1.0, *moved.x], abs=1e-12)
 
     @pytest.mark.parametrize("arch, eps", [
         ([dense(6), dense(3, activation="none")], 0.2),
@@ -608,35 +641,44 @@ class TestPresolveRows:
         ([dense(6), dense(5), dense(3, activation="none")], 0.0),
     ])
     def test_matches_a_loop_over_the_rows(self, arch, eps):
-        """The node LP keeps the rows a walk over the rows keeps: all but
-        the empty ones that hold.  Each model has empty rows (its first-layer
-        stable inactive units').  A max pool writes no ``maxpool_ge`` row
-        over a fixed input, whose box implies it: each such row's input is
-        free, and the pooled model has fewer such rows than inputs."""
+        """A walk over the rows finds a variable in each, and a walk over the
+        units finds a hidden ``h`` with a box wider than a point exactly for
+        each unit not switched off, a pool's output for each window not all
+        switched off.  Each model has stable inactive first-layer units,
+        whose rows have no variable.  A max pool writes one ``maxpool_ge``
+        row per variable input it selects, and none for a constant."""
         net = init_network(2, arch, seed=4)
-        model = encoded(net, np.array([[0.4, -0.2], [-0.7, 0.3]]), [0, 2], eps=eps)
+        xs = np.array([[0.4, -0.2], [-0.7, 0.3]])
+        model = encoded(net, xs, [0, 2], eps=eps)
+        bounds = propagate_batch(net, xs, eps)
+        assert all(model.row(i) for i in model.constraints)
         lb, ub, _ = model.var_arrays()
-        empty, keep = [], []
-        for i in model.constraints:
-            free = {j: c for j, c in model.row(i).items() if lb[j] < ub[j]}
-            fixed_part = 0.0
-            for j, c in model.row(i).items():
-                if lb[j] == ub[j]:
-                    fixed_part += c * lb[j]
-            b, s = model.rhs[i] - fixed_part, model.sense[i]
-            holds = {"L": lambda v: v <= b, "G": lambda v: v >= b, "E": lambda v: v == b}[s]
-            (empty if not free and holds(0.0) else keep).append(i)
-        assert empty and model.split_fixed().rows.tolist() == keep
-        pooled = any(spec["kind"] == "maxpool" for spec in arch)
+        names = {v.name: v.idx for v in model.variables}
+        off = set()
+        for k, (l, spec) in ((k, ls) for k in range(2) for ls in enumerate(net.layers[:-1])):
+            for j in range(bounds[k].pre_hi[l].size):
+                name = f"h_{l}_{j}_{k}"
+                if spec.kind == "maxpool":
+                    members = {f"h_{l - 1}_{i}_{k}" for i in range(j * 2, j * 2 + 2)}
+                    dead = members <= off
+                else:
+                    dead = bounds[k].pre_hi[l][j] <= 0.0
+                if dead:
+                    off.add(name)
+                assert (name in names) == (not dead), name
+                assert dead or lb[names[name]] < ub[names[name]]
+        assert any(name.startswith("h_0_") for name in off)
         ge = [i for i in model.constraints if model.tag[i] == "maxpool_ge"]
         inputs = [j for i in ge for j, c in model.row(i).items() if c == -1.0]
-        assert len(inputs) == len(ge) and all(lb[j] < ub[j] for j in inputs)
-        n_inputs = sum(v.kind == "h" and v.layer == 0 for v in model.variables)
-        assert (0 < len(ge) < n_inputs) if pooled else not ge
+        assert len(inputs) == len(ge) and all(model.variables[j].layer == 0 for j in inputs)
+        pooled = any(spec["kind"] == "maxpool" for spec in arch)
+        assert bool(ge) == pooled
 
     def test_violated_empty_row_kept_and_the_lp_certified_infeasible(self):
+        """A row over a width-0 column alone that its value breaks stays in
+        the LP, which is certified infeasible."""
         model = self.model(({1: 1.0, 2: 1.0}, "L", 1.0), ({0: 1.0}, "L", 0.5))
-        assert model.split_fixed().rows.tolist() == [0, 1]
+        assert len(model.dense_rows()[2]) == 2
         res = solve_lp(model)
         assert res.status == "infeasible" and res.certified
 
@@ -644,16 +686,17 @@ class TestPresolveRows:
 class TestPresolveFixing:
     def test_z_fixed_from_bounds(self):
         """At eps 0 the bounds decide every unit, so the model has no z; a
-        stable inactive unit's h is fixed at 0 by its box [0, max(U, 0)]."""
+        stable inactive unit, whose box [0, max(U, 0)] is a point, is the
+        constant 0, with no h."""
         net = tiny_net(seed=11)
         xs = np.array([[0.9, -0.4]])
         model = encoded(net, xs, [0])
         bounds = propagate_batch(net, xs, 0.0)[0]
         assert not any(v.kind == "z" or v.binary for v in model.variables)
-        hidden = [v for v in model.variables if v.kind == "h" and v.layer == 0]
-        assert len(hidden) == 2
-        for v in hidden:
-            assert (v.lb, v.ub) == (0.0, max(bounds.pre_hi[0][v.unit], 0.0))
+        hidden = {v.unit: v for v in model.variables if v.kind == "h" and v.layer == 0}
+        assert set(hidden) == set(np.flatnonzero(bounds.pre_hi[0] > 0.0).tolist()) == {1}
+        for v in hidden.values():
+            assert (v.lb, v.ub) == (0.0, bounds.pre_hi[0][v.unit])
 
     def test_z_free_inside_wide_bounds(self):
         net = tiny_net(seed=12)
@@ -700,6 +743,16 @@ class TestBoxedColumns:
             assert np.all(lb[t] < x[t]) and np.all(x[t] < ub[t])
 
     @pytest.mark.parametrize("name", NAMES)
+    def test_no_fixed_variable_and_no_empty_row(self, name):
+        """The encoder writes no variable whose box is a point, and no row
+        without a variable: the model is the node LP, with nothing for a
+        presolve to take out."""
+        model = self.model(name)
+        lb, ub, _ = model.var_arrays()
+        assert np.all(lb < ub)
+        assert np.all(np.diff(model.row_ptr) > 0)
+
+    @pytest.mark.parametrize("name", NAMES)
     def test_seed_cut_implies_the_t_lse_lower_bound(self, name):
         """Each point's seed cut, with every logit at the bound that makes
         it weakest, gives ``t_lse >= lb + 1``: the LP never reaches lb."""
@@ -712,3 +765,77 @@ class TestBoxedColumns:
             assert row.pop(t) == 1.0
             implied = model.rhs[i] - sum(c * (ub[j] if c > 0.0 else lb[j]) for j, c in row.items())
             assert implied - lb[t] == pytest.approx(1.0, abs=1e-9)
+
+
+class TestUnsoundBounds:
+    def test_unit_switched_off_where_the_point_turns_it_on_raises(self):
+        """Bounds that put a first-layer unit's upper bound at or below 0
+        while the point's own pre-activation is positive make the unit the
+        constant 0, and its lower row, with no variable left, reads
+        0 >= w.x + b: the encoder refuses it instead of writing a model the
+        point does not satisfy."""
+        net = init_network(2, [dense(3), dense(2, activation="none")], seed=1)
+        xs = np.array([[0.5, -0.3]])
+        bounds = propagate_batch(net, xs, 0.0)
+        pre = forward(net, xs[0]).pre[0]
+        j = int(np.argmax(pre))
+        assert pre[j] > 1e-3
+        for hi in (0.0, -1.0):
+            bounds[0].pre_lo[0][j] = min(bounds[0].pre_lo[0][j], hi)
+            bounds[0].pre_hi[0][j] = hi
+            with pytest.raises(InvalidArgument, match="'relu_lower_on' has no variables and is "
+                                                      "broken by"):
+                encode_network(net, xs, np.array([0]), bounds)
+
+    def test_round_off_in_a_dropped_row_is_accepted(self):
+        """At eps 0 the upper row of switched-off unit 6 of point 0 reads
+        0 <= (w.x + b) - L, which the encoder's sum of w.x + b breaks by
+        2.8e-17 against the forward pass's L.  That is round-off: the row is
+        left out like the unit's lower row, and the reference point is
+        feasible."""
+        net = init_network(3, [dense(8), dense(2, activation="none")], seed=0)
+        xs = np.random.default_rng(0).normal(size=(4, 3))
+        bounds = propagate_batch(net, xs, 0.0)
+        pc = _affine_constants(net.layers[0].weight, net.layers[0].bias, xs[0])[6]
+        assert bounds[0].pre_hi[0][6] <= 0.0 and -1e-16 < pc - bounds[0].pre_lo[0][6] < 0.0
+        model = encode_network(net, xs, np.array([0, 1, 0, 1]), bounds)
+        assert "h_0_6_0" not in {v.name for v in model.variables}
+        assert model.check_assignment(model.reference_assignment, tol=1e-9) == []
+
+
+class TestGoldenNodeLp:
+    """The node LP of each of the ten benchmark models, as the search hands
+    it to the simplex (rows, senses, rhs, objective, bounds and constant),
+    pinned by sha256.  The digests were recorded from the LP that a
+    substitution of the model's fixed variables gave before the encoder
+    wrote no such variable; the model's own arrays now give the same bytes."""
+
+    DIGESTS = {
+        "dense-1pt-seed0": "aafd6a7287d4694ab95e9c99d70e15c6f9741677377c4aa4f43c60d3c4200f65",
+        "dense-1pt-seed1": "b14ade6739747f67b96343d66de1974a672b0b8d5bcf0151994c02e8d13618aa",
+        "dense-1pt-seed2": "5471539a731f6b7a7dabf350b4a8b907f5000d0e4d83fe5fb19a43865a992659",
+        "dense-1pt-seed3": "8c3d041a47480fe57ee97d4713b44ace7d5b411ffbab1392a9dea830c4860211",
+        "dense-1pt-seed4": "3818ad13e89a8f8af079c44237d6755f6ec8b6b14757dd78b5d35947eb9f079a",
+        "conv-classwise-class0": "486d1a8f4e5b6ffb4bd32413c43875f111e7b68c20ef70098a941097e8e02d85",
+        "conv-classwise-class2": "0d9a863a292623610604d9f1eca0dc9038941340df55796a21f73574e454d38b",
+        "conv-classwise-class4": "811ef2615850a765fdeac63a5f6a0e5bfedb9dccf5b1dd35d6695e0f6de087c0",
+        "conv-classwise-class6": "3415ce9f8627d51db6087624d1c5451f30381cdffd6f90e1cc78c8aa821cefdf",
+        "conv-classwise-class8": "4755832897e78f0c7f831afdb8fcd5eb7ec2f7a5a38ff22b6c1ef52ca469846c",
+    }
+
+    @pytest.mark.parametrize("name", sorted(DIGESTS))
+    def test_digest(self, name):
+        golden = test_pruning.TestGoldenReports
+        if name.startswith("dense"):
+            (net, xs, ys), eps = golden.dense_instance(int(name[-1])), 0.5
+        else:
+            c = int(name[-1])
+            net, xs, ys = golden.conv_instance()
+            xs, ys, eps = xs[c : c + 1], ys[c : c + 1], 0.05
+        model = encode_network(net, xs, ys, propagate_batch(net, xs, eps), lam=5.0)
+        a, sense, rhs = model.dense_rows()
+        lb, ub, c = model.var_arrays()
+        h = hashlib.sha256(repr(a.shape).encode())
+        for arr in (a, sense, rhs, c, lb, ub, np.float64(model.objective_const)):
+            h.update(arr.tobytes())
+        assert h.hexdigest() == self.DIGESTS[name]

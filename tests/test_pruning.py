@@ -88,6 +88,23 @@ class TestScore:
         with pytest.raises(InvalidArgument, match=msg):
             score(net, xs, ys, lam=lam)
 
+    def test_negative_label_rejected(self):
+        """A label below 0 is refused by name, not left to fail inside
+        numpy's ``bincount``."""
+        net = init_network(2, [dense(3), dense(2, activation="none")], seed=1)
+        xs = np.array([[0.1, 0.2], [0.3, -0.1]])
+        with pytest.raises(InvalidArgument, match=r"^label -1 at 1 is not an integer in \[0, 2\)"):
+            score(net, xs, np.array([0, -1]), allow_imbalanced=True)
+
+    def test_fractional_label_rejected(self):
+        """A label of 0.5 is refused, not truncated to class 0."""
+        net = init_network(2, [dense(3), dense(2, activation="none")], seed=1)
+        xs = np.array([[0.1, 0.2], [0.3, -0.1]])
+        with pytest.raises(InvalidArgument, match=r"^label 0.5 at 0 is not an integer in \[0, 2\)"):
+            score(net, xs, np.array([0.5, 1.0]))
+        rep = score(net, xs, np.array([0.0, 1.0]))
+        assert rep.to_text() == score(net, xs, np.array([0, 1])).to_text()
+
     def test_imbalanced_batch_needs_flag(self):
         net, train_ds, _ = small_trained(seed=4)
         xs, ys = balanced_batch(train_ds, 1)
@@ -328,7 +345,7 @@ class TestGoldenReports:
     classes 4 and 6 of its ``conv-classwise`` workload (eps 0.05; class 4
     needs 1 cut round, class 6 needs 7).  Any change to the simplex's
     arithmetic (the round-off each pivot drops below ``_DROP_TOL`` among
-    it), its pivot choices, the rows the node LP keeps, the cut rows or
+    it), its pivot choices, the node LP's rows, the cut rows or
     the search moves at least one digest; an alternate optimum within
     ``gap_tol`` is a new digest, and CHANGES.md lists the objectives before
     and after each re-pin.
@@ -436,8 +453,8 @@ class TestGoldenReports:
 
 
 class TestPresolvedLp:
-    """The node LP, without the model's empty rows, checked against the full
-    rows on two benchmark models: the dense-1pt seed-0 net and conv class
+    """The node LP, which is the model's own rows over every variable,
+    checked on two benchmark models: the dense-1pt seed-0 net and conv class
     8."""
 
     @staticmethod
@@ -452,15 +469,14 @@ class TestPresolvedLp:
     @pytest.mark.parametrize("name", ["dense-seed0", "conv-class8"])
     def test_root_lp_matches_highs_on_the_full_rows(self, name):
         """The root LP as the search solves it, from the warm vertex.  HiGHS
-        gives conv class 8's full LP 3.2e-9 above this solver's optimum, with
-        or without the empty rows, hence the 1e-8.  The model has no fixed
-        binary, and its node LP leaves some empty rows out."""
+        gives conv class 8's LP 3.2e-9 above this solver's optimum, hence the
+        1e-8.  The model has no fixed variable and no row without one."""
         linprog = pytest.importorskip("scipy.optimize").linprog
         model = self.model(name)
         lb, ub, c = model.var_arrays()
         binary = model.binary_mask()
-        assert model.split_fixed().rows.size < len(model.constraints)
-        assert "relu_active" in model.tag and binary.any() and np.all(lb[binary] < ub[binary])
+        assert np.all(lb < ub) and np.all(np.diff(model.row_ptr) > 0)
+        assert "relu_active" in model.tag and binary.any()
         res = solve_lp(model, point=model.with_exact_lse(model.reference_assignment))
         a, sense, rhs = model.dense_rows()
         le, ge, eq = sense == "L", sense == "G", sense == "E"
@@ -469,11 +485,12 @@ class TestPresolvedLp:
         assert ref.status == 0 and res.status == "optimal" and res.certified
         assert res.objective == pytest.approx(ref.fun + model.objective_const, abs=1e-8)
 
-    def test_dropped_rows_hold_at_every_lp_answer(self, monkeypatch):
-        """Every row the node LP leaves out holds within ``_CERT_PRIMAL`` at
-        every LP answer of the class-8 search, cut rounds included.  The
-        node LP's row counts at the start of the search are on the log's
-        ``end status`` line, not in the report."""
+    def test_every_row_holds_at_every_lp_answer(self, monkeypatch):
+        """Every LP answer of the class-8 search, cut rounds included, holds
+        every model row it was solved over within ``_CERT_PRIMAL``: no row
+        is dropped between the model and its LP.  The model's row count at
+        the start of the search is on the log's ``end status`` line, not in
+        the report."""
         answers, sols = [], []
         real, real_lp = mipprune.pruning.solve_mip, mipprune.solver.solve_lp
 
@@ -482,27 +499,25 @@ class TestPresolvedLp:
             return sols[-1]
 
         def recording_lp(model, *args, **kwargs):
-            answers.append((model, real_lp(model, *args, **kwargs)))
-            return answers[-1][1]
+            rows = len(model.constraints)
+            answers.append((model, rows, real_lp(model, *args, **kwargs)))
+            return answers[-1][2]
 
         monkeypatch.setattr(mipprune.pruning, "solve_mip", recording)
         monkeypatch.setattr(mipprune.solver, "solve_lp", recording_lp)
         net, xs, ys = TestGoldenReports.conv_instance()
         rep = score(net, xs[8:9], ys[8:9], lam=5.0, epsilon=0.05, allow_imbalanced=True)
-        model = answers[0][0]
-        kept, n_cuts = model.split_fixed().rows, sum(sols[0].oa_cuts.values())
+        model, encoded, _ = answers[0]
         a, sense, rhs = model.dense_rows()
-        rows = np.setdiff1d(np.arange(rhs.size), kept)
-        assert rows.size > 0 and n_cuts > 0 and kept[-n_cuts:].tolist() == list(
-            range(rhs.size - n_cuts, rhs.size))
-        assert (f" lp_rows {kept.size - n_cuts} empty_rows {rows.size}"
-                in sols[0].log_lines[-1])
-        assert "lp_rows" not in rep.to_text() and "empty_rows" not in rep.to_text()
-        points = [res.x for _, res in answers if res.status == "optimal"]
+        n_cuts = sum(sols[0].oa_cuts.values())
+        assert n_cuts > 0 and rhs.size == encoded + n_cuts
+        assert f" lp_rows {encoded}" in sols[0].log_lines[-1]
+        assert "lp_rows" not in rep.to_text()
+        points = [(rows, res.x) for _, rows, res in answers if res.status == "optimal"]
         assert len(points) > 40
-        for x in points:
-            r = a[rows] @ x - rhs[rows]
-            breach = np.where(sense[rows] == "L", r, np.where(sense[rows] == "G", -r, np.abs(r)))
+        for rows, x in points:
+            r = a[:rows] @ x - rhs[:rows]
+            breach = np.where(sense[:rows] == "L", r, np.where(sense[:rows] == "G", -r, np.abs(r)))
             assert breach.max() <= _CERT_PRIMAL
 
 

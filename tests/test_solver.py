@@ -101,18 +101,14 @@ class TestSolveConfig:
 class TestModelFixedColumns:
     @pytest.mark.parametrize("fixings", [{}, {0: 0.0}, {3: 2.0}])
     def test_left_out_of_the_lp_and_mapped_back(self, fixings):
-        """Variables 1 and 3 are fixed by their own bounds, so they are no LP
-        columns: the answer's basis covers the other two only, while its x
-        and objective are those of the full LP.  A fixing that moves a
-        variable the model fixes is rejected: its terms are already in the
-        LP's rhs."""
+        """Variables 1 and 3, fixed by their own bounds, are columns of width
+        0, as a fixing makes them: the answer's basis and tableau cover all
+        four columns, and its x and objective are those of the LP over the
+        model's arrays.  Nothing is summed into the rhs ahead of the solve,
+        so a fixing may move a variable the model fixes too."""
         c, lb, ub = [-1.0, -2.0, 0.1, 0.5], [0.0, 0.5, 0.0, 1.0], [1.0, 0.5, 2.0, 1.0]
         a, sense, rhs = [[1.0, 0.0, -1.0, 1.0], [1.0, 1.0, 1.0, 0.0]], ["L", "G"], [1.3, 1.0]
         model = build_model(c, a, sense, rhs, lb, ub, [True, False, False, False])
-        if 3 in fixings:
-            with pytest.raises(InvalidArgument, match="moves a variable the model fixes"):
-                solve_lp(model, fixings)
-            return
         res = solve_lp(model, fixings)
         lb, ub = np.array(lb), np.array(ub)
         for j, val in fixings.items():
@@ -120,8 +116,9 @@ class TestModelFixedColumns:
         full = solve_lp_arrays(LinearProgram(np.array(c), np.array(a), np.array(sense),
                                              np.array(rhs), lb, ub))
         assert res.status == full.status == "optimal" and res.certified
-        assert res.basis.at_upper.size == 2 and res.tableau.t.shape == (3, 5)
+        assert res.basis.at_upper.size == 4 and res.tableau.t.shape == (3, 7)
         assert res.x == pytest.approx(full.x, abs=1e-12)
+        assert res.x[[1, 3]].tolist() == [0.5, fixings.get(3, 1.0)]
         assert res.objective == pytest.approx(full.objective, abs=1e-12)
 
 
@@ -340,14 +337,17 @@ class TestUncertifiedAnswers:
 
 class TestBoxedLps:
     def test_unboxed_column_rejected(self):
-        """Every column of a node LP needs two finite bounds; the error names
-        the LP's column (here the model's variable 1, as no variable is
-        fixed)."""
-        model = build_model(c=[1.0, 1.0], a=[[1.0, 1.0]], sense=["G"], rhs=[1.0],
-                            lb=[0.0, -np.inf], ub=[1.0, 2.0], binary_mask=[True, False])
-        for solve in (solve_lp, solve_mip):
-            with pytest.raises(InvalidArgument, match=r"^column 1 has bounds \[-inf, 2\.0\]"):
-                solve(model)
+        """Every variable of a model needs two finite bounds, and the model
+        refuses one without, by name; the simplex refuses such a column of
+        arrays passed to it directly, by its index."""
+        with pytest.raises(InvalidArgument,
+                           match=r"^variable 'h_0_1_0' has bounds \[-inf, 2\.0\]"):
+            build_model(c=[1.0, 1.0], a=[[1.0, 1.0]], sense=["G"], rhs=[1.0],
+                        lb=[0.0, -np.inf], ub=[1.0, 2.0], binary_mask=[True, False])
+        lp = LinearProgram(np.ones(2), np.ones((1, 2)), np.array(["G"]), np.ones(1),
+                           np.array([0.0, -np.inf]), np.array([1.0, 2.0]))
+        with pytest.raises(InvalidArgument, match=r"^column 1 has bounds \[-inf, 2\.0\]"):
+            solve_lp_arrays(lp)
 
 
 def fractional_knapsack():
