@@ -34,14 +34,17 @@ single row
 
     h - w.h_prev - max(U, 0) s = b - max(U, 0)            'relu_active'
 
-with the lower row's entries and rhs, bit for bit.  A hidden unit whose box
-is a single point (a stable inactive unit's [0, 0], or a max pool over
-such units only) is a constant of the next layer, as an input is, and has
-no variable: its rows keep their variable entries and their rhs.  A row
-left with no variable is not written; its constant must hold within
-``CONST_TOL`` (round-off), or the bounds are not sound for the point and
-:func:`encode_network` raises.  (Tjeng, Xiao & Tedrake, ICLR 2019, encode
-a decided unit linearly too, and drop the units it switches off.)
+with the lower row's entries and rhs, bit for bit.  A unit of a layer
+without activation (dense, conv or average pool) is an active unit with box
+[L, U] and no s, and its row is tagged 'affine_out'.  A hidden unit whose
+box is a single point (a stable inactive unit's [0, 0], a linear unit with
+L == U, or a max pool over such units only) is a constant of the next
+layer, as an input is, and has no variable: its rows keep their variable
+entries, and its value moves into their rhs.  A row left with no variable
+is not stored; its constant must hold within ``CONST_TOL`` (round-off), or
+the bounds are not sound for the point and :func:`encode_network` raises.
+(Tjeng, Xiao & Tedrake, ICLR 2019, encode a decided unit linearly too, and
+drop the units it switches off.)
 
 The objective minimizes
 
@@ -68,17 +71,17 @@ and no tangent exceeds lse(U_k) on the logit box.
 Constraints are stored once, as a compressed row store on ``MipModel``:
 ``row_ptr`` (row i owns entries ``row_ptr[i]:row_ptr[i + 1]``), ``col_idx``
 (variable ids, ascending within a row) and ``row_val`` (coefficients), plus
-one ``sense``, ``rhs`` and ``tag`` per row.  Rows are only appended: the
-encoder writes the network's rows one layer block at a time (a dense, conv
-or average-pool layer's rows for one point are built as arrays and
-appended in one step by ``MipModel.add_rows``; a pool is written as the
-affine layer of its window means), then each tangent cut of a solve is one
-more row.  The solver, the LP writer and the feasibility check all read
-these arrays, and the node LP is these rows over every variable
-(``MipModel.dense_rows``).  There is no presolve: the encoder writes a
-decided unit's rows in their final form, no variable for a unit its bounds
-fix, and no selector for a pooled input that another input's lower bound
-dominates.
+one ``sense``, ``rhs`` and ``tag`` per row.  Rows are only appended, and
+only by ``MipModel.add_rows``, which checks a block, drops its zero
+entries and its rows left with no variable, and stores the rest in one
+pass.  The encoder appends the network's rows one block a layer and point
+(a pool is written as the affine layer of its window means), then each
+tangent cut of a solve is one more row.  The solver, the LP writer and the
+feasibility check all read these arrays, and the node LP is these rows
+over every variable (``MipModel.dense_rows``).  There is no presolve: the
+encoder writes a decided unit's rows in their final form, no variable for
+a unit its bounds fix, and no selector for a pooled input that another
+input's lower bound dominates.
 """
 
 from __future__ import annotations
@@ -88,6 +91,7 @@ import math
 from array import array
 from collections.abc import Mapping
 from dataclasses import dataclass, field
+from itertools import compress
 
 import numpy as np
 
@@ -185,10 +189,12 @@ class MipModel:
         return idx
 
     def add_vars(self, refs: list[VarRef]) -> None:
-        """Append variables in one step; their ids must continue the model's.
-        A variable with a non-finite bound is refused, by name, and nothing
-        is appended."""
-        for v in refs:
+        """Append variables in one step.  A variable whose id does not
+        continue the model's, or with a non-finite bound, is refused, by
+        name, and nothing is appended."""
+        for idx, v in enumerate(refs, len(self.variables)):
+            if v.idx != idx:
+                raise InvalidArgument(f"variable {v.name!r} has id {v.idx}, not the next id {idx}")
             if not (math.isfinite(v.lb) and math.isfinite(v.ub)):
                 raise InvalidArgument(f"variable {v.name!r} has bounds [{float(v.lb)!r}, "
                                       f"{float(v.ub)!r}]: every variable needs two finite bounds")
@@ -196,45 +202,64 @@ class MipModel:
         self._rows = self._vars = None
 
     def add_constraint(self, coefs: Mapping[int, float], sense: str, rhs: float,
-                       tag: str) -> int:
-        """Append the row ``sum(c * x[j] for j, c in coefs) sense rhs``.
-
-        Zero coefficients are dropped; returns the new row id.
-        """
+                       tag: str) -> int | None:
+        """Append the row ``sum(c * x[j] for j, c in coefs) sense rhs``: the
+        block of :meth:`add_rows` with one row.  Returns the new row id, or
+        None when the row has no variable and holds."""
+        n_rows = len(self.rhs)
         self.add_rows(np.zeros(len(coefs), dtype=np.intp), list(coefs), list(coefs.values()),
                       [sense], [rhs], [tag])
-        return len(self.rhs) - 1
+        return n_rows if len(self.rhs) > n_rows else None
 
     def add_rows(self, rows: np.ndarray, cols: np.ndarray, vals: np.ndarray,
-                 sense: list[str], rhs: np.ndarray, tag: list[str]) -> None:
+                 sense: list[str] | np.ndarray, rhs: np.ndarray,
+                 tag: list[str] | np.ndarray) -> None:
         """Append a block of rows in one step: entry e puts ``vals[e]`` on
         variable ``cols[e]`` in the block's row ``rows[e]``, and block row i
-        reads ``sense[i]`` ``rhs[i]`` with tag ``tag[i]``.
+        reads ``sense[i]`` ('L', 'G' or 'E') ``rhs[i]`` with tag ``tag[i]``.
 
         The entries may come in any order, each variable at most once a row;
         zero coefficients are dropped and each row's entries are stored in
-        ascending id order.  Nothing is appended when a row names a variable
-        the model does not have, or has no entry left, or non-finite data.
+        ascending id order.  A row left with no entry reads ``0 sense rhs``:
+        it is not stored when it holds within ``CONST_TOL`` (round-off), and
+        refused when it does not.  Nothing is appended when a row names a
+        variable the model does not have, another sense, non-finite data or
+        a broken constant.
         """
         rows = np.asarray(rows, dtype=np.intp)
         cols = np.asarray(cols, dtype=np.int64)
+        sense, tag = np.asarray(sense).tolist(), np.asarray(tag).tolist()
+        rhs = np.asarray(rhs, dtype=np.float64)
         bad = np.flatnonzero((cols < 0) | (cols >= len(self.variables)))
         if bad.size:
             e = bad[np.argmin(rows[bad])]
             raise InvalidArgument(f"constraint {tag[rows[e]]!r} names variable {cols[e]}, "
                                   f"not in [0, {len(self.variables)})")
+        bad = [i for i, s in enumerate(sense) if s not in ("L", "G", "E")]
+        if bad:
+            raise InvalidArgument(f"constraint {tag[bad[0]]!r} has sense {sense[bad[0]]!r}, "
+                                  "not 'L', 'G' or 'E'")
         vals = np.asarray(vals, dtype=np.float64)
-        rhs = np.asarray(rhs, dtype=np.float64)
         on = vals != 0.0
-        order = np.lexsort((cols[on], rows[on]))
-        rows, cols, vals = rows[on][order], cols[on][order], vals[on][order]
+        rows, cols, vals = rows[on], cols[on], vals[on]
+        if not (np.isfinite(vals).all() and np.isfinite(rhs).all()):
+            nan_rows = np.bincount(rows, weights=~np.isfinite(vals), minlength=rhs.size) > 0
+            i = np.flatnonzero(~np.isfinite(rhs) | nan_rows)[0]
+            raise InvalidArgument(f"constraint {tag[i]!r} has non-finite data")
         count = np.bincount(rows, minlength=rhs.size)
-        if not (count.all() and np.isfinite(vals).all() and np.isfinite(rhs).all()):
-            finite = np.isfinite(rhs) & (np.bincount(rows, weights=~np.isfinite(vals),
-                                                     minlength=rhs.size) == 0)
-            i = int(np.flatnonzero((count == 0) | ~finite)[0])
-            why = "has no variables" if count[i] == 0 else "has non-finite data"
-            raise InvalidArgument(f"constraint {tag[i]!r} {why}")
+        kept = count > 0
+        if not kept.all():
+            s = np.array(sense)
+            breach = np.where(s == "L", -rhs, np.where(s == "G", rhs, np.abs(rhs)))
+            broken = np.flatnonzero(~kept & (breach > CONST_TOL))
+            if broken.size:
+                i = broken[0]
+                raise InvalidArgument(f"constraint {tag[i]!r} has no variables and is broken "
+                                      f"by {float(breach[i])!r}")
+            sense, tag = list(compress(sense, kept)), list(compress(tag, kept))
+            count, rhs = count[kept], rhs[kept]
+        order = np.lexsort((cols, rows))
+        rows, cols, vals = rows[order], cols[order], vals[order]
         if np.any((rows[1:] == rows[:-1]) & (cols[1:] == cols[:-1])):
             raise InvalidArgument("a variable appears twice in one row")
         ends = len(self.col_idx) + np.cumsum(count)
@@ -488,25 +513,6 @@ def _affine_constants(weight: np.ndarray, bias: np.ndarray, const: np.ndarray) -
     return pc
 
 
-def _add_block(model: MipModel, rows: np.ndarray, cols: np.ndarray, vals: np.ndarray,
-               sense: np.ndarray, rhs: np.ndarray, tag: np.ndarray) -> None:
-    """``MipModel.add_rows`` without the block's rows that have no variable
-    entry left.  Such a row reads ``0 sense rhs``; a breach above
-    ``CONST_TOL`` means the bounds are not sound for the point, and raises
-    :class:`InvalidArgument` with nothing appended."""
-    on = vals != 0.0
-    rows, cols, vals = rows[on], cols[on], vals[on]
-    kept = np.bincount(rows, minlength=rhs.size) > 0
-    i = np.flatnonzero(~kept)
-    breach = np.where(sense[i] == "L", -rhs[i], np.where(sense[i] == "G", rhs[i], np.abs(rhs[i])))
-    if np.any(breach > CONST_TOL):
-        b = int(np.argmax(breach))
-        raise InvalidArgument(f"constraint {str(tag[i[b]])!r} has no variables and is broken by "
-                              f"{float(breach[b])!r}: the bounds are not sound for the point")
-    model.add_rows((np.cumsum(kept) - 1)[rows], cols, vals, sense[kept].tolist(), rhs[kept],
-                   tag[kept].tolist())
-
-
 def _encode_affine_layer(model: MipModel, weight: np.ndarray, bias: np.ndarray, relu: bool,
                          s_ids: np.ndarray | None, l_idx: int, point: int, bnd: IntervalBounds,
                          trace, prev_vars: np.ndarray, prev_const: np.ndarray, hidden: bool,
@@ -521,8 +527,8 @@ def _encode_affine_layer(model: MipModel, weight: np.ndarray, bias: np.ndarray, 
     unless it is ``hidden`` and its box is a single point: then it is a
     constant, with id -1 and that point as its constant (0 for every other
     unit).  ``prev_vars`` and ``prev_const`` give the previous layer the
-    same way.  A ReLU unit gets the rows the module docstring gives its
-    state, any other unit one 'affine_out' equality.  ``s_ids`` holds the
+    same way.  Each unit gets the rows the module docstring gives its state;
+    a unit of a layer without ReLU is active.  ``s_ids`` holds the
     importance variable of each unit of a prunable layer, None otherwise.
     The terms ``-w.h_prev`` over the previous layer's variables move to the
     left; ``w.h_prev + b`` over its constants is the constant ``pc`` (see
@@ -534,15 +540,17 @@ def _encode_affine_layer(model: MipModel, weight: np.ndarray, bias: np.ndarray, 
     hi = np.asarray(bnd.pre_hi[l_idx], dtype=np.float64)
     pc = _affine_constants(weight, bias, prev_const)
     # stable active (L >= 0 < U) and stable inactive (U <= 0) ReLU units are
-    # decided by their bounds; only an unstable one gets a z, right after its h
-    active, inactive = (hi > 0.0) & (lo >= 0.0), hi <= 0.0
-    unstable = relu & ~(active | inactive)
+    # decided by their bounds, and a linear unit is active; only an unstable
+    # unit gets a z, right after its h
+    active, inactive = ((hi > 0.0) & (lo >= 0.0)) | (not relu), (hi <= 0.0) & relu
+    unstable = ~(active | inactive)
     max_u = np.where(0.0 > hi, 0.0, hi)  # max(hi, 0.0), -0.0 kept as Python keeps it
     box_lo, box_hi = (np.zeros(n_units), max_u) if relu else (lo, hi)
     const = hidden & (box_lo == box_hi)
-    var = ~const
+    var, value = ~const, np.where(const, box_lo, 0.0)
     per = var.astype(np.int64) + unstable  # variables per unit
     h = len(model.variables) + np.cumsum(per) - per
+    z = h[unstable] + 1
     # -w.h_prev: entry e of unit ju[e] on the previous layer's variable
     ju, ii = np.nonzero(weight)
     live = prev_vars[ii] >= 0
@@ -557,49 +565,41 @@ def _encode_affine_layer(model: MipModel, weight: np.ndarray, bias: np.ndarray, 
             refs.append(VarRef(i + 1, f"z_{l_idx}_{j}_{point}", "z", 0.0, 1.0, True, l_idx, j,
                                point))
     model.add_vars(refs)
-    if not relu:
-        _add_block(model, np.concatenate([np.flatnonzero(var), ju]),
-                   np.concatenate([h[var], prev_ids]),
-                   np.concatenate([np.ones(var.sum()), neg_w]),
-                   np.full(n_units, "E"), pc - np.where(const, lo, 0.0) + 0.0,
-                   np.full(n_units, "affine_out"))
-    else:
-        z = h[unstable] + 1
-        # rows per unit: unstable 3 (upper, cap, lower), stable inactive 2
-        # (upper, lower), stable active 1 (the lower row as an equality)
-        on = ~active  # the units with an upper row
-        count = np.where(active, 1, np.where(unstable, 3, 2))
-        upper = np.cumsum(count) - count
-        cap, lower = upper[unstable] + 1, upper + count - 1
-        e = on[ju]  # the -w.h_prev entries of the upper rows
-        rows = [upper[unstable], upper[unstable], upper[ju[e]], cap, cap, lower[var], lower[ju]]
-        cols = [h[unstable], z, prev_ids[e], h[unstable], z, h[var], prev_ids]
-        vals = [np.ones(z.size), -lo[unstable], neg_w[e], np.ones(z.size), -hi[unstable],
-                np.ones(var.sum()), neg_w]
-        shift = np.zeros(n_units)
-        if s_ids is not None:
-            # -(1 - s) max(U, 0): the s term on the left, the constant in the rhs
-            rows += [upper[on], lower]
-            cols += [s_ids[on], s_ids]
-            vals += [-max_u[on], -max_u]
-            shift = max_u
-        # h + (1 - z) L <= psum - (1 - s) max(U, 0), with z = 0 and h = 0
-        # when U <= 0;  h <= z U;  h >= psum - (1 - s) max(U, 0), or = when
-        # L >= 0 < U
-        rhs, sense = np.zeros(count.sum()), np.full(count.sum(), "L")
-        tag = np.full(count.sum(), "relu_upper_on")
-        rhs[upper[on]] = ((pc - lo) - shift + 0.0)[on]
-        rhs[lower] = pc - shift + 0.0
-        sense[lower], tag[cap], tag[lower] = "G", "relu_cap", "relu_lower_on"
-        sense[lower[active]], tag[lower[active]] = "E", "relu_active"
-        _add_block(model, np.concatenate(rows), np.concatenate(cols), np.concatenate(vals),
-                   sense, rhs, tag)
-        # the binary's reference is the unit's observed state
-        z_obs = np.where(np.asarray(trace.pre[l_idx])[unstable] > 0.0, 1.0, 0.0)
-        reference.update(zip(z.tolist(), z_obs.tolist()))
+    # rows per unit: unstable 3 (upper, cap, lower), stable inactive 2
+    # (upper, lower), active 1 (the lower row as an equality)
+    on = ~active  # the units with an upper row
+    count = np.where(active, 1, np.where(unstable, 3, 2))
+    upper = np.cumsum(count) - count
+    cap, lower = upper[unstable] + 1, upper + count - 1
+    e = on[ju]  # the -w.h_prev entries of the upper rows
+    rows = [upper[unstable], upper[unstable], upper[ju[e]], cap, cap, lower[var], lower[ju]]
+    cols = [h[unstable], z, prev_ids[e], h[unstable], z, h[var], prev_ids]
+    vals = [np.ones(z.size), -lo[unstable], neg_w[e], np.ones(z.size), -hi[unstable],
+            np.ones(var.sum()), neg_w]
+    shift = np.zeros(n_units)
+    if s_ids is not None:
+        # -(1 - s) max(U, 0): the s term on the left, the constant in the rhs
+        rows += [upper[on], lower]
+        cols += [s_ids[on], s_ids]
+        vals += [-max_u[on], -max_u]
+        shift = max_u
+    # h + (1 - z) L <= psum - (1 - s) max(U, 0), with z = 0 and h = 0 when
+    # U <= 0;  h <= z U;  h >= psum - (1 - s) max(U, 0), or = when active;
+    # a constant h moves its value to the rhs
+    rhs, sense = np.zeros(count.sum()), np.full(count.sum(), "L")
+    tag = np.full(count.sum(), "relu_upper_on")
+    rhs[upper[on]] = ((pc - lo) - shift + 0.0)[on]
+    rhs[lower] = pc - shift - value + 0.0
+    sense[lower], tag[cap], tag[lower] = "G", "relu_cap", "relu_lower_on"
+    sense[lower[active]], tag[lower[active]] = "E", "relu_active" if relu else "affine_out"
+    model.add_rows(np.concatenate(rows), np.concatenate(cols), np.concatenate(vals), sense, rhs,
+                   tag)
+    # the binary's reference is the unit's observed state
+    z_obs = np.where(np.asarray(trace.pre[l_idx])[unstable] > 0.0, 1.0, 0.0)
+    reference.update(zip(z.tolist(), z_obs.tolist()))
     post = np.asarray(trace.post[l_idx], dtype=np.float64)
     reference.update(zip(h[var].tolist(), post[var].tolist()))
-    return np.where(const, -1, h), np.where(const, box_lo, 0.0)
+    return np.where(const, -1, h), value
 
 
 def encode_network(net: Network, xs: np.ndarray, ys: np.ndarray,
@@ -711,8 +711,7 @@ def encode_network(net: Network, xs: np.ndarray, ys: np.ndarray,
                 prev_vars, prev_const = np.array(cur, dtype=np.int64), values
         model.logit_vars.append(prev_vars.tolist())
         anchors.append(np.array([reference[j] for j in model.logit_vars[k]]))
-        lb, ub, _ = model.var_arrays()
-        lo, hi = lb[model.logit_vars[k]], ub[model.logit_vars[k]]
+        lo, hi = bnd.pre_lo[-1], bnd.pre_hi[-1]  # the logits' box
         # the seed tangent at the logits' lower bounds, which every LP implies,
         # and the largest log-sum-exp, which lambda > 0 keeps every LP under
         seed = log_sum_exp(anchors[k]) + float(np.dot(softmax_probs(anchors[k]), lo - anchors[k]))

@@ -724,17 +724,17 @@ def solve_lp_arrays(lp: LinearProgram, basis: Basis | None = None,
                     tableau: Tableau | None = None, point: np.ndarray | None = None) -> LpResult:
     """Solve a bounded-variable LP from the first of its starts that answers.
 
-    Every structural column must be boxed: a column with an infinite bound
-    raises :class:`InvalidArgument`, which names it.  With ``basis`` the
-    starts are the carried ``tableau``, when one is given, then a fresh
-    all-logical tableau, both moved to ``basis``.  ``tableau`` is the final
-    tableau of an earlier answer on the same rows and objective
-    (``LpResult.tableau``; other bounds and appended rows are fine), and it
-    is consumed.  With ``point``, a feasible vertex of ``lp``, the start is a
-    fresh tableau moved to its basis, and phase two runs from there.  The
-    'cold' start comes last and always answers; its answer is returned with
-    ``certified`` false when it fails its check.  ``LpResult.attempts``
-    records every start.
+    Every structural column must be boxed and every row's sense 'L', 'G' or
+    'E': another column or row raises :class:`InvalidArgument`, which names
+    it.  With ``basis`` the starts are the carried ``tableau``, when one is
+    given, then a fresh all-logical tableau, both moved to ``basis``.
+    ``tableau`` is the final tableau of an earlier answer on the same rows
+    and objective (``LpResult.tableau``; other bounds and appended rows are
+    fine), and it is consumed.  With ``point``, a feasible vertex of ``lp``,
+    the start is a fresh tableau moved to its basis, and phase two runs from
+    there.  The 'cold' start comes last and always answers; its answer is
+    returned with ``certified`` false when it fails its check.
+    ``LpResult.attempts`` records every start.
     """
     if tableau is not None and basis is None:
         raise InvalidArgument("a carried tableau needs a basis to move to")
@@ -747,6 +747,10 @@ def solve_lp_arrays(lp: LinearProgram, basis: Basis | None = None,
         j = int(unboxed[0])
         raise InvalidArgument(f"column {j} has bounds [{float(lb[j])!r}, {float(ub[j])!r}]: "
                               "every column needs two finite bounds")
+    unknown = np.flatnonzero((lp.sense != "L") & (lp.sense != "G") & (lp.sense != "E"))
+    if unknown.size:
+        i = int(unknown[0])
+        raise InvalidArgument(f"row {i} has sense {str(lp.sense[i])!r}, not 'L', 'G' or 'E'")
     if np.any(lb > ub):
         out = LpResult("infeasible", None, None, certified=True)
         out.attempt("cold", None)

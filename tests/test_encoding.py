@@ -9,6 +9,7 @@ import mipprune.network
 from mipprune.bounds import propagate_batch
 from mipprune.encoding import (
     MipModel,
+    VarRef,
     _affine_constants,
     add_lse_cut,
     encode_maxpool,
@@ -467,13 +468,48 @@ class TestLseCuts:
 
 
 class TestAddConstraint:
-    def test_empty_constraint_rejected(self):
+    def test_row_with_no_variable_left_out_or_refused(self):
+        """A row with no nonzero entry reads ``0 sense rhs``.  One that holds
+        within ``CONST_TOL`` is not stored, and ``add_constraint`` returns
+        None for it; one its constant breaks is refused with the breach, and
+        nothing is appended."""
         model = MipModel()
         a = model.add_var("h_0_0_0", "h", 0.0, 1.0)
-        with pytest.raises(InvalidArgument):
-            model.add_constraint({}, "L", 0.0, "t")
-        with pytest.raises(InvalidArgument):
-            model.add_constraint({a: 0.0}, "L", 0.0, "t")
+        for coefs, sense, rhs in (({}, "L", 0.0), ({a: 0.0}, "G", -2.0), ({}, "E", 1e-7),
+                                  ({a: 0.0}, "L", -1e-6)):
+            assert model.add_constraint(coefs, sense, rhs, "t") is None
+        assert model.add_constraint({a: 1.0}, "L", 1.0, "ok") == 0
+        for coefs, sense, rhs in (({}, "L", -0.5), ({a: 0.0}, "G", 2e-6), ({}, "E", -3.0)):
+            with pytest.raises(InvalidArgument, match=f"^constraint 't' has no variables and is "
+                                                      f"broken by {abs(rhs)!r}$"):
+                model.add_constraint(coefs, sense, rhs, "t")
+        assert model.tag == ["ok"] and list(model.row_ptr) == [0, 1]
+
+    @pytest.mark.parametrize("sense", ["X", "l", "LE", ""])
+    def test_unknown_sense_refused(self, sense):
+        """A sense other than 'L', 'G' or 'E' is refused with the row's tag,
+        and nothing is appended: the simplex, the feasibility check and the
+        LP writer each read only those three."""
+        model = MipModel()
+        a = model.add_var("h_0_0_0", "h", 0.0, 1.0)
+        msg = f"^constraint 'b' has sense {sense!r}, not 'L', 'G' or 'E'$"
+        with pytest.raises(InvalidArgument, match=msg):
+            model.add_constraint({a: 1.0}, sense, 1.0, "b")
+        with pytest.raises(InvalidArgument, match=msg):
+            model.add_rows([0, 1], [a, a], [1.0, 1.0], ["L", sense], [1.0, 1.0], ["a", "b"])
+        assert len(model.constraints) == 0 and len(model.col_idx) == 0
+
+    def test_variable_id_must_continue_the_model(self):
+        """A variable whose id is not the next one is refused by name, and
+        nothing of its block is appended."""
+        model = MipModel()
+        model.add_var("h_0_0_0", "h", 0.0, 1.0)
+        with pytest.raises(InvalidArgument, match=r"^variable 'h_0_2_0' has id 5, not the next "
+                                                  r"id 2$"):
+            model.add_vars([VarRef(1, "h_0_1_0", "h", 0.0, 1.0),
+                            VarRef(5, "h_0_2_0", "h", 0.0, 1.0)])
+        assert [v.name for v in model.variables] == ["h_0_0_0"]
+        assert model.var_arrays()[0].size == 1
 
     @pytest.mark.parametrize("bad", [-1, 2, 5])
     def test_variable_outside_the_model_rejected(self, bad):
@@ -521,17 +557,28 @@ class TestAddConstraint:
             assert getattr(block, name) == getattr(one, name), name
 
     def test_bad_block_names_its_first_bad_row_and_appends_nothing(self):
+        """Row 'b' of the first block has no entry left and holds, so it
+        would be left out, and 'c' is the first bad row; of two rows whose
+        constants break, the first is named, not the one broken most."""
         model = MipModel()
         for j in range(2):
             model.add_var(f"h_0_{j}_0", "h", 0.0, 1.0)
-        with pytest.raises(InvalidArgument, match="'b' has no variables"):
+        with pytest.raises(InvalidArgument, match="'c' has non-finite data"):
             model.add_rows([0, 1, 2], [0, 1, 1], [1.0, 0.0, np.nan], list("LLL"), np.zeros(3),
                            ["a", "b", "c"])
+        with pytest.raises(InvalidArgument, match="^constraint 'b' has no variables and is broken "
+                                                  "by 1.0$"):
+            model.add_rows([0, 1, 3], [0, 1, 1], [1.0, 0.0, 1.0], list("LGEL"),
+                           [1.0, 1.0, 5.0, 1.0], ["a", "b", "c", "d"])
         with pytest.raises(InvalidArgument, match="'a' has non-finite data"):
             model.add_rows([0], [0], [1.0], ["L"], [np.inf], ["a"])
         with pytest.raises(InvalidArgument, match="twice"):
             model.add_rows([0, 0], [1, 1], [1.0, 2.0], ["L"], [0.0], ["a"])
         assert len(model.constraints) == 0 and len(model.col_idx) == 0
+        model.add_rows([2, 0, 1], [1, 0, 1], [-1.0, 1.0, 0.0], list("LGG"), [1.0, 0.0, -1.0],
+                       ["a", "b", "c"])
+        assert (model.tag, model.sense, list(model.rhs)) == (["a", "c"], ["L", "G"], [1.0, -1.0])
+        assert list(model.row_ptr) == [0, 1, 2] and model.row(1) == {1: -1.0}
 
     def test_rows_read_back_sorted_and_dense(self):
         model = MipModel()

@@ -127,7 +127,7 @@ class TestSolutionRoundTrip:
 
 
 class TestGoldenText:
-    """The LP text of four fixed encodings and of two benchmark models, and
+    """The LP text of six fixed encodings and of two benchmark models, and
     the model files of four short training runs, pinned by sha256.
 
     Any change to variable order, row order, a coefficient or a right-hand
@@ -174,6 +174,27 @@ class TestGoldenText:
         p = tmp_path / "m.lp"
         write_lp(model, p)
         assert hashlib.sha256(p.read_bytes()).hexdigest() == self.POOL_OVER_INPUT
+
+    HIDDEN_LINEAR = {
+        0.0: "9bd116f8ec31838eb5005d3eeaacb2dccb178f2411fe0798e04d493a55ffcdb1",
+        0.1: "307161df2bba1dbd6447bd90093f25536faf18dbcec037df8cbb93ba8b0f3afa",
+    }
+
+    @pytest.mark.parametrize("eps", sorted(HIDDEN_LINEAR))
+    def test_hidden_linear_layer_digest(self, eps, tmp_path):
+        """Hidden dense layers without activation, one on the input and one
+        after a ReLU layer: each unit is one 'affine_out' equality over its
+        box [L, U].  At eps 0 each first-layer unit has L == U and is a
+        constant of the ReLU layer, with no variable."""
+        arch = [dense(3, activation="none"), dense(4), dense(3, activation="none"),
+                dense(3, activation="none")]
+        net = init_network(3, arch, seed=5)
+        xs = np.random.default_rng(5).normal(size=(2, 3))
+        model = encode_network(net, xs, np.array([0, 2]), propagate_batch(net, xs, eps))
+        assert any(v.layer == 0 for v in model.variables) == (eps > 0.0)
+        p = tmp_path / "m.lp"
+        write_lp(model, p)
+        assert hashlib.sha256(p.read_bytes()).hexdigest() == self.HIDDEN_LINEAR[eps]
 
     BENCH_DIGESTS = {
         "dense-1pt-seed0": "97b35e42027a0627194c0a62fcc962178be0d0eaa21bfd81d8a9a61aa64de807",

@@ -133,6 +133,17 @@ class TestSimple:
         with pytest.raises(InvalidArgument, match=r"^column 1 has bounds"):
             solve_lp_arrays(lp)
 
+    @pytest.mark.parametrize("sense", ["X", "l", ""])
+    def test_unknown_sense_rejected(self, sense):
+        """A row whose sense is not 'L', 'G' or 'E' is refused by number,
+        not solved as some other sense."""
+        lp = make_lp([1.0, 1.0], [[1.0, 1.0], [1.0, -1.0]], ["G", "L"], [1.0, 0.0], [0.0, 0.0],
+                     [1.0, 1.0])
+        lp.sense = np.array(["G", sense])
+        with pytest.raises(InvalidArgument, match=f"^row 1 has sense {sense!r}, not 'L', 'G' or "
+                                                  "'E'$"):
+            solve_lp_arrays(lp)
+
 
 class TestRandomAgainstVertexEnumeration:
     def test_two_hundred_random_lps(self):
